@@ -27,6 +27,38 @@ def grid_points(lo: float, hi: float, per_unit: float | None = None,
 
 
 # ---------------------------------------------------------------------------
+# Interpolation and quadrature on node tables.
+# ---------------------------------------------------------------------------
+
+def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
+    """Piecewise-cubic Hermite evaluation; exact at nodes, O(h^4) between.
+
+    ts must be strictly increasing (not necessarily uniform)."""
+    t = np.asarray(t, dtype=float)
+    tc = np.clip(t, ts[0], ts[-1])
+    idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
+    h = ts[idx + 1] - ts[idx]
+    x = (tc - ts[idx]) / h
+    y0, y1 = ys[idx], ys[idx + 1]
+    d0, d1 = dys[idx] * h, dys[idx + 1] * h
+    h00 = (1 + 2 * x) * (1 - x) ** 2
+    h10 = x * (1 - x) ** 2
+    h01 = x * x * (3 - 2 * x)
+    h11 = x * x * (x - 1)
+    return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+
+
+def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,
+                       y0: float = 0.0) -> np.ndarray:
+    """Cumulative integral of y given its derivative dy at the same nodes.
+
+    Per-segment Euler-Maclaurin corrected trapezoid (exact for cubics)."""
+    h = np.diff(ts)
+    seg = 0.5 * h * (y[:-1] + y[1:]) + (h * h / 12.0) * (dy[:-1] - dy[1:])
+    return y0 + np.concatenate([[0.0], np.cumsum(seg)])
+
+
+# ---------------------------------------------------------------------------
 # The standard C^infinity bump exp(1 - 1/(1-x^2)) and machinery built from it.
 # ---------------------------------------------------------------------------
 
@@ -59,69 +91,45 @@ def bump_d2(x):
     return np.where(inside, bump(xs) * (a * a + b), 0.0)
 
 
-def _bump_mass(n: int = 16385) -> float:
-    xs = np.linspace(-1.0, 1.0, n)
-    y, dy = bump(xs), bump_d1(xs)
-    h = xs[1] - xs[0]
-    seg = 0.5 * h * (y[:-1] + y[1:]) + (h * h / 12.0) * (dy[:-1] - dy[1:])
-    return float(np.sum(seg))
+class TabulatedAntiderivative:
+    """Normalised running integral of a nonnegative density on [0, 1]: 0
+    before, 1 after, flat at the ends to every order the density is.
 
+    ``density(x, k)`` is the density's k-th derivative.  Values come from a
+    Hermite cumulative table on ``n`` uniform nodes, interpolated with the
+    density as node slopes, so they keep full double accuracy; derivatives
+    are the density itself divided by ``mass``."""
 
-BUMP_MASS = _bump_mass()
-
-
-class _SmoothStep:
-    """C^infinity step on [0,1]: 0 before, 1 after, flat to all orders at
-    both ends.  Values come from a dense cumulative table of the bump (the
-    derivative is analytic, so cubic Hermite interpolation keeps full
-    double accuracy)."""
-
-    def __init__(self, n: int = 8193):
+    def __init__(self, density, n: int = 8193):
         xs = np.linspace(0.0, 1.0, n)
-        d = bump(2.0 * xs - 1.0)
-        h = xs[1] - xs[0]
-        # Hermite cumulative integral: exact for cubics, O(h^5) per step.
-        dd = 2.0 * bump_d1(2.0 * xs - 1.0)
-        seg = 0.5 * h * (d[:-1] + d[1:]) + (h * h / 12.0) * (dd[:-1] - dd[1:])
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        d = density(xs, 0)
+        cum = cumulative_hermite(xs, d, density(xs, 1))
+        self.mass = float(cum[-1])
+        self._density = density
         self._xs = xs
         self._table = cum / cum[-1]
-        self._norm = cum[-1]
+        self._slopes = d / cum[-1]
 
-    def value(self, x):
+    def __call__(self, x, k: int = 0):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self._xs, xc) - 1, 0, len(self._xs) - 2)
-        x0 = self._xs[idx]
-        h = self._xs[1] - self._xs[0]
-        tt = (xc - x0) / h
-        y0, y1 = self._table[idx], self._table[idx + 1]
-        d0 = bump(2.0 * x0 - 1.0) / self._norm * h
-        d1 = bump(2.0 * (x0 + h) - 1.0) / self._norm * h
-        h00 = (1 + 2 * tt) * (1 - tt) ** 2
-        h10 = tt * (1 - tt) ** 2
-        h01 = tt * tt * (3 - 2 * tt)
-        h11 = tt * tt * (tt - 1)
-        out = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+        if k:
+            return self._density(x, k - 1) / self.mass
+        out = hermite_interp(self._xs, self._table, self._slopes,
+                             np.clip(x, 0.0, 1.0))
         return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out))
 
-    def d1(self, x):
-        return bump(2.0 * np.asarray(x, float) - 1.0) / self._norm
 
-    def d2(self, x):
-        return 2.0 * bump_d1(2.0 * np.asarray(x, float) - 1.0) / self._norm
-
-    def d3(self, x):
-        return 4.0 * bump_d2(2.0 * np.asarray(x, float) - 1.0) / self._norm
+def _bump_density(x, k: int):
+    """k-th derivative of bump(2x - 1)."""
+    return 2.0 ** k * (bump, bump_d1, bump_d2)[k](2.0 * x - 1.0)
 
 
-SMOOTH_STEP = _SmoothStep()
+SMOOTH_STEP = TabulatedAntiderivative(_bump_density)
 
 
 def smooth_step(x, k: int = 0):
     """k-th derivative of the C^infinity unit step on [0,1]."""
-    return (SMOOTH_STEP.value, SMOOTH_STEP.d1, SMOOTH_STEP.d2,
-            SMOOTH_STEP.d3)[k](x)
+    return SMOOTH_STEP(x, k)
 
 
 def plateau(x, k: int = 0, rise: float = 0.15):
@@ -142,49 +150,17 @@ def plateau(x, k: int = 0, rise: float = 0.15):
     raise ValueError(k)
 
 
-# Mass of plateau(x, rise=0.15) on [0,1]; frozen from a dense Hermite pass.
-def _plateau_mass(rise: float = 0.15, n: int = 16385) -> float:
-    xs = np.linspace(0.0, 1.0, n)
-    y = plateau(xs, 0, rise)
-    dy = plateau(xs, 1, rise)
-    h = xs[1] - xs[0]
-    seg = 0.5 * h * (y[:-1] + y[1:]) + (h * h / 12.0) * (dy[:-1] - dy[1:])
-    return float(np.sum(seg))
+# Mass of plateau(x, rise=0.15) on [0,1], from a dense Hermite pass.
+PLATEAU_MASS = TabulatedAntiderivative(plateau, 16385).mass
 
 
-PLATEAU_MASS = _plateau_mass()
-
-
-# ---------------------------------------------------------------------------
-# Interpolation and quadrature on node tables.
-# ---------------------------------------------------------------------------
-
-def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
-    """Piecewise-cubic Hermite evaluation; exact at nodes, O(h^4) between.
-
-    ts must be strictly increasing (not necessarily uniform)."""
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, ts[0], ts[-1])
-    idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    x = (tc - ts[idx]) / h
-    y0, y1 = ys[idx], ys[idx + 1]
-    d0, d1 = dys[idx] * h, dys[idx + 1] * h
-    h00 = (1 + 2 * x) * (1 - x) ** 2
-    h10 = x * (1 - x) ** 2
-    h01 = x * x * (3 - 2 * x)
-    h11 = x * x * (x - 1)
-    return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-
-
-def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,
-                       y0: float = 0.0) -> np.ndarray:
-    """Cumulative integral of y given its derivative dy at the same nodes.
-
-    Per-segment Euler-Maclaurin corrected trapezoid (exact for cubics)."""
-    h = np.diff(ts)
-    seg = 0.5 * h * (y[:-1] + y[1:]) + (h * h / 12.0) * (dy[:-1] - dy[1:])
-    return y0 + np.concatenate([[0.0], np.cumsum(seg)])
+def unit_plateau(lo: float, span: float):
+    """Unit-mass plateau on [lo, lo + span] as a function g(u, k) of its
+    argument and derivative order."""
+    def g(u, k=0):
+        x = (np.asarray(u, float) - lo) / span
+        return plateau(x, k) / (PLATEAU_MASS * span ** (k + 1))
+    return g
 
 
 def fd_first_derivative(y: np.ndarray, h: float, stride: int = 1) -> np.ndarray:

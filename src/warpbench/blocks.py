@@ -11,18 +11,21 @@ deterministic functions of the parameter record and grid density.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import (PLATEAU_MASS, cumulative_hermite, grid_points,
-                    plateau, smooth_step)
+from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
+                    cumulative_hermite, grid_points, hermite_interp, plateau,
+                    smooth_step, unit_plateau)
 from .curves import (JoinBandError, SmoothCurve, constant_curve,
                      cosine_curve, curve_from_derivs, even_extension,
                      flatness_margin, integrate_transfer_odes, line_curve,
                      linear_combo, make_concave_profile, parity_margin,
-                     piecewise_curve, poly_curve, sin_of, sine_curve,
+                     piecewise_curve, poly_curve,
+                     second_derivative_surgery, sin_of, sine_curve,
                      smooth_join, table_curve)
 from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
@@ -271,6 +274,25 @@ def _alpha_base(lambda1: float, eps1: float, domain) -> SmoothCurve:
     return curve_from_derivs(domain, d0, d1, d2, d3)
 
 
+def _step_weighted(curve: SmoothCurve, at: float, width: float,
+                   falling: bool = False):
+    """Second and third derivatives of ``curve`` times the smooth step over
+    [at, at + width], rising from 0 to 1 (or falling from 1 to 0)."""
+    def step(t, k=0):
+        s = smooth_step((np.asarray(t, float) - at) / width, k) / width ** k
+        if not falling:
+            return s
+        return 1.0 - s if k == 0 else -s
+
+    def d2(t):
+        return curve.eval(t, 2) * step(t)
+
+    def d3(t):
+        return curve.eval(t, 3) * step(t) + curve.eval(t, 2) * step(t, 1)
+
+    return d2, d3
+
+
 def _flatten_start(base: SmoothCurve, at: float, window: float,
                    rise_frac: float = 1e-3) -> SmoothCurve:
     """Replace ``base`` near its left end so that all derivatives vanish at
@@ -287,101 +309,25 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
         np.linspace(0.0, 2.0 * omega, 129),
         np.linspace(2.0 * omega, w, 1537)[1:],
     ])
-    s_nodes = at + u_nodes
 
-    def S(u, k=0):
-        return smooth_step(np.asarray(u, float) / omega, k) / omega ** k
+    plate = unit_plateau(0.0, w)
 
-    def G1(u, k=0):
-        x = np.asarray(u, float) / w
-        return plateau(x, k) / (PLATEAU_MASS * w ** (k + 1))
+    def tilt(u, k):
+        g = (np.asarray(u, float) / w - 0.5) * plate(u, k)
+        return plate(u) / w + g if k else g
 
-    def G2(u, k=0):
-        x = np.asarray(u, float) / w
-        if k == 0:
-            return (x - 0.5) * G1(u)
-        if k == 1:
-            return G1(u) / w + (x - 0.5) * G1(u, 1)
-        return 2.0 * G1(u, k - 1) / w + (x - 0.5) * G1(u, k)
-
-    a2 = base.eval(s_nodes, 2)
-    a3 = base.eval(s_nodes, 3)
-    b2 = a2 * S(u_nodes)
-    b3 = a3 * S(u_nodes) + a2 * S(u_nodes, 1)
-
-    def cum(y, dy):
-        return cumulative_hermite(u_nodes, y, dy)
-
-    wu = w - u_nodes
-    i_b = cum(b2, b3)[-1]
-    iw_b = cum(wu * b2, -b2 + wu * b3)[-1]
-    g1, g1d = G1(u_nodes), G1(u_nodes, 1)
-    g2, g2d = G2(u_nodes), G2(u_nodes, 1)
-    mat = np.array([[cum(g1, g1d)[-1], cum(g2, g2d)[-1]],
-                    [cum(wu * g1, -g1 + wu * g1d)[-1],
-                     cum(wu * g2, -g2 + wu * g2d)[-1]]])
-    # value and slope vanish at `at`, so the targets are the raw values
-    rhs = np.array([base.eval(at + w, 1) - i_b,
-                    base.eval(at + w, 0) - iw_b])
-    c1, c2 = np.linalg.solve(mat, rhs)
-
-    out2 = b2 + c1 * g1 + c2 * g2
-    out3 = b3 + c1 * g1d + c2 * g2d
-    out1 = cum(out2, out3)
-    out0 = cum(out1, out2)
-
-    def d2f(s):
-        u = np.asarray(s, float) - at
-        return (base.eval(s, 2) * S(u) + c1 * G1(u) + c2 * G2(u))
-
-    def d3f(s):
-        u = np.asarray(s, float) - at
-        return (base.eval(s, 3) * S(u) + base.eval(s, 2) * S(u, 1)
-                + c1 * G1(u, 1) + c2 * G2(u, 1))
-
-    win = curve_from_derivs(
-        (at, at + w),
-        lambda s: _hermite(s_nodes, out0, out1, s),
-        lambda s: _hermite(s_nodes, out1, out2, s),
-        d2f, d3f, "blended")
+    # value and slope vanish at `at`
+    win, _ = second_derivative_surgery(
+        at, u_nodes, *_step_weighted(base, at, omega), [plate, tilt],
+        (0.0, 0.0), base.eval(at + w, 1), base.eval(at + w, 0))
     tail = base.restrict(at + w, base.t_hi)
     return piecewise_curve([(at, at + w, win),
                             (at + w, base.t_hi, tail)])
 
 
-def _hermite(ts, ys, dys, t):
-    from ._util import hermite_interp
-    return hermite_interp(ts, ys, dys, t)
-
-
-def _near_linear_ramp(x, k: int = 0, rise: float = 0.1):
-    """C-infinity ramp 0 -> 1 on [0,1] with slope close to one (flat ends);
-    the integral of the normalized plateau."""
-    x = np.asarray(x, float)
-    if k == 0:
-        return _RAMP.value(x)
-    return plateau(x, k - 1, rise) / _RAMP.mass
-
-
-class _Ramp:
-    def __init__(self, rise=0.1, n=8193):
-        xs = np.linspace(0.0, 1.0, n)
-        y = plateau(xs, 0, rise)
-        dy = plateau(xs, 1, rise)
-        cum = cumulative_hermite(xs, y, dy)
-        self.mass = cum[-1]
-        self._xs = xs
-        self._cum = cum / cum[-1]
-        self._d = y / cum[-1]
-        self.rise = rise
-
-    def value(self, x):
-        x = np.asarray(x, float)
-        out = _hermite(self._xs, self._cum, self._d, np.clip(x, 0.0, 1.0))
-        return np.where(x <= 0, 0.0, np.where(x >= 1, 1.0, out))
-
-
-_RAMP = _Ramp()
+# C-infinity ramp 0 -> 1 on [0,1] with slope close to one (flat ends): the
+# integral of the normalized plateau with rise 0.1.
+_RAMP = TabulatedAntiderivative(lambda x, k: plateau(x, k, 0.1))
 
 
 def _handle1_beta(eps2: float) -> SmoothCurve:
@@ -394,20 +340,20 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
         return (np.asarray(s, float) - a) / eps2
 
     def d1(s):
-        return -2.0 * (1.0 - _near_linear_ramp(x(s)))
+        return -2.0 * (1.0 - _RAMP(x(s)))
 
     def d2(s):
-        return 2.0 * _near_linear_ramp(x(s), 1) / eps2
+        return 2.0 * _RAMP(x(s), 1) / eps2
 
     def d3(s):
-        return 2.0 * _near_linear_ramp(x(s), 2) / eps2 ** 2
+        return 2.0 * _RAMP(x(s), 2) / eps2 ** 2
 
     ss = np.linspace(a, a + eps2, 2049)
     d1s = d1(ss)
     vals = cumulative_hermite(ss, d1s, d2(ss))
     return curve_from_derivs(
         (a, a + eps2),
-        lambda s: _hermite(ss, vals, d1s, s),
+        lambda s: hermite_interp(ss, vals, d1s, s),
         d1, d2, d3, "blended")
 
 
@@ -640,44 +586,15 @@ def corner_angle_handle2(a: float) -> float:
     return math.acos(-a / math.sqrt(1.0 + a * a))
 
 
-def _flatten_slope_end(f: SmoothCurve, tau: float, t_end: float):
+def _flatten_slope_end(f: SmoothCurve, tau: float,
+                       t_end: float) -> SmoothCurve:
     """Continue f past tau with f'' < 0 so that all derivatives vanish at
     t_end (slope rides down to zero along a plateau profile)."""
     w = t_end - tau
-
-    def S(u, k=0):
-        return smooth_step(np.asarray(u, float) / w, k) / w ** k
-
-    def D(u, k=0):
-        return plateau(np.asarray(u, float) / w, k) / (
-            PLATEAU_MASS * w ** (k + 1))
-
-    u_nodes = np.linspace(0.0, w, 2049)
-    base2 = f.eval(tau + u_nodes, 2) * (1.0 - S(u_nodes))
-    base3 = (f.eval(tau + u_nodes, 3) * (1.0 - S(u_nodes))
-             - f.eval(tau + u_nodes, 2) * S(u_nodes, 1))
-    i_base = cumulative_hermite(u_nodes, base2, base3)[-1]
-    c = f.eval(tau, 1) + i_base          # mass removed by the plateau
-    out2 = base2 - c * D(u_nodes)
-    out3 = base3 - c * D(u_nodes, 1)
-    out1 = cumulative_hermite(u_nodes, out2, out3) + f.eval(tau, 1)
-    out0 = cumulative_hermite(u_nodes, out1, out2) + f.eval(tau, 0)
-
-    def d2f(s):
-        u = np.asarray(s, float) - tau
-        return f.eval(s, 2) * (1.0 - S(u)) - c * D(u)
-
-    def d3f(s):
-        u = np.asarray(s, float) - tau
-        return (f.eval(s, 3) * (1.0 - S(u)) - f.eval(s, 2) * S(u, 1)
-                - c * D(u, 1))
-
-    win = curve_from_derivs(
-        (tau, t_end),
-        lambda s: _hermite(tau + u_nodes, out0, out1, s),
-        lambda s: _hermite(tau + u_nodes, out1, out2, s),
-        d2f, d3f, "blended")
-    return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)]), float(c)
+    win, _ = second_derivative_surgery(
+        tau, np.linspace(0.0, w, 2049), *_step_weighted(f, tau, w, True),
+        [unit_plateau(0.0, w)], (f.eval(tau, 0), f.eval(tau, 1)), 0.0)
+    return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
 def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
@@ -712,8 +629,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     t_end = b + 1.0
     f_raw = make_concave_profile(lambda1, lambda2, delta=0.01,
                                  t_max=t_end + 1.0)
-    f, _ = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5),
-                              b + 0.5, t_end)
+    f = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5, t_end)
 
     def beta1(t, k=0):
         t = np.asarray(t, float)
@@ -731,7 +647,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     beta_vals = cumulative_hermite(tb, beta1(tb), beta1(tb, 1))
     beta = curve_from_derivs(
         (0.0, t_end),
-        lambda t: _hermite(tb, beta_vals, beta1(tb), t),
+        lambda t: hermite_interp(tb, beta_vals, beta1(tb), t),
         lambda t: beta1(t, 0), lambda t: beta1(t, 1), lambda t: beta1(t, 2),
         "blended")
     beta_end = float(beta.eval(t_end, 0))
@@ -855,14 +771,15 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     return report
 
 
-def assemble_handle(n: int, K: float, params1: dict,
-                    params2: dict) -> BlockReport:
+def assemble_handle(n: int, K: float, params1: dict, params2: dict,
+                    grid=None) -> BlockReport:
     """Glue the two handle pieces along the shared face and run the corner
     checks: positive cross sums, angle sum below pi, and positive second
-    fundamental form on the adjacent faces near the corner."""
+    fundamental form on the adjacent faces near the corner.  ``grid`` is
+    the sample density of both pieces."""
     from .gluing import check_corner_gluing
 
-    rep1 = build_handle1(n, K, **params1)
+    rep1 = build_handle1(n, K, **params1, grid=grid)
     if not rep1.passed:
         rep1.block = "handle-assembly"
         return rep1
@@ -870,7 +787,7 @@ def assemble_handle(n: int, K: float, params1: dict,
     outer = rep1.boundary["outer"]
     B_hat = outer.metric["warp"].metric_rescale(1.0 / R_h)
     B_hat.info["dimension"] = n
-    rep2 = build_handle2(B_hat, **params2)
+    rep2 = build_handle2(B_hat, **params2, grid=grid)
     margins = [Margin(f"piece1:{m.label}", m.min, m.argmin)
                for m in rep1.margins]
     margins += [Margin(f"piece2:{m.label}", m.min, m.argmin)
@@ -1107,69 +1024,31 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
         return (omega * np.cos(omega * u) * taper(u)
                 + np.sin(omega * u) * taper(u, 1))
 
-    def window(u, mu, span, k=0):
-        x = (np.asarray(u, float) - mu) / span
-        return plateau(x, k) / span ** k
-
-    def masses(fn):
-        y, dy = fn(us), fn(us, 1)
-        i1 = cumulative_hermite(us, y, dy)[-1]
-        i2 = cumulative_hermite(us, (t0 - us) * y, -y + (t0 - us) * dy)[-1]
-        return i1, i2
-
-    i1s, i2s = masses(seed)
-    solved = None
-    for rho in (0.35, 0.2, 0.1, 0.05):
-        for span_frac in (0.4, 0.2, 0.1, 0.05):
-            span = span_frac * t0
-
-            def gap(mu):
-                i1p, i2p = masses(lambda u, k=0: window(u, mu, span, k))
-                return (rho * i2s / i1s
-                        + (1 - rho) * i2p / i1p) - (t0 - 1.0)
-
-            mu_lo, mu_hi = 0.01 * t0, w_hi - span
-            if mu_hi <= mu_lo:
-                continue
-            g_lo, g_hi = gap(mu_lo), gap(mu_hi)
-            if not (g_lo == 0 or g_lo * g_hi < 0):
-                continue
-            a_, b_ = mu_lo, mu_hi
-            for _ in range(120):
-                mid = 0.5 * (a_ + b_)
-                if gap(a_) * gap(mid) <= 0:
-                    b_ = mid
-                else:
-                    a_ = mid
-                if b_ - a_ < 1e-13:
-                    break
-            solved = (rho, 0.5 * (a_ + b_), span)
+    y, dy = seed(us), seed(us, 1)
+    i1s = cumulative_hermite(us, y, dy)[-1]
+    i2s = cumulative_hermite(us, (t0 - us) * y, -y + (t0 - us) * dy)[-1]
+    # -h'' = (rho/i1s) seed + ((1 - rho)/mass) window, so h'(t0) = 0, and
+    # h(t0) = t0 + integral of (t0 - u) h''(u) = 1 fixes the window start
+    # mu.  A plateau window inside [0, t0] has mass span*PLATEAU_MASS and
+    # moment about t0 equal to that mass times (t0 - mu - span/2), so the
+    # height condition is linear in mu.
+    for rho, span_frac in itertools.product((0.35, 0.2, 0.1, 0.05),
+                                            (0.4, 0.2, 0.1, 0.05)):
+        span = span_frac * t0
+        mu = t0 - span / 2 - ((t0 - 1.0) - rho * i2s / i1s) / (1.0 - rho)
+        if 0.01 * t0 <= mu <= w_hi - span:
             break
-        if solved:
-            break
-    if solved is None:
+    else:
         raise BuildError(
             f"no concave profile in the template family reaches height 1 "
             f"flat at t0={t0}")
-    rho, mu, span = solved
-    i1p, _ = masses(lambda u, k=0: window(u, mu, span, k))
     cc = rho / i1s
-    cp = (1.0 - rho) / i1p
 
-    def d2(t):
-        return -cc * seed(t) - cp * window(t, mu, span)
-
-    def d3(t):
-        return -cc * seed(t, 1) - cp * window(t, mu, span, 1)
-
-    d2us = d2(us)
-    h1v = cumulative_hermite(us, d2us, d3(us)) + 1.0
-    h0v = cumulative_hermite(us, h1v, d2us)
-    h = curve_from_derivs(
-        (0.0, t0),
-        lambda t: _hermite(us, h0v, h1v, t),
-        lambda t: _hermite(us, h1v, d2us, t),
-        d2, d3, "blended")
+    # the window's weight comes from the flat-end slope condition, so it is
+    # normalised by the window's numerically integrated mass
+    h, _ = second_derivative_surgery(
+        0.0, us, lambda t: -cc * seed(t), lambda t: -cc * seed(t, 1),
+        [unit_plateau(mu, span)], (0.0, 1.0), 0.0)
 
     tt = grid_points(1e-3 * t0, 0.98 * t0, grid, min_points=1025)
     hv = h.eval(tt, 0)
@@ -1187,7 +1066,7 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     ]
     report = BlockReport(
         "fibre-disc", {"p": p, "t0": t0}, margins,
-        aux={"omega": omega, "seed_fraction": rho, "plateau_start": mu,
+        aux={"omega": omega, "seed_fraction": rho, "plateau_start": float(mu),
              "h_end": float(h.eval(t0, 0))},
         sweeps={"warp": {"t": tt, "columns": {"h": hv, "sec_radial": sec_rad,
                                               "sec_sphere": sec_sph}}})
@@ -1344,63 +1223,10 @@ def _wu_h_blend(eps: float, eps_outer: float) -> SmoothCurve:
     f0 = _projective_f0()
     a, b = eps, eps_outer
     w = b - a
-    rho = 0.06
-
-    def S(u, k=0):
-        return smooth_step(np.asarray(u, float) / (rho * w), k) \
-            / (rho * w) ** k
-
-    def Ppos(u, k=0):
-        span = 0.83 * w
-        x = (np.asarray(u, float) - 0.02 * w) / span
-        return plateau(x, k) / (PLATEAU_MASS * span ** (k + 1))
-
-    def Pneg(u, k=0):
-        span = 0.12 * w
-        x = (np.asarray(u, float) - 0.87 * w) / span
-        return plateau(x, k) / (PLATEAU_MASS * span ** (k + 1))
-
-    us = np.linspace(0.0, w, 4097)
-
-    def fade(u, k=0):
-        if k == 0:
-            return f0.eval(a + u, 2) * (1.0 - S(u))
-        return (f0.eval(a + u, 3) * (1.0 - S(u))
-                - f0.eval(a + u, 2) * S(u, 1))
-
-    wu_ = w - us
-    i_b = cumulative_hermite(us, fade(us), fade(us, 1))[-1]
-    iw_b = cumulative_hermite(us, wu_ * fade(us),
-                              -fade(us) + wu_ * fade(us, 1))[-1]
-    cols = {}
-    for name, fn in (("pos", Ppos), ("neg", Pneg)):
-        cols[name] = (cumulative_hermite(us, fn(us), fn(us, 1))[-1],
-                      cumulative_hermite(us, wu_ * fn(us),
-                                         -fn(us) + wu_ * fn(us, 1))[-1])
-    need_slope = (0.0 - f0.eval(a, 1)) - i_b
-    need_value = (2.0 / math.pi - f0.eval(a, 0)
-                  - f0.eval(a, 1) * w) - iw_b
-    mat = np.array([[cols["pos"][0], cols["neg"][0]],
-                    [cols["pos"][1], cols["neg"][1]]])
-    cp, cn = np.linalg.solve(mat, np.array([need_slope, need_value]))
-
-    def d2(t):
-        u = np.asarray(t, float) - a
-        return fade(u) + cp * Ppos(u) + cn * Pneg(u)
-
-    def d3(t):
-        u = np.asarray(t, float) - a
-        return fade(u, 1) + cp * Ppos(u, 1) + cn * Pneg(u, 1)
-
-    out2 = d2(a + us)
-    out3 = d3(a + us)
-    out1 = cumulative_hermite(us, out2, out3) + f0.eval(a, 1)
-    out0 = cumulative_hermite(us, out1, out2) + f0.eval(a, 0)
-    win = curve_from_derivs(
-        (a, b),
-        lambda t: _hermite(a + us, out0, out1, t),
-        lambda t: _hermite(a + us, out1, out2, t),
-        d2, d3, "blended")
+    win, _ = second_derivative_surgery(
+        a, np.linspace(0.0, w, 4097), *_step_weighted(f0, a, 0.06 * w, True),
+        [unit_plateau(0.02 * w, 0.83 * w), unit_plateau(0.87 * w, 0.12 * w)],
+        (f0.eval(a, 0), f0.eval(a, 1)), 0.0, 2.0 / math.pi)
     half = piecewise_curve([
         (0.0, a, f0.restrict(0.0, a)),
         (a, b, win),

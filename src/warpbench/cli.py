@@ -80,6 +80,16 @@ def _report_payload(rep: blocks.BlockReport) -> dict:
     return rep.to_json_dict()
 
 
+def _edges_payload(result: dict) -> dict:
+    """The "assumed" and "edges" entries of an assembled pipeline."""
+    return {"assumed": result["assumed"],
+            "edges": [{"edge": e["edge"], "kind": e["kind"],
+                       "checked": e["checked"],
+                       **({"report": e["report"].to_json_dict()}
+                          if e["checked"] else {"citation": e["citation"]})}
+                      for e in result["edges"]]}
+
+
 def _run_command(command: str, sc: dict, grid, seed):
     """Execute one command; returns (payload, sweeps, passed)."""
     if command == "cone":
@@ -101,16 +111,14 @@ def _run_command(command: str, sc: dict, grid, seed):
                                    sc["lambda2"], sc["eps1"], sc["eps2"],
                                    sc["delta"], grid=grid)
     elif command == "handle2":
-        scale = sc.get("B_scale", 1.0)
-        B = blocks.sine_curve(0.9 * scale, 1.0, math.pi / 2 + 0.1,
-                              (0.0, 1.0))
+        B = feasibility._default_collar_profile(sc.get("B_scale", 1.0))
         rep = blocks.build_handle2(B, sc["lambda1"], sc["lambda2"],
                                    sc["a"], sc["b"], sc["eps"], sc["nu"],
                                    grid=grid)
     elif command == "assemble-handle":
         rep = blocks.assemble_handle(int(sc["n"]), sc["K"],
                                      dict(sc["params1"]),
-                                     dict(sc["params2"]))
+                                     dict(sc["params2"]), grid=grid)
     elif command == "transfer":
         ab = blocks.ABounds(sc.get("sup_AX2", 0.0), sc.get("sup_AV2", 0.0),
                             sc.get("sup_deltaA", 0.0))
@@ -169,31 +177,13 @@ def _run_command(command: str, sc: dict, grid, seed):
         from . import gluing
         graph = gluing.graph_from_json(sc["graph"])
         result = gluing.assemble_pipeline(graph)
-        payload = {
-            "passed": result["passed"],
-            "assumed": result["assumed"],
-            "edges": [
-                {"edge": e["edge"], "kind": e["kind"],
-                 "checked": e["checked"],
-                 **({"report": e["report"].to_json_dict()}
-                    if e["checked"] else {"citation": e["citation"]})}
-                for e in result["edges"]],
-        }
+        payload = {"passed": result["passed"], **_edges_payload(result)}
         return payload, {}, result["passed"]
     elif command == "pipeline":
         result = scenarios.run_reference_pipeline(sc.get("params"),
                                                   grid=grid)
-        payload = {
-            "passed": result["passed"],
-            "blocks": result["blocks"],
-            "assumed": result["assumed"],
-            "edges": [
-                {"edge": e["edge"], "kind": e["kind"],
-                 "checked": e["checked"],
-                 **({"report": e["report"].to_json_dict()}
-                    if e["checked"] else {"citation": e["citation"]})}
-                for e in result["edges"]],
-        }
+        payload = {"passed": result["passed"], "blocks": result["blocks"],
+                   **_edges_payload(result)}
         sweeps = {}
         for name, rep in result["block_reports"].items():
             for sname, sweep in rep.sweeps.items():
@@ -271,27 +261,26 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
         for p in csv_paths:
             print(f"sweep   : {p}")
     if not passed:
-        label = _first_failure(payload)
+        label = _first_failure(payload) or "unspecified margin"
         print(f"verification failed: {label}", file=sys.stderr)
         return 1
     return 0
 
 
-def _first_failure(payload) -> str:
+def _first_failure(payload) -> str | None:
+    """Label of the first "fail:<label>" verdict string in the payload
+    (block reports and pipeline block verdicts alike), depth first; None
+    if there is none."""
+    if isinstance(payload, str):
+        return payload[5:] if payload.startswith("fail:") else None
     if isinstance(payload, dict):
-        verdict = payload.get("verdict")
-        if isinstance(verdict, str) and verdict.startswith("fail:"):
-            return verdict[5:]
-        for value in payload.values():
-            label = _first_failure(value)
-            if label != "unspecified margin":
-                return label
+        payload = list(payload.values())
     if isinstance(payload, list):
         for value in payload:
             label = _first_failure(value)
-            if label != "unspecified margin":
+            if label is not None:
                 return label
-    return "unspecified margin"
+    return None
 
 
 def main(argv=None) -> int:

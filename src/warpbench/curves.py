@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (bump, cumulative_hermite, grid_points, hermite_interp,
-                    plateau, smooth_step, PLATEAU_MASS)
+from ._util import (cumulative_hermite, grid_points, hermite_interp,
+                    smooth_step, unit_plateau)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -461,16 +461,71 @@ def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,
 
 
 # ---------------------------------------------------------------------------
-# Smooth joining of two curves across a window.
+# Second-derivative surgery on a window, and smooth joins built on it.
 # ---------------------------------------------------------------------------
 
-def _pair_basis(x, k: int = 0):
-    """Antisymmetric pair of unit-mass plateaus on [0, 0.45] and [0.55, 1]
-    (in window coordinates): zero net mass, order-one moment lever."""
-    x = np.asarray(x, float)
-    lo = plateau(x / 0.45, k) / (PLATEAU_MASS * 0.45 ** (k + 1))
-    hi = plateau((x - 0.55) / 0.45, k) / (PLATEAU_MASS * 0.45 ** (k + 1))
-    return lo - hi
+def second_derivative_surgery(a: float, u, base2, base3, corrections,
+                              start, slope_end: float,
+                              value_end: float | None = None):
+    """Curve on [a, a + u[-1]] whose second derivative is an edited base
+    plus compactly supported corrections, integrated twice from ``start``.
+
+    ``u`` holds strictly increasing node offsets from ``a`` (u[0] = 0,
+    uniform or not).  ``base2`` and ``base3`` evaluate the edited base
+    second and third derivatives at any t; each correction ``g(u, k)`` is
+    the k-th derivative (k = 0, 1) of a function of the offset u = t - a.
+    The coefficients c_j in f'' = base2 + sum_j c_j g_j solve
+    f'(end) = slope_end and, when ``value_end`` is given, also
+    f(end) = value_end, with (f(a), f'(a)) = ``start``; the number of
+    corrections must match the number of targets.
+
+    Returns the "blended" window curve and the coefficient array.  Values
+    and slopes come from Hermite tables on the nodes (kept as the curve's
+    ``nodes``); the second and third derivatives are evaluated exactly.
+    """
+    u = np.asarray(u, dtype=float)
+    ts = a + u
+    wu = u[-1] - u
+    b2, b3 = base2(ts), base3(ts)
+    gs = [(g(u, 0), g(u, 1)) for g in corrections]
+
+    def mass(y, dy):
+        return cumulative_hermite(u, y, dy)[-1]
+
+    def moment(y, dy):                  # integral of (end - t) y(t)
+        return cumulative_hermite(u, wu * y, -y + wu * dy)[-1]
+
+    y0, y1 = start
+    rows = [[mass(*g) for g in gs]]
+    need = [slope_end - y1 - mass(b2, b3)]
+    if value_end is not None:
+        rows.append([moment(*g) for g in gs])
+        need.append(value_end - y0 - y1 * u[-1] - moment(b2, b3))
+    coef = np.linalg.solve(np.array(rows), np.array(need))
+
+    out2, out3 = b2, b3
+    for c, (g0, g1) in zip(coef, gs):
+        out2 = out2 + c * g0
+        out3 = out3 + c * g1
+    out1 = cumulative_hermite(u, out2, out3, y1)
+    out0 = cumulative_hermite(u, out1, out2, y0)
+
+    def edited(base, k):
+        def ev(t):
+            du = np.asarray(t, float) - a
+            out = base(t)
+            for c, g in zip(coef, corrections):
+                out = out + c * g(du, k)
+            return out
+        return ev
+
+    curve = curve_from_derivs(
+        (a, a + u[-1]),
+        lambda t: hermite_interp(ts, out0, out1, t),
+        lambda t: hermite_interp(ts, out1, out2, t),
+        edited(base2, 0), edited(base3, 1), "blended")
+    curve.nodes = (ts, (out0, out1, out2, out3))
+    return curve, coef
 
 
 def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
@@ -480,11 +535,11 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     ``right`` after it.
 
     The blended second derivative is the step-weighted combination of the
-    two inputs plus two compactly supported corrections (a plateau and its
-    tilt, both built from the standard bump) solving the slope and value
-    matching conditions at the window end.  If the result leaves
-    ``second_derivative_band`` widened by ``band_tol``, JoinBandError is
-    raised with the measured overshoot.
+    two inputs plus two compactly supported corrections (a plateau over the
+    window and an antisymmetric pair of plateaus on its halves) solving the
+    slope and value matching conditions at the window end.  If the result
+    leaves ``second_derivative_band`` widened by ``band_tol``,
+    JoinBandError is raised with the measured overshoot.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -511,69 +566,33 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                          "band_overshoot": 0.0})
         return out
 
-    ts = np.linspace(a, b, grid_n)
-    x = (ts - a) / w
-    W = smooth_step(x)
-    W1 = smooth_step(x, 1) / w
-    L = [left.eval(ts, k) for k in range(4)]
-    R = [right.eval(ts, k) for k in range(4)]
+    def base2(t):
+        W = smooth_step((np.asarray(t, float) - a) / w)
+        return (1.0 - W) * left.eval(t, 2) + W * right.eval(t, 2)
 
-    base2 = (1.0 - W) * L[2] + W * R[2]
-    base3 = (1.0 - W) * L[3] + W * R[3] + W1 * (R[2] - L[2])
-    P1 = plateau(x) / (PLATEAU_MASS * w)
-    P1d = plateau(x, 1) / (PLATEAU_MASS * w * w)
-    P2 = _pair_basis(x, 0) / w
-    P2d = _pair_basis(x, 1) / (w * w)
+    def base3(t):
+        x = (np.asarray(t, float) - a) / w
+        W, W1 = smooth_step(x), smooth_step(x, 1) / w
+        return ((1.0 - W) * left.eval(t, 3) + W * right.eval(t, 3)
+                + W1 * (right.eval(t, 2) - left.eval(t, 2)))
 
-    def integrate(y, dy):
-        return cumulative_hermite(ts, y, dy)
+    lower = unit_plateau(0.0, 0.45 * w)
+    upper = unit_plateau(0.55 * w, 0.45 * w)
 
-    wt = b - ts
-    i_base = integrate(base2, base3)[-1]
-    iw_base = integrate(wt * base2, base2 * (-1.0) + wt * base3)[-1]
-    i_p1 = integrate(P1, P1d)[-1]
-    iw_p1 = integrate(wt * P1, -P1 + wt * P1d)[-1]
-    i_p2 = integrate(P2, P2d)[-1]
-    iw_p2 = integrate(wt * P2, -P2 + wt * P2d)[-1]
+    def pair(u, k):                     # zero net mass, order-one moment
+        return lower(u, k) - upper(u, k)
 
-    need_slope = (R[1][-1] - L[1][0]) - i_base
-    need_value = (R[0][-1] - L[0][0] - L[1][0] * w) - iw_base
-    mat = np.array([[i_p1, i_p2], [iw_p1, iw_p2]])
-    c1, c2 = np.linalg.solve(mat, np.array([need_slope, need_value]))
+    mid, (c1, c2) = second_derivative_surgery(
+        a, np.linspace(0.0, w, grid_n), base2, base3,
+        [unit_plateau(0.0, w), pair],
+        (left.eval(a, 0), left.eval(a, 1)),
+        right.eval(b, 1), right.eval(b, 0))
 
-    out2 = base2 + c1 * P1 + c2 * P2
-    out3 = base3 + c1 * P1d + c2 * P2d
-    out1 = integrate(out2, out3) + L[1][0]
-    out0 = integrate(out1, out2) + L[0][0]
-
-    overshoot = max(0.0, float(np.max(out2) - band_hi),
-                    float(band_lo - np.min(out2)))
+    f2 = mid.nodes[1][2]
+    overshoot = max(0.0, float(np.max(f2) - band_hi),
+                    float(band_lo - np.min(f2)))
     if overshoot > band_tol:
         raise JoinBandError(overshoot, (band_lo, band_hi))
-
-    def w2(t):
-        tt = np.asarray(t, float)
-        xx = (tt - a) / w
-        Wv = smooth_step(xx)
-        base = ((1.0 - Wv) * left.eval(tt, 2) + Wv * right.eval(tt, 2))
-        return (base + c1 * plateau(xx) / (PLATEAU_MASS * w)
-                + c2 * _pair_basis(xx) / w)
-
-    def w3(t):
-        tt = np.asarray(t, float)
-        xx = (tt - a) / w
-        Wv = smooth_step(xx)
-        W1v = smooth_step(xx, 1) / w
-        base = ((1.0 - Wv) * left.eval(tt, 3) + Wv * right.eval(tt, 3)
-                + W1v * (right.eval(tt, 2) - left.eval(tt, 2)))
-        return (base + c1 * plateau(xx, 1) / (PLATEAU_MASS * w * w)
-                + c2 * _pair_basis(xx, 1) / (w * w))
-
-    mid = curve_from_derivs(
-        (a, b),
-        lambda t: hermite_interp(ts, out0, out1, t),
-        lambda t: hermite_interp(ts, out1, out2, t),
-        w2, w3, "blended")
 
     segs = []
     if left.t_lo < a:

@@ -166,11 +166,11 @@ def _run_predicate(fn, sample: dict, fixed: dict, grid=None) -> CertEntry:
     return CertEntry(sample, float(margin), verdict)
 
 
-def _default_collar_profile():
-    """Convex boundary profile used when a handle2 scan does not supply
-    one: B > 0, B' < 0, B'' < 0 near the boundary."""
+def _default_collar_profile(scale: float = 1.0):
+    """Convex boundary profile used when a handle2 scan or scenario does
+    not supply one: B > 0, B' < 0, B'' < 0 near the boundary."""
     from .curves import cosine_curve
-    return cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0))
+    return cosine_curve(0.9 * scale, 1.0, 0.1, (0.0, 1.0))
 
 
 def _handle1_tied(lambda1, **kw):
@@ -203,6 +203,13 @@ def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
                        float(ts[i]))])
 
 
+def _handle_assembly(n=4, K=0.9, grid=None, **kw):
+    """assemble_handle with the piece parameters prefixed p1_ and p2_."""
+    return blocks.assemble_handle(
+        n, K, {k[3:]: v for k, v in kw.items() if k.startswith("p1_")},
+        {k[3:]: v for k, v in kw.items() if k.startswith("p2_")}, grid=grid)
+
+
 # Named predicates: a builder plus the defaults a scan does not vary.
 PREDICATES = {
     "handle1": {
@@ -222,10 +229,7 @@ PREDICATES = {
         "defaults": {"lambda1": 0.2, "lambda2": 0.25},
     },
     "handle-assembly": {
-        "builder": lambda **kw: blocks.assemble_handle(
-            kw.pop("n", 4), kw.pop("K", 0.9),
-            {k[3:]: v for k, v in kw.items() if k.startswith("p1_")},
-            {k[3:]: v for k, v in kw.items() if k.startswith("p2_")}),
+        "builder": _handle_assembly,
         "defaults": {},
     },
     "transfer": {

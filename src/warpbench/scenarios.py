@@ -35,11 +35,14 @@ DEFAULT_PIPELINE_PARAMS = {
 
 def reference_pipeline(params: dict | None = None, grid=None):
     """Build the blocks, wire the decomposition graph and return
-    (graph, block_reports)."""
+    (graph, block_reports).  The graph is None when the handle assembly
+    stopped at a failed piece: the assembled collar face the graph is wired
+    from then does not exist."""
     P = {**DEFAULT_PIPELINE_PARAMS, **(params or {})}
     p, q, K = P["p"], P["q"], P["K"]
 
-    handle = blocks.assemble_handle(q, K, P["handle1"], P["handle2"])
+    handle = blocks.assemble_handle(q, K, P["handle1"], P["handle2"],
+                                    grid=grid)
     transfer = blocks.build_transfer_block(p=p - 1, q=q, grid=grid,
                                            **P["transfer"])
     r1 = transfer.aux["r1"]
@@ -50,6 +53,10 @@ def reference_pipeline(params: dict | None = None, grid=None):
     B = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), math.pi / 2.0,
                    (0.0, s0))
     transition = blocks.build_sphere_transition(A, B, p - 1, q, grid=grid)
+    reports = {"handle": handle, "transfer": transfer, "disc": disc_rep,
+               "transition": transition}
+    if "collar" not in handle.boundary:
+        return None, reports
 
     mu = P["interior_convexity"]
     r0 = P["transfer"]["r0"]
@@ -178,14 +185,18 @@ def reference_pipeline(params: dict | None = None, grid=None):
         nodes=[interior, transfer_node, handle_node, disc_node,
                transition_node, cap_node],
         edges=edges)
-    reports = {"handle": handle, "transfer": transfer, "disc": disc_rep,
-               "transition": transition}
     return graph, reports
 
 
 def run_reference_pipeline(params: dict | None = None, grid=None) -> dict:
+    """Build and check the reference pipeline.  A handle assembly that
+    stopped at a failed piece leaves the graph unwired: the result then
+    fails with every block verdict and no edges."""
     graph, reports = reference_pipeline(params, grid)
-    result = assemble_pipeline(graph)
+    if graph is None:
+        result = {"passed": False, "edges": [], "assumed": []}
+    else:
+        result = assemble_pipeline(graph)
     result["blocks"] = {name: rep.verdict for name, rep in reports.items()}
     result["block_reports"] = reports
     result["passed"] = result["passed"] and all(

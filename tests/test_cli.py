@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 
-from warpbench import cli
+from warpbench import blocks, cli, feasibility
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -103,6 +103,62 @@ class TestCommands:
         assert report["result"]["entries"]
 
 
+class TestPipeline:
+    FAILING_HANDLE = {
+        "handle1": {"lambda1": 0.975229, "lambda2": 0.984668,
+                    "eps1": 0.012827, "eps2": 0.082069, "delta": 0.033236},
+        "handle2": {"lambda1": 0.019317, "lambda2": 0.02947, "a": 0.029083,
+                    "b": 1.621792, "eps": 0.054691, "nu": 0.035491},
+    }
+
+    def test_failed_handle_exit_1_names_the_margin(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"command": "pipeline",
+                                         "params": self.FAILING_HANDLE})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 1
+        assert "verification failed: radial_ii_outer" in \
+            capsys.readouterr().err
+        result = json.loads((out / "report.json").read_text())["result"]
+        assert result["edges"] == []
+        assert result["blocks"]["handle"] == "fail:radial_ii_outer"
+
+    def test_default_pipeline_passes(self, tmp_path):
+        path = write_scenario(tmp_path, {"command": "pipeline"})
+        assert cli.run_scenario(path, out=str(tmp_path / "out")) == 0
+
+    def test_assemble_handle_uses_the_grid(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "command": "assemble-handle", "n": 3, "K": 0.9,
+            "params1": {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
+                        "eps2": 0.1, "delta": 0.05},
+            "params2": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02,
+                        "b": 1.5, "eps": 0.1, "nu": 0.03}})
+        rows = {}
+        for grid in (None, 4096):
+            out = tmp_path / f"out{grid}"
+            assert cli.run_scenario(path, grid=grid, out=str(out)) == 0
+            rows[grid] = {name: len((out / name).read_text().splitlines())
+                          for name in ("piece1_cap_face.csv",
+                                       "piece2_dug_face.csv")}
+        for name in rows[None]:
+            assert rows[4096][name] > rows[None][name]
+
+
+class TestHandle2CollarProfile:
+    def test_scenario_uses_the_default_collar_profile(self, tmp_path):
+        params = {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
+                  "eps": 0.1, "nu": 0.03}
+        path = write_scenario(tmp_path, {"command": "handle2",
+                                         "B_scale": 1.1, **params})
+        out = tmp_path / "out"
+        cli.run_scenario(path, out=str(out))
+        report = json.loads((out / "report.json").read_text())
+        direct = blocks.build_handle2(
+            feasibility._default_collar_profile(1.1), **params)
+        assert [m["min"] for m in report["result"]["margins"]] == \
+            [m.min for m in direct.margins]
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path):
         path = write_scenario(tmp_path, {"command": "projective",
@@ -114,6 +170,36 @@ class TestDeterminism:
             (out2 / "report.json").read_bytes()
         assert (out1 / "ricci.csv").read_bytes() == \
             (out2 / "ricci.csv").read_bytes()
+
+
+    def test_pipeline_graph_report_byte_identical(self, tmp_path):
+        face = {"dimension": 3, "kind": "warped-sphere"}
+        sine = {"warp": {"type": "sine", "domain": [0, 1]}}
+        graph = {
+            "nodes": [
+                {"id": "a", "faces": {"top": {**face, "metric": sine,
+                                              "ii": {"all": 0.5}}}},
+                {"id": "b", "faces": {
+                    "bottom": {**face, "metric": sine, "ii": {"all": -0.2}},
+                    "top": {**face, "metric": {"warp": 1.0},
+                            "ii": {"all": 0.0}}}},
+                {"id": "c", "faces": {"bottom": {
+                    **face, "metric": {"warp": 1.0}, "ii": {"all": 0.0}}}}],
+            "edges": [{"src": ["a", "top"], "dst": ["b", "bottom"],
+                       "kind": "perelman"},
+                      {"src": ["b", "top"], "dst": ["c", "bottom"],
+                       "kind": "assumed", "citation": "declared"}]}
+        path = write_scenario(tmp_path, {"command": "pipeline-graph",
+                                         "graph": graph})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert cli.run_scenario(path, out=str(out1)) == 0
+        assert cli.run_scenario(path, out=str(out2)) == 0
+        text = (out1 / "report.json").read_bytes()
+        assert text == (out2 / "report.json").read_bytes()
+        edges = json.loads(text)["result"]["edges"]
+        assert [e["checked"] for e in edges] == [True, False]
+        assert edges[0]["report"]["passed"]
+        assert edges[1]["citation"] == "declared"
 
 
 class TestEmitPlotData:
