@@ -252,9 +252,12 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
              "combined_face": ("warped, concave"
                                if concave_warps and all(concave_warps)
                                else "unstructured")})
-    passed = all(m.min > 0.0 or m.label == "metric_match" and m.min >= 0.0
-                 for m in margins)
-    return CheckReport(passed, margins, details)
+    failed = [m.label for m in margins
+              if not (m.min > 0.0 or m.label == "metric_match"
+                      and m.min >= 0.0)]
+    if failed:
+        details["failed"] = failed[0]
+    return CheckReport(not failed, margins, details)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +352,11 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
                 continue
             mismatch = max(mismatch, abs(float(a) - float(b) * edge.rescale))
     margins.append(Margin("value_match", 1e-8 - mismatch))
-    return CheckReport(all(m.min >= 0 for m in margins), margins,
-                       {"mismatch": mismatch})
+    failed = [m.label for m in margins if m.min < 0]
+    details = {"mismatch": mismatch}
+    if failed:
+        details["failed"] = failed[0]
+    return CheckReport(not failed, margins, details)
 
 
 def curve_from_spec(spec) -> SmoothCurve | float | str:

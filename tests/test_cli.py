@@ -144,6 +144,27 @@ class TestPipeline:
             assert rows[4096][name] > rows[None][name]
 
 
+    def test_failed_gluing_edge_exit_1_names_the_margin(self, tmp_path,
+                                                         capsys):
+        face = {"dimension": 3, "kind": "warped-sphere",
+                "metric": {"warp": {"type": "sine", "domain": [0, 1]}}}
+        graph = {
+            "nodes": [{"id": "a", "faces": {"top": {**face,
+                                                    "ii": {"all": 0.5}}}},
+                      {"id": "b", "faces": {"bottom": {**face,
+                                                       "ii": {"all": -0.9}}}}],
+            "edges": [{"src": ["a", "top"], "dst": ["b", "bottom"],
+                       "kind": "perelman"}]}
+        path = write_scenario(tmp_path, {"command": "pipeline-graph",
+                                         "graph": graph})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 1
+        assert "verification failed: ii_sum:all" in capsys.readouterr().err
+        edge = json.loads((out / "report.json").read_text())["result"][
+            "edges"][0]
+        assert edge["report"]["details"]["failed"] == "ii_sum:all"
+
+
 class TestHandle2CollarProfile:
     def test_scenario_uses_the_default_collar_profile(self, tmp_path):
         params = {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,

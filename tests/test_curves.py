@@ -120,6 +120,66 @@ class TestTransferOdes:
     def test_step_budget_floor(self):
         with pytest.raises(cv.StepBudgetError):
             cv.integrate_transfer_odes(0.1, t_max=20.0, step_budget=100)
+        with pytest.raises(cv.StepBudgetError):
+            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=319)
+        g_curve, _ = cv.integrate_transfer_odes(0.1, t_max=5.0,
+                                                step_budget=320)
+        assert len(g_curve.nodes[0]) == 321
+
+
+def array_rk4_nodes(C, t_max, step_budget, h0_init):
+    """Reference: elementwise array RK4 on y = (g, F, F'), one small numpy
+    array per stage; the scalar loop must reproduce it bitwise."""
+    def rhs(y):
+        g, fc, fcp = y
+        e = np.exp(-g * g)
+        return np.array([np.exp(-0.5 * g * g), fcp, C * e * fc])
+
+    n = int(step_budget)
+    h = t_max / n
+    ys = np.empty((n + 1, 3))
+    ys[0] = (h0_init, 1.0, 0.0)
+    y = ys[0].copy()
+    for i in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys[i + 1] = y
+    return ys
+
+
+class TestTransferOdeOracle:
+    @pytest.mark.parametrize("h0_init", [1.0, 0.7])
+    @pytest.mark.parametrize("C", [0.0, 0.25, 0.5, 1.0])
+    def test_nodes_bitwise_equal_to_array_rk4(self, C, h0_init):
+        g_curve, fc_curve = cv.integrate_transfer_odes(
+            C, t_max=5.0, step_budget=4096, h0_init=h0_init)
+        ys = array_rk4_nodes(C, 5.0, 4096, h0_init)
+        ts, (g, g1, g2, g3) = g_curve.nodes
+        ts_f, (fc, fcp, fc2, fc3) = fc_curve.nodes
+        assert np.array_equal(ts, np.linspace(0.0, 5.0, 4097))
+        assert np.array_equal(ts_f, ts)
+        assert np.array_equal(g, ys[:, 0])
+        assert np.array_equal(fc, ys[:, 1])
+        assert np.array_equal(fcp, ys[:, 2])
+        e_half, e_full = np.exp(-0.5 * g * g), np.exp(-g * g)
+        assert np.array_equal(g1, e_half)
+        assert np.array_equal(g2, -g * e_full)
+        assert np.array_equal(g3, e_half * e_full * (2.0 * g * g - 1.0))
+        assert np.array_equal(fc2, C * e_full * fc)
+        assert np.array_equal(fc3, C * e_full * (fcp - 2.0 * g * e_half * fc))
+
+    def test_rejects_negative_coupling(self):
+        with pytest.raises(ValueError, match="C must be >= 0"):
+            cv.integrate_transfer_odes(-0.1, t_max=5.0, step_budget=4096)
+
+    @pytest.mark.parametrize("h0_init", [0.0, -1.0])
+    def test_rejects_nonpositive_initial_value(self, h0_init):
+        with pytest.raises(ValueError, match="h0_init must be positive"):
+            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=4096,
+                                       h0_init=h0_init)
 
 
 class TestSmoothJoin:
@@ -209,6 +269,20 @@ class TestSerialization:
         assert header == "t,v0,v1,v2,v3"
         assert np.allclose(rows[:, 1], np.sin(rows[:, 0]), atol=1e-12)
         assert np.allclose(rows[:, 2], np.cos(rows[:, 0]), atol=1e-12)
+
+    def test_restricted_table_curve_keeps_only_its_nodes(self, tmp_path):
+        ts = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        c = cv.table_curve(ts, (ts ** 2, 2 * ts, 2 + 0 * ts, 0 * ts))
+        r = c.restrict(0.25, 0.5)
+        assert r.domain == (0.25, 0.5)
+        tab = r.node_table()
+        assert np.array_equal(tab[:, 0], [0.25, 0.5])
+        assert np.array_equal(tab[:, 1], [0.0625, 0.25])
+        path = tmp_path / "restricted.csv"
+        r.write_csv(path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows, tab)
+        assert np.array_equal(c.node_table()[:, 0], ts)
 
     def test_ode_curve_serializes_stored_nodes(self):
         h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0,

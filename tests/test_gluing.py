@@ -96,6 +96,7 @@ class TestCornerGluing:
         assert not rep.passed
         bad = [m for m in rep.margins if m.label == "angle_sum:rim"][0]
         assert bad.min <= 0
+        assert rep.details["failed"] == "angle_sum:rim"
 
     def test_acute_pair_passes(self):
         b1 = corner_atlas(1.2)
@@ -184,4 +185,7 @@ class TestPipeline:
             [gl.PipelineEdge(("a", "f"), ("b", "f"), "smooth-match",
                              junction={"src": 1.0, "dst": 0.0})])
         assert gl.assemble_pipeline(good)["passed"]
-        assert not gl.assemble_pipeline(bad)["passed"]
+        result = gl.assemble_pipeline(bad)
+        assert not result["passed"]
+        assert result["edges"][0]["report"].details["failed"] == \
+            "flat:dst:warp"
