@@ -26,6 +26,38 @@ def grid_points(lo: float, hi: float, per_unit: float | None = None,
     return np.linspace(lo, hi, n)
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D NaN-free array, bit for bit (the same sort, the
+    first of each run of equal values kept), without the numpy.ma import
+    that np.unique triggers on first use."""
+    s = np.sort(a)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+# ---------------------------------------------------------------------------
+# CSV output.
+# ---------------------------------------------------------------------------
+
+# Rows formatted per string operation; bounds the Python floats alive at once.
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, header: str, table: np.ndarray) -> None:
+    """Write a 2-D table as CSV: the header line, then one line of
+    comma-separated %.18e fields per row.  The bytes equal those of numpy's
+    own text writer with delimiter "," and no comment prefix; rows are
+    formatted in blocks of _CSV_BLOCK_ROWS."""
+    row = ",".join(["%.18e"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i:i + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Interpolation and quadrature on node tables.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     cumulative_hermite, grid_points, hermite_interp, plateau,
-                    smooth_step, unit_plateau)
+                    smooth_step, sorted_unique, unit_plateau)
 from .curves import (JoinBandError, SmoothCurve, constant_curve,
                      cosine_curve, curve_from_derivs, even_extension,
                      flatness_margin, integrate_transfer_odes, line_curve,
@@ -404,7 +404,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
     R_sphere = sine_curve(K, 1.0, 0.0, (0.5 * eps1, s_hi + eps2 + 0.05))
 
-    ss = np.unique(np.concatenate([
+    ss = sorted_unique(np.concatenate([
         grid_points(eps1, s_hi, grid),
         np.linspace(eps1, eps1 + w_flat, 257),
         eps1 + np.linspace(0.0, 3e-3 * w_flat, 65),

@@ -3,7 +3,8 @@ pipelines and characteristic-class tables from a JSON scenario file.
 
 Exit codes: 0 verification passed (or informational command), 1 a
 verification margin failed (named on stderr), 2 scenario parse/validation
-error (no outputs written).
+error (no outputs written), 3 internal fault (exception class and message
+on stderr, no outputs written).
 """
 
 from __future__ import annotations
@@ -17,18 +18,13 @@ import sys
 import numpy as np
 
 from . import blocks, charclasses, feasibility, scenarios
+from ._util import write_csv
 
 __all__ = ["run_scenario", "emit_plot_data", "main", "ScenarioError"]
 
 
 class ScenarioError(ValueError):
     pass
-
-
-def _num(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
 
 
 _SCHEMAS = {
@@ -76,10 +72,6 @@ def _validate(scenario: dict) -> str:
     return command
 
 
-def _report_payload(rep: blocks.BlockReport) -> dict:
-    return rep.to_json_dict()
-
-
 def _edges_payload(result: dict) -> dict:
     """The "assumed" and "edges" entries of an assembled pipeline."""
     return {"assumed": result["assumed"],
@@ -101,7 +93,7 @@ def _run_command(command: str, sc: dict, grid, seed):
             _, rep = blocks.build_cone_metric(
                 int(sc["n"]), sc["K"], sc["eps1"], sc["eps2"], sc["delta"],
                 float(t), grid=grid)
-            payloads.append(_report_payload(rep))
+            payloads.append(rep.to_json_dict())
             for name, sweep in rep.sweeps.items():
                 sweeps[f"cone_t{t:g}_{name}"] = sweep
             ok = ok and rep.passed
@@ -191,7 +183,7 @@ def _run_command(command: str, sc: dict, grid, seed):
         return payload, sweeps, result["passed"]
     else:
         raise ScenarioError(f"unhandled command {command}")
-    return _report_payload(rep), dict(rep.sweeps), rep.passed
+    return rep.to_json_dict(), dict(rep.sweeps), rep.passed
 
 
 def emit_plot_data(report: dict, outdir: str, sweeps: dict | None = None):
@@ -206,8 +198,7 @@ def emit_plot_data(report: dict, outdir: str, sweeps: dict | None = None):
         table = np.column_stack([ts] + [np.asarray(cols[k], dtype=float)
                                         for k in labels])
         path = os.path.join(outdir, f"{name}.csv")
-        np.savetxt(path, table, delimiter=",",
-                   header=",".join(["t"] + labels), comments="")
+        write_csv(path, ",".join(["t"] + labels), table)
         paths.append(path)
     return paths
 
@@ -239,6 +230,9 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
             TypeError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     os.makedirs(out, exist_ok=True)
     report = {"command": command, "scenario": scenario, "passed": passed,

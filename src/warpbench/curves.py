@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (cumulative_hermite, grid_points, hermite_interp,
-                    smooth_step, unit_plateau)
+                    smooth_step, unit_plateau, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -145,9 +145,7 @@ class SmoothCurve:
         return np.column_stack([ts] + [self.eval(ts, k) for k in range(4)])
 
     def write_csv(self, path, per_unit=None) -> None:
-        tab = self.node_table(per_unit)
-        header = "t,v0,v1,v2,v3"
-        np.savetxt(path, tab, delimiter=",", header=header, comments="")
+        write_csv(path, "t,v0,v1,v2,v3", self.node_table(per_unit))
 
 
 # ---------------------------------------------------------------------------

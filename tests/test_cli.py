@@ -73,6 +73,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "verification failed" in err
 
+    def test_internal_fault_exit_3_and_named(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "command": "transfer", "p": 2, "q": 3, "r0": 0.1, "nu": 1.5,
+            "lam": 0.5, "a": 0.2, "C": 1.5})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: IntegratorError: ")
+        assert not (out / "report.json").exists()
+
     def test_cone_family_emits_one_csv_per_sample(self, tmp_path):
         path = write_scenario(tmp_path, {
             "command": "cone", "n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1,
