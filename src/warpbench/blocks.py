@@ -30,7 +30,7 @@ from .curves import (JoinBandError, SmoothCurve, constant_curve,
 from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
                         cohomog1_sweep, doubly_warped_sweep, graph_ii_sweep)
-from .gluing import BoundaryProfile, Corner
+from .gluing import BoundaryProfile, Corner, Margin, first_failure
 
 __all__ = [
     "Margin", "BlockReport", "BuildError", "HorizonError",
@@ -54,13 +54,6 @@ class HorizonError(RuntimeError):
 _TRANSFER_ODE_CACHE: dict = {}
 
 
-@dataclass(frozen=True)
-class Margin:
-    label: str
-    min: float
-    argmin: float = 0.0
-
-
 @dataclass
 class BlockReport:
     block: str
@@ -72,10 +65,8 @@ class BlockReport:
 
     @property
     def verdict(self) -> str:
-        for m in self.margins:
-            if not m.min > 0.0:
-                return f"fail:{m.label}"
-        return "pass"
+        bad = first_failure(self.margins)
+        return "pass" if bad is None else f"fail:{bad.label}"
 
     @property
     def passed(self) -> bool:
@@ -169,6 +160,12 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         raise BuildError("eps1, eps2, delta must be positive")
     Kt = 1.0 - t * (1.0 - K)
     eps2p = 2.0 * eps2 / (1.0 - delta)
+    # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
+    # would vanish inside the domain
+    if eps2p >= math.pi / 2.0:
+        raise BuildError(
+            f"need eps2' = 2 eps2/(1 - delta) < pi/2 so the warp stays "
+            f"positive up to s_hi; got {eps2p:.6g}")
     s_lo = (1.0 - K) * t * eps1 / (2.0 * K)
     s1 = eps1 / (2.0 * K)
     s2 = (math.pi + eps2p) / (2.0 * Kt)
@@ -401,6 +398,12 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     w_flat = min(0.05, 0.25 * (s_hi - eps1))
     alpha = _flatten_start(base, eps1, w_flat)
     alpha_top = float(alpha.eval(s_hi, 0))
+    # the outer face descends by eps2 from alpha_top and must stay on the
+    # profile's domain [-delta, ...]
+    if alpha_top - eps2 < -delta:
+        raise BuildError(
+            f"need eps2 <= alpha(pi/2) + delta = {alpha_top + delta:.6g} so "
+            f"the outer face stays on the concave profile; got eps2={eps2}")
 
     R_sphere = sine_curve(K, 1.0, 0.0, (0.5 * eps1, s_hi + eps2 + 0.05))
 
@@ -616,6 +619,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                          f"{1.0 / (2 * lambda2):.4f}")
     if eps <= 0 or nu <= 0:
         raise BuildError("eps and nu must be positive")
+    if not isinstance(B, SmoothCurve):
+        raise BuildError("B must be a SmoothCurve")
     if B.t_lo > 1e-12:
         raise BuildError("B must be parametrized by distance from its "
                          "boundary (domain starting at 0)")

@@ -1,5 +1,7 @@
 """Scenario-driven entry point: run block builders, feasibility scans,
-pipelines and characteristic-class tables from a JSON scenario file.
+pipelines and characteristic-class tables from a JSON scenario file.  Each
+name in ``feasibility.PREDICATES`` is a block command taking that entry's
+params and defaults.
 
 Exit codes: 0 verification passed (or informational command), 1 a
 verification margin failed (named on stderr), 2 scenario parse/validation
@@ -11,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import blocks, charclasses, feasibility, scenarios
+from . import blocks, charclasses, feasibility, gluing, scenarios
 from ._util import write_csv
 
 __all__ = ["run_scenario", "emit_plot_data", "main", "ScenarioError"]
@@ -25,51 +26,6 @@ __all__ = ["run_scenario", "emit_plot_data", "main", "ScenarioError"]
 
 class ScenarioError(ValueError):
     pass
-
-
-_SCHEMAS = {
-    "cone": {"required": {"n", "K", "eps1", "eps2", "delta"},
-             "optional": {"t", "t_samples"}},
-    "handle1": {"required": {"n", "K", "lambda1", "lambda2", "eps1", "eps2",
-                             "delta"}, "optional": set()},
-    "handle2": {"required": {"lambda1", "lambda2", "a", "b", "eps", "nu"},
-                "optional": {"B_scale"}},
-    "assemble-handle": {"required": {"n", "K", "params1", "params2"},
-                        "optional": set()},
-    "transfer": {"required": {"p", "q", "r0", "nu", "lam", "a", "C"},
-                 "optional": {"sup_AX2", "sup_AV2", "sup_deltaA"}},
-    "s1": {"required": {"q", "lam"}, "optional": {"ric_base_lb"}},
-    "fibre-disc": {"required": {"p", "t0"}, "optional": set()},
-    "sphere-transition": {"required": {"p", "q", "s0"}, "optional": set()},
-    "projective": {"required": {"d", "n", "s"}, "optional": set()},
-    "wu-check": {"required": {"variant"}, "optional": {"eps", "eps_outer"}},
-    "conformal-margin": {"required": {"c", "C"}, "optional": set()},
-    "sw-table": {"required": set(), "optional": set()},
-    "scan": {"required": {"predicate", "box", "budget"},
-             "optional": {"resolution", "fixed", "refine_target"}},
-    "pipeline": {"required": set(), "optional": {"params"}},
-    "pipeline-graph": {"required": {"graph"}, "optional": set()},
-}
-
-
-def _validate(scenario: dict) -> str:
-    if not isinstance(scenario, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    command = scenario.get("command")
-    if command not in _SCHEMAS:
-        raise ScenarioError(f"unknown command {command!r}; known: "
-                            f"{sorted(_SCHEMAS)}")
-    schema = _SCHEMAS[command]
-    keys = set(scenario) - {"command"}
-    unknown = keys - schema["required"] - schema["optional"]
-    if unknown:
-        raise ScenarioError(f"unknown keys for {command!r}: "
-                            f"{sorted(unknown)}")
-    missing = schema["required"] - keys
-    if missing:
-        raise ScenarioError(f"missing keys for {command!r}: "
-                            f"{sorted(missing)}")
-    return command
 
 
 def _edges_payload(result: dict) -> dict:
@@ -82,107 +38,100 @@ def _edges_payload(result: dict) -> dict:
                       for e in result["edges"]]}
 
 
+def _cone_family(sc, grid, seed):
+    """One cone report per t in t_samples (default: the single t)."""
+    spec = feasibility.PREDICATES["cone"]
+    params = {**spec["defaults"], **sc}
+    t_samples = params.pop("t_samples", None)
+    payloads, sweeps, ok = [], {}, True
+    for t in [params["t"]] if t_samples is None else t_samples:
+        rep = spec["builder"](**{**params, "t": float(t)}, grid=grid)
+        payloads.append(rep.to_json_dict())
+        for name, sweep in rep.sweeps.items():
+            sweeps[f"cone_t{t:g}_{name}"] = sweep
+        ok = ok and rep.passed
+    return {"reports": payloads}, sweeps, ok
+
+
+def _conformal_margin(sc, grid, seed):
+    value = blocks.boundary_conformal_margin(sc["c"], sc["C"])
+    return {"margin": value, "positive": value > 0}, {}, True
+
+
+def _sw_table(sc, grid, seed):
+    table = charclasses.omega9_generator_table()
+    payload = {"omega9": table,
+               "total_classes": {
+                   "W1": repr(charclasses.ring_wi(1).total_sw()),
+                   "W2": repr(charclasses.ring_wi(2).total_sw()),
+                   "CP2": repr(charclasses.ring_cpn(2).total_sw())}}
+    return payload, {}, table["rank"] == 2
+
+
+def _scan(sc, grid, seed):
+    box = feasibility.ParamBox({k: tuple(v) for k, v in sc["box"].items()},
+                               sc.get("resolution", 4))
+    cert = feasibility.scan(box, sc["predicate"], int(sc["budget"]),
+                            seed=seed or 0, fixed=sc.get("fixed"), grid=grid)
+    if "refine_target" in sc and cert.entries:
+        cert = feasibility.refine(cert, sc["refine_target"], grid=grid)
+    return cert.to_json_dict(), {}, bool(cert.entries)
+
+
+def _pipeline_graph(sc, grid, seed):
+    result = gluing.assemble_pipeline(gluing.graph_from_json(sc["graph"]))
+    payload = {"passed": result["passed"], **_edges_payload(result)}
+    return payload, {}, result["passed"]
+
+
+def _pipeline(sc, grid, seed):
+    result = scenarios.run_reference_pipeline(sc.get("params"), grid=grid)
+    payload = {"passed": result["passed"], "blocks": result["blocks"],
+               **_edges_payload(result)}
+    sweeps = {}
+    for name, rep in result["block_reports"].items():
+        for sname, sweep in rep.sweeps.items():
+            sweeps[f"{name}_{sname}"] = sweep
+    return payload, sweeps, result["passed"]
+
+
+# Commands that are not a single block build: handler, required keys,
+# optional keys.  Every other command is a feasibility.PREDICATES name.
+_COMMANDS = {
+    "conformal-margin": (_conformal_margin, {"c", "C"}, set()),
+    "sw-table": (_sw_table, set(), set()),
+    "scan": (_scan, {"predicate", "box", "budget"},
+             {"resolution", "fixed", "refine_target"}),
+    "pipeline": (_pipeline, set(), {"params"}),
+    "pipeline-graph": (_pipeline_graph, {"graph"}, set()),
+}
+
+
+def _validate(scenario: dict) -> str:
+    if not isinstance(scenario, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    command = scenario.get("command")
+    keys = set(scenario) - {"command"}
+    if command in _COMMANDS:
+        feasibility.check_keys(command, keys, *_COMMANDS[command][1:])
+    elif command in feasibility.PREDICATES:
+        if command == "cone":
+            keys.discard("t_samples")
+        feasibility.check_params(command, keys)
+    else:
+        raise ScenarioError(f"unknown command {command!r}; known: "
+                            f"{sorted([*_COMMANDS, *feasibility.PREDICATES])}")
+    return command
+
+
 def _run_command(command: str, sc: dict, grid, seed):
     """Execute one command; returns (payload, sweeps, passed)."""
+    if command in _COMMANDS:
+        return _COMMANDS[command][0](sc, grid, seed)
     if command == "cone":
-        t_samples = sc.get("t_samples")
-        if t_samples is None:
-            t_samples = [sc.get("t", 1.0)]
-        payloads, sweeps, ok = [], {}, True
-        for t in t_samples:
-            _, rep = blocks.build_cone_metric(
-                int(sc["n"]), sc["K"], sc["eps1"], sc["eps2"], sc["delta"],
-                float(t), grid=grid)
-            payloads.append(rep.to_json_dict())
-            for name, sweep in rep.sweeps.items():
-                sweeps[f"cone_t{t:g}_{name}"] = sweep
-            ok = ok and rep.passed
-        return {"reports": payloads}, sweeps, ok
-    if command == "handle1":
-        rep = blocks.build_handle1(int(sc["n"]), sc["K"], sc["lambda1"],
-                                   sc["lambda2"], sc["eps1"], sc["eps2"],
-                                   sc["delta"], grid=grid)
-    elif command == "handle2":
-        B = feasibility._default_collar_profile(sc.get("B_scale", 1.0))
-        rep = blocks.build_handle2(B, sc["lambda1"], sc["lambda2"],
-                                   sc["a"], sc["b"], sc["eps"], sc["nu"],
-                                   grid=grid)
-    elif command == "assemble-handle":
-        rep = blocks.assemble_handle(int(sc["n"]), sc["K"],
-                                     dict(sc["params1"]),
-                                     dict(sc["params2"]), grid=grid)
-    elif command == "transfer":
-        ab = blocks.ABounds(sc.get("sup_AX2", 0.0), sc.get("sup_AV2", 0.0),
-                            sc.get("sup_deltaA", 0.0))
-        rep = blocks.build_transfer_block(int(sc["p"]), int(sc["q"]),
-                                          sc["r0"], sc["nu"], sc["lam"],
-                                          sc["a"], sc["C"], ab, grid=grid)
-    elif command == "s1":
-        rep = blocks.build_s1_block(int(sc["q"]), sc["lam"],
-                                    sc.get("ric_base_lb", 1.0), grid=grid)
-    elif command == "fibre-disc":
-        _, rep = blocks.build_fibre_disc_warp(int(sc["p"]), sc["t0"],
-                                              grid=grid)
-    elif command == "sphere-transition":
-        s0 = float(sc["s0"])
-        A = blocks.sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0,
-                              (0.0, s0))
-        B = blocks.cosine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0,
-                                (0.0, s0))
-        rep = blocks.build_sphere_transition(A, B, int(sc["p"]),
-                                             int(sc["q"]), grid=grid)
-    elif command == "projective":
-        rep = blocks.projective_family_check(int(sc["d"]), int(sc["n"]),
-                                             float(sc["s"]), grid=grid)
-    elif command == "wu-check":
-        kwargs = {}
-        if "eps" in sc:
-            kwargs["eps"] = sc["eps"]
-        if "eps_outer" in sc:
-            kwargs["eps_outer"] = sc["eps_outer"]
-        rep = blocks.wu_family_check(sc["variant"], grid=grid, **kwargs)
-    elif command == "conformal-margin":
-        value = blocks.boundary_conformal_margin(sc["c"], sc["C"])
-        return ({"margin": value, "positive": value > 0}, {}, True)
-    elif command == "sw-table":
-        table = charclasses.omega9_generator_table()
-        w1 = charclasses.ring_wi(1)
-        w2 = charclasses.ring_wi(2)
-        payload = {"omega9": table,
-                   "total_classes": {"W1": repr(w1.total_sw()),
-                                     "W2": repr(w2.total_sw()),
-                                     "CP2": repr(
-                                         charclasses.ring_cpn(2)
-                                         .total_sw())}}
-        return payload, {}, table["rank"] == 2
-    elif command == "scan":
-        box = feasibility.ParamBox(
-            {k: tuple(v) for k, v in sc["box"].items()},
-            sc.get("resolution", 4))
-        cert = feasibility.scan(box, sc["predicate"], int(sc["budget"]),
-                                seed=seed or 0, fixed=sc.get("fixed"),
-                                grid=grid)
-        if "refine_target" in sc and cert.entries:
-            cert = feasibility.refine(cert, sc["refine_target"], grid=grid)
-        return cert.to_json_dict(), {}, bool(cert.entries)
-    elif command == "pipeline-graph":
-        from . import gluing
-        graph = gluing.graph_from_json(sc["graph"])
-        result = gluing.assemble_pipeline(graph)
-        payload = {"passed": result["passed"], **_edges_payload(result)}
-        return payload, {}, result["passed"]
-    elif command == "pipeline":
-        result = scenarios.run_reference_pipeline(sc.get("params"),
-                                                  grid=grid)
-        payload = {"passed": result["passed"], "blocks": result["blocks"],
-                   **_edges_payload(result)}
-        sweeps = {}
-        for name, rep in result["block_reports"].items():
-            for sname, sweep in rep.sweeps.items():
-                sweeps[f"{name}_{sname}"] = sweep
-        return payload, sweeps, result["passed"]
-    else:
-        raise ScenarioError(f"unhandled command {command}")
+        return _cone_family(sc, grid, seed)
+    spec = feasibility.PREDICATES[command]
+    rep = spec["builder"](**{**spec["defaults"], **sc}, grid=grid)
     return rep.to_json_dict(), dict(rep.sweeps), rep.passed
 
 
@@ -219,7 +168,7 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
         with open(path, "r", encoding="utf-8") as fh:
             scenario = json.load(fh)
         command = _validate(scenario)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
-"""Parameter-box search: sample block builders over named parameter
-intervals and emit admissibility certificates with margins.
+"""The builder registry and parameter-box search: sample the registered
+block builders over named parameter intervals and emit admissibility
+certificates with margins.
 
 Every certificate is deterministic given (box, predicate, budget, seed) and
 every listed sample reproduces a pass when re-run.
@@ -13,9 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
+from .curvature import ABounds
+from .curves import cosine_curve, sine_curve
 
 __all__ = ["Interval", "ParamBox", "CertEntry", "Certificate",
-           "RefineError", "scan", "refine", "PREDICATES"]
+           "RefineError", "scan", "refine", "PREDICATES", "check_keys",
+           "check_params"]
 
 _OPEN_OFFSET = 1e-6
 
@@ -112,6 +116,12 @@ class ParamBox:
                     "resolution": self.axis_resolution(n)}
                 for n, iv in self.params.items()}
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ParamBox":
+        return cls({n: Interval(v["lo"], v["hi"], v["open_lo"], v["open_hi"])
+                    for n, v in data.items()},
+                   {n: v["resolution"] for n, v in data.items()})
+
 
 @dataclass(frozen=True)
 class CertEntry:
@@ -148,19 +158,10 @@ class Certificate:
         }
 
 
-def _margin_of(report) -> tuple:
-    if hasattr(report, "min_margin"):
-        return report.min_margin(), report.verdict
-    raise TypeError("predicate must return a BlockReport")
-
-
 def _run_predicate(fn, sample: dict, fixed: dict, grid=None) -> CertEntry:
-    merged = {**fixed, **sample}
-    if grid is not None:
-        merged["grid"] = grid
     try:
-        report = fn(**merged)
-        margin, verdict = _margin_of(report)
+        report = fn(**{**fixed, **sample}, grid=grid)
+        margin, verdict = report.min_margin(), report.verdict
     except (blocks.BuildError, blocks.HorizonError) as exc:
         margin, verdict = -math.inf, f"error:{type(exc).__name__}"
     return CertEntry(sample, float(margin), verdict)
@@ -169,7 +170,6 @@ def _run_predicate(fn, sample: dict, fixed: dict, grid=None) -> CertEntry:
 def _default_collar_profile(scale: float = 1.0):
     """Convex boundary profile used when a handle2 scan or scenario does
     not supply one: B > 0, B' < 0, B'' < 0 near the boundary."""
-    from .curves import cosine_curve
     return cosine_curve(0.9 * scale, 1.0, 0.1, (0.0, 1.0))
 
 
@@ -180,16 +180,17 @@ def _handle1_tied(lambda1, **kw):
     return blocks.build_handle1(lambda1=lambda1, lambda2=lambda2, **kw)
 
 
-def _handle2_defaulted(**kw):
-    if kw.get("B") is None:
-        kw["B"] = _default_collar_profile()
-    return blocks.build_handle2(**kw)
+def _handle2(B, B_scale=1.0, **kw):
+    """build_handle2 on the collar profile B; when B is None, on the
+    default profile scaled by B_scale."""
+    if B is None:
+        B = _default_collar_profile(B_scale)
+    return blocks.build_handle2(B, **kw)
 
 
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
     entry, as a single-margin report (monotone decreasing in a)."""
-    import numpy as np
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
     ts = np.linspace(0.0, 0.98 * b, 2049)
@@ -210,53 +211,82 @@ def _handle_assembly(n=4, K=0.9, grid=None, **kw):
         {k[3:]: v for k, v in kw.items() if k.startswith("p2_")}, grid=grid)
 
 
-# Named predicates: a builder plus the defaults a scan does not vary.
+def _transfer(sup_AX2=0.0, sup_AV2=0.0, sup_deltaA=0.0, **kw):
+    return blocks.build_transfer_block(
+        a_bounds=ABounds(sup_AX2, sup_AV2, sup_deltaA), **kw)
+
+
+def _sphere_transition(p, q, s0, grid=None):
+    """The transition from the round pair of warps on [0, s0]."""
+    s0 = float(s0)
+    A = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
+    B = cosine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
+    return blocks.build_sphere_transition(A, B, p, q, grid=grid)
+
+
+def _entry(builder, required, optional="", **defaults):
+    return {"builder": builder, "required": frozenset(required.split()),
+            "optional": frozenset(optional.split()), "defaults": defaults}
+
+
+# The piece params of the two handles, beside n, K and the collar profile.
+_PIECE1 = "lambda1 lambda2 eps1 eps2 delta"
+_PIECE2 = "lambda1 lambda2 a b eps nu"
+
+# The builder registry: per block name, the builder (flat keyword params,
+# returns a BlockReport), its required params, its optional params (passed
+# on only when given) and the defaults a scenario or scan may omit.  Each
+# name is both a CLI command and a scan predicate.  Callers look the
+# builder up at call time, so it can be replaced in place.
 PREDICATES = {
-    "handle1": {
-        "builder": blocks.build_handle1,
-        "defaults": {"n": 4, "K": 0.9, "delta": 0.05},
-    },
-    "handle1-tied": {
-        "builder": _handle1_tied,
-        "defaults": {"n": 4, "K": 0.9, "delta": 0.05},
-    },
-    "handle2": {
-        "builder": _handle2_defaulted,
-        "defaults": {"B": None},
-    },
-    "handle2-closed-form": {
-        "builder": _handle2_closed_form,
-        "defaults": {"lambda1": 0.2, "lambda2": 0.25},
-    },
-    "handle-assembly": {
-        "builder": _handle_assembly,
-        "defaults": {},
-    },
-    "transfer": {
-        "builder": blocks.build_transfer_block,
-        "defaults": {"p": 2, "q": 3, "r0": 0.1, "nu": 1.5, "lam": 0.5},
-    },
-    "s1": {
-        "builder": blocks.build_s1_block,
-        "defaults": {"q": 3},
-    },
-    "cone": {
-        "builder": lambda **kw: blocks.build_cone_metric(**kw)[1],
-        "defaults": {"n": 4, "K": 0.9, "delta": 0.02, "t": 1.0},
-    },
-    "fibre-disc": {
-        "builder": lambda **kw: blocks.build_fibre_disc_warp(**kw)[1],
-        "defaults": {"p": 3},
-    },
-    "projective": {
-        "builder": blocks.projective_family_check,
-        "defaults": {"d": 2, "n": 2},
-    },
-    "wu-blended": {
-        "builder": lambda **kw: blocks.wu_family_check("blended", **kw),
-        "defaults": {},
-    },
+    "handle1": _entry(blocks.build_handle1, "n K " + _PIECE1,
+                      n=4, K=0.9, delta=0.05),
+    "handle1-tied": _entry(_handle1_tied, "n K lambda1 eps1 eps2 delta",
+                           n=4, K=0.9, delta=0.05),
+    "handle2": _entry(_handle2, _PIECE2, "B B_scale", B=None),
+    "handle2-closed-form": _entry(_handle2_closed_form, "lambda1 lambda2 a b",
+                                  lambda1=0.2, lambda2=0.25),
+    "handle-assembly": _entry(
+        _handle_assembly,
+        " ".join([f"p1_{k}" for k in _PIECE1.split()]
+                 + [f"p2_{k}" for k in _PIECE2.split()]), "n K"),
+    "assemble-handle": _entry(blocks.assemble_handle,
+                              "n K params1 params2"),
+    "transfer": _entry(_transfer, "p q r0 nu lam a C",
+                       "sup_AX2 sup_AV2 sup_deltaA",
+                       p=2, q=3, r0=0.1, nu=1.5, lam=0.5),
+    "s1": _entry(blocks.build_s1_block, "q lam", "ric_base_lb", q=3),
+    "cone": _entry(lambda **kw: blocks.build_cone_metric(**kw)[1],
+                   "n K eps1 eps2 delta t", n=4, K=0.9, delta=0.02, t=1.0),
+    "fibre-disc": _entry(lambda **kw: blocks.build_fibre_disc_warp(**kw)[1],
+                         "p t0", p=3),
+    "sphere-transition": _entry(_sphere_transition, "p q s0"),
+    "projective": _entry(blocks.projective_family_check, "d n s",
+                         d=2, n=2),
+    "wu-check": _entry(blocks.wu_family_check, "variant", "eps eps_outer"),
+    "wu-blended": _entry(
+        lambda **kw: blocks.wu_family_check("blended", **kw), "",
+        "eps eps_outer"),
 }
+
+
+def check_keys(name: str, keys, required, optional=()) -> None:
+    """Raise ValueError naming the keys outside required and optional, or
+    else the required keys missing from keys."""
+    unknown = set(keys) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown keys for {name!r}: {sorted(unknown)}")
+    missing = set(required) - set(keys)
+    if missing:
+        raise ValueError(f"missing keys for {name!r}: {sorted(missing)}")
+
+
+def check_params(predicate: str, keys) -> None:
+    """check_keys for the params a caller supplies to a registry entry,
+    whose defaults supply the rest."""
+    spec = PREDICATES[predicate]
+    check_keys(predicate, set(keys) | set(spec["defaults"]),
+               spec["required"], spec["optional"])
 
 
 def scan(box: ParamBox, predicate: str, budget: int,
@@ -268,8 +298,10 @@ def scan(box: ParamBox, predicate: str, budget: int,
     if predicate not in PREDICATES:
         raise KeyError(f"unknown predicate {predicate!r}; "
                        f"known: {sorted(PREDICATES)}")
+    fixed = fixed or {}
+    check_params(predicate, set(box.params) | set(fixed))
     spec = PREDICATES[predicate]
-    fixed = {**spec["defaults"], **(fixed or {})}
+    fixed = {**spec["defaults"], **fixed}
     size = box.grid_size()
     randomized = size > budget
     samples = (box.random_samples(budget, seed) if randomized
@@ -305,12 +337,11 @@ def refine(cert: Certificate, target_margin: float,
     if cert.best.min_margin >= target_margin:
         return cert
     if box is None:
-        box = ParamBox({n: (v["lo"], v["hi"])
-                        for n, v in cert.grid["box"].items()})
+        box = ParamBox.from_json_dict(cert.grid["box"])
+    fixed = {**cert.grid.get("fixed", {}), **(fixed or {})}
+    check_params(cert.predicate, set(box.params) | set(fixed))
     spec = PREDICATES[cert.predicate]
-    fixed = {**spec["defaults"],
-             **{k: v for k, v in cert.grid.get("fixed", {}).items()},
-             **(fixed or {})}
+    fixed = {**spec["defaults"], **fixed}
     widths = {n: box.params[n].hi - box.params[n].lo for n in box.names}
     best = cert.best
     log = [best]

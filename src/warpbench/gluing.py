@@ -18,7 +18,7 @@ from .curves import (SmoothCurve, constant_curve, cosine_curve, line_curve,
                      flatness_margin, sine_curve)
 
 __all__ = [
-    "BoundaryProfile", "Corner", "CheckReport", "Margin",
+    "BoundaryProfile", "Corner", "CheckReport", "Margin", "first_failure",
     "PipelineNode", "PipelineEdge", "PipelineGraph",
     "IncompatibleProfilesError", "check_perelman", "check_corner_gluing",
     "assemble_pipeline", "curve_from_spec", "graph_from_json",
@@ -33,9 +33,20 @@ class IncompatibleProfilesError(ValueError):
 
 @dataclass(frozen=True)
 class Margin:
+    """Minimum of one certified inequality and where it occurs.  A strict
+    margin passes when min > 0, a non-strict one when min >= 0."""
     label: str
     min: float
     argmin: float = 0.0
+    strict: bool = True
+
+
+def first_failure(margins) -> Margin | None:
+    """The first margin that fails its pass rule, or None."""
+    for m in margins:
+        if not (m.min > 0.0 if m.strict else m.min >= 0.0):
+            return m
+    return None
 
 
 @dataclass(frozen=True)
@@ -166,21 +177,21 @@ def check_perelman(b1: BoundaryProfile, b2: BoundaryProfile,
             f"{b2.kind}/{b2.dimension}")
     b2s = b2.rescale(rescale)
     mismatch, where = _metric_mismatch(b1.metric, b2s.metric)
-    margins = [Margin("metric_match", tol - mismatch)]
+    margins = [Margin("metric_match", tol - mismatch, strict=False)]
     if set(b1.ii) != set(b2s.ii):
         raise IncompatibleProfilesError(
             f"ii families differ: {sorted(b1.ii)} vs {sorted(b2s.ii)}")
     for fam in sorted(b1.ii):
         mn, arg = _entry_minmax(b1.ii[fam], b2s.ii[fam])
-        margins.append(Margin(f"ii_sum:{fam}", mn + ii_tol, arg))
-    passed = all(m.min >= 0.0 for m in margins)
+        margins.append(Margin(f"ii_sum:{fam}", mn + ii_tol, arg,
+                              strict=False))
     details = {"metric_mismatch": mismatch, "worst_metric_entry": where,
                "rescale": rescale}
-    if not passed:
-        bad = next(m for m in margins if m.min < 0)
+    bad = first_failure(margins)
+    if bad is not None:
         details["deficit"] = -bad.min
         details["failed"] = bad.label
-    return CheckReport(passed, margins, details)
+    return CheckReport(bad is None, margins, details)
 
 
 def _near_corner_min(entry, location: float, band_frac: float = 0.05):
@@ -214,7 +225,7 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
             f"face {shared_face!r} missing from an atlas")
     f1, f2 = b1[shared_face], b2[shared_face]
     mismatch, where = _metric_mismatch(f1.metric, f2.metric)
-    margins = [Margin("metric_match", 1e-9 - mismatch)]
+    margins = [Margin("metric_match", 1e-9 - mismatch, strict=False)]
     for fam in sorted(set(f1.ii) & set(f2.ii)):
         mn, arg = _entry_minmax(f1.ii[fam], f2.ii[fam])
         margins.append(Margin(f"ii_sum:{fam}", mn - tol, arg))
@@ -252,12 +263,10 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
              "combined_face": ("warped, concave"
                                if concave_warps and all(concave_warps)
                                else "unstructured")})
-    failed = [m.label for m in margins
-              if not (m.min > 0.0 or m.label == "metric_match"
-                      and m.min >= 0.0)]
-    if failed:
-        details["failed"] = failed[0]
-    return CheckReport(not failed, margins, details)
+    bad = first_failure(margins)
+    if bad is not None:
+        details["failed"] = bad.label
+    return CheckReport(bad is None, margins, details)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +349,10 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
             ja = edge.junction.get("src", a.t_hi)
             jb = edge.junction.get("dst", b.t_lo)
             fa, fb = flatness_margin(a, ja), flatness_margin(b, jb)
-            margins.append(Margin(f"flat:src:{key}", 1e-8 - fa, ja))
-            margins.append(Margin(f"flat:dst:{key}", 1e-8 - fb, jb))
+            margins.append(Margin(f"flat:src:{key}", 1e-8 - fa, ja,
+                                  strict=False))
+            margins.append(Margin(f"flat:dst:{key}", 1e-8 - fb, jb,
+                                  strict=False))
             mismatch = max(mismatch,
                            abs(a.eval(ja) - b.eval(jb) * edge.rescale))
         elif not isinstance(a, SmoothCurve) and not isinstance(b, SmoothCurve):
@@ -351,12 +362,12 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
                         f"descriptor {key!r} differs across a smooth match")
                 continue
             mismatch = max(mismatch, abs(float(a) - float(b) * edge.rescale))
-    margins.append(Margin("value_match", 1e-8 - mismatch))
-    failed = [m.label for m in margins if m.min < 0]
+    margins.append(Margin("value_match", 1e-8 - mismatch, strict=False))
     details = {"mismatch": mismatch}
-    if failed:
-        details["failed"] = failed[0]
-    return CheckReport(not failed, margins, details)
+    bad = first_failure(margins)
+    if bad is not None:
+        details["failed"] = bad.label
+    return CheckReport(bad is None, margins, details)
 
 
 def curve_from_spec(spec) -> SmoothCurve | float | str:

@@ -61,6 +61,16 @@ class TestConeMetric:
             [(m.label, m.min, m.argmin) for m in b.margins]
 
 
+class TestBuilderPreconditions:
+    def test_cone_warp_closing_before_the_outer_end(self):
+        with pytest.raises(bk.BuildError, match="< pi/2"):
+            bk.build_cone_metric(4, 0.9, 0.334, 1.0, 0.001, 1.0)
+
+    def test_handle1_outer_face_leaving_the_profile(self):
+        with pytest.raises(bk.BuildError, match="outer face"):
+            bk.build_handle1(4, 0.9, 0.1, 0.2, 0.001, 0.505, 0.001)
+
+
 class TestCornerAngle:
     def test_moderate_slope_still_acute(self):
         theta = bk.corner_angle_handle1(0.5, 0.0)

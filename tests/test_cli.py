@@ -37,6 +37,42 @@ class TestScenarioValidation:
             "a": 0.1, "b": 5.0, "eps": 0.1, "nu": 0.3})
         assert cli.run_scenario(path, out=str(tmp_path / "out")) == 2
 
+    def test_scan_with_unknown_box_key_writes_nothing(self, tmp_path,
+                                                      capsys):
+        path = write_scenario(tmp_path, {
+            "command": "scan", "predicate": "s1",
+            "box": {"lam": [0.4, 0.55], "junk": [0, 1]}, "budget": 4})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 2
+        assert "junk" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_block_missing_param_without_default_exit_2(self, tmp_path,
+                                                        capsys):
+        path = write_scenario(tmp_path, {"command": "s1", "q": 3})
+        assert cli.run_scenario(path, out=str(tmp_path / "out")) == 2
+        assert "missing keys for 's1': ['lam']" in capsys.readouterr().err
+
+    def test_collar_profile_from_json_exit_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "command": "handle2", "B": 0.5, "lambda1": 0.01,
+            "lambda2": 0.02, "a": 0.02, "b": 1.5, "eps": 0.1, "nu": 0.03})
+        assert cli.run_scenario(path, out=str(tmp_path / "out")) == 2
+        assert "B must be a SmoothCurve" in capsys.readouterr().err
+
+    def test_builder_preconditions_exit_2(self, tmp_path, capsys):
+        for scenario, condition in (
+                ({"command": "cone", "n": 4, "K": 0.9, "eps1": 0.334,
+                  "eps2": 1.0, "delta": 0.001}, "eps2' = 2 eps2/(1 - delta)"),
+                ({"command": "handle1", "n": 4, "K": 0.9, "lambda1": 0.1,
+                  "lambda2": 0.2, "eps1": 0.001, "eps2": 0.505,
+                  "delta": 0.001}, "outer face")):
+            out = tmp_path / scenario["command"]
+            path = write_scenario(tmp_path, scenario)
+            assert cli.run_scenario(path, out=str(out)) == 2
+            assert condition in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestCommands:
     def test_wu_check_passes(self, tmp_path, capsys):
@@ -111,6 +147,14 @@ class TestCommands:
         assert cli.run_scenario(path, out=str(out), seed=5) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["result"]["entries"]
+
+    def test_block_runs_with_registry_defaults(self, tmp_path):
+        path = write_scenario(tmp_path, {"command": "s1", "lam": 0.45})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["result"]["params"]["q"] == \
+            feasibility.PREDICATES["s1"]["defaults"]["q"]
 
 
 class TestPipeline:

@@ -102,3 +102,73 @@ class TestRefine:
         cert = fs.scan(box, "s1", budget=5)
         with pytest.raises(fs.RefineError):
             fs.refine(cert, 1e9, max_iter=5)
+
+
+def _stand_in(x, grid=None):
+    return bk.BlockReport("stand-in", {"x": x}, [bk.Margin("x", x)])
+
+
+class TestRefineKeepsOpenEndpoints:
+    @pytest.fixture
+    def stand_in(self, monkeypatch):
+        monkeypatch.setitem(fs.PREDICATES, "stand-in",
+                            fs._entry(_stand_in, "x"))
+
+    def test_box_round_trips_through_json(self):
+        box = fs.ParamBox({"x": (0.1, 1.0, ")"), "y": (0.0, 2.0, "(")},
+                          {"x": 5, "y": 2})
+        again = fs.ParamBox.from_json_dict(box.to_json_dict())
+        assert again.params == box.params
+        assert again.to_json_dict() == box.to_json_dict()
+
+    @pytest.mark.parametrize("pass_box", [False, True])
+    def test_excluded_endpoint_is_never_certified(self, stand_in, pass_box):
+        box = fs.ParamBox({"x": (0.1, 1.0, ")")}, 4)
+        cert = fs.scan(box, "stand-in", budget=4)
+        assert cert.best.params["x"] < 1.0
+        with pytest.raises(fs.RefineError):
+            fs.refine(cert, 1.0, box=box if pass_box else None)
+
+    def test_reachable_target_stays_inside_the_open_box(self, stand_in):
+        box = fs.ParamBox({"x": (0.1, 1.0, ")")}, 4)
+        cert = fs.scan(box, "stand-in", budget=4)
+        out = fs.refine(cert, 0.9999)
+        assert all(e.params["x"] < 1.0 for e in out.entries)
+
+
+class TestScanKeys:
+    def test_unknown_box_key_named_before_any_sample(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(fs.PREDICATES, "s1", {
+            **fs.PREDICATES["s1"], "builder": lambda **kw: calls.append(kw)})
+        box = fs.ParamBox({"lam": (0.4, 0.5), "junk": (0.0, 1.0)}, 2)
+        with pytest.raises(ValueError, match="junk"):
+            fs.scan(box, "s1", budget=4)
+        assert calls == []
+
+    def test_unknown_fixed_key_named(self):
+        box = fs.ParamBox({"lam": (0.4, 0.5)}, 2)
+        with pytest.raises(ValueError, match="unknown keys.*'p'"):
+            fs.scan(box, "s1", budget=4, fixed={"p": 3})
+
+    def test_unsupplied_required_param_named(self):
+        box = fs.ParamBox({"lambda1": (0.97, 0.98)}, 2)
+        with pytest.raises(ValueError, match="missing keys.*'eps1'"):
+            fs.scan(box, "handle1-tied", budget=4, fixed={"eps2": 0.1})
+
+    def test_refine_checks_its_fixed_keys(self):
+        cert = fs.scan(fs.ParamBox({"lam": (0.4, 0.5)}, 2), "s1", budget=4)
+        with pytest.raises(ValueError, match="junk"):
+            fs.refine(cert, 10.0, fixed={"junk": 1.0})
+
+
+class TestBadSamplesAreRejections:
+    @pytest.mark.parametrize("predicate, point", [
+        ("cone", {"eps1": 0.334, "eps2": 1.0, "delta": 0.001}),
+        ("handle1", {"lambda1": 0.1, "lambda2": 0.2, "eps1": 0.001,
+                     "eps2": 0.505, "delta": 0.001}),
+    ])
+    def test_one_point_scan_counts_one_failure(self, predicate, point):
+        box = fs.ParamBox({k: (v, v) for k, v in point.items()}, 1)
+        cert = fs.scan(box, predicate, budget=1)
+        assert cert.entries == [] and cert.failures == 1

@@ -189,3 +189,38 @@ class TestPipeline:
         assert not result["passed"]
         assert result["edges"][0]["report"].details["failed"] == \
             "flat:dst:warp"
+
+
+class TestMargin:
+    def test_one_margin_type(self):
+        import warpbench
+        from warpbench import blocks
+        assert blocks.Margin is gl.Margin and warpbench.Margin is gl.Margin
+
+    def test_pass_rule(self):
+        zero_strict = gl.Margin("a", 0.0)
+        zero_loose = gl.Margin("b", 0.0, strict=False)
+        assert zero_strict.strict
+        assert gl.first_failure([zero_loose, zero_strict]) is zero_strict
+        assert gl.first_failure([zero_loose, gl.Margin("c", 1e-300)]) is None
+        assert gl.first_failure([gl.Margin("d", -1e-300, strict=False)]) \
+            .label == "d"
+        assert gl.first_failure([gl.Margin("e", math.nan,
+                                           strict=False)]).label == "e"
+
+    def test_strict_flag_is_not_serialized(self):
+        rep = gl.CheckReport(True, [gl.Margin("a", 0.0, strict=False)])
+        assert rep.to_json_dict()["margins"] == [
+            {"label": "a", "min": 0.0, "argmin": 0.0}]
+
+    def test_checkers_state_their_pass_rules(self):
+        corner = gl.Corner("c", PI / 4, ("face", "side"))
+        atlas = {"face": warped_profile(ii_values=(0.5, 0.5),
+                                        corner=corner),
+                 "side": warped_profile(ii_values=(0.5, 0.5))}
+        rep = gl.check_corner_gluing(atlas, atlas, "face")
+        assert rep.margins[0].label == "metric_match"
+        assert [m.strict for m in rep.margins] == \
+            [False] + [True] * (len(rep.margins) - 1)
+        rep = gl.check_perelman(warped_profile(), warped_profile())
+        assert not any(m.strict for m in rep.margins)
