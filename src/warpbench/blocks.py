@@ -52,6 +52,9 @@ class HorizonError(RuntimeError):
 
 
 _TRANSFER_ODE_CACHE: dict = {}
+# Step-doubling tolerance of the transfer ODE tables (values and first two
+# derivatives between nodes, relative to max(1, |y|)).
+TRANSFER_RTOL = 1e-9
 
 
 @dataclass
@@ -99,6 +102,15 @@ class BlockReport:
             "aux": {k: _aux(v) for k, v in self.aux.items()
                     if isinstance(v, (int, float, str, bool, type(None)))},
         }
+
+
+def _require_integer_dims(**dims) -> None:
+    """Raise BuildError naming the first dimension parameter whose value
+    is not an integer."""
+    for name, value in dims.items():
+        if not float(value).is_integer():
+            raise BuildError(
+                f"dimension {name} must be an integer, got {value!r}")
 
 
 def _min_margin(label: str, ts, values) -> Margin:
@@ -150,6 +162,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     Returns (warp curve, report).  At t = 1, multiplying the metric by K^2
     turns the middle piece into K sin(s) with Ricci bound n - 1.
     """
+    _require_integer_dims(n=n)
     if n < 3:
         raise BuildError("need n >= 3")
     if not 0.0 < K < 1.0:
@@ -376,6 +389,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     graph second fundamental form on both zones, concavity of the cap
     profile, a corner angle below pi/2 and the inner-face curvature floor.
     """
+    _require_integer_dims(n=n)
     if not 0 < lambda1 < lambda2 < 1:
         raise BuildError("need 0 < lambda1 < lambda2 < 1")
     if not 0 < eps1 < math.pi / 4:
@@ -843,7 +857,12 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          grid=None) -> BlockReport:
     """Cylinder metric built from the transfer warping system, stopped at
     the slope target lam; certifies the four Ricci bounds, domination of
-    the mixed term, and the boundary curvature constraints at both ends."""
+    the mixed term, and the boundary curvature constraints at both ends.
+
+    The warping system is integrated to TRANSFER_RTOL by step doubling,
+    with ``step_budget`` steps as the cap; ``aux`` records the tolerance
+    (``ode_rtol``) and the accepted step count (``ode_steps``)."""
+    _require_integer_dims(p=p, q=q)
     if p < 2 or q < 2:
         raise BuildError("need fibre dim >= 2 and base dim >= 2")
     if not 0 < lam < 1:
@@ -857,7 +876,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         if len(_TRANSFER_ODE_CACHE) > 32:
             _TRANSFER_ODE_CACHE.clear()
         _TRANSFER_ODE_CACHE[key] = integrate_transfer_odes(
-            C, t_max=t_max, step_budget=step_budget)
+            C, t_max=t_max, step_budget=step_budget, rtol=TRANSFER_RTOL)
     h0, fC = _TRANSFER_ODE_CACHE[key]
     c = r0 / h0.eval(0.0, 0)
     target = lam * c / a
@@ -921,7 +940,8 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         boundary={"bottom": bottom, "top": top},
         aux={"t0": float(t0), "r1": float(r1), "R": R,
              "vertical_ii_at_0": -vertical0,
-             "slope_check": float((a / c) * fC.eval(t0, 1))},
+             "slope_check": float((a / c) * fC.eval(t0, 1)),
+             "ode_rtol": TRANSFER_RTOL, "ode_steps": len(ts_nodes) - 1},
         sweeps={"ricci": {"t": tt, "columns": dict(sweep)}},
     )
 
@@ -936,6 +956,7 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
     circle fibre, built from designed sinusoidal warps: the base warp is
     even at 0 with slope lam at the far end, the fibre warp closes the
     circle (odd, unit slope) and flattens at the far end."""
+    _require_integer_dims(q=q)
     if q < 2:
         raise BuildError("need base dimension >= 2")
     if not 0 < lam < 1:
@@ -1006,6 +1027,7 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     closing parity and the third-derivative condition hold) with a sliding
     plateau whose position is solved so the warp tops out at exactly 1.
     """
+    _require_integer_dims(p=p)
     if p < 2:
         raise BuildError("need p >= 2")
     if t0 <= 1.0:
@@ -1114,6 +1136,7 @@ def build_sphere_transition(A: SmoothCurve, B: SmoothCurve, p: int, q: int,
     strict concavity of both warps away from their collapse ends, negative
     third derivatives there, the closing parities, and stability of all of
     it along the straight path to the round pair."""
+    _require_integer_dims(p=p, q=q)
     if abs(A.t_lo) > 1e-12 or abs(B.t_lo) > 1e-12 \
             or abs(A.t_hi - B.t_hi) > 1e-9:
         raise BuildError("A and B must share a domain [0, s0]")
@@ -1151,8 +1174,16 @@ def projective_family_check(d: int, n: int, s: float, grid=None,
 
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
-    comparison bounds it rests on.
+    comparison bounds it rests on.  The family exists for d in {2, 4, 8}
+    and n >= 2, with n = 2 when d = 8.
     """
+    _require_integer_dims(d=d, n=n)
+    if d not in (2, 4, 8):
+        raise BuildError("d must be one of 2, 4, 8")
+    if n < 2:
+        raise BuildError("n must be >= 2")
+    if d == 8 and n != 2:
+        raise BuildError("d = 8 requires n = 2")
     if not 0.0 <= s <= 1.0:
         raise BuildError("s must lie in [0, 1]")
     f0 = _projective_f0()

@@ -4,9 +4,10 @@ name in ``feasibility.PREDICATES`` is a block command taking that entry's
 params and defaults.
 
 Exit codes: 0 verification passed (or informational command), 1 a
-verification margin failed (named on stderr), 2 scenario parse/validation
-error (no outputs written), 3 internal fault (exception class and message
-on stderr, no outputs written).
+verification margin failed or a scan's refine_target was not reached
+(named on stderr), 2 scenario parse/validation error (no outputs
+written), 3 internal fault (exception class and message on stderr, no
+outputs written).
 """
 
 from __future__ import annotations
@@ -74,7 +75,12 @@ def _scan(sc, grid, seed):
     cert = feasibility.scan(box, sc["predicate"], int(sc["budget"]),
                             seed=seed or 0, fixed=sc.get("fixed"), grid=grid)
     if "refine_target" in sc and cert.entries:
-        cert = feasibility.refine(cert, sc["refine_target"], grid=grid)
+        try:
+            cert = feasibility.refine(cert, sc["refine_target"], grid=grid)
+        except feasibility.RefineError as exc:
+            # an unreached target is the scenario's outcome, not a fault
+            return ({**exc.certificate.to_json_dict(),
+                     "verdict": f"fail:{exc}"}, {}, False)
     return cert.to_json_dict(), {}, bool(cert.entries)
 
 

@@ -36,7 +36,8 @@ class StepBudgetError(RuntimeError):
 
 class IntegratorError(RuntimeError):
     """A property that holds identically for exact solutions failed
-    on the node grid, signalling an integrator defect."""
+    on the node grid, signalling an integrator defect, or a stated
+    tolerance was not met within the step cap."""
 
 
 class JoinBandError(RuntimeError):
@@ -373,17 +374,25 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
 
 def integrate_transfer_odes(C: float, t_max: float = 20.0,
                             step_budget: int = 65536,
-                            h0_init: float = 1.0):
+                            h0_init: float = 1.0, rtol: float | None = None):
     """Integrate g' = e^{-g^2/2} (g(0)=h0_init) and F'' = C e^{-g^2} F
-    (F(0)=1, F'(0)=0) with ``step_budget`` fixed classical fourth-order
-    (RK4) steps on [0, t_max].
+    (F(0)=1, F'(0)=0) with classical fourth-order (RK4) steps on a uniform
+    grid of [0, t_max].
 
-    The stepping runs on Python floats and writes each step's (g, F, F')
-    into one preallocated node array.  Returns (g, F) as node-backed
-    SmoothCurves whose derivatives come from the right-hand side, never
-    from differencing.  The qualitative properties (signs, monotone tail
-    of F g', ratio in [0,1]) are verified on the node grid and violations
-    raise IntegratorError.
+    With ``rtol`` None the grid has ``step_budget`` steps.  With ``rtol``
+    given, the step count is chosen by step doubling (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.4): n starts at the smallest power of two
+    >= 64 t_max and doubles while 2n <= ``step_budget``, which caps it.  The
+    2n-step table is accepted once the n-step table's cubic-Hermite values
+    at the odd nodes of the 2n grid (orders 0-2 of g and F, the values the
+    table curves answer between nodes) match the 2n values there within
+    ``rtol`` relative to max(1, |y|).  Reaching the cap first raises
+    IntegratorError naming ``rtol`` and the cap.
+
+    Returns (g, F) as node-backed SmoothCurves whose derivatives come from
+    the right-hand side, never from differencing.  The qualitative
+    properties (signs, monotone tail of F g', ratio in [0,1]) are verified
+    on the node grid and violations raise IntegratorError.
     """
     if C < 0:
         raise ValueError("C must be >= 0")
@@ -393,7 +402,43 @@ def integrate_transfer_odes(C: float, t_max: float = 20.0,
         raise StepBudgetError(
             f"step budget {step_budget} below minimum resolution for "
             f"t_max={t_max}")
-    n = int(step_budget)
+    if rtol is None:
+        ts, gcols, fcols = _transfer_table(C, t_max, int(step_budget),
+                                           h0_init)
+    else:
+        n = 1
+        while n < 64 * t_max:
+            n *= 2
+        if 2 * n > step_budget:
+            raise IntegratorError(
+                f"rtol={rtol:g} needs at least {2 * n} steps, above the "
+                f"step cap {step_budget}")
+        coarse = _transfer_table(C, t_max, n, h0_init)
+        while True:
+            fine = _transfer_table(C, t_max, 2 * n, h0_init)
+            defect = _midpoint_defect(coarse, fine)
+            if defect <= rtol:
+                break
+            if 4 * n > step_budget:
+                raise IntegratorError(
+                    f"rtol={rtol:g} not met within the step cap "
+                    f"{step_budget}: {n} and {2 * n} steps differ by "
+                    f"{defect:.3g}")
+            n, coarse = 2 * n, fine
+        ts, gcols, fcols = fine
+
+    g_curve = table_curve(ts, gcols, info={"C": C, "role": "h0"})
+    fc_curve = table_curve(ts, fcols, info={"C": C, "role": "fC"})
+    _verify_transfer_properties(ts, *gcols[:3], *fcols[:3], C)
+    return g_curve, fc_curve
+
+
+def _transfer_table(C: float, t_max: float, n: int, h0_init: float):
+    """(ts, (g, g', g'', g'''), (F, F', F'', F''')) on n fixed RK4 steps.
+
+    The stepping runs on Python floats and writes each step's (g, F, F')
+    into one preallocated node array; the derivative columns come from the
+    right-hand side."""
     h = t_max / n
     hh = 0.5 * h
     h6 = h / 6.0
@@ -429,12 +474,24 @@ def integrate_transfer_odes(C: float, t_max: float = 20.0,
     g3 = g1 * e_full * (2.0 * g * g - 1.0)
     fc2 = C * e_full * fc
     fc3 = C * e_full * (fcp - 2.0 * g * g1 * fc)
+    return ts, (g, g1, g2, g3), (fc, fcp, fc2, fc3)
 
-    g_curve = table_curve(ts, (g, g1, g2, g3), info={"C": C, "role": "h0"})
-    fc_curve = table_curve(ts, (fc, fcp, fc2, fc3),
-                           info={"C": C, "role": "fC"})
-    _verify_transfer_properties(ts, g, g1, g2, fc, fcp, fc2, C)
-    return g_curve, fc_curve
+
+def _midpoint_defect(coarse, fine) -> float:
+    """Largest relative gap between the coarse table's cubic-Hermite values
+    (orders 0-2 of g and F) at the fine grid's odd nodes, which are the
+    coarse segment midpoints, and the fine table's values there."""
+    ts, *coarse_cols = coarse
+    mids, *fine_cols = fine
+    mids = mids[1::2]
+    worst = 0.0
+    for cols, ref_cols in zip(coarse_cols, fine_cols):
+        for k in range(3):
+            ref = ref_cols[k][1::2]
+            gap = np.abs(hermite_interp(ts, cols[k], cols[k + 1], mids)
+                         - ref) / np.maximum(1.0, np.abs(ref))
+            worst = max(worst, float(np.max(gap)))
+    return worst
 
 
 def _verify_transfer_properties(ts, g, g1, g2, fc, fcp, fc2, C):

@@ -25,7 +25,12 @@ _OPEN_OFFSET = 1e-6
 
 
 class RefineError(RuntimeError):
-    pass
+    """refine could not reach its target margin.  ``certificate`` holds the
+    refined certificate it reached (None for an empty input certificate)."""
+
+    def __init__(self, message: str, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,8 @@ def refine(cert: Certificate, target_margin: float,
            local_resolution: int = 3, fixed: dict | None = None,
            grid=None) -> Certificate:
     """Shrinking-box bisection around the best certified sample until some
-    sample reaches target_margin or the box granularity floor 1e-6."""
+    sample reaches target_margin or the box granularity floor 1e-6.  An
+    unreached target raises RefineError carrying the certificate reached."""
     if not cert.entries:
         raise RefineError("cannot refine an empty certificate")
     if cert.best.min_margin >= target_margin:
@@ -346,12 +352,12 @@ def refine(cert: Certificate, target_margin: float,
     best = cert.best
     log = [best]
     scale = 1.0
+    stop = f"{max_iter} iterations used"
     for _ in range(max_iter):
         scale *= 0.5
         if scale < 1e-6:
-            raise RefineError(
-                f"granularity floor reached with margin "
-                f"{best.min_margin:.4g} < target {target_margin:.4g}")
+            stop = "granularity floor reached"
+            break
         local = {}
         for n in box.names:
             half = 0.5 * widths[n] * scale
@@ -370,17 +376,14 @@ def refine(cert: Certificate, target_margin: float,
         log.append(best)
         if best.min_margin >= target_margin:
             break
-    else:
-        raise RefineError(
-            f"target margin {target_margin} unreachable in {max_iter} "
-            f"iterations (best {best.min_margin:.4g})")
-    if best.min_margin < target_margin:
-        raise RefineError(
-            f"granularity floor reached with margin "
-            f"{best.min_margin:.4g} < target {target_margin:.4g}")
     unique = {tuple(sorted(e.params.items())): e for e in log}
     entries = sorted(unique.values(), key=CertEntry.sort_key)
-    return Certificate(predicate=cert.predicate, entries=entries,
-                       grid={**cert.grid, "refined": True,
-                             "target_margin": target_margin},
-                       seed=cert.seed, failures=cert.failures)
+    refined = Certificate(predicate=cert.predicate, entries=entries,
+                          grid={**cert.grid, "refined": True,
+                                "target_margin": target_margin},
+                          seed=cert.seed, failures=cert.failures)
+    if best.min_margin < target_margin:
+        raise RefineError(
+            f"{stop}: best margin {best.min_margin:.4g} < target "
+            f"{target_margin:.4g}", refined)
+    return refined

@@ -215,6 +215,95 @@ class TestTransferBlock:
         assert r1s[0] > r1s[1] > r1s[2]
 
 
+TRANSFER_KW = dict(p=2, q=3, r0=0.1, nu=1.5, lam=0.5, a=0.2, C=0.5)
+# The default step cap of build_transfer_block, which was its fixed step
+# count before the tables were sized by step doubling.
+REF_STEPS = 131072
+
+
+def _within_1e9(got, ref):
+    got, ref = np.asarray(got, float), np.asarray(ref, float)
+    return np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.fixture(scope="module")
+def doubled_and_fixed():
+    """((g, F), block) of the default transfer block at TRANSFER_RTOL and
+    on a fixed REF_STEPS-step table, each built from an empty ODE cache."""
+    out = []
+    for rtol in (bk.TRANSFER_RTOL, None):
+        cache = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bk, "_TRANSFER_ODE_CACHE", cache)
+            mp.setattr(bk, "TRANSFER_RTOL", rtol)
+            rep = bk.build_transfer_block(**TRANSFER_KW)
+        (curves,) = cache.values()
+        out.append((curves, rep))
+    return out
+
+
+class TestTransferStepDoubling:
+    def test_rtol_1e9_accepts_16384_steps(self, doubled_and_fixed):
+        ((g, _), rep), ((g_ref, _), ref) = doubled_and_fixed
+        assert len(g.nodes[0]) - 1 == rep.aux["ode_steps"] == 16384
+        assert rep.aux["ode_rtol"] == 1e-9
+        assert len(g_ref.nodes[0]) - 1 == ref.aux["ode_steps"] == REF_STEPS
+
+    def test_accepted_table_is_the_fixed_step_table(self, doubled_and_fixed):
+        ((g, fc), _), _ = doubled_and_fixed
+        g_fix, fc_fix = cv.integrate_transfer_odes(
+            0.5, t_max=120.0, step_budget=16384)
+        for got, want in ((g, g_fix), (fc, fc_fix)):
+            assert np.array_equal(got.nodes[0], want.nodes[0])
+            for a, b in zip(got.nodes[1], want.nodes[1]):
+                assert np.array_equal(a, b)
+
+    def test_node_columns_match_fixed_reference(self, doubled_and_fixed):
+        ((g, fc), _), ((g_ref, fc_ref), _) = doubled_and_fixed
+        stride = REF_STEPS // 16384
+        for got, ref in ((g, g_ref), (fc, fc_ref)):
+            assert _within_1e9(got.nodes[0], ref.nodes[0][::stride])
+            for col, ref_col in zip(got.nodes[1], ref.nodes[1]):
+                assert _within_1e9(col, ref_col[::stride])
+
+    def test_margins_and_sweeps_match_fixed_reference(self,
+                                                      doubled_and_fixed):
+        (_, rep), (_, ref) = doubled_and_fixed
+        assert [m.label for m in rep.margins] == \
+            [m.label for m in ref.margins]
+        for m, r in zip(rep.margins, ref.margins):
+            assert _within_1e9(m.min, r.min), m.label
+            assert _within_1e9(m.argmin, r.argmin), m.label
+        for key in ("t0", "r1", "R", "slope_check", "vertical_ii_at_0"):
+            assert _within_1e9(rep.aux[key], ref.aux[key]), key
+        sweep, ref_sweep = rep.sweeps["ricci"], ref.sweeps["ricci"]
+        assert _within_1e9(sweep["t"], ref_sweep["t"])
+        assert sorted(sweep["columns"]) == sorted(ref_sweep["columns"])
+        for name, col in sweep["columns"].items():
+            assert _within_1e9(col, ref_sweep["columns"][name]), name
+
+    @pytest.mark.parametrize("cap, rtol", [(8192, 1e-9), (16384, 1e-12)])
+    def test_cap_below_need_raises(self, cap, rtol):
+        with pytest.raises(cv.IntegratorError,
+                           match=f"rtol={rtol:g}.*step cap {cap}"):
+            cv.integrate_transfer_odes(0.5, t_max=120.0, step_budget=cap,
+                                       rtol=rtol)
+
+    def test_one_ode_call_per_cache_miss(self, monkeypatch):
+        real, calls = bk.integrate_transfer_odes, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("rtol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bk, "integrate_transfer_odes", counted)
+        monkeypatch.setattr(bk, "_TRANSFER_ODE_CACHE", {})
+        bk.build_transfer_block(**TRANSFER_KW)
+        assert calls == [bk.TRANSFER_RTOL]
+        bk.build_transfer_block(**{**TRANSFER_KW, "a": 0.24, "nu": 2.5})
+        assert len(calls) == 1
+
+
 class TestS1Block:
     def test_design_passes(self):
         rep = bk.build_s1_block(3, 0.5)
@@ -286,6 +375,11 @@ class TestProjectiveFamily:
     def test_symmetric_member_is_unsmoothed(self):
         rep = bk.projective_family_check(2, 2, 0.0)
         assert rep.aux["join_halfwidth"] == 0.0
+
+    @pytest.mark.parametrize("d,n", [(3, 2), (2, 1), (8, 3)])
+    def test_outside_the_family_is_a_build_error(self, d, n):
+        with pytest.raises(bk.BuildError):
+            bk.projective_family_check(d, n, 0.5)
 
     def test_full_flattening_restores_round_half(self):
         rep = bk.projective_family_check(2, 2, 1.0)

@@ -109,6 +109,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "verification failed" in err
 
+    def test_unreachable_refine_target_exit_1_and_named(self, tmp_path,
+                                                         capsys):
+        path = write_scenario(tmp_path, {
+            "command": "scan", "predicate": "handle2-closed-form",
+            "box": {"a": [0.05, 0.5], "b": [1.2, 1.6]}, "resolution": 3,
+            "budget": 4, "refine_target": 0.6})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 1
+        err = capsys.readouterr().err
+        assert "verification failed" in err and "0.3325 < target 0.6" in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        cert = report["result"]
+        assert cert["grid"]["target_margin"] == 0.6
+        assert abs(cert["entries"][0]["min_margin"] - 0.3325) < 1e-4
+
+    def test_projective_dimension_outside_the_family_exit_2(self, tmp_path,
+                                                            capsys):
+        path = write_scenario(tmp_path, {
+            "command": "projective", "d": 3, "n": 2, "s": 0.5})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 2
+        assert "d must be one of 2, 4, 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_internal_fault_exit_3_and_named(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "command": "transfer", "p": 2, "q": 3, "r0": 0.1, "nu": 1.5,

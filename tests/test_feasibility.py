@@ -103,6 +103,17 @@ class TestRefine:
         with pytest.raises(fs.RefineError):
             fs.refine(cert, 1e9, max_iter=5)
 
+    def test_unreachable_target_carries_the_certificate_reached(self):
+        box = fs.ParamBox({"lam": (0.45, 0.5)}, {"lam": 2})
+        cert = fs.scan(box, "s1", budget=5)
+        with pytest.raises(fs.RefineError, match="< target 1e"
+                           ) as info:
+            fs.refine(cert, 1e9, max_iter=5)
+        reached = info.value.certificate
+        assert reached.grid["refined"] and \
+            reached.grid["target_margin"] == 1e9
+        assert reached.best.min_margin >= cert.best.min_margin
+
 
 def _stand_in(x, grid=None):
     return bk.BlockReport("stand-in", {"x": x}, [bk.Margin("x", x)])
@@ -172,3 +183,8 @@ class TestBadSamplesAreRejections:
         box = fs.ParamBox({k: (v, v) for k, v in point.items()}, 1)
         cert = fs.scan(box, predicate, budget=1)
         assert cert.entries == [] and cert.failures == 1
+
+    def test_projective_dimension_outside_the_family(self):
+        box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
+        cert = fs.scan(box, "projective", 3, fixed={"d": 3})
+        assert cert.entries == [] and cert.failures == 3

@@ -163,6 +163,20 @@ def test_entry_runs_from_cli_and_as_one_point_scan(name, tmp_path):
         assert_close(cert, pinned[f"scan:{name}"])
 
 
+@pytest.mark.parametrize("name, dim", [
+    (name, dim) for name in sorted(PARAMS) for dim in ("n", "p", "q", "d")
+    if dim in PARAMS[name]])
+def test_non_integer_dimension_is_a_build_error(name, dim, tmp_path, capsys):
+    params = {**PARAMS[name], dim: PARAMS[name][dim] + 0.5}
+    code, report = run_cli({"command": name, **params}, str(tmp_path), GRID)
+    assert code == 2 and report is None
+    assert f"dimension {dim} must be an integer" in capsys.readouterr().err
+    box = fs.ParamBox({dim: (params[dim], params[dim])}, 1)
+    fixed = {k: v for k, v in params.items() if k != dim}
+    cert = fs.scan(box, name, budget=1, fixed=fixed, grid=GRID)
+    assert cert.entries == [] and cert.failures == 1
+
+
 @pytest.mark.parametrize("scenario", readme_scenarios(),
                          ids=lambda sc: sc["command"])
 def test_readme_example_scenario_passes(scenario, tmp_path):
