@@ -14,9 +14,7 @@ h0, fc = integrate_transfer_odes(C, t_max=120.0, step_budget=131072,
 steps = len(h0.nodes[0]) - 1
 print(f"warping system at C = {C}: step doubling to rtol 1e-9 accepted "
       f"{steps} RK4 steps (cap 131072)")
-# fourth-order differences of adjacent nodes; their truncation error
-# grows as stride^4, so a wider stride measures the differencing instead
-res = transfer_ode_residuals(h0, fc, C, stride=1)
+res = transfer_ode_residuals(h0, fc, C)
 print("  node residuals " + ", ".join(f"{k}={v:.1e}"
                                       for k, v in res.items()))
 for t in (0.0, 5.0, 20.0, 60.0, 120.0):

@@ -195,33 +195,23 @@ def unit_plateau(lo: float, span: float):
     return g
 
 
-def fd_first_derivative(y: np.ndarray, h: float, stride: int = 1) -> np.ndarray:
-    """Fourth-order first derivative of uniformly sampled values.
-
-    Central 5-point stencil in the interior, shifted 5-point stencils near
-    the ends, all with the given stride (wider stencils suppress rounding
-    noise in residual checks)."""
-    s = stride
+def fd_first_derivative(y: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order first derivative of uniformly sampled values: central
+    5-point stencil in the interior, shifted 5-point stencils at the two
+    nodes nearest each end."""
     n = len(y)
-    if n < 6 * s:
+    if n < 6:
         raise ValueError("too few nodes for the stencil")
     d = np.empty_like(y)
-    hh = h * s
-    d[2 * s:n - 2 * s] = (y[:n - 4 * s] - 8 * y[s:n - 3 * s]
-                          + 8 * y[3 * s:n - s] - y[4 * s:]) / (12 * hh)
-    # shifted stencils near the ends: derivative at the first or second
-    # point of a 5-point strided window
+    d[2:n - 2] = (y[:n - 4] - 8 * y[1:n - 3]
+                  + 8 * y[3:n - 1] - y[4:]) / (12 * h)
+    # derivative at the first or second point of a 5-point window
     c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
     c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    for j in range(2 * s):
-        if j < s:
-            idx = j + np.arange(5) * s
-            coef = c0
-        else:
-            idx = (j - s) + np.arange(5) * s
-            coef = c1
-        d[j] = np.dot(coef, y[idx]) / hh
-        d[n - 1 - j] = -np.dot(coef, y[n - 1 - idx]) / hh
+    idx = np.arange(5)
+    for j, coef in enumerate((c0, c1)):
+        d[j] = np.dot(coef, y[idx]) / h
+        d[n - 1 - j] = -np.dot(coef, y[n - 1 - idx]) / h
     return d
 
 

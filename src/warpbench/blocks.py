@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
-                    cumulative_hermite, grid_points, hermite_interp, plateau,
-                    smooth_step, sorted_unique, unit_plateau)
+                    bisect_increasing, cumulative_hermite, grid_points,
+                    hermite_interp, plateau, smooth_step, sorted_unique,
+                    unit_plateau)
 from .curves import (JoinBandError, SmoothCurve, constant_curve,
                      cosine_curve, curve_from_derivs, even_extension,
                      flatness_margin, integrate_transfer_odes, line_curve,
@@ -29,8 +30,10 @@ from .curves import (JoinBandError, SmoothCurve, constant_curve,
                      smooth_join, table_curve)
 from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
-                        cohomog1_sweep, doubly_warped_sweep, graph_ii_sweep)
-from .gluing import BoundaryProfile, Corner, Margin, first_failure
+                        cohomog1_sweep, doubly_warped_sweep,
+                        graph_ii_columns, graph_ii_sweep)
+from .gluing import (BoundaryProfile, Corner, Margin, check_corner_gluing,
+                     first_failure)
 
 __all__ = [
     "Margin", "BlockReport", "BuildError", "HorizonError",
@@ -139,17 +142,6 @@ def _reparam_columns(y_cols, r_cols):
     return y0, yr, yrr, yrrr
 
 
-def _graph_principal_curvatures(f, R, alpha, ss, orientation="up"):
-    """Principal curvatures (eigenvalues of the shape operator) of the
-    graph hypersurface; the unnormalized forms divided by the squared
-    lengths of the corresponding tangent vectors."""
-    ii = graph_ii_sweep(f, R, alpha, ss, orientation)
-    a1 = alpha.eval(ss, 1)
-    fv = f.eval(alpha.eval(ss, 0), 0)
-    return {"radial": ii["radial"] / (fv ** 2 + a1 ** 2),
-            "sphere": ii["sphere"] / fv ** 2}
-
-
 # ---------------------------------------------------------------------------
 # Cone-stretched core metric.
 # ---------------------------------------------------------------------------
@@ -219,8 +211,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                             collapse_start="f")
     sweep = doubly_warped_sweep(dw, ss)
     bound = (n - 1) * Kt * Kt
-    ric_s = (n - 1) * sweep["sec_tu"]
-    ric_x = sweep["sec_tu"] + (n - 2) * sweep["sec_uu"]
+    ric_s, ric_x = sweep["ric_tt"], sweep["ric_uu"]
     # the interpolating piece attains the bound exactly, so the relative
     # margin carries the same 1e-9 floor as every >=-type certificate
     margins = [
@@ -454,23 +445,10 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         r = np.asarray(r, float)
         return np.sin(s_of_r(r)) * np.sqrt(1.0 + l1 * l1 * r * r)
 
-    def phi1(r):
-        r = np.asarray(r, float)
-        sr = s_of_r(r)
-        return (np.cos(sr) + l1 * l1 * r * np.sin(sr)) / np.sqrt(
-            1.0 + l1 * l1 * r * r)
-
     def phi2(r):
         r = np.asarray(r, float)
         return (np.sin(s_of_r(r)) * (l1 * l1 - 1.0)
                 / (1.0 + l1 * l1 * r * r) ** 1.5)
-
-    def phi3(r):
-        r = np.asarray(r, float)
-        q = 1.0 + l1 * l1 * r * r
-        sr = s_of_r(r)
-        return (l1 * l1 - 1.0) * (np.cos(sr) / q ** 2.5
-                                  - 3.0 * l1 * l1 * r * np.sin(sr) / q ** 2.5)
 
     rr = grid_points(0.0, r_max, grid, min_points=513)
     margins.append(_min_margin("cap_concavity", rr, -phi2(rr)))
@@ -494,30 +472,32 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         1.0 if (math.cos(theta) > 0) == (sign_cf > 0) else -1.0, s_hi))
     margins.append(Margin("inner_slope_gap", 1.0 - lam, -delta))
 
-    # boundary profiles (principal curvatures over true arc length) --------
-    spd = np.sqrt(alpha.eval(ss, 1) ** 2 + f.eval(alpha.eval(ss), 0) ** 2)
+    # boundary profiles (principal curvatures over true arc length: each
+    # form divided by the squared length of its tangent vector) ----------
+    a0, a1 = alpha.eval(ss), alpha.eval(ss, 1)
+    fa = f.eval(a0, 0)
+    spd = np.sqrt(a1 ** 2 + fa ** 2)
     u_arc = cumulative_hermite(ss, spd, np.gradient(spd, ss))
-    cap_warp_vals = f.eval(alpha.eval(ss), 0) * K * np.sin(ss)
-    cap_pc = _graph_principal_curvatures(f, R_sphere, alpha, ss, "up")
+    cap_warp_vals = fa * K * np.sin(ss)
     cap_profile = BoundaryProfile(
         dimension=n, kind="warped-sphere",
         metric={"warp": _tab_from_samples(u_arc, cap_warp_vals),
                 "descriptor": "cap"},
-        ii={"radial": _tab_from_samples(u_arc, cap_pc["radial"]),
-            "sphere": _tab_from_samples(u_arc, cap_pc["sphere"])})
+        ii={"radial": _tab_from_samples(
+                u_arc, cap_ii["radial"] / (fa ** 2 + a1 ** 2)),
+            "sphere": _tab_from_samples(u_arc, cap_ii["sphere"] / fa ** 2)})
     u_cap = float(u_arc[-1])
 
     # outer collar warp as a function of true arc length from the corner,
     # with analytic chain-rule derivative columns (the far end seeds the
     # next piece's boundary data, so endpoint derivatives must be clean)
     b1v, b2v, b3v = (beta.eval(so, 1), beta.eval(so, 2), beta.eval(so, 3))
-    Fv = f.eval(alpha_out.eval(so), 0)
-    F1 = f.eval(alpha_out.eval(so), 1) * b1v
-    F2 = (f.eval(alpha_out.eval(so), 2) * b1v ** 2
-          + f.eval(alpha_out.eval(so), 1) * b2v)
-    F3 = (f.eval(alpha_out.eval(so), 3) * b1v ** 3
-          + 3.0 * f.eval(alpha_out.eval(so), 2) * b1v * b2v
-          + f.eval(alpha_out.eval(so), 1) * b3v)
+    ao = alpha_out.eval(so)
+    fo = [f.eval(ao, k) for k in range(4)]
+    Fv = fo[0]
+    F1 = fo[1] * b1v
+    F2 = fo[2] * b1v ** 2 + fo[1] * b2v
+    F3 = fo[3] * b1v ** 3 + 3.0 * fo[2] * b1v * b2v + fo[1] * b3v
     spd_o = np.sqrt(b1v ** 2 + Fv ** 2)
     spd_o1 = (b1v * b2v + Fv * F1) / spd_o
     spd_o2 = (b2v ** 2 + b1v * b3v + F1 ** 2 + Fv * F2
@@ -531,7 +511,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     outer_cols = _reparam_columns((y0, y1, y2, y3),
                                   (spd_o, spd_o1, spd_o2))
     outer_warp = table_curve(r_arc, outer_cols, "blended")
-    out_pc = _graph_principal_curvatures(f, R_sphere, alpha_out, so, "up")
+    out_pc = {"radial": out_ii["radial"] / (Fv ** 2 + b1v ** 2),
+              "sphere": out_ii["sphere"] / Fv ** 2}
     # past the dug zone the face is a slice with curvature f'/f
     flat_pc = float(f.eval(alpha_out.eval(s_hi + eps2), 1)
                     / f.eval(alpha_out.eval(s_hi + eps2), 0))
@@ -572,7 +553,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
             "cap_face": {"t": ss, "columns": {
                 "radial_ii": cap_ii["radial"],
                 "sphere_ii": cap_ii["sphere"],
-                "alpha": alpha.eval(ss)}},
+                "alpha": a0}},
             "outer_face": {"t": so, "columns": {
                 "radial_ii": out_ii["radial"],
                 "sphere_ii": out_ii["sphere"],
@@ -688,13 +669,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     bp = beta.eval(ts, 1)
     bpp = beta.eval(ts, 2)
     fv, f1 = f.eval(ts, 0), f.eval(ts, 1)
-    al1 = 1.0 / bp
-    al2 = -bpp / bp ** 3
-    Bv = B_full.eval(beta.eval(ts), 0)
-    Bp = B_full.eval(beta.eval(ts), 1)
-    denom = np.sqrt(1.0 + (al1 / fv) ** 2)
-    radial = (-f1 * fv - 2.0 * (f1 / fv) * al1 ** 2 + al2) / denom
-    sphere = (-f1 * fv + (Bp / Bv) * al1) / denom
+    bs = beta.eval(ts)
+    # the face s = beta(t) is the graph t = alpha(s) of alpha = beta^-1:
+    # alpha' = 1/beta', alpha'' = -beta''/beta'^3, normal toward -t
+    dug = graph_ii_columns(fv, f1, 1.0 / bp, -bpp / bp ** 3,
+                           B_full.eval(bs, 0), B_full.eval(bs, 1), -1.0)
+    radial, sphere = dug["radial"], dug["sphere"]
     bracket = -bp ** 2 * f1 * fv - 2.0 * f1 / fv - bpp / bp
     closed_form = (-a * a * lambda2 * (1.0 + lambda2 * b)
                    - 2.0 * lambda2 / (1.0 + lambda1 * ts)
@@ -796,8 +776,6 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
     checks: positive cross sums, angle sum below pi, and positive second
     fundamental form on the adjacent faces near the corner.  ``grid`` is
     the sample density of both pieces."""
-    from .gluing import check_corner_gluing
-
     rep1 = build_handle1(n, K, **params1, grid=grid)
     if not rep1.passed:
         rep1.block = "handle-assembly"
@@ -888,7 +866,6 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
             f"needed {target:.4g}); decrease a or increase C / t_max")
     idx = int(np.searchsorted(fcp, target))
     lo, hi = ts_nodes[max(idx - 1, 0)], ts_nodes[min(idx, len(ts_nodes) - 1)]
-    from ._util import bisect_increasing
     t0 = bisect_increasing(lambda t: fC.eval(t, 1), lo, hi, target,
                            tol=1e-14)
     if abs((a / c) * fC.eval(t0, 1) - lam) > 1e-10:

@@ -20,7 +20,7 @@ __all__ = [
     "CurvaturePoint", "IIProfile", "ABounds", "CoordinateChart",
     "InvalidMetricError", "CollapseError", "StencilError",
     "doubly_warped_curvature", "doubly_warped_sweep", "slice_II",
-    "graph_II", "graph_ii_sweep", "bundle_warped_ricci",
+    "graph_II", "graph_ii_columns", "graph_ii_sweep", "bundle_warped_ricci",
     "bundle_warped_sweep", "submersion_shrink_bounds", "cohomog1_ricci",
     "cohomog1_sweep", "fd_ricci", "doubly_warped_chart", "flat_chart",
     "oracle_cross_check",
@@ -105,95 +105,52 @@ class DoublyWarpedMetric:
                                   self.collapse_start, self.collapse_end)
 
 
-def _endpoint_kind(m: DoublyWarpedMetric, t: float) -> str | None:
-    lo, hi = m.interval
-    slop = 1e-9 * (1 + hi - lo)
-    if abs(t - lo) <= slop:
-        return "start"
-    if abs(t - hi) <= slop:
-        return "end"
-    return None
-
-
-def _sec_pieces(m: DoublyWarpedMetric, t: float) -> dict:
-    """The five sectional expressions, with collapse endpoints evaluated by
-    the derivative-quotient substitutions forced by the parity conditions:
+def _collapse_limits(m: DoublyWarpedMetric, t: float, warp: str) -> dict:
+    """Sectional values at a declared zero of ``warp`` ("f" or "h") that
+    the parity conditions force by derivative-quotient substitution:
     -f''/f and (1-f'^2)/f^2 become -f'''/f' at a zero of f, and the mixed
-    plane limit -f'h'/(fh) becomes -h''/h there."""
-    end = _endpoint_kind(m, t)
-    collapse = None
-    if end == "start":
-        collapse = m.collapse_start
-    elif end == "end":
-        collapse = m.collapse_end
-    f, h = m.f, m.h
-    fv, hv = f(t), h(t)
-    scale = 1e-8 * (1 + abs(t))
-    if collapse is None:
-        if fv <= 0 or hv <= 0:
-            raise InvalidMetricError(
-                f"warp vanishes at t={t} without a declared collapse")
-        return {
-            "sec_tu": -f(t, 2) / fv,
-            "sec_tv": -h(t, 2) / hv,
-            "sec_uv": -f(t, 1) * h(t, 1) / (fv * hv),
-            "sec_uu": (1.0 - f(t, 1) ** 2) / fv ** 2,
-            "sec_vv": (1.0 - h(t, 1) ** 2) / hv ** 2,
-        }
-    zero, other = (f, h) if collapse == "f" else (h, f)
-    if abs(zero(t)) > math.sqrt(scale):
+    plane limit -f'h'/(fh) becomes -h''/h there.  The other two entries
+    keep their interior values."""
+    zero, other = (m.f, m.h) if warp == "f" else (m.h, m.f)
+    if abs(zero(t)) > math.sqrt(1e-8 * (1 + abs(t))):
         raise InvalidMetricError(
-            f"declared collapse of {collapse} at t={t} but warp is "
+            f"declared collapse of {warp} at t={t} but warp is "
             f"{zero(t):.3e}")
-    if other(t) <= 0:
-        raise InvalidMetricError("the non-collapsing warp must be positive")
     ratio = -zero(t, 3) / zero(t, 1)
-    cross = -other(t, 2) / other(t)
-    if collapse == "f":
-        return {"sec_tu": ratio, "sec_uu": ratio,
-                "sec_tv": cross, "sec_vv": (1.0 - h(t, 1) ** 2) / hv ** 2,
-                "sec_uv": cross}
-    return {"sec_tv": ratio, "sec_vv": ratio,
-            "sec_tu": -f(t, 2) / fv,
-            "sec_uu": (1.0 - f(t, 1) ** 2) / fv ** 2,
-            "sec_uv": -f(t, 2) / fv}
-
-
-def doubly_warped_curvature(m: DoublyWarpedMetric, t: float) -> CurvaturePoint:
-    """Sectional values sec(t^u), sec(t^v), sec(u^v), sec(u1^u2),
-    sec(v1^v2) and the Ricci diagonal of dt^2 + f^2 ds_p^2 + h^2 ds_q^2."""
-    s = _sec_pieces(m, float(t))
-    p, q = m.p, m.q
-    entries = dict(s)
-    entries["ric_tt"] = p * s["sec_tu"] + q * s["sec_tv"]
-    entries["ric_uu"] = s["sec_tu"] + (p - 1) * s["sec_uu"] + q * s["sec_uv"]
-    entries["ric_vv"] = s["sec_tv"] + (q - 1) * s["sec_vv"] + p * s["sec_uv"]
-    return CurvaturePoint(float(t), entries)
+    radial, sphere = (("sec_tu", "sec_uu") if warp == "f"
+                      else ("sec_tv", "sec_vv"))
+    return {radial: ratio, sphere: ratio, "sec_uv": -other(t, 2) / other(t)}
 
 
 def doubly_warped_sweep(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
-    """Vectorized curvature sweep; endpoints fall back to the scalar
-    evaluator so collapse substitutions apply."""
+    """Sectional values sec(t^u), sec(t^v), sec(u^v), sec(u1^u2),
+    sec(v1^v2) and the Ricci diagonal of dt^2 + f^2 ds_p^2 + h^2 ds_q^2 on
+    a grid, with the collapse limits at declared collapse ends."""
     ts = np.asarray(ts, dtype=float)
     lo, hi = m.interval
     slop = 1e-9 * (1 + hi - lo)
-    inner = (ts > lo + slop) & (ts < hi - slop)
+    collapsed = {"f": np.zeros(ts.shape, bool), "h": np.zeros(ts.shape, bool)}
+    if m.collapse_start:
+        collapsed[m.collapse_start] |= ts <= lo + slop
+    if m.collapse_end:
+        collapsed[m.collapse_end] |= ts >= hi - slop
     f, h = m.f, m.h
     fv, hv = f.eval(ts, 0), h.eval(ts, 0)
-    if np.any((fv[inner] <= 0) | (hv[inner] <= 0)):
-        raise InvalidMetricError("warp vanishes at an interior point")
+    if np.any(((fv <= 0) & ~collapsed["f"]) | ((hv <= 0) & ~collapsed["h"])):
+        raise InvalidMetricError("warp vanishes without a declared collapse")
+    f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {
             "sec_tu": -f.eval(ts, 2) / fv,
             "sec_tv": -h.eval(ts, 2) / hv,
-            "sec_uv": -f.eval(ts, 1) * h.eval(ts, 1) / (fv * hv),
-            "sec_uu": (1.0 - f.eval(ts, 1) ** 2) / fv ** 2,
-            "sec_vv": (1.0 - h.eval(ts, 1) ** 2) / hv ** 2,
+            "sec_uv": -f1 * h1 / (fv * hv),
+            "sec_uu": (1.0 - f1 ** 2) / fv ** 2,
+            "sec_vv": (1.0 - h1 ** 2) / hv ** 2,
         }
-    for i in np.nonzero(~inner)[0]:
-        pieces = _sec_pieces(m, ts[i])
-        for k in out:
-            out[k][i] = pieces[k]
+    for warp, mask in collapsed.items():
+        for i in np.nonzero(mask)[0]:
+            for k, v in _collapse_limits(m, ts[i], warp).items():
+                out[k][i] = v
     p, q = m.p, m.q
     out["ric_tt"] = p * out["sec_tu"] + q * out["sec_tv"]
     out["ric_uu"] = (out["sec_tu"] + (p - 1) * out["sec_uu"]
@@ -201,6 +158,13 @@ def doubly_warped_sweep(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
     out["ric_vv"] = (out["sec_tv"] + (q - 1) * out["sec_vv"]
                      + p * out["sec_uv"])
     return out
+
+
+def doubly_warped_curvature(m: DoublyWarpedMetric, t: float) -> CurvaturePoint:
+    """``doubly_warped_sweep`` at the one point t."""
+    sweep = doubly_warped_sweep(m, np.array([float(t)]))
+    return CurvaturePoint(float(t),
+                          {k: float(v[0]) for k, v in sweep.items()})
 
 
 def slice_II(m: DoublyWarpedMetric, t: float) -> IIProfile:
@@ -217,36 +181,41 @@ def slice_II(m: DoublyWarpedMetric, t: float) -> IIProfile:
 # Hypersurfaces cut along the graph of a radial height function.
 # ---------------------------------------------------------------------------
 
-def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
-                   ss: np.ndarray, orientation: str = "up") -> dict:
-    """Second fundamental form of the graph t = alpha(s) inside
-    dt^2 + f(t)^2 (ds^2 + R(s)^2 ds_{n-2}^2).
+def graph_ii_columns(fv, f1, a1, a2, Rv, R1, sgn: float = 1.0) -> dict:
+    """Radial and sphere entries of the second fundamental form of the
+    graph t = alpha(s) inside dt^2 + f(t)^2 (ds^2 + R(s)^2 ds_{n-2}^2),
+    from the columns f(alpha), f'(alpha), alpha', alpha'', R, R':
 
     radial: (f' f + 2 (f'/f) a'^2 - a'') / sqrt(1 + a'^2/f^2)
     sphere: (f' f - (R'/R) a')   / sqrt(1 + a'^2/f^2)
-    and the mixed term vanishes.  orientation="down" flips both signs
-    (normal pointing toward decreasing t).
+
+    times sgn = +1 for the normal toward increasing t, -1 for the other.
     """
+    denom = np.sqrt(1.0 + (a1 / fv) ** 2)
+    return {"radial": sgn * (f1 * fv + 2.0 * (f1 / fv) * a1 ** 2 - a2)
+            / denom,
+            "sphere": sgn * (f1 * fv - (R1 / Rv) * a1) / denom}
+
+
+def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
+                   ss: np.ndarray, orientation: str = "up") -> dict:
+    """``graph_ii_columns`` on a grid of s, plus the vanishing mixed term;
+    orientation="down" flips the normal toward decreasing t."""
     if orientation not in ("up", "down"):
         raise ValueError(orientation)
     ss = np.asarray(ss, dtype=float)
     a = alpha.eval(ss, 0)
-    a1 = alpha.eval(ss, 1)
-    a2 = alpha.eval(ss, 2)
     fv = f.eval(a, 0)
-    f1 = f.eval(a, 1)
     Rv = R.eval(ss, 0)
-    R1 = R.eval(ss, 1)
     if np.any(fv <= 0):
         raise InvalidMetricError("f(alpha(s)) must be positive")
     if np.any(Rv <= 0):
         raise InvalidMetricError("R(s) must be positive")
-    sgn = 1.0 if orientation == "up" else -1.0
-    denom = np.sqrt(1.0 + (a1 / fv) ** 2)
-    radial = sgn * (f1 * fv + 2.0 * (f1 / fv) * a1 ** 2 - a2) / denom
-    sphere = sgn * (f1 * fv - (R1 / Rv) * a1) / denom
-    return {"radial": radial, "sphere": sphere,
-            "mixed": np.zeros_like(radial)}
+    out = graph_ii_columns(fv, f.eval(a, 1), alpha.eval(ss, 1),
+                           alpha.eval(ss, 2), Rv, R.eval(ss, 1),
+                           1.0 if orientation == "up" else -1.0)
+    out["mixed"] = np.zeros_like(out["radial"])
+    return out
 
 
 def graph_II(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve, s: float,
@@ -330,21 +299,20 @@ def bundle_warped_sweep(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
             # h''/h -> h'''/h' and f'h'/(f h) -> f''/f; the fibre-curvature
             # term vanishes for a circle fibre and needs a round fibre
             # (unit bound, |h'| = 1) otherwise.
-            h1 = h.eval(t, 1)
-            hr = -h.eval(t, 3) / h1
+            hr = -h.eval(t, 3) / h1[i]
             if p > 1:
-                if abs(m.ricci_fibre_lb - 1.0) > 1e-9 or abs(abs(h1) - 1) > 1e-6:
+                if (abs(m.ricci_fibre_lb - 1.0) > 1e-9
+                        or abs(abs(h1[i]) - 1) > 1e-6):
                     raise InvalidMetricError(
                         "fibre collapse needs a round fibre with unit "
                         "Ricci bound")
                 fib = (p - 1) * hr
             else:
                 fib = 0.0
-            cross = f.eval(t, 2) / f.eval(t, 0)
-            ric_tt[i] = -q * f.eval(t, 2) / f.eval(t, 0) + p * hr
-            ric_xx[i] = (-f.eval(t, 2) / f.eval(t, 0)
-                         + (rb - (q - 1) * f.eval(t, 1) ** 2)
-                         / f.eval(t, 0) ** 2
+            cross = f2[i] / fv[i]
+            ric_tt[i] = -q * f2[i] / fv[i] + p * hr
+            ric_xx[i] = (-f2[i] / fv[i]
+                         + (rb - (q - 1) * f1[i] ** 2) / fv[i] ** 2
                          - p * cross)
             ric_vv[i] = hr + fib - q * cross
             ric_xv[i] = 0.0
@@ -407,36 +375,6 @@ class CohomogOneMetric:
             raise InvalidMetricError("d = 8 requires n = 2")
 
 
-def _cohomog1_interior(m: CohomogOneMetric, ts, family: str) -> dict:
-    d, n = m.d, m.n
-    f, h = m.f, m.h
-    fv, hv = f.eval(ts, 0), h.eval(ts, 0)
-    f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
-    f2, h2 = f.eval(ts, 2), h.eval(ts, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if family == "projective":
-            ric_tt = -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv
-            ric_vv = (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv ** 2
-                      - (n - 1) * d * f1 * h1 / (fv * hv)
-                      + (n - 1) * d * fv ** 2 / hv ** 4)
-            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv ** 2
-                      - (d - 1) * f1 * h1 / (fv * hv)
-                      + 3.0 * (d - 1) / hv ** 2
-                      - 2.0 * (d - 1) * fv ** 2 / hv ** 4)
-        elif family == "wu":
-            if (d, n) != (2, 2):
-                raise InvalidMetricError("the wu formulas require d = n = 2")
-            ric_tt = -f2 / fv - 2.0 * h2 / hv
-            ric_vv = (-f2 / fv - 2.0 * f1 * h1 / (fv * hv)
-                      + 2.0 * fv ** 2 / hv ** 4)
-            ric_xx = (-h2 / hv + (1 - h1 ** 2) / hv ** 2
-                      - f1 * h1 / (fv * hv) + 3.0 / hv ** 2
-                      - 2.0 * fv ** 2 / hv ** 4)
-        else:
-            raise ValueError(family)
-    return {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
-
-
 def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
     """Endpoint values by the parity-consistent derivative substitutions.
 
@@ -470,34 +408,58 @@ def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
     return {"ric_tt": iso, "ric_VV": iso, "ric_XX": ric_xx}
 
 
-def cohomog1_ricci(m: CohomogOneMetric, t: float,
-                   family: str = "projective") -> CurvaturePoint:
-    t = float(t)
-    lo, hi = m.f.domain
-    slop = 1e-9 * (1 + hi - lo)
-    if abs(t - lo) <= slop or abs(t - hi) <= slop:
-        entries = _cohomog1_endpoint(m, t, family)
-    else:
-        if m.f(t) <= 0 or m.h(t) <= 0:
-            raise InvalidMetricError(
-                f"undeclared singularity at interior t={t}")
-        entries = {k: float(v) for k, v in
-                   _cohomog1_interior(m, t, family).items()}
-    return CurvaturePoint(t, {k: float(v) for k, v in entries.items()})
-
-
 def cohomog1_sweep(m: CohomogOneMetric, ts: np.ndarray,
                    family: str = "projective") -> dict:
+    """Ricci diagonal (radial, V and X directions) on a grid of [-1, 1];
+    the ends take the collapse values of ``_cohomog1_endpoint``, and a warp
+    that vanishes inside is an InvalidMetricError."""
     ts = np.asarray(ts, dtype=float)
     lo, hi = m.f.domain
     slop = 1e-9 * (1 + hi - lo)
     inner = (ts > lo + slop) & (ts < hi - slop)
-    out = _cohomog1_interior(m, ts, family)
+    d, n = m.d, m.n
+    f, h = m.f, m.h
+    fv, hv = f.eval(ts, 0), h.eval(ts, 0)
+    bad = inner & ((fv <= 0) | (hv <= 0))
+    if np.any(bad):
+        raise InvalidMetricError(
+            f"undeclared singularity at interior t={ts[bad][0]}")
+    f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
+    f2, h2 = f.eval(ts, 2), h.eval(ts, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family == "projective":
+            ric_tt = -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv
+            ric_vv = (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv ** 2
+                      - (n - 1) * d * f1 * h1 / (fv * hv)
+                      + (n - 1) * d * fv ** 2 / hv ** 4)
+            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv ** 2
+                      - (d - 1) * f1 * h1 / (fv * hv)
+                      + 3.0 * (d - 1) / hv ** 2
+                      - 2.0 * (d - 1) * fv ** 2 / hv ** 4)
+        elif family == "wu":
+            if (d, n) != (2, 2):
+                raise InvalidMetricError("the wu formulas require d = n = 2")
+            ric_tt = -f2 / fv - 2.0 * h2 / hv
+            ric_vv = (-f2 / fv - 2.0 * f1 * h1 / (fv * hv)
+                      + 2.0 * fv ** 2 / hv ** 4)
+            ric_xx = (-h2 / hv + (1 - h1 ** 2) / hv ** 2
+                      - f1 * h1 / (fv * hv) + 3.0 / hv ** 2
+                      - 2.0 * fv ** 2 / hv ** 4)
+        else:
+            raise ValueError(family)
+    out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
     for i in np.nonzero(~inner)[0]:
-        vals = _cohomog1_endpoint(m, float(ts[i]), family)
-        for k in out:
-            out[k][i] = vals[k]
+        for k, v in _cohomog1_endpoint(m, float(ts[i]), family).items():
+            out[k][i] = v
     return out
+
+
+def cohomog1_ricci(m: CohomogOneMetric, t: float,
+                   family: str = "projective") -> CurvaturePoint:
+    """``cohomog1_sweep`` at the one point t."""
+    sweep = cohomog1_sweep(m, np.array([float(t)]), family)
+    return CurvaturePoint(float(t),
+                          {k: float(v[0]) for k, v in sweep.items()})
 
 
 # ---------------------------------------------------------------------------

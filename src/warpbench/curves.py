@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (cumulative_hermite, grid_points, hermite_interp,
-                    smooth_step, unit_plateau, write_csv)
+from ._util import (cumulative_hermite, fd_first_derivative, grid_points,
+                    hermite_interp, smooth_step, unit_plateau, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -513,18 +513,17 @@ def _verify_transfer_properties(ts, g, g1, g2, fc, fcp, fc2, C):
 
 
 def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,
-                           C: float, stride: int = 8) -> dict:
+                           C: float) -> dict:
     """Defining-equation residuals at the stored nodes, measured with
-    strided fourth-order differences of the node values (independent of the
+    fourth-order differences of adjacent node values (independent of the
     right-hand-side evaluations that answer derivative queries)."""
-    from ._util import fd_first_derivative as _fd
     ts, gc = g_curve.nodes
     _, fcc = fc_curve.nodes
     h = ts[1] - ts[0]
     g, fc, fcp = gc[0], fcc[0], fcc[1]
-    dg = _fd(g, h, stride)
-    dfc = _fd(fc, h, stride)
-    dfcp = _fd(fcp, h, stride)
+    dg = fd_first_derivative(g, h)
+    dfc = fd_first_derivative(fc, h)
+    dfcp = fd_first_derivative(fcp, h)
     r1 = np.max(np.abs(dg - np.exp(-0.5 * g * g)))
     r2 = np.max(np.abs(dfc - fcp))
     r3 = np.max(np.abs(dfcp - C * np.exp(-g * g) * fc))

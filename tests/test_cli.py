@@ -315,6 +315,7 @@ class TestEmitPlotData:
         paths = cli.emit_plot_data({}, str(tmp_path), sweeps)
         assert len(paths) == 1
         rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
-        header = open(paths[0]).readline().strip()
+        with open(paths[0]) as fh:
+            header = fh.readline().strip()
         assert header == "t,a,b"
         assert rows.shape == (5, 3)

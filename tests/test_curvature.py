@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from warpbench import blocks
 from warpbench import curves as cv
 from warpbench import curvature as kv
 
@@ -91,6 +92,58 @@ class TestDoublyWarped:
         m = kv.DoublyWarpedMetric(2, 2, f, h)     # no collapse declared
         with pytest.raises(kv.InvalidMetricError):
             kv.doubly_warped_curvature(m, 0.0)
+
+
+def assert_bitwise_one_point(point, sweep):
+    assert sorted(point.entries) == sorted(sweep)
+    for key, col in sweep.items():
+        assert np.float64(point[key]).tobytes() == col[:1].tobytes(), key
+
+
+def projective_metric(d, n, s):
+    curves = blocks.projective_family_check(d, n, s, grid=512).aux["curves"]
+    return kv.CohomogOneMetric(d, n, curves["f"], curves["h"])
+
+
+class TestScalarEvaluatorsAreOnePointSweeps:
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.3, 0.7, PI / 2 - 1e-3,
+                                   PI / 2])
+    def test_doubly_warped_with_collapse_ends(self, t):
+        m = round_sphere_metric(3, 2)
+        assert_bitwise_one_point(kv.doubly_warped_curvature(m, t),
+                                 kv.doubly_warped_sweep(m, np.array([t])))
+
+    @pytest.mark.parametrize("t", [0.3, 0.45, 0.9, 1.2])
+    def test_doubly_warped_without_collapse(self, t):
+        m = cylinder_metric()
+        assert_bitwise_one_point(kv.doubly_warped_curvature(m, t),
+                                 kv.doubly_warped_sweep(m, np.array([t])))
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_cohomog1_projective_family(self, d, s):
+        m = projective_metric(d, 2, s)
+        for t in np.concatenate([[-1.0], np.linspace(-0.99, 0.99, 67),
+                                 [1.0]]):
+            assert_bitwise_one_point(
+                kv.cohomog1_ricci(m, t),
+                kv.cohomog1_sweep(m, np.array([t])))
+
+    def test_cohomog1_wu_family(self):
+        f0 = cv.cosine_curve(2 / PI, PI / 2, 0.0, (-1.0, 1.0))
+        h0 = cv.constant_curve(2 / PI, (-1.0, 1.0))
+        m = kv.CohomogOneMetric(2, 2, f0, h0)
+        for t in (-1.0, -0.4, 0.0, 0.8, 1.0):
+            assert_bitwise_one_point(
+                kv.cohomog1_ricci(m, t, "wu"),
+                kv.cohomog1_sweep(m, np.array([t]), "wu"))
+
+    def test_cohomog1_sweep_rejects_interior_zero(self):
+        f0 = projective_metric(2, 2, 0.5).f
+        h = cv.sine_curve(1.0, PI, 0.0, (-1.0, 1.0))   # vanishes at t = 0
+        m = kv.CohomogOneMetric(2, 2, f0, h)
+        with pytest.raises(kv.InvalidMetricError):
+            kv.cohomog1_sweep(m, np.linspace(-1.0, 1.0, 9), "projective")
 
 
 class TestSliceII:
@@ -330,6 +383,62 @@ class TestFiniteDifferenceOracle:
         assert rep["max_rel_error"] < 1e-4
         rep = kv.oracle_cross_check(cylinder_metric(), n_points=10, seed=4)
         assert rep["max_rel_error"] < 1e-4
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_projective_family_matches_oracle(self, s):
+        """d = n = 2: dt^2 + (f^2/4)(dpsi + cos(theta) dphi)^2
+        + (h^2/4)(dtheta^2 + sin^2(theta) dphi^2) in the chart
+        (t, theta, phi, psi), against the sweep the projective verdicts
+        use, in the orthonormal frame e_t, e_V, e_X1, e_X2.
+
+        Inside the smooth-join window of h the fourth derivative of h
+        reaches about 2e4, so the O(step^2) error of one oracle step is
+        up to 6e-4 relative there; the Richardson combination of steps
+        3e-4 and 1.5e-4 stays below 1e-5."""
+        m = projective_metric(2, 2, s)
+
+        def metric(x):
+            t, th = x[0], x[1]
+            a, b = m.f(float(t)) ** 2 / 4.0, m.h(float(t)) ** 2 / 4.0
+            c = math.cos(th)
+            return np.array([
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, b, 0.0, 0.0],
+                [0.0, 0.0, a * c * c + b * math.sin(th) ** 2, a * c],
+                [0.0, 0.0, a * c, a]])
+
+        chart = kv.CoordinateChart(
+            4, metric, ((-0.85, 0.85), (0.5, PI - 0.5), (-1.0, 1.0),
+                        (-1.0, 1.0)), "projective-d2")
+        step = 3e-4
+        rng = np.random.default_rng(5)
+        points = [np.array([rng.uniform(lo + 3 * step, hi - 3 * step)
+                            for lo, hi in chart.box]) for _ in range(12)]
+        t_flat = (1.0 - s) / (1.0 + s)
+        if s > 0:   # the join window [t_flat - 0.05, t_flat + 0.05]
+            points += [np.array([t_flat + 0.045 * u, *p[1:]])
+                       for u, p in zip((-1.0, -0.5, 0.0, 0.5, 1.0), points)]
+        for x in points:
+            ric = (4.0 * kv.fd_ricci(chart, x, step / 2)
+                   - kv.fd_ricci(chart, x, step)) / 3.0
+            t, th = float(x[0]), x[1]
+            fv, hv = m.f(t), m.h(t)
+            frame = np.array([
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 2.0 / fv],
+                [0.0, 2.0 / hv, 0.0, 0.0],
+                [0.0, 0.0, 2.0 / (hv * math.sin(th)),
+                 -2.0 * math.cos(th) / (hv * math.sin(th))]])
+            got = frame @ ric @ frame.T
+            ref = kv.cohomog1_ricci(m, t)
+            expect = np.diag([ref["ric_tt"], ref["ric_VV"], ref["ric_XX"],
+                              ref["ric_XX"]])
+            tol = 1e-4 * np.maximum(1.0, np.abs(np.diag(expect)))
+            assert np.all(np.abs(np.diag(got) - np.diag(expect)) <= tol), \
+                (s, t, np.diag(got), np.diag(expect))
+            # the frame diagonalizes the Ricci tensor
+            assert np.max(np.abs(got - np.diag(np.diag(got)))) \
+                <= np.max(tol), (s, t)
 
     def test_stencil_guard(self):
         with pytest.raises(kv.StencilError):

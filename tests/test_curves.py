@@ -87,6 +87,15 @@ class TestTransferOdes:
         res = cv.transfer_ode_residuals(h0, fc, C)
         assert max(res.values()) < 1e-8
 
+    def test_residuals_below_tolerance_on_rtol_accepted_table(self):
+        # the table the transfer block integrates: C = 0.5 on [0, 120],
+        # accepted at 16384 steps by step doubling
+        h0, fc = cv.integrate_transfer_odes(0.5, t_max=120.0,
+                                            step_budget=131072, rtol=1e-9)
+        assert len(h0.nodes[0]) == 16385
+        res = cv.transfer_ode_residuals(h0, fc, 0.5)
+        assert max(res.values()) < 1e-8
+
     @pytest.mark.parametrize("C", [0.01, 0.1])
     def test_qualitative_properties_at_every_node(self, C):
         h0, fc = cv.integrate_transfer_odes(C)

@@ -154,13 +154,11 @@ def test_entry_runs_from_cli_and_as_one_point_scan(name, tmp_path):
     code, report = run_cli({"command": name, **PARAMS[name]}, str(tmp_path),
                            GRID)
     assert code == 0 and report["passed"], name
-    if f"cli:{name}" in pinned:
-        assert_close(report, pinned[f"cli:{name}"])
+    assert_close(report, pinned[f"cli:{name}"])
     cert = one_point_scan(name)
     assert cert["grid"]["evaluated"] == 1
     assert len(cert["entries"]) == 1 and cert["failures"] == 0
-    if f"scan:{name}" in pinned:
-        assert_close(cert, pinned[f"scan:{name}"])
+    assert_close(cert, pinned[f"scan:{name}"])
 
 
 @pytest.mark.parametrize("name, dim", [
