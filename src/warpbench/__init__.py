@@ -15,7 +15,7 @@ from .curvature import (DoublyWarpedMetric, BundleWarpedMetric,
                         bundle_warped_ricci, submersion_shrink_bounds,
                         cohomog1_ricci, fd_ricci, doubly_warped_chart,
                         flat_chart, oracle_cross_check)
-from .blocks import (BlockReport, Margin, build_cone_metric, build_handle1,
+from .blocks import (Report, Margin, build_cone_metric, build_handle1,
                      corner_angle_handle1, build_handle2, assemble_handle,
                      build_transfer_block, build_s1_block,
                      build_fibre_disc_warp, build_sphere_transition,

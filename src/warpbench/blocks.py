@@ -4,8 +4,8 @@ the circle-bundle variant, fibre-disc warps, doubly warped sphere
 transitions, the projective and five-dimensional cohomogeneity-one
 families, and the conformal boundary-layer margin.
 
-Every builder returns a BlockReport whose margins are minima over sample
-grids; the verdict is pass iff every margin is positive.  Reports are
+Every builder returns a gluing.Report whose margins are minima over sample
+grids; the verdict is pass iff every margin passes its rule.  Reports are
 deterministic functions of the parameter record and grid density.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +31,11 @@ from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
                         cohomog1_sweep, doubly_warped_sweep,
                         graph_ii_columns, graph_ii_sweep)
-from .gluing import (BoundaryProfile, Corner, Margin, check_corner_gluing,
-                     first_failure)
+from .gluing import (BoundaryProfile, Corner, Margin, Report,
+                     check_corner_gluing)
 
 __all__ = [
-    "Margin", "BlockReport", "BuildError", "HorizonError",
+    "Margin", "Report", "BuildError", "HorizonError",
     "build_cone_metric", "build_handle1", "corner_angle_handle1",
     "build_handle2", "corner_angle_handle2", "assemble_handle",
     "build_transfer_block",
@@ -58,53 +57,6 @@ _TRANSFER_ODE_CACHE: dict = {}
 # Step-doubling tolerance of the transfer ODE tables (values and first two
 # derivatives between nodes, relative to max(1, |y|)).
 TRANSFER_RTOL = 1e-9
-
-
-@dataclass
-class BlockReport:
-    block: str
-    params: dict
-    margins: list
-    boundary: dict = field(default_factory=dict)
-    aux: dict = field(default_factory=dict)
-    sweeps: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        bad = first_failure(self.margins)
-        return "pass" if bad is None else f"fail:{bad.label}"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def min_margin(self) -> float:
-        return min((m.min for m in self.margins), default=float("inf"))
-
-    def margin(self, label: str) -> Margin:
-        for m in self.margins:
-            if m.label == label:
-                return m
-        raise KeyError(label)
-
-    def to_json_dict(self) -> dict:
-        def _aux(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            return v
-        return {
-            "block": self.block,
-            "params": {k: _aux(v) for k, v in self.params.items()
-                       if isinstance(v, (int, float, str, bool, type(None)))},
-            "margins": [{"label": m.label, "min": m.min, "argmin": m.argmin}
-                        for m in self.margins],
-            "verdict": self.verdict,
-            "boundary": {name: {"kind": p.kind, "dimension": p.dimension,
-                                "families": sorted(p.ii)}
-                         for name, p in self.boundary.items()},
-            "aux": {k: _aux(v) for k, v in self.aux.items()
-                    if isinstance(v, (int, float, str, bool, type(None)))},
-        }
 
 
 def _require_integer_dims(**dims) -> None:
@@ -228,7 +180,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                         fit_width=min(0.05, 0.2 * (s1 - s_lo)))
     margins.append(Margin("collapse_parity", 1e-6 - par.max_violation, s_lo))
 
-    report = BlockReport(
+    report = Report(
         block="cone",
         params={"n": n, "K": K, "eps1": eps1, "eps2": eps2, "delta": delta,
                 "t": t},
@@ -375,7 +327,7 @@ def corner_angle_handle1(lambda1: float, eps1: float) -> float:
 
 def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                   eps1: float, eps2: float, delta: float,
-                  grid=None) -> BlockReport:
+                  grid=None) -> Report:
     """Cut-cone handle over the stretched core: certifies positivity of the
     graph second fundamental form on both zones, concavity of the cap
     profile, a corner angle below pi/2 and the inner-face curvature floor.
@@ -537,7 +489,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                 "descriptor": "stretched-core"},
         ii={"radial": -lam, "sphere": -lam})
 
-    report = BlockReport(
+    report = Report(
         block="handle1",
         params={"n": n, "K": K, "lambda1": lambda1, "lambda2": lambda2,
                 "eps1": eps1, "eps2": eps2, "delta": delta},
@@ -597,7 +549,7 @@ def _flatten_slope_end(f: SmoothCurve, tau: float,
 
 def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                   b: float, eps: float, nu: float,
-                  grid=None) -> BlockReport:
+                  grid=None) -> Report:
     """Collar piece dug along the graph s = beta(t) into a cubic extension
     of the boundary profile B; certifies the corner angle, positivity of
     the dug face's second fundamental form (with the conservative closed
@@ -692,7 +644,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     # face metric (1 + beta'^2 f^2) dt^2 + f^2 B(beta)^2 on the glued face
     tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
-    bchain = [B_full.eval(beta.eval(tf), k) for k in range(4)]
+    btf = beta.eval(tf)
+    bchain = [B_full.eval(btf, k) for k in range(4)]
     b1v = beta.eval(tf, 1)
     b2v = beta.eval(tf, 2)
     b3v = beta.eval(tf, 3)
@@ -720,14 +673,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     # boundary profiles (principal curvatures; formulas rewritten so the
     # vertical tail |beta'| -> 0 stays finite) -------------------------------
     arc = cumulative_hermite(tf, r1, np.gradient(r1, tf))
-    bpf = np.abs(beta.eval(tf, 1))
-    bppf = beta.eval(tf, 2)
-    Bvf = B_full.eval(beta.eval(tf), 0)
-    Bpf = B_full.eval(beta.eval(tf), 1)
+    bpf = np.abs(b1v)
     qf = 1.0 + (fw[0] * bpf) ** 2
-    pc_radial = fw[0] * (bppf - bpf ** 3 * fw[1] * fw[0]
+    pc_radial = fw[0] * (b2v - bpf ** 3 * fw[1] * fw[0]
                          - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
-    pc_sphere = (-bpf * fw[1] * fw[0] - Bpf / Bvf) / (fw[0] * np.sqrt(qf))
+    pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
+                 / (fw[0] * np.sqrt(qf)))
     dim = int(B.info.get("dimension", 0) or 0)
     graph_profile = BoundaryProfile(
         dimension=dim, kind="warped-sphere",
@@ -750,7 +701,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                 "descriptor": "shared-collar"},
         ii={"radial": 0.0, "sphere": 0.0})
 
-    report = BlockReport(
+    report = Report(
         block="handle2",
         params={"lambda1": lambda1, "lambda2": lambda2, "a": a, "b": b,
                 "eps": eps, "nu": nu},
@@ -771,7 +722,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
 
 def assemble_handle(n: int, K: float, params1: dict, params2: dict,
-                    grid=None) -> BlockReport:
+                    grid=None) -> Report:
     """Glue the two handle pieces along the shared face and run the corner
     checks: positive cross sums, angle sum below pi, and positive second
     fundamental form on the adjacent faces near the corner.  ``grid`` is
@@ -790,7 +741,7 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
     margins += [Margin(f"piece2:{m.label}", m.min, m.argmin)
                 for m in rep2.margins]
     if not rep2.passed:
-        return BlockReport("handle-assembly",
+        return Report("handle-assembly",
                            {"n": n, "K": K, **{f"p1_{k}": v for k, v in
                                                params1.items()},
                             **{f"p2_{k}": v for k, v in params2.items()}},
@@ -812,7 +763,7 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
     boundary = {"bottom": rep1.boundary["bottom"],
                 "cap": rep1.boundary["cap"],
                 "collar": atlas2["collar"]}
-    return BlockReport(
+    return Report(
         "handle-assembly",
         {"n": n, "K": K, **{f"p1_{k}": v for k, v in params1.items()},
          **{f"p2_{k}": v for k, v in params2.items()}},
@@ -832,7 +783,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          a: float, C: float, a_bounds: ABounds | None = None,
                          ric_base_lb: float = 1.0, ric_fibre_lb: float = 1.0,
                          t_max: float = 120.0, step_budget: int = 131072,
-                         grid=None) -> BlockReport:
+                         grid=None) -> Report:
     """Cylinder metric built from the transfer warping system, stopped at
     the slope target lam; certifies the four Ricci bounds, domination of
     the mixed term, and the boundary curvature constraints at both ends.
@@ -908,7 +859,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                               / (r0 * h0.eval(t0, 0))),
             "horizontal": lam / R})
 
-    return BlockReport(
+    return Report(
         block="transfer",
         params={"p": p, "q": q, "r0": r0, "nu": nu, "lam": lam, "a": a,
                 "C": C, "sup_AX2": a_bounds.sup_AX2,
@@ -928,7 +879,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
 # ---------------------------------------------------------------------------
 
 def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
-                   grid=None) -> BlockReport:
+                   grid=None) -> Report:
     """Disc-bundle cylinder over a base with unit Ricci floor and a closing
     circle fibre, built from designed sinusoidal warps: the base warp is
     even at 0 with slope lam at the far end, the fibre warp closes the
@@ -941,7 +892,7 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
     window = (q * lam, (q - 1) / (2.0 * lam))
     feas = window[1] - window[0]
     if feas <= 0:
-        return BlockReport(
+        return Report(
             "s1", {"q": q, "lam": lam},
             [Margin("design_window", feas, 0.0)],
             aux={"note": "sinusoidal family infeasible: 2 q lam^2 >= q-1"})
@@ -982,7 +933,7 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
                 "descriptor": "trivial-circle"},
         ii={"horizontal": lam, "vertical": 0.0})
 
-    return BlockReport(
+    return Report(
         "s1", {"q": q, "lam": lam, "ric_base_lb": ric_base_lb},
         margins, boundary={"top": top},
         aux={"k": k, "t0": t0, "R": R, "base_factor_after_rescale": 1.0,
@@ -1068,7 +1019,7 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
         Margin("reach_height", 1e-9 - abs(float(h.eval(t0, 0)) - 1.0), t0),
         Margin("flat_at_end", 1e-8 - flatness_margin(h, t0), t0),
     ]
-    report = BlockReport(
+    report = Report(
         "fibre-disc", {"p": p, "t0": t0}, margins,
         aux={"omega": omega, "seed_fraction": rho, "plateau_start": float(mu),
              "h_end": float(h.eval(t0, 0))},
@@ -1108,7 +1059,7 @@ def _sphere_pair_margins(A: SmoothCurve, B: SmoothCurve, tag: str,
 
 
 def build_sphere_transition(A: SmoothCurve, B: SmoothCurve, p: int, q: int,
-                            grid=None) -> BlockReport:
+                            grid=None) -> Report:
     """Positivity characterization for ds^2 + A^2 ds_{q-1}^2 + B^2 ds_p^2:
     strict concavity of both warps away from their collapse ends, negative
     third derivatives there, the closing parities, and stability of all of
@@ -1125,7 +1076,7 @@ def build_sphere_transition(A: SmoothCurve, B: SmoothCurve, p: int, q: int,
         Am = linear_combo([(A, 1 - lam), (Ar, lam)])
         Bm = linear_combo([(B, 1 - lam), (Br, lam)])
         margins += _sphere_pair_margins(Am, Bm, f"path{lam}:", grid)
-    return BlockReport(
+    return Report(
         "sphere-transition", {"p": p, "q": q, "s0": s0}, margins,
         aux={"s0": s0})
 
@@ -1145,7 +1096,7 @@ def _projective_h_tilde(s: float):
 
 
 def projective_family_check(d: int, n: int, s: float, grid=None,
-                            join_halfwidth: float = 0.05) -> BlockReport:
+                            join_halfwidth: float = 0.05) -> Report:
     """One member of the interpolating family: the fixed odd warp together
     with the flattened sine whose plateau starts at (1-s)/(1+s).
 
@@ -1212,7 +1163,7 @@ def projective_family_check(d: int, n: int, s: float, grid=None,
     margins.append(_min_margin("trig_cos_bound", tk,
                                np.cos(t_0) - np.cos(t_s) + 1e-12))
 
-    report = BlockReport(
+    report = Report(
         "projective-family",
         {"d": d, "n": n, "s": s},
         margins,
@@ -1248,7 +1199,7 @@ def _wu_h_blend(eps: float, eps_outer: float) -> SmoothCurve:
 
 
 def wu_family_check(variant: str = "g00", eps: float = 0.1,
-                    eps_outer: float | None = None, grid=None) -> BlockReport:
+                    eps_outer: float | None = None, grid=None) -> Report:
     """Either the product-like metric (constant even warp) or the blended
     family localizing the odd warp near t = 0, checked for positive Ricci
     curvature along the straight path between the two warps."""
@@ -1264,7 +1215,7 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
             _min_margin("ric_XX", ts, sweep["ric_XX"]),
         ]
         at0 = cohomog1_sweep(metric, np.array([0.0]), "wu")
-        return BlockReport(
+        return Report(
             "wu-family", {"variant": "g00"}, margins,
             aux={"ric_tt_at_0": float(at0["ric_tt"][0]),
                  "ric_VV_at_0": float(at0["ric_VV"][0]),
@@ -1288,7 +1239,7 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
         margins.append(_min_margin(f"ric_min_path_{lam:0.2f}", ts, worst))
         if lam in (0.0, 1.0):
             sweeps[f"path_{lam:0.2f}"] = {"t": ts, "columns": dict(sweep)}
-    report = BlockReport(
+    report = Report(
         "wu-family", {"variant": "blended", "eps": eps,
                       "eps_outer": eps_outer},
         margins, aux={"eps": eps, "eps_outer": eps_outer}, sweeps=sweeps)

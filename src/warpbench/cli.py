@@ -217,16 +217,12 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
 
 
 def _first_failure(payload) -> str | None:
-    """Label of the first failed margin in the payload, depth first: a
-    "fail:<label>" verdict string (block reports and pipeline block
-    verdicts alike) or the ``details.failed`` label of a failed gluing
-    edge report; None if there is none."""
+    """Label of the first failed margin in the payload, depth first: the
+    first "fail:<label>" verdict string (block and edge reports and
+    pipeline block verdicts alike); None if there is none."""
     if isinstance(payload, str):
         return payload[5:] if payload.startswith("fail:") else None
     if isinstance(payload, dict):
-        failed = payload.get("details", {}).get("failed")
-        if payload.get("passed") is False and isinstance(failed, str):
-            return failed
         payload = list(payload.values())
     if isinstance(payload, list):
         for value in payload:

@@ -557,14 +557,18 @@ def oracle_cross_check(m: DoublyWarpedMetric, n_points: int = 20,
                        seed: int = 0, step: float = 3e-4) -> dict:
     """Compare the closed-form Ricci diagonal against the finite-difference
     oracle at random interior chart points; returns the worst relative
-    mismatch and the sampled count."""
+    mismatch and the sampled count.  The oracle is the Richardson
+    combination (4 fd_ricci(step/2) - fd_ricci(step)) / 3, so a warp with a
+    narrow blending window, where the fourth derivative is large, does not
+    read as a mismatch."""
     chart = doubly_warped_chart(m)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
         x = np.array([rng.uniform(lo + 3 * step, hi - 3 * step)
                       for lo, hi in chart.box])
-        ric = fd_ricci(chart, x, step)
+        ric = (4.0 * fd_ricci(chart, x, step / 2)
+               - fd_ricci(chart, x, step)) / 3.0
         g = np.asarray(chart.metric(x))
         normalized = np.diag(ric) / np.diag(g)
         cf = doubly_warped_curvature(m, float(x[0]))

@@ -354,18 +354,10 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
         raise ValueError(
             f"delta={delta} too large: slope {slope_at_inner:.6f} >= 1 at "
             f"t=-delta")
-    ts = np.linspace(-delta, t_max, 2048)
-    margins = {
-        "concavity": float(np.min(-d2(ts))),
-        "slope_floor": float(np.min(d1(ts) - lambda1)),
-        "log_slope_floor": float(np.min(d1(ts) / d0(ts)
-                                        - lambda1 / (1 + lambda1 * ts))),
-    }
     return curve_from_derivs(
         (-delta, t_max), d0, d1, d2, d3,
         info={"lambda1": lambda1, "lambda2": lambda2, "lambda_mid": m,
-              "slope_at_inner": float(slope_at_inner),
-              "margins": margins})
+              "slope_at_inner": float(slope_at_inner)})
 
 
 # ---------------------------------------------------------------------------

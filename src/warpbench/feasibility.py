@@ -202,7 +202,7 @@ def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     vals = (-a * a * lambda2 * (1.0 + lambda2 * b)
             - 2.0 * lambda2 / (1.0 + lambda1 * ts) + 1.0 / (b - ts))
     i = int(np.argmin(vals))
-    return blocks.BlockReport(
+    return blocks.Report(
         "handle2-closed-form",
         {"lambda1": lambda1, "lambda2": lambda2, "a": a, "b": b},
         [blocks.Margin("closed_form_radial", float(vals[i]),
@@ -239,7 +239,7 @@ _PIECE1 = "lambda1 lambda2 eps1 eps2 delta"
 _PIECE2 = "lambda1 lambda2 a b eps nu"
 
 # The builder registry: per block name, the builder (flat keyword params,
-# returns a BlockReport), its required params, its optional params (passed
+# returns a Report), its required params, its optional params (passed
 # on only when given) and the defaults a scenario or scan may omit.  Each
 # name is both a CLI command and a scan predicate.  Callers look the
 # builder up at call time, so it can be replaced in place.

@@ -9,6 +9,7 @@ are taken with respect to the outward unit normal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from .curves import (SmoothCurve, constant_curve, cosine_curve, line_curve,
                      flatness_margin, sine_curve)
 
 __all__ = [
-    "BoundaryProfile", "Corner", "CheckReport", "Margin", "first_failure",
+    "BoundaryProfile", "Corner", "Report", "Margin", "first_failure",
     "PipelineNode", "PipelineEdge", "PipelineGraph",
     "IncompatibleProfilesError", "check_perelman", "check_corner_gluing",
     "assemble_pipeline", "curve_from_spec", "graph_from_json",
@@ -47,6 +48,59 @@ def first_failure(margins) -> Margin | None:
         if not (m.min > 0.0 if m.strict else m.min >= 0.0):
             return m
     return None
+
+
+def _json_entries(values: dict) -> dict:
+    """The scalar and list entries of values, non-finite floats as their
+    repr strings."""
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v)
+            else v for k, v in values.items()
+            if isinstance(v, (int, float, str, bool, type(None), list))}
+
+
+@dataclass
+class Report:
+    """Margins certified by one block build or one gluing check.  The
+    verdict is derived from the margins: "pass", or "fail:<label>" of the
+    first margin that fails its pass rule."""
+    block: str
+    params: dict
+    margins: list
+    boundary: dict = field(default_factory=dict)
+    aux: dict = field(default_factory=dict)
+    sweeps: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        bad = first_failure(self.margins)
+        return "pass" if bad is None else f"fail:{bad.label}"
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    def min_margin(self) -> float:
+        return min((m.min for m in self.margins), default=float("inf"))
+
+    def margin(self, label: str) -> Margin:
+        for m in self.margins:
+            if m.label == label:
+                return m
+        raise KeyError(label)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "block": self.block,
+            "params": _json_entries(self.params),
+            "margins": [{"label": m.label, "min": m.min, "argmin": m.argmin}
+                        for m in self.margins],
+            "verdict": self.verdict,
+            "passed": self.passed,
+            "boundary": {name: {"kind": p.kind, "dimension": p.dimension,
+                                "families": sorted(p.ii)}
+                         for name, p in self.boundary.items()},
+            "aux": _json_entries(self.aux),
+        }
 
 
 @dataclass(frozen=True)
@@ -94,20 +148,6 @@ class BoundaryProfile:
                           {f: x * R for f, x in c.at.items()})
                    for c in self.corners]
         return BoundaryProfile(self.dimension, self.kind, met, ii, corners)
-
-
-@dataclass
-class CheckReport:
-    passed: bool
-    margins: list
-    details: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {"passed": self.passed,
-                "margins": [{"label": m.label, "min": m.min,
-                             "argmin": m.argmin} for m in self.margins],
-                "details": {k: v for k, v in self.details.items()
-                            if isinstance(v, (str, int, float, bool, list))}}
 
 
 def _entry_minmax(entry, other=None):
@@ -167,7 +207,7 @@ def _metric_mismatch(m1: dict, m2: dict) -> tuple:
 
 def check_perelman(b1: BoundaryProfile, b2: BoundaryProfile,
                    rescale: float = 1.0, tol: float = 1e-9,
-                   ii_tol: float = 0.0) -> CheckReport:
+                   ii_tol: float = 0.0) -> Report:
     """Gluing hypothesis along a shared boundary: induced metrics must
     match within tol (after rescaling b2) and the family-wise sum of
     principal curvatures must be >= -ii_tol everywhere."""
@@ -185,13 +225,10 @@ def check_perelman(b1: BoundaryProfile, b2: BoundaryProfile,
         mn, arg = _entry_minmax(b1.ii[fam], b2s.ii[fam])
         margins.append(Margin(f"ii_sum:{fam}", mn + ii_tol, arg,
                               strict=False))
-    details = {"metric_mismatch": mismatch, "worst_metric_entry": where,
-               "rescale": rescale}
-    bad = first_failure(margins)
-    if bad is not None:
-        details["deficit"] = -bad.min
-        details["failed"] = bad.label
-    return CheckReport(bad is None, margins, details)
+    return Report("perelman", {"rescale": rescale, "tol": tol,
+                               "ii_tol": ii_tol}, margins,
+                  aux={"metric_mismatch": mismatch,
+                       "worst_metric_entry": where})
 
 
 def _near_corner_min(entry, location: float, band_frac: float = 0.05):
@@ -211,7 +248,7 @@ def _near_corner_min(entry, location: float, band_frac: float = 0.05):
 
 def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
                         tol: float = 0.0,
-                        corner_band: float = 0.05) -> CheckReport:
+                        corner_band: float = 0.05) -> Report:
     """Corner-respecting gluing along shared_face of two boundary atlases
     (dicts face id -> BoundaryProfile).
 
@@ -230,7 +267,7 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
         mn, arg = _entry_minmax(f1.ii[fam], f2.ii[fam])
         margins.append(Margin(f"ii_sum:{fam}", mn - tol, arg))
     c2 = {c.id: c for c in f2.corners}
-    details = {"corners": [], "metric_mismatch": mismatch}
+    aux = {"corners": [], "metric_mismatch": mismatch}
     for c in f1.corners:
         if c.id not in c2:
             raise IncompatibleProfilesError(
@@ -258,15 +295,13 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
                     b = min(hi, loc + band)
                     ts = np.linspace(a, b, 33)
                     concave_warps.append(bool(np.all(warp.eval(ts, 2) < 0)))
-        details["corners"].append(
+        aux["corners"].append(
             {"id": c.id, "angle_sum": c.angle + other.angle,
              "combined_face": ("warped, concave"
                                if concave_warps and all(concave_warps)
                                else "unstructured")})
-    bad = first_failure(margins)
-    if bad is not None:
-        details["failed"] = bad.label
-    return CheckReport(bad is None, margins, details)
+    return Report("corner", {"tol": tol, "corner_band": corner_band},
+                  margins, aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +368,7 @@ def _check_acyclic(graph: PipelineGraph):
 
 
 def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
-                        edge: PipelineEdge) -> CheckReport:
+                        edge: PipelineEdge) -> Report:
     """Both sides must be flat (all derivatives vanishing, below 1e-8) and
     equal at the junction, so the glued warp is already smooth."""
     margins = []
@@ -363,11 +398,8 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
                 continue
             mismatch = max(mismatch, abs(float(a) - float(b) * edge.rescale))
     margins.append(Margin("value_match", 1e-8 - mismatch, strict=False))
-    details = {"mismatch": mismatch}
-    bad = first_failure(margins)
-    if bad is not None:
-        details["failed"] = bad.label
-    return CheckReport(bad is None, margins, details)
+    return Report("smooth-match", {"rescale": edge.rescale}, margins,
+                  aux={"mismatch": mismatch})
 
 
 def curve_from_spec(spec) -> SmoothCurve | float | str:

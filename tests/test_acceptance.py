@@ -249,8 +249,8 @@ def test_11_gluing_checkers():
 
     geodesic_pass = gl.check_perelman(prof(0.0), prof(0.0)).passed
     violation = gl.check_perelman(prof(-0.5), prof(0.3))
-    violation_fails = (not violation.passed
-                       and abs(violation.details["deficit"] - 0.2) < 1e-12)
+    violation_fails = (not violation.passed and abs(
+        -violation.margin(violation.verdict[5:]).min - 0.2) < 1e-12)
     flat = cv.constant_curve(2.0, (0.0, 1.0))
     mk = lambda: gl.BoundaryProfile(3, "warped-sphere",
                                     {"warp": flat, "descriptor": "c"},

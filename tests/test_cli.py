@@ -241,7 +241,7 @@ class TestPipeline:
         assert "verification failed: ii_sum:all" in capsys.readouterr().err
         edge = json.loads((out / "report.json").read_text())["result"][
             "edges"][0]
-        assert edge["report"]["details"]["failed"] == "ii_sum:all"
+        assert edge["report"]["verdict"] == "fail:ii_sum:all"
 
 
 class TestHandle2CollarProfile:

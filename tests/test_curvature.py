@@ -384,6 +384,18 @@ class TestFiniteDifferenceOracle:
         rep = kv.oracle_cross_check(cylinder_metric(), n_points=10, seed=4)
         assert rep["max_rel_error"] < 1e-4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_on_a_blended_warp(self, seed):
+        """The projective h has a smooth-join window of half-width 0.05
+        where its fourth derivative reaches about 2e4; one oracle step of
+        3e-4 errs there by up to 9e-4 relative, the Richardson combination
+        by about 2e-5."""
+        h = blocks.projective_family_check(2, 2, 1.0).aux["curves"]["h"]
+        m = kv.DoublyWarpedMetric(2, 2, h, cv.constant_curve(1.0, h.domain),
+                                  collapse_start="f")
+        rep = kv.oracle_cross_check(m, n_points=40, seed=seed)
+        assert rep["max_rel_error"] < 1e-4
+
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_projective_family_matches_oracle(self, s):
         """d = n = 2: dt^2 + (f^2/4)(dpsi + cos(theta) dphi)^2

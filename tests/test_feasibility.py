@@ -116,7 +116,7 @@ class TestRefine:
 
 
 def _stand_in(x, grid=None):
-    return bk.BlockReport("stand-in", {"x": x}, [bk.Margin("x", x)])
+    return bk.Report("stand-in", {"x": x}, [bk.Margin("x", x)])
 
 
 class TestRefineKeepsOpenEndpoints:

@@ -29,7 +29,7 @@ class TestPerelman:
         b2 = warped_profile(ii_values=(0.3, 0.3))
         rep = gl.check_perelman(b1, b2)
         assert not rep.passed
-        assert rep.details["deficit"] == pytest.approx(0.2)
+        assert -rep.margin(rep.verdict[5:]).min == pytest.approx(0.2)
 
     def test_handle_floor_against_convex_face(self):
         lam = 0.4
@@ -72,7 +72,7 @@ class TestPerelman:
         b2.metric["warp"] = cv.sine_curve(1.02, 1.0, 0.0, (0.0, 1.0))
         rep = gl.check_perelman(b1, b2, tol=1e-9)
         assert not rep.passed
-        assert rep.details["failed"] == "metric_match"
+        assert rep.verdict == "fail:metric_match"
 
 
 def corner_atlas(theta, adjacent_ii=0.05, shared_ii=(0.1, 0.1)):
@@ -96,14 +96,14 @@ class TestCornerGluing:
         assert not rep.passed
         bad = [m for m in rep.margins if m.label == "angle_sum:rim"][0]
         assert bad.min <= 0
-        assert rep.details["failed"] == "angle_sum:rim"
+        assert rep.verdict == "fail:angle_sum:rim"
 
     def test_acute_pair_passes(self):
         b1 = corner_atlas(1.2)
         b2 = corner_atlas(1.6)
         rep = gl.check_corner_gluing(b1, b2, "shared")
         assert rep.passed
-        assert rep.details["corners"][0]["combined_face"] == \
+        assert rep.aux["corners"][0]["combined_face"] == \
             "warped, concave"
 
     def test_closed_form_pair_sum(self):
@@ -187,8 +187,7 @@ class TestPipeline:
         assert gl.assemble_pipeline(good)["passed"]
         result = gl.assemble_pipeline(bad)
         assert not result["passed"]
-        assert result["edges"][0]["report"].details["failed"] == \
-            "flat:dst:warp"
+        assert result["edges"][0]["report"].verdict == "fail:flat:dst:warp"
 
 
 class TestMargin:
@@ -209,7 +208,7 @@ class TestMargin:
                                            strict=False)]).label == "e"
 
     def test_strict_flag_is_not_serialized(self):
-        rep = gl.CheckReport(True, [gl.Margin("a", 0.0, strict=False)])
+        rep = gl.Report("check", {}, [gl.Margin("a", 0.0, strict=False)])
         assert rep.to_json_dict()["margins"] == [
             {"label": "a", "min": 0.0, "argmin": 0.0}]
 

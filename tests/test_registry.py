@@ -182,6 +182,62 @@ def test_readme_example_scenario_passes(scenario, tmp_path):
     assert code == 0 and report["passed"]
 
 
+def test_readme_library_quick_start_runs():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Library quick start", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == "pass"
+
+
+REPORT_KEYS = {"block", "params", "margins", "verdict", "passed",
+               "boundary", "aux"}
+
+
+def test_block_and_edge_results_share_one_report_shape(tmp_path, capsys):
+    """Every block result and every checked gluing edge serializes as one
+    report shape whose pass flag is its verdict, and a failed edge is
+    named on stderr by its verdict label."""
+    reports = []
+    for name in sorted(PARAMS):
+        code, report = run_cli({"command": name, **PARAMS[name]},
+                               str(tmp_path), GRID)
+        result = report["result"]
+        reports += result["reports"] if name == "cone" else [result]
+    code, report = run_cli({"command": "pipeline"}, str(tmp_path))
+    edges = [e["report"] for e in report["result"]["edges"] if e["checked"]]
+    assert {rep["block"] for rep in edges} == {"perelman", "smooth-match"}
+
+    def face(**ii):
+        return {"dimension": 3, "kind": "warped-sphere", "ii": ii,
+                "metric": {"warp": {"type": "sine", "domain": [0, 1]}}}
+
+    graph = {
+        "nodes": [{"id": "a", "faces": {"top": face(all=0.5),
+                                        "side": face(s=1.0)}},
+                  {"id": "b", "faces": {"side": face(s=1.0),
+                                        "low": face(all=-0.9)}}],
+        "edges": [{"src": ["a", "side"], "dst": ["b", "side"],
+                   "kind": "corner"},
+                  {"src": ["a", "top"], "dst": ["b", "low"],
+                   "kind": "perelman"}]}
+    capsys.readouterr()
+    code, report = run_cli({"command": "pipeline-graph", "graph": graph},
+                           str(tmp_path))
+    assert code == 1
+    graph_edges = [e["report"] for e in report["result"]["edges"]]
+    assert [rep["verdict"] for rep in graph_edges] == \
+        ["pass", "fail:ii_sum:all"]
+    assert capsys.readouterr().err == \
+        f"verification failed: {graph_edges[1]['verdict'][5:]}\n"
+    for rep in reports + edges + graph_edges:
+        assert set(rep) == REPORT_KEYS, rep["block"]
+        assert rep["passed"] == (rep["verdict"] == "pass"), rep["block"]
+
+
 def collect() -> dict:
     """Name -> recorded output, for every command and scan that runs."""
     out = {}
