@@ -62,22 +62,94 @@ def write_csv(path, header: str, table: np.ndarray) -> None:
 # Interpolation and quadrature on node tables.
 # ---------------------------------------------------------------------------
 
+def clamp(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """np.clip(t, lo, hi) bit for bit, NaN and signed zeros included,
+    through the two ufuncs without np.clip's dispatch: on a tie np.maximum
+    and np.minimum return their second argument, so t is kept as np.clip
+    keeps it."""
+    return np.minimum(hi, np.maximum(lo, t))
+
+
+def _segment(ts: np.ndarray, t: np.ndarray):
+    """(i, ts[i], ts[i + 1]) with i = searchsorted(ts, t, "right") - 1
+    clipped to [0, len(ts) - 2], for 1-D t inside [ts[0], ts[-1]] or NaN.
+
+    i is guessed as if the grid were uniform and corrected once by +-1
+    where ts[i] <= t < ts[i + 1] fails (t = ts[-1] belongs to the last
+    segment; NaN is guessed there, as searchsorted sorts it last).  If the
+    corrected i still fails at any point, searchsorted answers the call."""
+    last = len(ts) - 2
+    g = t - ts[0]
+    g *= (last + 1) / (ts[-1] - ts[0])
+    np.fmin(g, last, out=g)
+    idx = g.astype(np.intp)
+    for _ in range(2):              # the guess, then the guess corrected
+        lo = ts[idx]
+        hi = ts[idx + 1]
+        down = t < lo
+        up = t >= hi
+        if np.count_nonzero(up):
+            up &= idx != last
+        if not (np.count_nonzero(down) or np.count_nonzero(up)):
+            return idx, lo, hi
+        idx -= down
+        idx += up
+    return _searched_segment(ts, t)
+
+
+def _searched_segment(ts: np.ndarray, t: np.ndarray):
+    """_segment through np.searchsorted, for grids the guess misses."""
+    idx = np.searchsorted(ts, t, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, len(ts) - 2, out=idx)
+    return idx, ts[idx], ts[idx + 1]
+
+
 def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     """Piecewise-cubic Hermite evaluation; exact at nodes, O(h^4) between.
 
-    ts must be strictly increasing (not necessarily uniform)."""
+    ts must be strictly increasing (not necessarily uniform); t is clamped
+    to [ts[0], ts[-1]].  The segment of each point comes from an arithmetic
+    guess checked against the nodes (_segment), so on any strictly
+    increasing grid the result is bitwise equal to looking the segment up
+    with np.searchsorted(ts, t, "right") - 1; a uniform grid, or a slice of
+    one, never needs the search."""
     t = np.asarray(t, dtype=float)
-    tc = np.clip(t, ts[0], ts[-1])
-    idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    x = (tc - ts[idx]) / h
-    y0, y1 = ys[idx], ys[idx + 1]
-    d0, d1 = dys[idx] * h, dys[idx + 1] * h
-    h00 = (1 + 2 * x) * (1 - x) ** 2
-    h10 = x * (1 - x) ** 2
-    h01 = x * x * (3 - 2 * x)
-    h11 = x * x * (x - 1)
-    return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
+    shape = t.shape
+    t = t.reshape(-1)
+    if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
+        t = clamp(t, ts[0], ts[-1])
+    idx, x, h = _segment(ts, t)
+    h -= x
+    np.subtract(t, x, out=x)
+    x /= h
+    # h00 y0 + h10 d0 + h01 y1 + h11 d1 (d = h dy), summed left to right,
+    # each basis product in the order of its formula, in reused buffers.
+    u2 = 1 - x
+    u2 *= u2                        # (1 - x)^2
+    x2 = 2 * x
+    out = x2 + 1
+    out *= u2
+    out *= ys[idx]                  # h00 y0, h00 = (1 + 2x)(1 - x)^2
+    d = dys[idx]
+    d *= h
+    u2 *= x
+    u2 *= d
+    out += u2                       # h10 d0, h10 = x (1 - x)^2
+    idx += 1
+    xx = np.multiply(x, x, out=d)
+    v = np.subtract(3, x2, out=x2)
+    v *= xx
+    v *= ys[idx]
+    out += v                        # h01 y1, h01 = x^2 (3 - 2x)
+    d1 = np.multiply(dys[idx], h, out=h)
+    x -= 1
+    x *= xx
+    x *= d1
+    out += x                        # h11 d1, h11 = x^2 (x - 1)
+    out = out.reshape(shape)
+    return out[()] if out.ndim == 0 else out
 
 
 def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,
@@ -94,33 +166,39 @@ def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,
 # The standard C^infinity bump exp(1 - 1/(1-x^2)) and machinery built from it.
 # ---------------------------------------------------------------------------
 
+def _on_support(fn, x):
+    """fn(x) where |x| < 1, evaluated there only; +0.0 elsewhere (NaN
+    included)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    if np.count_nonzero(inside):
+        out[inside] = fn(x[inside])
+    return out
+
+
 def bump(x):
     """exp(1 - 1/(1-x^2)) on (-1,1), zero outside; all derivatives vanish
     at x = +-1."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    x2 = np.where(inside, x * x, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.exp(1.0 - 1.0 / (1.0 - x2))
-    return np.where(inside, val, 0.0)
+    def f(x):
+        return np.exp(1.0 - 1.0 / (1.0 - x * x))
+    return _on_support(f, x)
 
 
 def bump_d1(x):
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    x2 = np.where(inside, x * x, 0.0)
-    u = 1.0 - x2
-    return np.where(inside, bump(x) * (-2.0 * x) / (u * u), 0.0)
+    def f(x):
+        u = 1.0 - x * x
+        return np.exp(1.0 - 1.0 / u) * (-2.0 * x) / (u * u)
+    return _on_support(f, x)
 
 
 def bump_d2(x):
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    xs = np.where(inside, x, 0.0)
-    u = 1.0 - xs * xs
-    a = -2.0 * xs / (u * u)                      # (log bump)'
-    b = (-2.0 - 6.0 * xs * xs) / (u * u * u)     # (log bump)''
-    return np.where(inside, bump(xs) * (a * a + b), 0.0)
+    def f(x):
+        u = 1.0 - x * x
+        a = -2.0 * x / (u * u)                       # (log bump)'
+        b = (-2.0 - 6.0 * x * x) / (u * u * u)       # (log bump)''
+        return np.exp(1.0 - 1.0 / u) * (a * a + b)
+    return _on_support(f, x)
 
 
 class TabulatedAntiderivative:
@@ -146,9 +224,13 @@ class TabulatedAntiderivative:
         x = np.asarray(x, dtype=float)
         if k:
             return self._density(x, k - 1) / self.mass
-        out = hermite_interp(self._xs, self._table, self._slopes,
-                             np.clip(x, 0.0, 1.0))
-        return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out))
+        after = x >= 1.0
+        out = np.where(after, 1.0, 0.0)
+        inside = ~((x <= 0.0) | after)          # (0, 1) and NaN
+        if np.count_nonzero(inside):
+            out[inside] = hermite_interp(self._xs, self._table,
+                                         self._slopes, x[inside])
+        return out
 
 
 def _bump_density(x, k: int):

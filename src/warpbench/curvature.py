@@ -498,11 +498,16 @@ def doubly_warped_chart(m: DoublyWarpedMetric,
         raise InvalidMetricError("built-in chart supports p, q <= 3")
     lo, hi = m.interval
     pad = 0.15 * (hi - lo)
+    # A finite-difference stencil moves t at only a few of its points, so
+    # the squared warps are kept per t for the life of the chart.
+    warps_sq = {}
 
     def metric(x):
-        t = x[0]
-        fa = m.f(float(t)) ** 2
-        ha = m.h(float(t)) ** 2
+        t = float(x[0])
+        sq = warps_sq.get(t)
+        if sq is None:
+            sq = warps_sq[t] = (m.f(t) ** 2, m.h(t) ** 2)
+        fa, ha = sq
         diag = np.concatenate([[1.0],
                                fa * _sphere_diag(x[1:1 + p]),
                                ha * _sphere_diag(x[1 + p:1 + p + q])])

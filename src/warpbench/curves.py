@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (cumulative_hermite, fd_first_derivative, grid_points,
-                    hermite_interp, smooth_step, unit_plateau, write_csv)
+from ._util import (clamp, cumulative_hermite, fd_first_derivative,
+                    grid_points, hermite_interp, smooth_step, unit_plateau,
+                    write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -69,14 +70,21 @@ class SmoothCurve:
         return (self.t_lo, self.t_hi)
 
     def eval(self, t, k: int = 0):
+        """The k-th derivative at t (a float for 0-d t, else an array).
+
+        Points within the slop 1e-9 (1 + t_hi - t_lo) outside the domain
+        are clamped to its ends; a point beyond it raises DomainError.  NaN
+        passes through to the derivative callables."""
         if not 0 <= k <= 3:
             raise ValueError(f"derivative order {k} not available")
         arr = np.asarray(t, dtype=float)
-        slop = 1e-9 * (1.0 + self.t_hi - self.t_lo)
-        if np.any(arr < self.t_lo - slop) or np.any(arr > self.t_hi + slop):
-            raise DomainError(
-                f"t outside [{self.t_lo}, {self.t_hi}]")
-        out = self._derivs[k](np.clip(arr, self.t_lo, self.t_hi))
+        lo, hi = self.t_lo, self.t_hi
+        if arr.size and not (lo <= arr.min() and arr.max() <= hi):
+            slop = 1e-9 * (1.0 + hi - lo)
+            if np.any(arr < lo - slop) or np.any(arr > hi + slop):
+                raise DomainError(f"t outside [{lo}, {hi}]")
+            arr = clamp(arr, lo, hi)
+        out = self._derivs[k](arr)
         if arr.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)
@@ -279,14 +287,13 @@ def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
     def ev(k):
         def f(t):
             t = np.asarray(t, dtype=float)
-            idx = np.clip(np.searchsorted(los, t, side="right") - 1,
-                          0, len(curves) - 1)
+            idx = clamp(np.searchsorted(los, t, side="right") - 1,
+                        0, len(curves) - 1)
             out = np.empty_like(t)
             for i, c in enumerate(curves):
                 m = idx == i
-                if np.any(m):
-                    lo, hi = c.t_lo, c.t_hi
-                    out[m] = c.eval(np.clip(t[m], lo, hi), k)
+                if np.count_nonzero(m):
+                    out[m] = c.eval(clamp(t[m], c.t_lo, c.t_hi), k)
             return out
         return f
 

@@ -377,6 +377,32 @@ class TestFiniteDifferenceOracle:
         evals = np.linalg.eigvalsh(np.linalg.solve(g, ric))
         assert np.max(np.abs(evals - 2.0)) < 1e-4
 
+    def test_chart_evaluates_the_warps_once_per_t(self):
+        calls = []
+
+        def counted(curve):
+            def d0(t):
+                calls.append(float(t))
+                return curve.eval(t)
+            return cv.curve_from_derivs(
+                curve.domain, d0, *(lambda t, k=k: curve.eval(t, k)
+                                    for k in (1, 2, 3)))
+
+        f = cv.sine_curve(1.0, 1.0, 0.0, (0.0, PI / 2))
+        h = cv.cosine_curve(1.0, 1.0, 0.0, (0.0, PI / 2))
+        m = kv.DoublyWarpedMetric(1, 2, counted(f), counted(h),
+                                  collapse_start="f", collapse_end="h")
+        x = [0.7, 1.1, 0.9, 1.3]
+        chart = kv.doubly_warped_chart(m)
+        ric = kv.fd_ricci(chart, x)
+        # Two warps at t and t +- step, t +- 2 step.
+        assert len(calls) == 2 * 5
+        assert len(set(calls)) == 5
+        fresh = kv.doubly_warped_chart(m)
+        assert kv.fd_ricci(chart, x).tobytes() == ric.tobytes()
+        assert kv.fd_ricci(fresh, x).tobytes() == ric.tobytes()
+        assert len(calls) == 4 * 5
+
     def test_oracle_matches_closed_form(self):
         rep = kv.oracle_cross_check(round_sphere_metric(), n_points=10,
                                     seed=3)

@@ -316,3 +316,88 @@ class TestRescaling:
         ts = np.linspace(-1.0, 1.0, 101)
         assert np.max(np.abs(full.eval(ts) - np.cos(ts))) < 1e-12
         assert np.max(np.abs(full.eval(-ts, 1) + full.eval(ts, 1))) < 1e-12
+
+
+def clipped_eval(curve, t, k=0):
+    """SmoothCurve.eval with every point passed through np.clip."""
+    arr = np.asarray(t, dtype=float)
+    out = curve._derivs[k](np.clip(arr, curve.t_lo, curve.t_hi))
+    return float(out) if arr.ndim == 0 else np.asarray(out, dtype=float)
+
+
+class TestEvalDomain:
+    """Points within the slop 1e-9 (1 + t_hi - t_lo) of the domain are
+    clamped to its ends, points beyond it raise, NaN passes through."""
+
+    SLOP = 1e-9 * (1.0 + 1.0)
+
+    @staticmethod
+    def curves():
+        ts = np.linspace(0.0, 1.0, 65)
+        return [cv.sine_curve(1.0, 3.0, 0.2, (0.0, 1.0)),
+                cv.table_curve(ts, [np.sin(ts), np.cos(ts), -np.sin(ts),
+                                    -np.cos(ts)]),
+                cv.piecewise_curve([
+                    (0.0, 0.5, cv.line_curve(0.0, 1.0, (0.0, 0.5))),
+                    (0.5, 1.0, cv.poly_curve([0.0, 1.0, 0.0, 1.0],
+                                             (0.5, 1.0)))])]
+
+    def test_empty_array_gives_empty_array(self):
+        for c in self.curves():
+            out = c.eval(np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+            assert out.dtype == float
+
+    def test_zero_dimensional_input_gives_float(self):
+        for c in self.curves():
+            for t in (0.3, np.float64(0.3), np.array(0.3)):
+                assert type(c.eval(t, 1)) is float
+                assert c.eval(t, 1) == clipped_eval(c, 0.3, 1)
+
+    def test_points_inside_the_slop_are_clamped(self):
+        eps = 0.5 * self.SLOP
+        for c in self.curves():
+            for k in range(4):
+                assert c.eval(-eps, k) == c.eval(0.0, k)
+                assert c.eval(1.0 + eps, k) == c.eval(1.0, k)
+                got = c.eval(np.array([-eps, 0.25, 1.0 + eps]), k)
+                assert got.tobytes() == c.eval(
+                    np.array([0.0, 0.25, 1.0]), k).tobytes()
+
+    @pytest.mark.parametrize("t", [-3 * 1e-9 * 2.0, 1.0 + 3 * 1e-9 * 2.0,
+                                   [0.5, 1.5], [np.nan, -1.0], [np.nan, 2.0],
+                                   [-np.inf, 0.5], np.inf])
+    def test_points_beyond_the_slop_raise(self, t):
+        for c in self.curves():
+            with pytest.raises(cv.DomainError):
+                c.eval(t)
+
+    def test_nan_passes_through(self):
+        for c in self.curves():
+            assert math.isnan(c.eval(np.nan))
+            got = c.eval(np.array([0.5, np.nan, 1.0 + 0.5 * self.SLOP]))
+            assert got[0] == c.eval(0.5) and math.isnan(got[1])
+            assert got[2] == c.eval(1.0)
+
+    def test_matches_clipping_every_point_bitwise(self):
+        rng = np.random.default_rng(0)
+        t = np.concatenate([
+            rng.uniform(0.0, 1.0, 300), [0.0, -0.0, 0.5, 1.0, np.nan],
+            rng.uniform(-self.SLOP / 2, 0.0, 5),
+            1.0 + rng.uniform(0.0, self.SLOP / 2, 5)])
+        for c in self.curves():
+            for k in range(4):
+                for q in (t, t[:300], t.reshape(-1, 5)):
+                    got, want = c.eval(q, k), clipped_eval(c, q, k)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    zero = want == 0.0
+                    assert np.array_equal(np.signbit(got[zero]),
+                                          np.signbit(want[zero]))
+
+    def test_query_array_is_neither_changed_nor_returned(self):
+        t = np.array([-0.5 * self.SLOP, 0.25, 0.75])
+        before = t.copy()
+        for c in self.curves():
+            out = c.eval(t)
+            assert out is not t and not np.shares_memory(out, t)
+            assert t.tobytes() == before.tobytes()
