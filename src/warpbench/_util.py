@@ -41,21 +41,206 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 # CSV output.
 # ---------------------------------------------------------------------------
 
-# Rows formatted per string operation; bounds the Python floats alive at once.
-_CSV_BLOCK_ROWS = 4096
+# Rows formatted per pass; bounds the integer work arrays alive at once.
+_CSV_BLOCK_ROWS = 1024
+
+# Every integer below is uint64, or int64 for signed exponents: under
+# numpy 1.x promotion a uint64 array combined with an int64 operand turns
+# into float64, so unsigned operands are np.uint64 scalars.
+_U = np.uint64
+_LOW32 = _U(0xFFFFFFFF)
+# Row j, column k: limb j (32 bits, least significant first) of 5^k.
+_POW5 = np.array([[(5 ** k >> 32 * j) & 0xFFFFFFFF for k in range(42)]
+                  for j in range(3)], dtype=np.uint64)
+# Right shifts r in [1, _MAX_SHIFT] start in limb r // 32 <= 2; values
+# down to 1e-23 need r <= 88.
+_MAX_SHIFT = 95
+_E18, _E19 = _U(10 ** 18), _U(10 ** 19)
+# v // 10 is (v * 0xCCCCCCCD) >> 35 for every v < 2^32.
+_DIV10 = _U(0xCCCCCCCD)
+# Field bytes: sign (NUL when absent), d . d d | 8 digits | 8 digits |
+# e, exponent sign, two digits, separator.
+_FIELD = 26
+_HEAD = _U(0x30 << 8 | ord(".") << 16 | 0x30 << 24 | 0x30 << 32)
+_TAIL = _U(ord("e") | 0x30 << 16 | 0x30 << 24)
+
+
+def _scaled_decimal(m, e, p):
+    """(D, covered, over) for x = m 2^e (2^52 <= m < 2^53) and a guess p
+    of its decimal exponent: D = x 10^(18 - p) rounded half-to-even, from
+    the exact product m 5^k (k = 18 - p) shifted right by r = -(e + k).
+    covered is False where k or r leaves the table; over is True where the
+    rounded value does not fit 64 bits (D is then meaningless)."""
+    n = len(m)
+    k = (18 - p).view(np.uint64)        # a negative k or r - 1 wraps high
+    h = (p - e).view(np.uint64) - _U(19)            # r - 1
+    covered = (k < _U(_POW5.shape[1])) & (h < _U(_MAX_SHIFT))
+    f0, f1, f2 = _POW5.take(np.minimum(k, _U(_POW5.shape[1] - 1)).view(
+        np.int64), axis=1)
+    r = np.minimum(h, _U(_MAX_SHIFT - 1)) + _U(1)
+
+    # P = m 5^k in 32-bit limbs L0..L4: the three products of the low half
+    # of m split into 32-bit halves, the high half of m (< 2^21) times each
+    # limb added whole, then one carry pass; no sum reaches 2^64.
+    m0, m1 = m & _LOW32, m >> _U(32)
+    prod = m0 * f0
+    c0, c1 = prod & _LOW32, prod >> _U(32)
+    prod = m0 * f1
+    c1 += prod & _LOW32
+    c2 = prod >> _U(32)
+    prod = m0 * f2
+    c2 += prod & _LOW32
+    c3 = prod >> _U(32)
+    c1 += m1 * f0
+    c2 += m1 * f1
+    c3 += m1 * f2
+    # Rows: 0 a zero limb, so that limb q - 1 exists at q = 0; 1-5 L0-L4;
+    # 6-8 the OR of the limbs under q - 1 and 9-11 the OR of the limbs
+    # above q + 2, for q = 0, 1, 2.
+    limbs = np.zeros((12, n), dtype=np.uint64)
+    limbs[1] = c0
+    np.bitwise_and(c1, _LOW32, out=limbs[2])
+    c2 += c1 >> _U(32)
+    np.bitwise_and(c2, _LOW32, out=limbs[3])
+    c3 += c2 >> _U(32)
+    np.bitwise_and(c3, _LOW32, out=limbs[4])
+    np.right_shift(c3, _U(32), out=limbs[5])
+    limbs[8] = c0
+    np.bitwise_or(limbs[4], limbs[5], out=limbs[9])
+    limbs[10] = limbs[5]
+
+    # Q = P >> r from the limbs q, q + 1 and q + 2 (q = r // 32, s = r % 32);
+    # bits above Q's 64 mean Q >= 2^64.
+    idx = (r >> _U(5)) * _U(n)
+    idx += np.arange(n, dtype=np.uint64)
+    idx = idx.view(np.int64)
+    s = r & _U(31)
+    lm1, l0, l1, top, below, above = (limbs.reshape(-1)[j * n:].take(idx)
+                                      for j in (0, 1, 2, 3, 6, 9))
+    D = (l0 | (l1 << _U(32))) >> s
+    D |= (top << (_U(63) - s)) << _U(1)
+    over = ((top >> s) | above) != 0
+
+    # Half-to-even: bit r - 1 is bit s + 31 of lm1 | l0 << 32; the sticky
+    # bits are those below it and every limb under q - 1.
+    low = lm1 | (l0 << _U(32))
+    s += _U(31)
+    half = (low >> s) & _U(1)
+    sticky = (low & ((_U(1) << s) - _U(1))) | below
+    D += half & (D | (sticky != 0))     # up past a half, or to even on one
+    over |= D == 0                      # rounded up past 2^64 - 1
+    return D, covered, over
+
+
+def _ascii8(v):
+    """The eight decimal digits of each v < 10^8 as ASCII in one uint64,
+    most significant digit in the lowest byte: the multiply-shift division
+    run on 32-, then 16-, then 8-bit lanes of one word at once."""
+    hi = (v * _U(109951163)) >> _U(40)                  # v // 10^4
+    x = hi | ((v - hi * _U(10 ** 4)) << _U(32))
+    t = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)  # lane // 100
+    x = t | ((x - t * _U(100)) << _U(16))
+    t = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)   # lane // 10
+    x = t | ((x - t * _U(10)) << _U(8))
+    return x + _U(0x3030303030303030)
+
+
+def _decimal(x):
+    """(D, p, done) for a 1-D float64 array: where done, |x| is D 10^(p - 18)
+    rounded half-to-even to 19 significant digits, 10^18 <= D < 10^19 (or
+    D = p = 0 for a zero).
+
+    done holds for zeros and for normal values of magnitude in [1e-23,
+    2^48), converted in integer arithmetic by _scaled_decimal; not for NaN,
+    infinities, subnormals, magnitudes outside that range, or a value whose
+    exponent guess one retry does not settle."""
+    bits = x.view(np.uint64)
+    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    frac = bits & _U((1 << 52) - 1)
+    normal = (biased > 0) & (biased < 0x7FF)
+    zero = (biased == 0) & (frac == 0)
+
+    m = frac | _U(1 << 52)
+    e = biased - 1075
+    # The guess p = floor(log10|x|), kept where 5^(18 - p) is in the table.
+    p = np.floor(np.log10(np.where(normal, np.abs(x), 1.0)))
+    p = np.clip(p, 19 - _POW5.shape[1], 18).astype(np.int64)
+    D, covered, over = _scaled_decimal(m, e, p)
+    done = covered & ~over & (D >= _E18) & (D < _E19)
+    redo = np.flatnonzero(normal & covered & ~done)
+    if redo.size:                       # the guess of p was a decade off
+        p[redo] += np.where(over[redo] | (D[redo] >= _E19), 1, -1)
+        D2, covered2, over2 = _scaled_decimal(m[redo], e[redo], p[redo])
+        D[redo] = D2
+        done[redo] = covered2 & ~over2 & (D2 >= _E18) & (D2 < _E19)
+    done &= normal
+    D[zero] = 0
+    p[zero] = 0
+    done |= zero
+    return D, p, done
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The rows of a 2-D block as CSV lines of %.18e fields, each field
+    the bytes of CPython's '%.18e' % v: assembled from _decimal where it is
+    done, from CPython's formatter elsewhere."""
+    rows, ncols = block.shape
+    if not ncols:
+        return b"\n" * rows
+    x = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    n = len(x)
+    D, p, done = _decimal(x)
+
+    # Four little-endian words per field, written at byte offsets 21, 0, 5
+    # and 13 of its slot in that order, so each word's spare high bytes
+    # are overwritten by the next: [sign a . d d] [8 digits] [8 digits]
+    # [e sign d d separator].  The sign byte is NUL when absent.
+    top3 = D // _U(10 ** 16)
+    body = D - top3 * _U(10 ** 16)
+    groups = np.empty((2, n), dtype=np.uint64)
+    np.floor_divide(body, _U(10 ** 8), out=groups[0])
+    np.subtract(body, groups[0] * _U(10 ** 8), out=groups[1])
+    digits = _ascii8(groups)
+    tens = (top3 * _DIV10) >> _U(35)
+    lead = (tens * _DIV10) >> _U(35)
+    head = (_HEAD + (lead << _U(8)) + ((tens - lead * _U(10)) << _U(24))
+            + ((top3 - tens * _U(10)) << _U(32)))
+    head |= (x.view(np.uint64) >> _U(63)) * _U(ord("-"))
+    mag = np.abs(p).astype(np.uint64)
+    tens = (mag * _DIV10) >> _U(35)
+    sign = np.where(p < 0, _U(ord("-")), _U(ord("+")))
+    tail = (_TAIL + (sign << _U(8)) + (tens << _U(16))
+            + ((mag - tens * _U(10)) << _U(24)))
+    sep = np.full(ncols, ord(","), dtype=np.uint64)
+    sep[-1] = ord("\n")
+    tail = tail.reshape(rows, ncols) | (sep << _U(32))
+
+    texts = {i: ("%.18e" % x[i]).encode()
+             for i in np.flatnonzero(~done).tolist()}
+    width = max([_FIELD] + [len(t) + 1 for t in texts.values()])
+    out = np.zeros(n * width + 8, dtype=np.uint8)
+    for offset, words in ((21, tail), (0, head), (5, digits[0]),
+                          (13, digits[1])):
+        np.ndarray((n,), dtype="<u8", buffer=out, offset=offset,
+                   strides=(width,))[...] = words.reshape(-1)
+    slots = out[:n * width].reshape(n, width)
+    for i, text in texts.items():
+        slots[i] = 0
+        slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        slots[i, len(text)] = sep[i % ncols]
+    # NUL marks every byte that is not part of a field.
+    return slots.tobytes().replace(b"\0", b"")
 
 
 def write_csv(path, header: str, table: np.ndarray) -> None:
     """Write a 2-D table as CSV: the header line, then one line of
     comma-separated %.18e fields per row.  The bytes equal those of numpy's
     own text writer with delimiter "," and no comment prefix; rows are
-    formatted in blocks of _CSV_BLOCK_ROWS."""
-    row = ",".join(["%.18e"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    formatted in blocks of _CSV_BLOCK_ROWS by _format_block."""
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
         for i in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[i:i + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[i:i + _CSV_BLOCK_ROWS]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +386,12 @@ def bump_d2(x):
     return _on_support(f, x)
 
 
+def check_order(k) -> None:
+    """Raise ValueError unless k is a derivative order 0..3."""
+    if not 0 <= k <= 3:
+        raise ValueError(f"derivative order {k} not available")
+
+
 class TabulatedAntiderivative:
     """Normalised running integral of a nonnegative density on [0, 1]: 0
     before, 1 after, flat at the ends to every order the density is.
@@ -221,6 +412,7 @@ class TabulatedAntiderivative:
         self._slopes = d / cum[-1]
 
     def __call__(self, x, k: int = 0):
+        check_order(k)
         x = np.asarray(x, dtype=float)
         if k:
             return self._density(x, k - 1) / self.mass
@@ -248,8 +440,38 @@ def smooth_step(x, k: int = 0):
 
 def plateau(x, k: int = 0, rise: float = 0.15):
     """C^infinity plateau on [0,1]: 0 (flat) at the ends, 1 on the middle
-    [rise, 1-rise].  Product of two smooth steps."""
+    [rise, 1-rise].  Product of two smooth steps.
+
+    With rise < 1/2 at most one step varies at a point and the other is 0
+    or 1 there to every order, so only the varying one is evaluated.  For
+    k = 0 that is the product itself (the other factor is exactly 1); for
+    k > 0 the Leibniz sum adds signed zeros, which can flip the sign of a
+    zero, so where the one factor gives a zero the full sum
+    (_plateau_product) decides.  The values equal that sum bit for bit."""
+    check_order(k)
+    if not 0.0 < rise < 0.5:
+        raise ValueError(f"rise {rise} outside (0, 1/2)")
     x = np.asarray(x, dtype=float)
+    u = x / rise
+    v = (1.0 - x) / rise
+    out = np.where((u >= 1.0) & (v >= 1.0), float(k == 0), 0.0)
+    out[np.isnan(x)] = np.nan
+    rising = (u > 0.0) & (u < 1.0)
+    if np.count_nonzero(rising):
+        out[rising] = smooth_step(u[rising], k) / rise ** k
+    falling = (v > 0.0) & (v < 1.0)
+    if np.count_nonzero(falling):
+        out[falling] = smooth_step(v[falling], k) * (-1.0 / rise) ** k
+    if k:
+        redo = (rising | falling) & (out == 0.0)
+        if np.count_nonzero(redo):
+            out[redo] = _plateau_product(x[redo], k, rise)
+    return out[()] if out.ndim == 0 else out
+
+
+def _plateau_product(x, k: int, rise: float):
+    """The k-th derivative of the plateau by the Leibniz rule, both step
+    factors evaluated at every point."""
     a = [smooth_step(x / rise, j) / rise ** j for j in range(k + 1)]
     b = [smooth_step((1.0 - x) / rise, j) * (-1.0 / rise) ** j
          for j in range(k + 1)]
@@ -259,9 +481,7 @@ def plateau(x, k: int = 0, rise: float = 0.15):
         return a[1] * b[0] + a[0] * b[1]
     if k == 2:
         return a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2]
-    if k == 3:
-        return a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3]
-    raise ValueError(k)
+    return a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3]
 
 
 # Mass of plateau(x, rise=0.15) on [0,1], from a dense Hermite pass.

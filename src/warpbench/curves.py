@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (clamp, cumulative_hermite, fd_first_derivative,
-                    grid_points, hermite_interp, smooth_step, unit_plateau,
-                    write_csv)
+from ._util import (check_order, clamp, cumulative_hermite,
+                    fd_first_derivative, grid_points, hermite_interp,
+                    smooth_step, unit_plateau, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -75,8 +75,7 @@ class SmoothCurve:
         Points within the slop 1e-9 (1 + t_hi - t_lo) outside the domain
         are clamped to its ends; a point beyond it raises DomainError.  NaN
         passes through to the derivative callables."""
-        if not 0 <= k <= 3:
-            raise ValueError(f"derivative order {k} not available")
+        check_order(k)
         arr = np.asarray(t, dtype=float)
         lo, hi = self.t_lo, self.t_hi
         if arr.size and not (lo <= arr.min() and arr.max() <= hi):

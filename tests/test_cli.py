@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -319,3 +320,36 @@ class TestEmitPlotData:
             header = fh.readline().strip()
         assert header == "t,a,b"
         assert rows.shape == (5, 3)
+
+
+# sha256 of every file the default {"command": "pipeline"} scenario writes,
+# recorded with numpy 2.4 on x86-64 Linux.  A change that moves any byte of
+# them says which outputs moved and why, and records the new hashes.
+PIPELINE_SHA256 = {
+    "disc_warp.csv":
+        "671dbb1ba5b741e6b4653c98f34b581f80cfd280f1fc0c9d971fd387416ee679",
+    "handle_piece1_cap_face.csv":
+        "56bdfb39a9917322a9e723b97bf5a6f143a554a00c16420459274ec5bb109afb",
+    "handle_piece1_cap_profile.csv":
+        "7644ffb16f4b04abd7420245b252779a49cdd510c2b0a64995ceef49378532fa",
+    "handle_piece1_outer_face.csv":
+        "a76bb4c4e4abb7e56034a26277d47df1097171fcb6dc69822ee169c23a0de4b8",
+    "handle_piece2_dug_face.csv":
+        "48fe424e05bd46dbc837d1cb4eb6a12045c643d97b4ecdf1ac1b5316fab24f6f",
+    "handle_piece2_face_metric.csv":
+        "2964222215c1a3d0af3363c81a0c613b1ef25094f7598a2153ab3f5068372664",
+    "report.json":
+        "2a3cc8434c90940cae6f806be1594cd4438b7dddfcbe1c1d6d99cd903ca525f1",
+    "transfer_ricci.csv":
+        "12a6045f7249acb9903187adead9f585d2570ff932577c63a9d187b7bcacdc84",
+}
+
+
+def test_default_pipeline_output_bytes(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"command": "pipeline"})
+    out = tmp_path / "out"
+    assert cli.run_scenario(path, out=str(out)) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == PIPELINE_SHA256

@@ -1,6 +1,9 @@
+import io
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +62,205 @@ class TestWriteCsv:
         s.write_csv(path, per_unit=16)
         assert path.read_bytes() == oracle_bytes(
             tmp_path, "t,v0,v1,v2,v3", s.node_table(16))
+
+
+def percent_e_bytes(table):
+    """CPython's '%.18e' of every value, joined by commas, one line a row."""
+    return b"".join((",".join("%.18e" % v for v in row) + "\n").encode()
+                    for row in np.asarray(table, dtype=float).tolist())
+
+
+def savetxt_bytes(table):
+    """numpy's text writer on the same table, without a header."""
+    buf = io.BytesIO()
+    np.savetxt(buf, table, delimiter=",")
+    return buf.getvalue()
+
+
+def assert_formats_like_cpython(table):
+    table = np.asarray(table, dtype=float)
+    got = _util._format_block(table)
+    assert got == percent_e_bytes(table)
+    assert got == savetxt_bytes(table)
+
+
+def exact_decimal(v):
+    """(D, p) with |v| = D 10^(p - 18) rounded half-to-even to 19 digits,
+    10^18 <= D < 10^19, in exact rational arithmetic."""
+    a = Fraction(abs(v))
+    p = math.floor(math.log10(abs(v)))
+    while True:
+        scaled = a * Fraction(10) ** (18 - p)
+        D = round(scaled)               # Fraction rounds half to even
+        if D >= 10 ** 19:
+            p += 1
+        elif D < 10 ** 18:
+            p -= 1
+        else:
+            return D, p
+
+
+def tie_values(rng, per_decade=40):
+    """Values whose 20th significant digit is an exact 5 followed by
+    nothing: odd / 2^(19 - p), the only form such a double can take."""
+    out = []
+    for p in range(-8, 15):
+        lo = Fraction(10) ** p * 2 ** (19 - p)
+        a, b = math.ceil(lo), min(math.ceil(10 * lo), 2 ** 53)
+        if a < b:
+            odd = rng.integers(a, b, per_decade) | 1
+            out.append(odd[odd < b].astype(float) / 2.0 ** (19 - p))
+    return np.concatenate(out)
+
+
+def power_of_ten_neighbours(lo=-25, hi=20, steps=3):
+    """Each power of ten in [1e<lo>, 1e<hi>) and its `steps` nearest
+    doubles on either side, both signs."""
+    pw = 10.0 ** np.arange(lo, hi)
+    out = [pw]
+    below, above = pw, pw
+    for _ in range(steps):
+        below = np.nextafter(below, 0.0)
+        above = np.nextafter(above, np.inf)
+        out += [below, above]
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+# Found by searching m = (2^(r-1) + t) 5^-k mod 2^r over small t for
+# r = 64..68, keeping normal mantissas m with an even 19-digit quotient.
+NEAR_TIES = [1.4690113310926004e-13, 1.8226109386223872e-13,
+             9.315776698565898e-14, 3.093996565885635e-14,
+             1.9974445425822994e-15, 9.987222712911497e-16]
+
+
+# One table per class of value the integer kernel leaves to CPython.
+FALLBACK_CLASSES = {
+    "nan-inf": [np.nan, np.inf, -np.inf, -np.nan],
+    "subnormal": [5e-324, -5e-324, 1e-310, -2.2250738585072009e-308],
+    "below-range": [9.99e-24, -1e-24, 1e-200, 2.2250738585072014e-308],
+    "above-range": [2.0 ** 48, -1e15, 1e18, -9.999e18, 1e19, 1e99],
+    "three-digit-exponent": [1e100, -1.7976931348623157e308, -1e-100,
+                             -2.5e-300],
+}
+
+
+class TestCsvFormatter:
+    """_format_block against CPython's '%.18e' and np.savetxt, and its
+    integer kernel against exact rational arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+           st.integers(1, 6))
+    def test_random_bit_patterns(self, words, ncols):
+        x = np.array(words, dtype=np.uint64).view(np.float64)
+        rows = max(1, len(x) // ncols)
+        x = np.resize(x, rows * ncols)
+        assert_formats_like_cpython(x.reshape(rows, ncols))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2 ** 52, 2 ** 53 - 1),
+                              st.integers(-129, -5), st.booleans()),
+                    min_size=1, max_size=64))
+    def test_random_values_in_the_integer_range(self, parts):
+        x = np.array([math.ldexp(-m if neg else m, e)
+                      for m, e, neg in parts])
+        assert_formats_like_cpython(x.reshape(-1, 1))
+
+    def test_ties_round_half_to_even(self):
+        ties = tie_values(np.random.default_rng(3))
+        for v in ties[::25]:
+            scaled = Fraction(v) * Fraction(10) ** (
+                18 - math.floor(math.log10(v)))
+            assert scaled - math.floor(scaled) == Fraction(1, 2)
+        D, _, done = _util._decimal(ties)
+        assert done.all()
+        assert np.count_nonzero(D % 2 == 1) == 0    # every tie went even
+        assert_formats_like_cpython(np.stack([ties, -ties], axis=1))
+
+    def test_near_ties_broken_by_the_lowest_limb(self):
+        """x 10^(18 - p) is an even integer plus a half plus less than
+        2^-40: the half bit is set, the bits under it are zero down to the
+        lowest 32-bit limb of m 5^k, and only that limb rounds up."""
+        x = np.array(NEAR_TIES)
+        for v in NEAR_TIES:
+            scaled = Fraction(v) * Fraction(10) ** (
+                18 - math.floor(math.log10(v)))
+            assert math.floor(scaled) % 2 == 0
+            excess = scaled - math.floor(scaled) - Fraction(1, 2)
+            assert 0 < excess < 2.0 ** -40
+        D, p, done = _util._decimal(x)
+        assert done.all()
+        assert list(zip(D.tolist(), p.tolist())) == [
+            exact_decimal(v) for v in NEAR_TIES]
+        assert_formats_like_cpython(x.reshape(-1, 2))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert_formats_like_cpython(power_of_ten_neighbours().reshape(-1, 2))
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CLASSES))
+    def test_fallback_class(self, name):
+        values = np.array(FALLBACK_CLASSES[name])
+        assert not _util._decimal(values)[2].any()
+        # alone, and in rows with values the kernel converts
+        assert_formats_like_cpython(values.reshape(-1, 1))
+        fast = np.linspace(-3.0, 7.0, len(values))
+        assert_formats_like_cpython(np.stack([fast, values, -fast], axis=1))
+
+    def test_mixed_signs_in_one_row(self):
+        row = [-1.5, 2.5, -0.0, 0.0, -3e-7, 4e12, -np.pi, np.e, -1e-23]
+        assert_formats_like_cpython([row, [-v for v in row]])
+
+    def test_block_that_falls_back_entirely(self, tmp_path):
+        table = np.tile([np.nan, -np.inf, 1e200, -5e-324],
+                        (_util._CSV_BLOCK_ROWS + 3, 1))
+        assert not _util._decimal(table.ravel())[2].any()
+        assert (written_bytes(tmp_path, "a,b,c,d", table)
+                == oracle_bytes(tmp_path, "a,b,c,d", table))
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, _util._CSV_BLOCK_ROWS, _util._CSV_BLOCK_ROWS + 1])
+    def test_row_counts(self, tmp_path, rows):
+        table = np.random.default_rng(rows).standard_normal((rows, 3))
+        table[:, 1] *= 1e-9
+        assert (written_bytes(tmp_path, "t,a,b", table)
+                == oracle_bytes(tmp_path, "t,a,b", table))
+
+    def test_zero_columns(self, tmp_path):
+        table = np.empty((3, 0))
+        assert (written_bytes(tmp_path, "t", table)
+                == oracle_bytes(tmp_path, "t", table))
+
+    def test_kernel_matches_exact_arithmetic(self):
+        """Every normal value in [1e-23, 2^48) is converted by the kernel,
+        and its digits and exponent are the exactly rounded ones."""
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            rng.choice([-1.0, 1.0], 300) * rng.uniform(1.0, 10.0, 300)
+            * 10.0 ** rng.integers(-22, 14, 300),
+            tie_values(rng, 4), power_of_ten_neighbours(-22, 14, 2),
+            [1.0000000000000002e-23, np.nextafter(2.0 ** 48, 0.0), 1.0]])
+        D, p, done = _util._decimal(x)
+        assert done.all()
+        for v, d, e in zip(x.tolist(), D.tolist(), p.tolist()):
+            assert (d, e) == exact_decimal(v)
+        # A guess two decades low scales past 10^20 > 2^64: always flagged.
+        bits = x.view(np.uint64)
+        m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
+        e = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+        _, covered, over = _util._scaled_decimal(m, e - 1075, p - 2)
+        assert over[covered].all() and covered.sum() > len(x) // 2
+        D, p, done = _util._decimal(np.array([0.0, -0.0]))
+        assert done.all() and D.tolist() == [0, 0] and p.tolist() == [0, 0]
+
+    def test_ascii8(self):
+        v = np.concatenate([
+            [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999999],
+            np.arange(1, 10) * 10 ** 7 - 1, np.arange(1, 10) * 10 ** 4,
+            np.random.default_rng(6).integers(0, 10 ** 8, 2000)])
+        words = _util._ascii8(v.astype(np.uint64))
+        got = words.astype("<u8").tobytes()
+        assert got == b"".join(b"%08d" % n for n in v.tolist())
 
 
 class TestSortedUnique:
@@ -311,6 +513,95 @@ class TestStepAndBumpSupport:
         assert_same_values(fn(xs[:450].reshape(-1, 2)), want_grid)
         assert_same_values(fn(np.array(0.2)), want_scalar)
         assert_same_values(fn(xs[:0]), oracle(xs[:0]))
+
+def leibniz_plateau(x, k: int = 0, rise: float = 0.15):
+    """The plateau as the Leibniz product of both steps at every point."""
+    x = np.asarray(x, dtype=float)
+    a = [_util.smooth_step(x / rise, j) / rise ** j for j in range(k + 1)]
+    b = [_util.smooth_step((1.0 - x) / rise, j) * (-1.0 / rise) ** j
+         for j in range(k + 1)]
+    if k == 0:
+        return a[0] * b[0]
+    if k == 1:
+        return a[1] * b[0] + a[0] * b[1]
+    if k == 2:
+        return a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2]
+    if k == 3:
+        return a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2] + a[0] * b[3]
+    raise ValueError(k)
+
+
+def plateau_points(rise):
+    """Random and grid points over [-0.2, 1.2], the ends and corners of
+    the plateau and their neighbours, points just inside each end, and
+    NaN, infinities and signed zeros."""
+    rng = np.random.default_rng(int(rise * 100))
+    corners = np.array([0.0, rise, 1.0 - rise, 1.0])
+    near = np.concatenate([np.nextafter(corners, -1.0), corners,
+                           np.nextafter(corners, 2.0)])
+    ends = np.logspace(-17, -1, 400)
+    return np.concatenate([
+        rng.uniform(-0.2, 1.2, 20000), np.linspace(-0.01, 1.01, 4097),
+        near, ends, 1.0 - ends, np.linspace(0.9999, 1.0, 2001),
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -1e300, 1e300]])
+
+
+class TestPlateau:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rise", [0.15, 0.1])
+    def test_equals_the_leibniz_product_bitwise(self, rise, k):
+        xs = plateau_points(rise)
+        assert_same_values(_util.plateau(xs, k, rise),
+                           leibniz_plateau(xs, k, rise))
+        assert_same_values(_util.plateau(xs.reshape(-1, 2), k, rise),
+                           leibniz_plateau(xs.reshape(-1, 2), k, rise))
+        for x in (0.05, 0.5, 0.97, 2.0):
+            assert_same_values(_util.plateau(np.array(x), k, rise),
+                               leibniz_plateau(np.array(x), k, rise))
+        assert_same_values(_util.plateau(xs[:0], k, rise),
+                           leibniz_plateau(xs[:0], k, rise))
+
+    def test_negative_zero_near_the_end_is_kept(self):
+        xs = np.linspace(0.99994, 0.99997, 301)
+        want = leibniz_plateau(xs, 1)
+        negative_zero = (want == 0.0) & np.signbit(want)
+        assert negative_zero.any()
+        assert np.array_equal(np.signbit(_util.plateau(xs, 1)),
+                              np.signbit(want))
+
+    def test_rise_outside_the_disjoint_range_is_rejected(self):
+        for rise in (0.0, 0.5, 0.7, -0.1):
+            with pytest.raises(ValueError, match="rise"):
+                _util.plateau(np.linspace(0, 1, 5), 0, rise)
+
+
+class TestDerivativeOrder:
+    @pytest.mark.parametrize("k", [-1, 4, 7])
+    @pytest.mark.parametrize("fn", [
+        _util.smooth_step, _util.plateau, _util.SMOOTH_STEP, blocks._RAMP,
+        lambda x, k: cv.sine_curve(1.0, 1.0, 0.0, (0.0, 1.0)).eval(x, k)],
+        ids=["smooth_step", "plateau", "table", "ramp", "curve"])
+    def test_order_outside_0_to_3_is_a_value_error(self, fn, k):
+        with pytest.raises(ValueError, match=f"derivative order {k} "):
+            fn(np.linspace(0.0, 1.0, 9), k)
+
+    def test_checked_before_any_work(self):
+        calls = []
+
+        def density(x, k):
+            calls.append(k)
+            return _util._bump_density(x, k)
+
+        table = _util.TabulatedAntiderivative(density, 65)
+        calls.clear()
+        with pytest.raises(ValueError, match="derivative order 4"):
+            table(np.linspace(0.0, 1.0, 9), 4)
+        with pytest.raises(ValueError, match="derivative order 4"):
+            table("not an array", 4)
+        with pytest.raises(ValueError, match="derivative order 5"):
+            _util.plateau("not an array", 5)
+        assert calls == []
+
 
 def test_handle1_build_leaves_numpy_ma_unloaded():
     code = (
