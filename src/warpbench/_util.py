@@ -337,6 +337,50 @@ def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     return out[()] if out.ndim == 0 else out
 
 
+def hermite_jet(ts: np.ndarray, cols, t) -> tuple:
+    """(hermite_interp(ts, cols[k], cols[k + 1], t) for k = 0, 1, 2), bit
+    for bit, from one segment lookup and one set of basis values.
+
+    Each product and sum is the one hermite_interp forms, so only the
+    shared work is saved.  hermite_interp keeps its own in-place form:
+    written as basis then combination it reads more buffers and was
+    slower for one order on grids of 16k points."""
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    t = t.reshape(-1)
+    if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
+        t = clamp(t, ts[0], ts[-1])
+    idx, x, h = _segment(ts, t)
+    h -= x
+    np.subtract(t, x, out=x)
+    x /= h
+    u2 = 1 - x
+    u2 *= u2
+    x2 = 2 * x
+    h00 = x2 + 1
+    h00 *= u2                       # (1 + 2x)(1 - x)^2
+    h10 = np.multiply(u2, x, out=u2)    # x (1 - x)^2
+    xx = x * x
+    h01 = np.subtract(3, x2, out=x2)
+    h01 *= xx                       # x^2 (3 - 2x)
+    x -= 1
+    h11 = np.multiply(x, xx, out=x)     # x^2 (x - 1)
+    idx1 = idx + 1
+    outs = []
+    for ys, dys in zip(cols[:3], cols[1:4]):
+        out = h00 * ys[idx]
+        d = dys[idx]
+        d *= h
+        out += np.multiply(h10, d, out=d)
+        out += np.multiply(h01, ys[idx1], out=d)
+        d = dys[idx1]
+        d *= h
+        out += np.multiply(h11, d, out=d)
+        out = out.reshape(shape)
+        outs.append(out[()] if out.ndim == 0 else out)
+    return tuple(outs)
+
+
 def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,
                        y0: float = 0.0) -> np.ndarray:
     """Cumulative integral of y given its derivative dy at the same nodes.

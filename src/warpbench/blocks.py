@@ -46,7 +46,9 @@ __all__ = [
 
 
 class BuildError(ValueError):
-    pass
+    """A block builder's parameters lie outside its domain of validity or
+    fail a geometric precondition; the message names the condition.  A scan
+    records the sample as ``error:BuildError``, the CLI exits 2."""
 
 
 class HorizonError(RuntimeError):

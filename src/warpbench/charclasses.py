@@ -19,7 +19,8 @@ __all__ = ["Mod2Ring", "Mod2Class", "ring_cpn", "ring_wi", "product_ring",
 
 
 class DegreeError(ValueError):
-    pass
+    """The degree of a Stiefel-Whitney monomial differs from the dimension
+    of the product manifold, so it has no characteristic number."""
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ __all__ = ["run_scenario", "emit_plot_data", "main", "ScenarioError"]
 
 
 class ScenarioError(ValueError):
-    pass
+    """A scenario file is not a JSON object or names an unknown command;
+    the CLI exits 2 before running anything."""
 
 
 def _edges_payload(result: dict) -> dict:

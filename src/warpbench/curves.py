@@ -13,7 +13,7 @@ import numpy as np
 
 from ._util import (check_order, clamp, cumulative_hermite,
                     fd_first_derivative, grid_points, hermite_interp,
-                    smooth_step, unit_plateau, write_csv)
+                    hermite_jet, smooth_step, unit_plateau, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
@@ -28,11 +28,15 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    pass
+    """A curve was asked for something outside its domain (a point or a
+    restriction beyond it, a join window it does not cover), or a domain is
+    ill-formed (empty, segments not contiguous, an even extension not
+    starting at 0)."""
 
 
 class StepBudgetError(RuntimeError):
-    pass
+    """The transfer ODE's step budget is below 64 steps per unit of its
+    horizon, the coarsest resolution it integrates at."""
 
 
 class IntegratorError(RuntimeError):
@@ -42,6 +46,9 @@ class IntegratorError(RuntimeError):
 
 
 class JoinBandError(RuntimeError):
+    """The second derivative of a smooth join leaves its prescribed band
+    by more than the tolerance; block builders re-raise it as BuildError."""
+
     def __init__(self, overshoot: float, band):
         self.overshoot = overshoot
         self.band = band
@@ -52,15 +59,17 @@ class JoinBandError(RuntimeError):
 class SmoothCurve:
     """Scalar function on [t_lo, t_hi] with evaluable derivatives k <= 3."""
 
-    __slots__ = ("t_lo", "t_hi", "provenance", "_derivs", "nodes", "info")
+    __slots__ = ("t_lo", "t_hi", "provenance", "_derivs", "_jet", "nodes",
+                 "info")
 
     def __init__(self, t_lo, t_hi, derivs, provenance="closed-form",
-                 nodes=None, info=None):
+                 nodes=None, info=None, jet=None):
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
             raise DomainError(f"bad domain [{t_lo}, {t_hi}]")
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._derivs = tuple(derivs)
+        self._jet = jet             # optional t -> orders 0..2 in one call
         self.provenance = provenance
         self.nodes = nodes          # optional (ts, 4-column values) table
         self.info = dict(info) if info else {}
@@ -76,6 +85,29 @@ class SmoothCurve:
         are clamped to its ends; a point beyond it raises DomainError.  NaN
         passes through to the derivative callables."""
         check_order(k)
+        arr = self._in_domain(t)
+        out = self._derivs[k](arr)
+        if arr.ndim == 0:
+            return float(out)
+        return np.asarray(out, dtype=float)
+
+    __call__ = eval
+
+    def jet(self, t) -> tuple:
+        """(eval(t, 0), eval(t, 1), eval(t, 2)), bit for bit.  A table
+        curve, and a linear combination or restriction of one, checks the
+        domain once and shares each point's segment and Hermite basis
+        between the three orders."""
+        if self._jet is None:
+            return tuple(self.eval(t, k) for k in range(3))
+        arr = self._in_domain(t)
+        outs = self._jet(arr)
+        if arr.ndim == 0:
+            return tuple(float(out) for out in outs)
+        return tuple(np.asarray(out, dtype=float) for out in outs)
+
+    def _in_domain(self, t) -> np.ndarray:
+        """t as a float array, checked and clamped as ``eval`` states."""
         arr = np.asarray(t, dtype=float)
         lo, hi = self.t_lo, self.t_hi
         if arr.size and not (lo <= arr.min() and arr.max() <= hi):
@@ -83,12 +115,7 @@ class SmoothCurve:
             if np.any(arr < lo - slop) or np.any(arr > hi + slop):
                 raise DomainError(f"t outside [{lo}, {hi}]")
             arr = clamp(arr, lo, hi)
-        out = self._derivs[k](arr)
-        if arr.ndim == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
-
-    __call__ = eval
+        return arr
 
     # -- constructors-on-top -------------------------------------------------
 
@@ -104,7 +131,7 @@ class SmoothCurve:
             keep = (ts >= lo) & (ts <= hi)
             nodes = (ts[keep], [c[keep] for c in cols])
         return SmoothCurve(lo, hi, self._derivs, self.provenance, nodes,
-                           self.info)
+                           self.info, self._jet)
 
     def shifted(self, dt) -> "SmoothCurve":
         """Curve s(t) = self(t - dt)."""
@@ -252,9 +279,13 @@ def linear_combo(terms, domain=None) -> SmoothCurve:
     def ev(k):
         return lambda t: sum(w * c.eval(t, k) for c, w in terms)
 
+    def jet(t):
+        jets = [(c.jet(t), w) for c, w in terms]
+        return tuple(sum(w * j[k] for j, w in jets) for k in range(3))
+
     prov = ("closed-form" if all(c.provenance == "closed-form"
                                  for c in curves) else "blended")
-    return curve_from_derivs((lo, hi), ev(0), ev(1), ev(2), ev(3), prov)
+    return SmoothCurve(lo, hi, (ev(0), ev(1), ev(2), ev(3)), prov, jet=jet)
 
 
 def table_curve(ts, cols, provenance="ode-defined", info=None) -> SmoothCurve:
@@ -267,10 +298,9 @@ def table_curve(ts, cols, provenance="ode-defined", info=None) -> SmoothCurve:
             return lambda t: hermite_interp(ts, cols[k], cols[k + 1], t)
         return lambda t: np.interp(np.asarray(t, float), ts, cols[3])
 
-    c = curve_from_derivs((ts[0], ts[-1]), ev(0), ev(1), ev(2), ev(3),
-                          provenance, info)
-    c.nodes = (ts, cols)
-    return c
+    return SmoothCurve(ts[0], ts[-1], (ev(0), ev(1), ev(2), ev(3)),
+                       provenance, (ts, cols), info,
+                       lambda t: hermite_jet(ts, cols, t))
 
 
 def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
@@ -284,15 +314,19 @@ def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
     t_lo, t_hi = segments[0][0], segments[-1][1]
 
     def ev(k):
+        # The points are clamped into each segment's domain, so its
+        # derivative callable is called directly, without eval's check.
+        derivs = [(c._derivs[k], c.t_lo, c.t_hi) for c in curves]
+
         def f(t):
             t = np.asarray(t, dtype=float)
             idx = clamp(np.searchsorted(los, t, side="right") - 1,
                         0, len(curves) - 1)
             out = np.empty_like(t)
-            for i, c in enumerate(curves):
+            for i, (d, lo, hi) in enumerate(derivs):
                 m = idx == i
                 if np.count_nonzero(m):
-                    out[m] = c.eval(clamp(t[m], c.t_lo, c.t_hi), k)
+                    out[m] = d(clamp(t[m], lo, hi))
             return out
         return f
 

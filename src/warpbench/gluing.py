@@ -29,7 +29,9 @@ PROFILE_KINDS = ("warped-sphere", "warped-double-sphere", "bundle-over-base")
 
 
 class IncompatibleProfilesError(ValueError):
-    pass
+    """Two boundary profiles cannot be compared for gluing: their kinds,
+    dimensions, metric descriptors or ii families differ, a kind is
+    unknown, or their curves share no overlap to sample."""
 
 
 @dataclass(frozen=True)

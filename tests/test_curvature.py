@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -359,6 +360,194 @@ class TestCohomogOne:
         m = kv.CohomogOneMetric(2, 2, f0, h0)
         with pytest.raises(kv.InvalidMetricError):
             kv.cohomog1_ricci(m, 0.0, "wu")
+
+
+B = kv._SWEEP_BLOCK
+
+
+def assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        g, w = got[key], want[key]
+        assert g.dtype == w.dtype and g.shape == w.shape, key
+        assert np.array_equal(g, w, equal_nan=True), key
+        assert np.array_equal(np.signbit(g), np.signbit(w)), key
+
+
+def nan_and_signed_zero_metric():
+    """Doubly warped metric whose columns hold NaN, -0.0 and +0.0: f'' is
+    NaN on (0.6, 0.7) and zero elsewhere, h is constant."""
+    dom = (0.0, 1.0)
+    f = cv.curve_from_derivs(
+        dom,
+        lambda t: 1.5 + 0.0 * np.asarray(t, float),
+        lambda t: np.zeros_like(np.asarray(t, float)),
+        lambda t: np.where((np.asarray(t, float) > 0.6)
+                           & (np.asarray(t, float) < 0.7), np.nan, 0.0),
+        lambda t: np.zeros_like(np.asarray(t, float)))
+    return kv.DoublyWarpedMetric(2, 3, f, cv.constant_curve(1.0, dom))
+
+
+def blocked_cases():
+    """(name, sweep, one-pass kernel, metric and grid end points): each
+    sweep with the kernel it runs per block."""
+    lam1, eps1 = 0.9, 0.05
+    graph = (cv.make_concave_profile(lam1, 0.95, 0.1, t_max=40.0),
+             cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2)),
+             _cut_height(lam1, eps1))
+    wu = TestCohomogOne().wu_metric()
+    proj = projective_metric(4, 2, 0.5)
+    f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
+    bundle = kv.BundleWarpedMetric(2, 3, f,
+                                   cv.sine_curve(0.5, 1.3, 0.9, (0.0, 1.0)),
+                                   a_bounds=kv.ABounds(0.1, 0.2, 0.3))
+    return [
+        ("doubly_warped", lambda ts: kv.doubly_warped_sweep(
+            round_sphere_metric(3, 2), ts),
+         lambda ts: kv._doubly_warped_columns(round_sphere_metric(3, 2), ts),
+         (0.0, PI / 2)),
+        ("doubly_warped_nan", lambda ts: kv.doubly_warped_sweep(
+            nan_and_signed_zero_metric(), ts),
+         lambda ts: kv._doubly_warped_columns(nan_and_signed_zero_metric(),
+                                              ts),
+         (0.0, 1.0)),
+        ("graph_ii", lambda ts: kv.graph_ii_sweep(*graph, ts, "down"),
+         lambda ts: kv._graph_ii_columns(*graph, ts, orientation="down"),
+         (eps1, 1.2)),
+        ("bundle_warped", lambda ts: kv.bundle_warped_sweep(bundle, ts),
+         lambda ts: kv._bundle_warped_columns(bundle, ts), (0.0, 1.0)),
+        ("cohomog1_projective",
+         lambda ts: kv.cohomog1_sweep(proj, ts, "projective"),
+         lambda ts: kv._cohomog1_columns(proj, ts, family="projective"),
+         (-1.0, 1.0)),
+        ("cohomog1_wu", lambda ts: kv.cohomog1_sweep(wu, ts, "wu"),
+         lambda ts: kv._cohomog1_columns(wu, ts, family="wu"), (-1.0, 1.0)),
+    ]
+
+
+def capture_sweep(monkeypatch, name):
+    """Record the (metric, grid) of every call of blocks.<name>."""
+    calls = []
+    sweep = getattr(blocks, name)
+
+    def recorded(m, ts, *args):
+        calls.append((m, ts))
+        return sweep(m, ts, *args)
+
+    monkeypatch.setattr(blocks, name, recorded)
+    return calls
+
+
+class TestBlockedSweep:
+    """Sweeps over more than _SWEEP_BLOCK points run in blocks; their
+    columns are bitwise those of one pass, and so are their exceptions."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("case", range(6))
+    def test_blocked_columns_equal_one_pass(self, case, n):
+        _, sweep, kernel, (lo, hi) = blocked_cases()[case]
+        ts = np.linspace(lo, hi, n)
+        assert_same_columns(sweep(ts), kernel(ts))
+
+    def test_transfer_grid_over_100k_points(self, monkeypatch):
+        calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
+        rep = blocks.build_transfer_block(3, 3, r0=0.1, nu=1.25, lam=0.5,
+                                          a=0.2, C=0.5, grid=3072)
+        (m, ts), = calls
+        assert len(ts) > 100_000
+        got = rep.sweeps["ricci"]["columns"]
+        assert_same_columns(got, kv._bundle_warped_columns(m, ts))
+
+    def test_collapse_at_t_lo_over_the_block_size(self, monkeypatch):
+        calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
+        rep = blocks.build_s1_block(3, 0.4, grid=40_000)
+        (m, ts), = calls
+        assert m.collapse_start == "h" and len(ts) > 2 * B
+        assert m.h.eval(ts[0]) == 0.0
+        want = kv._bundle_warped_columns(m, ts)
+        assert_same_columns(rep.sweeps["ricci"]["columns"], want)
+        assert np.isfinite(want["ric_tt"][0])
+
+    @staticmethod
+    def bad_bundle(f_zero, h_zero):
+        """Bundle metric on [0, 1] whose base warp crosses zero at f_zero
+        and whose fibre warp crosses zero at h_zero (none if None)."""
+        dom = (0.0, 1.0)
+        f = cv.line_curve(1.0, -1.0 / f_zero, dom)
+        h = (cv.constant_curve(1.0, dom) if h_zero is None
+             else cv.line_curve(1.0, -1.0 / h_zero, dom))
+        return kv.BundleWarpedMetric.trivial(2, 3, f, h)
+
+    @pytest.mark.parametrize("h_zero", [None, 0.25])
+    def test_base_warp_bad_only_in_the_second_block(self, h_zero):
+        # 2B + 1 points on [0, 1]: f vanishes at index 1.5 B, in the second
+        # block; with h_zero the fibre warp also vanishes in the first
+        # block, and one pass raises the base warp check first
+        m = self.bad_bundle(0.75, h_zero)
+        ts = np.linspace(0.0, 1.0, 2 * B + 1)
+        with pytest.raises(kv.InvalidMetricError) as one_pass:
+            kv._bundle_warped_columns(m, ts)
+        with pytest.raises(kv.InvalidMetricError) as blocked:
+            kv.bundle_warped_sweep(m, ts)
+        assert str(blocked.value) == str(one_pass.value) \
+            == "base warp must stay positive"
+
+    def test_fibre_collapse_away_from_t_lo_in_a_later_block(self):
+        m = self.bad_bundle(2.0, 0.8)
+        ts = np.linspace(0.0, 1.0, 3 * B)
+        with pytest.raises(kv.InvalidMetricError) as one_pass:
+            kv._bundle_warped_columns(m, ts)
+        with pytest.raises(kv.InvalidMetricError) as blocked:
+            kv.bundle_warped_sweep(m, ts)
+        assert str(blocked.value) == str(one_pass.value)
+
+    def test_cohomog1_interior_check_before_a_bad_endpoint(self):
+        # f = 0.5 - t does not vanish at the end t = -1, in the first
+        # block, and turns non-positive at t = 0.5, in the third of four
+        # blocks; one pass raises the interior check, naming the first
+        # such grid point, before it reaches the endpoint values
+        dom = (-1.0, 1.0)
+        m = kv.CohomogOneMetric(2, 2, cv.line_curve(0.5, -1.0, dom),
+                                cv.constant_curve(1.0, dom))
+        ts = np.linspace(-1.0, 1.0, 4 * B - 1)
+        with pytest.raises(kv.InvalidMetricError) as one_pass:
+            kv._cohomog1_columns(m, ts, family="wu")
+        with pytest.raises(kv.InvalidMetricError) as blocked:
+            kv.cohomog1_sweep(m, ts, "wu")
+        assert str(blocked.value) == str(one_pass.value)
+        assert str(one_pass.value).startswith("undeclared singularity")
+
+    def test_domain_error_in_a_later_block(self):
+        m = self.bad_bundle(0.75, None)
+        ts = np.linspace(0.0, 1.5, 2 * B + 1)
+        with pytest.raises(cv.DomainError):
+            kv.bundle_warped_sweep(m, ts)
+
+    @pytest.mark.parametrize("n,runs", [(1, 1), (B, 1), (B + 1, 2),
+                                        (3 * B, 3)])
+    def test_kernel_runs_once_per_block(self, monkeypatch, n, runs):
+        grids = []
+        kernel = kv._bundle_warped_columns
+
+        def counted(m, ts):
+            grids.append(ts)
+            return kernel(m, ts)
+
+        monkeypatch.setattr(kv, "_bundle_warped_columns", counted)
+        f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
+        ts = np.linspace(0.0, 1.0, n)
+        kv.bundle_warped_sweep(kv.BundleWarpedMetric.trivial(2, 3, f, f), ts)
+        assert len(grids) == runs
+        if runs == 1:
+            assert grids[0] is ts      # no slicing and no copy
+        else:
+            assert [len(g) for g in grids[:-1]] == [B] * (runs - 1)
+            assert all(np.shares_memory(g, ts) for g in grids)
+
+    def test_block_size_is_not_a_parameter(self):
+        for sweep in (kv.doubly_warped_sweep, kv.graph_ii_sweep,
+                      kv.bundle_warped_sweep, kv.cohomog1_sweep):
+            assert "block" not in str(inspect.signature(sweep))
 
 
 class TestFiniteDifferenceOracle:

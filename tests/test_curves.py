@@ -401,3 +401,157 @@ class TestEvalDomain:
             out = c.eval(t)
             assert out is not t and not np.shares_memory(out, t)
             assert t.tobytes() == before.tobytes()
+
+
+def piecewise_curve_through_eval(segments, provenance="blended"):
+    """piecewise_curve as it was before its segments' derivative callables
+    were called directly: each segment through its own ``eval``."""
+    segments = sorted(segments, key=lambda s: s[0])
+    for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
+        if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
+            raise cv.DomainError("segments are not contiguous")
+    los = np.array([s[0] for s in segments])
+    curves = [s[2] for s in segments]
+    t_lo, t_hi = segments[0][0], segments[-1][1]
+
+    def ev(k):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            idx = cv.clamp(np.searchsorted(los, t, side="right") - 1,
+                           0, len(curves) - 1)
+            out = np.empty_like(t)
+            for i, c in enumerate(curves):
+                m = idx == i
+                if np.count_nonzero(m):
+                    out[m] = c.eval(cv.clamp(t[m], c.t_lo, c.t_hi), k)
+            return out
+        return f
+
+    return cv.curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3),
+                                provenance)
+
+
+class TestPiecewiseCurve:
+    """Segments evaluated through their derivative callables give the
+    bits of segments evaluated through ``eval``."""
+
+    @staticmethod
+    def segments():
+        ts = np.linspace(0.4, 0.7, 33)
+        end = 1.0 - 1e-12
+        nested = cv.piecewise_curve([
+            (0.7, 0.8, cv.poly_curve([0.5, -1.0, 0.0, 2.0], (0.7, 0.8))),
+            (0.8, end, cv.sine_curve(0.3, 2.0, 0.1, (0.8, end)))])
+        return [(0.0, 0.4, cv.sine_curve(1.0, 3.0, 0.2, (0.0, 0.4))),
+                (0.4, 0.7, cv.table_curve(ts, [np.cos(ts), -np.sin(ts),
+                                               -np.cos(ts), np.sin(ts)])),
+                # a piece that ends a rounding step before the next one,
+                # so points in between are clamped to its end
+                (0.7, end, nested),
+                # a segment whose domain is wider than its piece
+                (1.0, 1.5, cv.linear_combo(
+                    [(cv.line_curve(2.0, -1.0, (0.9, 1.5)), 0.5)]))]
+
+    def test_matches_evaluation_through_eval_bitwise(self):
+        segs = self.segments()
+        new = cv.piecewise_curve(segs)
+        old = piecewise_curve_through_eval(segs)
+        assert new.domain == old.domain
+        rng = np.random.default_rng(1)
+        bounds = [0.0, -0.0, 0.4, 0.7, 1.0 - 1e-12, 1.0, 1.5]
+        edges = np.concatenate([np.nextafter(b, [-np.inf, np.inf])
+                                for b in bounds])
+        slop = 1e-9 * (1.0 + 1.5)
+        t = np.concatenate([
+            bounds, edges[(edges >= 0.0) & (edges <= 1.5)],
+            [-0.4 * slop, 1.5 + 0.4 * slop, np.nan],
+            *[rng.uniform(lo, hi, 50) for lo, hi in
+              [(0.0, 0.4), (0.4, 0.7), (0.7, 1.0), (1.0, 1.5)]]])
+        for k in range(4):
+            for q in (t, t[:0], t.reshape(-1, 2) if t.size % 2 == 0
+                      else t[1:].reshape(-1, 2)):
+                got, want = new.eval(q, k), old.eval(q, k)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            for x in (*bounds, 0.2, 0.55, 0.8, 1.2, np.float64(0.9),
+                      np.array(1.1), -0.4 * slop, np.nan):
+                got, want = new.eval(x, k), old.eval(x, k)
+                assert type(got) is float and type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+
+class TestJet:
+    """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
+    bit, for curves with a shared-basis jet and for those without one."""
+
+    @staticmethod
+    def curves():
+        ts = np.linspace(0.0, 2.0, 257)
+        table = cv.table_curve(ts, [np.sin(3 * ts), 3 * np.cos(3 * ts),
+                                    -9 * np.sin(3 * ts),
+                                    -27 * np.cos(3 * ts)])
+        other = cv.table_curve(ts, [np.exp(-ts), -np.exp(-ts),
+                                    np.exp(-ts), -np.exp(-ts)])
+        combo = cv.linear_combo([(table, 0.7), (other, -1.3)])
+        return [table, combo, combo.restrict(0.25, 1.5),
+                cv.linear_combo([(table.restrict(0.0, 1.0), 2.0)]),
+                # no shared basis: the jet is the three evaluations
+                cv.sine_curve(1.0, 3.0, 0.2, (0.0, 2.0)),
+                cv.linear_combo([(table, 0.5),
+                                 (cv.line_curve(1.0, -0.5, (0.0, 2.0)),
+                                  1.0)]),
+                table.shifted(0.1)]
+
+    def test_matches_three_evaluations_bitwise(self):
+        rng = np.random.default_rng(2)
+        for c in self.curves():
+            lo, hi = c.domain
+            slop = 1e-9 * (1.0 + hi - lo)
+            t = np.concatenate([rng.uniform(lo, hi, 200),
+                                [lo, hi, np.nan, lo - 0.4 * slop,
+                                 hi + 0.4 * slop]])
+            for q in (t, t[:0], t[:200].reshape(20, 10)):
+                got = c.jet(q)
+                assert len(got) == 3
+                for k in range(3):
+                    want = c.eval(q, k)
+                    assert type(got[k]) is np.ndarray
+                    assert got[k].shape == want.shape
+                    assert np.array_equal(got[k], want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got[k]),
+                                          np.signbit(want))
+            for x in (lo, hi, 0.5 * (lo + hi), np.float64(hi),
+                      np.array(lo), lo - 0.4 * slop):
+                got = c.jet(x)
+                for k in range(3):
+                    assert type(got[k]) is float
+                    assert (np.float64(got[k]).tobytes()
+                            == np.float64(c.eval(x, k)).tobytes())
+
+    def test_points_beyond_the_slop_raise(self):
+        for c in self.curves():
+            with pytest.raises(cv.DomainError):
+                c.jet(np.array([c.t_lo, c.t_hi + 1e-3]))
+
+    def test_table_backed_curves_look_each_segment_up_once(self,
+                                                          monkeypatch):
+        from warpbench import _util
+        calls = []
+        segment = _util._segment
+
+        def counted(ts, t):
+            calls.append(len(t))
+            return segment(ts, t)
+
+        monkeypatch.setattr(_util, "_segment", counted)
+        table, combo, restricted = self.curves()[:3]
+        t = np.linspace(0.5, 1.0, 7)
+        for c, lookups in ((table, 1), (combo, 2), (restricted, 2)):
+            calls.clear()
+            c.jet(t)
+            assert calls == [7] * lookups
+            calls.clear()
+            [c.eval(t, k) for k in range(3)]
+            assert calls == [7] * 3 * lookups

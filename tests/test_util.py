@@ -468,6 +468,61 @@ class TestHermiteInterp:
         assert np.array_equal(q, before, equal_nan=True)
 
 
+
+def assert_jet_matches(ts, seed):
+    """hermite_jet equals hermite_interp order by order, bitwise, on
+    queries() and on empty, 0-d, NaN and 2-D queries, and leaves the query
+    unchanged."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.standard_normal(len(ts)) for _ in range(4)]
+    for c in cols:
+        c[rng.integers(0, len(ts))] = -0.0
+    cases = [queries(ts, rng), np.array([]), np.array(ts[len(ts) // 2]),
+             np.array(np.nan), queries(ts, rng, 7)[:12].reshape(3, 4)]
+    for q in cases:
+        before = q.copy()
+        got = _util.hermite_jet(ts, cols, q)
+        assert len(got) == 3
+        for k in range(3):
+            assert_same_values(got[k], _util.hermite_interp(
+                ts, cols[k], cols[k + 1], q))
+        assert np.array_equal(q, before, equal_nan=True)
+
+
+class TestHermiteJet:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20000),
+           lo=st.floats(-50.0, 50.0), span=st.floats(1e-6, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_on_uniform_grids(self, n, lo, span, seed):
+        assert_jet_matches(np.linspace(lo, lo + span, n), seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_on_random_sorted_grids(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ts = _util.sorted_unique(rng.uniform(-3.0, 3.0, n) ** 3)
+        if len(ts) < 2:
+            ts = np.array([-1.0, 2.0])
+        assert_jet_matches(ts, seed)
+
+    def test_bitwise_on_the_flatten_start_grid(self):
+        assert_jet_matches(flatten_start_grid(0.3), 5)
+
+    def test_one_segment_lookup_for_three_orders(self, monkeypatch):
+        calls = []
+        segment = _util._segment
+
+        def counted(ts, t):
+            calls.append(len(t))
+            return segment(ts, t)
+
+        monkeypatch.setattr(_util, "_segment", counted)
+        ts = np.linspace(0.0, 1.0, 65)
+        _util.hermite_jet(ts, [ts, ts, ts, ts], np.linspace(0.0, 1.0, 9))
+        assert calls == [9]
+
+
 def test_clamp_is_np_clip_bitwise():
     t = np.array([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf, np.nan])
     for lo, hi in [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]:
