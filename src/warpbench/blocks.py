@@ -37,7 +37,8 @@ from .gluing import (BoundaryProfile, Corner, Margin, Report,
 __all__ = [
     "Margin", "Report", "BuildError", "HorizonError",
     "build_cone_metric", "build_handle1", "corner_angle_handle1",
-    "build_handle2", "corner_angle_handle2", "assemble_handle",
+    "build_handle2", "corner_angle_handle2", "closed_form_handle2",
+    "assemble_handle",
     "build_transfer_block",
     "build_s1_block", "build_fibre_disc_warp", "build_sphere_transition",
     "projective_family_check", "wu_family_check",
@@ -47,12 +48,17 @@ __all__ = [
 
 class BuildError(ValueError):
     """A block builder's parameters lie outside its domain of validity or
-    fail a geometric precondition; the message names the condition.  A scan
-    records the sample as ``error:BuildError``, the CLI exits 2."""
+    fail a geometric precondition; the message names the condition.
+    Handled by: ``feasibility.scan``, which records the sample as
+    ``error:BuildError``; the CLI, which exits 2; perfbench, which counts
+    the operation as rejected."""
 
 
 class HorizonError(RuntimeError):
-    """The integration horizon ended before the target slope was reached."""
+    """The integration horizon ended before the target slope was reached.
+    Handled by: ``feasibility.scan``, which records the sample as
+    ``error:HorizonError``; the CLI, which exits 2; perfbench, which counts
+    the operation as rejected."""
 
 
 _TRANSFER_ODE_CACHE: dict = {}
@@ -538,6 +544,15 @@ def corner_angle_handle2(a: float) -> float:
     return math.acos(-a / math.sqrt(1.0 + a * a))
 
 
+def closed_form_handle2(lambda1: float, lambda2: float, a: float, b: float,
+                        ts: np.ndarray) -> np.ndarray:
+    """Conservative closed-form lower bound for the dug face's radial
+    second fundamental form at ts in [0, b)."""
+    return (-a * a * lambda2 * (1.0 + lambda2 * b)
+            - 2.0 * lambda2 / (1.0 + lambda1 * ts)
+            + 1.0 / (b - ts))
+
+
 def _flatten_slope_end(f: SmoothCurve, tau: float,
                        t_end: float) -> SmoothCurve:
     """Continue f past tau with f'' < 0 so that all derivatives vanish at
@@ -630,9 +645,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                            B_full.eval(bs, 0), B_full.eval(bs, 1), -1.0)
     radial, sphere = dug["radial"], dug["sphere"]
     bracket = -bp ** 2 * f1 * fv - 2.0 * f1 / fv - bpp / bp
-    closed_form = (-a * a * lambda2 * (1.0 + lambda2 * b)
-                   - 2.0 * lambda2 / (1.0 + lambda1 * ts)
-                   + 1.0 / (b - ts))
+    closed_form = closed_form_handle2(lambda1, lambda2, a, b, ts)
     margins = [
         _min_margin("radial_ii", ts, radial),
         _min_margin("sphere_ii", ts, sphere),

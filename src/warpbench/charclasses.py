@@ -15,12 +15,7 @@ from math import comb
 from ._util import rank_gf2
 
 __all__ = ["Mod2Ring", "Mod2Class", "ring_cpn", "ring_wi", "product_ring",
-           "sw_number", "omega9_generator_table", "DegreeError"]
-
-
-class DegreeError(ValueError):
-    """The degree of a Stiefel-Whitney monomial differs from the dimension
-    of the product manifold, so it has no characteristic number."""
+           "sw_number", "omega9_generator_table"]
 
 
 @dataclass(frozen=True)
@@ -236,7 +231,7 @@ def sw_number(factors, monomial) -> int:
     total = ring.total_sw()
     degree_sum = sum(int(m["index"]) * int(m["exponent"]) for m in monomial)
     if degree_sum != ring.top_degree:
-        raise DegreeError(
+        raise ValueError(
             f"monomial degree {degree_sum} != dimension {ring.top_degree}")
     out = ring.one()
     for m in monomial:

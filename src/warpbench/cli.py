@@ -22,12 +22,7 @@ import numpy as np
 from . import blocks, charclasses, feasibility, gluing, scenarios
 from ._util import write_csv
 
-__all__ = ["run_scenario", "emit_plot_data", "main", "ScenarioError"]
-
-
-class ScenarioError(ValueError):
-    """A scenario file is not a JSON object or names an unknown command;
-    the CLI exits 2 before running anything."""
+__all__ = ["run_scenario", "emit_plot_data", "main"]
 
 
 def _edges_payload(result: dict) -> dict:
@@ -116,7 +111,7 @@ _COMMANDS = {
 
 def _validate(scenario: dict) -> str:
     if not isinstance(scenario, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        raise ValueError("scenario must be a JSON object")
     command = scenario.get("command")
     keys = set(scenario) - {"command"}
     if command in _COMMANDS:
@@ -126,8 +121,8 @@ def _validate(scenario: dict) -> str:
             keys.discard("t_samples")
         feasibility.check_params(command, keys)
     else:
-        raise ScenarioError(f"unknown command {command!r}; known: "
-                            f"{sorted([*_COMMANDS, *feasibility.PREDICATES])}")
+        raise ValueError(f"unknown command {command!r}; known: "
+                         f"{sorted([*_COMMANDS, *feasibility.PREDICATES])}")
     return command
 
 
@@ -182,8 +177,7 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
     sc = {k: v for k, v in scenario.items() if k != "command"}
     try:
         payload, sweeps, passed = _run_command(command, sc, grid, seed)
-    except (blocks.BuildError, blocks.HorizonError, KeyError,
-            TypeError, ValueError) as exc:
+    except (blocks.HorizonError, KeyError, TypeError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

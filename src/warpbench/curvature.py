@@ -19,29 +19,12 @@ from .curves import SmoothCurve
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
     "CurvaturePoint", "IIProfile", "ABounds", "CoordinateChart",
-    "InvalidMetricError", "CollapseError", "StencilError",
     "doubly_warped_curvature", "doubly_warped_sweep", "slice_II",
     "graph_II", "graph_ii_columns", "graph_ii_sweep", "bundle_warped_ricci",
     "bundle_warped_sweep", "submersion_shrink_bounds", "cohomog1_ricci",
     "cohomog1_sweep", "fd_ricci", "doubly_warped_chart", "flat_chart",
     "oracle_cross_check",
 ]
-
-
-class InvalidMetricError(ValueError):
-    """A metric ansatz is ill-posed for its curvature formulas: bad
-    dimensions or tags, or a warp that vanishes where no collapse is
-    declared (or that fails the conditions of a declared one)."""
-
-
-class CollapseError(ValueError):
-    """A slice second fundamental form was asked for at a t where a warp
-    vanishes, so the slice is not a hypersurface there."""
-
-
-class StencilError(ValueError):
-    """A finite-difference stencil of ``fd_ricci`` would leave the open
-    coordinate box of its chart."""
 
 
 @dataclass(frozen=True)
@@ -121,13 +104,13 @@ class DoublyWarpedMetric:
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
-            raise InvalidMetricError("sphere dimensions must be >= 1")
+            raise ValueError("sphere dimensions must be >= 1")
         fd, hd = self.f.domain, self.h.domain
         if abs(fd[0] - hd[0]) > 1e-9 or abs(fd[1] - hd[1]) > 1e-9:
-            raise InvalidMetricError("f and h must share a domain")
+            raise ValueError("f and h must share a domain")
         for c in (self.collapse_start, self.collapse_end):
             if c not in (None, "f", "h"):
-                raise InvalidMetricError(f"bad collapse tag {c!r}")
+                raise ValueError(f"bad collapse tag {c!r}")
 
     @property
     def interval(self):
@@ -148,7 +131,7 @@ def _collapse_limits(m: DoublyWarpedMetric, t: float, warp: str) -> dict:
     keep their interior values."""
     zero, other = (m.f, m.h) if warp == "f" else (m.h, m.f)
     if abs(zero(t)) > math.sqrt(1e-8 * (1 + abs(t))):
-        raise InvalidMetricError(
+        raise ValueError(
             f"declared collapse of {warp} at t={t} but warp is "
             f"{zero(t):.3e}")
     ratio = -zero(t, 3) / zero(t, 1)
@@ -175,7 +158,7 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
     f, h = m.f, m.h
     fv, hv = f.eval(ts, 0), h.eval(ts, 0)
     if np.any(((fv <= 0) & ~collapsed["f"]) | ((hv <= 0) & ~collapsed["h"])):
-        raise InvalidMetricError("warp vanishes without a declared collapse")
+        raise ValueError("warp vanishes without a declared collapse")
     f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {
@@ -210,7 +193,7 @@ def slice_II(m: DoublyWarpedMetric, t: float) -> IIProfile:
     {t} x S^p x S^q with respect to the +t normal."""
     fv, hv = m.f(t), m.h(t)
     if fv <= 0 or hv <= 0:
-        raise CollapseError(f"slice at t={t} touches a collapse point")
+        raise ValueError(f"slice at t={t} touches a collapse point")
     return IIProfile({"sphere_p": m.f(t, 1) / fv,
                       "sphere_q": m.h(t, 1) / hv}, normal="+t")
 
@@ -251,9 +234,9 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
-        raise InvalidMetricError("f(alpha(s)) must be positive")
+        raise ValueError("f(alpha(s)) must be positive")
     if np.any(Rv <= 0):
-        raise InvalidMetricError("R(s) must be positive")
+        raise ValueError("R(s) must be positive")
     out = graph_ii_columns(fv, f.eval(a, 1), alpha.eval(ss, 1),
                            alpha.eval(ss, 2), Rv, R.eval(ss, 1),
                            1.0 if orientation == "up" else -1.0)
@@ -292,7 +275,7 @@ class BundleWarpedMetric:
 
     def __post_init__(self):
         if self.p < 1 or self.q < 2:
-            raise InvalidMetricError("need fibre dim >= 1, base dim >= 2")
+            raise ValueError("need fibre dim >= 1, base dim >= 2")
 
     @classmethod
     def trivial(cls, p, q, f, h, ricci_base_lb=1.0, ricci_fibre_lb=1.0,
@@ -322,7 +305,7 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
     lo = m.interval[0]
     slop = 1e-9 * (1 + m.interval[1] - lo)
     if np.any(fv <= 0):
-        raise InvalidMetricError("base warp must stay positive")
+        raise ValueError("base warp must stay positive")
     interior = hv > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         ric_tt = -q * f2 / fv - p * h2 / hv
@@ -334,12 +317,12 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
         ric_xv = (hv / fv ** 3) * ab.sup_deltaA
     if not np.all(interior):
         if m.collapse_start != "h":
-            raise InvalidMetricError(
+            raise ValueError(
                 "fibre warp vanishes without a declared collapse")
         for i in np.nonzero(~interior)[0]:
             t = ts[i]
             if abs(t - lo) > slop:
-                raise InvalidMetricError("fibre collapse away from t_lo")
+                raise ValueError("fibre collapse away from t_lo")
             # parity-forced limits at the closing fibre sphere:
             # h''/h -> h'''/h' and f'h'/(f h) -> f''/f; the fibre-curvature
             # term vanishes for a circle fibre and needs a round fibre
@@ -348,7 +331,7 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
             if p > 1:
                 if (abs(m.ricci_fibre_lb - 1.0) > 1e-9
                         or abs(abs(h1[i]) - 1) > 1e-6):
-                    raise InvalidMetricError(
+                    raise ValueError(
                         "fibre collapse needs a round fibre with unit "
                         "Ricci bound")
                 fib = (p - 1) * hr
@@ -413,11 +396,11 @@ class CohomogOneMetric:
 
     def __post_init__(self):
         if self.d not in (2, 4, 8):
-            raise InvalidMetricError("d must be one of 2, 4, 8")
+            raise ValueError("d must be one of 2, 4, 8")
         if self.n < 2:
-            raise InvalidMetricError("n must be >= 2")
+            raise ValueError("n must be >= 2")
         if self.d == 8 and self.n != 2:
-            raise InvalidMetricError("d = 8 requires n = 2")
+            raise ValueError("d = 8 requires n = 2")
 
 
 def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
@@ -433,7 +416,7 @@ def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
     f_zero = abs(f(t)) < tol
     h_zero = abs(h(t)) < tol
     if not f_zero:
-        raise InvalidMetricError(
+        raise ValueError(
             f"endpoint t={t} is not a collapse of f (f={f(t):.3e})")
     fr = -f(t, 3) / f(t, 1)
     if family == "projective" and h_zero:
@@ -442,7 +425,7 @@ def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
         return {"ric_tt": iso, "ric_VV": iso, "ric_XX": iso}
     hv, h1, h2 = h(t), h(t, 1), h(t, 2)
     if hv <= 0:
-        raise InvalidMetricError("h must be positive at this endpoint")
+        raise ValueError("h must be positive at this endpoint")
     if family == "projective":
         iso = (d - 1) * fr - (n - 1) * d * h2 / hv
         ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv ** 2
@@ -457,7 +440,7 @@ def cohomog1_sweep(m: CohomogOneMetric, ts: np.ndarray,
                    family: str = "projective") -> dict:
     """Ricci diagonal (radial, V and X directions) on a grid of [-1, 1];
     the ends take the collapse values of ``_cohomog1_endpoint``, and a warp
-    that vanishes inside is an InvalidMetricError."""
+    that vanishes inside raises ValueError."""
     return _in_blocks(functools.partial(_cohomog1_columns, m,
                                         family=family), ts)
 
@@ -472,7 +455,7 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
     fv, hv = f.eval(ts, 0), h.eval(ts, 0)
     bad = inner & ((fv <= 0) | (hv <= 0))
     if np.any(bad):
-        raise InvalidMetricError(
+        raise ValueError(
             f"undeclared singularity at interior t={ts[bad][0]}")
     f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
     f2, h2 = f.eval(ts, 2), h.eval(ts, 2)
@@ -488,7 +471,7 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
                       - 2.0 * (d - 1) * fv ** 2 / hv ** 4)
         elif family == "wu":
             if (d, n) != (2, 2):
-                raise InvalidMetricError("the wu formulas require d = n = 2")
+                raise ValueError("the wu formulas require d = n = 2")
             ric_tt = -f2 / fv - 2.0 * h2 / hv
             ric_vv = (-f2 / fv - 2.0 * f1 * h1 / (fv * hv)
                       + 2.0 * fv ** 2 / hv ** 4)
@@ -545,7 +528,7 @@ def doubly_warped_chart(m: DoublyWarpedMetric,
     where difference quotients of the metric degrade."""
     p, q = m.p, m.q
     if p > 3 or q > 3:
-        raise InvalidMetricError("built-in chart supports p, q <= 3")
+        raise ValueError("built-in chart supports p, q <= 3")
     lo, hi = m.interval
     pad = 0.15 * (hi - lo)
     # A finite-difference stencil moves t at only a few of its points, so
@@ -577,7 +560,7 @@ def fd_ricci(chart: CoordinateChart, point, step: float = 3e-4) -> np.ndarray:
         raise ValueError("point dimension mismatch")
     for i, (lo, hi) in enumerate(chart.box):
         if not lo + 2.5 * step <= x[i] <= hi - 2.5 * step:
-            raise StencilError(
+            raise ValueError(
                 f"coordinate {i} too close to the chart boundary for the "
                 f"stencil")
 

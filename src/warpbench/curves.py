@@ -16,8 +16,7 @@ from ._util import (check_order, clamp, cumulative_hermite,
                     hermite_jet, smooth_step, unit_plateau, write_csv)
 
 __all__ = [
-    "SmoothCurve", "ParityReport", "DomainError", "StepBudgetError",
-    "IntegratorError", "JoinBandError",
+    "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
     "curve_from_derivs", "constant_curve", "line_curve", "sine_curve",
     "cosine_curve", "poly_curve", "table_curve", "piecewise_curve",
     "linear_combo", "sin_of", "even_extension",
@@ -27,27 +26,17 @@ __all__ = [
 ]
 
 
-class DomainError(ValueError):
-    """A curve was asked for something outside its domain (a point or a
-    restriction beyond it, a join window it does not cover), or a domain is
-    ill-formed (empty, segments not contiguous, an even extension not
-    starting at 0)."""
-
-
-class StepBudgetError(RuntimeError):
-    """The transfer ODE's step budget is below 64 steps per unit of its
-    horizon, the coarsest resolution it integrates at."""
-
-
 class IntegratorError(RuntimeError):
     """A property that holds identically for exact solutions failed
     on the node grid, signalling an integrator defect, or a stated
-    tolerance was not met within the step cap."""
+    tolerance was not met within the step cap.  Handled by: the CLI, which
+    reports an internal error and exits 3; a scan does not catch it."""
 
 
 class JoinBandError(RuntimeError):
     """The second derivative of a smooth join leaves its prescribed band
-    by more than the tolerance; block builders re-raise it as BuildError."""
+    by more than the tolerance.  Handled by: ``blocks.build_cone_metric``,
+    which re-raises it as BuildError naming the junction."""
 
     def __init__(self, overshoot: float, band):
         self.overshoot = overshoot
@@ -65,7 +54,7 @@ class SmoothCurve:
     def __init__(self, t_lo, t_hi, derivs, provenance="closed-form",
                  nodes=None, info=None, jet=None):
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
-            raise DomainError(f"bad domain [{t_lo}, {t_hi}]")
+            raise ValueError(f"bad domain [{t_lo}, {t_hi}]")
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._derivs = tuple(derivs)
@@ -82,7 +71,7 @@ class SmoothCurve:
         """The k-th derivative at t (a float for 0-d t, else an array).
 
         Points within the slop 1e-9 (1 + t_hi - t_lo) outside the domain
-        are clamped to its ends; a point beyond it raises DomainError.  NaN
+        are clamped to its ends; a point beyond it raises ValueError.  NaN
         passes through to the derivative callables."""
         check_order(k)
         arr = self._in_domain(t)
@@ -113,7 +102,7 @@ class SmoothCurve:
         if arr.size and not (lo <= arr.min() and arr.max() <= hi):
             slop = 1e-9 * (1.0 + hi - lo)
             if np.any(arr < lo - slop) or np.any(arr > hi + slop):
-                raise DomainError(f"t outside [{lo}, {hi}]")
+                raise ValueError(f"t outside [{lo}, {hi}]")
             arr = clamp(arr, lo, hi)
         return arr
 
@@ -123,7 +112,7 @@ class SmoothCurve:
         """The curve on [lo, hi], keeping only the stored nodes inside."""
         slop = 1e-9 * (1.0 + self.t_hi - self.t_lo)
         if lo < self.t_lo - slop or hi > self.t_hi + slop:
-            raise DomainError("restriction exceeds domain")
+            raise ValueError("restriction exceeds domain")
         lo, hi = max(lo, self.t_lo), min(hi, self.t_hi)
         nodes = self.nodes
         if nodes is not None:
@@ -308,7 +297,7 @@ def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
-            raise DomainError("segments are not contiguous")
+            raise ValueError("segments are not contiguous")
     los = np.array([s[0] for s in segments])
     curves = [s[2] for s in segments]
     t_lo, t_hi = segments[0][0], segments[-1][1]
@@ -337,7 +326,7 @@ def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
 def even_extension(right_half: SmoothCurve) -> SmoothCurve:
     """Even reflection of a curve on [0, b] to [-b, b]."""
     if abs(right_half.t_lo) > 1e-12:
-        raise DomainError("even extension needs domain starting at 0")
+        raise ValueError("even extension needs domain starting at 0")
     c = right_half
 
     def ev(k):
@@ -431,7 +420,7 @@ def integrate_transfer_odes(C: float, t_max: float = 20.0,
     if h0_init <= 0:
         raise ValueError("h0_init must be positive")
     if step_budget < 64 * t_max:
-        raise StepBudgetError(
+        raise ValueError(
             f"step budget {step_budget} below minimum resolution for "
             f"t_max={t_max}")
     if rtol is None:
@@ -646,11 +635,11 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
-        raise DomainError("empty join window")
+        raise ValueError("empty join window")
     if a < left.t_lo - 1e-12 or b > left.t_hi + 1e-12:
-        raise DomainError("left curve does not cover the window")
+        raise ValueError("left curve does not cover the window")
     if a < right.t_lo - 1e-12 or b > right.t_hi + 1e-12:
-        raise DomainError("right curve does not cover the window")
+        raise ValueError("right curve does not cover the window")
     w = b - a
     band_lo, band_hi = float(second_derivative_band[0]), \
         float(second_derivative_band[1])
@@ -750,7 +739,7 @@ def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,
     elif abs(endpoint - hi) <= slop:
         direction = -1.0
     else:
-        raise DomainError("endpoint must be an end of the curve domain")
+        raise ValueError("endpoint must be an end of the curve domain")
     L = hi - lo
     W = fit_width if fit_width is not None else min(0.05, 0.25 * L)
     offs = direction * W * np.arange(0, fit_points + 1) / fit_points

@@ -8,6 +8,7 @@ every listed sample reproduces a pass when re-run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,9 @@ _OPEN_OFFSET = 1e-6
 
 class RefineError(RuntimeError):
     """refine could not reach its target margin.  ``certificate`` holds the
-    refined certificate it reached (None for an empty input certificate)."""
+    refined certificate it reached (None for an empty input certificate).
+    Handled by: the CLI ``scan`` command, which writes that certificate
+    with a ``fail:`` verdict and exits 1."""
 
     def __init__(self, message: str, certificate=None):
         super().__init__(message)
@@ -92,10 +95,8 @@ class ParamBox:
     def full_grid(self):
         axes = [self.params[n].points(self.axis_resolution(n))
                 for n in self.names]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        for i in range(len(flat[0])):
-            yield {n: float(flat[j][i]) for j, n in enumerate(self.names)}
+        for point in itertools.product(*axes):
+            yield {n: float(v) for n, v in zip(self.names, point)}
 
     def random_samples(self, budget: int, seed: int):
         rng = np.random.default_rng(seed)
@@ -199,8 +200,7 @@ def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
     ts = np.linspace(0.0, 0.98 * b, 2049)
-    vals = (-a * a * lambda2 * (1.0 + lambda2 * b)
-            - 2.0 * lambda2 / (1.0 + lambda1 * ts) + 1.0 / (b - ts))
+    vals = blocks.closed_form_handle2(lambda1, lambda2, a, b, ts)
     i = int(np.argmin(vals))
     return blocks.Report(
         "handle2-closed-form",

@@ -21,17 +21,11 @@ from .curves import (SmoothCurve, constant_curve, cosine_curve, line_curve,
 __all__ = [
     "BoundaryProfile", "Corner", "Report", "Margin", "first_failure",
     "PipelineNode", "PipelineEdge", "PipelineGraph",
-    "IncompatibleProfilesError", "check_perelman", "check_corner_gluing",
-    "assemble_pipeline", "curve_from_spec", "graph_from_json",
+    "check_perelman", "check_corner_gluing", "assemble_pipeline",
+    "curve_from_spec", "graph_from_json",
 ]
 
 PROFILE_KINDS = ("warped-sphere", "warped-double-sphere", "bundle-over-base")
-
-
-class IncompatibleProfilesError(ValueError):
-    """Two boundary profiles cannot be compared for gluing: their kinds,
-    dimensions, metric descriptors or ii families differ, a kind is
-    unknown, or their curves share no overlap to sample."""
 
 
 @dataclass(frozen=True)
@@ -127,8 +121,7 @@ class BoundaryProfile:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise IncompatibleProfilesError(f"unknown profile kind "
-                                            f"{self.kind!r}")
+            raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def rescale(self, R: float) -> "BoundaryProfile":
         """Profile of the same boundary under g -> R^2 g: warp data scales
@@ -159,7 +152,7 @@ def _entry_minmax(entry, other=None):
             lo = max(entry.t_lo, other.t_lo)
             hi = min(entry.t_hi, other.t_hi)
             if hi <= lo:
-                raise IncompatibleProfilesError("ii curves do not overlap")
+                raise ValueError("ii curves do not overlap")
             ts = grid_points(lo, hi, min_points=129)
             vals = entry.eval(ts, 0) + other.eval(ts, 0)
         else:
@@ -174,7 +167,7 @@ def _entry_minmax(entry, other=None):
 
 def _metric_mismatch(m1: dict, m2: dict) -> tuple:
     if set(m1) != set(m2):
-        raise IncompatibleProfilesError(
+        raise ValueError(
             f"metric descriptors differ: {sorted(m1)} vs {sorted(m2)}")
     worst, where = 0.0, ""
     for key in sorted(m1):
@@ -183,18 +176,18 @@ def _metric_mismatch(m1: dict, m2: dict) -> tuple:
             if isinstance(a, str) or isinstance(b, str):
                 pass
             else:
-                raise IncompatibleProfilesError(
+                raise ValueError(
                     f"metric entry {key!r} has mismatched types")
         if isinstance(a, str) or isinstance(b, str):
             if a != b:
-                raise IncompatibleProfilesError(
+                raise ValueError(
                     f"declared descriptor {key!r} differs: {a!r} vs {b!r}")
             continue
         if isinstance(a, SmoothCurve):
             lo = max(a.t_lo, b.t_lo)
             hi = min(a.t_hi, b.t_hi)
             if hi <= lo:
-                raise IncompatibleProfilesError(
+                raise ValueError(
                     f"metric curves {key!r} do not overlap")
             ts = grid_points(lo, hi, min_points=129)
             dev = float(np.max(np.abs(a.eval(ts) - b.eval(ts))))
@@ -214,14 +207,14 @@ def check_perelman(b1: BoundaryProfile, b2: BoundaryProfile,
     match within tol (after rescaling b2) and the family-wise sum of
     principal curvatures must be >= -ii_tol everywhere."""
     if b1.kind != b2.kind or b1.dimension != b2.dimension:
-        raise IncompatibleProfilesError(
+        raise ValueError(
             f"profiles are incompatible: {b1.kind}/{b1.dimension} vs "
             f"{b2.kind}/{b2.dimension}")
     b2s = b2.rescale(rescale)
     mismatch, where = _metric_mismatch(b1.metric, b2s.metric)
     margins = [Margin("metric_match", tol - mismatch, strict=False)]
     if set(b1.ii) != set(b2s.ii):
-        raise IncompatibleProfilesError(
+        raise ValueError(
             f"ii families differ: {sorted(b1.ii)} vs {sorted(b2s.ii)}")
     for fam in sorted(b1.ii):
         mn, arg = _entry_minmax(b1.ii[fam], b2s.ii[fam])
@@ -260,7 +253,7 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
     corner_band of the corner.
     """
     if shared_face not in b1 or shared_face not in b2:
-        raise IncompatibleProfilesError(
+        raise ValueError(
             f"face {shared_face!r} missing from an atlas")
     f1, f2 = b1[shared_face], b2[shared_face]
     mismatch, where = _metric_mismatch(f1.metric, f2.metric)
@@ -272,7 +265,7 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
     aux = {"corners": [], "metric_mismatch": mismatch}
     for c in f1.corners:
         if c.id not in c2:
-            raise IncompatibleProfilesError(
+            raise ValueError(
                 f"corner {c.id!r} has no counterpart")
         other = c2[c.id]
         margins.append(Margin(f"angle_sum:{c.id}",
@@ -378,7 +371,7 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
     shared = sorted(set(p1.metric) & set(p2.metric))
     if not any(isinstance(p1.metric[k], SmoothCurve)
                and isinstance(p2.metric[k], SmoothCurve) for k in shared):
-        raise IncompatibleProfilesError(
+        raise ValueError(
             "smooth-match faces share no warp curves")
     for key in shared:
         a, b = p1.metric[key], p2.metric[key]
@@ -395,7 +388,7 @@ def _check_smooth_match(p1: BoundaryProfile, p2: BoundaryProfile,
         elif not isinstance(a, SmoothCurve) and not isinstance(b, SmoothCurve):
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
-                    raise IncompatibleProfilesError(
+                    raise ValueError(
                         f"descriptor {key!r} differs across a smooth match")
                 continue
             mismatch = max(mismatch, abs(float(a) - float(b) * edge.rescale))

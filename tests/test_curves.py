@@ -127,9 +127,11 @@ class TestTransferOdes:
         assert np.max(np.abs(fc.eval(ts) - 1.0)) < 1e-15
 
     def test_step_budget_floor(self):
-        with pytest.raises(cv.StepBudgetError):
+        with pytest.raises(ValueError, match="step budget 100 below "
+                           "minimum resolution"):
             cv.integrate_transfer_odes(0.1, t_max=20.0, step_budget=100)
-        with pytest.raises(cv.StepBudgetError):
+        with pytest.raises(ValueError, match="step budget 319 below "
+                           "minimum resolution"):
             cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=319)
         g_curve, _ = cv.integrate_transfer_odes(0.1, t_max=5.0,
                                                 step_budget=320)
@@ -369,7 +371,7 @@ class TestEvalDomain:
                                    [-np.inf, 0.5], np.inf])
     def test_points_beyond_the_slop_raise(self, t):
         for c in self.curves():
-            with pytest.raises(cv.DomainError):
+            with pytest.raises(ValueError, match=r"t outside \["):
                 c.eval(t)
 
     def test_nan_passes_through(self):
@@ -409,7 +411,7 @@ def piecewise_curve_through_eval(segments, provenance="blended"):
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
-            raise cv.DomainError("segments are not contiguous")
+            raise ValueError("segments are not contiguous")
     los = np.array([s[0] for s in segments])
     curves = [s[2] for s in segments]
     t_lo, t_hi = segments[0][0], segments[-1][1]
@@ -532,7 +534,7 @@ class TestJet:
 
     def test_points_beyond_the_slop_raise(self):
         for c in self.curves():
-            with pytest.raises(cv.DomainError):
+            with pytest.raises(ValueError, match=r"t outside \["):
                 c.jet(np.array([c.t_lo, c.t_hi + 1e-3]))
 
     def test_table_backed_curves_look_each_segment_up_once(self,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from warpbench import blocks as bk
@@ -19,6 +20,27 @@ class TestParamBox:
         assert len(samples) == 4
         assert box.names == ["a", "b"]
 
+    @staticmethod
+    def meshgrid_full_grid(box):
+        """ParamBox.full_grid as it was written over an ``ij`` meshgrid."""
+        axes = [box.params[n].points(box.axis_resolution(n))
+                for n in box.names]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        flat = [m.ravel() for m in mesh]
+        for i in range(len(flat[0])):
+            yield {n: float(flat[j][i]) for j, n in enumerate(box.names)}
+
+    def test_full_grid_keeps_the_meshgrid_order_and_values(self):
+        box = fs.ParamBox({"c": (0.1, 0.7, "()"), "a": (2.0, 3.0),
+                           "b": (-1.0, 1.0, "(")},
+                          {"a": 3, "b": 2, "c": 4})
+        got = list(box.full_grid())
+        want = list(self.meshgrid_full_grid(box))
+        assert len(got) == box.grid_size() == 24
+        assert [list(s) for s in got] == [list(s) for s in want]
+        assert [np.float64(list(s.values())).tobytes() for s in got] \
+            == [np.float64(list(s.values())).tobytes() for s in want]
+
     def test_random_sampling_deterministic(self):
         box = fs.ParamBox({"x": (0.0, 1.0), "y": (0.0, 1.0)}, 64)
         s1 = box.random_samples(10, seed=7)
@@ -36,6 +58,12 @@ class TestScan:
                        "fibre-disc", budget=4)
         assert len(cert.entries) == 1
         assert cert.entries[0].params == {"t0": math.pi / 2}
+
+    def test_empty_box_scan_evaluates_one_sample(self):
+        cert = fs.scan(fs.ParamBox({}), "handle2-closed-form", 4,
+                       fixed={"a": 0.1, "b": 1.5})
+        assert cert.grid["evaluated"] == 1
+        assert [e.params for e in cert.entries] == [{}]
 
     def test_shallow_slopes_yield_empty_certificate(self):
         box = fs.ParamBox({"lambda1": (0.1, 0.3)},

@@ -16,15 +16,19 @@ Names the code cannot run as a command or a scan are left out of it.
 """
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import sys
 import tempfile
 
 import pytest
 
+import warpbench
 from warpbench import cli
 from warpbench import feasibility as fs
 
@@ -191,6 +195,25 @@ def test_readme_library_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[0] == "pass"
+
+
+# One class per meaning that a caller handles differently; every other bad
+# input is a ValueError whose message names the condition.
+EXCEPTION_CLASSES = {"BuildError", "HorizonError", "IntegratorError",
+                     "JoinBandError", "RefineError"}
+
+
+def test_package_defines_exactly_the_handled_exception_classes():
+    found = {}
+    for info in pkgutil.iter_modules(warpbench.__path__):
+        module = importlib.import_module(f"warpbench.{info.name}")
+        for name, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, BaseException) \
+                    and obj.__module__ == module.__name__:
+                found[name] = obj
+    assert set(found) == EXCEPTION_CLASSES
+    for name, cls in found.items():
+        assert cls.__doc__ and cls.__doc__.strip(), name
 
 
 REPORT_KEYS = {"block", "params", "margins", "verdict", "passed",
