@@ -29,8 +29,7 @@ for key in ("sec_tu", "sec_uv", "sec_vv", "ric_tt"):
 
 print("\nslice principal curvatures at t = pi/4 "
       "(cot and -tan of the angle):")
-prof = slice_II(round_s5, PI / 4)
-print(f"  {prof.entries}")
+print(f"  {slice_II(round_s5, PI / 4)}")
 
 # The oracle recomputes the Ricci tensor from nothing but the coordinate
 # metric via finite differences of Christoffel symbols; agreement to

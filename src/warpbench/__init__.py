@@ -9,12 +9,9 @@ from .curves import (SmoothCurve, ParityReport, make_concave_profile,
                      sine_curve, cosine_curve, constant_curve, line_curve,
                      poly_curve, linear_combo, piecewise_curve)
 from .curvature import (DoublyWarpedMetric, BundleWarpedMetric,
-                        CohomogOneMetric, CurvaturePoint, IIProfile,
-                        ABounds, doubly_warped_curvature,
-                        doubly_warped_sweep, slice_II, graph_II,
-                        bundle_warped_ricci, submersion_shrink_bounds,
-                        cohomog1_ricci, fd_ricci, doubly_warped_chart,
-                        flat_chart, oracle_cross_check)
+                        CohomogOneMetric, ABounds, doubly_warped_sweep,
+                        slice_II, submersion_shrink_bounds, fd_ricci,
+                        doubly_warped_chart, flat_chart, oracle_cross_check)
 from .blocks import (Report, Margin, build_cone_metric, build_handle1,
                      corner_angle_handle1, build_handle2, assemble_handle,
                      build_transfer_block, build_s1_block,

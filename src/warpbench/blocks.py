@@ -81,12 +81,11 @@ def _min_margin(label: str, ts, values) -> Margin:
     return Margin(label, float(values[i]), float(ts[i]))
 
 
-def _tab_from_samples(ts: np.ndarray, vals: np.ndarray,
-                      provenance="blended") -> SmoothCurve:
+def _tab_from_samples(ts: np.ndarray, vals: np.ndarray) -> SmoothCurve:
     d1 = np.gradient(vals, ts)
     d2 = np.gradient(d1, ts)
     d3 = np.gradient(d2, ts)
-    return table_curve(ts, (vals, d1, d2, d3), provenance)
+    return table_curve(ts, (vals, d1, d2, d3))
 
 
 def _reparam_columns(y_cols, r_cols):
@@ -315,7 +314,7 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
     return curve_from_derivs(
         (a, a + eps2),
         lambda s: hermite_interp(ss, vals, d1s, s),
-        d1, d2, d3, "blended")
+        d1, d2, d3)
 
 
 def corner_angle_handle1(lambda1: float, eps1: float) -> float:
@@ -470,7 +469,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     y3 = K * (F3 * sn + 3.0 * F2 * cn - 3.0 * F1 * sn - Fv * cn)
     outer_cols = _reparam_columns((y0, y1, y2, y3),
                                   (spd_o, spd_o1, spd_o2))
-    outer_warp = table_curve(r_arc, outer_cols, "blended")
+    outer_warp = table_curve(r_arc, outer_cols)
     out_pc = {"radial": out_ii["radial"] / (Fv ** 2 + b1v ** 2),
               "sphere": out_ii["sphere"] / Fv ** 2}
     # past the dug zone the face is a slice with curvature f'/f
@@ -613,12 +612,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
             + a * (t / b - 1.0) * _chi(t - b, 3)
 
     tb = np.linspace(0.0, t_end, 4097)
-    beta_vals = cumulative_hermite(tb, beta1(tb), beta1(tb, 1))
+    slopes = beta1(tb)
+    beta_vals = cumulative_hermite(tb, slopes, beta1(tb, 1))
     beta = curve_from_derivs(
         (0.0, t_end),
-        lambda t: hermite_interp(tb, beta_vals, beta1(tb), t),
-        lambda t: beta1(t, 0), lambda t: beta1(t, 1), lambda t: beta1(t, 2),
-        "blended")
+        lambda t: hermite_interp(tb, beta_vals, slopes, t),
+        lambda t: beta1(t, 0), lambda t: beta1(t, 1), lambda t: beta1(t, 2))
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
 
@@ -660,25 +659,19 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     # face metric (1 + beta'^2 f^2) dt^2 + f^2 B(beta)^2 on the glued face
     tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
     btf = beta.eval(tf)
-    bchain = [B_full.eval(btf, k) for k in range(4)]
+    bchain = [B_full.eval(btf, k) for k in range(3)]
     b1v = beta.eval(tf, 1)
     b2v = beta.eval(tf, 2)
-    b3v = beta.eval(tf, 3)
-    fw = [f.eval(tf, k) for k in range(4)]
+    fw = [f.eval(tf, k) for k in range(3)]
     w0 = fw[0] * bchain[0]
     w1 = fw[1] * bchain[0] + fw[0] * bchain[1] * b1v
     w2 = (fw[2] * bchain[0] + 2.0 * fw[1] * bchain[1] * b1v
           + fw[0] * (bchain[2] * b1v ** 2 + bchain[1] * b2v))
-    w3 = (fw[3] * bchain[0] + 3.0 * fw[2] * bchain[1] * b1v
-          + 3.0 * fw[1] * (bchain[2] * b1v ** 2 + bchain[1] * b2v)
-          + fw[0] * (bchain[3] * b1v ** 3 + 3.0 * bchain[2] * b1v * b2v
-                     + bchain[1] * b3v))
+    # w' and w'' with respect to the face's arc length r
     r1 = np.sqrt(1.0 + b1v ** 2 * fw[0] ** 2)
     r2 = (b1v * b2v * fw[0] ** 2 + b1v ** 2 * fw[0] * fw[1]) / r1
-    r3 = (b2v ** 2 * fw[0] ** 2 + b1v * b3v * fw[0] ** 2
-          + 4.0 * b1v * b2v * fw[0] * fw[1]
-          + b1v ** 2 * (fw[1] ** 2 + fw[0] * fw[2]) - r2 ** 2) / r1
-    _, wr, wrr, _ = _reparam_columns((w0, w1, w2, w3), (r1, r2, r3))
+    wr = w1 / r1
+    wrr = (w2 * r1 - w1 * r2) / r1 ** 3
     margins.append(_min_margin("face_sec_radial", tf, -wrr / w0))
     margins.append(_min_margin("face_sec_sphere", tf,
                                (1.0 - wr ** 2) / w0 ** 2))

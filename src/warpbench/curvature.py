@@ -18,28 +18,11 @@ from .curves import SmoothCurve
 
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
-    "CurvaturePoint", "IIProfile", "ABounds", "CoordinateChart",
-    "doubly_warped_curvature", "doubly_warped_sweep", "slice_II",
-    "graph_II", "graph_ii_columns", "graph_ii_sweep", "bundle_warped_ricci",
-    "bundle_warped_sweep", "submersion_shrink_bounds", "cohomog1_ricci",
-    "cohomog1_sweep", "fd_ricci", "doubly_warped_chart", "flat_chart",
-    "oracle_cross_check",
+    "ABounds", "CoordinateChart", "doubly_warped_sweep", "slice_II",
+    "graph_ii_columns", "graph_ii_sweep", "bundle_warped_sweep",
+    "submersion_shrink_bounds", "cohomog1_sweep", "fd_ricci",
+    "doubly_warped_chart", "flat_chart", "oracle_cross_check",
 ]
-
-
-@dataclass(frozen=True)
-class CurvaturePoint:
-    location: float
-    entries: dict
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-
-@dataclass(frozen=True)
-class IIProfile:
-    entries: dict
-    normal: str = "outward"
 
 
 @dataclass(frozen=True)
@@ -181,21 +164,13 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
     return out
 
 
-def doubly_warped_curvature(m: DoublyWarpedMetric, t: float) -> CurvaturePoint:
-    """``doubly_warped_sweep`` at the one point t."""
-    sweep = doubly_warped_sweep(m, np.array([float(t)]))
-    return CurvaturePoint(float(t),
-                          {k: float(v[0]) for k, v in sweep.items()})
-
-
-def slice_II(m: DoublyWarpedMetric, t: float) -> IIProfile:
+def slice_II(m: DoublyWarpedMetric, t: float) -> dict:
     """Principal curvatures f'/f (p-block) and h'/h (q-block) of the slice
     {t} x S^p x S^q with respect to the +t normal."""
     fv, hv = m.f(t), m.h(t)
     if fv <= 0 or hv <= 0:
         raise ValueError(f"slice at t={t} touches a collapse point")
-    return IIProfile({"sphere_p": m.f(t, 1) / fv,
-                      "sphere_q": m.h(t, 1) / hv}, normal="+t")
+    return {"sphere_p": m.f(t, 1) / fv, "sphere_q": m.h(t, 1) / hv}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +195,8 @@ def graph_ii_columns(fv, f1, a1, a2, Rv, R1, sgn: float = 1.0) -> dict:
 
 def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
                    ss: np.ndarray, orientation: str = "up") -> dict:
-    """``graph_ii_columns`` on a grid of s, plus the vanishing mixed term;
-    orientation="down" flips the normal toward decreasing t."""
+    """``graph_ii_columns`` on a grid of s; orientation="down" flips the
+    normal toward decreasing t."""
     if orientation not in ("up", "down"):
         raise ValueError(orientation)
     return _in_blocks(functools.partial(_graph_ii_columns, f, R, alpha,
@@ -237,18 +212,9 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
         raise ValueError("f(alpha(s)) must be positive")
     if np.any(Rv <= 0):
         raise ValueError("R(s) must be positive")
-    out = graph_ii_columns(fv, f.eval(a, 1), alpha.eval(ss, 1),
-                           alpha.eval(ss, 2), Rv, R.eval(ss, 1),
-                           1.0 if orientation == "up" else -1.0)
-    out["mixed"] = np.zeros_like(out["radial"])
-    return out
-
-
-def graph_II(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve, s: float,
-             orientation: str = "up") -> IIProfile:
-    sweep = graph_ii_sweep(f, R, alpha, np.array([float(s)]), orientation)
-    return IIProfile({k: float(v[0]) for k, v in sweep.items()},
-                     normal=orientation)
+    return graph_ii_columns(fv, f.eval(a, 1), alpha.eval(ss, 1),
+                            alpha.eval(ss, 2), Rv, R.eval(ss, 1),
+                            1.0 if orientation == "up" else -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +314,8 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
             "ric_XV_abs_ub": ric_xv}
 
 
-def bundle_warped_ricci(m: BundleWarpedMetric, t: float) -> CurvaturePoint:
-    sweep = bundle_warped_sweep(m, np.array([float(t)]))
-    return CurvaturePoint(float(t),
-                          {k: float(v[0]) for k, v in sweep.items()})
-
-
 def submersion_shrink_bounds(ric_base_lb: float, ric_fibre_lb: float,
-                             a_bounds: ABounds, r: float) -> CurvaturePoint:
+                             a_bounds: ABounds, r: float) -> dict:
     """Ricci bounds of a submersion metric with fibres shrunk by r, with
     unit-normalized vertical directions:
 
@@ -379,7 +339,7 @@ def submersion_shrink_bounds(ric_base_lb: float, ric_fibre_lb: float,
         else:
             entries["r_star"] = math.sqrt(ric_base_lb
                                           / (2.0 * a_bounds.sup_AX2))
-    return CurvaturePoint(float(r), entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +445,6 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
         for k, v in _cohomog1_endpoint(m, float(ts[i]), family).items():
             out[k][i] = v
     return out
-
-
-def cohomog1_ricci(m: CohomogOneMetric, t: float,
-                   family: str = "projective") -> CurvaturePoint:
-    """``cohomog1_sweep`` at the one point t."""
-    sweep = cohomog1_sweep(m, np.array([float(t)]), family)
-    return CurvaturePoint(float(t),
-                          {k: float(v[0]) for k, v in sweep.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +553,19 @@ def oracle_cross_check(m: DoublyWarpedMetric, n_points: int = 20,
     read as a mismatch."""
     chart = doubly_warped_chart(m)
     rng = np.random.default_rng(seed)
+    xs = [np.array([rng.uniform(lo + 3 * step, hi - 3 * step)
+                    for lo, hi in chart.box]) for _ in range(n_points)]
+    cf = doubly_warped_sweep(m, np.array([x[0] for x in xs]))
     worst = 0.0
-    for _ in range(n_points):
-        x = np.array([rng.uniform(lo + 3 * step, hi - 3 * step)
-                      for lo, hi in chart.box])
+    for i, x in enumerate(xs):
         ric = (4.0 * fd_ricci(chart, x, step / 2)
                - fd_ricci(chart, x, step)) / 3.0
         g = np.asarray(chart.metric(x))
         normalized = np.diag(ric) / np.diag(g)
-        cf = doubly_warped_curvature(m, float(x[0]))
         expect = np.concatenate([
-            [cf["ric_tt"]],
-            np.full(m.p, cf["ric_uu"]),
-            np.full(m.q, cf["ric_vv"])])
+            [cf["ric_tt"][i]],
+            np.full(m.p, cf["ric_uu"][i]),
+            np.full(m.q, cf["ric_vv"][i])])
         denom = np.maximum(np.abs(expect), 1e-6)
         worst = max(worst, float(np.max(np.abs(normalized - expect)
                                         / denom)))

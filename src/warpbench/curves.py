@@ -48,18 +48,15 @@ class JoinBandError(RuntimeError):
 class SmoothCurve:
     """Scalar function on [t_lo, t_hi] with evaluable derivatives k <= 3."""
 
-    __slots__ = ("t_lo", "t_hi", "provenance", "_derivs", "_jet", "nodes",
-                 "info")
+    __slots__ = ("t_lo", "t_hi", "_derivs", "_jet", "nodes", "info")
 
-    def __init__(self, t_lo, t_hi, derivs, provenance="closed-form",
-                 nodes=None, info=None, jet=None):
+    def __init__(self, t_lo, t_hi, derivs, nodes=None, info=None, jet=None):
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
             raise ValueError(f"bad domain [{t_lo}, {t_hi}]")
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._derivs = tuple(derivs)
         self._jet = jet             # optional t -> orders 0..2 in one call
-        self.provenance = provenance
         self.nodes = nodes          # optional (ts, 4-column values) table
         self.info = dict(info) if info else {}
 
@@ -119,16 +116,14 @@ class SmoothCurve:
             ts, cols = nodes
             keep = (ts >= lo) & (ts <= hi)
             nodes = (ts[keep], [c[keep] for c in cols])
-        return SmoothCurve(lo, hi, self._derivs, self.provenance, nodes,
-                           self.info, self._jet)
+        return SmoothCurve(lo, hi, self._derivs, nodes, self.info, self._jet)
 
     def shifted(self, dt) -> "SmoothCurve":
         """Curve s(t) = self(t - dt)."""
         d = self._derivs
         derivs = [(lambda k: (lambda t, _k=k: d[_k](t - dt)))(k)
                   for k in range(4)]
-        return SmoothCurve(self.t_lo + dt, self.t_hi + dt, derivs,
-                           self.provenance)
+        return SmoothCurve(self.t_lo + dt, self.t_hi + dt, derivs)
 
     def metric_rescale(self, R: float) -> "SmoothCurve":
         """Warp transform under g -> R^2 g: t -> R * self(t / R)."""
@@ -137,8 +132,7 @@ class SmoothCurve:
         d = self._derivs
         derivs = [(lambda k: (lambda t, _k=k: R ** (1 - _k) * d[_k](t / R)))(k)
                   for k in range(4)]
-        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs,
-                           self.provenance)
+        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs)
 
     def eigen_rescale(self, R: float) -> "SmoothCurve":
         """Principal-curvature transform under g -> R^2 g: t -> self(t/R)/R."""
@@ -147,16 +141,12 @@ class SmoothCurve:
         d = self._derivs
         derivs = [(lambda k: (lambda t, _k=k: d[_k](t / R) / R ** (1 + _k)))(k)
                   for k in range(4)]
-        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs,
-                           self.provenance)
-
-    def scaled(self, a: float) -> "SmoothCurve":
-        return linear_combo([(self, a)])
+        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs)
 
     def plus(self, c: float) -> "SmoothCurve":
         d = self._derivs
         derivs = [lambda t, _d=d[0]: _d(t) + c] + [d[k] for k in (1, 2, 3)]
-        return SmoothCurve(self.t_lo, self.t_hi, derivs, self.provenance)
+        return SmoothCurve(self.t_lo, self.t_hi, derivs)
 
     # -- serialization -------------------------------------------------------
 
@@ -176,10 +166,8 @@ class SmoothCurve:
 # Closed-form factories.
 # ---------------------------------------------------------------------------
 
-def curve_from_derivs(domain, d0, d1, d2, d3, provenance="closed-form",
-                      info=None) -> SmoothCurve:
-    return SmoothCurve(domain[0], domain[1], (d0, d1, d2, d3), provenance,
-                       info=info)
+def curve_from_derivs(domain, d0, d1, d2, d3, info=None) -> SmoothCurve:
+    return SmoothCurve(domain[0], domain[1], (d0, d1, d2, d3), info=info)
 
 
 def constant_curve(value, domain) -> SmoothCurve:
@@ -233,37 +221,33 @@ def poly_curve(coeffs, domain) -> SmoothCurve:
     return curve_from_derivs(domain, ev(0), ev(1), ev(2), ev(3))
 
 
-def sin_of(inner: SmoothCurve, amplitude: float = 1.0) -> SmoothCurve:
-    """A sin(inner(t)) with chain-rule derivatives."""
-    A = float(amplitude)
+def sin_of(inner: SmoothCurve) -> SmoothCurve:
+    """sin(inner(t)) with chain-rule derivatives."""
     g = inner
 
     def d0(t):
-        return A * np.sin(g.eval(t, 0))
+        return np.sin(g.eval(t, 0))
 
     def d1(t):
-        return A * np.cos(g.eval(t, 0)) * g.eval(t, 1)
+        return np.cos(g.eval(t, 0)) * g.eval(t, 1)
 
     def d2(t):
         u, u1, u2 = g.eval(t, 0), g.eval(t, 1), g.eval(t, 2)
-        return A * (np.cos(u) * u2 - np.sin(u) * u1 ** 2)
+        return np.cos(u) * u2 - np.sin(u) * u1 ** 2
 
     def d3(t):
         u, u1, u2, u3 = (g.eval(t, 0), g.eval(t, 1), g.eval(t, 2),
                          g.eval(t, 3))
-        return A * (np.cos(u) * u3 - 3.0 * np.sin(u) * u1 * u2
-                    - np.cos(u) * u1 ** 3)
+        return (np.cos(u) * u3 - 3.0 * np.sin(u) * u1 * u2
+                - np.cos(u) * u1 ** 3)
 
-    return curve_from_derivs(g.domain, d0, d1, d2, d3, g.provenance)
+    return curve_from_derivs(g.domain, d0, d1, d2, d3)
 
 
-def linear_combo(terms, domain=None) -> SmoothCurve:
+def linear_combo(terms) -> SmoothCurve:
     """Sum of weighted curves on the intersection of their domains."""
-    curves = [c for c, _ in terms]
-    lo = max(c.t_lo for c in curves)
-    hi = min(c.t_hi for c in curves)
-    if domain is not None:
-        lo, hi = max(lo, domain[0]), min(hi, domain[1])
+    lo = max(c.t_lo for c, _ in terms)
+    hi = min(c.t_hi for c, _ in terms)
 
     def ev(k):
         return lambda t: sum(w * c.eval(t, k) for c, w in terms)
@@ -272,12 +256,10 @@ def linear_combo(terms, domain=None) -> SmoothCurve:
         jets = [(c.jet(t), w) for c, w in terms]
         return tuple(sum(w * j[k] for j, w in jets) for k in range(3))
 
-    prov = ("closed-form" if all(c.provenance == "closed-form"
-                                 for c in curves) else "blended")
-    return SmoothCurve(lo, hi, (ev(0), ev(1), ev(2), ev(3)), prov, jet=jet)
+    return SmoothCurve(lo, hi, (ev(0), ev(1), ev(2), ev(3)), jet=jet)
 
 
-def table_curve(ts, cols, provenance="ode-defined", info=None) -> SmoothCurve:
+def table_curve(ts, cols, info=None) -> SmoothCurve:
     """Curve backed by node columns v0..v3; Hermite between nodes."""
     ts = np.asarray(ts, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in cols]
@@ -288,11 +270,10 @@ def table_curve(ts, cols, provenance="ode-defined", info=None) -> SmoothCurve:
         return lambda t: np.interp(np.asarray(t, float), ts, cols[3])
 
     return SmoothCurve(ts[0], ts[-1], (ev(0), ev(1), ev(2), ev(3)),
-                       provenance, (ts, cols), info,
-                       lambda t: hermite_jet(ts, cols, t))
+                       (ts, cols), info, lambda t: hermite_jet(ts, cols, t))
 
 
-def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
+def piecewise_curve(segments) -> SmoothCurve:
     """Contiguous segments [(lo, hi, curve), ...] glued by evaluation."""
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
@@ -319,8 +300,7 @@ def piecewise_curve(segments, provenance="blended") -> SmoothCurve:
             return out
         return f
 
-    return curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3),
-                             provenance)
+    return curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3))
 
 
 def even_extension(right_half: SmoothCurve) -> SmoothCurve:
@@ -335,8 +315,7 @@ def even_extension(right_half: SmoothCurve) -> SmoothCurve:
                                   c.eval(np.abs(t), k),
                                   sgn * c.eval(np.abs(t), k))
 
-    return curve_from_derivs((-c.t_hi, c.t_hi), ev(0), ev(1), ev(2), ev(3),
-                             c.provenance)
+    return curve_from_derivs((-c.t_hi, c.t_hi), ev(0), ev(1), ev(2), ev(3))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +550,7 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
     f(end) = value_end, with (f(a), f'(a)) = ``start``; the number of
     corrections must match the number of targets.
 
-    Returns the "blended" window curve and the coefficient array.  Values
+    Returns the blended window curve and the coefficient array.  Values
     and slopes come from Hermite tables on the nodes (kept as the curve's
     ``nodes``); the second and third derivatives are evaluated exactly.
     """
@@ -615,7 +594,7 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
         (a, a + u[-1]),
         lambda t: hermite_interp(ts, out0, out1, t),
         lambda t: hermite_interp(ts, out1, out2, t),
-        edited(base2, 0), edited(base3, 1), "blended")
+        edited(base2, 0), edited(base3, 1))
     curve.nodes = (ts, (out0, out1, out2, out3))
     return curve, coef
 

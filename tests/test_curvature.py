@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpbench import blocks
+from warpbench import blocks, scenarios
 from warpbench import curves as cv
 from warpbench import curvature as kv
 
@@ -34,10 +34,16 @@ def cylinder_metric():
     return kv.DoublyWarpedMetric(2, 3, f, h)
 
 
+def at(sweep, m, t, *args) -> dict:
+    """The columns of ``sweep(m, [t], *args)``: one point as a one-element
+    sweep."""
+    return {k: v[0] for k, v in sweep(m, np.array([float(t)]), *args).items()}
+
+
 class TestDoublyWarped:
     def test_round_sphere_interior_values(self):
         m = round_sphere_metric()
-        cp = kv.doubly_warped_curvature(m, 0.7)
+        cp = at(kv.doubly_warped_sweep, m, 0.7)
         for key in ("sec_tu", "sec_tv", "sec_uv", "sec_uu", "sec_vv"):
             assert abs(cp[key] - 1.0) < 1e-9
         assert abs(cp["ric_tt"] - 4.0) < 1e-9
@@ -45,13 +51,13 @@ class TestDoublyWarped:
     def test_round_sphere_collapse_endpoints(self):
         m = round_sphere_metric()
         for t in (0.0, PI / 2):
-            cp = kv.doubly_warped_curvature(m, t)
-            for v in cp.entries.values():
+            cp = at(kv.doubly_warped_sweep, m, t)
+            for v in cp.values():
                 assert abs(v - (4.0 if abs(v) > 2 else 1.0)) < 1e-9
 
     def test_higher_dimensional_ricci(self):
         m = round_sphere_metric(3, 4)
-        cp = kv.doubly_warped_curvature(m, 0.3)
+        cp = at(kv.doubly_warped_sweep, m, 0.3)
         assert abs(cp["ric_tt"] - 7.0) < 1e-9
 
     def test_constant_warps_give_product_curvatures(self):
@@ -59,7 +65,7 @@ class TestDoublyWarped:
         m = kv.DoublyWarpedMetric(2, 2,
                                   cv.constant_curve(0.5, dom),
                                   cv.constant_curve(2.0, dom))
-        cp = kv.doubly_warped_curvature(m, 0.4)
+        cp = at(kv.doubly_warped_sweep, m, 0.4)
         assert cp["sec_tu"] == 0.0
         assert cp["sec_uv"] == 0.0
         assert abs(cp["sec_uu"] - 1.0 / 0.25) < 1e-12
@@ -79,11 +85,10 @@ class TestDoublyWarped:
 
     def test_endpoint_matches_interior_extrapolation(self):
         m = round_sphere_metric()
-        cp0 = kv.doubly_warped_curvature(m, 0.0)
+        cp0 = at(kv.doubly_warped_sweep, m, 0.0)
         eps = np.array([4e-4, 2e-4])
         for key in ("sec_uv", "ric_uu", "ric_vv"):
-            vals = [kv.doubly_warped_curvature(m, float(e))[key]
-                    for e in eps]
+            vals = kv.doubly_warped_sweep(m, eps)[key]
             extrap = vals[1] + (vals[1] - vals[0])
             assert abs(extrap - cp0[key]) < 1e-5
 
@@ -93,13 +98,19 @@ class TestDoublyWarped:
         m = kv.DoublyWarpedMetric(2, 2, f, h)     # no collapse declared
         with pytest.raises(ValueError, match="warp vanishes without a "
                            "declared collapse"):
-            kv.doubly_warped_curvature(m, 0.0)
+            at(kv.doubly_warped_sweep, m, 0.0)
 
 
-def assert_bitwise_one_point(point, sweep):
-    assert sorted(point.entries) == sorted(sweep)
-    for key, col in sweep.items():
-        assert np.float64(point[key]).tobytes() == col[:1].tobytes(), key
+def assert_one_point_sweeps_match_grid(sweep, grid, points):
+    """For each t in points, the sweep over the one-point grid [t] equals,
+    bitwise, the row of t in the sweep over grid."""
+    rows = sweep(grid)
+    for t in points:
+        i = int(np.flatnonzero(grid == t)[0])
+        point = sweep(np.array([t]))
+        assert list(point) == list(rows)
+        for key, col in rows.items():
+            assert point[key].tobytes() == col[i:i + 1].tobytes(), (key, t)
 
 
 def projective_metric(d, n, s):
@@ -108,37 +119,42 @@ def projective_metric(d, n, s):
 
 
 class TestScalarEvaluatorsAreOnePointSweeps:
-    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.3, 0.7, PI / 2 - 1e-3,
-                                   PI / 2])
+    """A point is evaluated as a one-element sweep, and that equals the
+    point's row of a grid sweep, collapse ends included, so the collapse
+    branches are covered on one-point grids too."""
+
+    COLLAPSE_TS = [0.0, 1e-3, 0.3, 0.7, PI / 2 - 1e-3, PI / 2]
+    CYLINDER_TS = [0.3, 0.45, 0.9, 1.2]
+
+    @pytest.mark.parametrize("t", COLLAPSE_TS)
     def test_doubly_warped_with_collapse_ends(self, t):
         m = round_sphere_metric(3, 2)
-        assert_bitwise_one_point(kv.doubly_warped_curvature(m, t),
-                                 kv.doubly_warped_sweep(m, np.array([t])))
+        assert_one_point_sweeps_match_grid(
+            lambda ts: kv.doubly_warped_sweep(m, ts),
+            np.array(self.COLLAPSE_TS), [t])
 
-    @pytest.mark.parametrize("t", [0.3, 0.45, 0.9, 1.2])
+    @pytest.mark.parametrize("t", CYLINDER_TS)
     def test_doubly_warped_without_collapse(self, t):
         m = cylinder_metric()
-        assert_bitwise_one_point(kv.doubly_warped_curvature(m, t),
-                                 kv.doubly_warped_sweep(m, np.array([t])))
+        assert_one_point_sweeps_match_grid(
+            lambda ts: kv.doubly_warped_sweep(m, ts),
+            np.array(self.CYLINDER_TS), [t])
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_cohomog1_projective_family(self, d, s):
         m = projective_metric(d, 2, s)
-        for t in np.concatenate([[-1.0], np.linspace(-0.99, 0.99, 67),
-                                 [1.0]]):
-            assert_bitwise_one_point(
-                kv.cohomog1_ricci(m, t),
-                kv.cohomog1_sweep(m, np.array([t])))
+        ts = np.concatenate([[-1.0], np.linspace(-0.99, 0.99, 67), [1.0]])
+        assert_one_point_sweeps_match_grid(
+            lambda ts: kv.cohomog1_sweep(m, ts), ts, ts)
 
     def test_cohomog1_wu_family(self):
         f0 = cv.cosine_curve(2 / PI, PI / 2, 0.0, (-1.0, 1.0))
         h0 = cv.constant_curve(2 / PI, (-1.0, 1.0))
         m = kv.CohomogOneMetric(2, 2, f0, h0)
-        for t in (-1.0, -0.4, 0.0, 0.8, 1.0):
-            assert_bitwise_one_point(
-                kv.cohomog1_ricci(m, t, "wu"),
-                kv.cohomog1_sweep(m, np.array([t]), "wu"))
+        ts = np.array([-1.0, -0.4, 0.0, 0.8, 1.0])
+        assert_one_point_sweeps_match_grid(
+            lambda ts: kv.cohomog1_sweep(m, ts, "wu"), ts, ts)
 
     def test_cohomog1_sweep_rejects_interior_zero(self):
         f0 = projective_metric(2, 2, 0.5).f
@@ -154,13 +170,13 @@ class TestSliceII:
         m = kv.DoublyWarpedMetric(2, 2, cv.constant_curve(1.0, dom),
                                   cv.constant_curve(2.0, dom))
         prof = kv.slice_II(m, 0.5)
-        assert prof.entries == {"sphere_p": 0.0, "sphere_q": 0.0}
+        assert prof == {"sphere_p": 0.0, "sphere_q": 0.0}
 
     def test_round_sphere_slice_values(self):
         m = round_sphere_metric()
         prof = kv.slice_II(m, PI / 4)
-        assert abs(prof.entries["sphere_p"] - 1.0) < 1e-12
-        assert abs(prof.entries["sphere_q"] + 1.0) < 1e-12
+        assert abs(prof["sphere_p"] - 1.0) < 1e-12
+        assert abs(prof["sphere_q"] + 1.0) < 1e-12
 
     @given(R=st.floats(0.5, 3.0), x=st.floats(0.15, 0.85))
     @settings(max_examples=40, deadline=None)
@@ -169,9 +185,9 @@ class TestSliceII:
         t = x * PI / 2
         p1 = kv.slice_II(m, t)
         p2 = kv.slice_II(m.rescaled(R), R * t)
-        for key in p1.entries:
-            assert abs(p2.entries[key] - p1.entries[key] / R) \
-                <= 1e-12 * (1 + abs(p1.entries[key] / R))
+        for key in p1:
+            assert abs(p2[key] - p1[key] / R) \
+                <= 1e-12 * (1 + abs(p1[key] / R))
 
     def test_collapse_point_rejected(self):
         m = round_sphere_metric()
@@ -179,41 +195,45 @@ class TestSliceII:
             kv.slice_II(m, 0.0)
 
 
+def graph_at(f, R, alpha, s, orientation="up") -> dict:
+    return {k: v[0] for k, v in kv.graph_ii_sweep(
+        f, R, alpha, np.array([float(s)]), orientation).items()}
+
+
 class TestGraphII:
     def test_constant_height_reduces_to_slice_data(self):
         f = cv.line_curve(1.0, 0.5, (0.0, 3.0))
         R = cv.sine_curve(1.0, 1.0, 0.0, (0.1, 1.4))
         alpha = cv.constant_curve(0.7, (0.1, 1.4))
-        prof = kv.graph_II(f, R, alpha, 0.8)
+        prof = graph_at(f, R, alpha, 0.8)
         fv, f1 = f(0.7), f(0.7, 1)
-        assert abs(prof.entries["radial"] - f1 * fv) < 1e-12
-        assert abs(prof.entries["sphere"] - f1 * fv) < 1e-12
-        assert prof.entries["mixed"] == 0.0
+        assert abs(prof["radial"] - f1 * fv) < 1e-12
+        assert abs(prof["sphere"] - f1 * fv) < 1e-12
 
     def test_cut_cone_linear_slope_vanishing_combination(self):
         lam1, eps1 = 0.9, 0.05
         f = cv.line_curve(1.0, lam1, (-0.5, 40.0))
         R = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
         alpha = _cut_height(lam1, eps1)
-        prof = kv.graph_II(f, R, alpha, eps1)
-        assert abs(prof.entries["radial"]) < 1e-12
+        prof = graph_at(f, R, alpha, eps1)
+        assert abs(prof["radial"]) < 1e-12
 
     def test_steeper_initial_slope_gives_positive_margin(self):
         lam1, lam2, eps1 = 0.9, 0.95, 0.05
         f = cv.make_concave_profile(lam1, lam2, 0.1, t_max=40.0)
         R = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
         alpha = _cut_height(lam1, eps1)
-        prof = kv.graph_II(f, R, alpha, eps1)
-        assert abs(prof.entries["radial"] - (lam2 - lam1)) < 1e-12
+        prof = graph_at(f, R, alpha, eps1)
+        assert abs(prof["radial"] - (lam2 - lam1)) < 1e-12
 
     def test_down_orientation_flips_signs(self):
         f = cv.line_curve(1.0, 0.5, (0.0, 3.0))
         R = cv.sine_curve(1.0, 1.0, 0.0, (0.1, 1.4))
         alpha = cv.constant_curve(0.7, (0.1, 1.4))
-        up = kv.graph_II(f, R, alpha, 0.8, "up")
-        down = kv.graph_II(f, R, alpha, 0.8, "down")
-        for key in up.entries:
-            assert up.entries[key] == -down.entries[key]
+        up = graph_at(f, R, alpha, 0.8, "up")
+        down = graph_at(f, R, alpha, 0.8, "down")
+        for key in up:
+            assert up[key] == -down[key]
 
 
 def _cut_height(lam1, eps1):
@@ -237,8 +257,8 @@ class TestBundleWarped:
         f = cv.sine_curve(1.0, 1.0, 0.3, dom)
         mb = kv.BundleWarpedMetric.trivial(2, 3, f, f)
         md = kv.DoublyWarpedMetric(3, 2, f, f)
-        bw = kv.bundle_warped_ricci(mb, 0.5)
-        dw = kv.doubly_warped_curvature(md, 0.5)
+        bw = at(kv.bundle_warped_sweep, mb, 0.5)
+        dw = at(kv.doubly_warped_sweep, md, 0.5)
         assert abs(bw["ric_tt"] - dw["ric_tt"]) < 1e-12
         assert abs(bw["ric_XX_lb"] - dw["ric_uu"]) < 1e-12
         assert abs(bw["ric_VV_lb"] - dw["ric_vv"]) < 1e-12
@@ -250,7 +270,7 @@ class TestBundleWarped:
         m = kv.BundleWarpedMetric.trivial(
             2, 3, cv.constant_curve(1.0, dom), cv.constant_curve(r, dom),
             ricci_fibre_lb=0.8)
-        cp = kv.bundle_warped_ricci(m, 0.5)
+        cp = at(kv.bundle_warped_sweep, m, 0.5)
         assert abs(cp["ric_VV_lb"] - 0.8 * 1 / r ** 2) < 1e-12
 
     def test_mixed_bound_zero_for_trivial_bundles(self):
@@ -258,7 +278,7 @@ class TestBundleWarped:
         m = kv.BundleWarpedMetric.trivial(2, 2,
                                           cv.constant_curve(1.0, dom),
                                           cv.constant_curve(1.0, dom))
-        assert kv.bundle_warped_ricci(m, 0.3)["ric_XV_abs_ub"] == 0.0
+        assert at(kv.bundle_warped_sweep, m, 0.3)["ric_XV_abs_ub"] == 0.0
 
     def test_unfavorable_base_term_uses_sup(self):
         dom = (0.0, 1.0)
@@ -267,8 +287,8 @@ class TestBundleWarped:
         bounded = kv.BundleWarpedMetric(
             2, 3, cv.constant_curve(1.0, dom), cv.constant_curve(1.0, dom),
             a_bounds=kv.ABounds(sup_AX2=0.5, sup_deltaA=0.25))
-        a = kv.bundle_warped_ricci(plain, 0.5)
-        b = kv.bundle_warped_ricci(bounded, 0.5)
+        a = at(kv.bundle_warped_sweep, plain, 0.5)
+        b = at(kv.bundle_warped_sweep, bounded, 0.5)
         assert abs((a["ric_XX_lb"] - b["ric_XX_lb"]) - 2 * 0.5) < 1e-12
         assert abs(b["ric_XV_abs_ub"] - 0.25) < 1e-12
 
@@ -297,7 +317,7 @@ class TestSubmersionBounds:
 
     def test_threshold_absent_without_positive_bounds(self):
         cp = kv.submersion_shrink_bounds(-1.0, 1.0, kv.ABounds(), 0.5)
-        assert "r_star" not in cp.entries
+        assert "r_star" not in cp
 
 
 class TestCohomogOne:
@@ -307,7 +327,7 @@ class TestCohomogOne:
         return kv.CohomogOneMetric(2, 2, f0, h0)
 
     def test_symmetric_family_diagonal_at_origin(self):
-        cp = kv.cohomog1_ricci(self.wu_metric(), 0.0, "wu")
+        cp = at(kv.cohomog1_sweep, self.wu_metric(), 0.0, "wu")
         assert abs(cp["ric_tt"] - (PI / 2) ** 2) < 1e-12
         assert abs(cp["ric_VV"] - 3 * (PI / 2) ** 2) < 1e-12
         assert abs(cp["ric_XX"] - PI ** 2 / 2) < 1e-12
@@ -339,18 +359,18 @@ class TestCohomogOne:
             lambda t: 0.2 * np.sin(t))
         for d, n in ((2, 3), (4, 2)):
             m = kv.CohomogOneMetric(d, n, f, f)
-            cp = kv.cohomog1_ricci(m, 0.4, "projective")
+            cp = at(kv.cohomog1_sweep, m, 0.4, "projective")
             nd = n * d
             fv, f1, f2 = f(0.4), f(0.4, 1), f(0.4, 2)
             single = -f2 / fv + (nd - 2) * (1 - f1 ** 2) / fv ** 2
             assert abs(cp["ric_VV"] - single) < 1e-12
             assert abs(cp["ric_XX"] - single) < 1e-12
             md = kv.DoublyWarpedMetric(d - 1, (n - 1) * d, f, f)
-            dw = kv.doubly_warped_curvature(md, 0.4)
+            dw = at(kv.doubly_warped_sweep, md, 0.4)
             assert abs(cp["ric_tt"] - dw["ric_tt"]) < 1e-12
 
     def test_wu_endpoints(self):
-        cp = kv.cohomog1_ricci(self.wu_metric(), 1.0, "wu")
+        cp = at(kv.cohomog1_sweep, self.wu_metric(), 1.0, "wu")
         assert abs(cp["ric_tt"] - (PI / 2) ** 2) < 1e-12
         assert abs(cp["ric_VV"] - (PI / 2) ** 2) < 1e-12
         assert abs(cp["ric_XX"] - PI ** 2) < 1e-12
@@ -360,7 +380,7 @@ class TestCohomogOne:
         h0 = cv.constant_curve(1.0, (-1.0, 1.0))
         m = kv.CohomogOneMetric(2, 2, f0, h0)
         with pytest.raises(ValueError, match="undeclared singularity"):
-            kv.cohomog1_ricci(m, 0.0, "wu")
+            at(kv.cohomog1_sweep, m, 0.0, "wu")
 
 
 B = kv._SWEEP_BLOCK
@@ -664,7 +684,7 @@ class TestFiniteDifferenceOracle:
                 [0.0, 0.0, 2.0 / (hv * math.sin(th)),
                  -2.0 * math.cos(th) / (hv * math.sin(th))]])
             got = frame @ ric @ frame.T
-            ref = kv.cohomog1_ricci(m, t)
+            ref = at(kv.cohomog1_sweep, m, t)
             expect = np.diag([ref["ric_tt"], ref["ric_VV"], ref["ric_XX"],
                               ref["ric_XX"]])
             tol = 1e-4 * np.maximum(1.0, np.abs(np.diag(expect)))
@@ -673,6 +693,55 @@ class TestFiniteDifferenceOracle:
             # the frame diagonalizes the Ricci tensor
             assert np.max(np.abs(got - np.diag(np.diag(got)))) \
                 <= np.max(tol), (s, t)
+
+    @staticmethod
+    def bundle_case(case, monkeypatch):
+        """A trivial bundle metric: fibre S^p, base S^q, zero A-bounds and
+        unit Ricci floors."""
+        if case == "transfer":
+            # the default transfer block's warps: C = 0.5 on [0, t0]
+            calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
+            blocks.build_transfer_block(
+                2, 3, **scenarios.DEFAULT_PIPELINE_PARAMS["transfer"])
+            (m, _), = calls
+            assert m.a_bounds.trivial
+            assert m.ricci_base_lb == m.ricci_fibre_lb == 1.0
+            return m
+        p, q = case
+        dom = (0.1, 1.2)
+        return kv.BundleWarpedMetric.trivial(
+            p, q, cv.sine_curve(1.2, 0.8, 0.3, dom),
+            cv.cosine_curve(0.9, 0.7, 0.2, dom))
+
+    @pytest.mark.parametrize("case", [(2, 3), (3, 2), "transfer"],
+                             ids=["S2-over-S3", "S3-over-S2", "transfer"])
+    def test_bundle_warped_sweep_matches_oracle(self, case, monkeypatch):
+        """On a trivial bundle, dt^2 + f^2 ds_q^2 + h^2 ds_p^2 is doubly
+        warped, so the chart of DoublyWarpedMetric(q, p, f, h) is an oracle
+        for ric_tt, ric_XX_lb and ric_VV_lb.
+
+        The bound is absolute below 1: the transfer block's ric_tt is
+        about 1e-3, and there the chart's second differences of the
+        Hermite value table differ from the table's own f'' between nodes
+        by about 2.3e-4 relative."""
+        m = self.bundle_case(case, monkeypatch)
+        chart = kv.doubly_warped_chart(
+            kv.DoublyWarpedMetric(m.q, m.p, m.f, m.h))
+        step = 3e-4
+        rng = np.random.default_rng(7)
+        xs = [np.array([rng.uniform(lo + 3 * step, hi - 3 * step)
+                        for lo, hi in chart.box]) for _ in range(12)]
+        sweep = kv.bundle_warped_sweep(m, np.array([x[0] for x in xs]))
+        for i, x in enumerate(xs):
+            ric = (4.0 * kv.fd_ricci(chart, x, step / 2)
+                   - kv.fd_ricci(chart, x, step)) / 3.0
+            oracle = np.diag(ric) / np.diag(chart.metric(x))
+            want = np.concatenate([[sweep["ric_tt"][i]],
+                                   np.full(m.q, sweep["ric_XX_lb"][i]),
+                                   np.full(m.p, sweep["ric_VV_lb"][i])])
+            assert np.all(np.abs(oracle - want)
+                          <= 1e-6 * np.maximum(1.0, np.abs(want))), \
+                (case, x[0], oracle, want)
 
     def test_stencil_guard(self):
         with pytest.raises(ValueError, match="too close to the chart "

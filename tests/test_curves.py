@@ -405,7 +405,7 @@ class TestEvalDomain:
             assert t.tobytes() == before.tobytes()
 
 
-def piecewise_curve_through_eval(segments, provenance="blended"):
+def piecewise_curve_through_eval(segments):
     """piecewise_curve as it was before its segments' derivative callables
     were called directly: each segment through its own ``eval``."""
     segments = sorted(segments, key=lambda s: s[0])
@@ -429,8 +429,7 @@ def piecewise_curve_through_eval(segments, provenance="blended"):
             return out
         return f
 
-    return cv.curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3),
-                                provenance)
+    return cv.curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3))
 
 
 class TestPiecewiseCurve:

@@ -111,7 +111,6 @@ class TestPrimitive:
         assert abs(curve.eval(0.2, 1) + 0.1) < 1e-15
         assert abs(curve.eval(0.9, 1) - 0.4) < 1e-12
         assert abs(curve.eval(0.9, 0) - 0.25) < 1e-12
-        assert curve.provenance == "blended"
         assert_derivatives_consistent(curve, 0.2, 0.9)
 
     def test_slope_target_alone(self):
