@@ -6,6 +6,8 @@ Everything here is deterministic and vectorized over numpy arrays.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 # Uniform sample density used by every "min over grid" certificate.
@@ -299,8 +301,14 @@ def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     guess checked against the nodes (_segment), so on any strictly
     increasing grid the result is bitwise equal to looking the segment up
     with np.searchsorted(ts, t, "right") - 1; a uniform grid, or a slice of
-    one, never needs the search."""
+    one, never needs the search.
+
+    A 0-d query (a Python or numpy float, or a 0-d array) is answered in
+    Python floats by _hermite_point, with the same clamp, segment and
+    operations in the same order, as an np.float64; NaN gives NaN."""
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return _hermite_point(ts, ys, dys, float(t))
     shape = t.shape
     t = t.reshape(-1)
     if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
@@ -333,8 +341,31 @@ def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     x *= xx
     x *= d1
     out += x                        # h11 d1, h11 = x^2 (x - 1)
-    out = out.reshape(shape)
-    return out[()] if out.ndim == 0 else out
+    return out.reshape(shape)
+
+
+def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
+                   t: float) -> np.float64:
+    """hermite_interp at one point, bit for bit, without the array work:
+    Python floats round each operation as numpy's ufuncs do."""
+    lo, hi = float(ts[0]), float(ts[-1])
+    if t < lo:                      # a tie or NaN keeps t, as clamp does
+        t = lo
+    elif t > hi:
+        t = hi
+    i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
+    x0 = float(ts[i])
+    h = float(ts[i + 1]) - x0
+    x = (t - x0) / h
+    u2 = 1 - x
+    u2 *= u2
+    x2 = 2 * x
+    xx = x * x
+    out = (x2 + 1) * u2 * float(ys[i])
+    out += u2 * x * (float(dys[i]) * h)
+    out += (3 - x2) * xx * float(ys[i + 1])
+    out += (x - 1) * xx * (float(dys[i + 1]) * h)
+    return np.float64(out)
 
 
 def hermite_jet(ts: np.ndarray, cols, t) -> tuple:

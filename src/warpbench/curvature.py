@@ -138,15 +138,14 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
         collapsed[m.collapse_start] |= ts <= lo + slop
     if m.collapse_end:
         collapsed[m.collapse_end] |= ts >= hi - slop
-    f, h = m.f, m.h
-    fv, hv = f.eval(ts, 0), h.eval(ts, 0)
+    fv, f1, f2 = m.f.jet(ts)
+    hv, h1, h2 = m.h.jet(ts)
     if np.any(((fv <= 0) & ~collapsed["f"]) | ((hv <= 0) & ~collapsed["h"])):
         raise ValueError("warp vanishes without a declared collapse")
-    f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {
-            "sec_tu": -f.eval(ts, 2) / fv,
-            "sec_tv": -h.eval(ts, 2) / hv,
+            "sec_tu": -f2 / fv,
+            "sec_tv": -h2 / hv,
             "sec_uv": -f1 * h1 / (fv * hv),
             "sec_uu": (1.0 - f1 ** 2) / fv ** 2,
             "sec_vv": (1.0 - h1 ** 2) / hv ** 2,
@@ -205,15 +204,14 @@ def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
 
 def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
                       ss: np.ndarray, orientation: str) -> dict:
-    a = alpha.eval(ss, 0)
+    a, a1, a2 = alpha.jet(ss)
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
         raise ValueError("f(alpha(s)) must be positive")
     if np.any(Rv <= 0):
         raise ValueError("R(s) must be positive")
-    return graph_ii_columns(fv, f.eval(a, 1), alpha.eval(ss, 1),
-                            alpha.eval(ss, 2), Rv, R.eval(ss, 1),
+    return graph_ii_columns(fv, f.eval(a, 1), a1, a2, Rv, R.eval(ss, 1),
                             1.0 if orientation == "up" else -1.0)
 
 
@@ -411,14 +409,12 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
     slop = 1e-9 * (1 + hi - lo)
     inner = (ts > lo + slop) & (ts < hi - slop)
     d, n = m.d, m.n
-    f, h = m.f, m.h
-    fv, hv = f.eval(ts, 0), h.eval(ts, 0)
+    fv, f1, f2 = m.f.jet(ts)
+    hv, h1, h2 = m.h.jet(ts)
     bad = inner & ((fv <= 0) | (hv <= 0))
     if np.any(bad):
         raise ValueError(
             f"undeclared singularity at interior t={ts[bad][0]}")
-    f1, h1 = f.eval(ts, 1), h.eval(ts, 1)
-    f2, h2 = f.eval(ts, 2), h.eval(ts, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         if family == "projective":
             ric_tt = -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv

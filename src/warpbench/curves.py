@@ -80,17 +80,25 @@ class SmoothCurve:
     __call__ = eval
 
     def jet(self, t) -> tuple:
-        """(eval(t, 0), eval(t, 1), eval(t, 2)), bit for bit.  A table
-        curve, and a linear combination or restriction of one, checks the
-        domain once and shares each point's segment and Hermite basis
-        between the three orders."""
-        if self._jet is None:
-            return tuple(self.eval(t, k) for k in range(3))
+        """(eval(t, 0), eval(t, 1), eval(t, 2)), bit for bit, with the
+        domain checked once.  Curves built with a jet share work between
+        the three orders: a table curve, and a linear combination or
+        restriction of one, shares each point's segment and Hermite basis;
+        ``sin_of`` evaluates its inner curve's jet once; a
+        ``piecewise_curve`` looks each point's piece up once and takes that
+        piece's jet; a ``second_derivative_surgery`` window takes orders 0
+        and 1 from one Hermite lookup.  Other curves evaluate each order."""
         arr = self._in_domain(t)
-        outs = self._jet(arr)
+        outs = self._orders(arr)
         if arr.ndim == 0:
             return tuple(float(out) for out in outs)
         return tuple(np.asarray(out, dtype=float) for out in outs)
+
+    def _orders(self, arr) -> tuple:
+        """Orders 0..2 at points already checked by ``_in_domain``."""
+        if self._jet is None:
+            return tuple(d(arr) for d in self._derivs[:3])
+        return self._jet(arr)
 
     def _in_domain(self, t) -> np.ndarray:
         """t as a float array, checked and clamped as ``eval`` states."""
@@ -222,7 +230,8 @@ def poly_curve(coeffs, domain) -> SmoothCurve:
 
 
 def sin_of(inner: SmoothCurve) -> SmoothCurve:
-    """sin(inner(t)) with chain-rule derivatives."""
+    """sin(inner(t)) with chain-rule derivatives; orders 2 and 3 and the
+    jet take the inner curve's jet once."""
     g = inner
 
     def d0(t):
@@ -231,17 +240,18 @@ def sin_of(inner: SmoothCurve) -> SmoothCurve:
     def d1(t):
         return np.cos(g.eval(t, 0)) * g.eval(t, 1)
 
-    def d2(t):
-        u, u1, u2 = g.eval(t, 0), g.eval(t, 1), g.eval(t, 2)
-        return np.cos(u) * u2 - np.sin(u) * u1 ** 2
-
     def d3(t):
-        u, u1, u2, u3 = (g.eval(t, 0), g.eval(t, 1), g.eval(t, 2),
-                         g.eval(t, 3))
+        (u, u1, u2), u3 = g.jet(t), g.eval(t, 3)
         return (np.cos(u) * u3 - 3.0 * np.sin(u) * u1 * u2
                 - np.cos(u) * u1 ** 3)
 
-    return curve_from_derivs(g.domain, d0, d1, d2, d3)
+    def jet(t):
+        u, u1, u2 = g.jet(t)
+        s, c = np.sin(u), np.cos(u)
+        return s, c * u1, c * u2 - s * u1 ** 2
+
+    return SmoothCurve(*g.domain, (d0, d1, lambda t: jet(t)[2], d3),
+                       jet=jet)
 
 
 def linear_combo(terms) -> SmoothCurve:
@@ -274,7 +284,8 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
 
 
 def piecewise_curve(segments) -> SmoothCurve:
-    """Contiguous segments [(lo, hi, curve), ...] glued by evaluation."""
+    """Contiguous segments [(lo, hi, curve), ...] glued by evaluation; its
+    jet looks each point's segment up once and takes that segment's jet."""
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
@@ -283,24 +294,28 @@ def piecewise_curve(segments) -> SmoothCurve:
     curves = [s[2] for s in segments]
     t_lo, t_hi = segments[0][0], segments[-1][1]
 
+    def glued(t, orders, n):
+        # The points are clamped into each segment's domain, so the
+        # segment's callables run directly, without eval's check.
+        t = np.asarray(t, dtype=float)
+        idx = clamp(np.searchsorted(los, t, side="right") - 1,
+                    0, len(curves) - 1)
+        outs = [np.empty_like(t) for _ in range(n)]
+        for i, c in enumerate(curves):
+            m = idx == i
+            if np.count_nonzero(m):
+                for out, v in zip(outs, orders(c, clamp(t[m], c.t_lo,
+                                                        c.t_hi))):
+                    out[m] = v
+        return outs
+
     def ev(k):
-        # The points are clamped into each segment's domain, so its
-        # derivative callable is called directly, without eval's check.
-        derivs = [(c._derivs[k], c.t_lo, c.t_hi) for c in curves]
+        return lambda t: glued(t, lambda c, tm: (c._derivs[k](tm),), 1)[0]
 
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            idx = clamp(np.searchsorted(los, t, side="right") - 1,
-                        0, len(curves) - 1)
-            out = np.empty_like(t)
-            for i, (d, lo, hi) in enumerate(derivs):
-                m = idx == i
-                if np.count_nonzero(m):
-                    out[m] = d(clamp(t[m], lo, hi))
-            return out
-        return f
+    def jet(t):
+        return tuple(glued(t, SmoothCurve._orders, 3))
 
-    return curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3))
+    return SmoothCurve(t_lo, t_hi, (ev(0), ev(1), ev(2), ev(3)), jet=jet)
 
 
 def even_extension(right_half: SmoothCurve) -> SmoothCurve:
@@ -590,12 +605,16 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
             return out
         return ev
 
-    curve = curve_from_derivs(
-        (a, a + u[-1]),
-        lambda t: hermite_interp(ts, out0, out1, t),
-        lambda t: hermite_interp(ts, out1, out2, t),
-        edited(base2, 0), edited(base3, 1))
-    curve.nodes = (ts, (out0, out1, out2, out3))
+    d2 = edited(base2, 0)
+
+    def jet(t):
+        return (*hermite_jet(ts, (out0, out1, out2), t), d2(t))
+
+    curve = SmoothCurve(a, a + u[-1],
+                        (lambda t: hermite_interp(ts, out0, out1, t),
+                         lambda t: hermite_interp(ts, out1, out2, t),
+                         d2, edited(base3, 1)),
+                        (ts, (out0, out1, out2, out3)), jet=jet)
     return curve, coef
 
 
@@ -624,10 +643,10 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
         float(second_derivative_band[1])
 
     probe = np.linspace(a, b, 65)
-    scale = 1.0 + max(np.max(np.abs(left.eval(probe, 0))),
-                      np.max(np.abs(right.eval(probe, 0))))
-    if all(np.max(np.abs(left.eval(probe, k) - right.eval(probe, k)))
-           <= 1e-12 * scale for k in range(3)):
+    lj, rj = left.jet(probe), right.jet(probe)
+    scale = 1.0 + max(np.max(np.abs(lj[0])), np.max(np.abs(rj[0])))
+    if all(np.max(np.abs(lk - rk)) <= 1e-12 * scale
+           for lk, rk in zip(lj, rj)):
         if right.t_hi > b:
             segs = [(left.t_lo, b, left), (b, right.t_hi, right)]
         else:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpbench import curves as cv
+from warpbench import blocks, curves as cv
+from warpbench._util import grid_points, unit_plateau
+from warpbench.curvature import DoublyWarpedMetric, doubly_warped_sweep
 
 
 def central_diff(curve, t, step):
@@ -483,9 +485,20 @@ class TestPiecewiseCurve:
 
 
 
+def cone_warp():
+    """The cone's warp, sin_of over a restricted smooth join of a smooth
+    join, and the starts of its join windows (the pieces of both
+    piecewise curves)."""
+    delta = 0.02
+    warp, report = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, delta, 0.5)
+    s1, s2 = report.aux["s1"], report.aux["s2"]
+    return warp, [s1 - delta, s1 + delta, s2 - delta, s2 + delta]
+
+
 class TestJet:
     """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
-    bit, for curves with a shared-basis jet and for those without one."""
+    bit, for curves with a shared-basis jet, for composite curves whose
+    jet takes their parts' jets, and for those without one."""
 
     @staticmethod
     def curves():
@@ -496,6 +509,16 @@ class TestJet:
         other = cv.table_curve(ts, [np.exp(-ts), -np.exp(-ts),
                                     np.exp(-ts), -np.exp(-ts)])
         combo = cv.linear_combo([(table, 0.7), (other, -1.3)])
+        # equal on the window to every order: the join is the two pieces
+        identity = cv.smooth_join(table.restrict(0.0, 1.5),
+                                  table.restrict(0.5, 2.0), (0.8, 1.2),
+                                  (-10.0, 10.0))
+        assert identity.info["identity"]
+        window, _ = cv.second_derivative_surgery(
+            0.5, np.linspace(0.0, 0.5, 129),
+            lambda t: np.cos(np.asarray(t, float)),
+            lambda t: -np.sin(np.asarray(t, float)),
+            [unit_plateau(0.0, 0.5)], (0.2, 0.1), 0.7)
         return [table, combo, combo.restrict(0.25, 1.5),
                 cv.linear_combo([(table.restrict(0.0, 1.0), 2.0)]),
                 # no shared basis: the jet is the three evaluations
@@ -503,16 +526,25 @@ class TestJet:
                 cv.linear_combo([(table, 0.5),
                                  (cv.line_curve(1.0, -0.5, (0.0, 2.0)),
                                   1.0)]),
-                table.shifted(0.1)]
+                table.shifted(0.1),
+                cone_warp()[0], identity, window,
+                cv.sin_of(identity)]
+
+    @staticmethod
+    def segment_starts():
+        """Where the pieces of the composite curves above start."""
+        return cone_warp()[1] + [0.0, 1.2, 0.5]
 
     def test_matches_three_evaluations_bitwise(self):
         rng = np.random.default_rng(2)
+        starts = self.segment_starts()
         for c in self.curves():
             lo, hi = c.domain
             slop = 1e-9 * (1.0 + hi - lo)
+            inside = [s for s in starts if lo <= s <= hi]
             t = np.concatenate([rng.uniform(lo, hi, 200),
                                 [lo, hi, np.nan, lo - 0.4 * slop,
-                                 hi + 0.4 * slop]])
+                                 hi + 0.4 * slop], inside])
             for q in (t, t[:0], t[:200].reshape(20, 10)):
                 got = c.jet(q)
                 assert len(got) == 3
@@ -523,8 +555,9 @@ class TestJet:
                     assert np.array_equal(got[k], want, equal_nan=True)
                     assert np.array_equal(np.signbit(got[k]),
                                           np.signbit(want))
-            for x in (lo, hi, 0.5 * (lo + hi), np.float64(hi),
-                      np.array(lo), lo - 0.4 * slop):
+            for x in [lo, hi, 0.5 * (lo + hi), np.float64(hi),
+                      np.array(lo), lo - 0.4 * slop, hi + 0.4 * slop,
+                      np.nan] + inside:
                 got = c.jet(x)
                 for k in range(3):
                     assert type(got[k]) is float
@@ -556,3 +589,27 @@ class TestJet:
             calls.clear()
             [c.eval(t, k) for k in range(3)]
             assert calls == [7] * 3 * lookups
+
+    def test_cone_sweep_looks_each_window_up_once(self, monkeypatch):
+        """One doubly_warped_sweep of the cone looks up the Hermite
+        segments of each join window once, for all three orders."""
+        from warpbench import _util
+        warp, starts = cone_warp()
+        windows = [(starts[0], starts[1]), (starts[2], starts[3])]
+        lookups = []
+        segment = _util._segment
+
+        def counted(ts, t):
+            if len(ts) == 2049 and ts[0] in (starts[0], starts[2]):
+                lookups.append((ts[0], len(t)))
+            return segment(ts, t)
+
+        monkeypatch.setattr(_util, "_segment", counted)
+        ss = grid_points(*warp.domain)
+        m = DoublyWarpedMetric(3, 1, warp,
+                               cv.constant_curve(1.0, warp.domain),
+                               collapse_start="f")
+        doubly_warped_sweep(m, ss)
+        assert sorted(lookups) == [
+            (a, int(np.count_nonzero((ss >= a) & (ss < b))))
+            for a, b in windows]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpbench import _util, blocks, curves as cv
+from warpbench import _util, blocks, curves as cv, scenarios
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -288,7 +288,9 @@ class TestSortedUnique:
 # -- the searchsorted forms the lookups must reproduce bit for bit -----------
 
 def searchsorted_hermite(ts, ys, dys, t):
-    """hermite_interp with the segment found by np.searchsorted."""
+    """hermite_interp with the segment found by np.searchsorted.  The
+    square is a product: on arrays ``** 2`` is one, but on a numpy float64
+    scalar it is pow(), which rounds differently at about 0.1% of points."""
     t = np.asarray(t, dtype=float)
     tc = np.clip(t, ts[0], ts[-1])
     idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
@@ -296,8 +298,9 @@ def searchsorted_hermite(ts, ys, dys, t):
     x = (tc - ts[idx]) / h
     y0, y1 = ys[idx], ys[idx + 1]
     d0, d1 = dys[idx] * h, dys[idx + 1] * h
-    h00 = (1 + 2 * x) * (1 - x) ** 2
-    h10 = x * (1 - x) ** 2
+    u2 = (1 - x) * (1 - x)
+    h00 = (1 + 2 * x) * u2
+    h10 = x * u2
     h01 = x * x * (3 - 2 * x)
     h11 = x * x * (x - 1)
     return h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
@@ -420,6 +423,20 @@ def assert_hermite_matches(ts, seed, uniform=False):
         assert_same_values(g, searchsorted_hermite(ts, ys, dys, q))
 
 
+def assert_points_match(ts, seed):
+    """hermite_interp at each point of queries() alone, as a Python float
+    and as a 0-d array, equals searchsorted_hermite there: the same value
+    and type, with NaN, infinite queries and signed zeros."""
+    rng = np.random.default_rng(seed)
+    ys, dys = rng.standard_normal(len(ts)), rng.standard_normal(len(ts))
+    ys[rng.integers(0, len(ts))] = -0.0
+    dys[rng.integers(0, len(ts))] = -0.0
+    for t in queries(ts, rng, 100).tolist():
+        want = searchsorted_hermite(ts, ys, dys, t)
+        for q in (t, np.array(t)):
+            assert_same_values(_util.hermite_interp(ts, ys, dys, q), want)
+
+
 class TestHermiteInterp:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 20000),
@@ -459,6 +476,48 @@ class TestHermiteInterp:
         q = np.array([-0.0, 0.0, -0.0, 1.0])
         assert_same_values(_util.hermite_interp(ts, ys, dys, q),
                            searchsorted_hermite(ts, ys, dys, q))
+        for t in q.tolist() + [0.5, np.inf, -np.inf, np.nan]:
+            for point in (t, np.array(t), np.float64(t)):
+                assert_same_values(_util.hermite_interp(ts, ys, dys, point),
+                                   searchsorted_hermite(ts, ys, dys, t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 1000),
+           lo=st.floats(-50.0, 50.0), span=st.floats(1e-6, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_point_queries_on_uniform_grids(self, n, lo, span, seed):
+        assert_points_match(np.linspace(lo, lo + span, n), seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 1000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_point_queries_on_random_sorted_grids(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ts = _util.sorted_unique(rng.uniform(-3.0, 3.0, n) ** 3)
+        if len(ts) < 2:
+            ts = np.array([-1.0, 2.0])
+        assert_points_match(ts, seed)
+
+    @pytest.mark.parametrize("window", [0.05, 2e-3])
+    def test_point_queries_on_the_flatten_start_grid(self, window):
+        assert_points_match(flatten_start_grid(window), 4)
+
+    def test_transfer_t0_is_the_array_path_bisection(self):
+        """The default transfer block's t0, found by one-point fC'
+        evaluations, is the bisection over one-element arrays."""
+        params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
+        rep = blocks.build_transfer_block(p=2, q=3, **params)
+        h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+
+        def at(curve, t, k):
+            return curve.eval(np.array([t]), k)[0]
+
+        c = params["r0"] / at(h0, 0.0, 0)
+        target = params["lam"] * c / params["a"]
+        ts, cols = fC.nodes
+        i = int(np.searchsorted(cols[1], target))
+        t0 = _util.bisect_increasing(lambda t: at(fC, t, 1), ts[i - 1],
+                                     ts[i], target, tol=1e-14)
+        assert rep.aux["t0"] == t0
 
     def test_query_array_is_left_unchanged(self):
         ts = np.linspace(0.0, 1.0, 9)
