@@ -368,9 +368,14 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
     return np.float64(out)
 
 
-def hermite_jet(ts: np.ndarray, cols, t) -> tuple:
-    """(hermite_interp(ts, cols[k], cols[k + 1], t) for k = 0, 1, 2), bit
-    for bit, from one segment lookup and one set of basis values.
+def hermite_jet(ts: np.ndarray, tables, t) -> list:
+    """[(hermite_interp(ts, cols[k], cols[k + 1], t) for k = 0, 1, 2) for
+    cols in tables], bit for bit, from one segment lookup and one set of
+    basis values shared by every table.  Each table holds columns on the
+    nodes ts, the values and then successive derivatives; a table of four
+    columns gives orders 0 to 2, one of three columns orders 0 and 1.  One
+    table gives a curve's jet; several give the jets of curves tabulated on
+    one grid, such as the two tables of the transfer ODE.
 
     Each product and sum is the one hermite_interp forms, so only the
     shared work is saved.  hermite_interp keeps its own in-place form:
@@ -397,19 +402,22 @@ def hermite_jet(ts: np.ndarray, cols, t) -> tuple:
     x -= 1
     h11 = np.multiply(x, xx, out=x)     # x^2 (x - 1)
     idx1 = idx + 1
-    outs = []
-    for ys, dys in zip(cols[:3], cols[1:4]):
-        out = h00 * ys[idx]
-        d = dys[idx]
-        d *= h
-        out += np.multiply(h10, d, out=d)
-        out += np.multiply(h01, ys[idx1], out=d)
-        d = dys[idx1]
-        d *= h
-        out += np.multiply(h11, d, out=d)
-        out = out.reshape(shape)
-        outs.append(out[()] if out.ndim == 0 else out)
-    return tuple(outs)
+    jets = []
+    for cols in tables:
+        outs = []
+        for ys, dys in zip(cols[:3], cols[1:4]):
+            out = h00 * ys[idx]
+            d = dys[idx]
+            d *= h
+            out += np.multiply(h10, d, out=d)
+            out += np.multiply(h01, ys[idx1], out=d)
+            d = dys[idx1]
+            d *= h
+            out += np.multiply(h11, d, out=d)
+            out = out.reshape(shape)
+            outs.append(out[()] if out.ndim == 0 else out)
+        jets.append(tuple(outs))
+    return jets
 
 
 def cumulative_hermite(ts: np.ndarray, y: np.ndarray, dy: np.ndarray,

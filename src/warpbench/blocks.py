@@ -332,6 +332,17 @@ def corner_angle_handle1(lambda1: float, eps1: float) -> float:
     return math.acos(max(-1.0, min(1.0, cos_theta)))
 
 
+def _cap_profile(l1: float, eps1: float, rr: np.ndarray):
+    """(phi, phi'') of handle1's cap profile in the linear-slope model on
+    the grid rr: phi(r) = sin(s) sqrt(1 + l1^2 r^2) and
+    phi''(r) = sin(s) (l1^2 - 1) / (1 + l1^2 r^2)^1.5 with
+    s = arctan(l1 r)/l1 + eps1, sharing sin(s) and 1 + l1^2 r^2."""
+    sin_s = np.sin(np.arctan(l1 * rr) / l1 + eps1)
+    stretch = 1.0 + l1 * l1 * rr * rr
+    return (sin_s * np.sqrt(stretch),
+            sin_s * (l1 * l1 - 1.0) / stretch ** 1.5)
+
+
 def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                   eps1: float, eps2: float, delta: float,
                   grid=None) -> Report:
@@ -393,24 +404,10 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     margins.append(_min_margin("radial_ii_outer", so, out_ii["radial"]))
     margins.append(_min_margin("sphere_ii_outer", so, out_ii["sphere"]))
 
-    # cap profile in the linear-slope model
     r_max = math.tan(x_top) / lambda1
-    l1 = lambda1
-
-    def s_of_r(r):
-        return np.arctan(l1 * np.asarray(r, float)) / l1 + eps1
-
-    def phi0(r):
-        r = np.asarray(r, float)
-        return np.sin(s_of_r(r)) * np.sqrt(1.0 + l1 * l1 * r * r)
-
-    def phi2(r):
-        r = np.asarray(r, float)
-        return (np.sin(s_of_r(r)) * (l1 * l1 - 1.0)
-                / (1.0 + l1 * l1 * r * r) ** 1.5)
-
     rr = grid_points(0.0, r_max, grid, min_points=513)
-    margins.append(_min_margin("cap_concavity", rr, -phi2(rr)))
+    phi0, phi2 = _cap_profile(lambda1, eps1, rr)
+    margins.append(_min_margin("cap_concavity", rr, -phi2))
     margins.append(Margin("cap_slope_gap", 1.0 - math.cos(eps1), 0.0))
 
     # corner angle: actual curve data against the linear-slope closed form
@@ -518,7 +515,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                 "sphere_ii": out_ii["sphere"],
                 "beta": beta.eval(so)}},
             "cap_profile": {"t": rr, "columns": {
-                "phi": phi0(rr), "phi_dd": phi2(rr)}},
+                "phi": phi0, "phi_dd": phi2}},
         },
     )
     report.aux["curves"] = {"f": f, "alpha": alpha, "beta": beta}
@@ -658,11 +655,9 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     # face metric (1 + beta'^2 f^2) dt^2 + f^2 B(beta)^2 on the glued face
     tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
-    btf = beta.eval(tf)
-    bchain = [B_full.eval(btf, k) for k in range(3)]
-    b1v = beta.eval(tf, 1)
-    b2v = beta.eval(tf, 2)
-    fw = [f.eval(tf, k) for k in range(3)]
+    btf, b1v, b2v = beta.jet(tf)
+    bchain = B_full.jet(btf)
+    fw = f.jet(tf)
     w0 = fw[0] * bchain[0]
     w1 = fw[1] * bchain[0] + fw[0] * bchain[1] * b1v
     w2 = (fw[2] * bchain[0] + 2.0 * fw[1] * bchain[1] * b1v
@@ -672,9 +667,10 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     r2 = (b1v * b2v * fw[0] ** 2 + b1v ** 2 * fw[0] * fw[1]) / r1
     wr = w1 / r1
     wrr = (w2 * r1 - w1 * r2) / r1 ** 3
-    margins.append(_min_margin("face_sec_radial", tf, -wrr / w0))
-    margins.append(_min_margin("face_sec_sphere", tf,
-                               (1.0 - wr ** 2) / w0 ** 2))
+    sec_radial = -wrr / w0
+    sec_sphere = (1.0 - wr ** 2) / w0 ** 2
+    margins.append(_min_margin("face_sec_radial", tf, sec_radial))
+    margins.append(_min_margin("face_sec_sphere", tf, sec_sphere))
     margins.append(Margin("collar_flatness",
                           1e-8 - flatness_margin(f, t_end), t_end))
 
@@ -722,8 +718,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                     "radial_ii": radial, "sphere_ii": sphere,
                     "closed_form": closed_form}},
                 "face_metric": {"t": tf, "columns": {
-                    "warp": w0, "sec_radial": -wrr / w0,
-                    "sec_sphere": (1.0 - wr ** 2) / w0 ** 2}}},
+                    "warp": w0, "sec_radial": sec_radial,
+                    "sec_sphere": sec_sphere}}},
     )
     report.aux["curves"] = {"f": f, "beta": beta, "B_full": B_full}
     return report
@@ -1014,9 +1010,9 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
         [unit_plateau(mu, span)], (0.0, 1.0), 0.0)
 
     tt = grid_points(1e-3 * t0, 0.98 * t0, grid, min_points=1025)
-    hv = h.eval(tt, 0)
-    sec_rad = -h.eval(tt, 2) / hv
-    sec_sph = (1.0 - h.eval(tt, 1) ** 2) / hv ** 2
+    hv, h1, h2 = h.jet(tt)
+    sec_rad = -h2 / hv
+    sec_sph = (1.0 - h1 ** 2) / hv ** 2
     par = parity_margin(h, 0.0, "odd", first_derivative_target=1.0,
                         fit_width=0.05 * t0)
     margins = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SmoothCurve
+from .curves import SmoothCurve, joint_jet
 
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
@@ -106,21 +106,25 @@ class DoublyWarpedMetric:
                                   self.collapse_start, self.collapse_end)
 
 
-def _collapse_limits(m: DoublyWarpedMetric, t: float, warp: str) -> dict:
+def _collapse_limits(m: DoublyWarpedMetric, t: float, warp: str,
+                     zero_jet, other_jet) -> dict:
     """Sectional values at a declared zero of ``warp`` ("f" or "h") that
     the parity conditions force by derivative-quotient substitution:
     -f''/f and (1-f'^2)/f^2 become -f'''/f' at a zero of f, and the mixed
     plane limit -f'h'/(fh) becomes -h''/h there.  The other two entries
-    keep their interior values."""
-    zero, other = (m.f, m.h) if warp == "f" else (m.h, m.f)
-    if abs(zero(t)) > math.sqrt(1e-8 * (1 + abs(t))):
+    keep their interior values.  ``zero_jet`` and ``other_jet`` are orders
+    0..2 at t of the vanishing warp and of the other one, read from the
+    sweep's columns; only the third derivative is evaluated here."""
+    zero = m.f if warp == "f" else m.h
+    z0, z1, _ = zero_jet
+    o0, _, o2 = other_jet
+    if abs(z0) > math.sqrt(1e-8 * (1 + abs(t))):
         raise ValueError(
-            f"declared collapse of {warp} at t={t} but warp is "
-            f"{zero(t):.3e}")
-    ratio = -zero(t, 3) / zero(t, 1)
+            f"declared collapse of {warp} at t={t} but warp is {z0:.3e}")
+    ratio = -zero(t, 3) / z1
     radial, sphere = (("sec_tu", "sec_uu") if warp == "f"
                       else ("sec_tv", "sec_vv"))
-    return {radial: ratio, sphere: ratio, "sec_uv": -other(t, 2) / other(t)}
+    return {radial: ratio, sphere: ratio, "sec_uv": -o2 / o0}
 
 
 def doubly_warped_sweep(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
@@ -138,8 +142,7 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
         collapsed[m.collapse_start] |= ts <= lo + slop
     if m.collapse_end:
         collapsed[m.collapse_end] |= ts >= hi - slop
-    fv, f1, f2 = m.f.jet(ts)
-    hv, h1, h2 = m.h.jet(ts)
+    (fv, f1, f2), (hv, h1, h2) = joint_jet((m.f, m.h), ts)
     if np.any(((fv <= 0) & ~collapsed["f"]) | ((hv <= 0) & ~collapsed["h"])):
         raise ValueError("warp vanishes without a declared collapse")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,9 +153,13 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
             "sec_uu": (1.0 - f1 ** 2) / fv ** 2,
             "sec_vv": (1.0 - h1 ** 2) / hv ** 2,
         }
+    jets = {"f": (fv, f1, f2), "h": (hv, h1, h2)}
     for warp, mask in collapsed.items():
+        zero, other = jets[warp], jets["h" if warp == "f" else "f"]
         for i in np.nonzero(mask)[0]:
-            for k, v in _collapse_limits(m, ts[i], warp).items():
+            for k, v in _collapse_limits(m, ts[i], warp,
+                                         [c[i] for c in zero],
+                                         [c[i] for c in other]).items():
                 out[k][i] = v
     p, q = m.p, m.q
     out["ric_tt"] = p * out["sec_tu"] + q * out["sec_tv"]
@@ -264,8 +271,7 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
     rb = m.ricci_base_lb * (q - 1)
     rf = m.ricci_fibre_lb * (p - 1)
     f, h, ab = m.f, m.h, m.a_bounds
-    fv, f1, f2 = f.jet(ts)
-    hv, h1, h2 = h.jet(ts)
+    (fv, f1, f2), (hv, h1, h2) = joint_jet((f, h), ts)
     lo = m.interval[0]
     slop = 1e-9 * (1 + m.interval[1] - lo)
     if np.any(fv <= 0):
@@ -409,8 +415,7 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
     slop = 1e-9 * (1 + hi - lo)
     inner = (ts > lo + slop) & (ts < hi - slop)
     d, n = m.d, m.n
-    fv, f1, f2 = m.f.jet(ts)
-    hv, h1, h2 = m.h.jet(ts)
+    (fv, f1, f2), (hv, h1, h2) = joint_jet((m.f, m.h), ts)
     bad = inner & ((fv <= 0) | (hv <= 0))
     if np.any(bad):
         raise ValueError(

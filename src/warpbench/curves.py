@@ -19,7 +19,7 @@ __all__ = [
     "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
     "curve_from_derivs", "constant_curve", "line_curve", "sine_curve",
     "cosine_curve", "poly_curve", "table_curve", "piecewise_curve",
-    "linear_combo", "sin_of", "even_extension",
+    "linear_combo", "joint_jet", "sin_of", "even_extension",
     "make_concave_profile", "integrate_transfer_odes",
     "transfer_ode_residuals", "smooth_join", "parity_margin",
     "flatness_margin",
@@ -83,16 +83,15 @@ class SmoothCurve:
         """(eval(t, 0), eval(t, 1), eval(t, 2)), bit for bit, with the
         domain checked once.  Curves built with a jet share work between
         the three orders: a table curve, and a linear combination or
-        restriction of one, shares each point's segment and Hermite basis;
-        ``sin_of`` evaluates its inner curve's jet once; a
-        ``piecewise_curve`` looks each point's piece up once and takes that
-        piece's jet; a ``second_derivative_surgery`` window takes orders 0
-        and 1 from one Hermite lookup.  Other curves evaluate each order."""
-        arr = self._in_domain(t)
-        outs = self._orders(arr)
-        if arr.ndim == 0:
-            return tuple(float(out) for out in outs)
-        return tuple(np.asarray(out, dtype=float) for out in outs)
+        restriction of table curves on one node array, takes all three
+        orders of every table from one shared segment lookup and Hermite
+        basis (``_util.hermite_jet``); ``sin_of`` evaluates its inner
+        curve's jet once; a ``piecewise_curve`` looks each point's piece
+        up once and takes that piece's jet; a ``second_derivative_surgery``
+        window takes orders 0 and 1 from one Hermite lookup.  Other curves
+        evaluate each order.  ``joint_jet`` shares the basis between
+        several such curves."""
+        return joint_jet((self,), t)[0]
 
     def _orders(self, arr) -> tuple:
         """Orders 0..2 at points already checked by ``_in_domain``."""
@@ -255,18 +254,76 @@ def sin_of(inner: SmoothCurve) -> SmoothCurve:
 
 
 def linear_combo(terms) -> SmoothCurve:
-    """Sum of weighted curves on the intersection of their domains."""
+    """Sum of weighted curves on the intersection of their domains; when
+    every term is a table curve on one node array, the jet is one
+    ``_TableJet`` over all their tables."""
     lo = max(c.t_lo for c, _ in terms)
     hi = min(c.t_hi for c, _ in terms)
 
     def ev(k):
         return lambda t: sum(w * c.eval(t, k) for c, w in terms)
 
-    def jet(t):
-        jets = [(c.jet(t), w) for c, w in terms]
-        return tuple(sum(w * j[k] for j, w in jets) for k in range(3))
+    parts = [c._jet for c, _ in terms]
+    if all(isinstance(j, _TableJet) and j.weights is None
+           and j.ts is parts[0].ts for j in parts):
+        jet = _TableJet(parts[0].ts, [j.tables[0] for j in parts],
+                        [w for _, w in terms])
+    else:
+        def jet(t):
+            jets = [(c.jet(t), w) for c, w in terms]
+            return tuple(sum(w * j[k] for j, w in jets) for k in range(3))
 
     return SmoothCurve(lo, hi, (ev(0), ev(1), ev(2), ev(3)), jet=jet)
+
+
+class _TableJet:
+    """The jet of a table curve (``weights`` None), or of the weighted sum
+    of table curves on the node array ``ts``: orders 0..2 of each table
+    from one ``hermite_jet`` call, summed as ``linear_combo`` sums its
+    terms' jets (from 0, so -0.0 becomes +0.0)."""
+
+    __slots__ = ("ts", "tables", "weights")
+
+    def __init__(self, ts, tables, weights=None):
+        self.ts = ts
+        self.tables = tables
+        self.weights = weights
+
+    def __call__(self, t) -> tuple:
+        return self.combine(hermite_jet(self.ts, self.tables, t))
+
+    def combine(self, jets) -> tuple:
+        """The curve's orders 0..2 from the jets of its tables."""
+        if self.weights is None:
+            return jets[0]
+        return tuple(sum(w * j[k] for j, w in zip(jets, self.weights))
+                     for k in range(3))
+
+
+def joint_jet(curves, t) -> list:
+    """[c.jet(t) for c in curves], bit for bit.  When the curves share one
+    domain and each jet is a ``_TableJet`` on the same node array object
+    (table curves on one grid, as the two tables of one ODE integration
+    are, and linear combinations and restrictions of them, such as the
+    transfer block's two warps), the domain is checked once and all their
+    tables share one segment lookup and Hermite basis; other curves take
+    their jets one by one."""
+    head, jets = curves[0], [c._jet for c in curves]
+    if all(isinstance(j, _TableJet) and j.ts is head._jet.ts
+           and c.domain == head.domain for c, j in zip(curves, jets)):
+        arr = head._in_domain(t)
+        shared = iter(hermite_jet(head._jet.ts,
+                                  [cols for j in jets for cols in j.tables],
+                                  arr))
+        outs = [j.combine([next(shared) for _ in j.tables]) for j in jets]
+    else:
+        outs = []
+        for c in curves:
+            arr = c._in_domain(t)
+            outs.append(c._orders(arr))
+    if arr.ndim == 0:
+        return [tuple(float(v) for v in out) for out in outs]
+    return [tuple(np.asarray(v, dtype=float) for v in out) for out in outs]
 
 
 def table_curve(ts, cols, info=None) -> SmoothCurve:
@@ -280,7 +337,7 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
         return lambda t: np.interp(np.asarray(t, float), ts, cols[3])
 
     return SmoothCurve(ts[0], ts[-1], (ev(0), ev(1), ev(2), ev(3)),
-                       (ts, cols), info, lambda t: hermite_jet(ts, cols, t))
+                       (ts, cols), info, _TableJet(ts, [cols]))
 
 
 def piecewise_curve(segments) -> SmoothCurve:
@@ -608,7 +665,7 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
     d2 = edited(base2, 0)
 
     def jet(t):
-        return (*hermite_jet(ts, (out0, out1, out2), t), d2(t))
+        return (*hermite_jet(ts, [(out0, out1, out2)], t)[0], d2(t))
 
     curve = SmoothCurve(a, a + u[-1],
                         (lambda t: hermite_interp(ts, out0, out1, t),

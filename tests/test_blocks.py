@@ -120,6 +120,37 @@ class TestHandle1:
             bk.build_handle1(4, 0.9, lambda1=0.9, lambda2=0.95, eps1=0.0,
                              eps2=0.1, delta=0.05)
 
+    @pytest.mark.parametrize("params", [
+        GOOD_H1, dict(lambda1=0.9, lambda2=0.92, eps1=0.05, eps2=0.05,
+                      delta=0.03)])
+    def test_cap_profile_is_the_closed_form(self, params):
+        """The cap_profile columns are phi(r) = sin(s) sqrt(1 + l1^2 r^2)
+        and phi''(r) = sin(s) (l1^2 - 1) / (1 + l1^2 r^2)^1.5 with
+        s = arctan(l1 r)/l1 + eps1, evaluated point by point in math; the
+        cap_concavity margin is the minimum of -phi''; and phi'' is the
+        second difference of phi."""
+        rep = bk.build_handle1(4, 0.9, **params)
+        l1, eps1 = params["lambda1"], params["eps1"]
+        prof = rep.sweeps["cap_profile"]
+        rr, phi, phi_dd = (prof["t"], prof["columns"]["phi"],
+                           prof["columns"]["phi_dd"])
+        assert rr[0] == 0.0 and rr[-1] == rep.aux["r_max"]
+        want, want_dd = [], []
+        for r in rr.tolist():
+            sin_s = math.sin(math.atan(l1 * r) / l1 + eps1)
+            q = 1.0 + (l1 * r) ** 2
+            want.append(sin_s * math.sqrt(q))
+            want_dd.append(sin_s * (l1 * l1 - 1.0) / q ** 1.5)
+        assert np.allclose(phi, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(phi_dd, want_dd, rtol=1e-13, atol=0.0)
+        m = rep.margin("cap_concavity")
+        i = int(np.argmin(-phi_dd))
+        assert m.min == -phi_dd[i] and m.argmin == rr[i]
+        assert abs(m.min - min(-v for v in want_dd)) <= 1e-13 * abs(m.min)
+        h = rr[1] - rr[0]
+        second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / h ** 2
+        assert np.max(np.abs(second - phi_dd[1:-1])) < 1e-6
+
     def test_boundary_profiles_carry_corner(self):
         rep = bk.build_handle1(4, 0.9, **GOOD_H1)
         outer = rep.boundary["outer"]

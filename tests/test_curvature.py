@@ -100,6 +100,15 @@ class TestDoublyWarped:
                            "declared collapse"):
             at(kv.doubly_warped_sweep, m, 0.0)
 
+    def test_declared_collapse_of_a_nonzero_warp_rejected(self):
+        dom = (0.0, 1.0)
+        m = kv.DoublyWarpedMetric(2, 2, cv.sine_curve(1.0, 1.0, 0.5, dom),
+                                  cv.constant_curve(1.0, dom),
+                                  collapse_end="h")
+        with pytest.raises(ValueError, match=r"^declared collapse of h at "
+                           r"t=1\.0 but warp is 1\.000e\+00$"):
+            kv.doubly_warped_sweep(m, np.linspace(0.0, 1.0, 9))
+
 
 def assert_one_point_sweeps_match_grid(sweep, grid, points):
     """For each t in points, the sweep over the one-point grid [t] equals,

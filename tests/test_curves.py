@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from warpbench import blocks, curves as cv
+from warpbench import blocks, curves as cv, scenarios
 from warpbench._util import grid_points, unit_plateau
 from warpbench.curvature import DoublyWarpedMetric, doubly_warped_sweep
 
@@ -495,6 +495,19 @@ def cone_warp():
     return warp, [s1 - delta, s1 + delta, s2 - delta, s2 + delta]
 
 
+def transfer_warps():
+    """The default transfer block's warps f and h, built as the block
+    builds them: weighted restrictions of the ODE's two tables, which share
+    one node array."""
+    params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
+    rep = blocks.build_transfer_block(p=2, q=3, **params)
+    h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+    a, t0 = params["a"], rep.aux["t0"]
+    c = params["r0"] / h0.eval(0.0, 0)
+    return (cv.linear_combo([(fC, a / c)]).restrict(0.0, t0),
+            cv.linear_combo([(h0, a)]).restrict(0.0, t0))
+
+
 class TestJet:
     """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
     bit, for curves with a shared-basis jet, for composite curves whose
@@ -582,13 +595,49 @@ class TestJet:
         monkeypatch.setattr(_util, "_segment", counted)
         table, combo, restricted = self.curves()[:3]
         t = np.linspace(0.5, 1.0, 7)
-        for c, lookups in ((table, 1), (combo, 2), (restricted, 2)):
+        for c, tables in ((table, 1), (combo, 2), (restricted, 2)):
             calls.clear()
             c.jet(t)
-            assert calls == [7] * lookups
+            assert calls == [7]
             calls.clear()
             [c.eval(t, k) for k in range(3)]
-            assert calls == [7] * 3 * lookups
+            assert calls == [7] * 3 * tables
+        calls.clear()
+        cv.joint_jet((table, combo), t)
+        assert calls == [7]
+
+    def test_joint_jet_is_each_curves_evaluations(self):
+        """joint_jet of several curves gives each curve's eval(t, k),
+        k = 0, 1, 2, bit for bit: with one shared basis for the transfer
+        warps and for table curves on one grid, and curve by curve for
+        curves of other kinds or domains.  Points beyond the slop raise."""
+        rng = np.random.default_rng(4)
+        f, h = transfer_warps()
+        curves = self.curves()
+        table, combo, restricted, sine = (curves[0], curves[1], curves[2],
+                                          curves[4])
+        for group in ((f, h), (h, f, f), (table, combo), (combo, restricted),
+                      (table, sine), (curves[7], table)):
+            lo = max(c.t_lo for c in group)
+            hi = min(c.t_hi for c in group)
+            slop = 1e-9 * (1.0 + hi - lo)
+            t = np.concatenate([rng.uniform(lo, hi, 300),
+                                [lo, hi, np.nan, lo - 0.4 * slop,
+                                 hi + 0.4 * slop]])
+            for q in (t, t[:0], t[:300].reshape(30, 10), *t[-5:],
+                      np.array(t[0])):
+                got = cv.joint_jet(group, q)
+                assert len(got) == len(group)
+                for c, jet in zip(group, got):
+                    assert len(jet) == 3
+                    for k in range(3):
+                        want = c.eval(q, k)
+                        assert type(jet[k]) is type(want)
+                        assert np.array_equal(jet[k], want, equal_nan=True)
+                        assert np.array_equal(np.signbit(jet[k]),
+                                              np.signbit(want))
+            with pytest.raises(ValueError, match=r"t outside \["):
+                cv.joint_jet(group, np.array([lo, hi + 1e-3]))
 
     def test_cone_sweep_looks_each_window_up_once(self, monkeypatch):
         """One doubly_warped_sweep of the cone looks up the Hermite
@@ -613,3 +662,47 @@ class TestJet:
         assert sorted(lookups) == [
             (a, int(np.count_nonzero((ss >= a) & (ss < b))))
             for a, b in windows]
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_cone_collapse_row_is_the_one_point_limit(self, t):
+        """At the cone's collapse point the sweep reads the warp's orders
+        0 to 2 from its columns: they equal one-point evaluations there,
+        bitwise, so the collapse row is the one-point limit -f'''/f'."""
+        warp, rep = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
+        ss = rep.sweeps["ricci"]["t"]
+        s0 = float(ss[0])
+        cols = warp.jet(ss)
+        for k in range(3):
+            assert (np.float64(cols[k][0]).tobytes()
+                    == np.float64(warp.eval(s0, k)).tobytes())
+        m = DoublyWarpedMetric(3, 1, warp,
+                               cv.constant_curve(1.0, warp.domain),
+                               collapse_start="f")
+        limit = -warp.eval(s0, 3) / warp.eval(s0, 1)
+        assert doubly_warped_sweep(m, ss)["sec_tu"][0] == limit
+        assert rep.sweeps["ricci"]["columns"]["ric_radial"][0] == 3 * limit
+
+    def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
+        """The default transfer block's bundle sweep looks up the Hermite
+        segments of each block once, for both ODE tables and all three
+        orders."""
+        from warpbench import _util
+        from warpbench.curvature import _SWEEP_BLOCK
+        params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
+        blocks.build_transfer_block(p=2, q=3, **params)
+        h0, _ = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+        nodes = h0.nodes[0]
+        lookups = []
+        segment = _util._segment
+
+        def counted(ts, t):
+            if ts is nodes:
+                lookups.append(len(t))
+            return segment(ts, t)
+
+        monkeypatch.setattr(_util, "_segment", counted)
+        rep = blocks.build_transfer_block(p=2, q=3, **params)
+        n = len(rep.sweeps["ricci"]["t"])
+        assert n > 2 * _SWEEP_BLOCK
+        assert lookups == [min(_SWEEP_BLOCK, n - i)
+                           for i in range(0, n, _SWEEP_BLOCK)]

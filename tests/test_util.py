@@ -529,22 +529,26 @@ class TestHermiteInterp:
 
 
 def assert_jet_matches(ts, seed):
-    """hermite_jet equals hermite_interp order by order, bitwise, on
-    queries() and on empty, 0-d, NaN and 2-D queries, and leaves the query
-    unchanged."""
+    """hermite_jet equals hermite_interp order by order, bitwise, for one
+    table and for two tables sharing the basis, on queries() and on empty,
+    0-d, NaN and 2-D queries, and leaves the query unchanged."""
     rng = np.random.default_rng(seed)
-    cols = [rng.standard_normal(len(ts)) for _ in range(4)]
-    for c in cols:
+    tables = [[rng.standard_normal(len(ts)) for _ in range(4)]
+              for _ in range(2)]
+    for c in tables[0] + tables[1]:
         c[rng.integers(0, len(ts))] = -0.0
     cases = [queries(ts, rng), np.array([]), np.array(ts[len(ts) // 2]),
              np.array(np.nan), queries(ts, rng, 7)[:12].reshape(3, 4)]
     for q in cases:
         before = q.copy()
-        got = _util.hermite_jet(ts, cols, q)
-        assert len(got) == 3
-        for k in range(3):
-            assert_same_values(got[k], _util.hermite_interp(
-                ts, cols[k], cols[k + 1], q))
+        for chosen in (tables[:1], tables):
+            got = _util.hermite_jet(ts, chosen, q)
+            assert len(got) == len(chosen)
+            for jet, cols in zip(got, chosen):
+                assert len(jet) == 3
+                for k in range(3):
+                    assert_same_values(jet[k], _util.hermite_interp(
+                        ts, cols[k], cols[k + 1], q))
         assert np.array_equal(q, before, equal_nan=True)
 
 
@@ -578,8 +582,49 @@ class TestHermiteJet:
 
         monkeypatch.setattr(_util, "_segment", counted)
         ts = np.linspace(0.0, 1.0, 65)
-        _util.hermite_jet(ts, [ts, ts, ts, ts], np.linspace(0.0, 1.0, 9))
-        assert calls == [9]
+        for tables in ([[ts] * 4], [[ts] * 4, [ts * ts] * 4]):
+            calls.clear()
+            _util.hermite_jet(ts, tables, np.linspace(0.0, 1.0, 9))
+            assert calls == [9]
+
+    def test_shared_basis_on_the_default_transfer_tables(self):
+        """One hermite_jet over both tables of the default transfer ODE
+        equals one call per table, bitwise, at random points, at the edges
+        of the sweep's blocks, at both ends of the block's grid and of the
+        tables, within the domain slop outside them, and at NaN; as one
+        array, and point by point as 0-d arrays and floats."""
+        from warpbench.curvature import _SWEEP_BLOCK
+        params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
+        rep = blocks.build_transfer_block(p=2, q=3, **params)
+        h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+        ts, g_cols = h0.nodes
+        assert fC.nodes[0] is ts
+        tables = [g_cols, fC.nodes[1]]
+        tt = rep.sweeps["ricci"]["t"]
+        assert len(tt) > 2 * _SWEEP_BLOCK
+        edges = [tt[i + d] for i in range(_SWEEP_BLOCK, len(tt), _SWEEP_BLOCK)
+                 for d in (-1, 0)]
+        rng = np.random.default_rng(15)
+        t0, t_hi = tt[-1], ts[-1]
+        q = np.concatenate([
+            rng.uniform(0.0, t_hi, 400), edges,
+            [0.0, -0.0, t0, t_hi, np.nextafter(t0, 0.0), np.nan],
+            [x + s * 1e-9 * (1.0 + x) for x in (0.0, t0, t_hi)
+             for s in (-0.4, 0.4)]])
+        got = _util.hermite_jet(ts, tables, q)
+        for jet, cols in zip(got, tables):
+            (want,) = _util.hermite_jet(ts, [cols], q)
+            for k in range(3):
+                assert_same_values(jet[k], want[k])
+                assert_same_values(jet[k], _util.hermite_interp(
+                    ts, cols[k], cols[k + 1], q))
+        for x in q.tolist():
+            for point in (np.array(x), x):
+                got = _util.hermite_jet(ts, tables, point)
+                for jet, cols in zip(got, tables):
+                    (want,) = _util.hermite_jet(ts, [cols], point)
+                    for k in range(3):
+                        assert_same_values(jet[k], want[k])
 
 
 def test_clamp_is_np_clip_bitwise():
