@@ -7,17 +7,17 @@ Run:  python demos/demo_transfer.py
 
 from warpbench import (build_transfer_block, integrate_transfer_odes,
                        transfer_ode_residuals, ParamBox, scan)
+from warpbench.curves import TRANSFER_RTOL
 
 C = 0.5
-h0, fc = integrate_transfer_odes(C, t_max=120.0, step_budget=131072,
-                                 rtol=1e-9)
-steps = len(h0.nodes[0]) - 1
-print(f"warping system at C = {C}: step doubling to rtol 1e-9 accepted "
-      f"{steps} RK4 steps (cap 131072)")
+h0, fc = integrate_transfer_odes(C)
+ts = h0.nodes[0]
+print(f"warping system at C = {C} on [0, {ts[-1]:g}]: step doubling to "
+      f"rtol {TRANSFER_RTOL:g} accepted {len(ts) - 1} RK4 steps")
 res = transfer_ode_residuals(h0, fc, C)
 print("  node residuals " + ", ".join(f"{k}={v:.1e}"
                                       for k, v in res.items()))
-for t in (0.0, 5.0, 20.0, 60.0, 120.0):
+for t in (0.0, 5.0, 20.0, 60.0, ts[-1]):
     print(f"  t={t:6.1f}  h0={h0(t):.4f}  h0'={h0(t, 1):.4f}  "
           f"fC={fc(t):8.3f}  fC'={fc(t, 1):.4f}")
 

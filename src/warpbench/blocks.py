@@ -11,6 +11,7 @@ deterministic functions of the parameter record and grid density.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -18,11 +19,11 @@ import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     bisect_increasing, cumulative_hermite, grid_points,
-                    hermite_interp, plateau, smooth_step, sorted_unique,
-                    unit_plateau)
-from .curves import (JoinBandError, SmoothCurve, constant_curve,
-                     cosine_curve, curve_from_derivs, even_extension,
-                     flatness_margin, integrate_transfer_odes, line_curve,
+                    plateau, smooth_step, sorted_unique, unit_plateau)
+from .curves import (TRANSFER_RTOL, JoinBandError, SmoothCurve,
+                     antiderivative_curve, constant_curve, cosine_curve,
+                     curve_from_derivs, even_extension, flatness_margin,
+                     integrate_transfer_odes, line_curve,
                      linear_combo, make_concave_profile, parity_margin,
                      piecewise_curve, poly_curve,
                      second_derivative_surgery, sin_of, sine_curve,
@@ -59,12 +60,6 @@ class HorizonError(RuntimeError):
     Handled by: ``feasibility.scan``, which records the sample as
     ``error:HorizonError``; the CLI, which exits 2; perfbench, which counts
     the operation as rejected."""
-
-
-_TRANSFER_ODE_CACHE: dict = {}
-# Step-doubling tolerance of the transfer ODE tables (values and first two
-# derivatives between nodes, relative to max(1, |y|)).
-TRANSFER_RTOL = 1e-9
 
 
 def _require_integer_dims(**dims) -> None:
@@ -308,13 +303,7 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
     def d3(s):
         return 2.0 * _RAMP(x(s), 2) / eps2 ** 2
 
-    ss = np.linspace(a, a + eps2, 2049)
-    d1s = d1(ss)
-    vals = cumulative_hermite(ss, d1s, d2(ss))
-    return curve_from_derivs(
-        (a, a + eps2),
-        lambda s: hermite_interp(ss, vals, d1s, s),
-        d1, d2, d3)
+    return antiderivative_curve((a, a + eps2), 2049, d1, d2, d3)
 
 
 def corner_angle_handle1(lambda1: float, eps1: float) -> float:
@@ -608,12 +597,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         return (3.0 * a / b) * _chi(t - b, 2) \
             + a * (t / b - 1.0) * _chi(t - b, 3)
 
-    tb = np.linspace(0.0, t_end, 4097)
-    slopes = beta1(tb)
-    beta_vals = cumulative_hermite(tb, slopes, beta1(tb, 1))
-    beta = curve_from_derivs(
-        (0.0, t_end),
-        lambda t: hermite_interp(tb, beta_vals, slopes, t),
+    beta = antiderivative_curve(
+        (0.0, t_end), 4097,
         lambda t: beta1(t, 0), lambda t: beta1(t, 1), lambda t: beta1(t, 2))
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
@@ -783,18 +768,27 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
 # Curvature-transfer cylinder over a fibre bundle.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _transfer_curves(C: float):
+    """The (h0, fC) tables of the transfer warping system at coupling C.
+    The integrator is looked up as a module global at each miss, so a
+    wrapper installed on ``blocks.integrate_transfer_odes`` sees every
+    integration."""
+    return integrate_transfer_odes(C)
+
+
 def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          a: float, C: float, a_bounds: ABounds | None = None,
                          ric_base_lb: float = 1.0, ric_fibre_lb: float = 1.0,
-                         t_max: float = 120.0, step_budget: int = 131072,
                          grid=None) -> Report:
     """Cylinder metric built from the transfer warping system, stopped at
     the slope target lam; certifies the four Ricci bounds, domination of
     the mixed term, and the boundary curvature constraints at both ends.
 
-    The warping system is integrated to TRANSFER_RTOL by step doubling,
-    with ``step_budget`` steps as the cap; ``aux`` records the tolerance
-    (``ode_rtol``) and the accepted step count (``ode_steps``)."""
+    The warping system is integrated once per C (``_transfer_curves``),
+    with ``integrate_transfer_odes``'s default horizon, step cap and
+    tolerance TRANSFER_RTOL; ``aux`` records the tolerance (``ode_rtol``)
+    and the accepted step count (``ode_steps``)."""
     _require_integer_dims(p=p, q=q)
     if p < 2 or q < 2:
         raise BuildError("need fibre dim >= 2 and base dim >= 2")
@@ -804,13 +798,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         raise BuildError("r0, nu, a must be positive and C >= 0")
     a_bounds = a_bounds or ABounds()
 
-    key = (float(C), float(t_max), int(step_budget))
-    if key not in _TRANSFER_ODE_CACHE:
-        if len(_TRANSFER_ODE_CACHE) > 32:
-            _TRANSFER_ODE_CACHE.clear()
-        _TRANSFER_ODE_CACHE[key] = integrate_transfer_odes(
-            C, t_max=t_max, step_budget=step_budget, rtol=TRANSFER_RTOL)
-    h0, fC = _TRANSFER_ODE_CACHE[key]
+    h0, fC = _transfer_curves(float(C))
     c = r0 / h0.eval(0.0, 0)
     target = lam * c / a
     ts_nodes, fcols = fC.nodes
@@ -818,7 +806,8 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     if fcp[-1] <= target:
         raise HorizonError(
             f"slope never reaches lam (fC' tops out at {fcp[-1]:.4g}, "
-            f"needed {target:.4g}); decrease a or increase C / t_max")
+            f"needed {target:.4g} by t={ts_nodes[-1]:g}); decrease a or "
+            f"increase C")
     idx = int(np.searchsorted(fcp, target))
     lo, hi = ts_nodes[max(idx - 1, 0)], ts_nodes[min(idx, len(ts_nodes) - 1)]
     t0 = bisect_increasing(lambda t: fC.eval(t, 1), lo, hi, target,

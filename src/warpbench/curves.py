@@ -1,8 +1,9 @@
 """Scalar warping functions on an interval, with derivatives through order 3.
 
 A SmoothCurve is the common currency of the whole workbench: every warp
-profile (closed-form, ODE-defined or blended) is one, and every consumer
-only ever calls ``curve(t, k)``.
+profile (closed-form, ODE-defined or blended) is one.  Consumers read a
+single order with ``curve.eval(t, k)``, and orders 0-2 on one grid with
+``curve.jet(t)`` or, for several curves at once, ``joint_jet``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from ._util import (check_order, clamp, cumulative_hermite,
 __all__ = [
     "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
     "curve_from_derivs", "constant_curve", "line_curve", "sine_curve",
-    "cosine_curve", "poly_curve", "table_curve", "piecewise_curve",
-    "linear_combo", "joint_jet", "sin_of", "even_extension",
-    "make_concave_profile", "integrate_transfer_odes",
+    "cosine_curve", "poly_curve", "table_curve", "antiderivative_curve",
+    "piecewise_curve", "linear_combo", "joint_jet", "sin_of",
+    "even_extension", "make_concave_profile", "integrate_transfer_odes",
     "transfer_ode_residuals", "smooth_join", "parity_margin",
     "flatness_margin",
 ]
@@ -340,6 +341,18 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
                        (ts, cols), info, _TableJet(ts, [cols]))
 
 
+def antiderivative_curve(domain, n: int, d1, d2, d3) -> SmoothCurve:
+    """The antiderivative, zero at the domain's start, of the curve whose
+    orders 0-2 are the callables d1, d2, d3.  Its values come from a
+    cumulative Hermite table on n uniform nodes, interpolated with d1 as
+    node slopes; orders 1-3 are the callables themselves."""
+    ts = np.linspace(domain[0], domain[1], n)
+    slopes = d1(ts)
+    vals = cumulative_hermite(ts, slopes, d2(ts))
+    return curve_from_derivs(
+        domain, lambda t: hermite_interp(ts, vals, slopes, t), d1, d2, d3)
+
+
 def piecewise_curve(segments) -> SmoothCurve:
     """Contiguous segments [(lo, hi, curve), ...] glued by evaluation; its
     jet looks each point's segment up once and takes that segment's jet."""
@@ -444,22 +457,26 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
 # Coupled warping ODEs for the curvature-transfer block.
 # ---------------------------------------------------------------------------
 
-def integrate_transfer_odes(C: float, t_max: float = 20.0,
-                            step_budget: int = 65536,
-                            h0_init: float = 1.0, rtol: float | None = None):
-    """Integrate g' = e^{-g^2/2} (g(0)=h0_init) and F'' = C e^{-g^2} F
-    (F(0)=1, F'(0)=0) with classical fourth-order (RK4) steps on a uniform
-    grid of [0, t_max].
+# Step-doubling tolerance of the transfer ODE tables (values and first two
+# derivatives between nodes, relative to max(1, |y|)).
+TRANSFER_RTOL = 1e-9
 
-    With ``rtol`` None the grid has ``step_budget`` steps.  With ``rtol``
-    given, the step count is chosen by step doubling (Hairer, Norsett &
-    Wanner, *Solving ODEs I*, II.4): n starts at the smallest power of two
-    >= 64 t_max and doubles while 2n <= ``step_budget``, which caps it.  The
-    2n-step table is accepted once the n-step table's cubic-Hermite values
-    at the odd nodes of the 2n grid (orders 0-2 of g and F, the values the
-    table curves answer between nodes) match the 2n values there within
-    ``rtol`` relative to max(1, |y|).  Reaching the cap first raises
-    IntegratorError naming ``rtol`` and the cap.
+
+def integrate_transfer_odes(C: float, t_max: float = 120.0,
+                            step_budget: int = 131072,
+                            rtol: float = TRANSFER_RTOL):
+    """Integrate g' = e^{-g^2/2} (g(0)=1) and F'' = C e^{-g^2} F (F(0)=1,
+    F'(0)=0) with classical fourth-order (RK4) steps on a uniform grid of
+    [0, t_max], its step count chosen by step doubling (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.4).
+
+    n starts at the smallest power of two >= 64 t_max and doubles while
+    2n <= ``step_budget``, which caps it; a cap below the first doubling's
+    2n raises ValueError.  The 2n-step table is accepted once the n-step
+    table's cubic-Hermite values at the odd nodes of the 2n grid (orders
+    0-2 of g and F, the values the table curves answer between nodes) match
+    the 2n values there within ``rtol`` relative to max(1, |y|).  Reaching
+    the cap first raises IntegratorError naming ``rtol`` and the cap.
 
     Returns (g, F) as node-backed SmoothCurves whose derivatives come from
     the right-hand side, never from differencing.  The qualitative
@@ -468,36 +485,26 @@ def integrate_transfer_odes(C: float, t_max: float = 20.0,
     """
     if C < 0:
         raise ValueError("C must be >= 0")
-    if h0_init <= 0:
-        raise ValueError("h0_init must be positive")
-    if step_budget < 64 * t_max:
+    n = 1
+    while n < 64 * t_max:
+        n *= 2
+    if 2 * n > step_budget:
         raise ValueError(
-            f"step budget {step_budget} below minimum resolution for "
-            f"t_max={t_max}")
-    if rtol is None:
-        ts, gcols, fcols = _transfer_table(C, t_max, int(step_budget),
-                                           h0_init)
-    else:
-        n = 1
-        while n < 64 * t_max:
-            n *= 2
-        if 2 * n > step_budget:
+            f"step cap {step_budget} below the {2 * n} steps of the first "
+            f"doubling for t_max={t_max}")
+    coarse = _transfer_table(C, t_max, n)
+    while True:
+        fine = _transfer_table(C, t_max, 2 * n)
+        defect = _midpoint_defect(coarse, fine)
+        if defect <= rtol:
+            break
+        if 4 * n > step_budget:
             raise IntegratorError(
-                f"rtol={rtol:g} needs at least {2 * n} steps, above the "
-                f"step cap {step_budget}")
-        coarse = _transfer_table(C, t_max, n, h0_init)
-        while True:
-            fine = _transfer_table(C, t_max, 2 * n, h0_init)
-            defect = _midpoint_defect(coarse, fine)
-            if defect <= rtol:
-                break
-            if 4 * n > step_budget:
-                raise IntegratorError(
-                    f"rtol={rtol:g} not met within the step cap "
-                    f"{step_budget}: {n} and {2 * n} steps differ by "
-                    f"{defect:.3g}")
-            n, coarse = 2 * n, fine
-        ts, gcols, fcols = fine
+                f"rtol={rtol:g} not met within the step cap "
+                f"{step_budget}: {n} and {2 * n} steps differ by "
+                f"{defect:.3g}")
+        n, coarse = 2 * n, fine
+    ts, gcols, fcols = fine
 
     g_curve = table_curve(ts, gcols, info={"C": C, "role": "h0"})
     fc_curve = table_curve(ts, fcols, info={"C": C, "role": "fC"})
@@ -505,7 +512,7 @@ def integrate_transfer_odes(C: float, t_max: float = 20.0,
     return g_curve, fc_curve
 
 
-def _transfer_table(C: float, t_max: float, n: int, h0_init: float):
+def _transfer_table(C: float, t_max: float, n: int):
     """(ts, (g, g', g'', g'''), (F, F', F'', F''')) on n fixed RK4 steps.
 
     The stepping runs on Python floats and writes each step's (g, F, F')
@@ -521,7 +528,7 @@ def _transfer_table(C: float, t_max: float, n: int, h0_init: float):
     # C e^{-g^2} F)), the nodes are bitwise those of that form.
     exp = np.exp
     ys = np.empty((n + 1, 3))
-    g, F, P = float(h0_init), 1.0, 0.0
+    g, F, P = 1.0, 1.0, 0.0
     ys[0] = (g, F, P)
     flat = memoryview(ys.reshape(-1))   # item writes beat row assignment
     for j in range(3, 3 * n + 3, 3):

@@ -255,8 +255,6 @@ PREDICATES = {
         _handle_assembly,
         " ".join([f"p1_{k}" for k in _PIECE1.split()]
                  + [f"p2_{k}" for k in _PIECE2.split()]), "n K"),
-    "assemble-handle": _entry(blocks.assemble_handle,
-                              "n K params1 params2"),
     "transfer": _entry(_transfer, "p q r0 nu lam a C",
                        "sup_AX2 sup_AV2 sup_deltaA",
                        p=2, q=3, r0=0.1, nu=1.5, lam=0.5),
@@ -269,9 +267,6 @@ PREDICATES = {
     "projective": _entry(blocks.projective_family_check, "d n s",
                          d=2, n=2),
     "wu-check": _entry(blocks.wu_family_check, "variant", "eps eps_outer"),
-    "wu-blended": _entry(
-        lambda **kw: blocks.wu_family_check("blended", **kw), "",
-        "eps eps_outer"),
 }
 
 

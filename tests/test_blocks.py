@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -219,9 +220,9 @@ class TestHandleAssembly:
 
 class TestTransferBlock:
     def test_zero_coupling_exercises_error_path(self):
-        with pytest.raises(bk.HorizonError):
+        with pytest.raises(bk.HorizonError, match="by t=120"):
             bk.build_transfer_block(2, 3, r0=0.1, nu=0.1, lam=0.5, a=0.02,
-                                    C=0.0, t_max=20.0, step_budget=16384)
+                                    C=0.0)
 
     def test_vertical_boundary_magnitude(self):
         rep = bk.build_transfer_block(2, 3, r0=0.1, nu=1.5, lam=0.5,
@@ -247,8 +248,8 @@ class TestTransferBlock:
 
 
 TRANSFER_KW = dict(p=2, q=3, r0=0.1, nu=1.5, lam=0.5, a=0.2, C=0.5)
-# The default step cap of build_transfer_block, which was its fixed step
-# count before the tables were sized by step doubling.
+# The default step cap of integrate_transfer_odes, which was the transfer
+# block's fixed step count before the tables were sized by step doubling.
 REF_STEPS = 131072
 
 
@@ -257,20 +258,24 @@ def _within_1e9(got, ref):
     return np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
 
+def fixed_step_curves(C, n):
+    """(g, F) on the kernel's n-step table, as integrate_transfer_odes
+    returns its accepted table."""
+    ts, gcols, fcols = cv._transfer_table(C, 120.0, n)
+    return cv.table_curve(ts, gcols), cv.table_curve(ts, fcols)
+
+
 @pytest.fixture(scope="module")
 def doubled_and_fixed():
-    """((g, F), block) of the default transfer block at TRANSFER_RTOL and
-    on a fixed REF_STEPS-step table, each built from an empty ODE cache."""
-    out = []
-    for rtol in (bk.TRANSFER_RTOL, None):
-        cache = {}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bk, "_TRANSFER_ODE_CACHE", cache)
-            mp.setattr(bk, "TRANSFER_RTOL", rtol)
-            rep = bk.build_transfer_block(**TRANSFER_KW)
-        (curves,) = cache.values()
-        out.append((curves, rep))
-    return out
+    """((g, F), block) of the default transfer block on its cached
+    step-doubled tables, and on the fixed REF_STEPS-step kernel table."""
+    doubled = bk._transfer_curves(TRANSFER_KW["C"])
+    rep = bk.build_transfer_block(**TRANSFER_KW)
+    fixed = fixed_step_curves(TRANSFER_KW["C"], REF_STEPS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bk, "_transfer_curves", lambda C: fixed)
+        ref = bk.build_transfer_block(**TRANSFER_KW)
+    return [(doubled, rep), (fixed, ref)]
 
 
 class TestTransferStepDoubling:
@@ -282,8 +287,7 @@ class TestTransferStepDoubling:
 
     def test_accepted_table_is_the_fixed_step_table(self, doubled_and_fixed):
         ((g, fc), _), _ = doubled_and_fixed
-        g_fix, fc_fix = cv.integrate_transfer_odes(
-            0.5, t_max=120.0, step_budget=16384)
+        g_fix, fc_fix = fixed_step_curves(0.5, 16384)
         for got, want in ((g, g_fix), (fc, fc_fix)):
             assert np.array_equal(got.nodes[0], want.nodes[0])
             for a, b in zip(got.nodes[1], want.nodes[1]):
@@ -313,24 +317,30 @@ class TestTransferStepDoubling:
         for name, col in sweep["columns"].items():
             assert _within_1e9(col, ref_sweep["columns"][name]), name
 
-    @pytest.mark.parametrize("cap, rtol", [(8192, 1e-9), (16384, 1e-12)])
-    def test_cap_below_need_raises(self, cap, rtol):
-        with pytest.raises(cv.IntegratorError,
-                           match=f"rtol={rtol:g}.*step cap {cap}"):
-            cv.integrate_transfer_odes(0.5, t_max=120.0, step_budget=cap,
-                                       rtol=rtol)
+    # A cap below the first doubling's 16384 steps is a bad argument; one
+    # that allows the first doubling but not the tolerance is an
+    # integrator fault.
+    @pytest.mark.parametrize("cap, rtol, error, match", [
+        (8192, 1e-9, ValueError, "step cap 8192 below the 16384 steps"),
+        (16384, 1e-12, cv.IntegratorError,
+         "rtol=1e-12 not met within the step cap 16384"),
+    ], ids=["8192-1e-09", "16384-1e-12"])
+    def test_cap_below_need_raises(self, cap, rtol, error, match):
+        with pytest.raises(error, match=match):
+            cv.integrate_transfer_odes(0.5, step_budget=cap, rtol=rtol)
 
     def test_one_ode_call_per_cache_miss(self, monkeypatch):
         real, calls = bk.integrate_transfer_odes, []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("rtol"))
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bk, "integrate_transfer_odes", counted)
-        monkeypatch.setattr(bk, "_TRANSFER_ODE_CACHE", {})
+        monkeypatch.setattr(bk, "_transfer_curves", functools.lru_cache(
+            maxsize=32)(bk._transfer_curves.__wrapped__))
         bk.build_transfer_block(**TRANSFER_KW)
-        assert calls == [bk.TRANSFER_RTOL]
+        assert calls == [((0.5,), {})]
         bk.build_transfer_block(**{**TRANSFER_KW, "a": 0.24, "nu": 2.5})
         assert len(calls) == 1
 

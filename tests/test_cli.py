@@ -207,12 +207,14 @@ class TestPipeline:
         assert cli.run_scenario(path, out=str(tmp_path / "out")) == 0
 
     def test_assemble_handle_uses_the_grid(self, tmp_path):
+        params1 = {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
+                   "eps2": 0.1, "delta": 0.05}
+        params2 = {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
+                   "eps": 0.1, "nu": 0.03}
         path = write_scenario(tmp_path, {
-            "command": "assemble-handle", "n": 3, "K": 0.9,
-            "params1": {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
-                        "eps2": 0.1, "delta": 0.05},
-            "params2": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02,
-                        "b": 1.5, "eps": 0.1, "nu": 0.03}})
+            "command": "handle-assembly", "n": 3, "K": 0.9,
+            **{f"p1_{k}": v for k, v in params1.items()},
+            **{f"p2_{k}": v for k, v in params2.items()}})
         rows = {}
         for grid in (None, 4096):
             out = tmp_path / f"out{grid}"

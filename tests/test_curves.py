@@ -75,8 +75,7 @@ class TestDerivativeConsistency:
         assert abs(fd - exact) < 1e-6 * (1.0 + abs(exact))
 
     def test_ode_curve_consistency(self):
-        h0, fc = cv.integrate_transfer_odes(0.1, t_max=5.0,
-                                            step_budget=4096)
+        h0, fc = cv.integrate_transfer_odes(0.1, t_max=5.0)
         for t in (0.5, 1.7, 3.3):
             fd = central_diff(fc, t, 5e-4)
             assert abs(fd - fc.eval(t, 1)) < 1e-6 * (1 + abs(fc.eval(t, 1)))
@@ -85,22 +84,24 @@ class TestDerivativeConsistency:
 class TestTransferOdes:
     @pytest.mark.parametrize("C", [0.01, 0.1])
     def test_residuals_below_tolerance(self, C):
-        h0, fc = cv.integrate_transfer_odes(C)
+        # on [0, 20], accepted at 4096 steps
+        h0, fc = cv.integrate_transfer_odes(C, t_max=20.0)
+        assert len(h0.nodes[0]) == 4097
         res = cv.transfer_ode_residuals(h0, fc, C)
         assert max(res.values()) < 1e-8
 
     def test_residuals_below_tolerance_on_rtol_accepted_table(self):
-        # the table the transfer block integrates: C = 0.5 on [0, 120],
-        # accepted at 16384 steps by step doubling
-        h0, fc = cv.integrate_transfer_odes(0.5, t_max=120.0,
-                                            step_budget=131072, rtol=1e-9)
+        # the table the transfer block integrates: C = 0.5 at the defaults
+        # (on [0, 120] to rtol 1e-9), accepted at 16384 steps
+        h0, fc = cv.integrate_transfer_odes(0.5)
         assert len(h0.nodes[0]) == 16385
+        assert h0.nodes[0][-1] == 120.0
         res = cv.transfer_ode_residuals(h0, fc, 0.5)
         assert max(res.values()) < 1e-8
 
     @pytest.mark.parametrize("C", [0.01, 0.1])
     def test_qualitative_properties_at_every_node(self, C):
-        h0, fc = cv.integrate_transfer_odes(C)
+        h0, fc = cv.integrate_transfer_odes(C, t_max=20.0)
         ts, hcols = h0.nodes
         _, fcols = fc.nodes
         g, g1 = hcols[0], hcols[1]
@@ -116,31 +117,31 @@ class TestTransferOdes:
         assert np.all(np.diff(tail) <= 1e-12)
 
     def test_initial_values(self):
-        h0, fc = cv.integrate_transfer_odes(0.25, t_max=5.0,
-                                            step_budget=4096)
+        h0, fc = cv.integrate_transfer_odes(0.25, t_max=5.0)
         assert abs(fc(0.0) - 1.0) < 1e-15
         assert abs(fc(0.0, 1)) < 1e-15
         assert abs(h0(0.0) - 1.0) < 1e-15
 
     def test_zero_coupling_gives_constant(self):
-        _, fc = cv.integrate_transfer_odes(0.0, t_max=5.0,
-                                           step_budget=4096)
+        _, fc = cv.integrate_transfer_odes(0.0, t_max=5.0)
         ts = np.linspace(0, 5, 200)
         assert np.max(np.abs(fc.eval(ts) - 1.0)) < 1e-15
 
     def test_step_budget_floor(self):
-        with pytest.raises(ValueError, match="step budget 100 below "
-                           "minimum resolution"):
+        # the first doubling compares 2048 with 4096 steps on [0, 20], and
+        # 512 with 1024 on [0, 5]; a cap below the finer count is an error
+        with pytest.raises(ValueError, match="step cap 100 below the 4096 "
+                           "steps of the first doubling"):
             cv.integrate_transfer_odes(0.1, t_max=20.0, step_budget=100)
-        with pytest.raises(ValueError, match="step budget 319 below "
-                           "minimum resolution"):
-            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=319)
+        with pytest.raises(ValueError, match="step cap 1023 below the 1024 "
+                           "steps of the first doubling"):
+            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=1023)
         g_curve, _ = cv.integrate_transfer_odes(0.1, t_max=5.0,
-                                                step_budget=320)
-        assert len(g_curve.nodes[0]) == 321
+                                                step_budget=1024)
+        assert len(g_curve.nodes[0]) == 1025
 
 
-def array_rk4_nodes(C, t_max, step_budget, h0_init):
+def array_rk4_nodes(C, t_max, n):
     """Reference: elementwise array RK4 on y = (g, F, F'), one small numpy
     array per stage; the scalar loop must reproduce it bitwise."""
     def rhs(y):
@@ -148,10 +149,9 @@ def array_rk4_nodes(C, t_max, step_budget, h0_init):
         e = np.exp(-g * g)
         return np.array([np.exp(-0.5 * g * g), fcp, C * e * fc])
 
-    n = int(step_budget)
     h = t_max / n
     ys = np.empty((n + 1, 3))
-    ys[0] = (h0_init, 1.0, 0.0)
+    ys[0] = (1.0, 1.0, 0.0)
     y = ys[0].copy()
     for i in range(n):
         k1 = rhs(y)
@@ -164,16 +164,12 @@ def array_rk4_nodes(C, t_max, step_budget, h0_init):
 
 
 class TestTransferOdeOracle:
-    @pytest.mark.parametrize("h0_init", [1.0, 0.7])
     @pytest.mark.parametrize("C", [0.0, 0.25, 0.5, 1.0])
-    def test_nodes_bitwise_equal_to_array_rk4(self, C, h0_init):
-        g_curve, fc_curve = cv.integrate_transfer_odes(
-            C, t_max=5.0, step_budget=4096, h0_init=h0_init)
-        ys = array_rk4_nodes(C, 5.0, 4096, h0_init)
-        ts, (g, g1, g2, g3) = g_curve.nodes
-        ts_f, (fc, fcp, fc2, fc3) = fc_curve.nodes
+    def test_nodes_bitwise_equal_to_array_rk4(self, C):
+        ts, (g, g1, g2, g3), (fc, fcp, fc2, fc3) = cv._transfer_table(
+            C, 5.0, 4096)
+        ys = array_rk4_nodes(C, 5.0, 4096)
         assert np.array_equal(ts, np.linspace(0.0, 5.0, 4097))
-        assert np.array_equal(ts_f, ts)
         assert np.array_equal(g, ys[:, 0])
         assert np.array_equal(fc, ys[:, 1])
         assert np.array_equal(fcp, ys[:, 2])
@@ -186,13 +182,7 @@ class TestTransferOdeOracle:
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError, match="C must be >= 0"):
-            cv.integrate_transfer_odes(-0.1, t_max=5.0, step_budget=4096)
-
-    @pytest.mark.parametrize("h0_init", [0.0, -1.0])
-    def test_rejects_nonpositive_initial_value(self, h0_init):
-        with pytest.raises(ValueError, match="h0_init must be positive"):
-            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=4096,
-                                       h0_init=h0_init)
+            cv.integrate_transfer_odes(-0.1, t_max=5.0)
 
 
 class TestSmoothJoin:
@@ -298,10 +288,9 @@ class TestSerialization:
         assert np.array_equal(c.node_table()[:, 0], ts)
 
     def test_ode_curve_serializes_stored_nodes(self):
-        h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0,
-                                           step_budget=2048)
+        h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0)
         tab = h0.node_table()
-        assert tab.shape == (2049, 5)
+        assert tab.shape == (257, 5)
 
 
 class TestRescaling:
@@ -501,7 +490,7 @@ def transfer_warps():
     one node array."""
     params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
     rep = blocks.build_transfer_block(p=2, q=3, **params)
-    h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+    h0, fC = blocks._transfer_curves(params["C"])
     a, t0 = params["a"], rep.aux["t0"]
     c = params["r0"] / h0.eval(0.0, 0)
     return (cv.linear_combo([(fC, a / c)]).restrict(0.0, t0),
@@ -690,7 +679,7 @@ class TestJet:
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         blocks.build_transfer_block(p=2, q=3, **params)
-        h0, _ = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+        h0, _ = blocks._transfer_curves(params["C"])
         nodes = h0.nodes[0]
         lookups = []
         segment = _util._segment

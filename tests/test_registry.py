@@ -58,8 +58,6 @@ PARAMS = {
     "handle-assembly": {"n": 3, "K": 0.9,
                         **{f"p1_{k}": v for k, v in HANDLE1.items()},
                         **{f"p2_{k}": v for k, v in HANDLE2.items()}},
-    "assemble-handle": {"n": 3, "K": 0.9, "params1": HANDLE1,
-                        "params2": HANDLE2},
     "transfer": {"p": 2, "q": 3, "r0": 0.1, "nu": 1.5, "lam": 0.5,
                  "a": 0.2, "C": 0.5},
     "s1": {"q": 3, "lam": 0.45},
@@ -67,7 +65,6 @@ PARAMS = {
     "sphere-transition": {"p": 2, "q": 3, "s0": 1.2},
     "projective": {"d": 4, "n": 2, "s": 0.5},
     "wu-check": {"variant": "blended", "eps": 0.1},
-    "wu-blended": {"eps": 0.05},
 }
 
 

@@ -49,7 +49,7 @@ class TestWriteCsv:
                 == oracle_bytes(tmp_path, "a,b,c,d,e", table))
 
     def test_node_backed_curve_matches_numpy(self, tmp_path):
-        h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0, step_budget=2048)
+        h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0)
         path = tmp_path / "curve.csv"
         h0.write_csv(path)
         assert path.read_bytes() == oracle_bytes(
@@ -506,7 +506,7 @@ class TestHermiteInterp:
         evaluations, is the bisection over one-element arrays."""
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         rep = blocks.build_transfer_block(p=2, q=3, **params)
-        h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+        h0, fC = blocks._transfer_curves(params["C"])
 
         def at(curve, t, k):
             return curve.eval(np.array([t]), k)[0]
@@ -596,7 +596,7 @@ class TestHermiteJet:
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         rep = blocks.build_transfer_block(p=2, q=3, **params)
-        h0, fC = blocks._TRANSFER_ODE_CACHE[(params["C"], 120.0, 131072)]
+        h0, fC = blocks._transfer_curves(params["C"])
         ts, g_cols = h0.nodes
         assert fC.nodes[0] is ts
         tables = [g_cols, fC.nodes[1]]
