@@ -523,41 +523,66 @@ def smooth_step(x, k: int = 0):
 
 def plateau(x, k: int = 0, rise: float = 0.15):
     """C^infinity plateau on [0,1]: 0 (flat) at the ends, 1 on the middle
-    [rise, 1-rise].  Product of two smooth steps.
+    [rise, 1-rise].  Product of two smooth steps.  The one-order case of
+    ``plateau_orders``: plateau_orders(x, (k,), rise)[0]."""
+    return plateau_orders(x, (k,), rise)[0]
+
+
+def plateau_orders(x, orders, rise: float = 0.15) -> list:
+    """[plateau(x, k, rise) for k in orders], bit for bit, from one set of
+    masks and one smooth_step lookup per order.
 
     With rise < 1/2 at most one step varies at a point and the other is 0
-    or 1 there to every order, so only the varying one is evaluated.  For
-    k = 0 that is the product itself (the other factor is exactly 1); for
-    k > 0 the Leibniz sum adds signed zeros, which can flip the sign of a
-    zero, so where the one factor gives a zero the full sum
-    (_plateau_product) decides.  The values equal that sum bit for bit."""
-    check_order(k)
+    or 1 there to every order, so only the varying one is evaluated: the
+    rising ramp at x / rise in (0, 1), the falling one at (1 - x) / rise in
+    (0, 1).  The two point sets are disjoint, so each order looks both up
+    in one smooth_step call on the two concatenated, and each side keeps
+    its own scaling.  For k = 0 that is the product itself (the other
+    factor is exactly 1); for k > 0 the Leibniz sum adds signed zeros,
+    which can flip the sign of a zero, so where the one factor gives a zero
+    the full sum (_plateau_product) decides.  The values equal that sum bit
+    for bit, given that numpy's elementwise kernels give a point the same
+    bits at any position in an array."""
+    for k in orders:
+        check_order(k)
     if not 0.0 < rise < 0.5:
         raise ValueError(f"rise {rise} outside (0, 1/2)")
     x = np.asarray(x, dtype=float)
     u = x / rise
     v = (1.0 - x) / rise
-    out = np.where((u >= 1.0) & (v >= 1.0), float(k == 0), 0.0)
-    out[np.isnan(x)] = np.nan
+    middle = (u >= 1.0) & (v >= 1.0)
+    nan = np.isnan(x)
     rising = (u > 0.0) & (u < 1.0)
-    if np.count_nonzero(rising):
-        out[rising] = smooth_step(u[rising], k) / rise ** k
     falling = (v > 0.0) & (v < 1.0)
-    if np.count_nonzero(falling):
-        out[falling] = smooth_step(v[falling], k) * (-1.0 / rise) ** k
-    if k:
-        redo = (rising | falling) & (out == 0.0)
-        if np.count_nonzero(redo):
-            out[redo] = _plateau_product(x[redo], k, rise)
-    return out[()] if out.ndim == 0 else out
+    ramps = np.concatenate([u[rising], v[falling]])
+    n = np.count_nonzero(rising)
+    outs = []
+    for k in orders:
+        out = np.where(middle, float(k == 0), 0.0)
+        out[nan] = np.nan
+        if len(ramps):
+            s = smooth_step(ramps, k)
+            out[rising] = s[:n] / rise ** k
+            out[falling] = s[n:] * (-1.0 / rise) ** k
+            if k:
+                redo = (rising | falling) & (out == 0.0)
+                if np.count_nonzero(redo):
+                    out[redo] = _plateau_product(x[redo], k, rise)
+        outs.append(out[()] if out.ndim == 0 else out)
+    return outs
 
 
 def _plateau_product(x, k: int, rise: float):
-    """The k-th derivative of the plateau by the Leibniz rule, both step
-    factors evaluated at every point."""
-    a = [smooth_step(x / rise, j) / rise ** j for j in range(k + 1)]
-    b = [smooth_step((1.0 - x) / rise, j) * (-1.0 / rise) ** j
-         for j in range(k + 1)]
+    """The k-th derivative of the plateau at the 1-D points x by the
+    Leibniz rule, both step factors evaluated at every point: one
+    smooth_step call per order on the two factors' arguments concatenated."""
+    n = len(x)
+    both = np.concatenate([x / rise, (1.0 - x) / rise])
+    a, b = [], []
+    for j in range(k + 1):
+        s = smooth_step(both, j)
+        a.append(s[:n] / rise ** j)
+        b.append(s[n:] * (-1.0 / rise) ** j)
     if k == 0:
         return a[0] * b[0]
     if k == 1:
@@ -571,12 +596,24 @@ def _plateau_product(x, k: int, rise: float):
 PLATEAU_MASS = TabulatedAntiderivative(plateau, 16385).mass
 
 
-def unit_plateau(lo: float, span: float):
-    """Unit-mass plateau on [lo, lo + span] as a function g(u, k) of its
-    argument and derivative order."""
-    def g(u, k=0):
-        x = (np.asarray(u, float) - lo) / span
-        return plateau(x, k) / (PLATEAU_MASS * span ** (k + 1))
+def unit_plateaus(windows):
+    """Unit-mass plateaus on the windows [lo, lo + span] of ``windows``, a
+    list of (lo, span), as one function g(u, orders) of their common
+    argument: g returns, for each window, its derivatives of the listed
+    orders at u.  The windows' scaled arguments are concatenated into one
+    plateau_orders call, so all their ramps share one smooth_step lookup
+    per order; each value is bitwise that of the window on its own."""
+    def g(u, orders):
+        u = np.asarray(u, float)
+        xs = [((u - lo) / span).reshape(-1) for lo, span in windows]
+        cols = plateau_orders(np.concatenate(xs), orders)
+        out, start = [], 0
+        for (_, span), x in zip(windows, xs):
+            end = start + len(x)
+            out.append([(p[start:end] / (PLATEAU_MASS * span ** (k + 1)))
+                        .reshape(u.shape)[()] for k, p in zip(orders, cols)])
+            start = end
+        return out
     return g
 
 

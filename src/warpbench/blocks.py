@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     bisect_increasing, cumulative_hermite, grid_points,
-                    plateau, smooth_step, sorted_unique, unit_plateau)
+                    plateau, smooth_step, sorted_unique, unit_plateaus)
 from .curves import (TRANSFER_RTOL, JoinBandError, SmoothCurve,
                      antiderivative_curve, constant_curve, cosine_curve,
                      curve_from_derivs, even_extension, flatness_margin,
@@ -231,21 +231,23 @@ def _alpha_base(lambda1: float, eps1: float, domain) -> SmoothCurve:
 
 def _step_weighted(curve: SmoothCurve, at: float, width: float,
                    falling: bool = False):
-    """Second and third derivatives of ``curve`` times the smooth step over
-    [at, at + width], rising from 0 to 1 (or falling from 1 to 0)."""
-    def step(t, k=0):
-        s = smooth_step((np.asarray(t, float) - at) / width, k) / width ** k
+    """Surgery base ``base(t, orders)``: the second and third derivatives
+    of ``curve`` times the smooth step over [at, at + width], rising from 0
+    to 1 (or falling from 1 to 0).  The step argument, the step and the
+    curve's second derivative are evaluated once for both orders."""
+    def step(x, k):
+        s = smooth_step(x, k) / width ** k
         if not falling:
             return s
         return 1.0 - s if k == 0 else -s
 
-    def d2(t):
-        return curve.eval(t, 2) * step(t)
+    def base(t, orders):
+        x = (np.asarray(t, float) - at) / width
+        c2, s = curve.eval(t, 2), step(x, 0)
+        return [c2 * s if k == 2 else
+                curve.eval(t, 3) * s + c2 * step(x, 1) for k in orders]
 
-    def d3(t):
-        return curve.eval(t, 3) * step(t) + curve.eval(t, 2) * step(t, 1)
-
-    return d2, d3
+    return base
 
 
 def _flatten_start(base: SmoothCurve, at: float, window: float,
@@ -265,15 +267,20 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
         np.linspace(2.0 * omega, w, 1537)[1:],
     ])
 
-    plate = unit_plateau(0.0, w)
+    plate = unit_plateaus([(0.0, w)])
 
-    def tilt(u, k):
-        g = (np.asarray(u, float) / w - 0.5) * plate(u, k)
-        return plate(u) / w + g if k else g
+    def corrections(u, orders):
+        # the plateau, and its tilt: the plateau times u / w - 1/2
+        need = (0, 1) if 1 in orders else (0,)
+        p = dict(zip(need, plate(u, need)[0]))
+        lever = np.asarray(u, float) / w - 0.5
+        return [[p[k] for k in orders],
+                [lever * p[0] if k == 0 else p[0] / w + lever * p[1]
+                 for k in orders]]
 
     # value and slope vanish at `at`
     win, _ = second_derivative_surgery(
-        at, u_nodes, *_step_weighted(base, at, omega), [plate, tilt],
+        at, u_nodes, _step_weighted(base, at, omega), corrections,
         (0.0, 0.0), base.eval(at + w, 1), base.eval(at + w, 0))
     tail = base.restrict(at + w, base.t_hi)
     return piecewise_curve([(at, at + w, win),
@@ -291,19 +298,12 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
     second derivative stays close to its minimal size 2/eps2."""
     a = math.pi / 2.0
 
-    def x(s):
-        return (np.asarray(s, float) - a) / eps2
+    def integrand(s, orders):           # beta' and its derivatives
+        x = (np.asarray(s, float) - a) / eps2
+        return [-2.0 * (1.0 - _RAMP(x)) if k == 0 else
+                2.0 * _RAMP(x, k) / eps2 ** k for k in orders]
 
-    def d1(s):
-        return -2.0 * (1.0 - _RAMP(x(s)))
-
-    def d2(s):
-        return 2.0 * _RAMP(x(s), 1) / eps2
-
-    def d3(s):
-        return 2.0 * _RAMP(x(s), 2) / eps2 ** 2
-
-    return antiderivative_curve((a, a + eps2), 2049, d1, d2, d3)
+    return antiderivative_curve((a, a + eps2), 2049, integrand)
 
 
 def corner_angle_handle1(lambda1: float, eps1: float) -> float:
@@ -515,11 +515,12 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 # Second handle piece: the collar dug along a slow graph.
 # ---------------------------------------------------------------------------
 
-def _chi(u, k: int = 0):
-    """One on (-inf, -1], zero on [0, inf), decreasing between."""
-    if k == 0:
-        return 1.0 - smooth_step(np.asarray(u, float) + 1.0)
-    return -smooth_step(np.asarray(u, float) + 1.0, k)
+def _chi(u, orders):
+    """One on (-inf, -1], zero on [0, inf), decreasing between: its
+    derivatives of the listed orders."""
+    x = np.asarray(u, float) + 1.0
+    return [1.0 - smooth_step(x) if k == 0 else -smooth_step(x, k)
+            for k in orders]
 
 
 def corner_angle_handle2(a: float) -> float:
@@ -544,8 +545,8 @@ def _flatten_slope_end(f: SmoothCurve, tau: float,
     t_end (slope rides down to zero along a plateau profile)."""
     w = t_end - tau
     win, _ = second_derivative_surgery(
-        tau, np.linspace(0.0, w, 2049), *_step_weighted(f, tau, w, True),
-        [unit_plateau(0.0, w)], (f.eval(tau, 0), f.eval(tau, 1)), 0.0)
+        tau, np.linspace(0.0, w, 2049), _step_weighted(f, tau, w, True),
+        unit_plateaus([(0.0, w)]), (f.eval(tau, 0), f.eval(tau, 1)), 0.0)
     return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
@@ -585,21 +586,15 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                                  t_max=t_end + 1.0)
     f = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5, t_end)
 
-    def beta1(t, k=0):
+    def beta1(t, orders):               # beta' and its derivatives
         t = np.asarray(t, float)
-        if k == 0:
-            return a * (t / b - 1.0) * _chi(t - b)
-        if k == 1:
-            return (a / b) * _chi(t - b) + a * (t / b - 1.0) * _chi(t - b, 1)
-        if k == 2:
-            return (2.0 * a / b) * _chi(t - b, 1) \
-                + a * (t / b - 1.0) * _chi(t - b, 2)
-        return (3.0 * a / b) * _chi(t - b, 2) \
-            + a * (t / b - 1.0) * _chi(t - b, 3)
+        lin = a * (t / b - 1.0)
+        js = range(max(min(orders) - 1, 0), max(orders) + 1)
+        chi = dict(zip(js, _chi(t - b, js)))
+        return [lin * chi[0] if k == 0 else
+                (k * a / b) * chi[k - 1] + lin * chi[k] for k in orders]
 
-    beta = antiderivative_curve(
-        (0.0, t_end), 4097,
-        lambda t: beta1(t, 0), lambda t: beta1(t, 1), lambda t: beta1(t, 2))
+    beta = antiderivative_curve((0.0, t_end), 4097, beta1)
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
 
@@ -616,10 +611,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     # dug-face second fundamental form on t in [0, 0.98 b]
     ts = grid_points(0.0, 0.98 * b, grid, min_points=1025)
-    bp = beta.eval(ts, 1)
-    bpp = beta.eval(ts, 2)
+    bs, bp, bpp = beta.jet(ts)
     fv, f1 = f.eval(ts, 0), f.eval(ts, 1)
-    bs = beta.eval(ts)
     # the face s = beta(t) is the graph t = alpha(s) of alpha = beta^-1:
     # alpha' = 1/beta', alpha'' = -beta''/beta'^3, normal toward -t
     dug = graph_ii_columns(fv, f1, 1.0 / bp, -bpp / bp ** 3,
@@ -959,20 +952,20 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     omega = math.pi / (1.02 * t0)
     us = np.linspace(0.0, t0, 4097)
 
-    def taper(u, k=0):
+    def taper(u, orders):
         x = (np.asarray(u, float) - (t0 - wT)) / wT
-        if k == 0:
-            return 1.0 - smooth_step(x)
-        return -smooth_step(x, k) / wT ** k
+        return [1.0 - smooth_step(x) if k == 0 else
+                -smooth_step(x, k) / wT ** k for k in orders]
 
-    def seed(u, k=0):
+    def seed(u, orders):                # orders 0 and 1 of sin(omega u) taper
         u = np.asarray(u, float)
-        if k == 0:
-            return np.sin(omega * u) * taper(u)
-        return (omega * np.cos(omega * u) * taper(u)
-                + np.sin(omega * u) * taper(u, 1))
+        sine = np.sin(omega * u)
+        tp, *tp1 = taper(u, (0, 1) if 1 in orders else (0,))
+        return [sine * tp if k == 0 else
+                omega * np.cos(omega * u) * tp + sine * tp1[0]
+                for k in orders]
 
-    y, dy = seed(us), seed(us, 1)
+    y, dy = seed(us, (0, 1))
     i1s = cumulative_hermite(us, y, dy)[-1]
     i2s = cumulative_hermite(us, (t0 - us) * y, -y + (t0 - us) * dy)[-1]
     # -h'' = (rho/i1s) seed + ((1 - rho)/mass) window, so h'(t0) = 0, and
@@ -995,8 +988,9 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     # the window's weight comes from the flat-end slope condition, so it is
     # normalised by the window's numerically integrated mass
     h, _ = second_derivative_surgery(
-        0.0, us, lambda t: -cc * seed(t), lambda t: -cc * seed(t, 1),
-        [unit_plateau(mu, span)], (0.0, 1.0), 0.0)
+        0.0, us, lambda t, orders: [-cc * v for v in
+                                    seed(t, [k - 2 for k in orders])],
+        unit_plateaus([(mu, span)]), (0.0, 1.0), 0.0)
 
     tt = grid_points(1e-3 * t0, 0.98 * t0, grid, min_points=1025)
     hv, h1, h2 = h.jet(tt)
@@ -1181,8 +1175,8 @@ def _wu_h_blend(eps: float, eps_outer: float) -> SmoothCurve:
     a, b = eps, eps_outer
     w = b - a
     win, _ = second_derivative_surgery(
-        a, np.linspace(0.0, w, 4097), *_step_weighted(f0, a, 0.06 * w, True),
-        [unit_plateau(0.02 * w, 0.83 * w), unit_plateau(0.87 * w, 0.12 * w)],
+        a, np.linspace(0.0, w, 4097), _step_weighted(f0, a, 0.06 * w, True),
+        unit_plateaus([(0.02 * w, 0.83 * w), (0.87 * w, 0.12 * w)]),
         (f0.eval(a, 0), f0.eval(a, 1)), 0.0, 2.0 / math.pi)
     half = piecewise_curve([
         (0.0, a, f0.restrict(0.0, a)),

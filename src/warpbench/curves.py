@@ -14,7 +14,7 @@ import numpy as np
 
 from ._util import (check_order, clamp, cumulative_hermite,
                     fd_first_derivative, grid_points, hermite_interp,
-                    hermite_jet, smooth_step, unit_plateau, write_csv)
+                    hermite_jet, smooth_step, unit_plateaus, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
@@ -89,8 +89,9 @@ class SmoothCurve:
         basis (``_util.hermite_jet``); ``sin_of`` evaluates its inner
         curve's jet once; a ``piecewise_curve`` looks each point's piece
         up once and takes that piece's jet; a ``second_derivative_surgery``
-        window takes orders 0 and 1 from one Hermite lookup.  Other curves
-        evaluate each order.  ``joint_jet`` shares the basis between
+        window takes orders 0 and 1 from one Hermite lookup; an
+        ``antiderivative_curve`` takes orders 1 and 2 from one call of its
+        integrand.  Other curves evaluate each order.  ``joint_jet`` shares the basis between
         several such curves."""
         return joint_jet((self,), t)[0]
 
@@ -341,16 +342,29 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
                        (ts, cols), info, _TableJet(ts, [cols]))
 
 
-def antiderivative_curve(domain, n: int, d1, d2, d3) -> SmoothCurve:
-    """The antiderivative, zero at the domain's start, of the curve whose
-    orders 0-2 are the callables d1, d2, d3.  Its values come from a
-    cumulative Hermite table on n uniform nodes, interpolated with d1 as
-    node slopes; orders 1-3 are the callables themselves."""
+def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
+    """The antiderivative, zero at the domain's start, of a curve given by
+    ``integrand(t, orders)``, which returns its derivatives of the listed
+    orders (0-2) at t.  Values come from a cumulative Hermite table on n
+    uniform nodes, interpolated with the integrand as node slopes; the
+    integrand's orders 0 and 1 at the nodes come from one call, as they do
+    in the curve's jet.  Orders 1-3 of the curve are the integrand's orders
+    0-2, one order per call."""
     ts = np.linspace(domain[0], domain[1], n)
-    slopes = d1(ts)
-    vals = cumulative_hermite(ts, slopes, d2(ts))
-    return curve_from_derivs(
-        domain, lambda t: hermite_interp(ts, vals, slopes, t), d1, d2, d3)
+    slopes, curv = integrand(ts, (0, 1))
+    vals = cumulative_hermite(ts, slopes, curv)
+
+    def value(t):
+        return hermite_interp(ts, vals, slopes, t)
+
+    def order(k):
+        return lambda t: integrand(t, (k,))[0]
+
+    def jet(t):
+        return (value(t), *integrand(t, (0, 1)))
+
+    return SmoothCurve(domain[0], domain[1],
+                       (value, order(0), order(1), order(2)), jet=jet)
 
 
 def piecewise_curve(segments) -> SmoothCurve:
@@ -614,20 +628,25 @@ def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,
 # Second-derivative surgery on a window, and smooth joins built on it.
 # ---------------------------------------------------------------------------
 
-def second_derivative_surgery(a: float, u, base2, base3, corrections,
-                              start, slope_end: float,
+def second_derivative_surgery(a: float, u, base, corrections, start,
+                              slope_end: float,
                               value_end: float | None = None):
     """Curve on [a, a + u[-1]] whose second derivative is an edited base
     plus compactly supported corrections, integrated twice from ``start``.
 
     ``u`` holds strictly increasing node offsets from ``a`` (u[0] = 0,
-    uniform or not).  ``base2`` and ``base3`` evaluate the edited base
-    second and third derivatives at any t; each correction ``g(u, k)`` is
-    the k-th derivative (k = 0, 1) of a function of the offset u = t - a.
-    The coefficients c_j in f'' = base2 + sum_j c_j g_j solve
-    f'(end) = slope_end and, when ``value_end`` is given, also
-    f(end) = value_end, with (f(a), f'(a)) = ``start``; the number of
-    corrections must match the number of targets.
+    uniform or not).  ``base(t, orders)`` returns the edited base's second
+    and third derivatives, those of the listed orders (2, 3), at any t;
+    ``corrections(u, orders)`` returns, for each compactly supported
+    correction g_j, its derivatives of the listed orders (0 and 1) as a
+    function of the offset u = t - a.  At the nodes each is called once,
+    for both its orders, so work shared between orders and between
+    corrections (the blend step, the curves under it, a plateau's ramp
+    lookups) is done once there; the window curve's second and third
+    derivatives call each with one order.  The coefficients c_j in
+    f'' = base'' + sum_j c_j g_j solve f'(end) = slope_end and, when
+    ``value_end`` is given, also f(end) = value_end, with (f(a), f'(a)) =
+    ``start``; the number of corrections must match the number of targets.
 
     Returns the blended window curve and the coefficient array.  Values
     and slopes come from Hermite tables on the nodes (kept as the curve's
@@ -636,8 +655,8 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
     u = np.asarray(u, dtype=float)
     ts = a + u
     wu = u[-1] - u
-    b2, b3 = base2(ts), base3(ts)
-    gs = [(g(u, 0), g(u, 1)) for g in corrections]
+    b2, b3 = base(ts, (2, 3))
+    gs = corrections(u, (0, 1))
 
     def mass(y, dy):
         return cumulative_hermite(u, y, dy)[-1]
@@ -660,16 +679,16 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
     out1 = cumulative_hermite(u, out2, out3, y1)
     out0 = cumulative_hermite(u, out1, out2, y0)
 
-    def edited(base, k):
+    def edited(k):
         def ev(t):
             du = np.asarray(t, float) - a
-            out = base(t)
-            for c, g in zip(coef, corrections):
-                out = out + c * g(du, k)
+            out, = base(t, (k,))
+            for c, (g,) in zip(coef, corrections(du, (k - 2,))):
+                out = out + c * g
             return out
         return ev
 
-    d2 = edited(base2, 0)
+    d2 = edited(2)
 
     def jet(t):
         return (*hermite_jet(ts, [(out0, out1, out2)], t)[0], d2(t))
@@ -677,7 +696,7 @@ def second_derivative_surgery(a: float, u, base2, base3, corrections,
     curve = SmoothCurve(a, a + u[-1],
                         (lambda t: hermite_interp(ts, out0, out1, t),
                          lambda t: hermite_interp(ts, out1, out2, t),
-                         d2, edited(base3, 1)),
+                         d2, edited(3)),
                         (ts, (out0, out1, out2, out3)), jet=jet)
     return curve, coef
 
@@ -720,25 +739,25 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                          "band_overshoot": 0.0})
         return out
 
-    def base2(t):
-        W = smooth_step((np.asarray(t, float) - a) / w)
-        return (1.0 - W) * left.eval(t, 2) + W * right.eval(t, 2)
-
-    def base3(t):
+    def base(t, orders):                # the step-weighted blend
         x = (np.asarray(t, float) - a) / w
-        W, W1 = smooth_step(x), smooth_step(x, 1) / w
-        return ((1.0 - W) * left.eval(t, 3) + W * right.eval(t, 3)
-                + W1 * (right.eval(t, 2) - left.eval(t, 2)))
+        W = smooth_step(x)
+        V = 1.0 - W
+        l2, r2 = left.eval(t, 2), right.eval(t, 2)
+        return [V * l2 + W * r2 if k == 2 else
+                V * left.eval(t, 3) + W * right.eval(t, 3)
+                + smooth_step(x, 1) / w * (r2 - l2) for k in orders]
 
-    lower = unit_plateau(0.0, 0.45 * w)
-    upper = unit_plateau(0.55 * w, 0.45 * w)
+    plates = unit_plateaus([(0.0, w), (0.0, 0.45 * w), (0.55 * w, 0.45 * w)])
 
-    def pair(u, k):                     # zero net mass, order-one moment
-        return lower(u, k) - upper(u, k)
+    def corrections(u, orders):
+        # a plateau over the window, and an antisymmetric pair of plateaus
+        # on its halves (zero net mass, order-one moment)
+        whole, lower, upper = plates(u, orders)
+        return [whole, [lo - hi for lo, hi in zip(lower, upper)]]
 
     mid, (c1, c2) = second_derivative_surgery(
-        a, np.linspace(0.0, w, grid_n), base2, base3,
-        [unit_plateau(0.0, w), pair],
+        a, np.linspace(0.0, w, grid_n), base, corrections,
         (left.eval(a, 0), left.eval(a, 1)),
         right.eval(b, 1), right.eval(b, 0))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from warpbench import blocks, curves as cv, scenarios
-from warpbench._util import grid_points, unit_plateau
+from warpbench._util import grid_points, unit_plateaus
 from warpbench.curvature import DoublyWarpedMetric, doubly_warped_sweep
 
 
@@ -518,9 +518,9 @@ class TestJet:
         assert identity.info["identity"]
         window, _ = cv.second_derivative_surgery(
             0.5, np.linspace(0.0, 0.5, 129),
-            lambda t: np.cos(np.asarray(t, float)),
-            lambda t: -np.sin(np.asarray(t, float)),
-            [unit_plateau(0.0, 0.5)], (0.2, 0.1), 0.7)
+            lambda t, orders: [np.cos(np.asarray(t, float)) if k == 2 else
+                               -np.sin(np.asarray(t, float)) for k in orders],
+            unit_plateaus([(0.0, 0.5)]), (0.2, 0.1), 0.7)
         return [table, combo, combo.restrict(0.25, 1.5),
                 cv.linear_combo([(table.restrict(0.0, 1.0), 2.0)]),
                 # no shared basis: the jet is the three evaluations
@@ -695,3 +695,29 @@ class TestJet:
         assert n > 2 * _SWEEP_BLOCK
         assert lookups == [min(_SWEEP_BLOCK, n - i)
                            for i in range(0, n, _SWEEP_BLOCK)]
+
+
+def test_antiderivative_curve_takes_its_node_columns_from_one_call():
+    """The integrand's orders 0 and 1 at the table nodes, and in the jet,
+    come from one call; each later derivative query asks for its one
+    order.  The jet is the three evaluations bit for bit."""
+    calls = []
+    derivs = (np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
+
+    def integrand(t, orders):
+        calls.append(tuple(orders))
+        return [derivs[k](np.asarray(t, float)) for k in orders]
+
+    curve = cv.antiderivative_curve((0.0, 1.0), 257, integrand)
+    assert calls == [(0, 1)]
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.max(np.abs(curve.eval(t) - np.sin(t))) < 1e-12
+    for k in (1, 2, 3):
+        calls.clear()
+        assert np.array_equal(curve.eval(t, k), derivs[k - 1](t))
+        assert calls == [(k - 1,)]
+    calls.clear()
+    jet = curve.jet(t)
+    assert calls == [(0, 1)]
+    for k in range(3):
+        assert np.array_equal(jet[k], curve.eval(t, k))

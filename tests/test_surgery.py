@@ -14,7 +14,7 @@ import pytest
 from warpbench import blocks as bk
 from warpbench import curves as cv
 from warpbench import feasibility as fs
-from warpbench._util import unit_plateau
+from warpbench._util import unit_plateaus
 from warpbench.scenarios import DEFAULT_PIPELINE_PARAMS
 
 RICHARDSON_TOL = 1e-5
@@ -84,20 +84,21 @@ def test_flatten_start_rise_consistent():
 
 class TestPrimitive:
     def _solve(self, u, value_end=None):
-        def base2(t):
-            return -np.sin(np.asarray(t, float))
+        def base(t, orders):
+            t = np.asarray(t, float)
+            return [-np.sin(t) if k == 2 else -np.cos(t) for k in orders]
 
-        def base3(t):
-            return -np.cos(np.asarray(t, float))
+        plate = unit_plateaus([(0.0, u[-1])])
 
-        plate = unit_plateau(0.0, u[-1])
+        def plate_and_tilt(v, orders):
+            (p0, p1), = plate(v, (0, 1))
+            lever = np.asarray(v, float) / u[-1] - 0.5
+            return [[(p0, p1)[k] for k in orders],
+                    [lever * p0 if k == 0 else p0 / u[-1] + lever * p1
+                     for k in orders]]
 
-        def tilt(v, k):
-            g = (np.asarray(v, float) / u[-1] - 0.5) * plate(v, k)
-            return plate(v) / u[-1] + g if k else g
-
-        corr = [plate] if value_end is None else [plate, tilt]
-        return cv.second_derivative_surgery(0.2, u, base2, base3, corr,
+        corr = plate if value_end is None else plate_and_tilt
+        return cv.second_derivative_surgery(0.2, u, base, corr,
                                             (0.3, -0.1), 0.4, value_end)
 
     @pytest.mark.parametrize("uniform", [True, False])
@@ -126,3 +127,67 @@ class TestPrimitive:
         for k in range(4):
             assert np.allclose(cols[k], curve.eval(ts, k), rtol=0,
                                atol=1e-12)
+
+
+class TestNodeEvaluation:
+    """At its window nodes the surgery calls the base once for orders 2
+    and 3 and the corrections once for orders 0 and 1, so a window build
+    looks each of its point sets up once per order: the blend step at the
+    nodes, then the ramps of all the corrections' plateaus together in one
+    ``plateau_orders`` call.  Evaluating an order, or a correction, at a
+    time would repeat those lookups."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Lists that record (order, points) of every smooth_step call,
+        the orders of every plateau_orders call, and (order, points) of
+        every Leibniz fallback, which looks its points up again."""
+        from warpbench import _util
+        steps, plateaus, fallbacks = [], [], []
+        step = _util.smooth_step
+        plateau_orders = _util.plateau_orders
+        product = _util._plateau_product
+
+        def counted_step(x, k=0):
+            steps.append((k, np.size(x)))
+            return step(x, k)
+
+        def counted_plateau(x, orders, rise=0.15):
+            plateaus.append(tuple(orders))
+            return plateau_orders(x, orders, rise)
+
+        def counted_product(x, k, rise):
+            fallbacks.append((k, np.size(x)))
+            return product(x, k, rise)
+
+        for module in (_util, cv, bk):
+            if hasattr(module, "smooth_step"):
+                monkeypatch.setattr(module, "smooth_step", counted_step)
+        monkeypatch.setattr(_util, "plateau_orders", counted_plateau)
+        monkeypatch.setattr(_util, "_plateau_product", counted_product)
+        return steps, plateaus, fallbacks
+
+    @staticmethod
+    def assert_one_lookup_per_point_set(steps, plateaus, fallbacks, nodes):
+        # the base's step and its slope on the nodes; the plateau ramps at
+        # orders 0 and 1; then each fallback's two steps at every order up
+        # to its own, on the few points where a ramp's density underflows
+        assert steps[:2] == [(0, nodes), (1, nodes)]
+        (k0, ramps0), (k1, ramps1) = steps[2:4]
+        assert (k0, k1) == (0, 1) and ramps0 == ramps1 > 0
+        assert steps[4:] == [(j, 2 * n) for k, n in fallbacks
+                             for j in range(k + 1)]
+        assert plateaus == [(0, 1)]
+
+    def test_smooth_join(self, monkeypatch):
+        left = cv.sine_curve(1.0, 1.0, 0.0, (-0.6, 1.2))
+        right = cv.sine_curve(1.0, 0.9, 0.0, (-0.6, 1.4))
+        counts = self.counted(monkeypatch)
+        cv.smooth_join(left, right, (-0.3, 0.9), (-2.0, 2.0))
+        self.assert_one_lookup_per_point_set(*counts, 2049)
+
+    def test_flatten_start(self, monkeypatch):
+        base = cv.poly_curve([0.1, 0.5, 0.3, 0.2], (0.0, 1.0))
+        counts = self.counted(monkeypatch)
+        bk._flatten_start(base, 0.1, 0.3)
+        self.assert_one_lookup_per_point_set(*counts, 1665)

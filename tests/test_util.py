@@ -734,6 +734,85 @@ class TestPlateau:
                 _util.plateau(np.linspace(0, 1, 5), 0, rise)
 
 
+def two_lookup_plateau(x, k, rise):
+    """The plateau with each ramp looked up on its own: the rising ramp at
+    x / rise and the falling one at (1 - x) / rise in separate smooth_step
+    calls, and the Leibniz product (both steps at every point, one call
+    per step and order) where the one varying factor gives a zero."""
+    x = np.asarray(x, dtype=float)
+    u, v = x / rise, (1.0 - x) / rise
+    out = np.where((u >= 1.0) & (v >= 1.0), float(k == 0), 0.0)
+    out[np.isnan(x)] = np.nan
+    rising = (u > 0.0) & (u < 1.0)
+    falling = (v > 0.0) & (v < 1.0)
+    out[rising] = _util.smooth_step(u[rising], k) / rise ** k
+    out[falling] = _util.smooth_step(v[falling], k) * (-1.0 / rise) ** k
+    if k:
+        redo = (rising | falling) & (out == 0.0)
+        out[redo] = leibniz_plateau(x[redo], k, rise)
+    return out[()] if out.ndim == 0 else out
+
+
+def underflow_points(rise):
+    """Points whose ramp argument lies within 3.4e-4 of 0 or 1, where the
+    bump density underflows to zero, on both ramps; the plateau's ends and
+    corners; NaN and signed zeros."""
+    d = np.concatenate([np.logspace(-20, np.log10(3.4e-4), 200),
+                        np.linspace(0.0, 3.4e-4, 201)[1:]])
+    ramp = np.concatenate([d, 1.0 - d])
+    return np.concatenate([rise * ramp, 1.0 - rise * ramp,
+                           [np.nan, 0.0, -0.0, rise, 1.0 - rise, 1.0]])
+
+
+class TestFusedPlateau:
+    """plateau_orders looks both ramps up in one smooth_step call per
+    order; its values, NaN and the signs of zeros included, are those of
+    one lookup per ramp plus the Leibniz product, for any set of orders."""
+
+    @pytest.mark.parametrize("rise", [0.15, 0.1])
+    def test_matches_two_lookups_bitwise(self, rise):
+        xs = np.concatenate([underflow_points(rise), plateau_points(rise)])
+        for orders in ((0,), (1,), (2,), (3,), (0, 1), (3, 1, 0, 2)):
+            got = _util.plateau_orders(xs, orders, rise)
+            assert len(got) == len(orders)
+            for k, g in zip(orders, got):
+                want = two_lookup_plateau(xs, k, rise)
+                assert_same_values(g, want)
+                assert_same_values(_util.plateau(xs, k, rise), want)
+            got = _util.plateau_orders(xs.reshape(-1, 2), orders, rise)
+            for k, g in zip(orders, got):
+                assert_same_values(
+                    g, two_lookup_plateau(xs.reshape(-1, 2), k, rise))
+
+    @pytest.mark.parametrize("rise", [0.15, 0.1])
+    def test_zero_dimensional_input(self, rise):
+        for x in (np.nan, 0.0, -0.0, 1e-5 * rise, 0.5, rise, 1.0,
+                  1.0 - (1.0 - 1e-4) * rise, 1.0 - 2e-6 * rise, 1.2):
+            for arg in (x, np.array(x)):
+                got = _util.plateau_orders(arg, (0, 1, 2, 3), rise)
+                for k, g in enumerate(got):
+                    want = two_lookup_plateau(np.array(x), k, rise)
+                    assert_same_values(g, want)
+                    assert_same_values(_util.plateau(arg, k, rise), want)
+
+    @pytest.mark.parametrize("rise", [0.15, 0.1])
+    def test_the_points_reach_the_leibniz_fallback(self, rise):
+        """Near the ramp ends the one varying factor underflows to a zero
+        for k > 0, so the fallback decides those points; among them are
+        zeros of either sign."""
+        xs = underflow_points(rise)
+        for k in (1, 2, 3):
+            x = xs / rise
+            ramp = (x > 0.0) & (x < 1.0)
+            one_factor = _util.smooth_step(x[ramp], k)
+            assert np.count_nonzero(one_factor == 0.0) > 10
+        signs = set()
+        for k in (1, 2, 3):
+            out = _util.plateau(xs, k, rise)
+            signs |= set(np.signbit(out[out == 0.0]).tolist())
+        assert signs == {False, True}
+
+
 class TestDerivativeOrder:
     @pytest.mark.parametrize("k", [-1, 4, 7])
     @pytest.mark.parametrize("fn", [
