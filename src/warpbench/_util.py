@@ -637,6 +637,45 @@ def fd_first_derivative(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def gradient_on(ts: np.ndarray):
+    """A function apply(f) equal to ``numpy.gradient(f, ts)`` bit for bit,
+    for float samples f on the grid ts (at least two points).  The stencil
+    weights depend on the grid alone and are computed once, here.  These
+    are numpy's formulas at edge order 1: three-point weights in the
+    interior (Fornberg, Math. Comp. 51, 1988), (f[2:] - f[:-2]) / (2 dx)
+    when every spacing is exactly dx, and one-sided differences at the two
+    ends."""
+    dx = np.diff(np.asarray(ts, dtype=float))
+    if len(dx) < 1:
+        raise ValueError("a gradient needs a grid of at least two points")
+    dx0, dxn = dx[0], dx[-1]
+    if (dx == dx0).all():
+        two_dx = 2. * dx0
+
+        def interior(f):
+            return (f[2:] - f[:-2]) / two_dx
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+
+        def interior(f):
+            return a * f[:-2] + b * f[1:-1] + c * f[2:]
+
+    def apply(f):
+        f = np.asarray(f, dtype=float)
+        if f.shape != (len(dx) + 1,):
+            raise ValueError("samples must match the grid")
+        out = np.empty_like(f)
+        out[1:-1] = interior(f)
+        out[0] = (f[1] - f[0]) / dx0
+        out[-1] = (f[-1] - f[-2]) / dxn
+        return out
+
+    return apply
+
+
 def rank_gf2(rows: list[int]) -> int:
     """Rank over GF(2) of a matrix given as row bitmasks."""
     rank = 0

@@ -18,8 +18,9 @@ import math
 import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
-                    bisect_increasing, cumulative_hermite, grid_points,
-                    plateau, smooth_step, sorted_unique, unit_plateaus)
+                    bisect_increasing, cumulative_hermite, gradient_on,
+                    grid_points, plateau, smooth_step, sorted_unique,
+                    unit_plateaus)
 from .curves import (TRANSFER_RTOL, JoinBandError, SmoothCurve,
                      antiderivative_curve, constant_curve, cosine_curve,
                      curve_from_derivs, even_extension, flatness_margin,
@@ -76,11 +77,19 @@ def _min_margin(label: str, ts, values) -> Margin:
     return Margin(label, float(values[i]), float(ts[i]))
 
 
-def _tab_from_samples(ts: np.ndarray, vals: np.ndarray) -> SmoothCurve:
-    d1 = np.gradient(vals, ts)
-    d2 = np.gradient(d1, ts)
-    d3 = np.gradient(d2, ts)
-    return table_curve(ts, (vals, d1, d2, d3))
+def _tabs_from_samples(ts: np.ndarray, columns) -> list:
+    """One table curve on the grid ts per sample column, with orders 1-3
+    differenced from the samples: each order is ``numpy.gradient`` of the
+    one below, bit for bit, through one ``gradient_on(ts)`` stencil that
+    every column shares.  Differenced orders are approximations; ROADMAP
+    item 3 replaces them with exact jets."""
+    d = gradient_on(ts)
+    curves = []
+    for vals in columns:
+        d1 = d(vals)
+        d2 = d(d1)
+        curves.append(table_curve(ts, (vals, d1, d2, d(d2))))
+    return curves
 
 
 def _reparam_columns(y_cols, r_cols):
@@ -193,7 +202,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
              "parity_first_derivative": par.first_derivative_value},
         sweeps={"ricci": {"t": ss, "columns": {"ric_radial": ric_s,
                                                "ric_sphere": ric_x,
-                                               "warp": warp.eval(ss)}}},
+                                               "warp": sweep["f"]}}},
     )
     return warp, report
 
@@ -419,26 +428,25 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
     # boundary profiles (principal curvatures over true arc length: each
     # form divided by the squared length of its tangent vector) ----------
-    a0, a1 = alpha.eval(ss), alpha.eval(ss, 1)
-    fa = f.eval(a0, 0)
+    a1, fa = cap_ii["alpha_d"], cap_ii["f"]
     spd = np.sqrt(a1 ** 2 + fa ** 2)
-    u_arc = cumulative_hermite(ss, spd, np.gradient(spd, ss))
-    cap_warp_vals = fa * K * np.sin(ss)
+    u_arc = cumulative_hermite(ss, spd, gradient_on(ss)(spd))
+    cap_warp, cap_radial, cap_sphere = _tabs_from_samples(u_arc, (
+        fa * K * np.sin(ss), cap_ii["radial"] / (fa ** 2 + a1 ** 2),
+        cap_ii["sphere"] / fa ** 2))
     cap_profile = BoundaryProfile(
         dimension=n, kind="warped-sphere",
-        metric={"warp": _tab_from_samples(u_arc, cap_warp_vals),
-                "descriptor": "cap"},
-        ii={"radial": _tab_from_samples(
-                u_arc, cap_ii["radial"] / (fa ** 2 + a1 ** 2)),
-            "sphere": _tab_from_samples(u_arc, cap_ii["sphere"] / fa ** 2)})
+        metric={"warp": cap_warp, "descriptor": "cap"},
+        ii={"radial": cap_radial, "sphere": cap_sphere})
     u_cap = float(u_arc[-1])
 
     # outer collar warp as a function of true arc length from the corner,
     # with analytic chain-rule derivative columns (the far end seeds the
-    # next piece's boundary data, so endpoint derivatives must be clean)
-    b1v, b2v, b3v = (beta.eval(so, 1), beta.eval(so, 2), beta.eval(so, 3))
-    ao = alpha_out.eval(so)
-    fo = [f.eval(ao, k) for k in range(4)]
+    # next piece's boundary data, so endpoint derivatives must be clean);
+    # the outer sweep read beta' = alpha_out', beta'', f and f' at alpha_out
+    ao, b1v, b2v = out_ii["alpha"], out_ii["alpha_d"], out_ii["alpha_dd"]
+    b3v = beta.eval(so, 3)
+    fo = [out_ii["f"], out_ii["f_d"], f.eval(ao, 2), f.eval(ao, 3)]
     Fv = fo[0]
     F1 = fo[1] * b1v
     F2 = fo[2] * b1v ** 2 + fo[1] * b2v
@@ -462,9 +470,10 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     flat_pc = float(f.eval(alpha_out.eval(s_hi + eps2), 1)
                     / f.eval(alpha_out.eval(s_hi + eps2), 0))
     tail_len = 2.0 * float(r_arc[-1])
+    dug_pc = dict(zip(out_pc, _tabs_from_samples(r_arc, out_pc.values())))
     outer_ii = {
         key: piecewise_curve([
-            (0.0, r_arc[-1], _tab_from_samples(r_arc, out_pc[key])),
+            (0.0, r_arc[-1], dug_pc[key]),
             (r_arc[-1], r_arc[-1] + tail_len,
              constant_curve(flat_pc, (r_arc[-1], r_arc[-1] + tail_len)))])
         for key in ("radial", "sphere")}
@@ -498,7 +507,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
             "cap_face": {"t": ss, "columns": {
                 "radial_ii": cap_ii["radial"],
                 "sphere_ii": cap_ii["sphere"],
-                "alpha": a0}},
+                "alpha": cap_ii["alpha"]}},
             "outer_face": {"t": so, "columns": {
                 "radial_ii": out_ii["radial"],
                 "sphere_ii": out_ii["sphere"],
@@ -654,7 +663,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     # boundary profiles (principal curvatures; formulas rewritten so the
     # vertical tail |beta'| -> 0 stays finite) -------------------------------
-    arc = cumulative_hermite(tf, r1, np.gradient(r1, tf))
+    arc = cumulative_hermite(tf, r1, gradient_on(tf)(r1))
     bpf = np.abs(b1v)
     qf = 1.0 + (fw[0] * bpf) ** 2
     pc_radial = fw[0] * (b2v - bpf ** 3 * fw[1] * fw[0]
@@ -662,11 +671,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
                  / (fw[0] * np.sqrt(qf)))
     dim = int(B.info.get("dimension", 0) or 0)
+    face_warp, face_radial, face_sphere = _tabs_from_samples(
+        arc, (w0, pc_radial, pc_sphere))
     graph_profile = BoundaryProfile(
         dimension=dim, kind="warped-sphere",
-        metric={"warp": _tab_from_samples(arc, w0), "descriptor": "cap"},
-        ii={"radial": _tab_from_samples(arc, pc_radial),
-            "sphere": _tab_from_samples(arc, pc_sphere)},
+        metric={"warp": face_warp, "descriptor": "cap"},
+        ii={"radial": face_radial, "sphere": face_sphere},
         corners=[Corner("rim", theta, ("graph_face", "bottom"),
                         {"graph_face": 0.0, "bottom": 0.0})])
     bottom_profile = BoundaryProfile(

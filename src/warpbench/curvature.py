@@ -130,7 +130,9 @@ def _collapse_limits(m: DoublyWarpedMetric, t: float, warp: str,
 def doubly_warped_sweep(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
     """Sectional values sec(t^u), sec(t^v), sec(u^v), sec(u1^u2),
     sec(v1^v2) and the Ricci diagonal of dt^2 + f^2 ds_p^2 + h^2 ds_q^2 on
-    a grid, with the collapse limits at declared collapse ends."""
+    a grid, with the collapse limits at declared collapse ends, and the
+    warps it read: columns "f" and "h" are f(t) and h(t), bitwise
+    ``m.f.eval(ts)`` and ``m.h.eval(ts)``."""
     return _in_blocks(functools.partial(_doubly_warped_columns, m), ts)
 
 
@@ -167,6 +169,7 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
                      + q * out["sec_uv"])
     out["ric_vv"] = (out["sec_tv"] + (q - 1) * out["sec_vv"]
                      + p * out["sec_uv"])
+    out["f"], out["h"] = fv, hv
     return out
 
 
@@ -202,7 +205,10 @@ def graph_ii_columns(fv, f1, a1, a2, Rv, R1, sgn: float = 1.0) -> dict:
 def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
                    ss: np.ndarray, orientation: str = "up") -> dict:
     """``graph_ii_columns`` on a grid of s; orientation="down" flips the
-    normal toward decreasing t."""
+    normal toward decreasing t.  Besides "radial" and "sphere" it returns
+    the columns it read, bitwise their ``eval``: "alpha", "alpha_d" and
+    "alpha_dd" are alpha, alpha' and alpha'' at s, and "f" and "f_d" are
+    f and f' at alpha(s)."""
     if orientation not in ("up", "down"):
         raise ValueError(orientation)
     return _in_blocks(functools.partial(_graph_ii_columns, f, R, alpha,
@@ -218,8 +224,11 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
         raise ValueError("f(alpha(s)) must be positive")
     if np.any(Rv <= 0):
         raise ValueError("R(s) must be positive")
-    return graph_ii_columns(fv, f.eval(a, 1), a1, a2, Rv, R.eval(ss, 1),
-                            1.0 if orientation == "up" else -1.0)
+    f1 = f.eval(a, 1)
+    out = graph_ii_columns(fv, f1, a1, a2, Rv, R.eval(ss, 1),
+                           1.0 if orientation == "up" else -1.0)
+    out.update(alpha=a, alpha_d=a1, alpha_dd=a2, f=fv, f_d=f1)
+    return out
 
 
 # ---------------------------------------------------------------------------

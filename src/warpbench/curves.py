@@ -153,9 +153,16 @@ class SmoothCurve:
         return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs)
 
     def plus(self, c: float) -> "SmoothCurve":
+        """The curve plus the constant c; its jet is this curve's jet with
+        c added to order 0."""
         d = self._derivs
         derivs = [lambda t, _d=d[0]: _d(t) + c] + [d[k] for k in (1, 2, 3)]
-        return SmoothCurve(self.t_lo, self.t_hi, derivs)
+
+        def jet(t):
+            v, v1, v2 = self._orders(t)
+            return v + c, v1, v2
+
+        return SmoothCurve(self.t_lo, self.t_hi, derivs, jet=jet)
 
     # -- serialization -------------------------------------------------------
 

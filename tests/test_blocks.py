@@ -488,3 +488,114 @@ class TestHandle1SphereEntryInvariant:
                                eps1=eps1, eps2=0.1, delta=0.01)
         assert rep.margin("sphere_ii_cap").min > 0
         assert rep.margin("tan_chain").min > 0
+
+
+class TestBuilderEvaluation:
+    """The handle and cone builders read each curve once per grid: handle1
+    takes alpha, alpha' and f(alpha) for its cap profile from the cap
+    sweep, and beta', beta'', f(alpha_out) and f'(alpha_out) for its outer
+    face from the outer sweep; the cone's warp column is its sweep's "f".
+    Each builder differences its samples with one stencil per grid."""
+
+    @staticmethod
+    def logged_curve(curve, log, name):
+        """curve, bit for bit, with each evaluation logged as (name,
+        orders, points)."""
+        def order(k):
+            def d(t):
+                log.append((name, (k,), np.asarray(t)))
+                return curve._derivs[k](t)
+            return d
+
+        def jet(t):
+            log.append((name, (0, 1, 2), np.asarray(t)))
+            return curve._orders(t)
+
+        return cv.SmoothCurve(curve.t_lo, curve.t_hi,
+                              [order(k) for k in range(4)], curve.nodes,
+                              curve.info, jet)
+
+    @classmethod
+    def logged(cls, monkeypatch):
+        """Log evaluations of handle1's alpha, f and beta' (the integrand
+        of beta), of the cone's warp, and the grid of every difference
+        stencil with the number of its applications."""
+        log, stencils = [], []
+
+        def wrap(name, factory):
+            def made(*args, **kw):
+                return cls.logged_curve(factory(*args, **kw), log, name)
+            monkeypatch.setattr(bk, factory.__name__, made)
+
+        wrap("alpha", bk._flatten_start)
+        wrap("f", bk.make_concave_profile)
+        wrap("warp", bk.sin_of)
+        antiderivative = bk.antiderivative_curve
+
+        def logged_antiderivative(domain, n, integrand):
+            def logged_integrand(t, orders):
+                log.append(("beta'", tuple(orders), np.asarray(t)))
+                return integrand(t, orders)
+            return antiderivative(domain, n, logged_integrand)
+
+        monkeypatch.setattr(bk, "antiderivative_curve",
+                            logged_antiderivative)
+        gradient_on = bk.gradient_on
+
+        def logged_gradient_on(ts):
+            stencil = [np.asarray(ts), 0]
+            stencils.append(stencil)
+            apply = gradient_on(ts)
+
+            def logged_apply(f):
+                stencil[1] += 1
+                return apply(f)
+            return logged_apply
+
+        monkeypatch.setattr(bk, "gradient_on", logged_gradient_on)
+        return log, stencils
+
+    @staticmethod
+    def orders_on(log, name, points):
+        return [orders for n, orders, t in log
+                if n == name and t.shape == points.shape
+                and np.array_equal(t, points)]
+
+    def test_handle1(self, monkeypatch):
+        log, stencils = self.logged(monkeypatch)
+        rep = bk.build_handle1(4, 0.9, **GOOD_H1)
+        ss = rep.sweeps["cap_face"]["t"]
+        so = rep.sweeps["outer_face"]["t"]
+        alpha_out = (rep.sweeps["outer_face"]["columns"]["beta"]
+                     + rep.aux["alpha_top"])
+        assert self.orders_on(log, "alpha", ss) == [(0, 1, 2)]
+        assert self.orders_on(log, "beta'", so) == [(0, 1), (2,)]
+        assert sorted(self.orders_on(log, "f", alpha_out)) == [
+            (0,), (1,), (2,), (3,)]
+        u_arc = rep.boundary["cap"].metric["warp"].nodes[0]
+        r_arc = rep.boundary["outer"].metric["warp"].nodes[0]
+        assert len(stencils) == 3
+        for (got, _), want in zip(stencils, (ss, u_arc, r_arc)):
+            assert np.array_equal(got, want)
+        # spd on ss; warp and both II columns on u_arc; both II on r_arc
+        assert [uses for _, uses in stencils] == [1, 9, 6]
+
+    def test_handle2(self, monkeypatch):
+        _, stencils = self.logged(monkeypatch)
+        rep = bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)),
+                               **GOOD_H2)
+        tf = rep.sweeps["face_metric"]["t"]
+        arc = rep.boundary["graph_face"].metric["warp"].nodes[0]
+        assert len(stencils) == 2
+        for (got, _), want in zip(stencils, (tf, arc)):
+            assert np.array_equal(got, want)
+        assert [uses for _, uses in stencils] == [1, 9]
+
+    def test_cone(self, monkeypatch):
+        log, stencils = self.logged(monkeypatch)
+        warp, rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        ss = rep.sweeps["ricci"]["t"]
+        assert self.orders_on(log, "warp", ss) == [(0, 1, 2)]
+        assert np.array_equal(rep.sweeps["ricci"]["columns"]["warp"],
+                              warp.eval(ss))
+        assert stencils == []

@@ -52,8 +52,11 @@ class TestDoublyWarped:
         m = round_sphere_metric()
         for t in (0.0, PI / 2):
             cp = at(kv.doubly_warped_sweep, m, t)
-            for v in cp.values():
+            for key in ("sec_tu", "sec_tv", "sec_uv", "sec_uu", "sec_vv",
+                        "ric_tt", "ric_uu", "ric_vv"):
+                v = cp[key]
                 assert abs(v - (4.0 if abs(v) > 2 else 1.0)) < 1e-9
+            assert cp["f"] == m.f.eval(t) and cp["h"] == m.h.eval(t)
 
     def test_higher_dimensional_ricci(self):
         m = round_sphere_metric(3, 4)
@@ -241,8 +244,11 @@ class TestGraphII:
         alpha = cv.constant_curve(0.7, (0.1, 1.4))
         up = graph_at(f, R, alpha, 0.8, "up")
         down = graph_at(f, R, alpha, 0.8, "down")
-        for key in up:
+        for key in ("radial", "sphere"):
             assert up[key] == -down[key]
+        # the columns the sweep read do not depend on the normal
+        for key in ("alpha", "alpha_d", "alpha_dd", "f", "f_d"):
+            assert up[key] == down[key]
 
 
 def _cut_height(lam1, eps1):

@@ -566,6 +566,35 @@ class TestJet:
                     assert (np.float64(got[k]).tobytes()
                             == np.float64(c.eval(x, k)).tobytes())
 
+    def test_plus_keeps_the_jet(self):
+        """c.plus(v).jet is c's jet with v added to order 0: bitwise its
+        per-order eval on arrays and at a 0-d point, and one call of an
+        antiderivative's integrand for orders 0 and 1."""
+        calls = []
+
+        def integrand(t, orders):
+            calls.append(tuple(orders))
+            t = np.asarray(t, float)
+            return [np.cos(3.0 * t) if k == 0 else -3.0 * np.sin(3.0 * t)
+                    for k in orders]
+
+        beta = cv.antiderivative_curve((0.0, 2.0), 257, integrand)
+        rng = np.random.default_rng(6)
+        t = np.concatenate([rng.uniform(0.0, 2.0, 200), [0.0, 2.0, np.nan]])
+        for c in [beta] + self.curves()[:3] + [cone_warp()[0]]:
+            shifted = c.plus(0.37)
+            for q in (t.clip(*c.domain), 0.5 * (c.t_lo + c.t_hi),
+                      np.array(c.t_hi)):
+                got = shifted.jet(q)
+                for k in range(3):
+                    want = shifted.eval(q, k)
+                    assert type(got[k]) is type(want)
+                    assert (np.asarray(got[k]).tobytes()
+                            == np.asarray(want).tobytes())
+        calls.clear()
+        beta.plus(0.37).jet(t[:200])
+        assert calls == [(0, 1)]
+
     def test_points_beyond_the_slop_raise(self):
         for c in self.curves():
             with pytest.raises(ValueError, match=r"t outside \["):

@@ -813,6 +813,69 @@ class TestFusedPlateau:
         assert signs == {False, True}
 
 
+def arc_length_grid(n=3518):
+    """A non-uniform grid as the handle builders make one: the cumulative
+    arc length of the graph of sin, from cumulative_hermite."""
+    ts = np.linspace(0.2, 1.5, n)
+    spd = np.sqrt(1.0 + np.cos(ts) ** 2)
+    return _util.cumulative_hermite(ts, spd, np.gradient(spd, ts))
+
+
+class TestGradientStencil:
+    """gradient_on(ts) applies numpy.gradient's edge-order-1 stencil with
+    weights computed once per grid; every application is bitwise
+    np.gradient(f, ts), NaN and the signs of zeros included."""
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(11)
+        uniform = np.arange(9) * 0.25
+        near_uniform = np.linspace(0.0, 1.0, 1001)
+        diff = np.diff(near_uniform)
+        # the first takes numpy's scalar branch, the second does not
+        assert (np.diff(uniform) == 0.25).all()
+        assert not (diff == diff[0]).all()
+        return [np.cumsum(rng.uniform(0.01, 1.0, 500)), arc_length_grid(),
+                uniform, near_uniform,
+                np.array([0.3, 0.7]), np.array([0.3, 0.7, 1.6]),
+                np.array([0.0, 0.5]), np.array([0.0, 0.5, 1.0])]
+
+    @staticmethod
+    def samples(ts):
+        """Smooth values, and the same with NaN and zeros of both signs."""
+        vals = np.sin(3.0 * ts) * np.exp(ts / (1.0 + ts[-1]))
+        edited = vals.copy()
+        edited[::3] = 0.0
+        edited[1::4] = -0.0
+        edited[len(ts) // 2] = np.nan
+        zeros = np.where(np.arange(len(ts)) % 2 == 0, 0.0, -0.0)
+        return [vals, edited, zeros]
+
+    def test_one_application_is_np_gradient_bitwise(self):
+        for ts in self.grids():
+            d = _util.gradient_on(ts)
+            for f in self.samples(ts):
+                assert d(f).tobytes() == np.gradient(f, ts).tobytes()
+
+    def test_three_chained_applications(self):
+        """As a boundary-profile table chains them: orders 1, 2 and 3 each
+        differenced from the order below on one stencil."""
+        for ts in self.grids():
+            d = _util.gradient_on(ts)
+            for f in self.samples(ts):
+                got, want = f, f
+                for _ in range(3):
+                    got, want = d(got), np.gradient(want, ts)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_grid_and_sample_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            _util.gradient_on(np.array([0.5]))
+        d = _util.gradient_on(np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match="samples must match the grid"):
+            d(np.zeros(4))
+
+
 class TestDerivativeOrder:
     @pytest.mark.parametrize("k", [-1, 4, 7])
     @pytest.mark.parametrize("fn", [
