@@ -21,10 +21,10 @@ from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     bisect_increasing, cumulative_hermite, gradient_on,
                     grid_points, plateau, smooth_step, sorted_unique,
                     unit_plateaus)
-from .curves import (TRANSFER_RTOL, JoinBandError, SmoothCurve,
+from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
                      antiderivative_curve, constant_curve, cosine_curve,
-                     curve_from_derivs, even_extension, flatness_margin,
-                     integrate_transfer_odes, line_curve,
+                     even_extension, flatness_margin,
+                     integrate_transfer_odes, jet_curve, line_curve,
                      linear_combo, make_concave_profile, parity_margin,
                      piecewise_curve, poly_curve,
                      second_derivative_surgery, sin_of, sine_curve,
@@ -78,11 +78,9 @@ def _min_margin(label: str, ts, values) -> Margin:
 
 
 def _tabs_from_samples(ts: np.ndarray, columns) -> list:
-    """One table curve on the grid ts per sample column, with orders 1-3
-    differenced from the samples: each order is ``numpy.gradient`` of the
-    one below, bit for bit, through one ``gradient_on(ts)`` stencil that
-    every column shares.  Differenced orders are approximations; ROADMAP
-    item 3 replaces them with exact jets."""
+    """One table curve on the grid ts per principal-curvature column, its
+    orders 1-3 differenced (approximate): each is ``numpy.gradient`` of the
+    one below, bit for bit, through one shared ``gradient_on(ts)``."""
     d = gradient_on(ts)
     curves = []
     for vals in columns:
@@ -90,19 +88,6 @@ def _tabs_from_samples(ts: np.ndarray, columns) -> list:
         d2 = d(d1)
         curves.append(table_curve(ts, (vals, d1, d2, d(d2))))
     return curves
-
-
-def _reparam_columns(y_cols, r_cols):
-    """Derivatives of y with respect to arc length r, both given as
-    derivative columns with respect to the original parameter."""
-    y0, y1, y2, y3 = y_cols
-    r1, r2, r3 = r_cols
-    yr = y1 / r1
-    A = y2 * r1 - y1 * r2
-    yrr = A / r1 ** 3
-    Ad = y3 * r1 - y1 * r3
-    yrrr = Ad / r1 ** 4 - 3.0 * A * r2 / r1 ** 5
-    return y0, yr, yrr, yrrr
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +197,12 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
 # ---------------------------------------------------------------------------
 
 def _alpha_base(lambda1: float, eps1: float, domain) -> SmoothCurve:
-    """alpha(s) = (sec(lambda1 (s - eps1)) - 1)/lambda1 with hand-derived
-    derivatives."""
-    l1 = lambda1
+    """alpha(s) = (sec(lambda1 (s - eps1)) - 1)/lambda1."""
+    def alpha(s, n):
+        x = (Jet.variable(s, n) - eps1) * lambda1
+        return (1.0 / x.cos() - 1.0) / lambda1
 
-    def x(s):
-        return l1 * (np.asarray(s, float) - eps1)
-
-    def d0(s):
-        return (1.0 / np.cos(x(s)) - 1.0) / l1
-
-    def d1(s):
-        xx = x(s)
-        return np.sin(xx) / np.cos(xx) ** 2
-
-    def d2(s):
-        xx = x(s)
-        return l1 * (1.0 + np.sin(xx) ** 2) / np.cos(xx) ** 3
-
-    def d3(s):
-        xx = x(s)
-        sec, tan = 1.0 / np.cos(xx), np.tan(xx)
-        return l1 * l1 * tan * sec * (tan ** 2 + 5.0 * sec ** 2)
-
-    return curve_from_derivs(domain, d0, d1, d2, d3)
+    return jet_curve(domain, alpha)
 
 
 def _step_weighted(curve: SmoothCurve, at: float, width: float,
@@ -244,17 +211,13 @@ def _step_weighted(curve: SmoothCurve, at: float, width: float,
     of ``curve`` times the smooth step over [at, at + width], rising from 0
     to 1 (or falling from 1 to 0).  The step argument, the step and the
     curve's second derivative are evaluated once for both orders."""
-    def step(x, k):
-        s = smooth_step(x, k) / width ** k
-        if not falling:
-            return s
-        return 1.0 - s if k == 0 else -s
-
     def base(t, orders):
         x = (np.asarray(t, float) - at) / width
-        c2, s = curve.eval(t, 2), step(x, 0)
-        return [c2 * s if k == 2 else
-                curve.eval(t, 3) * s + c2 * step(x, 1) for k in orders]
+        n = max(orders) - 2
+        step = Jet(*(smooth_step(x, k) / width ** k for k in range(n + 1)))
+        c = curve.jet(t, n + 2)[2:]
+        out = c * (1.0 - step if falling else step)
+        return [out[k - 2] for k in orders]
 
     return base
 
@@ -330,15 +293,30 @@ def corner_angle_handle1(lambda1: float, eps1: float) -> float:
     return math.acos(max(-1.0, min(1.0, cos_theta)))
 
 
-def _cap_profile(l1: float, eps1: float, rr: np.ndarray):
-    """(phi, phi'') of handle1's cap profile in the linear-slope model on
-    the grid rr: phi(r) = sin(s) sqrt(1 + l1^2 r^2) and
-    phi''(r) = sin(s) (l1^2 - 1) / (1 + l1^2 r^2)^1.5 with
-    s = arctan(l1 r)/l1 + eps1, sharing sin(s) and 1 + l1^2 r^2."""
-    sin_s = np.sin(np.arctan(l1 * rr) / l1 + eps1)
-    stretch = 1.0 + l1 * l1 * rr * rr
-    return (sin_s * np.sqrt(stretch),
-            sin_s * (l1 * l1 - 1.0) / stretch ** 1.5)
+def _face_profile(fT: Jet, RS: Jet, dT: Jet, fdS: Jet, ts, ii: dict):
+    """A face of dt^2 + f(t)^2 (ds^2 + R(s)^2 g_sphere) traced as (T, S)
+    on the grid ts, from jets of f(T), R(S), T' and f(T) S': its arc-length
+    nodes (speed |(T', f(T) S')|), its warp f(T) R(S) over arc length as a
+    table of exact jet columns, and the curvature columns ``ii``
+    differenced."""
+    speed = (dT * dT + fdS * fdS).sqrt()
+    arc = Jet(cumulative_hermite(ts, speed[0], speed[1]), *speed)
+    pcs = _tabs_from_samples(arc[0], ii.values())
+    return (arc[0], table_curve(arc[0], (fT * RS).reparam(arc)),
+            dict(zip(ii, pcs)))
+
+
+def _handle1_face(f: SmoothCurve, R: SmoothCurve, sweep: dict, ss):
+    """``_face_profile`` of the graph t = height(s) from its
+    ``graph_ii_sweep`` on ss, which read height to order 3 and f to 1."""
+    h = Jet(*(sweep[k] for k in ("alpha", "alpha_d", "alpha_dd",
+                                 "alpha_ddd")))
+    fh = h.chain((sweep["f"], sweep["f_d"], f.eval(h[0], 2),
+                  f.eval(h[0], 3)))
+    fa, a1 = fh[0], h[1]
+    return _face_profile(fh, R.jet(ss, 3), h.d(), fh[:3], ss,
+                         {"radial": sweep["radial"] / (fa ** 2 + a1 ** 2),
+                          "sphere": sweep["sphere"] / fa ** 2})
 
 
 def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
@@ -404,7 +382,12 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
     r_max = math.tan(x_top) / lambda1
     rr = grid_points(0.0, r_max, grid, min_points=513)
-    phi0, phi2 = _cap_profile(lambda1, eps1, rr)
+    # cap profile, linear-slope model: phi = sin(s) sqrt(1 + l^2 r^2), phi''
+    # = sin(s) (l^2 - 1) / (1 + l^2 r^2)^1.5, s = arctan(l r)/l + eps1
+    sin_s = np.sin(np.arctan(lambda1 * rr) / lambda1 + eps1)
+    stretch = 1.0 + lambda1 * lambda1 * rr * rr
+    phi0 = sin_s * np.sqrt(stretch)
+    phi2 = sin_s * (lambda1 * lambda1 - 1.0) / stretch ** 1.5
     margins.append(_min_margin("cap_concavity", rr, -phi2))
     margins.append(Margin("cap_slope_gap", 1.0 - math.cos(eps1), 0.0))
 
@@ -426,51 +409,20 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         1.0 if (math.cos(theta) > 0) == (sign_cf > 0) else -1.0, s_hi))
     margins.append(Margin("inner_slope_gap", 1.0 - lam, -delta))
 
-    # boundary profiles (principal curvatures over true arc length: each
-    # form divided by the squared length of its tangent vector) ----------
-    a1, fa = cap_ii["alpha_d"], cap_ii["f"]
-    spd = np.sqrt(a1 ** 2 + fa ** 2)
-    u_arc = cumulative_hermite(ss, spd, gradient_on(ss)(spd))
-    cap_warp, cap_radial, cap_sphere = _tabs_from_samples(u_arc, (
-        fa * K * np.sin(ss), cap_ii["radial"] / (fa ** 2 + a1 ** 2),
-        cap_ii["sphere"] / fa ** 2))
+    # boundary profiles over true arc length; the outer face's far end
+    # seeds the next piece's boundary data
+    u_arc, cap_warp, cap_pc = _handle1_face(f, R_sphere, cap_ii, ss)
+    u_cap = float(u_arc[-1])
+    rim = Corner("rim", theta, ("cap", "outer"), {"cap": u_cap, "outer": 0.0})
     cap_profile = BoundaryProfile(
         dimension=n, kind="warped-sphere",
-        metric={"warp": cap_warp, "descriptor": "cap"},
-        ii={"radial": cap_radial, "sphere": cap_sphere})
-    u_cap = float(u_arc[-1])
-
-    # outer collar warp as a function of true arc length from the corner,
-    # with analytic chain-rule derivative columns (the far end seeds the
-    # next piece's boundary data, so endpoint derivatives must be clean);
-    # the outer sweep read beta' = alpha_out', beta'', f and f' at alpha_out
-    ao, b1v, b2v = out_ii["alpha"], out_ii["alpha_d"], out_ii["alpha_dd"]
-    b3v = beta.eval(so, 3)
-    fo = [out_ii["f"], out_ii["f_d"], f.eval(ao, 2), f.eval(ao, 3)]
-    Fv = fo[0]
-    F1 = fo[1] * b1v
-    F2 = fo[2] * b1v ** 2 + fo[1] * b2v
-    F3 = fo[3] * b1v ** 3 + 3.0 * fo[2] * b1v * b2v + fo[1] * b3v
-    spd_o = np.sqrt(b1v ** 2 + Fv ** 2)
-    spd_o1 = (b1v * b2v + Fv * F1) / spd_o
-    spd_o2 = (b2v ** 2 + b1v * b3v + F1 ** 2 + Fv * F2
-              - spd_o1 ** 2) / spd_o
-    r_arc = cumulative_hermite(so, spd_o, spd_o1)
-    sn, cn = np.sin(so), np.cos(so)
-    y0 = Fv * K * sn
-    y1 = K * (F1 * sn + Fv * cn)
-    y2 = K * (F2 * sn + 2.0 * F1 * cn - Fv * sn)
-    y3 = K * (F3 * sn + 3.0 * F2 * cn - 3.0 * F1 * sn - Fv * cn)
-    outer_cols = _reparam_columns((y0, y1, y2, y3),
-                                  (spd_o, spd_o1, spd_o2))
-    outer_warp = table_curve(r_arc, outer_cols)
-    out_pc = {"radial": out_ii["radial"] / (Fv ** 2 + b1v ** 2),
-              "sphere": out_ii["sphere"] / Fv ** 2}
+        metric={"warp": cap_warp, "descriptor": "cap"}, ii=cap_pc,
+        corners=[rim])
+    r_arc, outer_warp, dug_pc = _handle1_face(f, R_sphere, out_ii, so)
     # past the dug zone the face is a slice with curvature f'/f
     flat_pc = float(f.eval(alpha_out.eval(s_hi + eps2), 1)
                     / f.eval(alpha_out.eval(s_hi + eps2), 0))
     tail_len = 2.0 * float(r_arc[-1])
-    dug_pc = dict(zip(out_pc, _tabs_from_samples(r_arc, out_pc.values())))
     outer_ii = {
         key: piecewise_curve([
             (0.0, r_arc[-1], dug_pc[key]),
@@ -480,11 +432,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     outer_profile = BoundaryProfile(
         dimension=n, kind="warped-sphere",
         metric={"warp": outer_warp, "descriptor": "shared-collar"},
-        ii=outer_ii,
-        corners=[Corner("rim", theta, ("cap", "outer"),
-                        {"cap": u_cap, "outer": 0.0})])
-    cap_profile.corners.append(Corner("rim", theta, ("cap", "outer"),
-                                      {"cap": u_cap, "outer": 0.0}))
+        ii=outer_ii, corners=[rim])
     bottom_profile = BoundaryProfile(
         dimension=n, kind="warped-sphere",
         metric={"warp": sine_curve(K, 1.0, 0.0, (eps1, s_hi + eps2)),
@@ -523,14 +471,6 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 # ---------------------------------------------------------------------------
 # Second handle piece: the collar dug along a slow graph.
 # ---------------------------------------------------------------------------
-
-def _chi(u, orders):
-    """One on (-inf, -1], zero on [0, inf), decreasing between: its
-    derivatives of the listed orders."""
-    x = np.asarray(u, float) + 1.0
-    return [1.0 - smooth_step(x) if k == 0 else -smooth_step(x, k)
-            for k in orders]
-
 
 def corner_angle_handle2(a: float) -> float:
     """Corner angle of the dug collar: arccos(-a / sqrt(1 + a^2))."""
@@ -595,13 +535,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                                  t_max=t_end + 1.0)
     f = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5, t_end)
 
-    def beta1(t, orders):               # beta' and its derivatives
-        t = np.asarray(t, float)
-        lin = a * (t / b - 1.0)
-        js = range(max(min(orders) - 1, 0), max(orders) + 1)
-        chi = dict(zip(js, _chi(t - b, js)))
-        return [lin * chi[0] if k == 0 else
-                (k * a / b) * chi[k - 1] + lin * chi[k] for k in orders]
+    def beta1(t, orders):               # beta' = a (t/b - 1) chi(t - b)
+        t, n = np.asarray(t, float), max(orders)
+        lin = Jet(a * (t / b - 1.0), a / b, 0.0, 0.0)[:n + 1]
+        # chi is one on (-inf, -1], zero on [0, inf), decreasing between
+        chi = 1.0 - Jet(*(smooth_step(t - b + 1.0, k) for k in range(n + 1)))
+        return [v for k, v in enumerate(lin * chi) if k in orders]
 
     beta = antiderivative_curve((0.0, t_end), 4097, beta1)
     beta_end = float(beta.eval(t_end, 0))
@@ -640,52 +579,39 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     margins.append(Margin("corner_angle", math.pi / 2.0 + eps - theta, 0.0))
     margins.append(Margin("bottom_convexity", nu - lambda2, 0.0))
 
-    # face metric (1 + beta'^2 f^2) dt^2 + f^2 B(beta)^2 on the glued face
+    # profiles of the face s = beta(t), metric (1 + beta'^2 f^2) dt^2 + ...;
+    # curvatures written so the vertical tail |beta'| -> 0 stays finite
     tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
-    btf, b1v, b2v = beta.jet(tf)
-    bchain = B_full.jet(btf)
-    fw = f.jet(tf)
-    w0 = fw[0] * bchain[0]
-    w1 = fw[1] * bchain[0] + fw[0] * bchain[1] * b1v
-    w2 = (fw[2] * bchain[0] + 2.0 * fw[1] * bchain[1] * b1v
-          + fw[0] * (bchain[2] * b1v ** 2 + bchain[1] * b2v))
-    # w' and w'' with respect to the face's arc length r
-    r1 = np.sqrt(1.0 + b1v ** 2 * fw[0] ** 2)
-    r2 = (b1v * b2v * fw[0] ** 2 + b1v ** 2 * fw[0] * fw[1]) / r1
-    wr = w1 / r1
-    wrr = (w2 * r1 - w1 * r2) / r1 ** 3
-    sec_radial = -wrr / w0
-    sec_sphere = (1.0 - wr ** 2) / w0 ** 2
+    bt, fw = beta.jet(tf, 3), f.jet(tf, 3)
+    bchain = B_full.jet(bt[0], 3)
+    bpf = np.abs(bt[1])
+    qf = 1.0 + (fw[0] * bpf) ** 2
+    pc_radial = fw[0] * (bt[2] - bpf ** 3 * fw[1] * fw[0]
+                         - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
+    pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
+                 / (fw[0] * np.sqrt(qf)))
+    _, face_warp, face_pc = _face_profile(
+        fw, bt.chain(bchain), Jet(1.0, 0.0, 0.0), fw[:3] * bt.d(), tf,
+        {"radial": pc_radial, "sphere": pc_sphere})
+    warp, warp_r, warp_rr, _ = face_warp.nodes[1]     # in arc length
+    sec_radial = -warp_rr / warp
+    sec_sphere = (1.0 - warp_r ** 2) / warp ** 2
     margins.append(_min_margin("face_sec_radial", tf, sec_radial))
     margins.append(_min_margin("face_sec_sphere", tf, sec_sphere))
     margins.append(Margin("collar_flatness",
                           1e-8 - flatness_margin(f, t_end), t_end))
-
-    # boundary profiles (principal curvatures; formulas rewritten so the
-    # vertical tail |beta'| -> 0 stays finite) -------------------------------
-    arc = cumulative_hermite(tf, r1, gradient_on(tf)(r1))
-    bpf = np.abs(b1v)
-    qf = 1.0 + (fw[0] * bpf) ** 2
-    pc_radial = fw[0] * (b2v - bpf ** 3 * fw[1] * fw[0]
-                         - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
-    pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
-                 / (fw[0] * np.sqrt(qf)))
     dim = int(B.info.get("dimension", 0) or 0)
-    face_warp, face_radial, face_sphere = _tabs_from_samples(
-        arc, (w0, pc_radial, pc_sphere))
+    rim = Corner("rim", theta, ("graph_face", "bottom"),
+                 {"graph_face": 0.0, "bottom": 0.0})
     graph_profile = BoundaryProfile(
         dimension=dim, kind="warped-sphere",
-        metric={"warp": face_warp, "descriptor": "cap"},
-        ii={"radial": face_radial, "sphere": face_sphere},
-        corners=[Corner("rim", theta, ("graph_face", "bottom"),
-                        {"graph_face": 0.0, "bottom": 0.0})])
+        metric={"warp": face_warp, "descriptor": "cap"}, ii=face_pc,
+        corners=[rim])
     bottom_profile = BoundaryProfile(
         dimension=dim, kind="warped-sphere",
         metric={"warp": B.restrict(0.0, B.t_hi),
                 "descriptor": "shared-collar"},
-        ii={"radial": -lambda2, "sphere": -lambda2},
-        corners=[Corner("rim", theta, ("graph_face", "bottom"),
-                        {"graph_face": 0.0, "bottom": 0.0})])
+        ii={"radial": -lambda2, "sphere": -lambda2}, corners=[rim])
     f_end = float(f.eval(t_end, 0))
     top_profile = BoundaryProfile(
         dimension=dim, kind="warped-sphere",
@@ -706,7 +632,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                     "radial_ii": radial, "sphere_ii": sphere,
                     "closed_form": closed_form}},
                 "face_metric": {"t": tf, "columns": {
-                    "warp": w0, "sec_radial": sec_radial,
+                    "warp": warp, "sec_radial": sec_radial,
                     "sec_sphere": sec_sphere}}},
     )
     report.aux["curves"] = {"f": f, "beta": beta, "B_full": B_full}
@@ -896,12 +822,8 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
     t0 = math.pi / (2.0 * k)
 
     dom = (0.0, t0)
-    f = curve_from_derivs(
-        dom,
-        lambda t: 1.0 + (lam / k) * (1.0 - np.cos(k * np.asarray(t, float))),
-        lambda t: lam * np.sin(k * np.asarray(t, float)),
-        lambda t: lam * k * np.cos(k * np.asarray(t, float)),
-        lambda t: -lam * k * k * np.sin(k * np.asarray(t, float)))
+    f = jet_curve(dom, lambda t, n: 1.0 + (lam / k) * (
+        1.0 - (Jet.variable(t, n) * k).cos()))
     h = sine_curve(1.0 / k, k, 0.0, dom)
 
     metric = BundleWarpedMetric(1, q, f, h, ric_base_lb, 0.0, ABounds(),
@@ -962,18 +884,12 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     omega = math.pi / (1.02 * t0)
     us = np.linspace(0.0, t0, 4097)
 
-    def taper(u, orders):
-        x = (np.asarray(u, float) - (t0 - wT)) / wT
-        return [1.0 - smooth_step(x) if k == 0 else
-                -smooth_step(x, k) / wT ** k for k in orders]
-
     def seed(u, orders):                # orders 0 and 1 of sin(omega u) taper
-        u = np.asarray(u, float)
-        sine = np.sin(omega * u)
-        tp, *tp1 = taper(u, (0, 1) if 1 in orders else (0,))
-        return [sine * tp if k == 0 else
-                omega * np.cos(omega * u) * tp + sine * tp1[0]
-                for k in orders]
+        n = max(orders)
+        x = (np.asarray(u, float) - (t0 - wT)) / wT
+        taper = 1.0 - Jet(*(smooth_step(x, k) / wT ** k for k in range(n + 1)))
+        s = (Jet.variable(u, n) * omega).sin() * taper
+        return [v for k, v in enumerate(s) if k in orders]
 
     y, dy = seed(us, (0, 1))
     i1s = cumulative_hermite(us, y, dy)[-1]

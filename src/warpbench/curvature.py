@@ -206,9 +206,10 @@ def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
                    ss: np.ndarray, orientation: str = "up") -> dict:
     """``graph_ii_columns`` on a grid of s; orientation="down" flips the
     normal toward decreasing t.  Besides "radial" and "sphere" it returns
-    the columns it read, bitwise their ``eval``: "alpha", "alpha_d" and
-    "alpha_dd" are alpha, alpha' and alpha'' at s, and "f" and "f_d" are
-    f and f' at alpha(s)."""
+    the columns it read, bitwise their ``eval``: "alpha", "alpha_d",
+    "alpha_dd" and "alpha_ddd" are alpha and its first three derivatives
+    at s, read in one ``jet`` call (order 3 for a builder's boundary
+    profile), and "f" and "f_d" are f and f' at alpha(s)."""
     if orientation not in ("up", "down"):
         raise ValueError(orientation)
     return _in_blocks(functools.partial(_graph_ii_columns, f, R, alpha,
@@ -217,7 +218,7 @@ def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
 
 def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
                       ss: np.ndarray, orientation: str) -> dict:
-    a, a1, a2 = alpha.jet(ss)
+    a, a1, a2, a3 = alpha.jet(ss, 3)
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
@@ -227,7 +228,7 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
     f1 = f.eval(a, 1)
     out = graph_ii_columns(fv, f1, a1, a2, Rv, R.eval(ss, 1),
                            1.0 if orientation == "up" else -1.0)
-    out.update(alpha=a, alpha_d=a1, alpha_dd=a2, f=fv, f_d=f1)
+    out.update(alpha=a, alpha_d=a1, alpha_dd=a2, alpha_ddd=a3, f=fv, f_d=f1)
     return out
 
 

@@ -23,7 +23,7 @@ __all__ = [
     "piecewise_curve", "linear_combo", "joint_jet", "sin_of",
     "even_extension", "make_concave_profile", "integrate_transfer_odes",
     "transfer_ode_residuals", "smooth_join", "parity_margin",
-    "flatness_margin",
+    "flatness_margin", "Jet", "jet_curve",
 ]
 
 
@@ -57,7 +57,7 @@ class SmoothCurve:
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._derivs = tuple(derivs)
-        self._jet = jet             # optional t -> orders 0..2 in one call
+        self._jet = jet             # optional (t, n) -> orders 0..n, n <= 3
         self.nodes = nodes          # optional (ts, 4-column values) table
         self.info = dict(info) if info else {}
 
@@ -80,26 +80,18 @@ class SmoothCurve:
 
     __call__ = eval
 
-    def jet(self, t) -> tuple:
-        """(eval(t, 0), eval(t, 1), eval(t, 2)), bit for bit, with the
-        domain checked once.  Curves built with a jet share work between
-        the three orders: a table curve, and a linear combination or
-        restriction of table curves on one node array, takes all three
-        orders of every table from one shared segment lookup and Hermite
-        basis (``_util.hermite_jet``); ``sin_of`` evaluates its inner
-        curve's jet once; a ``piecewise_curve`` looks each point's piece
-        up once and takes that piece's jet; a ``second_derivative_surgery``
-        window takes orders 0 and 1 from one Hermite lookup; an
-        ``antiderivative_curve`` takes orders 1 and 2 from one call of its
-        integrand.  Other curves evaluate each order.  ``joint_jet`` shares the basis between
-        several such curves."""
-        return joint_jet((self,), t)[0]
+    def jet(self, t, n: int = 2) -> "Jet":
+        """Orders 0..n at t as a Jet, bitwise ``eval(t, k)``, with the
+        domain checked once, from one call of the curve's jet if it has
+        one, else order by order; composed with a Jet u:
+        ``u.chain(curve.jet(u[0], len(u) - 1))``."""
+        return Jet(*joint_jet((self,), t, n)[0])
 
-    def _orders(self, arr) -> tuple:
-        """Orders 0..2 at points already checked by ``_in_domain``."""
+    def _orders(self, arr, n: int = 2) -> tuple:
+        """Orders 0..n at points already checked by ``_in_domain``."""
         if self._jet is None:
-            return tuple(d(arr) for d in self._derivs[:3])
-        return self._jet(arr)
+            return tuple(d(arr) for d in self._derivs[:n + 1])
+        return self._jet(arr, n)
 
     def _in_domain(self, t) -> np.ndarray:
         """t as a float array, checked and clamped as ``eval`` states."""
@@ -127,42 +119,38 @@ class SmoothCurve:
             nodes = (ts[keep], [c[keep] for c in cols])
         return SmoothCurve(lo, hi, self._derivs, nodes, self.info, self._jet)
 
+    def _mapped(self, lo, hi, arg, scaled) -> "SmoothCurve":
+        """The curve on [lo, hi] whose order k at t is scaled(k, v, t), v
+        this curve's order k at arg(t)."""
+        d = self._derivs
+        return SmoothCurve(lo, hi, [lambda t, k=k: scaled(k, d[k](arg(t)), t)
+                                    for k in range(4)])
+
     def shifted(self, dt) -> "SmoothCurve":
         """Curve s(t) = self(t - dt)."""
-        d = self._derivs
-        derivs = [(lambda k: (lambda t, _k=k: d[_k](t - dt)))(k)
-                  for k in range(4)]
-        return SmoothCurve(self.t_lo + dt, self.t_hi + dt, derivs)
+        return self._mapped(self.t_lo + dt, self.t_hi + dt,
+                            lambda t: t - dt, lambda k, v, t: v)
 
     def metric_rescale(self, R: float) -> "SmoothCurve":
         """Warp transform under g -> R^2 g: t -> R * self(t / R)."""
         if R <= 0:
             raise ValueError("R must be positive")
-        d = self._derivs
-        derivs = [(lambda k: (lambda t, _k=k: R ** (1 - _k) * d[_k](t / R)))(k)
-                  for k in range(4)]
-        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs)
+        return self._mapped(self.t_lo * R, self.t_hi * R, lambda t: t / R,
+                            lambda k, v, t: R ** (1 - k) * v)
 
     def eigen_rescale(self, R: float) -> "SmoothCurve":
         """Principal-curvature transform under g -> R^2 g: t -> self(t/R)/R."""
         if R <= 0:
             raise ValueError("R must be positive")
-        d = self._derivs
-        derivs = [(lambda k: (lambda t, _k=k: d[_k](t / R) / R ** (1 + _k)))(k)
-                  for k in range(4)]
-        return SmoothCurve(self.t_lo * R, self.t_hi * R, derivs)
+        return self._mapped(self.t_lo * R, self.t_hi * R, lambda t: t / R,
+                            lambda k, v, t: v / R ** (1 + k))
 
     def plus(self, c: float) -> "SmoothCurve":
-        """The curve plus the constant c; its jet is this curve's jet with
-        c added to order 0."""
+        """The curve plus the constant c, its jet this curve's plus c."""
         d = self._derivs
         derivs = [lambda t, _d=d[0]: _d(t) + c] + [d[k] for k in (1, 2, 3)]
-
-        def jet(t):
-            v, v1, v2 = self._orders(t)
-            return v + c, v1, v2
-
-        return SmoothCurve(self.t_lo, self.t_hi, derivs, jet=jet)
+        return SmoothCurve(self.t_lo, self.t_hi, derivs,
+                           jet=lambda t, n: Jet(*self._orders(t, n)) + c)
 
     # -- serialization -------------------------------------------------------
 
@@ -178,6 +166,138 @@ class SmoothCurve:
         write_csv(path, "t,v0,v1,v2,v3", self.node_table(per_unit))
 
 
+_BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
+
+
+def _leibniz(a, b, k: int, m: int):
+    """The terms j < m of Leibniz's rule, sum C(k, j) a_j b_(k-j)."""
+    out = a[0] * b[k]                   # a new object, so += is safe
+    for j in range(1, m):
+        term = a[j] * b[k - j]
+        out += term if j == k else _BINOMIAL[k][j] * term
+    return out
+
+
+class Jet:
+    """Orders 0..n (n <= 3) of a function of one parameter, each an array
+    or a float, with truncated Taylor arithmetic on derivatives (Griewank
+    & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A result has
+    as many orders as its shortest Jet operand."""
+
+    __slots__ = ("orders",)
+    __array_ufunc__ = None          # numpy operands defer to the Jet's ops
+
+    def __init__(self, *orders):
+        if len(orders) > 4:
+            raise ValueError("a Jet holds orders 0..n with n <= 3")
+        self.orders = orders
+
+    @classmethod
+    def variable(cls, t, n: int = 3) -> "Jet":
+        """The parameter itself at the points t, to order n."""
+        return cls(np.asarray(t, dtype=float), 1.0, 0.0, 0.0)[:n + 1]
+
+    def __len__(self):
+        return len(self.orders)
+
+    def __iter__(self):
+        return iter(self.orders)
+
+    def __getitem__(self, k):
+        got = self.orders[k]
+        return Jet(*got) if isinstance(k, slice) else got
+
+    def d(self) -> "Jet":
+        """The derivative: orders 1..n."""
+        return Jet(*self.orders[1:])
+
+    def __add__(self, other):
+        a = self.orders
+        if isinstance(other, Jet):
+            return Jet(*(x + y for x, y in zip(a, other.orders)))
+        return Jet(a[0] + other, *a[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a = self.orders
+        if not isinstance(other, Jet):
+            return Jet(*(x * other for x in a))
+        b = other.orders
+        return Jet(*(_leibniz(a, b, k, k + 1)
+                     for k in range(min(len(a), len(b)))))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a = self.orders
+        if not isinstance(other, Jet):
+            return Jet(*(x / other for x in a))
+        b = other.orders
+        q = [a[0] / b[0]]               # Leibniz's rule solved for q_k
+        for k in range(1, min(len(a), len(b))):
+            q.append((a[k] - _leibniz(q, b, k, k)) / b[0])
+        return Jet(*q)
+
+    def __rtruediv__(self, other):
+        return Jet(other, 0.0, 0.0, 0.0)[:len(self)] / self
+
+    def chain(self, g) -> "Jet":
+        """g(self) from g's orders at self[0], at least as many as self
+        has: Faa di Bruno's formula to order 3."""
+        u, out = self.orders, [g[0]]
+        if len(u) > 1:
+            out.append(g[1] * u[1])
+        if len(u) > 2:
+            u11 = u[1] * u[1]
+            out.append(g[2] * u11 + g[1] * u[2])
+        if len(u) > 3:
+            out.append(g[3] * (u11 * u[1]) + 3.0 * (g[2] * (u[1] * u[2]))
+                       + g[1] * u[3])
+        return Jet(*out)
+
+    def sin(self) -> "Jet":
+        s, c = np.sin(self.orders[0]), np.cos(self.orders[0])
+        return self.chain((s, c, -s, -c))
+
+    def cos(self) -> "Jet":
+        s, c = np.sin(self.orders[0]), np.cos(self.orders[0])
+        return self.chain((c, -s, -c, s))
+
+    def sqrt(self) -> "Jet":
+        u = self.orders[0]
+        g = [np.sqrt(u)]
+        for k in range(1, len(self)):   # g_k = (3/2 - k) g_(k-1) / u
+            g.append((1.5 - k) * g[-1] / u)
+        return self.chain(g)
+
+    def reparam(self, r: "Jet") -> "Jet":
+        """The orders with respect to r, a Jet in the current parameter
+        with r' != 0 such as arc length: each is the last one's ``d()``
+        over ``r.d()``."""
+        out, q, dr = [self.orders[0]], self, r.d()
+        while len(q) > 1:
+            q = q.d() / dr
+            out.append(q.orders[0])
+        return Jet(*out)
+
+
+def jet_curve(domain, fn) -> SmoothCurve:
+    """The curve whose orders 0..n at t are the Jet ``fn(t, n)``."""
+    return SmoothCurve(domain[0], domain[1],
+                       [lambda t, k=k: fn(t, k)[k] for k in range(4)],
+                       jet=fn)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form factories.
 # ---------------------------------------------------------------------------
@@ -186,24 +306,22 @@ def curve_from_derivs(domain, d0, d1, d2, d3, info=None) -> SmoothCurve:
     return SmoothCurve(domain[0], domain[1], (d0, d1, d2, d3), info=info)
 
 
+def _zeros(t):
+    return np.zeros_like(np.asarray(t, float))
+
+
 def constant_curve(value, domain) -> SmoothCurve:
     v = float(value)
     return curve_from_derivs(
-        domain,
-        lambda t: np.full_like(np.asarray(t, float), v),
-        lambda t: np.zeros_like(np.asarray(t, float)),
-        lambda t: np.zeros_like(np.asarray(t, float)),
-        lambda t: np.zeros_like(np.asarray(t, float)))
+        domain, lambda t: np.full_like(np.asarray(t, float), v),
+        _zeros, _zeros, _zeros)
 
 
 def line_curve(intercept, slope, domain) -> SmoothCurve:
     a, b = float(intercept), float(slope)
     return curve_from_derivs(
-        domain,
-        lambda t: a + b * np.asarray(t, float),
-        lambda t: np.full_like(np.asarray(t, float), b),
-        lambda t: np.zeros_like(np.asarray(t, float)),
-        lambda t: np.zeros_like(np.asarray(t, float)))
+        domain, lambda t: a + b * np.asarray(t, float),
+        lambda t: np.full_like(np.asarray(t, float), b), _zeros, _zeros)
 
 
 def sine_curve(amplitude, rate, phase, domain) -> SmoothCurve:
@@ -230,36 +348,14 @@ def poly_curve(coeffs, domain) -> SmoothCurve:
         ders.append(prev[1:] * np.arange(1, len(prev)) if len(prev) > 1
                     else np.zeros(1))
 
-    def ev(k):
-        ck = ders[k][::-1]
-        return lambda t: np.polyval(ck, np.asarray(t, float))
-
-    return curve_from_derivs(domain, ev(0), ev(1), ev(2), ev(3))
+    return curve_from_derivs(domain, *[
+        lambda t, ck=d[::-1]: np.polyval(ck, np.asarray(t, float))
+        for d in ders])
 
 
 def sin_of(inner: SmoothCurve) -> SmoothCurve:
-    """sin(inner(t)) with chain-rule derivatives; orders 2 and 3 and the
-    jet take the inner curve's jet once."""
-    g = inner
-
-    def d0(t):
-        return np.sin(g.eval(t, 0))
-
-    def d1(t):
-        return np.cos(g.eval(t, 0)) * g.eval(t, 1)
-
-    def d3(t):
-        (u, u1, u2), u3 = g.jet(t), g.eval(t, 3)
-        return (np.cos(u) * u3 - 3.0 * np.sin(u) * u1 * u2
-                - np.cos(u) * u1 ** 3)
-
-    def jet(t):
-        u, u1, u2 = g.jet(t)
-        s, c = np.sin(u), np.cos(u)
-        return s, c * u1, c * u2 - s * u1 ** 2
-
-    return SmoothCurve(*g.domain, (d0, d1, lambda t: jet(t)[2], d3),
-                       jet=jet)
+    """sin(inner(t)), its orders from the inner curve's (``Jet.sin``)."""
+    return jet_curve(inner.domain, lambda t, n: inner.jet(t, n).sin())
 
 
 def linear_combo(terms) -> SmoothCurve:
@@ -269,67 +365,69 @@ def linear_combo(terms) -> SmoothCurve:
     lo = max(c.t_lo for c, _ in terms)
     hi = min(c.t_hi for c, _ in terms)
 
-    def ev(k):
-        return lambda t: sum(w * c.eval(t, k) for c, w in terms)
-
     parts = [c._jet for c, _ in terms]
     if all(isinstance(j, _TableJet) and j.weights is None
            and j.ts is parts[0].ts for j in parts):
         jet = _TableJet(parts[0].ts, [j.tables[0] for j in parts],
                         [w for _, w in terms])
     else:
-        def jet(t):
-            jets = [(c.jet(t), w) for c, w in terms]
-            return tuple(sum(w * j[k] for j, w in jets) for k in range(3))
+        def jet(t, n):
+            jets = [(joint_jet((c,), t, n)[0], w) for c, w in terms]
+            return tuple(sum(w * j[k] for j, w in jets)
+                         for k in range(n + 1))
 
-    return SmoothCurve(lo, hi, (ev(0), ev(1), ev(2), ev(3)), jet=jet)
+    return SmoothCurve(lo, hi, [
+        lambda t, k=k: sum(w * c.eval(t, k) for c, w in terms)
+        for k in range(4)], jet=jet)
 
 
+@dataclass(frozen=True, eq=False)
 class _TableJet:
     """The jet of a table curve (``weights`` None), or of the weighted sum
-    of table curves on the node array ``ts``: orders 0..2 of each table
-    from one ``hermite_jet`` call, summed as ``linear_combo`` sums its
-    terms' jets (from 0, so -0.0 becomes +0.0)."""
+    of table curves on the node array ``ts``, summed as ``linear_combo``
+    sums its terms (from 0, so -0.0 becomes +0.0)."""
 
-    __slots__ = ("ts", "tables", "weights")
+    ts: np.ndarray
+    tables: list
+    weights: list | None = None
 
-    def __init__(self, ts, tables, weights=None):
-        self.ts = ts
-        self.tables = tables
-        self.weights = weights
+    def __call__(self, t, n: int) -> tuple:
+        return self.combine(self.orders(t, n))
 
-    def __call__(self, t) -> tuple:
-        return self.combine(hermite_jet(self.ts, self.tables, t))
+    def orders(self, t, n: int) -> list:
+        """Orders 0..n of each table at t, bitwise a table curve's eval."""
+        jets = hermite_jet(self.ts, self.tables, t)
+        if n == 3:
+            jets = [(*j, np.interp(t, self.ts, cols[3]))
+                    for j, cols in zip(jets, self.tables)]
+        return [j[:n + 1] for j in jets]
 
     def combine(self, jets) -> tuple:
-        """The curve's orders 0..2 from the jets of its tables."""
+        """The curve's orders from the orders of its tables."""
         if self.weights is None:
             return jets[0]
         return tuple(sum(w * j[k] for j, w in zip(jets, self.weights))
-                     for k in range(3))
+                     for k in range(len(jets[0])))
 
 
-def joint_jet(curves, t) -> list:
-    """[c.jet(t) for c in curves], bit for bit.  When the curves share one
-    domain and each jet is a ``_TableJet`` on the same node array object
-    (table curves on one grid, as the two tables of one ODE integration
-    are, and linear combinations and restrictions of them, such as the
-    transfer block's two warps), the domain is checked once and all their
-    tables share one segment lookup and Hermite basis; other curves take
-    their jets one by one."""
+def joint_jet(curves, t, n: int = 2) -> list:
+    """[c.jet(t) for c in curves] bit for bit, or orders 0..n of each.
+    Table curves on one node array object, and linear combinations and
+    restrictions of them (the transfer block's two warps), sharing one
+    domain, get one domain check and one segment lookup and Hermite basis
+    for all their tables; other curves take their jets one by one."""
     head, jets = curves[0], [c._jet for c in curves]
     if all(isinstance(j, _TableJet) and j.ts is head._jet.ts
            and c.domain == head.domain for c, j in zip(curves, jets)):
         arr = head._in_domain(t)
-        shared = iter(hermite_jet(head._jet.ts,
-                                  [cols for j in jets for cols in j.tables],
-                                  arr))
+        shared = iter(_TableJet(head._jet.ts, [
+            cols for j in jets for cols in j.tables]).orders(arr, n))
         outs = [j.combine([next(shared) for _ in j.tables]) for j in jets]
     else:
         outs = []
         for c in curves:
             arr = c._in_domain(t)
-            outs.append(c._orders(arr))
+            outs.append(c._orders(arr, n))
     if arr.ndim == 0:
         return [tuple(float(v) for v in out) for out in outs]
     return [tuple(np.asarray(v, dtype=float) for v in out) for out in outs]
@@ -340,13 +438,11 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
     ts = np.asarray(ts, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in cols]
 
-    def ev(k):
-        if k < 3:
-            return lambda t: hermite_interp(ts, cols[k], cols[k + 1], t)
-        return lambda t: np.interp(np.asarray(t, float), ts, cols[3])
-
-    return SmoothCurve(ts[0], ts[-1], (ev(0), ev(1), ev(2), ev(3)),
-                       (ts, cols), info, _TableJet(ts, [cols]))
+    derivs = [lambda t, k=k: hermite_interp(ts, cols[k], cols[k + 1], t)
+              for k in range(3)]
+    derivs.append(lambda t: np.interp(np.asarray(t, float), ts, cols[3]))
+    return SmoothCurve(ts[0], ts[-1], derivs, (ts, cols), info,
+                       _TableJet(ts, [cols]))
 
 
 def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
@@ -354,9 +450,9 @@ def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
     ``integrand(t, orders)``, which returns its derivatives of the listed
     orders (0-2) at t.  Values come from a cumulative Hermite table on n
     uniform nodes, interpolated with the integrand as node slopes; the
-    integrand's orders 0 and 1 at the nodes come from one call, as they do
-    in the curve's jet.  Orders 1-3 of the curve are the integrand's orders
-    0-2, one order per call."""
+    integrand's orders 0 and 1 at the nodes come from one call, as the
+    curve's orders 1..n in its jet do.  Orders 1-3 of the curve are the
+    integrand's orders 0-2."""
     ts = np.linspace(domain[0], domain[1], n)
     slopes, curv = integrand(ts, (0, 1))
     vals = cumulative_hermite(ts, slopes, curv)
@@ -364,19 +460,17 @@ def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
     def value(t):
         return hermite_interp(ts, vals, slopes, t)
 
-    def order(k):
-        return lambda t: integrand(t, (k,))[0]
+    def jet(t, n):
+        return (value(t), *(integrand(t, tuple(range(n))) if n else ()))
 
-    def jet(t):
-        return (value(t), *integrand(t, (0, 1)))
-
-    return SmoothCurve(domain[0], domain[1],
-                       (value, order(0), order(1), order(2)), jet=jet)
+    return SmoothCurve(domain[0], domain[1], [value] + [
+        lambda t, k=k: integrand(t, (k,))[0] for k in range(3)], jet=jet)
 
 
 def piecewise_curve(segments) -> SmoothCurve:
     """Contiguous segments [(lo, hi, curve), ...] glued by evaluation; its
-    jet looks each point's segment up once and takes that segment's jet."""
+    jet looks each point's segment up once and takes that segment's
+    orders."""
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
@@ -400,28 +494,21 @@ def piecewise_curve(segments) -> SmoothCurve:
                     out[m] = v
         return outs
 
-    def ev(k):
-        return lambda t: glued(t, lambda c, tm: (c._derivs[k](tm),), 1)[0]
+    def jet(t, n):
+        return tuple(glued(t, lambda c, tm: c._orders(tm, n), n + 1))
 
-    def jet(t):
-        return tuple(glued(t, SmoothCurve._orders, 3))
-
-    return SmoothCurve(t_lo, t_hi, (ev(0), ev(1), ev(2), ev(3)), jet=jet)
+    return SmoothCurve(t_lo, t_hi, [
+        lambda t, k=k: glued(t, lambda c, tm: (c._derivs[k](tm),), 1)[0]
+        for k in range(4)], jet=jet)
 
 
 def even_extension(right_half: SmoothCurve) -> SmoothCurve:
     """Even reflection of a curve on [0, b] to [-b, b]."""
     if abs(right_half.t_lo) > 1e-12:
         raise ValueError("even extension needs domain starting at 0")
-    c = right_half
-
-    def ev(k):
-        sgn = -1.0 if k % 2 else 1.0
-        return lambda t: np.where(np.asarray(t, float) >= 0,
-                                  c.eval(np.abs(t), k),
-                                  sgn * c.eval(np.abs(t), k))
-
-    return curve_from_derivs((-c.t_hi, c.t_hi), ev(0), ev(1), ev(2), ev(3))
+    return right_half._mapped(
+        -right_half.t_hi, right_half.t_hi, np.abs,
+        lambda k, v, t: np.where(t >= 0, v, (-1.0) ** k * v))
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +736,11 @@ def second_derivative_surgery(a: float, u, base, corrections, start,
     function of the offset u = t - a.  At the nodes each is called once,
     for both its orders, so work shared between orders and between
     corrections (the blend step, the curves under it, a plateau's ramp
-    lookups) is done once there; the window curve's second and third
-    derivatives call each with one order.  The coefficients c_j in
-    f'' = base'' + sum_j c_j g_j solve f'(end) = slope_end and, when
-    ``value_end`` is given, also f(end) = value_end, with (f(a), f'(a)) =
-    ``start``; the number of corrections must match the number of targets.
+    lookups) is done once there, as in the window curve's jet.  The
+    coefficients c_j in f'' = base'' + sum_j c_j g_j solve f'(end) =
+    slope_end and, when ``value_end`` is given, also f(end) = value_end,
+    with (f(a), f'(a)) = ``start``; the number of corrections must match
+    the number of targets.
 
     Returns the blended window curve and the coefficient array.  Values
     and slopes come from Hermite tables on the nodes (kept as the curve's
@@ -686,24 +773,22 @@ def second_derivative_surgery(a: float, u, base, corrections, start,
     out1 = cumulative_hermite(u, out2, out3, y1)
     out0 = cumulative_hermite(u, out1, out2, y0)
 
-    def edited(k):
-        def ev(t):
-            du = np.asarray(t, float) - a
-            out, = base(t, (k,))
-            for c, (g,) in zip(coef, corrections(du, (k - 2,))):
-                out = out + c * g
-            return out
-        return ev
+    def edited(t, orders):
+        du = np.asarray(t, float) - a
+        outs = base(t, orders)
+        for c, g in zip(coef, corrections(du, tuple(k - 2 for k in orders))):
+            outs = [out + c * gk for out, gk in zip(outs, g)]
+        return outs
 
-    d2 = edited(2)
-
-    def jet(t):
-        return (*hermite_jet(ts, [(out0, out1, out2)], t)[0], d2(t))
+    def jet(t, n):
+        low = hermite_jet(ts, [(out0, out1, out2)], t)[0][:n + 1]
+        return (*low, *(edited(t, tuple(range(2, n + 1))) if n > 1 else ()))
 
     curve = SmoothCurve(a, a + u[-1],
                         (lambda t: hermite_interp(ts, out0, out1, t),
                          lambda t: hermite_interp(ts, out1, out2, t),
-                         d2, edited(3)),
+                         lambda t: edited(t, (2,))[0],
+                         lambda t: edited(t, (3,))[0]),
                         (ts, (out0, out1, out2, out3)), jet=jet)
     return curve, coef
 
@@ -798,13 +883,6 @@ class ParityReport:
     max_violation: float           # dimensionless
     first_derivative_value: float
     first_derivative_target: float | None = None
-
-    @property
-    def first_derivative_error(self):
-        if self.first_derivative_target is None:
-            return None
-        return abs(self.first_derivative_value
-                   - self.first_derivative_target)
 
 
 def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,

@@ -492,10 +492,13 @@ class TestHandle1SphereEntryInvariant:
 
 class TestBuilderEvaluation:
     """The handle and cone builders read each curve once per grid: handle1
-    takes alpha, alpha' and f(alpha) for its cap profile from the cap
-    sweep, and beta', beta'', f(alpha_out) and f'(alpha_out) for its outer
-    face from the outer sweep; the cone's warp column is its sweep's "f".
-    Each builder differences its samples with one stencil per grid."""
+    takes the height (alpha on the cap, alpha_out on the outer face) to
+    order 3, and f and f' at the height, for each face's profile from that
+    face's sweep, which reads the height's orders in one call, and
+    evaluates only f's orders 2 and 3 there; the cone's warp column is its
+    sweep's "f".
+    Warp columns are jets; each builder differences its principal-
+    curvature samples, and only those, with one stencil per grid."""
 
     @staticmethod
     def logged_curve(curve, log, name):
@@ -507,9 +510,9 @@ class TestBuilderEvaluation:
                 return curve._derivs[k](t)
             return d
 
-        def jet(t):
-            log.append((name, (0, 1, 2), np.asarray(t)))
-            return curve._orders(t)
+        def jet(t, n):
+            log.append((name, tuple(range(n + 1)), np.asarray(t)))
+            return curve._orders(t, n)
 
         return cv.SmoothCurve(curve.t_lo, curve.t_hi,
                               [order(k) for k in range(4)], curve.nodes,
@@ -568,28 +571,30 @@ class TestBuilderEvaluation:
         so = rep.sweeps["outer_face"]["t"]
         alpha_out = (rep.sweeps["outer_face"]["columns"]["beta"]
                      + rep.aux["alpha_top"])
-        assert self.orders_on(log, "alpha", ss) == [(0, 1, 2)]
-        assert self.orders_on(log, "beta'", so) == [(0, 1), (2,)]
-        assert sorted(self.orders_on(log, "f", alpha_out)) == [
-            (0,), (1,), (2,), (3,)]
+        assert self.orders_on(log, "alpha", ss) == [(0, 1, 2, 3)]
+        assert self.orders_on(log, "beta'", so) == [(0, 1, 2)]
+        for height in (rep.sweeps["cap_face"]["columns"]["alpha"],
+                       alpha_out):
+            assert sorted(self.orders_on(log, "f", height)) == [
+                (0,), (1,), (2,), (3,)]
         u_arc = rep.boundary["cap"].metric["warp"].nodes[0]
         r_arc = rep.boundary["outer"].metric["warp"].nodes[0]
-        assert len(stencils) == 3
-        for (got, _), want in zip(stencils, (ss, u_arc, r_arc)):
+        assert len(stencils) == 2
+        for (got, _), want in zip(stencils, (u_arc, r_arc)):
             assert np.array_equal(got, want)
-        # spd on ss; warp and both II columns on u_arc; both II on r_arc
-        assert [uses for _, uses in stencils] == [1, 9, 6]
+        # orders 1-3 of both II columns on each face's arc-length grid
+        assert [uses for _, uses in stencils] == [6, 6]
 
     def test_handle2(self, monkeypatch):
         _, stencils = self.logged(monkeypatch)
         rep = bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)),
                                **GOOD_H2)
-        tf = rep.sweeps["face_metric"]["t"]
         arc = rep.boundary["graph_face"].metric["warp"].nodes[0]
-        assert len(stencils) == 2
-        for (got, _), want in zip(stencils, (tf, arc)):
-            assert np.array_equal(got, want)
-        assert [uses for _, uses in stencils] == [1, 9]
+        assert len(stencils) == 1
+        assert np.array_equal(stencils[0][0], arc)
+        assert np.array_equal(rep.boundary["graph_face"].ii["radial"]
+                              .nodes[0], arc)
+        assert [uses for _, uses in stencils] == [6]
 
     def test_cone(self, monkeypatch):
         log, stencils = self.logged(monkeypatch)

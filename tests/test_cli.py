@@ -331,7 +331,7 @@ PIPELINE_SHA256 = {
     "disc_warp.csv":
         "671dbb1ba5b741e6b4653c98f34b581f80cfd280f1fc0c9d971fd387416ee679",
     "handle_piece1_cap_face.csv":
-        "56bdfb39a9917322a9e723b97bf5a6f143a554a00c16420459274ec5bb109afb",
+        "5661cd6f2f10e849a3d169ad5db2a691e1aa9042fa3ebf3f05bc2c4073528956",
     "handle_piece1_cap_profile.csv":
         "7644ffb16f4b04abd7420245b252779a49cdd510c2b0a64995ceef49378532fa",
     "handle_piece1_outer_face.csv":
@@ -339,7 +339,7 @@ PIPELINE_SHA256 = {
     "handle_piece2_dug_face.csv":
         "48fe424e05bd46dbc837d1cb4eb6a12045c643d97b4ecdf1ac1b5316fab24f6f",
     "handle_piece2_face_metric.csv":
-        "2964222215c1a3d0af3363c81a0c613b1ef25094f7598a2153ab3f5068372664",
+        "252dd5ca2e9b2d6d9438193986f3532b5ff671a01e5560073aa5ed3fec04c7f9",
     "report.json":
         "2a3cc8434c90940cae6f806be1594cd4438b7dddfcbe1c1d6d99cd903ca525f1",
     "transfer_ricci.csv":

@@ -247,8 +247,24 @@ class TestGraphII:
         for key in ("radial", "sphere"):
             assert up[key] == -down[key]
         # the columns the sweep read do not depend on the normal
-        for key in ("alpha", "alpha_d", "alpha_dd", "f", "f_d"):
+        for key in ("alpha", "alpha_d", "alpha_dd", "alpha_ddd", "f", "f_d"):
             assert up[key] == down[key]
+
+    def test_read_columns_are_the_curves_eval(self):
+        """The height's orders 0-3 (from one jet call) and f, f' at the
+        height are bitwise the curves' eval, on handle1's flattened cut."""
+        rep = blocks.build_handle1(4, 0.9, lambda1=0.985, lambda2=0.99,
+                                   eps1=0.01, eps2=0.1, delta=0.05)
+        f, alpha = rep.aux["curves"]["f"], rep.aux["curves"]["alpha"]
+        ss = rep.sweeps["cap_face"]["t"]
+        R = cv.sine_curve(0.9, 1.0, 0.0, (0.005, PI))
+        got = kv.graph_ii_sweep(f, R, alpha, ss, "up")
+        for k, key in enumerate(("alpha", "alpha_d", "alpha_dd",
+                                 "alpha_ddd")):
+            assert got[key].tobytes() == alpha.eval(ss, k).tobytes()
+        a = alpha.eval(ss)
+        assert got["f"].tobytes() == f.eval(a).tobytes()
+        assert got["f_d"].tobytes() == f.eval(a, 1).tobytes()
 
 
 def _cut_height(lam1, eps1):

@@ -530,7 +530,10 @@ class TestJet:
                                   1.0)]),
                 table.shifted(0.1),
                 cone_warp()[0], identity, window,
-                cv.sin_of(identity)]
+                cv.sin_of(identity),
+                cv.piecewise_curve([(0.0, 0.5, window.shifted(-0.5)),
+                                    (0.5, 1.0, window)]),
+                blocks._alpha_base(0.9, 0.1, (0.1, 1.5))]
 
     @staticmethod
     def segment_starts():
@@ -565,6 +568,31 @@ class TestJet:
                     assert type(got[k]) is float
                     assert (np.float64(got[k]).tobytes()
                             == np.float64(c.eval(x, k)).tobytes())
+
+    def test_orders_up_to_n_are_each_eval_bitwise(self):
+        """jet(t, n) gives eval(t, k) for k = 0..n, bit for bit, on
+        arrays and at 0-d points, for every kind of jet; chained with a Jet
+        it is the curve composed with it."""
+        rng = np.random.default_rng(12)
+        for c in self.curves() + [c.plus(0.3) for c in self.curves()[:3]]:
+            lo, hi = c.domain
+            t = np.concatenate([rng.uniform(lo, hi, 100), [lo, hi, np.nan]])
+            for n in range(4):
+                for q in (t, t[:0], 0.5 * (lo + hi)):
+                    got = c.jet(q, n)
+                    assert len(got) == n + 1
+                    for k in range(n + 1):
+                        want = c.eval(q, k)
+                        assert type(got[k]) is type(want)
+                        assert (np.asarray(got[k]).tobytes()
+                                == np.asarray(want).tobytes())
+        sine = cv.sine_curve(1.0, 1.0, 0.0, (-2.0, 2.0))
+        t = np.linspace(0.0, 1.0, 9)
+        inner = cv.Jet(0.5 * t, 0.5, 0.0, 0.0)
+        got = inner.chain(sine.jet(inner[0], 3))
+        s, c = np.sin(0.5 * t), np.cos(0.5 * t)
+        for k, want in enumerate((s, 0.5 * c, -0.25 * s, -0.125 * c)):
+            assert np.allclose(got[k], want, rtol=0, atol=1e-15)
 
     def test_plus_keeps_the_jet(self):
         """c.plus(v).jet is c's jet with v added to order 0: bitwise its
@@ -750,3 +778,113 @@ def test_antiderivative_curve_takes_its_node_columns_from_one_call():
     assert calls == [(0, 1)]
     for k in range(3):
         assert np.array_equal(jet[k], curve.eval(t, k))
+
+
+def compose(curve, u):
+    """curve(u) for a Jet u: the curve's orders at u[0], chained."""
+    return u.chain(curve.jet(u[0], len(u) - 1))
+
+
+class TestJetArithmetic:
+    """Jet arithmetic at orders 0-3 against closed forms in t, on a grid
+    of t: each operation, composition with a SmoothCurve and
+    reparametrisation.  A result has as many orders as its shortest Jet
+    operand."""
+
+    t = np.linspace(0.1, 2.0, 41)
+
+    @staticmethod
+    def assert_orders(got, want, n):
+        assert len(got) == n + 1
+        for k in range(n + 1):
+            scale = 1.0 + np.max(np.abs(want[k]))
+            assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
+
+    def closed(self):
+        """Orders 0-3 of sin t, cos t, e^t, t^2 sin t, sqrt(1 + t^2),
+        1 / (1 + t^2) and e^{sin t}."""
+        t = self.t
+        s, c, e, q = np.sin(t), np.cos(t), np.exp(t), 1.0 + t * t
+        r = np.sqrt(q)
+        g = np.exp(s)
+        return {
+            "sin": (s, c, -s, -c),
+            "cos": (c, -s, -c, s),
+            "exp": (e, e, e, e),
+            "t2sin": (t * t * s, 2 * t * s + t * t * c,
+                      2 * s + 4 * t * c - t * t * s,
+                      6 * c - 6 * t * s - t * t * c),
+            "sqrt": (r, t / r, 1.0 / r ** 3, -3.0 * t / r ** 5),
+            "recip": (1.0 / q, -2.0 * t / q ** 2, (6 * t * t - 2) / q ** 3,
+                      -24.0 * t * (t * t - 1.0) / q ** 4),
+            "exp_sin": (g, c * g, (c * c - s) * g,
+                        (c ** 3 - 3 * s * c - c) * g),
+        }
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_operations(self, n):
+        x = cv.Jet.variable(self.t, n)
+        exp = cv.curve_from_derivs((-5.0, 5.0), *[np.exp] * 4)
+        want = self.closed()
+        got = {
+            "sin": x.sin(),
+            "cos": x.cos(),
+            "exp": compose(exp, x),
+            "t2sin": x * x * x.sin(),
+            "sqrt": (x * x + 1.0).sqrt(),
+            "recip": 1.0 / (1.0 + x * x),
+            "exp_sin": compose(exp, x.sin()),
+        }
+        for name in want:
+            self.assert_orders(got[name], want[name], n)
+        # sums, differences, negation and quotients of Jets and scalars
+        s, c = want["sin"], want["cos"]
+        self.assert_orders(x.sin() + x.cos(), [a + b for a, b in zip(s, c)],
+                           n)
+        self.assert_orders(x.sin() - x.cos(), [a - b for a, b in zip(s, c)],
+                           n)
+        self.assert_orders(2.0 - x.sin(), [2.0 - s[0]] + [-a for a in s[1:]],
+                           n)
+        self.assert_orders(-x.cos() * 3.0 + 1.0,
+                           [1.0 - 3.0 * c[0]] + [-3.0 * a for a in c[1:]], n)
+        self.assert_orders(x * x * x.sin() / (x * x), s, n)
+        self.assert_orders(x.sin() / 4.0, [a / 4.0 for a in s], n)
+        if n:
+            self.assert_orders(x.d(), (np.ones_like(self.t), 0.0, 0.0),
+                               n - 1)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_reparametrisation(self, n):
+        """y = sin t in the parameter r = e^t: y(r) = sin(log r), with
+        dy/dr = cos L / r, (-sin L - cos L) / r^2, (3 sin L + cos L) / r^3
+        at L = log r = t."""
+        x = cv.Jet.variable(self.t, n)
+        e = np.exp(self.t)
+        r = x.chain((e, e, e, e))
+        s, c = np.sin(self.t), np.cos(self.t)
+        want = (s, c / e, -(s + c) / e ** 2, (3 * s + c) / e ** 3)
+        self.assert_orders(x.sin().reparam(r), want, n)
+
+    def test_unequal_lengths_truncate(self):
+        x3, x1 = cv.Jet.variable(self.t, 3), cv.Jet.variable(self.t, 1)
+        want = self.closed()
+        self.assert_orders(x3.sin() * x1 * x1, want["t2sin"], 1)
+        self.assert_orders(x1 * x1 * x3.sin(), want["t2sin"], 1)
+        self.assert_orders(x3.sin() + x1.cos() * 0.0, want["sin"], 1)
+        self.assert_orders(x3 * x3 * x3.sin() / (x1 * x1), want["sin"], 1)
+        # composition reads only as many orders as the inner Jet has
+        exp = cv.curve_from_derivs((-5.0, 5.0), *[np.exp] * 4)
+        self.assert_orders(compose(exp, x1.sin()), want["exp_sin"], 1)
+        # reparametrisation by a shorter Jet: d/dr needs r' to that order
+        e = np.exp(self.t)
+        got = x3.sin().reparam(cv.Jet(e, e))
+        self.assert_orders(got, (want["sin"][0], want["cos"][0] / e), 1)
+
+    def test_numpy_operands_defer_to_the_jet(self):
+        x = cv.Jet.variable(self.t, 2)
+        got = np.ones_like(self.t) * x + np.zeros_like(self.t)
+        assert isinstance(got, cv.Jet)
+        self.assert_orders(got, (self.t, np.ones_like(self.t), 0.0 * self.t),
+                           2)
+        with pytest.raises(ValueError):
+            cv.Jet(*[self.t] * 5)

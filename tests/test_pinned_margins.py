@@ -10,6 +10,10 @@ by about 3e-11. Regenerate the file with
     PYTHONPATH=src python tests/test_pinned_margins.py
 
 only when a margin is meant to move, and record which one and by how much.
+The regeneration keeps every recorded value that the test still accepts, so
+it rewrites only the margins that moved beyond the tolerance (and entries
+whose labels changed); floor-level moves of the last digits on another host
+leave the file as it is.
 """
 
 import json
@@ -89,16 +93,48 @@ def current():
     return collect()
 
 
+def _tolerance(name):
+    return FIBRE_NARROW_TOL if name == "fibre-disc:t0=1.3" else TOL
+
+
+def _within(value, want, name):
+    return abs(value - want) <= _tolerance(name) * max(1.0, abs(want))
+
+
+def regenerated(recorded: dict, current: dict) -> dict:
+    """``current`` with each value the test accepts replaced by its
+    recorded value, so only moves beyond the tolerance are rewritten."""
+    out = {}
+    for name, entries in current.items():
+        ref = recorded.get(name)
+        if ref is None or [l for l, _ in ref] != [l for l, _ in entries]:
+            out[name] = entries
+            continue
+        out[name] = [[label, want if _within(value, want, name) else value]
+                     for (label, value), (_, want) in zip(entries, ref)]
+    return out
+
+
 @pytest.mark.parametrize(
     "name", sorted(_load()) if os.path.exists(DATA) else [])
 def test_margins_match_recorded_values(name, current):
     ref = _load()[name]
     got = current[name]
     assert [label for label, _ in got] == [label for label, _ in ref]
-    tol = FIBRE_NARROW_TOL if name == "fibre-disc:t0=1.3" else TOL
     for (label, value), (_, want) in zip(got, ref):
-        assert abs(value - want) <= tol * max(1.0, abs(want)), \
+        assert _within(value, want, name), \
             f"{name} {label}: {value!r}, recorded {want!r}"
+
+
+def test_regeneration_rewrites_only_moves_beyond_the_tolerance():
+    recorded = {"a": [["m", 1.0], ["n", 2.0]], "b": [["m", 1.0]],
+                "fibre-disc:t0=1.3": [["m", 1.0]]}
+    current = {"a": [["m", 1.0 + 1e-13], ["n", 2.0 + 1e-9]],
+               "b": [["k", 1.0]], "c": [["m", 3.0]],
+               "fibre-disc:t0=1.3": [["m", 1.0 + 1e-11]]}
+    assert regenerated(recorded, current) == {
+        "a": [["m", 1.0], ["n", 2.0 + 1e-9]], "b": [["k", 1.0]],
+        "c": [["m", 3.0]], "fibre-disc:t0=1.3": [["m", 1.0]]}
 
 
 def test_fibre_disc_quarter_circle_within_1e13(current):
@@ -109,7 +145,10 @@ def test_fibre_disc_quarter_circle_within_1e13(current):
 
 
 if __name__ == "__main__":
+    data = collect()
+    if os.path.exists(DATA):
+        data = regenerated(_load(), data)
     with open(DATA, "w", encoding="utf-8") as fh:
-        json.dump(collect(), fh, indent=1)
+        json.dump(data, fh, indent=1)
         fh.write("\n")
     print(f"wrote {DATA}", file=sys.stderr)

@@ -44,16 +44,24 @@ def _two_sines_join():
     return cv.smooth_join(left, right, (-0.3, 0.9), (-2.0, 2.0))
 
 
-def _handle1_alpha():
+def _handle1_curve(name):
     rep = bk.build_handle1(4, 0.9, lambda1=0.985, lambda2=0.99, eps1=0.01,
                            eps2=0.1, delta=0.05)
-    return rep.aux["curves"]["alpha"]
+    return rep.aux["curves"][name]
+
+
+def _handle2_curve(name):
+    P = DEFAULT_PIPELINE_PARAMS["handle2"]
+    rep = bk.build_handle2(fs._default_collar_profile(), **P)
+    return rep.aux["curves"][name]
+
+
+def _handle1_alpha():
+    return _handle1_curve("alpha")
 
 
 def _handle2_f():
-    P = DEFAULT_PIPELINE_PARAMS["handle2"]
-    rep = bk.build_handle2(fs._default_collar_profile(), **P)
-    return rep.aux["curves"]["f"]
+    return _handle2_curve("f")
 
 
 # name -> (curve factory, window [lo, hi] where the primitive's curve lives)
@@ -62,6 +70,17 @@ WINDOWS = {
     "smooth_join": (_two_sines_join, (-0.3, 0.9)),
     "flatten_start": (_handle1_alpha, (0.01, 0.06)),
     "flatten_slope_end": (_handle2_f, (B + 0.5, B + 1.0)),
+    # the curves whose order 3 the boundary-profile jets read, each on a
+    # window inside one piece: handle1's beta and concave profile f, and
+    # handle2's beta and B_full (its cubic extension, then the profile B)
+    "handle1_beta": (lambda: _handle1_curve("beta"),
+                     (math.pi / 2, math.pi / 2 + 0.1)),
+    "handle1_f": (lambda: _handle1_curve("f"), (-0.05, 2.0)),
+    "handle2_f_raw": (_handle2_f, (0.0, B + 0.5)),
+    "handle2_beta": (lambda: _handle2_curve("beta"), (0.0, B + 1.0)),
+    "handle2_B_full_extension": (lambda: _handle2_curve("B_full"),
+                                 (-0.013, 0.0)),
+    "handle2_B_full_profile": (lambda: _handle2_curve("B_full"), (0.0, 1.0)),
     "wu_blend": (lambda: bk.wu_family_check("blended", eps=0.1)
                  .aux["curves"]["h1"], (0.1, 0.95)),
     **{f"fibre_disc_t0={t0:.4g}":
@@ -74,6 +93,117 @@ WINDOWS = {
 def test_orders_1_to_3_consistent(name):
     factory, (lo, hi) = WINDOWS[name]
     assert_derivatives_consistent(factory(), lo, hi)
+
+
+def richardson_d(fn, ts, h, lo, hi):
+    """d/dt of fn at ts, step h per point, from values on [lo, hi] only:
+    the central differences above where [t - h, t + h] lies inside, else
+    the one-sided (-3 f(t) + 4 f(t + h) - f(t + 2h)) / 2h toward the
+    inside, extrapolated the same way (accurate to O(h^3))."""
+    out = np.empty_like(ts)
+    central = (ts - h >= lo) & (ts + h <= hi)
+    forward = ~central & (ts + 2.0 * h <= hi)
+    for mask, sign in ((central, 0.0), (forward, 1.0),
+                       (~central & ~forward, -1.0)):
+        t, step = ts[mask], h[mask]
+
+        def D(q):
+            if not sign:
+                return (fn(t + q) - fn(t - q)) / (2.0 * q)
+            return sign * (-3.0 * fn(t) + 4.0 * fn(t + sign * q)
+                           - fn(t + 2.0 * sign * q)) / (2.0 * q)
+        if mask.any():
+            out[mask] = (4.0 * D(0.5 * step) - D(step)) / 3.0
+    return out
+
+
+class TestBoundaryProfileOrders:
+    """Orders 1 and 2 of each handle face's warp profile, a table over
+    the face's arc length r, at every node, against d/dr computed from
+    the builder's curves: Richardson differences in the face's original
+    parameter divided by the arc-length speed.  Order 1 differences the
+    warp; order 2 differences its first derivative in r, written with the
+    curves' exact first orders."""
+
+    P = DEFAULT_PIPELINE_PARAMS
+
+    @staticmethod
+    def assert_orders(profile, ts, warp, warp_d, speed, domain, h):
+        cols = profile.metric["warp"].nodes[1]
+        refs = (richardson_d(warp, ts, h, *domain) / speed(ts),
+                richardson_d(lambda s: warp_d(s) / speed(s), ts, h,
+                             *domain) / speed(ts))
+        for k, ref in zip((1, 2), refs):
+            err = np.abs(cols[k] - ref)
+            tol = RICHARDSON_TOL * (1.0 + np.max(np.abs(cols[k])))
+            assert np.max(err) < tol, (k, int(np.argmax(err)),
+                                       float(np.max(err)))
+
+    @classmethod
+    def handle1(cls):
+        return bk.build_handle1(cls.P["q"], cls.P["K"], **cls.P["handle1"])
+
+    @classmethod
+    def handle1_face_profile(cls, rep, height, height_d):
+        """The warp f(height(s)) K sin(s) of a handle1 face, whose speed
+        is |(height', f(height))|."""
+        f, K = rep.aux["curves"]["f"], cls.P["K"]
+
+        def warp(s):
+            return f.eval(height(s)) * K * np.sin(s)
+
+        def warp_d(s):
+            return K * (f.eval(height(s), 1) * height_d(s) * np.sin(s)
+                        + f.eval(height(s)) * np.cos(s))
+
+        def speed(s):
+            return np.sqrt(height_d(s) ** 2 + f.eval(height(s)) ** 2)
+        return warp, warp_d, speed
+
+    def test_handle1_cap(self):
+        rep = self.handle1()
+        alpha = rep.aux["curves"]["alpha"]
+        ss = rep.sweeps["cap_face"]["t"]
+        # alpha rises from flat over 5e-5 at its start: steps shrink there
+        h = np.clip(0.05 * (ss - alpha.t_lo), 1e-6, 1e-4)
+        self.assert_orders(rep.boundary["cap"], ss, *self.handle1_face_profile(
+            rep, alpha.eval, lambda s: alpha.eval(s, 1)), alpha.domain, h)
+
+    def test_handle1_outer(self):
+        rep = self.handle1()
+        beta, top = rep.aux["curves"]["beta"], rep.aux["alpha_top"]
+        so = rep.sweeps["outer_face"]["t"]
+        h = np.full(so.shape, 1e-4)
+        self.assert_orders(rep.boundary["outer"], so, *self.handle1_face_profile(
+            rep, lambda s: beta.eval(s) + top, lambda s: beta.eval(s, 1)),
+            beta.domain, h)
+
+    @pytest.mark.parametrize("collar", ["assembled", "default"])
+    def test_handle2_graph_face(self, collar):
+        if collar == "assembled":       # as assemble_handle builds it
+            rep1 = self.handle1()
+            B = rep1.boundary["outer"].metric["warp"].metric_rescale(
+                1.0 / (rep1.aux["f_scale_at_corner"] * self.P["K"]))
+        else:
+            B = fs._default_collar_profile()
+        rep = bk.build_handle2(B, **self.P["handle2"])
+        f, beta, B_full = (rep.aux["curves"][k]
+                           for k in ("f", "beta", "B_full"))
+        tf = rep.sweeps["face_metric"]["t"]
+
+        def warp(t):
+            return f.eval(t) * B_full.eval(beta.eval(t))
+
+        def warp_d(t):
+            bt = beta.eval(t)
+            return (f.eval(t, 1) * B_full.eval(bt)
+                    + f.eval(t) * B_full.eval(bt, 1) * beta.eval(t, 1))
+
+        def speed(t):
+            return np.sqrt(1.0 + (beta.eval(t, 1) * f.eval(t)) ** 2)
+        h = np.full(tf.shape, 1e-4)
+        self.assert_orders(rep.boundary["graph_face"], tf, warp, warp_d,
+                           speed, beta.domain, h)
 
 
 def test_flatten_start_rise_consistent():
