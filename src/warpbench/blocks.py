@@ -77,16 +77,17 @@ def _min_margin(label: str, ts, values) -> Margin:
     return Margin(label, float(values[i]), float(ts[i]))
 
 
-def _tabs_from_samples(ts: np.ndarray, columns) -> list:
-    """One table curve on the grid ts per principal-curvature column, its
-    orders 1-3 differenced (approximate): each is ``numpy.gradient`` of the
-    one below, bit for bit, through one shared ``gradient_on(ts)``."""
+def _tabs_from_samples(ts: np.ndarray, columns: dict) -> dict:
+    """One table curve on the grid ts per named principal-curvature
+    column, its orders 1-3 differenced (approximate): each is
+    ``numpy.gradient`` of the one below, bit for bit, through one shared
+    ``gradient_on(ts)``."""
     d = gradient_on(ts)
-    curves = []
-    for vals in columns:
+    curves = {}
+    for name, vals in columns.items():
         d1 = d(vals)
         d2 = d(d1)
-        curves.append(table_curve(ts, (vals, d1, d2, d(d2))))
+        curves[name] = table_curve(ts, (vals, d1, d2, d(d2)))
     return curves
 
 
@@ -293,30 +294,49 @@ def corner_angle_handle1(lambda1: float, eps1: float) -> float:
     return math.acos(max(-1.0, min(1.0, cos_theta)))
 
 
-def _face_profile(fT: Jet, RS: Jet, dT: Jet, fdS: Jet, ts, ii: dict):
-    """A face of dt^2 + f(t)^2 (ds^2 + R(s)^2 g_sphere) traced as (T, S)
-    on the grid ts, from jets of f(T), R(S), T' and f(T) S': its arc-length
-    nodes (speed |(T', f(T) S')|), its warp f(T) R(S) over arc length as a
-    table of exact jet columns, and the curvature columns ``ii``
-    differenced."""
-    speed = (dT * dT + fdS * fdS).sqrt()
-    arc = Jet(cumulative_hermite(ts, speed[0], speed[1]), *speed)
-    pcs = _tabs_from_samples(arc[0], ii.values())
-    return (arc[0], table_curve(arc[0], (fT * RS).reparam(arc)),
-            dict(zip(ii, pcs)))
+def _face_speed(dT: Jet, fdS: Jet) -> Jet:
+    """Speed |(T', f(T) S')| of a face of dt^2 + f(t)^2 (ds^2 + R(s)^2
+    g_sphere) traced as (T, S), from jets of T' and f(T) S'.  The face's
+    arc-length nodes ``cumulative_hermite(ts, *speed[:2])`` read only
+    orders 0-1, and those come from orders 0-1 of dT and fdS alone."""
+    return (dT * dT + fdS * fdS).sqrt()
 
 
-def _handle1_face(f: SmoothCurve, R: SmoothCurve, sweep: dict, ss):
-    """``_face_profile`` of the graph t = height(s) from its
+def _face_warp(fT: Jet, RS: Jet, speed: Jet, u) -> SmoothCurve:
+    """The face's warp f(T) R(S), from jets of f(T) and R(S), over its
+    arc-length nodes u (the integral of ``speed``) as a table of exact jet
+    columns."""
+    return table_curve(u, (fT * RS).reparam(Jet(u, *speed)))
+
+
+def _height(sweep: dict, n: int) -> Jet:
+    """Orders 0..n of the height of handle1's graph t = height(s), as its
+    ``graph_ii_sweep`` read them."""
+    return Jet(*(sweep[k] for k in ("alpha", "alpha_d", "alpha_dd",
+                                    "alpha_ddd")[:n + 1]))
+
+
+def _handle1_arc(sweep: dict, ss) -> np.ndarray:
+    """Arc-length nodes on ss of the graph t = height(s), from its
+    ``graph_ii_sweep``: the height's orders 1-2, and f and f' at the
+    height."""
+    h = _height(sweep, 2)
+    fh = h[:2].chain((sweep["f"], sweep["f_d"]))
+    return cumulative_hermite(ss, *_face_speed(h.d(), fh))
+
+
+def _handle1_face(f: SmoothCurve, R: SmoothCurve, sweep: dict, ss, u):
+    """The warp table and the differenced principal-curvature tables of
+    the graph t = height(s) over its arc-length nodes u, from its
     ``graph_ii_sweep`` on ss, which read height to order 3 and f to 1."""
-    h = Jet(*(sweep[k] for k in ("alpha", "alpha_d", "alpha_dd",
-                                 "alpha_ddd")))
+    h = _height(sweep, 3)
     fh = h.chain((sweep["f"], sweep["f_d"], f.eval(h[0], 2),
                   f.eval(h[0], 3)))
     fa, a1 = fh[0], h[1]
-    return _face_profile(fh, R.jet(ss, 3), h.d(), fh[:3], ss,
-                         {"radial": sweep["radial"] / (fa ** 2 + a1 ** 2),
-                          "sphere": sweep["sphere"] / fa ** 2})
+    ii = {"radial": sweep["radial"] / (fa ** 2 + a1 ** 2),
+          "sphere": sweep["sphere"] / fa ** 2}
+    return (_face_warp(fh, R.jet(ss, 3), _face_speed(h.d(), fh[:3]), u),
+            _tabs_from_samples(u, ii))
 
 
 def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
@@ -409,43 +429,49 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         1.0 if (math.cos(theta) > 0) == (sign_cf > 0) else -1.0, s_hi))
     margins.append(Margin("inner_slope_gap", 1.0 - lam, -delta))
 
-    # boundary profiles over true arc length; the outer face's far end
+    # arc lengths of both faces; the boundary profiles over them are built
+    # on the first read of report.boundary, and the outer face's far end
     # seeds the next piece's boundary data
-    u_arc, cap_warp, cap_pc = _handle1_face(f, R_sphere, cap_ii, ss)
+    u_arc = _handle1_arc(cap_ii, ss)
+    r_arc = _handle1_arc(out_ii, so)
     u_cap = float(u_arc[-1])
-    rim = Corner("rim", theta, ("cap", "outer"), {"cap": u_cap, "outer": 0.0})
-    cap_profile = BoundaryProfile(
-        dimension=n, kind="warped-sphere",
-        metric={"warp": cap_warp, "descriptor": "cap"}, ii=cap_pc,
-        corners=[rim])
-    r_arc, outer_warp, dug_pc = _handle1_face(f, R_sphere, out_ii, so)
-    # past the dug zone the face is a slice with curvature f'/f
-    flat_pc = float(f.eval(alpha_out.eval(s_hi + eps2), 1)
-                    / f.eval(alpha_out.eval(s_hi + eps2), 0))
-    tail_len = 2.0 * float(r_arc[-1])
-    outer_ii = {
-        key: piecewise_curve([
-            (0.0, r_arc[-1], dug_pc[key]),
-            (r_arc[-1], r_arc[-1] + tail_len,
-             constant_curve(flat_pc, (r_arc[-1], r_arc[-1] + tail_len)))])
-        for key in ("radial", "sphere")}
-    outer_profile = BoundaryProfile(
-        dimension=n, kind="warped-sphere",
-        metric={"warp": outer_warp, "descriptor": "shared-collar"},
-        ii=outer_ii, corners=[rim])
-    bottom_profile = BoundaryProfile(
-        dimension=n, kind="warped-sphere",
-        metric={"warp": sine_curve(K, 1.0, 0.0, (eps1, s_hi + eps2)),
-                "descriptor": "stretched-core"},
-        ii={"radial": -lam, "sphere": -lam})
+
+    def profiles():
+        cap_warp, cap_pc = _handle1_face(f, R_sphere, cap_ii, ss, u_arc)
+        rim = Corner("rim", theta, ("cap", "outer"),
+                     {"cap": u_cap, "outer": 0.0})
+        outer_warp, dug_pc = _handle1_face(f, R_sphere, out_ii, so, r_arc)
+        # past the dug zone the face is a slice with curvature f'/f
+        far = alpha_out.eval(s_hi + eps2)
+        flat_pc = float(f.eval(far, 1) / f.eval(far, 0))
+        tail_len = 2.0 * float(r_arc[-1])
+        outer_ii = {
+            key: piecewise_curve([
+                (0.0, r_arc[-1], dug_pc[key]),
+                (r_arc[-1], r_arc[-1] + tail_len,
+                 constant_curve(flat_pc, (r_arc[-1], r_arc[-1] + tail_len)))])
+            for key in ("radial", "sphere")}
+        return {
+            "bottom": BoundaryProfile(
+                dimension=n, kind="warped-sphere",
+                metric={"warp": sine_curve(K, 1.0, 0.0, (eps1, s_hi + eps2)),
+                        "descriptor": "stretched-core"},
+                ii={"radial": -lam, "sphere": -lam}),
+            "cap": BoundaryProfile(
+                dimension=n, kind="warped-sphere",
+                metric={"warp": cap_warp, "descriptor": "cap"}, ii=cap_pc,
+                corners=[rim]),
+            "outer": BoundaryProfile(
+                dimension=n, kind="warped-sphere",
+                metric={"warp": outer_warp, "descriptor": "shared-collar"},
+                ii=outer_ii, corners=[rim])}
 
     report = Report(
         block="handle1",
         params={"n": n, "K": K, "lambda1": lambda1, "lambda2": lambda2,
                 "eps1": eps1, "eps2": eps2, "delta": delta},
         margins=margins,
-        boundary={"bottom": bottom_profile, "cap": cap_profile,
-                  "outer": outer_profile},
+        boundary=profiles,
         aux={"theta": theta, "theta_closed_form": theta_cf,
              "angle_tolerance": agree_tol, "lambda": lam,
              "alpha_top": alpha_top, "r_max": r_max,
@@ -579,20 +605,14 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     margins.append(Margin("corner_angle", math.pi / 2.0 + eps - theta, 0.0))
     margins.append(Margin("bottom_convexity", nu - lambda2, 0.0))
 
-    # profiles of the face s = beta(t), metric (1 + beta'^2 f^2) dt^2 + ...;
-    # curvatures written so the vertical tail |beta'| -> 0 stays finite
+    # the face s = beta(t), metric (1 + beta'^2 f^2) dt^2 + ...: its warp
+    # over arc length, which the face curvature margins read
     tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
     bt, fw = beta.jet(tf, 3), f.jet(tf, 3)
     bchain = B_full.jet(bt[0], 3)
-    bpf = np.abs(bt[1])
-    qf = 1.0 + (fw[0] * bpf) ** 2
-    pc_radial = fw[0] * (bt[2] - bpf ** 3 * fw[1] * fw[0]
-                         - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
-    pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
-                 / (fw[0] * np.sqrt(qf)))
-    _, face_warp, face_pc = _face_profile(
-        fw, bt.chain(bchain), Jet(1.0, 0.0, 0.0), fw[:3] * bt.d(), tf,
-        {"radial": pc_radial, "sphere": pc_sphere})
+    speed = _face_speed(Jet(1.0, 0.0, 0.0), fw[:3] * bt.d())
+    arc = cumulative_hermite(tf, *speed[:2])
+    face_warp = _face_warp(fw, bt.chain(bchain), speed, arc)
     warp, warp_r, warp_rr, _ = face_warp.nodes[1]     # in arc length
     sec_radial = -warp_rr / warp
     sec_sphere = (1.0 - warp_r ** 2) / warp ** 2
@@ -601,31 +621,42 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     margins.append(Margin("collar_flatness",
                           1e-8 - flatness_margin(f, t_end), t_end))
     dim = int(B.info.get("dimension", 0) or 0)
-    rim = Corner("rim", theta, ("graph_face", "bottom"),
-                 {"graph_face": 0.0, "bottom": 0.0})
-    graph_profile = BoundaryProfile(
-        dimension=dim, kind="warped-sphere",
-        metric={"warp": face_warp, "descriptor": "cap"}, ii=face_pc,
-        corners=[rim])
-    bottom_profile = BoundaryProfile(
-        dimension=dim, kind="warped-sphere",
-        metric={"warp": B.restrict(0.0, B.t_hi),
-                "descriptor": "shared-collar"},
-        ii={"radial": -lambda2, "sphere": -lambda2}, corners=[rim])
     f_end = float(f.eval(t_end, 0))
-    top_profile = BoundaryProfile(
-        dimension=dim, kind="warped-sphere",
-        metric={"warp": B.metric_rescale(f_end), "collar_warp": f,
-                "descriptor": "shared-collar"},
-        ii={"radial": 0.0, "sphere": 0.0})
+
+    def profiles():
+        # curvatures written so the vertical tail |beta'| -> 0 stays finite
+        bpf = np.abs(bt[1])
+        qf = 1.0 + (fw[0] * bpf) ** 2
+        pc_radial = fw[0] * (bt[2] - bpf ** 3 * fw[1] * fw[0]
+                             - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
+        pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
+                     / (fw[0] * np.sqrt(qf)))
+        rim = Corner("rim", theta, ("graph_face", "bottom"),
+                     {"graph_face": 0.0, "bottom": 0.0})
+        return {
+            "bottom": BoundaryProfile(
+                dimension=dim, kind="warped-sphere",
+                metric={"warp": B.restrict(0.0, B.t_hi),
+                        "descriptor": "shared-collar"},
+                ii={"radial": -lambda2, "sphere": -lambda2}, corners=[rim]),
+            "graph_face": BoundaryProfile(
+                dimension=dim, kind="warped-sphere",
+                metric={"warp": face_warp, "descriptor": "cap"},
+                ii=_tabs_from_samples(arc, {"radial": pc_radial,
+                                            "sphere": pc_sphere}),
+                corners=[rim]),
+            "top": BoundaryProfile(
+                dimension=dim, kind="warped-sphere",
+                metric={"warp": B.metric_rescale(f_end), "collar_warp": f,
+                        "descriptor": "shared-collar"},
+                ii={"radial": 0.0, "sphere": 0.0})}
 
     report = Report(
         block="handle2",
         params={"lambda1": lambda1, "lambda2": lambda2, "a": a, "b": b,
                 "eps": eps, "nu": nu},
         margins=margins,
-        boundary={"bottom": bottom_profile, "graph_face": graph_profile,
-                  "top": top_profile},
+        boundary=profiles,
         aux={"theta": theta, "t_end": t_end, "beta_end": beta_end,
              "delta_prime": delta_prime, "f_end": f_end},
         sweeps={"dug_face": {"t": ts, "columns": {

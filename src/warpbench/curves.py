@@ -266,11 +266,17 @@ class Jet:
         return Jet(*out)
 
     def sin(self) -> "Jet":
-        s, c = np.sin(self.orders[0]), np.cos(self.orders[0])
+        x = self.orders[0]
+        if len(self) == 1:              # order 0 alone needs no cos
+            return Jet(np.sin(x))
+        s, c = np.sin(x), np.cos(x)
         return self.chain((s, c, -s, -c))
 
     def cos(self) -> "Jet":
-        s, c = np.sin(self.orders[0]), np.cos(self.orders[0])
+        x = self.orders[0]
+        if len(self) == 1:              # order 0 alone needs no sin
+            return Jet(np.cos(x))
+        s, c = np.sin(x), np.cos(x)
         return self.chain((c, -s, -c, s))
 
     def sqrt(self) -> "Jet":

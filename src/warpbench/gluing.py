@@ -54,15 +54,38 @@ def _json_entries(values: dict) -> dict:
             if isinstance(v, (int, float, str, bool, type(None), list))}
 
 
+class _BuiltOnFirstRead:
+    """A dataclass field given as its value or as a zero-argument function
+    that builds it.  The function is called once, on the first read, which
+    keeps its result and returns it; an error it raises surfaces at that
+    read.  The default is ``dict``: an empty dict, built on first read."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:                 # dataclass reads its default here
+            return dict
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class Report:
     """Margins certified by one block build or one gluing check.  The
     verdict is derived from the margins: "pass", or "fail:<label>" of the
-    first margin that fails its pass rule."""
+    first margin that fails its pass rule.  ``boundary`` maps face names to
+    BoundaryProfiles; a builder may pass a function that builds that dict,
+    so a caller that reads only the margins never builds the profiles."""
     block: str
     params: dict
     margins: list
-    boundary: dict = field(default_factory=dict)
+    boundary: dict = _BuiltOnFirstRead()
     aux: dict = field(default_factory=dict)
     sweeps: dict = field(default_factory=dict)
 

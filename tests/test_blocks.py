@@ -498,7 +498,8 @@ class TestBuilderEvaluation:
     evaluates only f's orders 2 and 3 there; the cone's warp column is its
     sweep's "f".
     Warp columns are jets; each builder differences its principal-
-    curvature samples, and only those, with one stencil per grid."""
+    curvature samples, and only those, with one stencil per grid.  The
+    handle profiles are built on the first read of ``Report.boundary``."""
 
     @staticmethod
     def logged_curve(curve, log, name):
@@ -571,12 +572,20 @@ class TestBuilderEvaluation:
         so = rep.sweeps["outer_face"]["t"]
         alpha_out = (rep.sweeps["outer_face"]["columns"]["beta"]
                      + rep.aux["alpha_top"])
+        heights = (rep.sweeps["cap_face"]["columns"]["alpha"], alpha_out)
+        # the build reads f at the heights to order 1 (the sweeps and the
+        # arc lengths); the profiles, built on the first read of
+        # rep.boundary, read orders 2 and 3 and difference the II columns
+        for height in heights:
+            assert sorted(self.orders_on(log, "f", height)) == [(0,), (1,)]
+        assert stencils == []
+        boundary = rep.boundary
         assert self.orders_on(log, "alpha", ss) == [(0, 1, 2, 3)]
         assert self.orders_on(log, "beta'", so) == [(0, 1, 2)]
-        for height in (rep.sweeps["cap_face"]["columns"]["alpha"],
-                       alpha_out):
+        for height in heights:
             assert sorted(self.orders_on(log, "f", height)) == [
                 (0,), (1,), (2,), (3,)]
+        assert rep.boundary is boundary
         u_arc = rep.boundary["cap"].metric["warp"].nodes[0]
         r_arc = rep.boundary["outer"].metric["warp"].nodes[0]
         assert len(stencils) == 2
@@ -589,6 +598,7 @@ class TestBuilderEvaluation:
         _, stencils = self.logged(monkeypatch)
         rep = bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)),
                                **GOOD_H2)
+        assert stencils == []           # until the first read of boundary
         arc = rep.boundary["graph_face"].metric["warp"].nodes[0]
         assert len(stencils) == 1
         assert np.array_equal(stencils[0][0], arc)

@@ -594,6 +594,23 @@ class TestJet:
         for k, want in enumerate((s, 0.5 * c, -0.25 * s, -0.125 * c)):
             assert np.allclose(got[k], want, rtol=0, atol=1e-15)
 
+    def test_one_order_sin_and_cos_are_order_0_bitwise(self):
+        """Jet.sin and Jet.cos of a one-order jet compute only np.sin or
+        np.cos: bitwise order 0 of the same function of a longer jet, on
+        arrays and at a Python float."""
+        rng = np.random.default_rng(20)
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 500),
+                            [0.0, -0.0, np.pi, np.nan, 1e300]])
+        for q in (x, x[:0], 0.7):
+            for name, fn in (("sin", np.sin), ("cos", np.cos)):
+                got = getattr(cv.Jet(q), name)()
+                assert len(got) == 1
+                for want in (fn(q), getattr(cv.Jet(q, 1.0, 0.5, 0.0),
+                                            name)()[0]):
+                    assert type(got[0]) is type(want)
+                    assert (np.asarray(got[0]).tobytes()
+                            == np.asarray(want).tobytes())
+
     def test_plus_keeps_the_jet(self):
         """c.plus(v).jet is c's jet with v added to order 0: bitwise its
         per-order eval on arrays and at a 0-d point, and one call of an

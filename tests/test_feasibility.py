@@ -216,3 +216,53 @@ class TestBadSamplesAreRejections:
         box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
         cert = fs.scan(box, "projective", 3, fixed={"d": 3})
         assert cert.entries == [] and cert.failures == 3
+
+
+class TestScanBuildsNoProfiles:
+    """A scan reads only margins and verdicts, so its handle builds
+    difference no principal-curvature column: the boundary profiles are
+    built once, on the first read of ``Report.boundary``."""
+
+    H1 = dict(n=4, K=0.9, lambda1=0.985, lambda2=0.99, eps1=0.01,
+              eps2=0.1, delta=0.05)
+    H2 = dict(lambda1=0.01, lambda2=0.02, a=0.02, b=1.5, eps=0.1, nu=0.03)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Calls of blocks._tabs_from_samples and blocks.gradient_on."""
+        calls = {"_tabs_from_samples": 0, "gradient_on": 0}
+        for name in calls:
+            def counting(*args, real=getattr(bk, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(bk, name, counting)
+        return calls
+
+    def test_handle_scans_build_no_profiles(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        h1 = fs.scan(fs.ParamBox({"lambda1": (0.975, 0.989),
+                                  "eps1": (0.01, 0.02)}, 2),
+                     "handle1-tied", budget=4, fixed={"eps2": 0.1})
+        h2 = fs.scan(fs.ParamBox({"a": (0.01, 0.03), "b": (1.2, 1.5)}, 2),
+                     "handle2", budget=4,
+                     fixed={k: self.H2[k]
+                            for k in ("lambda1", "lambda2", "eps", "nu")})
+        # passing samples ran their builders to the end
+        assert h1.entries and h2.entries
+        assert calls == {"_tabs_from_samples": 0, "gradient_on": 0}
+
+    @pytest.mark.parametrize("build, faces", [
+        (lambda: bk.build_handle1(**TestScanBuildsNoProfiles.H1), 2),
+        (lambda: bk.build_handle2(fs._default_collar_profile(),
+                                  **TestScanBuildsNoProfiles.H2), 1)],
+        ids=["handle1", "handle2"])
+    def test_boundary_is_built_once_on_first_read(self, monkeypatch, build,
+                                                  faces):
+        calls = self.counted(monkeypatch)
+        rep = build()
+        assert calls == {"_tabs_from_samples": 0, "gradient_on": 0}
+        boundary = rep.boundary
+        assert calls == {"_tabs_from_samples": faces, "gradient_on": faces}
+        assert rep.boundary is boundary
+        assert rep.to_json_dict()["boundary"].keys() == boundary.keys()
+        assert calls == {"_tabs_from_samples": faces, "gradient_on": faces}
