@@ -265,10 +265,13 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
 _RAMP = TabulatedAntiderivative(lambda x, k: plateau(x, k, 0.1))
 
 
+@functools.lru_cache(maxsize=32)
 def _handle1_beta(eps2: float) -> SmoothCurve:
     """beta on [pi/2, pi/2 + eps2]: beta(pi/2)=0, beta'(pi/2)=-2, all
     derivatives vanish at the outer end, slope profile near-linear so the
-    second derivative stays close to its minimal size 2/eps2."""
+    second derivative stays close to its minimal size 2/eps2.  Built once
+    per eps2, as a scan's samples share few values of it; the curve is
+    read, never changed, by the handle it goes into."""
     a = math.pi / 2.0
 
     def integrand(s, orders):           # beta' and its derivatives
@@ -393,7 +396,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
              - np.tan(lambda1 * (ss[interior] - eps1)))
     margins.append(_min_margin("tan_chain", ss[interior], chain))
 
-    beta = _handle1_beta(eps2)
+    beta = _handle1_beta(float(eps2))
     alpha_out = beta.plus(alpha_top)
     so = grid_points(s_hi, s_hi + eps2, grid, min_points=513)
     out_ii = graph_ii_sweep(f, R_sphere, alpha_out, so, "up")

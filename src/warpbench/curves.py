@@ -2,8 +2,9 @@
 
 A SmoothCurve is the common currency of the whole workbench: every warp
 profile (closed-form, ODE-defined or blended) is one.  Consumers read a
-single order with ``curve.eval(t, k)``, and orders 0-2 on one grid with
-``curve.jet(t)`` or, for several curves at once, ``joint_jet``.
+single order with ``curve.eval(t, k)``, and orders 0..n on one grid with
+``curve.jet(t, n)`` or, for several curves at once, ``joint_jet``.  Each
+constructor below writes one function ``orders(t, ks)`` answering both.
 """
 
 from __future__ import annotations
@@ -47,17 +48,22 @@ class JoinBandError(RuntimeError):
 
 
 class SmoothCurve:
-    """Scalar function on [t_lo, t_hi] with evaluable derivatives k <= 3."""
+    """Scalar function on [t_lo, t_hi] with evaluable derivatives k <= 3.
 
-    __slots__ = ("t_lo", "t_hi", "_derivs", "_jet", "nodes", "info")
+    The curve is one function ``orders(t, ks)``: the derivatives of the
+    listed orders ``ks`` (ascending, each 0..3) at points t already checked
+    against the domain.  ``eval`` asks it for one order and ``jet`` for
+    orders 0..n, so work shared between orders (a table's segment lookup,
+    a Jet's arithmetic, an integrand's common factors) is done once."""
 
-    def __init__(self, t_lo, t_hi, derivs, nodes=None, info=None, jet=None):
+    __slots__ = ("t_lo", "t_hi", "_at", "nodes", "info")
+
+    def __init__(self, t_lo, t_hi, orders, nodes=None, info=None):
         if not (np.isfinite(t_lo) and np.isfinite(t_hi) and t_lo < t_hi):
             raise ValueError(f"bad domain [{t_lo}, {t_hi}]")
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
-        self._derivs = tuple(derivs)
-        self._jet = jet             # optional (t, n) -> orders 0..n, n <= 3
+        self._at = orders           # (t, ks) -> [order k at t for k in ks]
         self.nodes = nodes          # optional (ts, 4-column values) table
         self.info = dict(info) if info else {}
 
@@ -70,10 +76,10 @@ class SmoothCurve:
 
         Points within the slop 1e-9 (1 + t_hi - t_lo) outside the domain
         are clamped to its ends; a point beyond it raises ValueError.  NaN
-        passes through to the derivative callables."""
+        passes through to the orders function."""
         check_order(k)
         arr = self._in_domain(t)
-        out = self._derivs[k](arr)
+        out = self._at(arr, (k,))[0]
         if arr.ndim == 0:
             return float(out)
         return np.asarray(out, dtype=float)
@@ -81,17 +87,11 @@ class SmoothCurve:
     __call__ = eval
 
     def jet(self, t, n: int = 2) -> "Jet":
-        """Orders 0..n at t as a Jet, bitwise ``eval(t, k)``, with the
-        domain checked once, from one call of the curve's jet if it has
-        one, else order by order; composed with a Jet u:
+        """Orders 0..n (0 <= n <= 3) at t as a Jet, bitwise ``eval(t, k)``,
+        with the domain checked once and every order from one call of the
+        orders function; composed with a Jet u:
         ``u.chain(curve.jet(u[0], len(u) - 1))``."""
         return Jet(*joint_jet((self,), t, n)[0])
-
-    def _orders(self, arr, n: int = 2) -> tuple:
-        """Orders 0..n at points already checked by ``_in_domain``."""
-        if self._jet is None:
-            return tuple(d(arr) for d in self._derivs[:n + 1])
-        return self._jet(arr, n)
 
     def _in_domain(self, t) -> np.ndarray:
         """t as a float array, checked and clamped as ``eval`` states."""
@@ -117,14 +117,14 @@ class SmoothCurve:
             ts, cols = nodes
             keep = (ts >= lo) & (ts <= hi)
             nodes = (ts[keep], [c[keep] for c in cols])
-        return SmoothCurve(lo, hi, self._derivs, nodes, self.info, self._jet)
+        return SmoothCurve(lo, hi, self._at, nodes, self.info)
 
     def _mapped(self, lo, hi, arg, scaled) -> "SmoothCurve":
         """The curve on [lo, hi] whose order k at t is scaled(k, v, t), v
-        this curve's order k at arg(t)."""
-        d = self._derivs
-        return SmoothCurve(lo, hi, [lambda t, k=k: scaled(k, d[k](arg(t)), t)
-                                    for k in range(4)])
+        this curve's order k at arg(t), all orders from one call."""
+        at = self._at
+        return SmoothCurve(lo, hi, lambda t, ks: [
+            scaled(k, v, t) for k, v in zip(ks, at(arg(t), ks))])
 
     def shifted(self, dt) -> "SmoothCurve":
         """Curve s(t) = self(t - dt)."""
@@ -146,11 +146,10 @@ class SmoothCurve:
                             lambda k, v, t: v / R ** (1 + k))
 
     def plus(self, c: float) -> "SmoothCurve":
-        """The curve plus the constant c, its jet this curve's plus c."""
-        d = self._derivs
-        derivs = [lambda t, _d=d[0]: _d(t) + c] + [d[k] for k in (1, 2, 3)]
-        return SmoothCurve(self.t_lo, self.t_hi, derivs,
-                           jet=lambda t, n: Jet(*self._orders(t, n)) + c)
+        """The curve plus the constant c, added to its order 0."""
+        at = self._at
+        return SmoothCurve(self.t_lo, self.t_hi, lambda t, ks: [
+            v + c if k == 0 else v for k, v in zip(ks, at(t, ks))])
 
     # -- serialization -------------------------------------------------------
 
@@ -182,7 +181,9 @@ class Jet:
     """Orders 0..n (n <= 3) of a function of one parameter, each an array
     or a float, with truncated Taylor arithmetic on derivatives (Griewank
     & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A result has
-    as many orders as its shortest Jet operand."""
+    as many orders as its shortest Jet operand.  Builders write their
+    derivative columns and product rules as Jet arithmetic, never by
+    hand."""
 
     __slots__ = ("orders",)
     __array_ufunc__ = None          # numpy operands defer to the Jet's ops
@@ -299,9 +300,11 @@ class Jet:
 
 def jet_curve(domain, fn) -> SmoothCurve:
     """The curve whose orders 0..n at t are the Jet ``fn(t, n)``."""
-    return SmoothCurve(domain[0], domain[1],
-                       [lambda t, k=k: fn(t, k)[k] for k in range(4)],
-                       jet=fn)
+    def orders(t, ks):
+        jet = fn(t, ks[-1])
+        return [jet[k] for k in ks]
+
+    return SmoothCurve(domain[0], domain[1], orders)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,10 @@ def jet_curve(domain, fn) -> SmoothCurve:
 # ---------------------------------------------------------------------------
 
 def curve_from_derivs(domain, d0, d1, d2, d3, info=None) -> SmoothCurve:
-    return SmoothCurve(domain[0], domain[1], (d0, d1, d2, d3), info=info)
+    """The curve whose order k at t is ``dk(t)``, one callable per order."""
+    derivs = (d0, d1, d2, d3)
+    return SmoothCurve(domain[0], domain[1],
+                       lambda t, ks: [derivs[k](t) for k in ks], info=info)
 
 
 def _zeros(t):
@@ -366,75 +372,82 @@ def sin_of(inner: SmoothCurve) -> SmoothCurve:
 
 def linear_combo(terms) -> SmoothCurve:
     """Sum of weighted curves on the intersection of their domains; when
-    every term is a table curve on one node array, the jet is one
-    ``_TableJet`` over all their tables."""
+    every term is a table curve on one node array, the orders function is
+    one ``_TableOrders`` over all their tables."""
     lo = max(c.t_lo for c, _ in terms)
     hi = min(c.t_hi for c, _ in terms)
 
-    parts = [c._jet for c, _ in terms]
-    if all(isinstance(j, _TableJet) and j.weights is None
-           and j.ts is parts[0].ts for j in parts):
-        jet = _TableJet(parts[0].ts, [j.tables[0] for j in parts],
-                        [w for _, w in terms])
+    parts, weights = [c._at for c, _ in terms], [w for _, w in terms]
+    if all(isinstance(p, _TableOrders) and p.weights is None
+           and p.ts is parts[0].ts for p in parts):
+        orders = _TableOrders(parts[0].ts, [p.tables[0] for p in parts],
+                              weights)
     else:
-        def jet(t, n):
-            jets = [(joint_jet((c,), t, n)[0], w) for c, w in terms]
-            return tuple(sum(w * j[k] for j, w in jets)
-                         for k in range(n + 1))
+        def orders(t, ks):
+            return _weighted_sum([p(t, ks) for p in parts], weights)
 
-    return SmoothCurve(lo, hi, [
-        lambda t, k=k: sum(w * c.eval(t, k) for c, w in terms)
-        for k in range(4)], jet=jet)
+    return SmoothCurve(lo, hi, orders)
+
+
+def _weighted_sum(outs, weights) -> list:
+    """Each order's sum of w * out over the terms' orders ``outs``, summed
+    from 0, so -0.0 becomes +0.0."""
+    return [sum(w * out[i] for out, w in zip(outs, weights))
+            for i in range(len(outs[0]))]
 
 
 @dataclass(frozen=True, eq=False)
-class _TableJet:
-    """The jet of a table curve (``weights`` None), or of the weighted sum
-    of table curves on the node array ``ts``, summed as ``linear_combo``
-    sums its terms (from 0, so -0.0 becomes +0.0)."""
+class _TableOrders:
+    """The orders function of a table curve (``weights`` None), or of the
+    weighted sum of table curves on the node array ``ts``, summed as
+    ``linear_combo`` sums its terms."""
 
     ts: np.ndarray
     tables: list
     weights: list | None = None
 
-    def __call__(self, t, n: int) -> tuple:
-        return self.combine(self.orders(t, n))
+    def __call__(self, t, ks) -> list:
+        return self.combine(self.orders(t, ks))
 
-    def orders(self, t, n: int) -> list:
-        """Orders 0..n of each table at t, bitwise a table curve's eval."""
+    def orders(self, t, ks) -> list:
+        """Orders ks of each table at t: one order from hermite_interp on
+        its columns (order 3 from np.interp), several from one segment
+        lookup shared by every table (``hermite_jet``), bitwise the same."""
+        if len(ks) == 1:
+            k = ks[0]
+            return [[np.interp(t, self.ts, cols[3]) if k == 3 else
+                     hermite_interp(self.ts, cols[k], cols[k + 1], t)]
+                    for cols in self.tables]
         jets = hermite_jet(self.ts, self.tables, t)
-        if n == 3:
-            jets = [(*j, np.interp(t, self.ts, cols[3]))
-                    for j, cols in zip(jets, self.tables)]
-        return [j[:n + 1] for j in jets]
+        return [[j[k] if k < 3 else np.interp(t, self.ts, cols[3])
+                 for k in ks] for j, cols in zip(jets, self.tables)]
 
-    def combine(self, jets) -> tuple:
+    def combine(self, per_table) -> list:
         """The curve's orders from the orders of its tables."""
         if self.weights is None:
-            return jets[0]
-        return tuple(sum(w * j[k] for j, w in zip(jets, self.weights))
-                     for k in range(len(jets[0])))
+            return per_table[0]
+        return _weighted_sum(per_table, self.weights)
 
 
 def joint_jet(curves, t, n: int = 2) -> list:
-    """[c.jet(t) for c in curves] bit for bit, or orders 0..n of each.
-    Table curves on one node array object, and linear combinations and
-    restrictions of them (the transfer block's two warps), sharing one
-    domain, get one domain check and one segment lookup and Hermite basis
-    for all their tables; other curves take their jets one by one."""
-    head, jets = curves[0], [c._jet for c in curves]
-    if all(isinstance(j, _TableJet) and j.ts is head._jet.ts
-           and c.domain == head.domain for c, j in zip(curves, jets)):
+    """[c.jet(t, n) for c in curves] bit for bit, as tuples of orders 0..n
+    (0 <= n <= 3, else ValueError).  Table curves on one node array object,
+    and linear combinations and restrictions of them (the transfer block's
+    two warps), sharing one domain, get one domain check and one segment
+    lookup and Hermite basis for all their tables; other curves each get
+    one call of their orders function."""
+    check_order(n)
+    ks = tuple(range(n + 1))
+    head, parts = curves[0], [c._at for c in curves]
+    if all(isinstance(p, _TableOrders) and p.ts is head._at.ts
+           and c.domain == head.domain for c, p in zip(curves, parts)):
         arr = head._in_domain(t)
-        shared = iter(_TableJet(head._jet.ts, [
-            cols for j in jets for cols in j.tables]).orders(arr, n))
-        outs = [j.combine([next(shared) for _ in j.tables]) for j in jets]
+        shared = iter(_TableOrders(head._at.ts, [
+            cols for p in parts for cols in p.tables]).orders(arr, ks))
+        outs = [p.combine([next(shared) for _ in p.tables]) for p in parts]
     else:
-        outs = []
-        for c in curves:
-            arr = c._in_domain(t)
-            outs.append(c._orders(arr, n))
-    if arr.ndim == 0:
+        outs = [c._at(c._in_domain(t), ks) for c in curves]
+    if np.ndim(t) == 0:
         return [tuple(float(v) for v in out) for out in outs]
     return [tuple(np.asarray(v, dtype=float) for v in out) for out in outs]
 
@@ -444,11 +457,8 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
     ts = np.asarray(ts, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in cols]
 
-    derivs = [lambda t, k=k: hermite_interp(ts, cols[k], cols[k + 1], t)
-              for k in range(3)]
-    derivs.append(lambda t: np.interp(np.asarray(t, float), ts, cols[3]))
-    return SmoothCurve(ts[0], ts[-1], derivs, (ts, cols), info,
-                       _TableJet(ts, [cols]))
+    return SmoothCurve(ts[0], ts[-1], _TableOrders(ts, [cols]), (ts, cols),
+                       info)
 
 
 def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
@@ -458,25 +468,24 @@ def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
     uniform nodes, interpolated with the integrand as node slopes; the
     integrand's orders 0 and 1 at the nodes come from one call, as the
     curve's orders 1..n in its jet do.  Orders 1-3 of the curve are the
-    integrand's orders 0-2."""
+    integrand's orders 0-2, all those asked for in one call."""
     ts = np.linspace(domain[0], domain[1], n)
     slopes, curv = integrand(ts, (0, 1))
     vals = cumulative_hermite(ts, slopes, curv)
 
-    def value(t):
-        return hermite_interp(ts, vals, slopes, t)
+    def orders(t, ks):
+        lower = tuple(k - 1 for k in ks if k)
+        high = iter(integrand(t, lower) if lower else ())
+        return [hermite_interp(ts, vals, slopes, t) if k == 0 else next(high)
+                for k in ks]
 
-    def jet(t, n):
-        return (value(t), *(integrand(t, tuple(range(n))) if n else ()))
-
-    return SmoothCurve(domain[0], domain[1], [value] + [
-        lambda t, k=k: integrand(t, (k,))[0] for k in range(3)], jet=jet)
+    return SmoothCurve(domain[0], domain[1], orders)
 
 
 def piecewise_curve(segments) -> SmoothCurve:
-    """Contiguous segments [(lo, hi, curve), ...] glued by evaluation; its
-    jet looks each point's segment up once and takes that segment's
-    orders."""
+    """Contiguous segments [(lo, hi, curve), ...] glued by evaluation: each
+    point's segment is looked up once, and that segment's orders function
+    answers every order asked for there."""
     segments = sorted(segments, key=lambda s: s[0])
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
@@ -485,27 +494,22 @@ def piecewise_curve(segments) -> SmoothCurve:
     curves = [s[2] for s in segments]
     t_lo, t_hi = segments[0][0], segments[-1][1]
 
-    def glued(t, orders, n):
+    def glued(t, ks):
         # The points are clamped into each segment's domain, so the
-        # segment's callables run directly, without eval's check.
+        # segment's orders function runs directly, without eval's check.
         t = np.asarray(t, dtype=float)
         idx = clamp(np.searchsorted(los, t, side="right") - 1,
                     0, len(curves) - 1)
-        outs = [np.empty_like(t) for _ in range(n)]
+        outs = [np.empty_like(t) for _ in ks]
         for i, c in enumerate(curves):
             m = idx == i
             if np.count_nonzero(m):
-                for out, v in zip(outs, orders(c, clamp(t[m], c.t_lo,
-                                                        c.t_hi))):
+                for out, v in zip(outs, c._at(clamp(t[m], c.t_lo, c.t_hi),
+                                              ks)):
                     out[m] = v
         return outs
 
-    def jet(t, n):
-        return tuple(glued(t, lambda c, tm: c._orders(tm, n), n + 1))
-
-    return SmoothCurve(t_lo, t_hi, [
-        lambda t, k=k: glued(t, lambda c, tm: (c._derivs[k](tm),), 1)[0]
-        for k in range(4)], jet=jet)
+    return SmoothCurve(t_lo, t_hi, glued)
 
 
 def even_extension(right_half: SmoothCurve) -> SmoothCurve:
@@ -543,26 +547,19 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
             f"lambda_mid must lie in ({lower}, {lambda2})")
     A = lambda2 - m
 
-    def d0(t):
+    def orders(t, ks):                  # every order shares one e^-t
         t = np.asarray(t, float)
-        return A * (1.0 - np.exp(-t)) + m * t + 1.0
-
-    def d1(t):
-        return A * np.exp(-np.asarray(t, float)) + m
-
-    def d2(t):
-        return -A * np.exp(-np.asarray(t, float))
-
-    def d3(t):
-        return A * np.exp(-np.asarray(t, float))
+        e = np.exp(-t)
+        return [A * (1.0 - e) + m * t + 1.0 if k == 0 else A * e + m
+                if k == 1 else (-A if k == 2 else A) * e for k in ks]
 
     slope_at_inner = A * np.exp(delta) + m
     if slope_at_inner >= 1.0:
         raise ValueError(
             f"delta={delta} too large: slope {slope_at_inner:.6f} >= 1 at "
             f"t=-delta")
-    return curve_from_derivs(
-        (-delta, t_max), d0, d1, d2, d3,
+    return SmoothCurve(
+        -delta, t_max, orders,
         info={"lambda1": lambda1, "lambda2": lambda2, "lambda_mid": m,
               "slope_at_inner": float(slope_at_inner)})
 
@@ -786,16 +783,15 @@ def second_derivative_surgery(a: float, u, base, corrections, start,
             outs = [out + c * gk for out, gk in zip(outs, g)]
         return outs
 
-    def jet(t, n):
-        low = hermite_jet(ts, [(out0, out1, out2)], t)[0][:n + 1]
-        return (*low, *(edited(t, tuple(range(2, n + 1))) if n > 1 else ()))
+    low = _TableOrders(ts, [(out0, out1, out2)])
 
-    curve = SmoothCurve(a, a + u[-1],
-                        (lambda t: hermite_interp(ts, out0, out1, t),
-                         lambda t: hermite_interp(ts, out1, out2, t),
-                         lambda t: edited(t, (2,))[0],
-                         lambda t: edited(t, (3,))[0]),
-                        (ts, (out0, out1, out2, out3)), jet=jet)
+    def orders(t, ks):                  # ks ascending: orders < 2 first
+        n = sum(k < 2 for k in ks)
+        return [*(low(t, ks[:n]) if n else ()),
+                *(edited(t, ks[n:]) if n < len(ks) else ())]
+
+    curve = SmoothCurve(a, a + u[-1], orders,
+                        (ts, (out0, out1, out2, out3)))
     return curve, coef
 
 

@@ -505,19 +505,12 @@ class TestBuilderEvaluation:
     def logged_curve(curve, log, name):
         """curve, bit for bit, with each evaluation logged as (name,
         orders, points)."""
-        def order(k):
-            def d(t):
-                log.append((name, (k,), np.asarray(t)))
-                return curve._derivs[k](t)
-            return d
+        def orders(t, ks):
+            log.append((name, tuple(ks), np.asarray(t)))
+            return curve._at(t, ks)
 
-        def jet(t, n):
-            log.append((name, tuple(range(n + 1)), np.asarray(t)))
-            return curve._orders(t, n)
-
-        return cv.SmoothCurve(curve.t_lo, curve.t_hi,
-                              [order(k) for k in range(4)], curve.nodes,
-                              curve.info, jet)
+        return cv.SmoothCurve(curve.t_lo, curve.t_hi, orders, curve.nodes,
+                              curve.info)
 
     @classmethod
     def logged(cls, monkeypatch):
@@ -544,6 +537,9 @@ class TestBuilderEvaluation:
 
         monkeypatch.setattr(bk, "antiderivative_curve",
                             logged_antiderivative)
+        # beta is built once per eps2: a fresh cache builds it here
+        monkeypatch.setattr(bk, "_handle1_beta", functools.lru_cache(
+            maxsize=32)(bk._handle1_beta.__wrapped__))
         gradient_on = bk.gradient_on
 
         def logged_gradient_on(ts):

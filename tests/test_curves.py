@@ -314,7 +314,7 @@ class TestRescaling:
 def clipped_eval(curve, t, k=0):
     """SmoothCurve.eval with every point passed through np.clip."""
     arr = np.asarray(t, dtype=float)
-    out = curve._derivs[k](np.clip(arr, curve.t_lo, curve.t_hi))
+    out = curve._at(np.clip(arr, curve.t_lo, curve.t_hi), (k,))[0]
     return float(out) if arr.ndim == 0 else np.asarray(out, dtype=float)
 
 
@@ -499,8 +499,9 @@ def transfer_warps():
 
 class TestJet:
     """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
-    bit, for curves with a shared-basis jet, for composite curves whose
-    jet takes their parts' jets, and for those without one."""
+    bit, for table curves and their weighted sums (one shared basis), for
+    composite and mapped curves (their parts' orders in one call), and for
+    closed-form and Jet-defined curves."""
 
     @staticmethod
     def curves():
@@ -533,7 +534,11 @@ class TestJet:
                 cv.sin_of(identity),
                 cv.piecewise_curve([(0.0, 0.5, window.shifted(-0.5)),
                                     (0.5, 1.0, window)]),
-                blocks._alpha_base(0.9, 0.1, (0.1, 1.5))]
+                blocks._alpha_base(0.9, 0.1, (0.1, 1.5)),
+                # mapped curves: rescaled warps and ii profiles, reflections
+                table.metric_rescale(1.7), table.eigen_rescale(0.6),
+                cv.even_extension(table),
+                blocks._alpha_base(0.9, 0.1, (0.1, 1.5)).metric_rescale(2.5)]
 
     @staticmethod
     def segment_starts():
@@ -645,6 +650,21 @@ class TestJet:
             with pytest.raises(ValueError, match=r"t outside \["):
                 c.jet(np.array([c.t_lo, c.t_hi + 1e-3]))
 
+    @pytest.mark.parametrize("n", [-1, 4, 7])
+    def test_orders_outside_0_to_3_raise(self, n):
+        """jet(t, n) and joint_jet check n as eval checks k, for every kind
+        of curve, on arrays and at a point."""
+        ts = np.linspace(0.0, 1.0, 9)
+        table = cv.table_curve(ts, [np.sin(ts), np.cos(ts), -np.sin(ts),
+                                    -np.cos(ts)])
+        for c in self.curves() + [table, cv.sin_of(table),
+                                  cv.sine_curve(1.0, 3.0, 0.2, (0.0, 1.0))]:
+            for q in (0.5 * (c.t_lo + c.t_hi), np.linspace(*c.domain, 5)):
+                with pytest.raises(ValueError, match="order"):
+                    c.jet(q, n)
+                with pytest.raises(ValueError, match="order"):
+                    cv.joint_jet((c, c), q, n)
+
     def test_table_backed_curves_look_each_segment_up_once(self,
                                                           monkeypatch):
         from warpbench import _util
@@ -658,7 +678,8 @@ class TestJet:
         monkeypatch.setattr(_util, "_segment", counted)
         table, combo, restricted = self.curves()[:3]
         t = np.linspace(0.5, 1.0, 7)
-        for c, tables in ((table, 1), (combo, 2), (restricted, 2)):
+        for c, tables in ((table, 1), (combo, 2), (restricted, 2),
+                          (table.metric_rescale(1.5), 1)):
             calls.clear()
             c.jet(t)
             assert calls == [7]
