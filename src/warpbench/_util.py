@@ -368,6 +368,58 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
     return np.float64(out)
 
 
+def _segment_runs(ts: np.ndarray, t: np.ndarray):
+    """(i0, counts) if the 1-D t (inside [ts[0], ts[-1]] or NaN) is sorted
+    and has at least 2 points per segment it spans: its points lie in the
+    segments i0, i0 + 1, ... as _segment assigns them, counts[j] of them in
+    segment i0 + j.  None for any other query (sparse, unsorted, NaN)."""
+    n = t.size
+    if n < 2:
+        return None
+    last = len(ts) - 2
+    i0, i1 = np.searchsorted(ts, (t[0], t[-1]), side="right") - 1
+    i0, i1 = max(int(i0), 0), min(int(i1), last)
+    if n < 2 * (i1 - i0 + 1) or not (t[1:] >= t[:-1]).all():
+        return None
+    # points before ts[i + 1] lie in segments up to i; t = ts[-1] is
+    # in the last segment, which ends the runs
+    ends = np.searchsorted(t, ts[i0 + 1:i1 + 1], side="left")
+    return i0, np.diff(ends, prepend=0, append=n)
+
+
+def _node_values(ts: np.ndarray, t: np.ndarray):
+    """(x, h, at) for a 1-D t inside [ts[0], ts[-1]] or NaN.  With i the
+    segment _segment gives each point, x = t - ts[i] and h = ts[i + 1] -
+    ts[i] at each point, and at(col, scaled) is col[i] at each point
+    (col[1:] gives col[i + 1]), times h if scaled, in a fresh array.
+
+    A query that _segment_runs accepts takes each segment's values once
+    and repeats them over the segment's run of points; any other query
+    gathers them point by point.  Both form every value, difference and
+    product from the same operands, so they give the same bits."""
+    runs = _segment_runs(ts, t)
+    if runs is None:
+        idx, x, h = _segment(ts, t)
+        h -= x
+        np.subtract(t, x, out=x)
+
+        def at(col, scaled=False):
+            v = col[idx]
+            if scaled:
+                v *= h
+            return v
+        return x, h, at
+    i0, counts = runs
+    seg = slice(i0, i0 + len(counts))
+    hs = ts[1:][seg] - ts[seg]
+
+    def at(col, scaled=False):
+        v = col[seg]
+        return np.repeat(v * hs if scaled else v, counts)
+    x = at(ts)
+    return np.subtract(t, x, out=x), np.repeat(hs, counts), at
+
+
 def hermite_jet(ts: np.ndarray, tables, t) -> list:
     """[(hermite_interp(ts, cols[k], cols[k + 1], t) for k = 0, 1, 2) for
     cols in tables], bit for bit, from one segment lookup and one set of
@@ -377,18 +429,23 @@ def hermite_jet(ts: np.ndarray, tables, t) -> list:
     table gives a curve's jet; several give the jets of curves tabulated on
     one grid, such as the two tables of the transfer ODE.
 
-    Each product and sum is the one hermite_interp forms, so only the
-    shared work is saved.  hermite_interp keeps its own in-place form:
-    written as basis then combination it reads more buffers and was
-    slower for one order on grids of 16k points."""
+    Node values reach the points in one of two ways (_node_values).  A
+    sorted query with at least 2 points per node segment it spans, such
+    as a sweep grid on an ODE table, takes each segment's values, and its
+    slopes times the segment's width, once per segment and repeats them
+    over the segment's run of points (de Boor, A Practical Guide to
+    Splines, ch. IV).  Any other query (sparse, unsorted, NaN, 0-d) gathers
+    them point by point.  The rule reads the query alone.  Either way each
+    product and sum is the one hermite_interp forms, so the outputs are
+    its bits; only shared work is saved.  hermite_interp keeps its own
+    in-place form: written as basis then combination it reads more
+    buffers and was slower for one order on grids of 16k points."""
     t = np.asarray(t, dtype=float)
     shape = t.shape
     t = t.reshape(-1)
     if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
         t = clamp(t, ts[0], ts[-1])
-    idx, x, h = _segment(ts, t)
-    h -= x
-    np.subtract(t, x, out=x)
+    x, h, at = _node_values(ts, t)
     x /= h
     u2 = 1 - x
     u2 *= u2
@@ -401,19 +458,16 @@ def hermite_jet(ts: np.ndarray, tables, t) -> list:
     h01 *= xx                       # x^2 (3 - 2x)
     x -= 1
     h11 = np.multiply(x, xx, out=x)     # x^2 (x - 1)
-    idx1 = idx + 1
     jets = []
     for cols in tables:
         outs = []
         for ys, dys in zip(cols[:3], cols[1:4]):
-            out = h00 * ys[idx]
-            d = dys[idx]
-            d *= h
-            out += np.multiply(h10, d, out=d)
-            out += np.multiply(h01, ys[idx1], out=d)
-            d = dys[idx1]
-            d *= h
-            out += np.multiply(h11, d, out=d)
+            out = at(ys)
+            np.multiply(h00, out, out=out)
+            for b, col, scaled in ((h10, dys, True), (h01, ys[1:], False),
+                                   (h11, dys[1:], True)):
+                v = at(col, scaled)
+                out += np.multiply(b, v, out=v)
             out = out.reshape(shape)
             outs.append(out[()] if out.ndim == 0 else out)
         jets.append(tuple(outs))

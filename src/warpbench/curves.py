@@ -500,6 +500,10 @@ def piecewise_curve(segments) -> SmoothCurve:
         t = np.asarray(t, dtype=float)
         idx = clamp(np.searchsorted(los, t, side="right") - 1,
                     0, len(curves) - 1)
+        if t.ndim == 0:             # the one segment at the scalar point
+            c = curves[idx]
+            return [np.array(v, dtype=float) for v in
+                    c._at(clamp(t, c.t_lo, c.t_hi), ks)]
         outs = [np.empty_like(t) for _ in ks]
         for i, c in enumerate(curves):
             m = idx == i

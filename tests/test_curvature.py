@@ -323,6 +323,43 @@ class TestBundleWarped:
         assert abs((a["ric_XX_lb"] - b["ric_XX_lb"]) - 2 * 0.5) < 1e-12
         assert abs(b["ric_XV_abs_ub"] - 0.25) < 1e-12
 
+    def test_transfer_sweep_is_the_formula_with_every_a_term(
+            self, monkeypatch):
+        """On the default transfer block's metric and grid the sweep's
+        columns are bitwise the formula with both A-terms kept: with a zero
+        ABounds, whose terms the sweep drops, and with a nonzero one, whose
+        terms it subtracts."""
+        calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
+        params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
+        blocks.build_transfer_block(p=2, q=3, **params)
+        ((m, ts),) = calls
+        assert m.a_bounds.trivial and len(ts) > 2 * B
+        for ab in (m.a_bounds, kv.ABounds(0.5, 0.0, 0.25)):
+            bounded = kv.BundleWarpedMetric(m.p, m.q, m.f, m.h,
+                                            m.ricci_base_lb,
+                                            m.ricci_fibre_lb, ab)
+            got = kv.bundle_warped_sweep(bounded, ts)
+            assert_same_columns(got, bundle_formula(bounded, ts))
+            if not ab.trivial:
+                assert np.all(got["ric_XV_abs_ub"] > 0.0)
+                plain = bundle_formula(m, ts)["ric_XX_lb"]
+                assert np.all(got["ric_XX_lb"] < plain)
+
+    def test_zero_bounds_drop_a_terms_that_would_be_nan(self):
+        """Where fv^3 and fv^4 underflow the kept A-terms are inf * 0 =
+        NaN; with a zero ABounds the sweep drops them, so the rows keep
+        the other terms and a mixed bound of +0.0."""
+        dom = (0.0, 1.0)
+        m = kv.BundleWarpedMetric.trivial(2, 3, cv.constant_curve(1e-110, dom),
+                                          cv.constant_curve(1.0, dom))
+        ts = np.linspace(0.0, 1.0, 5)
+        got = kv.bundle_warped_sweep(m, ts)
+        kept = bundle_formula(m, ts)
+        assert np.all(np.isnan(kept["ric_XX_lb"]))
+        assert np.all(np.isnan(kept["ric_XV_abs_ub"]))
+        assert np.all(got["ric_XX_lb"] == 2.0 / 1e-110 ** 2)
+        assert got["ric_XV_abs_ub"].tobytes() == np.zeros(5).tobytes()
+
 
 class TestSubmersionBounds:
     def test_product_case_positive_for_every_r(self):
@@ -475,6 +512,24 @@ def blocked_cases():
         ("cohomog1_wu", lambda ts: kv.cohomog1_sweep(wu, ts, "wu"),
          lambda ts: kv._cohomog1_columns(wu, ts, family="wu"), (-1.0, 1.0)),
     ]
+
+
+def bundle_formula(m, ts) -> dict:
+    """The bundle sweep's columns for a fibre that does not close, with
+    both A-terms subtracted whatever their bounds."""
+    p, q, ab = m.p, m.q, m.a_bounds
+    rb = m.ricci_base_lb * (q - 1)
+    rf = m.ricci_fibre_lb * (p - 1)
+    (fv, f1, f2), (hv, h1, h2) = cv.joint_jet((m.f, m.h), ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            "ric_tt": -q * f2 / fv - p * h2 / hv,
+            "ric_XX_lb": (-f2 / fv + (rb - (q - 1) * f1 ** 2) / fv ** 2
+                          - p * f1 * h1 / (fv * hv)
+                          - 2.0 * (hv ** 2 / fv ** 4) * ab.sup_AX2),
+            "ric_VV_lb": (-h2 / hv + (rf - (p - 1) * h1 ** 2) / hv ** 2
+                          - q * f1 * h1 / (fv * hv)),
+            "ric_XV_abs_ub": (hv / fv ** 3) * ab.sup_deltaA}
 
 
 def capture_sweep(monkeypatch, name):

@@ -472,6 +472,42 @@ class TestPiecewiseCurve:
                 assert type(got) is float and type(want) is float
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    def test_scalar_query_is_its_segments_scalar_query(self, monkeypatch):
+        """A 0-d query goes to its one segment as a scalar, so a table
+        segment answers it with hermite_interp's one-point lookup; each
+        order is the segment's eval bitwise, at interior points, at each
+        segment start and at both ends, as 0-d arrays from the orders
+        function."""
+        from warpbench import _util
+        ts = np.linspace(0.0, 1.0, 2049)
+        table = cv.table_curve(ts, [np.sin(ts), np.cos(ts), -np.sin(ts),
+                                    -np.cos(ts)])
+        pieces = [(0.0, 0.5, table.restrict(0.0, 0.5)),
+                  (0.5, 1.0, table.restrict(0.5, 1.0))]
+        glued = cv.piecewise_curve(pieces)
+        calls = []
+        point = _util._hermite_point
+
+        def spy(ts, ys, dys, t):
+            calls.append(t)
+            return point(ts, ys, dys, t)
+
+        for x, seg in ((0.0, 0), (0.3, 0), (np.nextafter(0.5, 0.0), 0),
+                       (0.5, 1), (0.7, 1), (1.0, 1)):
+            for k in range(4):
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(_util, "_hermite_point", spy)
+                    got = glued.eval(x, k)
+                assert calls == ([x] if k < 3 else [])
+                want = pieces[seg][2].eval(x, k)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            outs = glued._at(np.array(x), (0, 1, 2))
+            assert all(type(v) is np.ndarray and v.shape == () for v in outs)
+            assert [float(v) for v in outs] == list(
+                pieces[seg][2].jet(x, 2))
+
 
 
 def cone_warp():
@@ -767,29 +803,38 @@ class TestJet:
         assert rep.sweeps["ricci"]["columns"]["ric_radial"][0] == 3 * limit
 
     def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
-        """The default transfer block's bundle sweep looks up the Hermite
-        segments of each block once, for both ODE tables and all three
-        orders."""
+        """The default transfer block's bundle sweep looks up the runs of
+        Hermite segments of each block once, for both ODE tables and all
+        three orders, and looks up no segment point by point."""
         from warpbench import _util
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         blocks.build_transfer_block(p=2, q=3, **params)
         h0, _ = blocks._transfer_curves(params["C"])
         nodes = h0.nodes[0]
-        lookups = []
-        segment = _util._segment
+        lookups, per_point = [], []
+        runs, segment = _util._segment_runs, _util._segment
+
+        def counted_runs(ts, t):
+            found = runs(ts, t)
+            if ts is nodes:
+                assert found is not None
+                lookups.append(len(t))
+            return found
 
         def counted(ts, t):
             if ts is nodes:
-                lookups.append(len(t))
+                per_point.append(len(t))
             return segment(ts, t)
 
+        monkeypatch.setattr(_util, "_segment_runs", counted_runs)
         monkeypatch.setattr(_util, "_segment", counted)
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         n = len(rep.sweeps["ricci"]["t"])
         assert n > 2 * _SWEEP_BLOCK
         assert lookups == [min(_SWEEP_BLOCK, n - i)
                            for i in range(0, n, _SWEEP_BLOCK)]
+        assert per_point == []
 
 
 def test_antiderivative_curve_takes_its_node_columns_from_one_call():

@@ -552,7 +552,90 @@ def assert_jet_matches(ts, seed):
         assert np.array_equal(q, before, equal_nan=True)
 
 
+def jet_by_path(ts, tables, q, per_point=False):
+    """hermite_jet(ts, tables, q), and whether it took the run path;
+    per_point forces the per-point gathers."""
+    taken = []
+    runs = _util._segment_runs
+
+    def spy(ts, t):
+        found = None if per_point else runs(ts, t)
+        taken.append(found is not None)
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_util, "_segment_runs", spy)
+        got = _util.hermite_jet(ts, tables, q)
+    return got, taken == [True]
+
+
+def run_queries(ts, rng):
+    """Sorted queries with at least 2 points per segment they span: random
+    points with every node, ts[-1] repeated and points clamped from both
+    sides of the range (also as a 2-D array); a dense stretch inside; and
+    points within one segment, its start among them."""
+    span = ts[-1] - ts[0]
+    q = np.sort(np.concatenate([
+        ts, rng.uniform(ts[0], ts[-1], 2 * len(ts)), [ts[-1]] * 3,
+        rng.choice(ts, 5), rng.uniform(ts[0] - span, ts[0], 3),
+        rng.uniform(ts[-1], ts[-1] + span, 3)]))
+    a = int(rng.integers(0, len(ts) - 1))
+    b = int(rng.integers(a, len(ts) - 1))
+    stretch = np.sort(rng.uniform(ts[a], ts[b + 1], 2 * (b - a + 2)))
+    i = int(rng.integers(0, len(ts) - 1))
+    one = np.sort(np.append(rng.uniform(ts[i], ts[i + 1], 4), ts[i]))
+    one = one[one < ts[i + 1]]
+    return [q, q[:len(q) // 2 * 2].reshape(2, -1), stretch, one]
+
+
+def assert_runs_match_points(ts, seed):
+    """On run_queries() hermite_jet takes the run path, and its jets are
+    those of the per-point gathers bitwise, for 1 to 3 tables of 3 and 4
+    columns; sparse, unsorted and NaN queries take the per-point path."""
+    rng = np.random.default_rng(seed)
+    tables = [[rng.standard_normal(len(ts)) for _ in range(cols)]
+              for cols in rng.choice([3, 4], int(rng.integers(1, 4)))]
+    for c in (c for cols in tables for c in cols):
+        c[rng.integers(0, len(ts))] = -0.0
+    for q in run_queries(ts, rng):
+        got, took_runs = jet_by_path(ts, tables, q)
+        assert took_runs
+        want, _ = jet_by_path(ts, tables, q, per_point=True)
+        for jet, ref, cols in zip(got, want, tables):
+            assert len(jet) == len(ref) == len(cols) - 1
+            for g, w in zip(jet, ref):
+                assert_same_values(g, w)
+                assert g.tobytes() == w.tobytes()
+    dense = run_queries(ts, rng)[0]
+    sparse = np.linspace(ts[0], ts[-1], len(ts) - 1)
+    for q in (dense[::-1], np.append(dense, np.nan), sparse):
+        assert not jet_by_path(ts, tables, q)[1]
+
+
 class TestHermiteJet:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 3000), lo=st.floats(-50.0, 50.0),
+           span=st.floats(1e-6, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_run_path_is_the_per_point_path_on_uniform_grids(
+            self, n, lo, span, seed):
+        assert_runs_match_points(np.linspace(lo, lo + span, n), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_run_path_is_the_per_point_path_on_random_sorted_grids(
+            self, n, seed):
+        rng = np.random.default_rng(seed)
+        ts = _util.sorted_unique(rng.uniform(-3.0, 3.0, n) ** 3)
+        if len(ts) < 2:
+            ts = np.array([-1.0, 2.0])
+        assert_runs_match_points(ts, seed)
+
+    def test_run_path_on_the_flatten_start_and_transfer_grids(self):
+        assert_runs_match_points(flatten_start_grid(0.3), 6)
+        h0, _ = blocks._transfer_curves(
+            scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]["C"])
+        assert_runs_match_points(h0.nodes[0], 7)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 20000),
            lo=st.floats(-50.0, 50.0), span=st.floats(1e-6, 1e3),
