@@ -18,12 +18,12 @@ import math
 import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
-                    bisect_increasing, cumulative_hermite, gradient_on,
-                    grid_points, plateau, smooth_step, sorted_unique,
-                    unit_plateaus)
+                    _hermite_point, bisect_increasing, cumulative_hermite,
+                    gradient_on, grid_points, plateau, smooth_step,
+                    sorted_unique, unit_plateaus)
 from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
-                     antiderivative_curve, constant_curve, cosine_curve,
-                     even_extension, flatness_margin,
+                     SurgeryWindow, antiderivative_curve, constant_curve,
+                     cosine_curve, even_extension, flatness_margin,
                      integrate_transfer_odes, jet_curve, line_curve,
                      linear_combo, make_concave_profile, parity_margin,
                      piecewise_curve, poly_curve,
@@ -231,15 +231,30 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
 
     The rise happens over rise_frac of the window; the deleted slope and
     value mass is restored by a plateau and its tilt over the rest, so the
-    curve rejoins ``base`` smoothly at ``at + window``.
+    curve rejoins ``base`` smoothly at ``at + window``.  The plateau and
+    its tilt depend on the window's shape alone (``_flatten_window``).
     """
     w = window
     omega = max(rise_frac * w, 1e-5)
+    # value and slope vanish at `at`
+    win, _ = second_derivative_surgery(
+        at, _flatten_window(w, omega), _step_weighted(base, at, omega),
+        (0.0, 0.0), base.eval(at + w, 1), base.eval(at + w, 0))
+    tail = base.restrict(at + w, base.t_hi)
+    return piecewise_curve([(at, at + w, win),
+                            (at + w, base.t_hi, tail)])
+
+
+@functools.lru_cache(maxsize=8)
+def _flatten_window(w: float, omega: float) -> SurgeryWindow:
+    """_flatten_start's window of width w, its nodes dense on the rise
+    [0, 2 omega]: the plateau over the window and its tilt.  omega is a
+    function of (w, rise_frac), so the window is built once per pair;
+    handle1 uses one width."""
     u_nodes = np.concatenate([
         np.linspace(0.0, 2.0 * omega, 129),
         np.linspace(2.0 * omega, w, 1537)[1:],
     ])
-
     plate = unit_plateaus([(0.0, w)])
 
     def corrections(u, orders):
@@ -251,13 +266,7 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
                 [lever * p[0] if k == 0 else p[0] / w + lever * p[1]
                  for k in orders]]
 
-    # value and slope vanish at `at`
-    win, _ = second_derivative_surgery(
-        at, u_nodes, _step_weighted(base, at, omega), corrections,
-        (0.0, 0.0), base.eval(at + w, 1), base.eval(at + w, 0))
-    tail = base.restrict(at + w, base.t_hi)
-    return piecewise_curve([(at, at + w, win),
-                            (at + w, base.t_hi, tail)])
+    return SurgeryWindow(u_nodes, corrections)
 
 
 # C-infinity ramp 0 -> 1 on [0,1] with slope close to one (flat ends): the
@@ -348,6 +357,13 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     """Cut-cone handle over the stretched core: certifies positivity of the
     graph second fundamental form on both zones, concavity of the cap
     profile, a corner angle below pi/2 and the inner-face curvature floor.
+
+    The boundary profiles are built on the first read of
+    ``Report.boundary``: each face's warp columns (orders 0-3 over its arc
+    length) from Jet arithmetic, exact to rounding, and its
+    principal-curvature columns differenced with one stencil per grid
+    (``_tabs_from_samples``).  The arc lengths in ``aux`` (``u_cap``,
+    ``outer_arc_length``) are built with the margins.
     """
     _require_integer_dims(n=n)
     if not 0 < lambda1 < lambda2 < 1:
@@ -517,14 +533,21 @@ def closed_form_handle2(lambda1: float, lambda2: float, a: float, b: float,
             + 1.0 / (b - ts))
 
 
+@functools.lru_cache(maxsize=8)
+def _slope_end_window(w: float) -> SurgeryWindow:
+    """_flatten_slope_end's window of width w: one plateau over it."""
+    return SurgeryWindow(np.linspace(0.0, w, 2049), unit_plateaus([(0.0, w)]))
+
+
 def _flatten_slope_end(f: SmoothCurve, tau: float,
                        t_end: float) -> SmoothCurve:
     """Continue f past tau with f'' < 0 so that all derivatives vanish at
-    t_end (slope rides down to zero along a plateau profile)."""
+    t_end (slope rides down to zero along a plateau profile).  The window
+    is built once per width t_end - tau (``_slope_end_window``)."""
     w = t_end - tau
     win, _ = second_derivative_surgery(
-        tau, np.linspace(0.0, w, 2049), _step_weighted(f, tau, w, True),
-        unit_plateaus([(0.0, w)]), (f.eval(tau, 0), f.eval(tau, 1)), 0.0)
+        tau, _slope_end_window(w), _step_weighted(f, tau, w, True),
+        (f.eval(tau, 0), f.eval(tau, 1)), 0.0)
     return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
@@ -535,7 +558,11 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     of the boundary profile B; certifies the corner angle, positivity of
     the dug face's second fundamental form (with the conservative closed
     form), positive curvature of the face metric, the inner-face floor
-    -nu, and flatness of the collar warp at the far end."""
+    -nu, and flatness of the collar warp at the far end.
+
+    The face warp that the ``face_sec_*`` margins read is built with the
+    margins; the boundary profiles, on the first read of
+    ``Report.boundary``, as handle1 builds its own."""
     if not 0 < lambda1 < lambda2 < 1:
         raise BuildError("need 0 < lambda1 < lambda2 < 1")
     if a <= 0:
@@ -773,8 +800,11 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
             f"increase C")
     idx = int(np.searchsorted(fcp, target))
     lo, hi = ts_nodes[max(idx - 1, 0)], ts_nodes[min(idx, len(ts_nodes) - 1)]
-    t0 = bisect_increasing(lambda t: fC.eval(t, 1), lo, hi, target,
-                           tol=1e-14)
+    # fC.eval(t, 1) at a point is this lookup on the table's F' and F''
+    fcpp = fcols[2]
+    t0 = bisect_increasing(
+        lambda t: _hermite_point(ts_nodes, fcp, fcpp, float(t)), lo, hi,
+        target, tol=1e-14)
     if abs((a / c) * fC.eval(t0, 1) - lam) > 1e-10:
         raise BuildError("slope target not met to 1e-10 by bisection")
 
@@ -948,9 +978,9 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
     # the window's weight comes from the flat-end slope condition, so it is
     # normalised by the window's numerically integrated mass
     h, _ = second_derivative_surgery(
-        0.0, us, lambda t, orders: [-cc * v for v in
-                                    seed(t, [k - 2 for k in orders])],
-        unit_plateaus([(mu, span)]), (0.0, 1.0), 0.0)
+        0.0, SurgeryWindow(us, unit_plateaus([(mu, span)])),
+        lambda t, orders: [-cc * v for v in seed(t, [k - 2 for k in orders])],
+        (0.0, 1.0), 0.0)
 
     tt = grid_points(1e-3 * t0, 0.98 * t0, grid, min_points=1025)
     hv, h1, h2 = h.jet(tt)
@@ -1134,9 +1164,11 @@ def _wu_h_blend(eps: float, eps_outer: float) -> SmoothCurve:
     f0 = _projective_f0()
     a, b = eps, eps_outer
     w = b - a
+    window = SurgeryWindow(
+        np.linspace(0.0, w, 4097),
+        unit_plateaus([(0.02 * w, 0.83 * w), (0.87 * w, 0.12 * w)]))
     win, _ = second_derivative_surgery(
-        a, np.linspace(0.0, w, 4097), _step_weighted(f0, a, 0.06 * w, True),
-        unit_plateaus([(0.02 * w, 0.83 * w), (0.87 * w, 0.12 * w)]),
+        a, window, _step_weighted(f0, a, 0.06 * w, True),
         (f0.eval(a, 0), f0.eval(a, 1)), 0.0, 2.0 / math.pi)
     half = piecewise_curve([
         (0.0, a, f0.restrict(0.0, a)),

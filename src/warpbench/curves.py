@@ -9,6 +9,7 @@ constructor below writes one function ``orders(t, ks)`` answering both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,14 +338,18 @@ def line_curve(intercept, slope, domain) -> SmoothCurve:
 
 
 def sine_curve(amplitude, rate, phase, domain) -> SmoothCurve:
-    """A sin(w t + phi)."""
+    """A sin(w t + phi); a call evaluates sin only for even orders and cos
+    only for odd ones, each once."""
     A, w, phi = float(amplitude), float(rate), float(phase)
-    return curve_from_derivs(
-        domain,
-        lambda t: A * np.sin(w * np.asarray(t, float) + phi),
-        lambda t: A * w * np.cos(w * np.asarray(t, float) + phi),
-        lambda t: -A * w * w * np.sin(w * np.asarray(t, float) + phi),
-        lambda t: -A * w ** 3 * np.cos(w * np.asarray(t, float) + phi))
+    coef = (A, A * w, -A * w * w, -A * w ** 3)
+
+    def orders(t, ks):
+        x = w * np.asarray(t, float) + phi
+        sin = np.sin(x) if any(k % 2 == 0 for k in ks) else None
+        cos = np.cos(x) if any(k % 2 for k in ks) else None
+        return [coef[k] * (cos if k % 2 else sin) for k in ks]
+
+    return SmoothCurve(domain[0], domain[1], orders)
 
 
 def cosine_curve(amplitude, rate, phase, domain) -> SmoothCurve:
@@ -423,10 +428,26 @@ class _TableOrders:
                  for k in ks] for j, cols in zip(jets, self.tables)]
 
     def combine(self, per_table) -> list:
-        """The curve's orders from the orders of its tables."""
+        """The curve's orders from the orders of its tables.  A weighted
+        sum is ``_weighted_sum``'s, bit for bit; array orders are fresh
+        arrays from ``orders``, so it is formed on them in place (w * out,
+        + 0.0, then each further w * out added), 0-d orders by
+        ``_weighted_sum`` itself."""
         if self.weights is None:
             return per_table[0]
-        return _weighted_sum(per_table, self.weights)
+        if np.ndim(per_table[0][0]) == 0:
+            return _weighted_sum(per_table, self.weights)
+        (w0, *ws), (head, *rest) = self.weights, per_table
+        sums = []
+        for i, acc in enumerate(head):
+            acc *= w0
+            acc += 0.0                  # as 0 + w * out: -0.0 becomes +0.0
+            for w, outs in zip(ws, rest):
+                v = outs[i]
+                v *= w
+                acc += v
+            sums.append(acc)
+        return sums
 
 
 def joint_jet(curves, t, n: int = 2) -> list:
@@ -729,52 +750,89 @@ def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,
 # Second-derivative surgery on a window, and smooth joins built on it.
 # ---------------------------------------------------------------------------
 
-def second_derivative_surgery(a: float, u, base, corrections, start,
+def _read_only(a) -> np.ndarray:
+    """A read-only float view of a; the array itself keeps its flags."""
+    v = np.asarray(a, dtype=float).view()
+    v.flags.writeable = False
+    return v
+
+
+class SurgeryWindow:
+    """The part of a second-derivative surgery that depends on the window's
+    shape alone, so one window serves every curve edited on that shape.
+
+    ``u`` holds strictly increasing node offsets from the window start
+    (u[0] = 0, uniform or not).  ``corrections(u, orders)`` returns, for
+    each compactly supported correction g_j, its derivatives of the listed
+    orders (0 and 1) as a function of the offset u.  Built on first use and
+    kept: the corrections' orders 0 and 1 at the nodes (``columns``, from
+    one call, so work shared between orders and corrections, such as a
+    plateau's ramp lookups, is done once), their integrals over the window
+    (``mass_row``) and their moments about its end (``moment_row``).  Every
+    array the window holds is read-only."""
+
+    def __init__(self, u, corrections):
+        self.u = _read_only(u)
+        self.corrections = corrections
+
+    def mass(self, y, dy):
+        """The integral of y over the window, from y and y' at the nodes."""
+        return cumulative_hermite(self.u, y, dy)[-1]
+
+    def moment(self, y, dy):
+        """The integral of (end - u) y(u) over the window."""
+        lever = self.u[-1] - self.u
+        return cumulative_hermite(self.u, lever * y, -y + lever * dy)[-1]
+
+    @functools.cached_property
+    def columns(self) -> tuple:
+        return tuple(tuple(_read_only(v) for v in g)
+                     for g in self.corrections(self.u, (0, 1)))
+
+    @functools.cached_property
+    def mass_row(self) -> np.ndarray:
+        return _read_only([self.mass(*g) for g in self.columns])
+
+    @functools.cached_property
+    def moment_row(self) -> np.ndarray:
+        return _read_only([self.moment(*g) for g in self.columns])
+
+
+def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
                               slope_end: float,
                               value_end: float | None = None):
-    """Curve on [a, a + u[-1]] whose second derivative is an edited base
-    plus compactly supported corrections, integrated twice from ``start``.
+    """Curve on [a, a + u[-1]] (u the window's nodes) whose second
+    derivative is an edited base plus the window's compactly supported
+    corrections, integrated twice from ``start``.
 
-    ``u`` holds strictly increasing node offsets from ``a`` (u[0] = 0,
-    uniform or not).  ``base(t, orders)`` returns the edited base's second
-    and third derivatives, those of the listed orders (2, 3), at any t;
-    ``corrections(u, orders)`` returns, for each compactly supported
-    correction g_j, its derivatives of the listed orders (0 and 1) as a
-    function of the offset u = t - a.  At the nodes each is called once,
-    for both its orders, so work shared between orders and between
-    corrections (the blend step, the curves under it, a plateau's ramp
-    lookups) is done once there, as in the window curve's jet.  The
+    ``base(t, orders)`` returns the edited base's second and third
+    derivatives, those of the listed orders (2, 3), at any t; at the nodes
+    it is called once, for both orders, as in the window curve's jet.  The
     coefficients c_j in f'' = base'' + sum_j c_j g_j solve f'(end) =
     slope_end and, when ``value_end`` is given, also f(end) = value_end,
     with (f(a), f'(a)) = ``start``; the number of corrections must match
-    the number of targets.
+    the number of targets.  The corrections' columns and their mass and
+    moment rows come from the window; the base's, the solve and the two
+    integrations are done per call.
 
     Returns the blended window curve and the coefficient array.  Values
     and slopes come from Hermite tables on the nodes (kept as the curve's
     ``nodes``); the second and third derivatives are evaluated exactly.
     """
-    u = np.asarray(u, dtype=float)
+    u = window.u
     ts = a + u
-    wu = u[-1] - u
     b2, b3 = base(ts, (2, 3))
-    gs = corrections(u, (0, 1))
-
-    def mass(y, dy):
-        return cumulative_hermite(u, y, dy)[-1]
-
-    def moment(y, dy):                  # integral of (end - t) y(t)
-        return cumulative_hermite(u, wu * y, -y + wu * dy)[-1]
 
     y0, y1 = start
-    rows = [[mass(*g) for g in gs]]
-    need = [slope_end - y1 - mass(b2, b3)]
+    rows = [window.mass_row]
+    need = [slope_end - y1 - window.mass(b2, b3)]
     if value_end is not None:
-        rows.append([moment(*g) for g in gs])
-        need.append(value_end - y0 - y1 * u[-1] - moment(b2, b3))
+        rows.append(window.moment_row)
+        need.append(value_end - y0 - y1 * u[-1] - window.moment(b2, b3))
     coef = np.linalg.solve(np.array(rows), np.array(need))
 
     out2, out3 = b2, b3
-    for c, (g0, g1) in zip(coef, gs):
+    for c, (g0, g1) in zip(coef, window.columns):
         out2 = out2 + c * g0
         out3 = out3 + c * g1
     out1 = cumulative_hermite(u, out2, out3, y1)
@@ -783,7 +841,8 @@ def second_derivative_surgery(a: float, u, base, corrections, start,
     def edited(t, orders):
         du = np.asarray(t, float) - a
         outs = base(t, orders)
-        for c, g in zip(coef, corrections(du, tuple(k - 2 for k in orders))):
+        gs = window.corrections(du, tuple(k - 2 for k in orders))
+        for c, g in zip(coef, gs):
             outs = [out + c * gk for out, gk in zip(outs, g)]
         return outs
 
@@ -799,6 +858,20 @@ def second_derivative_surgery(a: float, u, base, corrections, start,
     return curve, coef
 
 
+@functools.lru_cache(maxsize=32)
+def _join_window(w: float, grid_n: int) -> SurgeryWindow:
+    """smooth_join's window of width w on grid_n uniform nodes: a plateau
+    over the window, and an antisymmetric pair of plateaus on its halves
+    (zero net mass, order-one moment).  Built once per (w, grid_n)."""
+    plates = unit_plateaus([(0.0, w), (0.0, 0.45 * w), (0.55 * w, 0.45 * w)])
+
+    def corrections(u, orders):
+        whole, lower, upper = plates(u, orders)
+        return [whole, [lo - hi for lo, hi in zip(lower, upper)]]
+
+    return SurgeryWindow(np.linspace(0.0, w, grid_n), corrections)
+
+
 def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                 second_derivative_band, band_tol: float = 1e-2,
                 grid_n: int = 2049) -> SmoothCurve:
@@ -808,9 +881,11 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     The blended second derivative is the step-weighted combination of the
     two inputs plus two compactly supported corrections (a plateau over the
     window and an antisymmetric pair of plateaus on its halves) solving the
-    slope and value matching conditions at the window end.  If the result
-    leaves ``second_derivative_band`` widened by ``band_tol``,
-    JoinBandError is raised with the measured overshoot.
+    slope and value matching conditions at the window end.  The
+    corrections' window depends on the width and ``grid_n`` alone, so it is
+    built once per pair (``_join_window``).  If the result leaves
+    ``second_derivative_band`` widened by ``band_tol``, JoinBandError is
+    raised with the measured overshoot.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -846,17 +921,8 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                 V * left.eval(t, 3) + W * right.eval(t, 3)
                 + smooth_step(x, 1) / w * (r2 - l2) for k in orders]
 
-    plates = unit_plateaus([(0.0, w), (0.0, 0.45 * w), (0.55 * w, 0.45 * w)])
-
-    def corrections(u, orders):
-        # a plateau over the window, and an antisymmetric pair of plateaus
-        # on its halves (zero net mass, order-one moment)
-        whole, lower, upper = plates(u, orders)
-        return [whole, [lo - hi for lo, hi in zip(lower, upper)]]
-
     mid, (c1, c2) = second_derivative_surgery(
-        a, np.linspace(0.0, w, grid_n), base, corrections,
-        (left.eval(a, 0), left.eval(a, 1)),
+        a, _join_window(w, grid_n), base, (left.eval(a, 0), left.eval(a, 1)),
         right.eval(b, 1), right.eval(b, 0))
 
     f2 = mid.nodes[1][2]

@@ -554,10 +554,11 @@ class TestJet:
                                   (-10.0, 10.0))
         assert identity.info["identity"]
         window, _ = cv.second_derivative_surgery(
-            0.5, np.linspace(0.0, 0.5, 129),
+            0.5, cv.SurgeryWindow(np.linspace(0.0, 0.5, 129),
+                                  unit_plateaus([(0.0, 0.5)])),
             lambda t, orders: [np.cos(np.asarray(t, float)) if k == 2 else
                                -np.sin(np.asarray(t, float)) for k in orders],
-            unit_plateaus([(0.0, 0.5)]), (0.2, 0.1), 0.7)
+            (0.2, 0.1), 0.7)
         return [table, combo, combo.restrict(0.25, 1.5),
                 cv.linear_combo([(table.restrict(0.0, 1.0), 2.0)]),
                 # no shared basis: the jet is the three evaluations
@@ -835,6 +836,104 @@ class TestJet:
         assert lookups == [min(_SWEEP_BLOCK, n - i)
                            for i in range(0, n, _SWEEP_BLOCK)]
         assert per_point == []
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTableCombine:
+    """A weighted sum of table curves on one node array forms
+    ``_weighted_sum`` in place on the fresh orders its tables return, bit
+    for bit: -0.0 (a negative or -0.0 weight on a zero order) becomes
+    +0.0, NaN stays NaN, for one order, several, a 2-D and a 0-d query,
+    and through ``joint_jet``."""
+
+    WEIGHTS = [(1.0,), (-1.3,), (-0.0,), (0.7, -1.3, 2.0), (-0.0, 0.5),
+               (-2.0, -0.0, 3.0)]
+
+    @staticmethod
+    def tables():
+        ts = np.linspace(0.0, 1.0, 33)
+        rng = np.random.default_rng(7)
+        cols = [rng.standard_normal((4, 33)) for _ in range(3)]
+        cols[0][:, :12] = 0.0           # zero orders on the first segments
+        cols[1][:, :12] = -0.0
+        cols[1][:, 20:] = 0.0
+        cols[2][:, 25] = np.nan         # NaN on the segments around node 25
+        return ts, [cv.table_curve(ts, c) for c in cols]
+
+    @staticmethod
+    def queries():
+        t = np.concatenate([np.linspace(0.0, 1.0, 257), [np.nan, 0.4]])
+        return [t, np.sort(np.linspace(0.0, 1.0, 97)), t[:256].reshape(16, 16),
+                np.float64(0.3), np.array(0.7), np.array([0.1])]
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_in_place_sum_is_the_weighted_sum(self, weights):
+        _, curves = self.tables()
+        terms = list(zip(curves, weights))
+        combo = cv.linear_combo(terms)
+        assert isinstance(combo._at, cv._TableOrders)
+        for t in self.queries():
+            for ks in ((0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 2, 3)):
+                want = cv._weighted_sum([c._at(t, ks) for c, _ in terms],
+                                        list(weights))
+                got = combo._at(t, ks)
+                assert len(got) == len(ks)
+                for g, w in zip(got, want):
+                    assert_bitwise(g, w)
+
+    def test_joint_jet_combines_in_place(self):
+        _, curves = self.tables()
+        combos = [cv.linear_combo(list(zip(curves, w)))
+                  for w in self.WEIGHTS]
+        for t in self.queries():
+            for got, c in zip(cv.joint_jet(combos, t, 3), combos):
+                want = [c.eval(t, k) for k in range(4)]
+                for g, w in zip(got, want):
+                    assert_bitwise(g, w)
+
+
+class TestSineCurve:
+    """A sine curve's call evaluates sin only if an even order is asked
+    for and cos only if an odd one is, each once; every order is bitwise
+    its own eval and the closed form A sin, A w cos, -A w w sin,
+    -A w**3 cos of w t + phi."""
+
+    PARAMS = [(1.0, 1.0, 0.0), (0.9, 1.7, 0.3), (-2.5, 0.37, -1.1),
+              (2 / math.pi, math.pi / 2, math.pi / 2)]
+
+    @pytest.mark.parametrize("A, w, phi", PARAMS)
+    def test_jet_is_each_orders_eval_and_the_closed_form(self, A, w, phi):
+        curve = cv.sine_curve(A, w, phi, (-1.0, 2.0))
+        for t in (np.linspace(-1.0, 2.0, 513), 0.3, np.float64(-0.7)):
+            x = w * np.asarray(t, float) + phi
+            closed = (A * np.sin(x), A * w * np.cos(x),
+                      -A * w * w * np.sin(x), -A * w ** 3 * np.cos(x))
+            jet = curve.jet(t, 3)
+            for k in range(4):
+                assert_bitwise(jet[k], curve.eval(t, k))
+                assert_bitwise(jet[k], closed[k])
+
+    def test_one_sin_and_one_cos_per_call(self, monkeypatch):
+        curve = cv.sine_curve(0.9, 1.7, 0.3, (0.0, 1.0))
+        calls = []
+        sin, cos = np.sin, np.cos
+        monkeypatch.setattr(np, "sin", lambda x: calls.append("sin") or
+                            sin(x))
+        monkeypatch.setattr(np, "cos", lambda x: calls.append("cos") or
+                            cos(x))
+        t = np.linspace(0.0, 1.0, 9)
+        for ks, want in (((0, 1, 2), ["sin", "cos"]),
+                         ((0, 1, 2, 3), ["sin", "cos"]), ((0, 2), ["sin"]),
+                         ((1,), ["cos"]), ((1, 3), ["cos"]), ((2,), ["sin"])):
+            calls.clear()
+            curve._at(t, ks)
+            assert calls == want, ks
 
 
 def test_antiderivative_curve_takes_its_node_columns_from_one_call():

@@ -228,8 +228,9 @@ class TestPrimitive:
                      for k in orders]]
 
         corr = plate if value_end is None else plate_and_tilt
-        return cv.second_derivative_surgery(0.2, u, base, corr,
-                                            (0.3, -0.1), 0.4, value_end)
+        return cv.second_derivative_surgery(0.2, cv.SurgeryWindow(u, corr),
+                                            base, (0.3, -0.1), 0.4,
+                                            value_end)
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_slope_and_value_targets_met(self, uniform):
@@ -259,13 +260,15 @@ class TestPrimitive:
                                atol=1e-12)
 
 
+@pytest.mark.usefixtures("fresh_windows")
 class TestNodeEvaluation:
     """At its window nodes the surgery calls the base once for orders 2
     and 3 and the corrections once for orders 0 and 1, so a window build
     looks each of its point sets up once per order: the blend step at the
     nodes, then the ramps of all the corrections' plateaus together in one
     ``plateau_orders`` call.  Evaluating an order, or a correction, at a
-    time would repeat those lookups."""
+    time would repeat those lookups.  A window taken from its cache skips
+    the corrections' lookups, so each test builds its windows."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -321,3 +324,91 @@ class TestNodeEvaluation:
         counts = self.counted(monkeypatch)
         bk._flatten_start(base, 0.1, 0.3)
         self.assert_one_lookup_per_point_set(*counts, 1665)
+
+
+def _flatten_start_curve():
+    return bk._flatten_start(cv.poly_curve([0.1, 0.5, 0.3, 0.2], (0.0, 1.0)),
+                             0.1, 0.3)
+
+
+def _slope_end_curve():
+    f = cv.make_concave_profile(0.01, 0.02, 0.01, t_max=3.0)
+    return bk._flatten_slope_end(f.restrict(0.0, 2.5), 2.0, 2.5)
+
+
+@pytest.mark.usefixtures("fresh_windows")
+class TestSurgeryWindow:
+    """The helpers whose window shape does not depend on the curve take
+    their window from a cache keyed by that shape.  A cached window gives
+    the curve a fresh one gives, bit for bit, and holds read-only arrays;
+    the fibre disc and the Wu blend build theirs on each call."""
+
+    HELPERS = {
+        "smooth_join": (_two_sines_join, cv._join_window, (-0.3, 0.9)),
+        "flatten_start": (_flatten_start_curve, bk._flatten_window,
+                          (0.1, 0.4)),
+        "flatten_slope_end": (_slope_end_curve, bk._slope_end_window,
+                              (2.0, 2.5)),
+    }
+
+    @staticmethod
+    def columns(curve, lo, hi):
+        ts = np.concatenate([np.linspace(lo, hi, 4001), [lo, hi, np.nan]])
+        return [curve.eval(ts, k) for k in range(4)]
+
+    @pytest.mark.parametrize("name", sorted(HELPERS))
+    def test_cached_window_gives_the_fresh_curve(self, name):
+        build, factory, (lo, hi) = self.HELPERS[name]
+        fresh = self.columns(build(), lo, hi)
+        assert factory.cache_info().misses == 1
+        cached = self.columns(build(), lo, hi)
+        assert factory.cache_info().hits == 1
+        for got, want in zip(cached, fresh):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("name", sorted(HELPERS))
+    def test_second_build_makes_no_plateau_lookup(self, name, monkeypatch):
+        from warpbench import _util
+        build, _, _ = self.HELPERS[name]
+        build()
+        calls = []
+        plateau_orders = _util.plateau_orders
+
+        def counted(x, orders, rise=0.15):
+            calls.append(tuple(orders))
+            return plateau_orders(x, orders, rise)
+
+        monkeypatch.setattr(_util, "plateau_orders", counted)
+        build()
+        assert calls == []
+
+    def test_windows_are_read_only_and_keyed_by_shape(self):
+        windows = (cv._join_window(0.5, 2049),
+                   bk._flatten_window(0.05, 5e-5), bk._slope_end_window(0.5))
+        for window in windows:
+            arrays = [window.u, window.mass_row, window.moment_row,
+                      *(v for g in window.columns for v in g)]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert cv._join_window(0.5, 2049) is cv._join_window(0.5, 2049)
+        assert cv._join_window(0.5, 2049) is not cv._join_window(0.6, 2049)
+        assert cv._join_window(0.5, 2049) is not cv._join_window(0.5, 1025)
+        assert bk._flatten_window(0.05, 5e-5) is not bk._flatten_window(
+            0.04, 4e-5)
+        assert bk._slope_end_window(0.5) is not bk._slope_end_window(0.4)
+
+    def test_window_keeps_its_nodes_writeable_for_their_owner(self):
+        u = np.linspace(0.0, 1.0, 65)
+        window = cv.SurgeryWindow(u, unit_plateaus([(0.0, 1.0)]))
+        assert u.flags.writeable and not window.u.flags.writeable
+
+    def test_fibre_disc_and_wu_blend_take_no_cached_window(self):
+        bk.build_fibre_disc_warp(3, 1.3)
+        bk.wu_family_check("blended", eps=0.1)
+        for factory in (cv._join_window, bk._flatten_window,
+                        bk._slope_end_window):
+            info = factory.cache_info()
+            assert info.hits == info.misses == 0
