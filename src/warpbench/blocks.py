@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
-                    _hermite_point, bisect_increasing, cumulative_hermite,
-                    gradient_on, grid_points, plateau, smooth_step,
-                    sorted_unique, unit_plateaus)
+                    bisect_increasing, cumulative_hermite, gradient_on,
+                    grid_points, plateau, smooth_step, sorted_unique,
+                    unit_plateaus)
 from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
                      SurgeryWindow, antiderivative_curve, constant_curve,
                      cosine_curve, even_extension, flatness_margin,
@@ -800,11 +800,8 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
             f"increase C")
     idx = int(np.searchsorted(fcp, target))
     lo, hi = ts_nodes[max(idx - 1, 0)], ts_nodes[min(idx, len(ts_nodes) - 1)]
-    # fC.eval(t, 1) at a point is this lookup on the table's F' and F''
-    fcpp = fcols[2]
-    t0 = bisect_increasing(
-        lambda t: _hermite_point(ts_nodes, fcp, fcpp, float(t)), lo, hi,
-        target, tol=1e-14)
+    t0 = bisect_increasing(lambda t: fC.eval(t, 1), lo, hi, target,
+                           tol=1e-14)
     if abs((a / c) * fC.eval(t0, 1) - lam) > 1e-10:
         raise BuildError("slope target not met to 1e-10 by bisection")
 

@@ -428,26 +428,10 @@ class _TableOrders:
                  for k in ks] for j, cols in zip(jets, self.tables)]
 
     def combine(self, per_table) -> list:
-        """The curve's orders from the orders of its tables.  A weighted
-        sum is ``_weighted_sum``'s, bit for bit; array orders are fresh
-        arrays from ``orders``, so it is formed on them in place (w * out,
-        + 0.0, then each further w * out added), 0-d orders by
-        ``_weighted_sum`` itself."""
+        """The curve's orders from the orders of its tables."""
         if self.weights is None:
             return per_table[0]
-        if np.ndim(per_table[0][0]) == 0:
-            return _weighted_sum(per_table, self.weights)
-        (w0, *ws), (head, *rest) = self.weights, per_table
-        sums = []
-        for i, acc in enumerate(head):
-            acc *= w0
-            acc += 0.0                  # as 0 + w * out: -0.0 becomes +0.0
-            for w, outs in zip(ws, rest):
-                v = outs[i]
-                v *= w
-                acc += v
-            sums.append(acc)
-        return sums
+        return _weighted_sum(per_table, self.weights)
 
 
 def joint_jet(curves, t, n: int = 2) -> list:
@@ -764,16 +748,20 @@ class SurgeryWindow:
     ``u`` holds strictly increasing node offsets from the window start
     (u[0] = 0, uniform or not).  ``corrections(u, orders)`` returns, for
     each compactly supported correction g_j, its derivatives of the listed
-    orders (0 and 1) as a function of the offset u.  Built on first use and
-    kept: the corrections' orders 0 and 1 at the nodes (``columns``, from
-    one call, so work shared between orders and corrections, such as a
-    plateau's ramp lookups, is done once), their integrals over the window
-    (``mass_row``) and their moments about its end (``moment_row``).  Every
-    array the window holds is read-only."""
+    orders (0 and 1) as a function of the offset u.  Built with the window
+    and kept: the corrections' orders 0 and 1 at the nodes (``columns``,
+    from one call, so work shared between orders and corrections, such as
+    a plateau's ramp lookups, is done once) and their integrals over the
+    window (``mass_row``); built on first use, by two-target surgeries
+    only, their moments about its end (``moment_row``).  Every array the
+    window holds is read-only."""
 
     def __init__(self, u, corrections):
         self.u = _read_only(u)
         self.corrections = corrections
+        self.columns = tuple(tuple(_read_only(v) for v in g)
+                             for g in corrections(self.u, (0, 1)))
+        self.mass_row = _read_only([self.mass(*g) for g in self.columns])
 
     def mass(self, y, dy):
         """The integral of y over the window, from y and y' at the nodes."""
@@ -783,15 +771,6 @@ class SurgeryWindow:
         """The integral of (end - u) y(u) over the window."""
         lever = self.u[-1] - self.u
         return cumulative_hermite(self.u, lever * y, -y + lever * dy)[-1]
-
-    @functools.cached_property
-    def columns(self) -> tuple:
-        return tuple(tuple(_read_only(v) for v in g)
-                     for g in self.corrections(self.u, (0, 1)))
-
-    @functools.cached_property
-    def mass_row(self) -> np.ndarray:
-        return _read_only([self.mass(*g) for g in self.columns])
 
     @functools.cached_property
     def moment_row(self) -> np.ndarray:

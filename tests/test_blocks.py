@@ -6,7 +6,6 @@ import pytest
 
 from warpbench import blocks as bk
 from warpbench import curves as cv
-from warpbench._util import bisect_increasing
 
 PI = math.pi
 
@@ -240,25 +239,6 @@ class TestTransferBlock:
         assert abs(rep.aux["slope_check"] - 0.5) < 1e-9
         assert rep.aux["R"] == pytest.approx(
             rep.aux["r1"] * 0.1 ** -1 * 0 + rep.aux["R"])
-
-    @pytest.mark.parametrize("a, lam", [(0.2, 0.5), (0.28, 0.3),
-                                        (0.4, 0.9)])
-    def test_slope_bisection_is_the_bisection_of_eval(self, a, lam):
-        """t0 bisects fC' on the table's own Hermite lookup; it is the
-        bisection of ``fC.eval(t, 1)``, bit for bit, and the report's
-        t0, slope check and sweep grid are unchanged by it."""
-        rep = bk.build_transfer_block(2, 3, r0=0.1, nu=1.5, lam=lam, a=a,
-                                      C=0.5)
-        h0, fC = bk._transfer_curves(0.5)
-        ts, cols = fC.nodes
-        target = lam * (0.1 / h0.eval(0.0, 0)) / a
-        idx = int(np.searchsorted(cols[1], target))
-        t0 = bisect_increasing(lambda t: fC.eval(t, 1), ts[idx - 1],
-                               ts[idx], target, tol=1e-14)
-        assert type(t0) is np.float64
-        assert rep.aux["t0"] == float(t0)
-        assert rep.margin("horizontal_ii").argmin == t0
-        assert rep.sweeps["ricci"]["t"][-1] == t0
 
     def test_shrinking_a_shrinks_reported_fibre_scale(self):
         r1s = [bk.build_transfer_block(2, 3, r0=0.1, nu=2.5, lam=0.5,

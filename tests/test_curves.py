@@ -845,59 +845,6 @@ def assert_bitwise(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-class TestTableCombine:
-    """A weighted sum of table curves on one node array forms
-    ``_weighted_sum`` in place on the fresh orders its tables return, bit
-    for bit: -0.0 (a negative or -0.0 weight on a zero order) becomes
-    +0.0, NaN stays NaN, for one order, several, a 2-D and a 0-d query,
-    and through ``joint_jet``."""
-
-    WEIGHTS = [(1.0,), (-1.3,), (-0.0,), (0.7, -1.3, 2.0), (-0.0, 0.5),
-               (-2.0, -0.0, 3.0)]
-
-    @staticmethod
-    def tables():
-        ts = np.linspace(0.0, 1.0, 33)
-        rng = np.random.default_rng(7)
-        cols = [rng.standard_normal((4, 33)) for _ in range(3)]
-        cols[0][:, :12] = 0.0           # zero orders on the first segments
-        cols[1][:, :12] = -0.0
-        cols[1][:, 20:] = 0.0
-        cols[2][:, 25] = np.nan         # NaN on the segments around node 25
-        return ts, [cv.table_curve(ts, c) for c in cols]
-
-    @staticmethod
-    def queries():
-        t = np.concatenate([np.linspace(0.0, 1.0, 257), [np.nan, 0.4]])
-        return [t, np.sort(np.linspace(0.0, 1.0, 97)), t[:256].reshape(16, 16),
-                np.float64(0.3), np.array(0.7), np.array([0.1])]
-
-    @pytest.mark.parametrize("weights", WEIGHTS)
-    def test_in_place_sum_is_the_weighted_sum(self, weights):
-        _, curves = self.tables()
-        terms = list(zip(curves, weights))
-        combo = cv.linear_combo(terms)
-        assert isinstance(combo._at, cv._TableOrders)
-        for t in self.queries():
-            for ks in ((0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 2, 3)):
-                want = cv._weighted_sum([c._at(t, ks) for c, _ in terms],
-                                        list(weights))
-                got = combo._at(t, ks)
-                assert len(got) == len(ks)
-                for g, w in zip(got, want):
-                    assert_bitwise(g, w)
-
-    def test_joint_jet_combines_in_place(self):
-        _, curves = self.tables()
-        combos = [cv.linear_combo(list(zip(curves, w)))
-                  for w in self.WEIGHTS]
-        for t in self.queries():
-            for got, c in zip(cv.joint_jet(combos, t, 3), combos):
-                want = [c.eval(t, k) for k in range(4)]
-                for g, w in zip(got, want):
-                    assert_bitwise(g, w)
-
-
 class TestSineCurve:
     """A sine curve's call evaluates sin only if an even order is asked
     for and cos only if an odd one is, each once; every order is bitwise

@@ -264,9 +264,9 @@ class TestPrimitive:
 class TestNodeEvaluation:
     """At its window nodes the surgery calls the base once for orders 2
     and 3 and the corrections once for orders 0 and 1, so a window build
-    looks each of its point sets up once per order: the blend step at the
-    nodes, then the ramps of all the corrections' plateaus together in one
-    ``plateau_orders`` call.  Evaluating an order, or a correction, at a
+    looks each of its point sets up once per order: the ramps of all the
+    corrections' plateaus together in one ``plateau_orders`` call, as the
+    window is built, then the blend step at the nodes.  Evaluating an order, or a correction, at a
     time would repeat those lookups.  A window taken from its cache skips
     the corrections' lookups, so each test builds its windows."""
 
@@ -302,14 +302,15 @@ class TestNodeEvaluation:
 
     @staticmethod
     def assert_one_lookup_per_point_set(steps, plateaus, fallbacks, nodes):
-        # the base's step and its slope on the nodes; the plateau ramps at
-        # orders 0 and 1; then each fallback's two steps at every order up
-        # to its own, on the few points where a ramp's density underflows
-        assert steps[:2] == [(0, nodes), (1, nodes)]
-        (k0, ramps0), (k1, ramps1) = steps[2:4]
+        # the plateau ramps at orders 0 and 1; each fallback's two steps
+        # at every order up to its own, on the few points where a ramp's
+        # density underflows; then the base's step and its slope on the
+        # nodes
+        (k0, ramps0), (k1, ramps1) = steps[:2]
         assert (k0, k1) == (0, 1) and ramps0 == ramps1 > 0
-        assert steps[4:] == [(j, 2 * n) for k, n in fallbacks
-                             for j in range(k + 1)]
+        assert steps[2:-2] == [(j, 2 * n) for k, n in fallbacks
+                               for j in range(k + 1)]
+        assert steps[-2:] == [(0, nodes), (1, nodes)]
         assert plateaus == [(0, 1)]
 
     def test_smooth_join(self, monkeypatch):
