@@ -744,12 +744,13 @@ def rank_gf2(rows: list[int]) -> int:
 
 
 def bisect_increasing(fn, lo: float, hi: float, target: float,
-                      tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Solve fn(x) = target for increasing fn by bisection."""
+                      tol: float = 1e-10) -> float:
+    """Solve fn(x) = target for increasing fn by bisection, in at most 200
+    halvings."""
     flo, fhi = fn(lo) - target, fn(hi) - target
     if flo > 0 or fhi < 0:
         raise ValueError("target not bracketed")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fn(mid) - target <= 0:
             lo = mid

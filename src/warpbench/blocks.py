@@ -6,7 +6,9 @@ families, and the conformal boundary-layer margin.
 
 Every builder returns a gluing.Report whose margins are minima over sample
 grids; the verdict is pass iff every margin passes its rule.  Reports are
-deterministic functions of the parameter record and grid density.
+deterministic functions of the parameter record and grid density.  The
+curves a caller builds on (the cone's warp, the fibre disc's h, the
+handles' profiles) are in ``aux["curves"]``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
                      linear_combo, make_concave_profile, parity_margin,
                      piecewise_curve, poly_curve,
                      second_derivative_surgery, sin_of, sine_curve,
-                     smooth_join, table_curve)
+                     smooth_join, table_curve, window_mass,
+                     window_moment)
 from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
                         cohomog1_sweep, doubly_warped_sweep,
@@ -96,12 +99,13 @@ def _tabs_from_samples(ts: np.ndarray, columns: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
-                      delta: float, t: float, grid=None):
+                      delta: float, t: float, grid=None) -> Report:
     """Sine-pieced warp with interpolation slope K_t = 1 - t(1-K) and the
     Ricci lower bound (n-1) K_t^2 certified on the grid.
 
-    Returns (warp curve, report).  At t = 1, multiplying the metric by K^2
-    turns the middle piece into K sin(s) with Ricci bound n - 1.
+    The warp is ``aux["curves"]["warp"]``.  At t = 1, multiplying the
+    metric by K^2 turns the middle piece into K sin(s) with Ricci bound
+    n - 1.
     """
     _require_integer_dims(n=n)
     if n < 3:
@@ -168,7 +172,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         _min_margin("ric_sphere", ss, (ric_x - bound) / bound + 1e-9),
     ]
     for label, join in (("slope_band_s1", chi1), ("slope_band_s2", chi2)):
-        a, b = join.info.get("window", (s1 - delta, s1 + delta))
+        a, b = join.info["window"]
         js = np.linspace(a, b, 257)
         sl = join.eval(js, 1)
         margins.append(_min_margin(f"{label}_lower", js, sl - Kt + 1e-12))
@@ -190,7 +194,8 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                                                "ric_sphere": ric_x,
                                                "warp": sweep["f"]}}},
     )
-    return warp, report
+    report.aux["curves"] = {"warp": warp}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +228,19 @@ def _step_weighted(curve: SmoothCurve, at: float, width: float,
     return base
 
 
-def _flatten_start(base: SmoothCurve, at: float, window: float,
-                   rise_frac: float = 1e-3) -> SmoothCurve:
+def _flatten_start(base: SmoothCurve, at: float,
+                   window: float) -> SmoothCurve:
     """Replace ``base`` near its left end so that all derivatives vanish at
     ``at`` while the second derivative stays within the band spanned by the
     original one (plus a small redistribution correction).
 
-    The rise happens over rise_frac of the window; the deleted slope and
+    The rise happens over 1e-3 of the window; the deleted slope and
     value mass is restored by a plateau and its tilt over the rest, so the
     curve rejoins ``base`` smoothly at ``at + window``.  The plateau and
     its tilt depend on the window's shape alone (``_flatten_window``).
     """
     w = window
-    omega = max(rise_frac * w, 1e-5)
+    omega = max(1e-3 * w, 1e-5)
     # value and slope vanish at `at`
     win, _ = second_derivative_surgery(
         at, _flatten_window(w, omega), _step_weighted(base, at, omega),
@@ -249,8 +254,8 @@ def _flatten_start(base: SmoothCurve, at: float, window: float,
 def _flatten_window(w: float, omega: float) -> SurgeryWindow:
     """_flatten_start's window of width w, its nodes dense on the rise
     [0, 2 omega]: the plateau over the window and its tilt.  omega is a
-    function of (w, rise_frac), so the window is built once per pair;
-    handle1 uses one width."""
+    function of w, so the window is built once per width; handle1 uses
+    one width."""
     u_nodes = np.concatenate([
         np.linspace(0.0, 2.0 * omega, 129),
         np.linspace(2.0 * omega, w, 1537)[1:],
@@ -769,11 +774,11 @@ def _transfer_curves(C: float):
 
 def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          a: float, C: float, a_bounds: ABounds | None = None,
-                         ric_base_lb: float = 1.0, ric_fibre_lb: float = 1.0,
                          grid=None) -> Report:
     """Cylinder metric built from the transfer warping system, stopped at
     the slope target lam; certifies the four Ricci bounds, domination of
     the mixed term, and the boundary curvature constraints at both ends.
+    The base and the fibre carry unit Ricci floors.
 
     The warping system is integrated once per C (``_transfer_curves``),
     with ``integrate_transfer_odes``'s default horizon, step cap and
@@ -807,8 +812,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
 
     f = linear_combo([(fC, a / c)]).restrict(0.0, t0)
     h = linear_combo([(h0, a)]).restrict(0.0, t0)
-    metric = BundleWarpedMetric(p, q, f, h, ric_base_lb, ric_fibre_lb,
-                                a_bounds)
+    metric = BundleWarpedMetric(p, q, f, h, 1.0, 1.0, a_bounds)
     tt = grid_points(0.0, t0, grid, min_points=1025)
     sweep = bundle_warped_sweep(metric, tt)
     margins = [
@@ -925,10 +929,11 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
 # Fibre-disc warp.
 # ---------------------------------------------------------------------------
 
-def build_fibre_disc_warp(p: int, t0: float, grid=None):
+def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
     """Concave disc warp h with h(0) = 0, h'(0) = 1, h(t0) = 1 and all
     derivatives vanishing at t0; the cross-section curvatures of
     dt^2 + h^2 ds_{p-1}^2 are certified positive away from the flat end.
+    The warp is ``aux["curves"]["h"]``.
 
     The curvature profile -h'' mixes a sinusoidal seed (odd at 0, so the
     closing parity and the third-derivative condition hold) with a sliding
@@ -953,8 +958,7 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
         return [v for k, v in enumerate(s) if k in orders]
 
     y, dy = seed(us, (0, 1))
-    i1s = cumulative_hermite(us, y, dy)[-1]
-    i2s = cumulative_hermite(us, (t0 - us) * y, -y + (t0 - us) * dy)[-1]
+    i1s, i2s = window_mass(us, y, dy), window_moment(us, y, dy)
     # -h'' = (rho/i1s) seed + ((1 - rho)/mass) window, so h'(t0) = 0, and
     # h(t0) = t0 + integral of (t0 - u) h''(u) = 1 fixes the window start
     # mu.  A plateau window inside [0, t0] has mass span*PLATEAU_MASS and
@@ -999,7 +1003,8 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None):
              "h_end": float(h.eval(t0, 0))},
         sweeps={"warp": {"t": tt, "columns": {"h": hv, "sec_radial": sec_rad,
                                               "sec_sphere": sec_sph}}})
-    return h, report
+    report.aux["curves"] = {"h": h}
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1069,10 +1074,11 @@ def _projective_h_tilde(s: float):
     return sine_curve(amp, rate, rate, (-1.0, 1.5))
 
 
-def projective_family_check(d: int, n: int, s: float, grid=None,
-                            join_halfwidth: float = 0.05) -> Report:
+def projective_family_check(d: int, n: int, s: float,
+                            grid=None) -> Report:
     """One member of the interpolating family: the fixed odd warp together
-    with the flattened sine whose plateau starts at (1-s)/(1+s).
+    with the flattened sine whose plateau starts at (1-s)/(1+s), joined
+    over a half-width of at most 0.05 (``aux["join_halfwidth"]``).
 
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
@@ -1096,7 +1102,7 @@ def projective_family_check(d: int, n: int, s: float, grid=None,
         h = _projective_h_tilde(0.0).restrict(-1.0, 1.0)
         w = 0.0
     else:
-        w = min(join_halfwidth, 0.45 * (1.0 - t_flat), 0.45 * (t_flat + 1.0))
+        w = min(0.05, 0.45 * (1.0 - t_flat), 0.45 * (t_flat + 1.0))
         if w <= 0:
             h = _projective_h_tilde(s).restrict(-1.0, 1.0)
         else:

@@ -111,7 +111,7 @@ class Mod2Class:
                                  key=lambda x: (self.ring.degree[x], x)))
 
 
-def _sw_from_components(ring: Mod2Ring, comps: dict) -> frozenset:
+def _sw_from_components(comps: dict) -> frozenset:
     bits: set = set()
     for cls_names in comps.values():
         bits ^= set(cls_names)
@@ -137,11 +137,11 @@ def ring_cpn(n: int) -> Mod2Ring:
                     sw=frozenset(sw_bits))
 
 
-def _wi_even(i: int, k: int) -> str:
+def _wi_even(k: int) -> str:
     return "1" if k == 0 else ("a" if k == 1 else f"a^{k}")
 
 
-def _wi_odd(i: int, k: int) -> str:
+def _wi_odd(k: int) -> str:
     return f"(a^{k})*"
 
 
@@ -158,8 +158,8 @@ def ring_wi(i: int) -> Mod2Ring:
     """
     if i < 1:
         raise ValueError("need i >= 1")
-    evens = [_wi_even(i, k) for k in range(2 * i)]
-    odds = [_wi_odd(i, k) for k in range(2 * i)]
+    evens = [_wi_even(k) for k in range(2 * i)]
+    odds = [_wi_odd(k) for k in range(2 * i)]
     degree = {}
     for k, nm in enumerate(evens):
         degree[nm] = 2 * k
@@ -186,7 +186,7 @@ def ring_wi(i: int) -> Mod2Ring:
             comps[2 * j + 1] = comps.get(2 * j + 1, []) + [odds[2 * i - j]]
     return Mod2Ring(name=f"W{i}", degree=degree, mul=dict(mul),
                     top_degree=4 * i + 1, fundamental=odds[0],
-                    sw=_sw_from_components(None, comps))
+                    sw=_sw_from_components(comps))
 
 
 def product_ring(r1: Mod2Ring, r2: Mod2Ring) -> Mod2Ring:

@@ -1,6 +1,12 @@
 """Closed-form curvature and second-fundamental-form evaluators for the
 warped metric ansatze, plus an independent finite-difference Ricci oracle.
 
+Each ansatz has one formula, written as a grid sweep, and the sweeps are
+the curvature API: one point is a one-element sweep.  A sweep over more
+than _SWEEP_BLOCK points runs in blocks (``_in_blocks``), and a sweep
+returns the warp columns it read (see each sweep's docstring), so a builder
+does not evaluate them again.
+
 Conventions: boundary second fundamental forms are reported as principal
 curvatures with respect to the outward unit normal; a slice {t} x M inside
 a cylinder uses the +t normal unless stated otherwise.
@@ -387,27 +393,30 @@ class CohomogOneMetric:
             raise ValueError("d = 8 requires n = 2")
 
 
-def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str) -> dict:
+def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str,
+                       f_jet, h_jet) -> dict:
     """Endpoint values by the parity-consistent derivative substitutions.
 
     At an end where only f vanishes (f odd, h even there) the radial and
     V directions share the isotropic value; at t=-1 of the projective
     family both warps vanish and the whole diagonal is isotropic.
+    ``f_jet`` and ``h_jet`` are orders 0..2 at t of f and h, read from the
+    sweep's columns; only the third derivatives are evaluated here.
     """
     d, n = m.d, m.n
-    f, h = m.f, m.h
+    fv, f1, _ = f_jet
+    hv, h1, h2 = h_jet
     tol = 1e-6
-    f_zero = abs(f(t)) < tol
-    h_zero = abs(h(t)) < tol
+    f_zero = abs(fv) < tol
+    h_zero = abs(hv) < tol
     if not f_zero:
         raise ValueError(
-            f"endpoint t={t} is not a collapse of f (f={f(t):.3e})")
-    fr = -f(t, 3) / f(t, 1)
+            f"endpoint t={t} is not a collapse of f (f={fv:.3e})")
+    fr = -m.f(t, 3) / f1
     if family == "projective" and h_zero:
-        hr = -h(t, 3) / h(t, 1)
+        hr = -m.h(t, 3) / h1
         iso = (d - 1) * fr + (n - 1) * d * hr
         return {"ric_tt": iso, "ric_VV": iso, "ric_XX": iso}
-    hv, h1, h2 = h(t), h(t, 1), h(t, 2)
     if hv <= 0:
         raise ValueError("h must be positive at this endpoint")
     if family == "projective":
@@ -435,7 +444,8 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
     slop = 1e-9 * (1 + hi - lo)
     inner = (ts > lo + slop) & (ts < hi - slop)
     d, n = m.d, m.n
-    (fv, f1, f2), (hv, h1, h2) = joint_jet((m.f, m.h), ts)
+    f_jet, h_jet = joint_jet((m.f, m.h), ts)
+    (fv, f1, f2), (hv, h1, h2) = f_jet, h_jet
     bad = inner & ((fv <= 0) | (hv <= 0))
     if np.any(bad):
         raise ValueError(
@@ -463,7 +473,9 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
             raise ValueError(family)
     out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
     for i in np.nonzero(~inner)[0]:
-        for k, v in _cohomog1_endpoint(m, float(ts[i]), family).items():
+        for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
+                                       [c[i] for c in f_jet],
+                                       [c[i] for c in h_jet]).items():
             out[k][i] = v
     return out
 
@@ -494,11 +506,11 @@ def _sphere_diag(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def doubly_warped_chart(m: DoublyWarpedMetric,
-                        angle_margin: float = 0.5) -> CoordinateChart:
+def doubly_warped_chart(m: DoublyWarpedMetric) -> CoordinateChart:
     """Spherical-coordinate chart for dt^2 + f^2 ds_p^2 + h^2 ds_q^2 with
-    p, q <= 3; the box stays away from coordinate poles and collapse ends,
-    where difference quotients of the metric degrade."""
+    p, q <= 3; the box stays 0.5 away from coordinate poles and 15% of the
+    interval away from its ends, where difference quotients of the metric
+    degrade."""
     p, q = m.p, m.q
     if p > 3 or q > 3:
         raise ValueError("built-in chart supports p, q <= 3")
@@ -520,7 +532,7 @@ def doubly_warped_chart(m: DoublyWarpedMetric,
         return np.diag(diag)
 
     box = ((lo + pad, hi - pad),) + tuple(
-        (angle_margin, math.pi - angle_margin) for _ in range(p + q))
+        (0.5, math.pi - 0.5) for _ in range(p + q))
     return CoordinateChart(1 + p + q, metric, box, "doubly-warped")
 
 

@@ -535,14 +535,13 @@ def even_extension(right_half: SmoothCurve) -> SmoothCurve:
 # ---------------------------------------------------------------------------
 
 def make_concave_profile(lambda1: float, lambda2: float, delta: float,
-                         t_max: float = 20.0,
-                         lambda_mid: float | None = None) -> SmoothCurve:
+                         t_max: float = 20.0) -> SmoothCurve:
     """Concave f on [-delta, t_max] with f(0)=1, f'(0)=lambda2, f''<0,
     f' > lambda1 and f'/f > lambda1/(1 + lambda1 t).
 
-    f(t) = (lambda2 - m) (1 - e^{-t}) + m t + 1 where m sits strictly
-    between lambda1 (1+lambda2)/(1+lambda1) and lambda2; the default is the
-    midpoint of that interval.  Raises if f'(-delta) >= 1.
+    f(t) = (lambda2 - m) (1 - e^{-t}) + m t + 1 where m is the midpoint of
+    the interval (lambda1 (1+lambda2)/(1+lambda1), lambda2).  Raises if
+    f'(-delta) >= 1.
     """
     if not 0.0 < lambda1 < lambda2 < 1.0:
         raise ValueError("need 0 < lambda1 < lambda2 < 1")
@@ -550,10 +549,11 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
         raise ValueError("delta and t_max must be positive")
     lower = lambda1 * (1.0 + lambda2) / (1.0 + lambda1)
     assert lower < lambda2, "interval for the intermediate slope is empty"
-    m = 0.5 * (lower + lambda2) if lambda_mid is None else float(lambda_mid)
+    m = 0.5 * (lower + lambda2)
     if not lower < m < lambda2:
         raise ValueError(
-            f"lambda_mid must lie in ({lower}, {lambda2})")
+            f"the intermediate slope interval ({lower}, {lambda2}) has no "
+            f"interior midpoint")
     A = lambda2 - m
 
     def orders(t, ks):                  # every order shares one e^-t
@@ -761,20 +761,24 @@ class SurgeryWindow:
         self.corrections = corrections
         self.columns = tuple(tuple(_read_only(v) for v in g)
                              for g in corrections(self.u, (0, 1)))
-        self.mass_row = _read_only([self.mass(*g) for g in self.columns])
-
-    def mass(self, y, dy):
-        """The integral of y over the window, from y and y' at the nodes."""
-        return cumulative_hermite(self.u, y, dy)[-1]
-
-    def moment(self, y, dy):
-        """The integral of (end - u) y(u) over the window."""
-        lever = self.u[-1] - self.u
-        return cumulative_hermite(self.u, lever * y, -y + lever * dy)[-1]
+        self.mass_row = _read_only([window_mass(self.u, *g)
+                                    for g in self.columns])
 
     @functools.cached_property
     def moment_row(self) -> np.ndarray:
-        return _read_only([self.moment(*g) for g in self.columns])
+        return _read_only([window_moment(self.u, *g) for g in self.columns])
+
+
+def window_mass(u, y, dy):
+    """The integral of y over the nodes u, from y and y' at the nodes."""
+    return cumulative_hermite(u, y, dy)[-1]
+
+
+def window_moment(u, y, dy):
+    """The integral of (u[-1] - u) y(u) over the nodes u, from y and y' at
+    the nodes: the moment about the window's end."""
+    lever = u[-1] - u
+    return cumulative_hermite(u, lever * y, -y + lever * dy)[-1]
 
 
 def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
@@ -804,10 +808,10 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
 
     y0, y1 = start
     rows = [window.mass_row]
-    need = [slope_end - y1 - window.mass(b2, b3)]
+    need = [slope_end - y1 - window_mass(u, b2, b3)]
     if value_end is not None:
         rows.append(window.moment_row)
-        need.append(value_end - y0 - y1 * u[-1] - window.moment(b2, b3))
+        need.append(value_end - y0 - y1 * u[-1] - window_moment(u, b2, b3))
     coef = np.linalg.solve(np.array(rows), np.array(need))
 
     out2, out3 = b2, b3
@@ -838,22 +842,21 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
 
 
 @functools.lru_cache(maxsize=32)
-def _join_window(w: float, grid_n: int) -> SurgeryWindow:
-    """smooth_join's window of width w on grid_n uniform nodes: a plateau
+def _join_window(w: float) -> SurgeryWindow:
+    """smooth_join's window of width w on 2049 uniform nodes: a plateau
     over the window, and an antisymmetric pair of plateaus on its halves
-    (zero net mass, order-one moment).  Built once per (w, grid_n)."""
+    (zero net mass, order-one moment).  Built once per width."""
     plates = unit_plateaus([(0.0, w), (0.0, 0.45 * w), (0.55 * w, 0.45 * w)])
 
     def corrections(u, orders):
         whole, lower, upper = plates(u, orders)
         return [whole, [lo - hi for lo, hi in zip(lower, upper)]]
 
-    return SurgeryWindow(np.linspace(0.0, w, grid_n), corrections)
+    return SurgeryWindow(np.linspace(0.0, w, 2049), corrections)
 
 
 def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
-                second_derivative_band, band_tol: float = 1e-2,
-                grid_n: int = 2049) -> SmoothCurve:
+                second_derivative_band, band_tol: float = 1e-2) -> SmoothCurve:
     """Blend two curves into one that equals ``left`` before the window and
     ``right`` after it.
 
@@ -861,10 +864,12 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     two inputs plus two compactly supported corrections (a plateau over the
     window and an antisymmetric pair of plateaus on its halves) solving the
     slope and value matching conditions at the window end.  The
-    corrections' window depends on the width and ``grid_n`` alone, so it is
-    built once per pair (``_join_window``).  If the result leaves
+    corrections' window depends on the width alone, so it is built once
+    per width (``_join_window``).  If the result leaves
     ``second_derivative_band`` widened by ``band_tol``, JoinBandError is
-    raised with the measured overshoot.
+    raised with the measured overshoot.  ``info["window"]`` is the window
+    (a, b), also when the two curves agree on it and the join is the
+    identity.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -888,7 +893,7 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
             segs = [(left.t_lo, b, left)]
         out = piecewise_curve(segs)
         out.info.update({"identity": True, "c1": 0.0, "c2": 0.0,
-                         "band_overshoot": 0.0})
+                         "band_overshoot": 0.0, "window": (a, b)})
         return out
 
     def base(t, orders):                # the step-weighted blend
@@ -901,7 +906,7 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                 + smooth_step(x, 1) / w * (r2 - l2) for k in orders]
 
     mid, (c1, c2) = second_derivative_surgery(
-        a, _join_window(w, grid_n), base, (left.eval(a, 0), left.eval(a, 1)),
+        a, _join_window(w), base, (left.eval(a, 0), left.eval(a, 1)),
         right.eval(b, 1), right.eval(b, 0))
 
     f2 = mid.nodes[1][2]
@@ -938,14 +943,13 @@ class ParityReport:
 
 def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,
                   first_derivative_target: float | None = None,
-                  fit_width: float | None = None,
-                  fit_points: int = 16) -> ParityReport:
+                  fit_width: float | None = None) -> ParityReport:
     """Measure how far the curve is from being odd/even at an interval end.
 
-    A one-sided degree-5 least-squares Taylor fit estimates the scaled
-    coefficients; the violation is the largest offending coefficient
-    (even orders for "odd", odd orders for "even") relative to the largest
-    coefficient overall.
+    A one-sided degree-5 least-squares Taylor fit on 17 equispaced points
+    over ``fit_width`` estimates the scaled coefficients; the violation is
+    the largest offending coefficient (even orders for "odd", odd orders
+    for "even") relative to the largest coefficient overall.
     """
     if parity not in ("odd", "even"):
         raise ValueError(parity)
@@ -959,7 +963,7 @@ def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,
         raise ValueError("endpoint must be an end of the curve domain")
     L = hi - lo
     W = fit_width if fit_width is not None else min(0.05, 0.25 * L)
-    offs = direction * W * np.arange(0, fit_points + 1) / fit_points
+    offs = direction * W * np.arange(0, 17) / 16
     xs = offs / W                                # in [-1, 0] or [0, 1]
     vals = curve.eval(endpoint + offs, 0)
     V = np.vander(xs, 6, increasing=True)

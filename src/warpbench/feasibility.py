@@ -197,6 +197,8 @@ def _handle2(B, B_scale=1.0, **kw):
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
     entry, as a single-margin report (monotone decreasing in a)."""
+    if lambda2 <= 0:
+        raise blocks.BuildError("lambda2 must be positive")
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
     ts = np.linspace(0.0, 0.98 * b, 2049)
@@ -224,6 +226,8 @@ def _transfer(sup_AX2=0.0, sup_AV2=0.0, sup_deltaA=0.0, **kw):
 def _sphere_transition(p, q, s0, grid=None):
     """The transition from the round pair of warps on [0, s0]."""
     s0 = float(s0)
+    if s0 <= 0:
+        raise blocks.BuildError("s0 must be positive")
     A = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     B = cosine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     return blocks.build_sphere_transition(A, B, p, q, grid=grid)
@@ -259,10 +263,9 @@ PREDICATES = {
                        "sup_AX2 sup_AV2 sup_deltaA",
                        p=2, q=3, r0=0.1, nu=1.5, lam=0.5),
     "s1": _entry(blocks.build_s1_block, "q lam", "ric_base_lb", q=3),
-    "cone": _entry(lambda **kw: blocks.build_cone_metric(**kw)[1],
-                   "n K eps1 eps2 delta t", n=4, K=0.9, delta=0.02, t=1.0),
-    "fibre-disc": _entry(lambda **kw: blocks.build_fibre_disc_warp(**kw)[1],
-                         "p t0", p=3),
+    "cone": _entry(blocks.build_cone_metric, "n K eps1 eps2 delta t",
+                   n=4, K=0.9, delta=0.02, t=1.0),
+    "fibre-disc": _entry(blocks.build_fibre_disc_warp, "p t0", p=3),
     "sphere-transition": _entry(_sphere_transition, "p q s0"),
     "projective": _entry(blocks.projective_family_check, "d n s",
                          d=2, n=2),
@@ -328,11 +331,12 @@ def scan(box: ParamBox, predicate: str, budget: int,
 
 def refine(cert: Certificate, target_margin: float,
            box: ParamBox | None = None, max_iter: int = 40,
-           local_resolution: int = 3, fixed: dict | None = None,
-           grid=None) -> Certificate:
+           fixed: dict | None = None, grid=None) -> Certificate:
     """Shrinking-box bisection around the best certified sample until some
-    sample reaches target_margin or the box granularity floor 1e-6.  An
-    unreached target raises RefineError carrying the certificate reached."""
+    sample reaches target_margin or the box granularity floor 1e-6; each
+    iteration evaluates the full 3-point-per-axis grid of the halved box.
+    An unreached target raises RefineError carrying the certificate
+    reached."""
     if not cert.entries:
         raise RefineError("cannot refine an empty certificate")
     if cert.best.min_margin >= target_margin:
@@ -362,7 +366,7 @@ def refine(cert: Certificate, target_margin: float,
             lo = max(iv.lo + (off if iv.open_lo else 0.0), c - half)
             hi = min(iv.hi - (off if iv.open_hi else 0.0), c + half)
             local[n] = (lo, max(hi, lo))
-        sub = ParamBox(local, local_resolution)
+        sub = ParamBox(local, 3)
         for sample in sub.full_grid():
             entry = _run_predicate(spec["builder"], sample, fixed, grid)
             if entry.verdict == "pass" and \

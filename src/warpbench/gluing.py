@@ -249,13 +249,13 @@ def check_perelman(b1: BoundaryProfile, b2: BoundaryProfile,
                        "worst_metric_entry": where})
 
 
-def _near_corner_min(entry, location: float, band_frac: float = 0.05):
-    """Min of an ii entry within band_frac of its domain length from the
-    corner location."""
+def _near_corner_min(entry, location: float):
+    """Min of an ii entry within 0.05 of its domain length from the corner
+    location: check_corner_gluing's corner band."""
     if not isinstance(entry, SmoothCurve):
         return float(entry)
     lo, hi = entry.domain
-    band = band_frac * (hi - lo)
+    band = 0.05 * (hi - lo)
     a = max(lo, location - band)
     b = min(hi, location + band)
     if b <= a:
@@ -265,16 +265,16 @@ def _near_corner_min(entry, location: float, band_frac: float = 0.05):
 
 
 def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
-                        tol: float = 0.0,
-                        corner_band: float = 0.05) -> Report:
+                        tol: float = 0.0) -> Report:
     """Corner-respecting gluing along shared_face of two boundary atlases
     (dicts face id -> BoundaryProfile).
 
     Passes iff (i) the principal-curvature sum on the shared face exceeds
     tol, (ii) every matched corner has angle sum below pi - tol and
     (iii) each adjacent face has principal curvatures above tol within
-    corner_band of the corner.
+    the corner band, 0.05 of its domain length, of the corner.
     """
+    corner_band = 0.05                  # as in _near_corner_min
     if shared_face not in b1 or shared_face not in b2:
         raise ValueError(
             f"face {shared_face!r} missing from an atlas")
@@ -301,7 +301,7 @@ def check_corner_gluing(b1: dict, b2: dict, shared_face: str,
                 prof = atlas[face]
                 loc = corner.at.get(face, 0.0)
                 for fam in sorted(prof.ii):
-                    mn = _near_corner_min(prof.ii[fam], loc, corner_band)
+                    mn = _near_corner_min(prof.ii[fam], loc)
                     margins.append(
                         Margin(f"adjacent_ii:{c.id}:{face}:{fam}", mn - tol,
                                loc))

@@ -46,8 +46,7 @@ def reference_pipeline(params: dict | None = None, grid=None):
     transfer = blocks.build_transfer_block(p=p - 1, q=q, grid=grid,
                                            **P["transfer"])
     r1 = transfer.aux["r1"]
-    disc_warp, disc_rep = blocks.build_fibre_disc_warp(p, math.pi / 2.0,
-                                                       grid=grid)
+    disc_rep = blocks.build_fibre_disc_warp(p, math.pi / 2.0, grid=grid)
     s0 = 1.2
     A = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     B = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), math.pi / 2.0,
@@ -106,6 +105,7 @@ def reference_pipeline(params: dict | None = None, grid=None):
 
     R_prime = float(collar_warp.eval(collar_warp.t_hi, 0))
     t_disc = r1 * math.pi / 2.0
+    disc_warp = disc_rep.aux["curves"]["h"]
     fibre_warp = linear_combo([(disc_warp.metric_rescale(r1), 1.0)])
     disc_node = PipelineNode(
         "disc_bundle", "block",

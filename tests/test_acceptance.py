@@ -178,10 +178,10 @@ def test_07_cone_family():
     detail = []
     n, K = 4, 0.9
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        _, rep = bk.build_cone_metric(n, K, 0.1, 0.1, 0.02, t)
+        rep = bk.build_cone_metric(n, K, 0.1, 0.1, 0.02, t)
         ok = ok and rep.passed
         detail.append(f"t={t}: min {rep.min_margin():.2e}")
-    _, rep1 = bk.build_cone_metric(n, K, 0.1, 0.1, 0.02, 1.0)
+    rep1 = bk.build_cone_metric(n, K, 0.1, 0.1, 0.02, 1.0)
     # at t=1 the bound is (n-1) K^2, so dividing the metric by K^2 gives
     # exactly Ric >= n-1 with the same relative margins
     ok = ok and abs(rep1.aux["ric_bound"] / K ** 2 - (n - 1)) < 1e-12

@@ -22,14 +22,16 @@ def round_pair(s0=1.3):
 
 class TestConeMetric:
     def test_zero_interpolation_is_round(self):
-        warp, rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.0)
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.0)
+        warp = rep.aux["curves"]["warp"]
         assert rep.passed
         ss = np.linspace(rep.aux["s_lo"], rep.aux["s_hi"], 512)
         assert np.max(np.abs(warp.eval(ss) - np.sin(ss))) < 1e-12
 
     def test_full_interpolation_middle_piece_after_rescale(self):
         K = 0.9
-        warp, rep = bk.build_cone_metric(4, K, 0.1, 0.1, 0.02, 1.0)
+        rep = bk.build_cone_metric(4, K, 0.1, 0.1, 0.02, 1.0)
+        warp = rep.aux["curves"]["warp"]
         assert rep.passed
         s1, s2 = rep.aux["s1"], rep.aux["s2"]
         us = np.linspace((s1 + 0.05) * K, (s2 - 0.05) * K, 256)
@@ -38,16 +40,29 @@ class TestConeMetric:
 
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_family_certifies_ricci_floor(self, t):
-        _, rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
         assert rep.passed, rep.verdict
 
     def test_margins_vary_continuously_in_t(self):
         mins = []
         for t in (0.4, 0.45):
-            _, rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
+            rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
             mins.append({m.label: m.min for m in rep.margins})
         for label, v in mins[0].items():
             assert abs(v - mins[1][label]) < 0.2
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_slope_bands_are_sampled_on_their_own_windows(self, t):
+        """Each join's slope band is read on that join's window, also at
+        t = 0, where both joins are identities."""
+        delta = 0.02
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, delta, t)
+        argmins = {m.label: m.argmin for m in rep.margins}
+        for s, label in ((rep.aux["s1"], "slope_band_s1"),
+                         (rep.aux["s2"], "slope_band_s2")):
+            for side in ("lower", "upper"):
+                arg = argmins[f"{label}_{side}"]
+                assert s - delta <= arg <= s + delta, (label, side, arg)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(bk.BuildError):
@@ -56,8 +71,8 @@ class TestConeMetric:
             bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.5, 0.5)
 
     def test_deterministic_margins(self):
-        _, a = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
-        _, b = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        a = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        b = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
         assert [(m.label, m.min, m.argmin) for m in a.margins] == \
             [(m.label, m.min, m.argmin) for m in b.margins]
 
@@ -361,7 +376,8 @@ class TestS1Block:
 
 class TestFibreDisc:
     def test_right_angle_case(self):
-        h, rep = bk.build_fibre_disc_warp(3, PI / 2)
+        rep = bk.build_fibre_disc_warp(3, PI / 2)
+        h = rep.aux["curves"]["h"]
         assert rep.passed, rep.verdict
         assert abs(h(PI / 2) - 1.0) < 1e-9
         ts = np.linspace(1e-3, 0.97 * PI / 2, 500)
@@ -605,7 +621,8 @@ class TestBuilderEvaluation:
 
     def test_cone(self, monkeypatch):
         log, stencils = self.logged(monkeypatch)
-        warp, rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        warp = rep.aux["curves"]["warp"]
         ss = rep.sweeps["ricci"]["t"]
         assert self.orders_on(log, "warp", ss) == [(0, 1, 2)]
         assert np.array_equal(rep.sweeps["ricci"]["columns"]["warp"],

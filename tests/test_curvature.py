@@ -443,6 +443,34 @@ class TestCohomogOne:
         assert abs(cp["ric_VV"] - (PI / 2) ** 2) < 1e-12
         assert abs(cp["ric_XX"] - PI ** 2) < 1e-12
 
+    @pytest.mark.parametrize("family", ["projective", "wu"])
+    def test_endpoints_read_orders_0_to_2_from_the_sweep(self, family):
+        """The sweep evaluates each warp once on the grid, orders 0-2; an
+        end adds only the third derivative of each warp it divides by."""
+        log = []
+
+        def logged(name, curve):
+            def orders(t, ks):
+                log.append((name, tuple(ks), np.shape(t)))
+                return curve._at(t, ks)
+            return cv.SmoothCurve(curve.t_lo, curve.t_hi, orders)
+
+        f0 = cv.cosine_curve(2 / PI, PI / 2, 0.0, (-1.0, 1.0))
+        h0 = (cv.sine_curve(4 / PI, PI / 4, PI / 4, (-1.0, 1.0))
+              if family == "projective"
+              else cv.constant_curve(2 / PI, (-1.0, 1.0)))
+        m = kv.CohomogOneMetric(2, 2, logged("f", f0), logged("h", h0))
+        ts = np.linspace(-1.0, 1.0, 9)
+        got = kv.cohomog1_sweep(m, ts, family)
+        want = kv.cohomog1_sweep(kv.CohomogOneMetric(2, 2, f0, h0), ts,
+                                 family)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes()
+        ends = [("f", (3,), ()), ("f", (3,), ())]
+        if family == "projective":          # h vanishes with f at t = -1
+            ends.insert(1, ("h", (3,), ()))
+        assert log == [("f", (0, 1, 2), (9,)), ("h", (0, 1, 2), (9,))] + ends
+
     def test_interior_singularity_rejected(self):
         f0 = cv.sine_curve(1.0, PI, 0.0, (-1.0, 1.0))   # vanishes at 0
         h0 = cv.constant_curve(1.0, (-1.0, 1.0))

@@ -14,11 +14,6 @@ def central_diff(curve, t, step):
 
 
 class TestConcaveProfile:
-    def test_forced_intermediate_slope_value(self):
-        f = cv.make_concave_profile(0.5, 0.7, 0.1, lambda_mid=0.6)
-        expected = 0.1 * (1.0 - math.exp(-1.0)) + 0.6 + 1.0
-        assert abs(f(1.0) - expected) < 1e-12
-
     def test_pinned_values(self):
         f = cv.make_concave_profile(0.5, 0.7, 0.1)
         assert abs(f(0.0) - 1.0) < 1e-14
@@ -46,8 +41,6 @@ class TestConcaveProfile:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             cv.make_concave_profile(0.7, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            cv.make_concave_profile(0.5, 0.7, 0.1, lambda_mid=0.2)
         with pytest.raises(ValueError):
             # slope at the inner end reaches 1
             cv.make_concave_profile(0.5, 0.99, 5.0)
@@ -515,9 +508,10 @@ def cone_warp():
     join, and the starts of its join windows (the pieces of both
     piecewise curves)."""
     delta = 0.02
-    warp, report = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, delta, 0.5)
+    report = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, delta, 0.5)
     s1, s2 = report.aux["s1"], report.aux["s2"]
-    return warp, [s1 - delta, s1 + delta, s2 - delta, s2 + delta]
+    return (report.aux["curves"]["warp"],
+            [s1 - delta, s1 + delta, s2 - delta, s2 + delta])
 
 
 def transfer_warps():
@@ -789,7 +783,8 @@ class TestJet:
         """At the cone's collapse point the sweep reads the warp's orders
         0 to 2 from its columns: they equal one-point evaluations there,
         bitwise, so the collapse row is the one-point limit -f'''/f'."""
-        warp, rep = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
+        rep = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, t)
+        warp = rep.aux["curves"]["warp"]
         ss = rep.sweeps["ricci"]["t"]
         s0 = float(ss[0])
         cols = warp.jet(ss)

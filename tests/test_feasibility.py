@@ -212,6 +212,27 @@ class TestBadSamplesAreRejections:
         cert = fs.scan(box, predicate, budget=1)
         assert cert.entries == [] and cert.failures == 1
 
+    @pytest.mark.parametrize("predicate, box, fixed, condition", [
+        ("handle2-closed-form", {"lambda2": (0.0, 0.25)},
+         {"a": 0.1, "b": 1.5}, "lambda2 must be positive"),
+        ("sphere-transition", {"s0": (0.0, 1.2)}, {"p": 2, "q": 3},
+         "s0 must be positive"),
+    ])
+    def test_closed_end_of_the_box_is_a_build_error(self, predicate, box,
+                                                    fixed, condition):
+        """A box that touches a closed end records that sample as a
+        BuildError naming the condition; the scan goes on."""
+        cert = fs.scan(fs.ParamBox(box, 3), predicate, budget=3,
+                       fixed=fixed)
+        assert cert.failures == 1 and len(cert.entries) == 2
+        spec = fs.PREDICATES[predicate]
+        fixed = {**spec["defaults"], **fixed}
+        end = {name: 0.0 for name in box}
+        entry = fs._run_predicate(spec["builder"], end, fixed)
+        assert entry.verdict == "error:BuildError"
+        with pytest.raises(bk.BuildError, match=condition):
+            spec["builder"](**{**fixed, **end})
+
     def test_projective_dimension_outside_the_family(self):
         box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
         cert = fs.scan(box, "projective", 3, fixed={"d": 3})

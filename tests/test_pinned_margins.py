@@ -52,8 +52,8 @@ def collect() -> dict:
     """Name -> [[label, value], ...] for every pinned scenario."""
     out = {}
     for t in (0.0, 0.5, 1.0):
-        _, rep = bk.build_cone_metric(t=t, **README_CONE)
-        out[f"cone:t={t}"] = _margins(rep)
+        out[f"cone:t={t}"] = _margins(
+            bk.build_cone_metric(t=t, **README_CONE))
     out["handle1"] = _margins(bk.build_handle1(**README_HANDLE1))
 
     P = DEFAULT_PIPELINE_PARAMS
@@ -69,8 +69,8 @@ def collect() -> dict:
         out[f"wu-blended:eps={eps}"] = _margins(
             bk.wu_family_check("blended", eps=eps))
     for name, t0 in FIBRE_T0.items():
-        _, rep = bk.build_fibre_disc_warp(3, t0)
-        out[f"fibre-disc:t0={name}"] = _margins(rep)
+        out[f"fibre-disc:t0={name}"] = _margins(
+            bk.build_fibre_disc_warp(3, t0))
 
     left = cv.sine_curve(1.0, 1.0, 0.0, (-0.6, 1.2))
     right = cv.sine_curve(1.0, 0.9, 0.0, (-0.6, 1.4))

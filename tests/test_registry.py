@@ -29,7 +29,7 @@ import tempfile
 import pytest
 
 import warpbench
-from warpbench import cli
+from warpbench import blocks, cli
 from warpbench import feasibility as fs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -140,6 +140,15 @@ def _load():
 
 def test_every_registry_entry_has_a_record():
     assert sorted(PARAMS) == sorted(fs.PREDICATES)
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("cone", blocks.build_cone_metric),
+    ("fibre-disc", blocks.build_fibre_disc_warp)])
+def test_registry_names_the_builder_itself(name, builder):
+    """The cone and fibre-disc builders return their Report, with the warp
+    in its curves, so the registry holds them as they are."""
+    assert fs.PREDICATES[name]["builder"] is builder
 
 
 @pytest.mark.parametrize("name", sorted(fs.PREDICATES))
