@@ -296,6 +296,20 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
     return antiderivative_curve((a, a + eps2), 2049, integrand)
 
 
+@functools.lru_cache(maxsize=64)
+def _handle1_height(lambda1: float, eps1: float):
+    """handle1's height alpha on [eps1, pi/2], the secant profile
+    ``_alpha_base`` flattened at eps1 over a window of width w_flat, as
+    (alpha, w_flat).  Built once per (lambda1, eps1), the only parameters
+    it reads, as a scan's samples share few pairs of them; the curve is
+    read, never changed, by the handle it goes into.  A height holds about
+    70 KB of surgery tables, so the 64 kept retain about 4.5 MB at most."""
+    s_hi = math.pi / 2.0
+    w_flat = min(0.05, 0.25 * (s_hi - eps1))
+    base = _alpha_base(lambda1, eps1, (eps1, s_hi))
+    return _flatten_start(base, eps1, w_flat), w_flat
+
+
 def corner_angle_handle1(lambda1: float, eps1: float) -> float:
     """Corner angle of the cut in the linear-slope model: arccos of
     (2 a' - F^2) / (sqrt(a'^2 + F^2) sqrt(4 + F^2)) with
@@ -389,9 +403,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     lam = f.info["slope_at_inner"]
 
     s_hi = math.pi / 2.0
-    base = _alpha_base(lambda1, eps1, (eps1, s_hi))
-    w_flat = min(0.05, 0.25 * (s_hi - eps1))
-    alpha = _flatten_start(base, eps1, w_flat)
+    alpha, w_flat = _handle1_height(float(lambda1), float(eps1))
     alpha_top = float(alpha.eval(s_hi, 0))
     # the outer face descends by eps2 from alpha_top and must stay on the
     # profile's domain [-delta, ...]
@@ -556,6 +568,37 @@ def _flatten_slope_end(f: SmoothCurve, tau: float,
     return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
+@functools.lru_cache(maxsize=32)
+def _handle2_collar(lambda1: float, lambda2: float, b: float) -> SmoothCurve:
+    """handle2's collar warp f on [0, b + 1]: the concave profile with
+    slopes lambda1 and lambda2, flattened past b + 0.5 so that all its
+    derivatives vanish at b + 1.  Built once per (lambda1, lambda2, b),
+    the only parameters it reads, and read, never changed, by the handle
+    it goes into.  A warp holds about 90 KB of tables, so the 32 kept
+    retain about 2.9 MB at most."""
+    t_end = b + 1.0
+    f_raw = make_concave_profile(lambda1, lambda2, delta=0.01,
+                                 t_max=t_end + 1.0)
+    return _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5,
+                              t_end)
+
+
+@functools.lru_cache(maxsize=32)
+def _handle2_graph(a: float, b: float) -> SmoothCurve:
+    """handle2's dug graph beta on [0, b + 1], the antiderivative from 0 of
+    beta' = a (t/b - 1) chi(t - b), where chi is one up to -1 and zero from
+    0.  Built once per (a, b), the only parameters it reads, and read,
+    never changed, by the handle it goes into.  A graph holds about 100 KB
+    of tables, so the 32 kept retain about 3.2 MB at most."""
+    def beta1(t, orders):
+        t, n = np.asarray(t, float), max(orders)
+        lin = Jet(a * (t / b - 1.0), a / b, 0.0, 0.0)[:n + 1]
+        chi = 1.0 - Jet(*(smooth_step(t - b + 1.0, k) for k in range(n + 1)))
+        return [v for k, v in enumerate(lin * chi) if k in orders]
+
+    return antiderivative_curve((0.0, b + 1.0), 4097, beta1)
+
+
 def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                   b: float, eps: float, nu: float,
                   grid=None) -> Report:
@@ -592,18 +635,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                          "boundary")
 
     t_end = b + 1.0
-    f_raw = make_concave_profile(lambda1, lambda2, delta=0.01,
-                                 t_max=t_end + 1.0)
-    f = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5, t_end)
-
-    def beta1(t, orders):               # beta' = a (t/b - 1) chi(t - b)
-        t, n = np.asarray(t, float), max(orders)
-        lin = Jet(a * (t / b - 1.0), a / b, 0.0, 0.0)[:n + 1]
-        # chi is one on (-inf, -1], zero on [0, inf), decreasing between
-        chi = 1.0 - Jet(*(smooth_step(t - b + 1.0, k) for k in range(n + 1)))
-        return [v for k, v in enumerate(lin * chi) if k in orders]
-
-    beta = antiderivative_curve((0.0, t_end), 4097, beta1)
+    f = _handle2_collar(float(lambda1), float(lambda2), float(b))
+    beta = _handle2_graph(float(a), float(b))
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
 
@@ -1074,6 +1107,28 @@ def _projective_h_tilde(s: float):
     return sine_curve(amp, rate, rate, (-1.0, 1.5))
 
 
+@functools.lru_cache(maxsize=32)
+def _projective_warp(s: float):
+    """The family's even warp h on [-1, 1] at s, and the half-width w of
+    the join that flattens the sine at (1-s)/(1+s), as (h, w); w is 0 when
+    the sine is not flattened.  Built once per s, and read, never changed,
+    by the check it goes into.  A warp holds about 100 KB of tables, so
+    the 32 kept retain about 3.2 MB at most."""
+    if s == 0.0:
+        return _projective_h_tilde(0.0).restrict(-1.0, 1.0), 0.0
+    t_flat = (1.0 - s) / (1.0 + s)
+    w = min(0.05, 0.45 * (1.0 - t_flat), 0.45 * (t_flat + 1.0))
+    if w <= 0:
+        return _projective_h_tilde(s).restrict(-1.0, 1.0), w
+    rate = math.pi * (s + 1.0) / 4.0
+    amp = 4.0 / ((s + 1.0) * math.pi)
+    const = constant_curve(amp, (t_flat - 2 * w, 1.0))
+    hpp = rate * rate * amp
+    h = smooth_join(_projective_h_tilde(s), const, (t_flat - w, t_flat + w),
+                    (-1.05 * hpp, 1e-9), band_tol=0.15 * hpp)
+    return h.restrict(-1.0, 1.0), w
+
+
 def projective_family_check(d: int, n: int, s: float,
                             grid=None) -> Report:
     """One member of the interpolating family: the fixed odd warp together
@@ -1096,22 +1151,8 @@ def projective_family_check(d: int, n: int, s: float,
         raise BuildError("s must lie in [0, 1]")
     f0 = _projective_f0()
     t_flat = (1.0 - s) / (1.0 + s)
-    rate = math.pi * (s + 1.0) / 4.0
     amp = 4.0 / ((s + 1.0) * math.pi)
-    if s == 0.0:
-        h = _projective_h_tilde(0.0).restrict(-1.0, 1.0)
-        w = 0.0
-    else:
-        w = min(0.05, 0.45 * (1.0 - t_flat), 0.45 * (t_flat + 1.0))
-        if w <= 0:
-            h = _projective_h_tilde(s).restrict(-1.0, 1.0)
-        else:
-            left = _projective_h_tilde(s)
-            const = constant_curve(amp, (t_flat - 2 * w, 1.0))
-            hpp = rate * rate * amp
-            h = smooth_join(left, const, (t_flat - w, t_flat + w),
-                            (-1.05 * hpp, 1e-9), band_tol=0.15 * hpp)
-            h = h.restrict(-1.0, 1.0)
+    h, w = _projective_warp(float(s))
 
     metric = CohomogOneMetric(d, n, f0, h)
     ts = grid_points(-1.0, 1.0, grid)

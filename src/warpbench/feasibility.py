@@ -196,9 +196,13 @@ def _handle2(B, B_scale=1.0, **kw):
 
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
-    entry, as a single-margin report (monotone decreasing in a)."""
+    entry, as a single-margin report (monotone decreasing in a), on
+    build_handle2's domain 1 < b < 1/(2 lambda2).  The bound grows like
+    1/b as b falls to 0, where it bounds no dug face."""
     if lambda2 <= 0:
         raise blocks.BuildError("lambda2 must be positive")
+    if b <= 1.0:
+        raise blocks.BuildError("b must exceed 1, as for build_handle2")
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
     ts = np.linspace(0.0, 0.98 * b, 2049)

@@ -14,6 +14,19 @@ GOOD_H1 = dict(lambda1=0.985, lambda2=0.99, eps1=0.01, eps2=0.1,
 GOOD_H2 = dict(lambda1=0.01, lambda2=0.02, a=0.02, b=1.5, eps=0.1, nu=0.03)
 
 
+# the curves a builder makes from a subset of its parameters, cached by it
+PARAM_CACHES = ("_handle1_beta", "_handle1_height", "_handle2_collar",
+                "_handle2_graph", "_projective_warp")
+
+
+def fresh_param_caches(monkeypatch):
+    """Install an empty instance of each of those caches."""
+    for name in PARAM_CACHES:
+        factory = getattr(bk, name)
+        monkeypatch.setattr(bk, name, functools.lru_cache(
+            maxsize=factory.cache_info().maxsize)(factory.__wrapped__))
+
+
 def round_pair(s0=1.3):
     A = cv.sine_curve(2 * s0 / PI, PI / (2 * s0), 0.0, (0.0, s0))
     B = cv.cosine_curve(2 * s0 / PI, PI / (2 * s0), 0.0, (0.0, s0))
@@ -506,7 +519,7 @@ class TestHandle1SphereEntryInvariant:
         assert rep.margin("tan_chain").min > 0
 
 
-@pytest.mark.usefixtures("fresh_windows")
+@pytest.mark.usefixtures("fresh_caches")
 class TestBuilderEvaluation:
     """The handle and cone builders read each curve once per grid: handle1
     takes the height (alpha on the cap, alpha_out on the outer face) to
@@ -554,9 +567,9 @@ class TestBuilderEvaluation:
 
         monkeypatch.setattr(bk, "antiderivative_curve",
                             logged_antiderivative)
-        # beta is built once per eps2: a fresh cache builds it here
-        monkeypatch.setattr(bk, "_handle1_beta", functools.lru_cache(
-            maxsize=32)(bk._handle1_beta.__wrapped__))
+        # each curve is built once per parameter subset: fresh caches build
+        # them here, and keep the logged curves out of the module's caches
+        fresh_param_caches(monkeypatch)
         gradient_on = bk.gradient_on
 
         def logged_gradient_on(ts):
@@ -628,3 +641,109 @@ class TestBuilderEvaluation:
         assert np.array_equal(rep.sweeps["ricci"]["columns"]["warp"],
                               warp.eval(ss))
         assert stencils == []
+
+
+def _handle2_on_cosine(**kw):
+    return bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)), **kw)
+
+
+def _report_bits(rep):
+    """Margins (value, argmin, strictness), the verdict, the scalar aux
+    entries and every sweep column, floats as their bytes and sign bits."""
+    def bits(x):
+        x = np.asarray(x, float)
+        return x.tobytes(), np.signbit(x).tobytes()
+
+    return (rep.verdict,
+            [(m.label, bits(m.min), bits(m.argmin), m.strict)
+             for m in rep.margins],
+            {k: bits(v) for k, v in rep.aux.items()
+             if isinstance(v, (int, float))},
+            {name: (bits(sw["t"]),
+                    {k: bits(v) for k, v in sw["columns"].items()})
+             for name, sw in rep.sweeps.items()})
+
+
+# cache -> (builder, parameters, the construction its miss calls, its
+# key arguments from the parameters, one change per key parameter,
+# changes of parameters outside the key)
+CACHED_CURVES = {
+    "_handle1_height": (
+        lambda **kw: bk.build_handle1(4, 0.9, **kw), GOOD_H1,
+        "_flatten_start", ("lambda1", "eps1"),
+        {"lambda1": 0.98, "eps1": 0.02},
+        {"lambda2": 0.995, "eps2": 0.08, "delta": 0.04}),
+    "_handle2_collar": (
+        _handle2_on_cosine, GOOD_H2, "make_concave_profile",
+        ("lambda1", "lambda2", "b"),
+        {"lambda1": 0.015, "lambda2": 0.025, "b": 1.6},
+        {"a": 0.03, "eps": 0.12, "nu": 0.04}),
+    "_handle2_graph": (
+        _handle2_on_cosine, GOOD_H2, "antiderivative_curve", ("a", "b"),
+        {"a": 0.03, "b": 1.6},
+        {"lambda1": 0.015, "lambda2": 0.025, "eps": 0.12, "nu": 0.04}),
+    "_projective_warp": (
+        bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5},
+        "smooth_join", ("s",), {"s": 0.6}, {"d": 4, "n": 3}),
+}
+
+
+class TestParamCaches:
+    """The curves a builder makes from a subset of its parameters come from
+    caches keyed by exactly that subset: handle1's height by (lambda1,
+    eps1), handle2's collar warp by (lambda1, lambda2, b) and its dug graph
+    by (a, b), the projective warp by s.  A hit builds nothing, and the
+    report keeps the bits a build on empty caches gives, whichever other
+    parameters the sample changes."""
+
+    @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
+    def test_hit_builds_nothing(self, monkeypatch, name):
+        build, params, construction, *_ = CACHED_CURVES[name]
+        fresh_param_caches(monkeypatch)
+        calls = []
+        real = getattr(bk, construction)
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(bk, construction, counted)
+        build(**params)
+        assert len(calls) == 1
+        build(**params)
+        assert len(calls) == 1
+        info = getattr(bk, name).cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    @pytest.mark.parametrize("name, change", [
+        (name, {k: v}) for name, spec in CACHED_CURVES.items()
+        for changes in spec[4:] for k, v in changes.items()])
+    def test_report_keeps_its_bits(self, monkeypatch, name, change):
+        """A sample after another, sharing the key or not, gives the bits
+        of the same sample built on empty caches."""
+        build, params, _, key, *_ = CACHED_CURVES[name]
+        sample = {**params, **change}
+        fresh_param_caches(monkeypatch)
+        build(**params)
+        got = build(**sample)
+        info = getattr(bk, name).cache_info()
+        fresh_param_caches(monkeypatch)
+        assert _report_bits(got) == _report_bits(build(**sample))
+        hit = not set(change) & set(key)
+        assert (info.hits, info.misses) == ((1, 1) if hit else (0, 2))
+
+    @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
+    def test_build_leaves_the_cached_curve_unchanged(self, monkeypatch, name):
+        build, params, _, key, _, others = CACHED_CURVES[name]
+        fresh_param_caches(monkeypatch)
+        factory = getattr(bk, name)
+        rep = build(**params)
+        rep.boundary
+        cached = factory(*(float(params[k]) for k in key))
+        curve = cached[0] if isinstance(cached, tuple) else cached
+        info = dict(curve.info)
+        for k, v in others.items():
+            rep = build(**{**params, k: v})
+            rep.boundary
+        assert factory(*(float(params[k]) for k in key)) is cached
+        assert curve.info == info

@@ -233,6 +233,21 @@ class TestBadSamplesAreRejections:
         with pytest.raises(bk.BuildError, match=condition):
             spec["builder"](**{**fixed, **end})
 
+    @pytest.mark.parametrize("b", [0.0, 1e-300])
+    def test_closed_form_rejects_b_below_the_dug_graph(self, b):
+        """The closed form grows like 1/b as b falls to 0 (+inf at 0,
+        1e300 at 1e-300); outside build_handle2's b > 1 it is a
+        BuildError, so a box reaching 0 does not rank those samples
+        first."""
+        builder = fs.PREDICATES["handle2-closed-form"]["builder"]
+        with pytest.raises(bk.BuildError, match="b must exceed 1"):
+            builder(lambda1=0.2, lambda2=0.25, a=0.1, b=b)
+        cert = fs.scan(fs.ParamBox({"b": (b, 1.5)}, 3),
+                       "handle2-closed-form", budget=3, fixed={"a": 0.1})
+        assert cert.failures == 2
+        assert [e.params["b"] for e in cert.entries] == [1.5]
+        assert math.isfinite(cert.best.min_margin)
+
     def test_projective_dimension_outside_the_family(self):
         box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
         cert = fs.scan(box, "projective", 3, fixed={"d": 3})

@@ -261,7 +261,7 @@ class TestPrimitive:
                                atol=1e-12)
 
 
-@pytest.mark.usefixtures("fresh_windows")
+@pytest.mark.usefixtures("fresh_caches")
 class TestNodeEvaluation:
     """At its window nodes the surgery calls the base once for orders 2
     and 3 and the corrections once for orders 0 and 1, so a window build
@@ -338,7 +338,7 @@ def _slope_end_curve():
     return bk._flatten_slope_end(f.restrict(0.0, 2.5), 2.0, 2.5)
 
 
-@pytest.mark.usefixtures("fresh_windows")
+@pytest.mark.usefixtures("fresh_caches")
 class TestSurgeryWindow:
     """The helpers whose window shape does not depend on the curve take
     their window from a cache keyed by that shape.  A cached window gives
