@@ -7,6 +7,7 @@ Everything here is deterministic and vectorized over numpy arrays.
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -37,6 +38,41 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+# ---------------------------------------------------------------------------
+# Caches of work shared between builds.
+# ---------------------------------------------------------------------------
+
+# Every per_key cache, in the order the modules define them.
+_CACHES = []
+
+
+def per_key(maxsize: int):
+    """``functools.lru_cache(maxsize=maxsize)``, registered so that
+    ``clear_caches`` empties it.  A cache keeps what a build makes from a
+    few of its parameters (a key), for every later build with that key;
+    what it keeps is shared, so its arrays are made ``read_only``."""
+    def register(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        _CACHES.append(cached)
+        return cached
+
+    return register
+
+
+def clear_caches(keep=()) -> None:
+    """Empty every per_key cache except those in keep."""
+    for cached in _CACHES:
+        if cached not in keep:
+            cached.cache_clear()
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only float view of a; the array itself keeps its flags."""
+    v = np.asarray(a, dtype=float).view()
+    v.flags.writeable = False
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ handles' profiles) are in ``aux["curves"]``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     bisect_increasing, cumulative_hermite, gradient_on,
-                    grid_points, plateau, smooth_step, sorted_unique,
-                    unit_plateaus)
+                    grid_points, per_key, plateau, read_only, smooth_step,
+                    sorted_unique, unit_plateaus)
 from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
                      SurgeryWindow, antiderivative_curve, constant_curve,
                      cosine_curve, even_extension, flatness_margin,
@@ -75,6 +74,14 @@ def _require_integer_dims(**dims) -> None:
                 f"dimension {name} must be an integer, got {value!r}")
 
 
+def _require_positive(**values) -> None:
+    """Raise BuildError naming the first parameter that is not positive;
+    NaN is not."""
+    for name, value in values.items():
+        if not value > 0:
+            raise BuildError(f"{name} must be positive, got {value!r}")
+
+
 def _min_margin(label: str, ts, values) -> Margin:
     i = int(np.argmin(values))
     return Margin(label, float(values[i]), float(ts[i]))
@@ -114,8 +121,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         raise BuildError("K must lie in (0, 1); degenerate K=1 is rejected")
     if not 0.0 <= t <= 1.0:
         raise BuildError("t must lie in [0, 1]")
-    if min(eps1, eps2, delta) <= 0:
-        raise BuildError("eps1, eps2, delta must be positive")
+    _require_positive(eps1=eps1, eps2=eps2, delta=delta)
     Kt = 1.0 - t * (1.0 - K)
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -250,7 +256,7 @@ def _flatten_start(base: SmoothCurve, at: float,
                             (at + w, base.t_hi, tail)])
 
 
-@functools.lru_cache(maxsize=8)
+@per_key(maxsize=8)
 def _flatten_window(w: float, omega: float) -> SurgeryWindow:
     """_flatten_start's window of width w, its nodes dense on the rise
     [0, 2 omega]: the plateau over the window and its tilt.  omega is a
@@ -279,13 +285,23 @@ def _flatten_window(w: float, omega: float) -> SurgeryWindow:
 _RAMP = TabulatedAntiderivative(lambda x, k: plateau(x, k, 0.1))
 
 
-@functools.lru_cache(maxsize=32)
-def _handle1_beta(eps2: float) -> SmoothCurve:
-    """beta on [pi/2, pi/2 + eps2]: beta(pi/2)=0, beta'(pi/2)=-2, all
+def _read_only_jet(curve: SmoothCurve, ts: np.ndarray) -> Jet:
+    """Orders 0-3 of curve at ts, each a read-only array."""
+    return Jet(*(read_only(v) for v in curve.jet(ts, 3)))
+
+
+@per_key(maxsize=32)
+def _handle1_beta(eps2: float, grid):
+    """handle1's outer face at eps2 and grid density, as (beta, so, jet).
+    beta lives on [pi/2, pi/2 + eps2]: beta(pi/2)=0, beta'(pi/2)=-2, all
     derivatives vanish at the outer end, slope profile near-linear so the
-    second derivative stays close to its minimal size 2/eps2.  Built once
-    per eps2, as a scan's samples share few values of it; the curve is
-    read, never changed, by the handle it goes into."""
+    second derivative stays close to its minimal size 2/eps2.  so is the
+    face's grid and jet beta's orders 0-3 on it.  Built once per (eps2,
+    grid), the only parameters they read, as a scan's samples share few
+    values of them; the curve and the read-only arrays are read, never
+    changed, by the handle they go into.  At the default grid a key holds
+    about 73 KB (so has its 513-point floor up to eps2 = 0.25) and at most
+    about 134 KB (eps2 = 1), so the 32 kept retain about 4.3 MB at most."""
     a = math.pi / 2.0
 
     def integrand(s, orders):           # beta' and its derivatives
@@ -293,21 +309,61 @@ def _handle1_beta(eps2: float) -> SmoothCurve:
         return [-2.0 * (1.0 - _RAMP(x)) if k == 0 else
                 2.0 * _RAMP(x, k) / eps2 ** k for k in orders]
 
-    return antiderivative_curve((a, a + eps2), 2049, integrand)
+    beta = antiderivative_curve((a, a + eps2), 2049, integrand)
+    so = read_only(grid_points(a, a + eps2, grid, min_points=513))
+    return beta, so, _read_only_jet(beta, so)
 
 
-@functools.lru_cache(maxsize=64)
-def _handle1_height(lambda1: float, eps1: float):
-    """handle1's height alpha on [eps1, pi/2], the secant profile
-    ``_alpha_base`` flattened at eps1 over a window of width w_flat, as
-    (alpha, w_flat).  Built once per (lambda1, eps1), the only parameters
-    it reads, as a scan's samples share few pairs of them; the curve is
-    read, never changed, by the handle it goes into.  A height holds about
-    70 KB of surgery tables, so the 64 kept retain about 4.5 MB at most."""
+@per_key(maxsize=64)
+def _handle1_height(lambda1: float, eps1: float, grid):
+    """handle1's cap side at (lambda1, eps1) and grid density, as (alpha,
+    ss, jet, tan_chain).  The height alpha on [eps1, pi/2] is the secant
+    profile ``_alpha_base`` flattened at eps1 over a window of width
+    w_flat; ss is the cap's grid, dense on the flattening window, jet the
+    height's orders 0-3 on it, and tan_chain the cap's Margin of that name.
+    Built once per (lambda1, eps1, grid), the only parameters they read,
+    as a scan's samples share few of them; the curve and the read-only
+    arrays are read, never changed, by the handle they go into.  At the
+    default grid a key holds about 210 KB (70 KB of surgery tables, the
+    rest the grid and the jet), so the 64 kept retain about 13.7 MB at
+    most."""
     s_hi = math.pi / 2.0
     w_flat = min(0.05, 0.25 * (s_hi - eps1))
     base = _alpha_base(lambda1, eps1, (eps1, s_hi))
-    return _flatten_start(base, eps1, w_flat), w_flat
+    alpha = _flatten_start(base, eps1, w_flat)
+    ss = read_only(sorted_unique(np.concatenate([
+        grid_points(eps1, s_hi, grid),
+        np.linspace(eps1, eps1 + w_flat, 257),
+        eps1 + np.linspace(0.0, 3e-3 * w_flat, 65),
+    ])))
+    interior = ss[ss < s_hi - 1e-9]
+    chain = lambda1 * np.tan(interior) - np.tan(lambda1 * (interior - eps1))
+    return (alpha, ss, _read_only_jet(alpha, ss),
+            _min_margin("tan_chain", interior, chain))
+
+
+def _cap_concavity(lambda1: float, eps1: float, r_max: float) -> Margin:
+    """The cap_concavity margin: the minimum of -phi'' (``_cap_profile``)
+    over a grid on [0, r_max] holding both ends, taken at the two ends.
+    With u = arctan(lambda1 r), -phi'' = (1 - lambda1^2) sin(u/lambda1 +
+    eps1) cos^3 u, a product of log-concave factors of u on [0, lambda1
+    (pi/2 - eps1)], so it is log-concave in u, and so unimodal (Boyd &
+    Vandenberghe, *Convex Optimization*, §3.5): over any grid it is least
+    at the first or the last point.  Ties go to r = 0, as ``np.argmin``
+    sends them to the first point."""
+    ends = np.array([0.0, r_max])
+    return _min_margin("cap_concavity", ends,
+                       -_cap_profile(lambda1, eps1, ends)[1])
+
+
+def _cap_profile(lambda1: float, eps1: float, rr: np.ndarray):
+    """The cap profile phi and its phi'' at rr in the linear-slope model:
+    phi = sin(s) sqrt(1 + l^2 r^2) and phi'' = sin(s) (l^2 - 1) / (1 + l^2
+    r^2)^1.5, with s = arctan(l r)/l + eps1."""
+    sin_s = np.sin(np.arctan(lambda1 * rr) / lambda1 + eps1)
+    stretch = 1.0 + lambda1 * lambda1 * rr * rr
+    return (sin_s * np.sqrt(stretch),
+            sin_s * (lambda1 * lambda1 - 1.0) / stretch ** 1.5)
 
 
 def corner_angle_handle1(lambda1: float, eps1: float) -> float:
@@ -340,27 +396,20 @@ def _face_warp(fT: Jet, RS: Jet, speed: Jet, u) -> SmoothCurve:
     return table_curve(u, (fT * RS).reparam(Jet(u, *speed)))
 
 
-def _height(sweep: dict, n: int) -> Jet:
-    """Orders 0..n of the height of handle1's graph t = height(s), as its
-    ``graph_ii_sweep`` read them."""
-    return Jet(*(sweep[k] for k in ("alpha", "alpha_d", "alpha_dd",
-                                    "alpha_ddd")[:n + 1]))
-
-
-def _handle1_arc(sweep: dict, ss) -> np.ndarray:
-    """Arc-length nodes on ss of the graph t = height(s), from its
-    ``graph_ii_sweep``: the height's orders 1-2, and f and f' at the
-    height."""
-    h = _height(sweep, 2)
+def _handle1_arc(h: Jet, sweep: dict, ss) -> np.ndarray:
+    """Arc-length nodes on ss of the graph t = height(s), from the
+    height's orders 1-2 on ss (the Jet h) and f and f' at the height (its
+    ``graph_ii_sweep``'s columns)."""
     fh = h[:2].chain((sweep["f"], sweep["f_d"]))
-    return cumulative_hermite(ss, *_face_speed(h.d(), fh))
+    return cumulative_hermite(ss, *_face_speed(h[:3].d(), fh))
 
 
-def _handle1_face(f: SmoothCurve, R: SmoothCurve, sweep: dict, ss, u):
+def _handle1_face(f: SmoothCurve, R: SmoothCurve, h: Jet, sweep: dict, ss,
+                  u):
     """The warp table and the differenced principal-curvature tables of
-    the graph t = height(s) over its arc-length nodes u, from its
-    ``graph_ii_sweep`` on ss, which read height to order 3 and f to 1."""
-    h = _height(sweep, 3)
+    the graph t = height(s) over its arc-length nodes u, from the height's
+    orders 0-3 on ss (the Jet h) and its ``graph_ii_sweep`` on ss, which
+    read f to order 1."""
     fh = h.chain((sweep["f"], sweep["f_d"], f.eval(h[0], 2),
                   f.eval(h[0], 3)))
     fa, a1 = fh[0], h[1]
@@ -377,12 +426,29 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     graph second fundamental form on both zones, concavity of the cap
     profile, a corner angle below pi/2 and the inner-face curvature floor.
 
-    The boundary profiles are built on the first read of
-    ``Report.boundary``: each face's warp columns (orders 0-3 over its arc
-    length) from Jet arithmetic, exact to rounding, and its
-    principal-curvature columns differenced with one stencil per grid
-    (``_tabs_from_samples``).  The arc lengths in ``aux`` (``u_cap``,
-    ``outer_arc_length``) are built with the margins.
+    What a sample shares with others comes from two caches, keyed by the
+    parameters it reads.  ``_handle1_height(lambda1, eps1, grid)`` keeps
+    the cap side: the height alpha, the cap grid ss, alpha's jet (orders
+    0-3) on ss and the tan_chain margin.  ``_handle1_beta(eps2, grid)``
+    keeps the outer face: beta, its grid so and beta's jet on so; the
+    outer height's jet is that jet plus alpha(pi/2) at order 0, as
+    ``beta.plus`` adds it.  Each face's ``graph_ii_sweep`` reads the
+    height from these jets.
+
+    The cap_concavity margin is certified at the two ends of the cap
+    profile's grid on [0, r_max] (``_cap_concavity``): -phi'' there is
+    (1 - lambda1^2) sin(u/lambda1 + eps1) cos^3 u with u = arctan(lambda1
+    r), log-concave in u and so unimodal, so its least sample on any grid
+    holding both ends is at one of them; the value and argmin are those of
+    the whole grid, bit for bit.
+
+    The sweeps, with the cap_profile columns (phi, phi'') on that grid, are
+    built on the first read of ``Report.sweeps``, and the boundary
+    profiles on the first read of ``Report.boundary``: each face's warp
+    columns (orders 0-3 over its arc length) from Jet arithmetic, exact to
+    rounding, and its principal-curvature columns differenced with one
+    stencil per grid (``_tabs_from_samples``).  The arc lengths in ``aux``
+    (``u_cap``, ``outer_arc_length``) are built with the margins.
     """
     _require_integer_dims(n=n)
     if not 0 < lambda1 < lambda2 < 1:
@@ -396,6 +462,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     x_top = lambda1 * (math.pi / 2.0 - eps1)
     if x_top >= math.pi / 2.0 - 1e-9:
         raise BuildError("cut reaches the pole: decrease lambda1 or eps1")
+    _require_positive(delta=delta)
 
     alpha_top_lin = (1.0 / math.cos(x_top) - 1.0) / lambda1
     f = make_concave_profile(lambda1, lambda2, delta,
@@ -403,7 +470,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     lam = f.info["slope_at_inner"]
 
     s_hi = math.pi / 2.0
-    alpha, w_flat = _handle1_height(float(lambda1), float(eps1))
+    alpha, ss, height, tan_chain = _handle1_height(float(lambda1),
+                                                   float(eps1), grid)
     alpha_top = float(alpha.eval(s_hi, 0))
     # the outer face descends by eps2 from alpha_top and must stay on the
     # profile's domain [-delta, ...]
@@ -414,37 +482,22 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
     R_sphere = sine_curve(K, 1.0, 0.0, (0.5 * eps1, s_hi + eps2 + 0.05))
 
-    ss = sorted_unique(np.concatenate([
-        grid_points(eps1, s_hi, grid),
-        np.linspace(eps1, eps1 + w_flat, 257),
-        eps1 + np.linspace(0.0, 3e-3 * w_flat, 65),
-    ]))
-    cap_ii = graph_ii_sweep(f, R_sphere, alpha, ss, "up")
+    cap_ii = graph_ii_sweep(f, R_sphere, height, ss, "up")
     margins = [
         _min_margin("radial_ii_cap", ss, cap_ii["radial"]),
         _min_margin("sphere_ii_cap", ss, cap_ii["sphere"]),
+        tan_chain,
     ]
-    interior = ss < s_hi - 1e-9
-    chain = (lambda1 * np.tan(ss[interior])
-             - np.tan(lambda1 * (ss[interior] - eps1)))
-    margins.append(_min_margin("tan_chain", ss[interior], chain))
 
-    beta = _handle1_beta(float(eps2))
+    beta, so, beta_jet = _handle1_beta(float(eps2), grid)
     alpha_out = beta.plus(alpha_top)
-    so = grid_points(s_hi, s_hi + eps2, grid, min_points=513)
-    out_ii = graph_ii_sweep(f, R_sphere, alpha_out, so, "up")
+    height_out = beta_jet + alpha_top       # alpha_out's jet on so
+    out_ii = graph_ii_sweep(f, R_sphere, height_out, so, "up")
     margins.append(_min_margin("radial_ii_outer", so, out_ii["radial"]))
     margins.append(_min_margin("sphere_ii_outer", so, out_ii["sphere"]))
 
     r_max = math.tan(x_top) / lambda1
-    rr = grid_points(0.0, r_max, grid, min_points=513)
-    # cap profile, linear-slope model: phi = sin(s) sqrt(1 + l^2 r^2), phi''
-    # = sin(s) (l^2 - 1) / (1 + l^2 r^2)^1.5, s = arctan(l r)/l + eps1
-    sin_s = np.sin(np.arctan(lambda1 * rr) / lambda1 + eps1)
-    stretch = 1.0 + lambda1 * lambda1 * rr * rr
-    phi0 = sin_s * np.sqrt(stretch)
-    phi2 = sin_s * (lambda1 * lambda1 - 1.0) / stretch ** 1.5
-    margins.append(_min_margin("cap_concavity", rr, -phi2))
+    margins.append(_cap_concavity(lambda1, eps1, r_max))
     margins.append(Margin("cap_slope_gap", 1.0 - math.cos(eps1), 0.0))
 
     # corner angle: actual curve data against the linear-slope closed form
@@ -468,15 +521,17 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     # arc lengths of both faces; the boundary profiles over them are built
     # on the first read of report.boundary, and the outer face's far end
     # seeds the next piece's boundary data
-    u_arc = _handle1_arc(cap_ii, ss)
-    r_arc = _handle1_arc(out_ii, so)
+    u_arc = _handle1_arc(height, cap_ii, ss)
+    r_arc = _handle1_arc(height_out, out_ii, so)
     u_cap = float(u_arc[-1])
 
     def profiles():
-        cap_warp, cap_pc = _handle1_face(f, R_sphere, cap_ii, ss, u_arc)
+        cap_warp, cap_pc = _handle1_face(f, R_sphere, height, cap_ii, ss,
+                                         u_arc)
         rim = Corner("rim", theta, ("cap", "outer"),
                      {"cap": u_cap, "outer": 0.0})
-        outer_warp, dug_pc = _handle1_face(f, R_sphere, out_ii, so, r_arc)
+        outer_warp, dug_pc = _handle1_face(f, R_sphere, height_out, out_ii,
+                                           so, r_arc)
         # past the dug zone the face is a slice with curvature f'/f
         far = alpha_out.eval(s_hi + eps2)
         flat_pc = float(f.eval(far, 1) / f.eval(far, 0))
@@ -502,6 +557,22 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                 metric={"warp": outer_warp, "descriptor": "shared-collar"},
                 ii=outer_ii, corners=[rim])}
 
+    def sweeps():
+        rr = grid_points(0.0, r_max, grid, min_points=513)
+        phi, phi_dd = _cap_profile(lambda1, eps1, rr)
+        return {
+            "cap_face": {"t": ss, "columns": {
+                "radial_ii": cap_ii["radial"],
+                "sphere_ii": cap_ii["sphere"],
+                "alpha": height[0]}},
+            "outer_face": {"t": so, "columns": {
+                "radial_ii": out_ii["radial"],
+                "sphere_ii": out_ii["sphere"],
+                "beta": beta_jet[0]}},
+            "cap_profile": {"t": rr, "columns": {
+                "phi": phi, "phi_dd": phi_dd}},
+        }
+
     report = Report(
         block="handle1",
         params={"n": n, "K": K, "lambda1": lambda1, "lambda2": lambda2,
@@ -513,18 +584,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
              "alpha_top": alpha_top, "r_max": r_max,
              "f_scale_at_corner": F, "u_cap": u_cap,
              "outer_arc_length": float(r_arc[-1])},
-        sweeps={
-            "cap_face": {"t": ss, "columns": {
-                "radial_ii": cap_ii["radial"],
-                "sphere_ii": cap_ii["sphere"],
-                "alpha": cap_ii["alpha"]}},
-            "outer_face": {"t": so, "columns": {
-                "radial_ii": out_ii["radial"],
-                "sphere_ii": out_ii["sphere"],
-                "beta": beta.eval(so)}},
-            "cap_profile": {"t": rr, "columns": {
-                "phi": phi0, "phi_dd": phi2}},
-        },
+        sweeps=sweeps,
     )
     report.aux["curves"] = {"f": f, "alpha": alpha, "beta": beta}
     return report
@@ -536,8 +596,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
 def corner_angle_handle2(a: float) -> float:
     """Corner angle of the dug collar: arccos(-a / sqrt(1 + a^2))."""
-    if a < 0:
-        raise BuildError("a must be nonnegative")
+    if not a >= 0:
+        raise BuildError(f"a must be nonnegative, got {a!r}")
     return math.acos(-a / math.sqrt(1.0 + a * a))
 
 
@@ -550,7 +610,7 @@ def closed_form_handle2(lambda1: float, lambda2: float, a: float, b: float,
             + 1.0 / (b - ts))
 
 
-@functools.lru_cache(maxsize=8)
+@per_key(maxsize=8)
 def _slope_end_window(w: float) -> SurgeryWindow:
     """_flatten_slope_end's window of width w: one plateau over it."""
     return SurgeryWindow(np.linspace(0.0, w, 2049), unit_plateaus([(0.0, w)]))
@@ -568,7 +628,7 @@ def _flatten_slope_end(f: SmoothCurve, tau: float,
     return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
-@functools.lru_cache(maxsize=32)
+@per_key(maxsize=32)
 def _handle2_collar(lambda1: float, lambda2: float, b: float) -> SmoothCurve:
     """handle2's collar warp f on [0, b + 1]: the concave profile with
     slopes lambda1 and lambda2, flattened past b + 0.5 so that all its
@@ -583,7 +643,7 @@ def _handle2_collar(lambda1: float, lambda2: float, b: float) -> SmoothCurve:
                               t_end)
 
 
-@functools.lru_cache(maxsize=32)
+@per_key(maxsize=32)
 def _handle2_graph(a: float, b: float) -> SmoothCurve:
     """handle2's dug graph beta on [0, b + 1], the antiderivative from 0 of
     beta' = a (t/b - 1) chi(t - b), where chi is one up to -1 and zero from
@@ -613,15 +673,13 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     ``Report.boundary``, as handle1 builds its own."""
     if not 0 < lambda1 < lambda2 < 1:
         raise BuildError("need 0 < lambda1 < lambda2 < 1")
-    if a <= 0:
-        raise BuildError("a must be positive; a=0 is rejected")
-    if b <= 1.0:
-        raise BuildError("b must exceed 1")
+    _require_positive(a=a)
+    if not b > 1.0:
+        raise BuildError(f"b must exceed 1, got {b!r}")
     if b >= 1.0 / (2.0 * lambda2):
         raise BuildError(f"b must stay below 1/(2 lambda2) = "
                          f"{1.0 / (2 * lambda2):.4f}")
-    if eps <= 0 or nu <= 0:
-        raise BuildError("eps and nu must be positive")
+    _require_positive(eps=eps, nu=nu)
     if not isinstance(B, SmoothCurve):
         raise BuildError("B must be a SmoothCurve")
     if B.t_lo > 1e-12:
@@ -788,15 +846,16 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
         aux={"theta1": rep1.aux["theta"], "theta2": rep2.aux["theta"],
              "angle_sum": rep1.aux["theta"] + rep2.aux["theta"],
              "rescale": R_h, "lambda": rep1.aux["lambda"]},
-        sweeps={**{f"piece1_{k}": v for k, v in rep1.sweeps.items()},
-                **{f"piece2_{k}": v for k, v in rep2.sweeps.items()}})
+        sweeps=lambda: {
+            **{f"piece1_{k}": v for k, v in rep1.sweeps.items()},
+            **{f"piece2_{k}": v for k, v in rep2.sweeps.items()}})
 
 
 # ---------------------------------------------------------------------------
 # Curvature-transfer cylinder over a fibre bundle.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
+@per_key(maxsize=32)
 def _transfer_curves(C: float):
     """The (h0, fC) tables of the transfer warping system at coupling C.
     The integrator is looked up as a module global at each miss, so a
@@ -822,8 +881,9 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         raise BuildError("need fibre dim >= 2 and base dim >= 2")
     if not 0 < lam < 1:
         raise BuildError("lam must lie in (0, 1)")
-    if min(r0, nu, a) <= 0 or C < 0:
-        raise BuildError("r0, nu, a must be positive and C >= 0")
+    _require_positive(r0=r0, nu=nu, a=a)
+    if not C >= 0:
+        raise BuildError(f"C must be nonnegative, got {C!r}")
     a_bounds = a_bounds or ABounds()
 
     h0, fC = _transfer_curves(float(C))
@@ -834,7 +894,8 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     if fcp[-1] <= target:
         raise HorizonError(
             f"slope never reaches lam (fC' tops out at {fcp[-1]:.4g}, "
-            f"needed {target:.4g} by t={ts_nodes[-1]:g}); decrease a or "
+            f"needed lam r0 / (h0(0) a) = {target:.4g} by "
+            f"t={ts_nodes[-1]:g}); increase a, decrease r0 or lam, or "
             f"increase C")
     idx = int(np.searchsorted(fcp, target))
     lo, hi = ts_nodes[max(idx - 1, 0)], ts_nodes[min(idx, len(ts_nodes) - 1)]
@@ -975,8 +1036,8 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
     _require_integer_dims(p=p)
     if p < 2:
         raise BuildError("need p >= 2")
-    if t0 <= 1.0:
-        raise BuildError("t0 must exceed 1")
+    if not t0 > 1.0:
+        raise BuildError(f"t0 must exceed 1, got {t0!r}")
 
     wT = 0.2 * t0
     w_hi = 0.985 * t0
@@ -1107,7 +1168,7 @@ def _projective_h_tilde(s: float):
     return sine_curve(amp, rate, rate, (-1.0, 1.5))
 
 
-@functools.lru_cache(maxsize=32)
+@per_key(maxsize=32)
 def _projective_warp(s: float):
     """The family's even warp h on [-1, 1] at s, and the half-width w of
     the join that flattens the sine at (1-s)/(1+s), as (h, w); w is 0 when
@@ -1273,8 +1334,7 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
 def boundary_conformal_margin(c: float, C: float) -> float:
     """1 - c (3/C^2 + 1/C): positive means the conformal boundary-layer
     estimate keeps its sign for geometry constant c."""
-    if c < 0:
-        raise BuildError("c must be nonnegative")
-    if C <= 0:
-        raise BuildError("C must be positive")
+    if not c >= 0:
+        raise BuildError(f"c must be nonnegative, got {c!r}")
+    _require_positive(C=C)
     return 1.0 - c * (3.0 / (C * C) + 1.0 / C)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SmoothCurve, joint_jet
+from .curves import Jet, SmoothCurve, joint_jet
 
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
@@ -57,11 +57,13 @@ class ABounds:
 _SWEEP_BLOCK = 16384
 
 
-def _in_blocks(columns, ts) -> dict:
-    """``columns(ts)``, a dict of columns each computed point by point from
-    ts, evaluated on consecutive blocks of _SWEEP_BLOCK points and
-    concatenated; the result is bitwise that of one pass.  A grid of at
-    most one block (or not one-dimensional) is one pass, with no slicing.
+def _in_blocks(columns, ts, *rows) -> dict:
+    """``columns(ts, *rows)``, a dict of columns each computed point by
+    point from ts and the rows (arrays shaped like ts), evaluated on
+    consecutive blocks of _SWEEP_BLOCK points, each with its own slice of
+    every row, and concatenated; the result is bitwise that of one pass.
+    A grid of at most one block (or not one-dimensional) is one pass, with
+    no slicing.
     If a block raises (or its columns do not concatenate), the sweep is
     redone as one pass over the whole grid: one pass runs each check over
     every point before the next check, so the first block to fail may
@@ -69,15 +71,15 @@ def _in_blocks(columns, ts) -> dict:
     raises the same class and message."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) <= _SWEEP_BLOCK:
-        return columns(ts)
+        return columns(ts, *rows)
     try:
-        parts = [columns(ts[i:i + _SWEEP_BLOCK])
+        parts = [columns(*(a[i:i + _SWEEP_BLOCK] for a in (ts, *rows)))
                  for i in range(0, len(ts), _SWEEP_BLOCK)]
         return {k: np.concatenate([part[k] for part in parts])
                 for k in parts[0]}
     except Exception:
         pass
-    return columns(ts)
+    return columns(ts, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +212,25 @@ def graph_ii_columns(fv, f1, a1, a2, Rv, R1, sgn: float = 1.0) -> dict:
             "sphere": sgn * (f1 * fv - (R1 / Rv) * a1) / denom}
 
 
-def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
+def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: Jet,
                    ss: np.ndarray, orientation: str = "up") -> dict:
-    """``graph_ii_columns`` on a grid of s; orientation="down" flips the
-    normal toward decreasing t.  Besides "radial" and "sphere" it returns
-    the columns it read, bitwise their ``eval``: "alpha", "alpha_d",
-    "alpha_dd" and "alpha_ddd" are alpha and its first three derivatives
-    at s, read in one ``jet`` call (order 3 for a builder's boundary
-    profile), and "f" and "f_d" are f and f' at alpha(s)."""
+    """``graph_ii_columns`` of the graph t = alpha(s) on a grid ss, from
+    the height's orders 0-2 at ss: ``alpha`` is a Jet of arrays shaped like
+    ss, such as ``height.jet(ss, 2)`` (orders above 2 are not read), so a
+    caller that keeps a height's jet on its grid passes it as it is.
+    orientation="down" flips the normal toward decreasing t.  Besides
+    "radial" and "sphere" it returns the columns it read of f, bitwise its
+    ``eval``: "f" and "f_d" are f and f' at alpha(s)."""
     if orientation not in ("up", "down"):
         raise ValueError(orientation)
-    return _in_blocks(functools.partial(_graph_ii_columns, f, R, alpha,
-                                        orientation=orientation), ss)
+    return _in_blocks(functools.partial(_graph_ii_columns, f, R,
+                                        orientation=orientation),
+                      ss, *alpha[:3])
 
 
-def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
-                      ss: np.ndarray, orientation: str) -> dict:
-    a, a1, a2, a3 = alpha.jet(ss, 3)
+def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, ss: np.ndarray,
+                      a: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                      orientation: str) -> dict:
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
@@ -236,7 +240,7 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, alpha: SmoothCurve,
     f1 = f.eval(a, 1)
     out = graph_ii_columns(fv, f1, a1, a2, Rv, R.eval(ss, 1),
                            1.0 if orientation == "up" else -1.0)
-    out.update(alpha=a, alpha_d=a1, alpha_dd=a2, alpha_ddd=a3, f=fv, f_d=f1)
+    out.update(f=fv, f_d=f1)
     return out
 
 

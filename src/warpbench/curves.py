@@ -16,7 +16,8 @@ import numpy as np
 
 from ._util import (check_order, clamp, cumulative_hermite,
                     fd_first_derivative, grid_points, hermite_interp,
-                    hermite_jet, smooth_step, unit_plateaus, write_csv)
+                    hermite_jet, per_key, read_only, smooth_step,
+                    unit_plateaus, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
@@ -545,7 +546,7 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
     """
     if not 0.0 < lambda1 < lambda2 < 1.0:
         raise ValueError("need 0 < lambda1 < lambda2 < 1")
-    if delta <= 0 or t_max <= 0:
+    if not (delta > 0 and t_max > 0):
         raise ValueError("delta and t_max must be positive")
     lower = lambda1 * (1.0 + lambda2) / (1.0 + lambda1)
     assert lower < lambda2, "interval for the intermediate slope is empty"
@@ -734,13 +735,6 @@ def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,
 # Second-derivative surgery on a window, and smooth joins built on it.
 # ---------------------------------------------------------------------------
 
-def _read_only(a) -> np.ndarray:
-    """A read-only float view of a; the array itself keeps its flags."""
-    v = np.asarray(a, dtype=float).view()
-    v.flags.writeable = False
-    return v
-
-
 class SurgeryWindow:
     """The part of a second-derivative surgery that depends on the window's
     shape alone, so one window serves every curve edited on that shape.
@@ -757,16 +751,16 @@ class SurgeryWindow:
     window holds is read-only."""
 
     def __init__(self, u, corrections):
-        self.u = _read_only(u)
+        self.u = read_only(u)
         self.corrections = corrections
-        self.columns = tuple(tuple(_read_only(v) for v in g)
+        self.columns = tuple(tuple(read_only(v) for v in g)
                              for g in corrections(self.u, (0, 1)))
-        self.mass_row = _read_only([window_mass(self.u, *g)
+        self.mass_row = read_only([window_mass(self.u, *g)
                                     for g in self.columns])
 
     @functools.cached_property
     def moment_row(self) -> np.ndarray:
-        return _read_only([window_moment(self.u, *g) for g in self.columns])
+        return read_only([window_moment(self.u, *g) for g in self.columns])
 
 
 def window_mass(u, y, dy):
@@ -841,7 +835,7 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
     return curve, coef
 
 
-@functools.lru_cache(maxsize=32)
+@per_key(maxsize=32)
 def _join_window(w: float) -> SurgeryWindow:
     """smooth_join's window of width w on 2049 uniform nodes: a plateau
     over the window, and an antisymmetric pair of plateaus on its halves

@@ -196,12 +196,16 @@ def _handle2(B, B_scale=1.0, **kw):
 
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
-    entry, as a single-margin report (monotone decreasing in a), on
+    entry, as a single-margin report (monotone decreasing in a >= 0), on
     build_handle2's domain 1 < b < 1/(2 lambda2).  The bound grows like
     1/b as b falls to 0, where it bounds no dug face."""
-    if lambda2 <= 0:
+    if not lambda2 > 0:
         raise blocks.BuildError("lambda2 must be positive")
-    if b <= 1.0:
+    for name, value in (("lambda1", lambda1), ("a", a)):
+        if not value >= 0:
+            raise blocks.BuildError(
+                f"{name} must be nonnegative, got {value!r}")
+    if not b > 1.0:
         raise blocks.BuildError("b must exceed 1, as for build_handle2")
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
@@ -230,7 +234,7 @@ def _transfer(sup_AX2=0.0, sup_AV2=0.0, sup_deltaA=0.0, **kw):
 def _sphere_transition(p, q, s0, grid=None):
     """The transition from the round pair of warps on [0, s0]."""
     s0 = float(s0)
-    if s0 <= 0:
+    if not s0 > 0:
         raise blocks.BuildError("s0 must be positive")
     A = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     B = cosine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))

@@ -1,11 +1,16 @@
 import functools
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from warpbench import _util
 from warpbench import blocks as bk
+from warpbench import curvature as kv
 from warpbench import curves as cv
+from warpbench import feasibility as fs
 
 PI = math.pi
 
@@ -14,17 +19,6 @@ GOOD_H1 = dict(lambda1=0.985, lambda2=0.99, eps1=0.01, eps2=0.1,
 GOOD_H2 = dict(lambda1=0.01, lambda2=0.02, a=0.02, b=1.5, eps=0.1, nu=0.03)
 
 
-# the curves a builder makes from a subset of its parameters, cached by it
-PARAM_CACHES = ("_handle1_beta", "_handle1_height", "_handle2_collar",
-                "_handle2_graph", "_projective_warp")
-
-
-def fresh_param_caches(monkeypatch):
-    """Install an empty instance of each of those caches."""
-    for name in PARAM_CACHES:
-        factory = getattr(bk, name)
-        monkeypatch.setattr(bk, name, functools.lru_cache(
-            maxsize=factory.cache_info().maxsize)(factory.__wrapped__))
 
 
 def round_pair(s0=1.3):
@@ -267,6 +261,22 @@ class TestTransferBlock:
         assert abs(rep.aux["slope_check"] - 0.5) < 1e-9
         assert rep.aux["R"] == pytest.approx(
             rep.aux["r1"] * 0.1 ** -1 * 0 + rep.aux["R"])
+
+    def test_horizon_hint_points_toward_larger_a(self):
+        """The slope target lam r0 / (h0(0) a) falls as a grows: at C =
+        0.5, a = 0.05 needs 1 and a = 0.02 needs 2.5, and the hint says to
+        increase a, which a = 0.2 confirms by building."""
+        def needed(a):
+            with pytest.raises(bk.HorizonError) as err:
+                bk.build_transfer_block(**{**TRANSFER_KW, "a": a})
+            msg = str(err.value)
+            assert "increase a, decrease r0 or lam, or increase C" in msg
+            return float(msg.split("needed lam r0 / (h0(0) a) = ")[1]
+                         .split()[0])
+
+        assert needed(0.02) == pytest.approx(2.5, rel=1e-3)
+        assert needed(0.05) == pytest.approx(1.0, rel=1e-3)
+        bk.build_transfer_block(**TRANSFER_KW)
 
     def test_shrinking_a_shrinks_reported_fibre_scale(self):
         r1s = [bk.build_transfer_block(2, 3, r0=0.1, nu=2.5, lam=0.5,
@@ -522,11 +532,11 @@ class TestHandle1SphereEntryInvariant:
 @pytest.mark.usefixtures("fresh_caches")
 class TestBuilderEvaluation:
     """The handle and cone builders read each curve once per grid: handle1
-    takes the height (alpha on the cap, alpha_out on the outer face) to
-    order 3, and f and f' at the height, for each face's profile from that
-    face's sweep, which reads the height's orders in one call, and
-    evaluates only f's orders 2 and 3 there; the cone's warp column is its
-    sweep's "f".
+    takes the height (alpha on the cap, beta on the outer face) to order 3
+    in one call on each face's grid, which its caches keep, and f and f'
+    at the height from each face's sweep, and evaluates only f's orders 2
+    and 3 there for the profiles; the cone's warp column is its sweep's
+    "f".
     Warp columns are jets; each builder differences its principal-
     curvature samples, and only those, with one stencil per grid.  The
     handle profiles are built on the first read of ``Report.boundary``."""
@@ -567,9 +577,9 @@ class TestBuilderEvaluation:
 
         monkeypatch.setattr(bk, "antiderivative_curve",
                             logged_antiderivative)
-        # each curve is built once per parameter subset: fresh caches build
-        # them here, and keep the logged curves out of the module's caches
-        fresh_param_caches(monkeypatch)
+        # each curve is built once per parameter subset: the fresh_caches
+        # fixture empties the caches before the test, so they build the
+        # curves here, and after it, so the logged curves do not outlive it
         gradient_on = bk.gradient_on
 
         def logged_gradient_on(ts):
@@ -664,13 +674,17 @@ def _report_bits(rep):
              for name, sw in rep.sweeps.items()})
 
 
+def _handle1(**kw):
+    return bk.build_handle1(4, 0.9, **kw)
+
+
 # cache -> (builder, parameters, the construction its miss calls, its
 # key arguments from the parameters, one change per key parameter,
 # changes of parameters outside the key)
 CACHED_CURVES = {
     "_handle1_height": (
-        lambda **kw: bk.build_handle1(4, 0.9, **kw), GOOD_H1,
-        "_flatten_start", ("lambda1", "eps1"),
+        _handle1, {**GOOD_H1, "grid": None},
+        "_flatten_start", ("lambda1", "eps1", "grid"),
         {"lambda1": 0.98, "eps1": 0.02},
         {"lambda2": 0.995, "eps2": 0.08, "delta": 0.04}),
     "_handle2_collar": (
@@ -685,21 +699,27 @@ CACHED_CURVES = {
     "_projective_warp": (
         bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5},
         "smooth_join", ("s",), {"s": 0.6}, {"d": 4, "n": 3}),
+    "_handle1_beta": (
+        _handle1, {**GOOD_H1, "grid": None},
+        "antiderivative_curve", ("eps2", "grid"),
+        {"eps2": 0.08, "grid": 256},
+        {"lambda1": 0.98, "eps1": 0.02, "lambda2": 0.995, "delta": 0.04}),
 }
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestParamCaches:
     """The curves a builder makes from a subset of its parameters come from
-    caches keyed by exactly that subset: handle1's height by (lambda1,
-    eps1), handle2's collar warp by (lambda1, lambda2, b) and its dug graph
-    by (a, b), the projective warp by s.  A hit builds nothing, and the
-    report keeps the bits a build on empty caches gives, whichever other
-    parameters the sample changes."""
+    caches keyed by exactly that subset: handle1's cap side (its height,
+    grid, jet and tan_chain margin) by (lambda1, eps1, grid) and its outer
+    face (beta, its grid and jet) by (eps2, grid), handle2's collar warp by
+    (lambda1, lambda2, b) and its dug graph by (a, b), the projective warp
+    by s.  A hit builds nothing, and the report keeps the bits a build on
+    empty caches gives, whichever other parameters the sample changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
         build, params, construction, *_ = CACHED_CURVES[name]
-        fresh_param_caches(monkeypatch)
         calls = []
         real = getattr(bk, construction)
 
@@ -718,32 +738,142 @@ class TestParamCaches:
     @pytest.mark.parametrize("name, change", [
         (name, {k: v}) for name, spec in CACHED_CURVES.items()
         for changes in spec[4:] for k, v in changes.items()])
-    def test_report_keeps_its_bits(self, monkeypatch, name, change):
+    def test_report_keeps_its_bits(self, fresh_caches, name, change):
         """A sample after another, sharing the key or not, gives the bits
         of the same sample built on empty caches."""
         build, params, _, key, *_ = CACHED_CURVES[name]
         sample = {**params, **change}
-        fresh_param_caches(monkeypatch)
         build(**params)
         got = build(**sample)
         info = getattr(bk, name).cache_info()
-        fresh_param_caches(monkeypatch)
+        fresh_caches()
         assert _report_bits(got) == _report_bits(build(**sample))
         hit = not set(change) & set(key)
         assert (info.hits, info.misses) == ((1, 1) if hit else (0, 2))
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
-    def test_build_leaves_the_cached_curve_unchanged(self, monkeypatch, name):
+    def test_build_leaves_the_cached_curve_unchanged(self, name):
         build, params, _, key, _, others = CACHED_CURVES[name]
-        fresh_param_caches(monkeypatch)
         factory = getattr(bk, name)
         rep = build(**params)
         rep.boundary
-        cached = factory(*(float(params[k]) for k in key))
+        cached = factory(*(params[k] for k in key))
         curve = cached[0] if isinstance(cached, tuple) else cached
         info = dict(curve.info)
         for k, v in others.items():
             rep = build(**{**params, k: v})
             rep.boundary
-        assert factory(*(float(params[k]) for k in key)) is cached
+        assert factory(*(params[k] for k in key)) is cached
         assert curve.info == info
+
+
+def test_registry_holds_every_cache():
+    """Every per-key cache is registered with ``_util.per_key``, so
+    ``clear_caches`` reaches each of them."""
+    assert {f"{c.__module__}.{c.__qualname__}" for c in _util._CACHES} == {
+        "warpbench.curves._join_window", "warpbench.blocks._flatten_window",
+        "warpbench.blocks._handle1_beta", "warpbench.blocks._handle1_height",
+        "warpbench.blocks._slope_end_window",
+        "warpbench.blocks._handle2_collar", "warpbench.blocks._handle2_graph",
+        "warpbench.blocks._transfer_curves",
+        "warpbench.blocks._projective_warp"}
+    assert len(_util._CACHES) == 9
+
+
+def _pool_pairs():
+    """(lambda1, eps1) of handle1 in the benchmark's 56-record pipeline
+    pool."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(r["handle1"]["lambda1"], r["handle1"]["eps1"])
+            for r in inputs.pipeline_pool()]
+
+
+def _cap_pairs():
+    """The pool pairs, the 45 (lambda1, eps1) of the benchmark's
+    handle1-tied lattice and 300 seeded draws."""
+    lattice = fs.ParamBox({"lambda1": (0.85, 0.99), "eps1": (0.01, 0.1)},
+                          {"lambda1": 15, "eps1": 3})
+    rng = np.random.default_rng(2026)
+    draws = zip(rng.uniform(0.05, 0.999, 300), rng.uniform(1e-4, 0.78, 300))
+    return (_pool_pairs()
+            + [(p["lambda1"], p["eps1"]) for p in lattice.full_grid()]
+            + [(float(l1), float(e1)) for l1, e1 in draws])
+
+
+class TestCapConcavityEnds:
+    """-phi'' of handle1's cap profile is log-concave in arctan(lambda1 r)
+    and so unimodal: the minimum of its samples on the grid over [0,
+    r_max] is at one of the grid's ends, and the margin taken there is the
+    grid minimum, value and argmin, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [None, 256, 64])
+    def test_end_points_give_the_grid_minimum(self, grid):
+        pairs = _cap_pairs()
+        assert len(pairs) == 56 + 45 + 300
+        for lambda1, eps1 in pairs:
+            r_max = math.tan(lambda1 * (PI / 2 - eps1)) / lambda1
+            rr = bk.grid_points(0.0, r_max, grid, min_points=513)
+            want = bk._min_margin("cap_concavity", rr,
+                                  -bk._cap_profile(lambda1, eps1, rr)[1])
+            got = bk._cap_concavity(lambda1, eps1, r_max)
+            assert (np.float64(got.min).tobytes(),
+                    np.float64(got.argmin).tobytes()) == (
+                np.float64(want.min).tobytes(),
+                np.float64(want.argmin).tobytes()), (lambda1, eps1, grid)
+
+    def test_build_takes_the_margin_at_the_ends(self):
+        rep = _handle1(**GOOD_H1)
+        prof = rep.sweeps["cap_profile"]
+        rr, phi_dd = prof["t"], prof["columns"]["phi_dd"]
+        want = bk._min_margin("cap_concavity", rr, -phi_dd)
+        assert rep.margin("cap_concavity") == want
+        assert rr[0] == 0.0 and rr[-1] == rep.aux["r_max"]
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestCachedHandle1Jets:
+    """handle1 keeps its cap side's grid and the height's jet on it per
+    (lambda1, eps1, grid), and its outer face's grid and beta's jet on it
+    per (eps2, grid).  The kept jets, evaluated once on the whole grid, are
+    bitwise the jets of fresh evaluations on each sweep block, on single
+    points and on the grid ends, and every kept array is read-only."""
+
+    @staticmethod
+    def assert_fresh(curve, ts, jet):
+        blocks = [slice(i, i + kv._SWEEP_BLOCK)
+                  for i in range(0, len(ts), kv._SWEEP_BLOCK)]
+        picks = [[0], [len(ts) - 1], [0, len(ts) - 1], [len(ts) // 3]]
+        for part in blocks + picks:
+            fresh = curve.jet(ts[part], 3)
+            for k in range(4):
+                assert jet[k][part].tobytes() == fresh[k].tobytes(), (k, part)
+
+    @pytest.mark.parametrize("grid", [None, 20000])
+    def test_cached_jet_is_the_fresh_jet(self, grid):
+        rep = _handle1(**GOOD_H1, grid=grid)
+        alpha, ss, height, tan_chain = bk._handle1_height(
+            GOOD_H1["lambda1"], GOOD_H1["eps1"], grid)
+        beta, so, beta_jet = bk._handle1_beta(GOOD_H1["eps2"], grid)
+        assert bk._handle1_height.cache_info().hits == 1
+        assert bk._handle1_beta.cache_info().hits == 1
+        if grid:
+            assert len(ss) > kv._SWEEP_BLOCK
+        self.assert_fresh(alpha, ss, height)
+        self.assert_fresh(beta, so, beta_jet)
+        assert beta_jet[0].tobytes() == beta.eval(so).tobytes()
+        # the outer height's jet: beta's plus alpha_top at order 0, as the
+        # curve beta.plus(alpha_top) evaluates it
+        top = rep.aux["alpha_top"]
+        for k, col in enumerate(beta.plus(top).jet(so, 3)):
+            assert col.tobytes() == (beta_jet + top)[k].tobytes()
+        assert rep.margin("tan_chain") is tan_chain
+        cap = rep.sweeps["cap_face"]
+        assert cap["t"] is ss and cap["columns"]["alpha"] is height[0]
+        assert rep.sweeps["outer_face"]["columns"]["beta"] is beta_jet[0]
+        for a in (ss, so, *height, *beta_jet):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0

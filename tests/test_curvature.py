@@ -208,8 +208,9 @@ class TestSliceII:
 
 
 def graph_at(f, R, alpha, s, orientation="up") -> dict:
+    ss = np.array([float(s)])
     return {k: v[0] for k, v in kv.graph_ii_sweep(
-        f, R, alpha, np.array([float(s)]), orientation).items()}
+        f, R, alpha.jet(ss, 2), ss, orientation).items()}
 
 
 class TestGraphII:
@@ -247,24 +248,23 @@ class TestGraphII:
         for key in ("radial", "sphere"):
             assert up[key] == -down[key]
         # the columns the sweep read do not depend on the normal
-        for key in ("alpha", "alpha_d", "alpha_dd", "alpha_ddd", "f", "f_d"):
+        for key in ("f", "f_d"):
             assert up[key] == down[key]
 
     def test_read_columns_are_the_curves_eval(self):
-        """The height's orders 0-3 (from one jet call) and f, f' at the
-        height are bitwise the curves' eval, on handle1's flattened cut."""
+        """f and f' at the height are bitwise the curve's eval, on
+        handle1's flattened cut, and the sweep reads the height only from
+        the jet it is given."""
         rep = blocks.build_handle1(4, 0.9, lambda1=0.985, lambda2=0.99,
                                    eps1=0.01, eps2=0.1, delta=0.05)
         f, alpha = rep.aux["curves"]["f"], rep.aux["curves"]["alpha"]
         ss = rep.sweeps["cap_face"]["t"]
         R = cv.sine_curve(0.9, 1.0, 0.0, (0.005, PI))
-        got = kv.graph_ii_sweep(f, R, alpha, ss, "up")
-        for k, key in enumerate(("alpha", "alpha_d", "alpha_dd",
-                                 "alpha_ddd")):
-            assert got[key].tobytes() == alpha.eval(ss, k).tobytes()
+        got = kv.graph_ii_sweep(f, R, alpha.jet(ss, 3), ss, "up")
         a = alpha.eval(ss)
         assert got["f"].tobytes() == f.eval(a).tobytes()
         assert got["f_d"].tobytes() == f.eval(a, 1).tobytes()
+        assert got.keys() == {"radial", "sphere", "f", "f_d"}
 
 
 def _cut_height(lam1, eps1):
@@ -509,9 +509,9 @@ def blocked_cases():
     """(name, sweep, one-pass kernel, metric and grid end points): each
     sweep with the kernel it runs per block."""
     lam1, eps1 = 0.9, 0.05
-    graph = (cv.make_concave_profile(lam1, 0.95, 0.1, t_max=40.0),
-             cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2)),
-             _cut_height(lam1, eps1))
+    f_g = cv.make_concave_profile(lam1, 0.95, 0.1, t_max=40.0)
+    R_g = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
+    height = _cut_height(lam1, eps1)
     wu = TestCohomogOne().wu_metric()
     proj = projective_metric(4, 2, 0.5)
     f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
@@ -528,8 +528,10 @@ def blocked_cases():
          lambda ts: kv._doubly_warped_columns(nan_and_signed_zero_metric(),
                                               ts),
          (0.0, 1.0)),
-        ("graph_ii", lambda ts: kv.graph_ii_sweep(*graph, ts, "down"),
-         lambda ts: kv._graph_ii_columns(*graph, ts, orientation="down"),
+        ("graph_ii", lambda ts: kv.graph_ii_sweep(
+            f_g, R_g, height.jet(ts, 2), ts, "down"),
+         lambda ts: kv._graph_ii_columns(f_g, R_g, ts, *height.jet(ts, 2),
+                                         orientation="down"),
          (eps1, 1.2)),
         ("bundle_warped", lambda ts: kv.bundle_warped_sweep(bundle, ts),
          lambda ts: kv._bundle_warped_columns(bundle, ts), (0.0, 1.0)),
@@ -684,6 +686,31 @@ class TestBlockedSweep:
         else:
             assert [len(g) for g in grids[:-1]] == [B] * (runs - 1)
             assert all(np.shares_memory(g, ts) for g in grids)
+
+    def test_graph_rows_are_sliced_per_block(self, monkeypatch):
+        """graph_ii_sweep hands each block its own slice of the height's
+        orders, views of the caller's arrays, and reads no order above 2."""
+        calls = []
+        kernel = kv._graph_ii_columns
+
+        def counted(f, R, ss, *rows, orientation):
+            calls.append((ss, rows))
+            return kernel(f, R, ss, *rows, orientation=orientation)
+
+        monkeypatch.setattr(kv, "_graph_ii_columns", counted)
+        f = cv.make_concave_profile(0.9, 0.95, 0.1, t_max=40.0)
+        R = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
+        alpha = _cut_height(0.9, 0.05)
+        ss = np.linspace(0.05, 1.2, 2 * B + 1)
+        jet = alpha.jet(ss, 3)
+        kv.graph_ii_sweep(f, R, jet, ss)
+        assert [len(s) for s, _ in calls] == [B, B, 1]
+        for i, (s, rows) in enumerate(calls):
+            part = slice(i * B, (i + 1) * B)
+            assert len(rows) == 3
+            for row, col in zip(rows, jet):
+                assert np.shares_memory(row, col)
+                assert np.array_equal(row, col[part])
 
     def test_block_size_is_not_a_parameter(self):
         for sweep in (kv.doubly_warped_sweep, kv.graph_ii_sweep,

@@ -248,6 +248,34 @@ class TestBadSamplesAreRejections:
         assert [e.params["b"] for e in cert.entries] == [1.5]
         assert math.isfinite(cert.best.min_margin)
 
+    @pytest.mark.parametrize("predicate, box, fixed, name", [
+        ("handle1-tied", {"eps1": (0.01, 0.02)},
+         {"lambda1": 0.98, "eps2": 0.1, "delta": math.nan}, "delta"),
+        *(("handle2", {"nu": (0.02, 0.03)} if name != "nu" else
+           {"a": (0.02, 0.03)},
+           {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
+            "eps": 0.1, "nu": 0.03, name: math.nan}, name)
+          for name in ("a", "b", "eps", "nu")),
+        *(("handle2-closed-form", {"lambda2": (0.24, 0.25)},
+           {"a": 0.1, "b": 1.5, name: math.nan}, name)
+          for name in ("a", "b")),
+    ])
+    def test_nan_parameter_is_a_build_error(self, predicate, box, fixed,
+                                            name):
+        """NaN fails every range check: the sample is a BuildError that
+        names the parameter, and the scan goes on."""
+        fixed = {k: v for k, v in fixed.items() if k not in box}
+        cert = fs.scan(fs.ParamBox(box, 2), predicate, budget=2,
+                       fixed=fixed)
+        assert cert.failures == 2 and cert.entries == []
+        spec = fs.PREDICATES[predicate]
+        fixed = {**spec["defaults"], **fixed}
+        sample = {k: lo for k, (lo, _) in box.items()}
+        entry = fs._run_predicate(spec["builder"], sample, fixed)
+        assert entry.verdict == "error:BuildError"
+        with pytest.raises(bk.BuildError, match=f"^{name} must"):
+            spec["builder"](**{**fixed, **sample})
+
     def test_projective_dimension_outside_the_family(self):
         box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
         cert = fs.scan(box, "projective", 3, fixed={"d": 3})
@@ -273,6 +301,36 @@ class TestScanBuildsNoProfiles:
                 return real(*args)
             monkeypatch.setattr(bk, name, counting)
         return calls
+
+    @staticmethod
+    def counted_cap_profiles(monkeypatch):
+        """The grid sizes of the calls of blocks._cap_profile."""
+        sizes = []
+        real = bk._cap_profile
+
+        def counting(lambda1, eps1, rr):
+            sizes.append(len(rr))
+            return real(lambda1, eps1, rr)
+
+        monkeypatch.setattr(bk, "_cap_profile", counting)
+        return sizes
+
+    def test_handle1_tied_scan_builds_no_cap_profile(self, monkeypatch):
+        """Each sample evaluates its cap profile at the grid's two ends
+        only, for the cap_concavity margin; the cap_profile columns are
+        built with the sweeps, on their first read."""
+        sizes = self.counted_cap_profiles(monkeypatch)
+        cert = fs.scan(fs.ParamBox({"lambda1": (0.975, 0.989),
+                                    "eps1": (0.01, 0.02)}, 2),
+                       "handle1-tied", budget=4, fixed={"eps2": 0.1})
+        assert cert.entries
+        assert sizes == [2] * 4
+        rep = bk.build_handle1(**self.H1)
+        assert sizes == [2] * 5
+        sweeps = rep.sweeps
+        assert sizes[5:] == [len(sweeps["cap_profile"]["t"])]
+        assert rep.sweeps is sweeps
+        assert len(sizes) == 6
 
     def test_handle_scans_build_no_profiles(self, monkeypatch):
         calls = self.counted(monkeypatch)
