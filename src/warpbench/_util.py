@@ -308,7 +308,7 @@ def _segment(ts: np.ndarray, t: np.ndarray):
     idx = g.astype(np.intp)
     for _ in range(2):              # the guess, then the guess corrected
         lo = ts[idx]
-        hi = ts[idx + 1]
+        hi = ts[1:][idx]
         down = t < lo
         up = t >= hi
         if np.count_nonzero(up):
@@ -326,64 +326,25 @@ def _searched_segment(ts: np.ndarray, t: np.ndarray):
     idx -= 1
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, len(ts) - 2, out=idx)
-    return idx, ts[idx], ts[idx + 1]
+    return idx, ts[idx], ts[1:][idx]
 
 
 def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     """Piecewise-cubic Hermite evaluation; exact at nodes, O(h^4) between.
+    The one-table, one-order case of hermite_jet:
+    hermite_jet(ts, [(ys, dys)], t)[0][0].
 
     ts must be strictly increasing (not necessarily uniform); t is clamped
-    to [ts[0], ts[-1]].  The segment of each point comes from an arithmetic
-    guess checked against the nodes (_segment), so on any strictly
-    increasing grid the result is bitwise equal to looking the segment up
-    with np.searchsorted(ts, t, "right") - 1; a uniform grid, or a slice of
-    one, never needs the search.
-
-    A 0-d query (a Python or numpy float, or a 0-d array) is answered in
-    Python floats by _hermite_point, with the same clamp, segment and
-    operations in the same order, as an np.float64; NaN gives NaN."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return _hermite_point(ts, ys, dys, float(t))
-    shape = t.shape
-    t = t.reshape(-1)
-    if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
-        t = clamp(t, ts[0], ts[-1])
-    idx, x, h = _segment(ts, t)
-    h -= x
-    np.subtract(t, x, out=x)
-    x /= h
-    # h00 y0 + h10 d0 + h01 y1 + h11 d1 (d = h dy), summed left to right,
-    # each basis product in the order of its formula, in reused buffers.
-    u2 = 1 - x
-    u2 *= u2                        # (1 - x)^2
-    x2 = 2 * x
-    out = x2 + 1
-    out *= u2
-    out *= ys[idx]                  # h00 y0, h00 = (1 + 2x)(1 - x)^2
-    d = dys[idx]
-    d *= h
-    u2 *= x
-    u2 *= d
-    out += u2                       # h10 d0, h10 = x (1 - x)^2
-    idx += 1
-    xx = np.multiply(x, x, out=d)
-    v = np.subtract(3, x2, out=x2)
-    v *= xx
-    v *= ys[idx]
-    out += v                        # h01 y1, h01 = x^2 (3 - 2x)
-    d1 = np.multiply(dys[idx], h, out=h)
-    x -= 1
-    x *= xx
-    x *= d1
-    out += x                        # h11 d1, h11 = x^2 (x - 1)
-    return out.reshape(shape)
+    to [ts[0], ts[-1]].  A 0-d query (a Python or numpy float, or a 0-d
+    array) gives an np.float64; NaN gives NaN."""
+    return hermite_jet(ts, ((ys, dys),), t)[0][0]
 
 
 def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
                    t: float) -> np.float64:
-    """hermite_interp at one point, bit for bit, without the array work:
-    Python floats round each operation as numpy's ufuncs do."""
+    """hermite_jet's value of one order at one point, bit for bit, without
+    the array work: Python floats round each operation as numpy's ufuncs
+    do, and bisect finds the segment searchsorted finds."""
     lo, hi = float(ts[0]), float(ts[-1])
     if t < lo:                      # a tie or NaN keeps t, as clamp does
         t = lo
@@ -404,109 +365,132 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
     return np.float64(out)
 
 
+# Repeating a segment's values over its run of points beats gathering them
+# point by point only on long queries with long runs.  Measured on uniform
+# grids (2-core Xeon, Python 3.11, numpy 2.4.6) for one order and for six:
+# up to 2048 points the per-point path is as fast at any run length; at
+# 4096 points the run path gains from 8 points per segment (six orders)
+# or 16 (one order) on, at 16384 points from 4.  Below _RUN_MIN_POINTS the
+# run test itself is skipped: it costs a few microseconds a call.
+_RUN_MIN_POINTS = 4096
+_RUN_MIN_LENGTH = 8
+
+
 def _segment_runs(ts: np.ndarray, t: np.ndarray):
-    """(i0, counts) if the 1-D t (inside [ts[0], ts[-1]] or NaN) is sorted
-    and has at least 2 points per segment it spans: its points lie in the
+    """(i0, counts) if the 1-D t (inside [ts[0], ts[-1]] or NaN) has at
+    least _RUN_MIN_POINTS points, is sorted and has at least
+    _RUN_MIN_LENGTH points per segment it spans: its points lie in the
     segments i0, i0 + 1, ... as _segment assigns them, counts[j] of them in
-    segment i0 + j.  None for any other query (sparse, unsorted, NaN)."""
+    segment i0 + j.  None for any other query (short, sparse, unsorted,
+    NaN); a short one is turned away before any work."""
     n = t.size
-    if n < 2:
+    if n < _RUN_MIN_POINTS:
         return None
-    last = len(ts) - 2
-    i0, i1 = np.searchsorted(ts, (t[0], t[-1]), side="right") - 1
-    i0, i1 = max(int(i0), 0), min(int(i1), last)
-    if n < 2 * (i1 - i0 + 1) or not (t[1:] >= t[:-1]).all():
+    i0, i1 = ts.searchsorted(t[::n - 1], "right").tolist()
+    i0, i1 = max(i0 - 1, 0), min(i1 - 1, len(ts) - 2)
+    if (not 0 < _RUN_MIN_LENGTH * (i1 - i0 + 1) <= n
+            or not (t[1:] >= t[:-1]).all()):
         return None
     # points before ts[i + 1] lie in segments up to i; t = ts[-1] is
     # in the last segment, which ends the runs
-    ends = np.searchsorted(t, ts[i0 + 1:i1 + 1], side="left")
-    return i0, np.diff(ends, prepend=0, append=n)
+    ends = t.searchsorted(ts[i0:i1 + 2], "left")
+    ends[-1] = n
+    return i0, np.diff(ends)
 
 
-def _node_values(ts: np.ndarray, t: np.ndarray):
-    """(x, h, at) for a 1-D t inside [ts[0], ts[-1]] or NaN.  With i the
-    segment _segment gives each point, x = t - ts[i] and h = ts[i + 1] -
-    ts[i] at each point, and at(col, scaled) is col[i] at each point
-    (col[1:] gives col[i + 1]), times h if scaled, in a fresh array.
-
-    A query that _segment_runs accepts takes each segment's values once
-    and repeats them over the segment's run of points; any other query
-    gathers them point by point.  Both form every value, difference and
-    product from the same operands, so they give the same bits."""
-    runs = _segment_runs(ts, t)
-    if runs is None:
-        idx, x, h = _segment(ts, t)
-        h -= x
-        np.subtract(t, x, out=x)
-
-        def at(col, scaled=False):
-            v = col[idx]
-            if scaled:
-                v *= h
-            return v
-        return x, h, at
-    i0, counts = runs
-    seg = slice(i0, i0 + len(counts))
-    hs = ts[1:][seg] - ts[seg]
-
-    def at(col, scaled=False):
-        v = col[seg]
-        return np.repeat(v * hs if scaled else v, counts)
-    x = at(ts)
-    return np.subtract(t, x, out=x), np.repeat(hs, counts), at
+def _spread(v, counts):
+    """Per-point values from v: v itself if counts is None, else v's
+    entry j repeated counts[j] times."""
+    return v if counts is None else np.repeat(v, counts)
 
 
 def hermite_jet(ts: np.ndarray, tables, t) -> list:
-    """[(hermite_interp(ts, cols[k], cols[k + 1], t) for k = 0, 1, 2) for
-    cols in tables], bit for bit, from one segment lookup and one set of
-    basis values shared by every table.  Each table holds columns on the
-    nodes ts, the values and then successive derivatives; a table of four
-    columns gives orders 0 to 2, one of three columns orders 0 and 1.  One
-    table gives a curve's jet; several give the jets of curves tabulated on
-    one grid, such as the two tables of the transfer ODE.
+    """Piecewise-cubic Hermite jets of several tables on one grid: for each
+    table cols, the list of its orders k = 0, 1, ... at t, each the cubic
+    with values cols[k] and slopes cols[k + 1] at the nodes ts, for every
+    k with both columns (a table of four columns gives orders 0 to 2, one
+    of two columns order 0 alone).  One table gives a curve's jet; several
+    give the jets of curves tabulated on one grid, such as the two tables
+    of the transfer ODE.  ts must be strictly increasing (not necessarily
+    uniform); t is clamped to [ts[0], ts[-1]].
 
-    Node values reach the points in one of two ways (_node_values).  A
-    sorted query with at least 2 points per node segment it spans, such
-    as a sweep grid on an ODE table, takes each segment's values, and its
-    slopes times the segment's width, once per segment and repeats them
-    over the segment's run of points (de Boor, A Practical Guide to
-    Splines, ch. IV).  Any other query (sparse, unsorted, NaN, 0-d) gathers
-    them point by point.  The rule reads the query alone.  Either way each
-    product and sum is the one hermite_interp forms, so the outputs are
-    its bits; only shared work is saved.  hermite_interp keeps its own
-    in-place form: written as basis then combination it reads more
-    buffers and was slower for one order on grids of 16k points."""
+    A 0-d query (a Python or numpy float, or a 0-d array) is answered in
+    Python floats by _hermite_point, once per table and order, with the
+    clamp, segment and operations of the array form, as np.float64s; NaN
+    gives NaN.  An array query looks its segments up once and forms one
+    set of basis values shared by every table and order, and node values
+    reach its points in one of two ways, by a rule that reads the query
+    alone.  A long sorted query with long runs of points per node segment
+    (_segment_runs), such as a sweep grid on an ODE table, takes each
+    segment's values, and its slopes times the segment's width, once per
+    segment and repeats them over the segment's run of points (de Boor, A
+    Practical Guide to Splines, ch. IV).  Any other query (short, sparse,
+    unsorted, NaN) gathers them point by point, its segments from an
+    arithmetic guess checked against the nodes (_segment).  Either way the
+    segments are those of np.searchsorted(ts, t, "right") - 1, and each
+    product and sum is formed from the same operands in the same order,
+    so the two give the same bits; a uniform grid, or a slice of one,
+    never needs the search."""
     t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = float(t)
+        return [[_hermite_point(ts, ys, dys, t)
+                 for ys, dys in zip(cols[:3], cols[1:4])] for cols in tables]
     shape = t.shape
     t = t.reshape(-1)
     if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
         t = clamp(t, ts[0], ts[-1])
-    x, h, at = _node_values(ts, t)
+    runs = _segment_runs(ts, t)
+    if runs is None:                # i: each point's segment
+        i, x, h = _segment(ts, t)
+        h -= x
+        w, counts = h, None
+    else:                           # i: the segments of the runs
+        i0, counts = runs
+        i = np.arange(i0, i0 + len(counts))
+        x = ts[i]
+        w = ts[1:][i] - x
+        h, x = _spread(w, counts), _spread(x, counts)
+    np.subtract(t, x, out=x)
     x /= h
-    u2 = 1 - x
-    u2 *= u2
-    x2 = 2 * x
-    h00 = x2 + 1
-    h00 *= u2                       # (1 + 2x)(1 - x)^2
-    h10 = np.multiply(u2, x, out=u2)    # x (1 - x)^2
+    # the basis, each product in the order of its formula; x**2 is freed
+    # before the node values arrive, which keeps large queries in cache
+    h10 = 1 - x
+    h10 *= h10
+    h01 = 2 * x
+    h00 = h01 + 1
+    h00 *= h10                      # (1 + 2x)(1 - x)^2
+    h10 *= x                        # x (1 - x)^2
     xx = x * x
-    h01 = np.subtract(3, x2, out=x2)
+    np.subtract(3, h01, out=h01)
     h01 *= xx                       # x^2 (3 - 2x)
-    x -= 1
-    h11 = np.multiply(x, xx, out=x)     # x^2 (x - 1)
+    h11 = x
+    h11 -= 1
+    h11 *= xx                       # x^2 (x - 1)
+    del xx
     jets = []
     for cols in tables:
         outs = []
         for ys, dys in zip(cols[:3], cols[1:4]):
-            out = at(ys)
-            np.multiply(h00, out, out=out)
-            for b, col, scaled in ((h10, dys, True), (h01, ys[1:], False),
-                                   (h11, dys[1:], True)):
-                v = at(col, scaled)
-                out += np.multiply(b, v, out=v)
-            out = out.reshape(shape)
-            outs.append(out[()] if out.ndim == 0 else out)
-        jets.append(tuple(outs))
+            # y0 h00 + d0 h10 + y1 h01 + d1 h11, d = dy times the width,
+            # with y0 = ys[i] and y1 = ys[i + 1]
+            out = _spread(ys[i], counts)
+            out *= h00
+            v = dys[i]
+            v *= w
+            v = _spread(v, counts)
+            v *= h10
+            out += v
+            v = _spread(ys[1:][i], counts)
+            v *= h01
+            out += v
+            v = dys[1:][i]
+            v *= w
+            v = _spread(v, counts)
+            v *= h11
+            out += v
+            outs.append(out.reshape(shape))
+        jets.append(outs)
     return jets
 
 

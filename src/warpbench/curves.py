@@ -416,16 +416,15 @@ class _TableOrders:
         return self.combine(self.orders(t, ks))
 
     def orders(self, t, ks) -> list:
-        """Orders ks of each table at t: one order from hermite_interp on
-        its columns (order 3 from np.interp), several from one segment
-        lookup shared by every table (``hermite_jet``), bitwise the same."""
-        if len(ks) == 1:
-            k = ks[0]
-            return [[np.interp(t, self.ts, cols[3]) if k == 3 else
-                     hermite_interp(self.ts, cols[k], cols[k + 1], t)]
-                    for cols in self.tables]
-        jets = hermite_jet(self.ts, self.tables, t)
-        return [[j[k] if k < 3 else np.interp(t, self.ts, cols[3])
+        """Orders ks (ascending) of each table at t: those below 3 from one
+        ``hermite_jet`` call, one segment lookup for every table, on each
+        table's columns from the lowest order asked for to one past the
+        highest; order 3 from np.interp."""
+        k0 = ks[0]
+        jets = (hermite_jet(self.ts, [cols[k0:ks[-1] + 2]
+                                      for cols in self.tables], t)
+                if k0 < 3 else [()] * len(self.tables))
+        return [[j[k - k0] if k < 3 else np.interp(t, self.ts, cols[3])
                  for k in ks] for j, cols in zip(jets, self.tables)]
 
     def combine(self, per_table) -> list:

@@ -197,14 +197,19 @@ def _handle2(B, B_scale=1.0, **kw):
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
     entry, as a single-margin report (monotone decreasing in a >= 0), on
-    build_handle2's domain 1 < b < 1/(2 lambda2).  The bound grows like
-    1/b as b falls to 0, where it bounds no dug face."""
+    build_handle2's domain lambda1 < lambda2 and 1 < b < 1/(2 lambda2).
+    The bound grows like 1/b as b falls to 0, where it bounds no dug
+    face."""
     if not lambda2 > 0:
         raise blocks.BuildError("lambda2 must be positive")
     for name, value in (("lambda1", lambda1), ("a", a)):
         if not value >= 0:
             raise blocks.BuildError(
                 f"{name} must be nonnegative, got {value!r}")
+    if not lambda1 < lambda2:
+        raise blocks.BuildError(
+            f"lambda1 must stay below lambda2, as for build_handle2, got "
+            f"lambda1 = {lambda1!r}, lambda2 = {lambda2!r}")
     if not b > 1.0:
         raise blocks.BuildError("b must exceed 1, as for build_handle2")
     if b >= 1.0 / (2.0 * lambda2):

@@ -709,14 +709,13 @@ class TestJet:
         monkeypatch.setattr(_util, "_segment", counted)
         table, combo, restricted = self.curves()[:3]
         t = np.linspace(0.5, 1.0, 7)
-        for c, tables in ((table, 1), (combo, 2), (restricted, 2),
-                          (table.metric_rescale(1.5), 1)):
+        for c in (table, combo, restricted, table.metric_rescale(1.5)):
             calls.clear()
             c.jet(t)
             assert calls == [7]
             calls.clear()
             [c.eval(t, k) for k in range(3)]
-            assert calls == [7] * 3 * tables
+            assert calls == [7] * 3
         calls.clear()
         cv.joint_jet((table, combo), t)
         assert calls == [7]
@@ -799,9 +798,10 @@ class TestJet:
         assert rep.sweeps["ricci"]["columns"]["ric_radial"][0] == 3 * limit
 
     def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
-        """The default transfer block's bundle sweep looks up the runs of
-        Hermite segments of each block once, for both ODE tables and all
-        three orders, and looks up no segment point by point."""
+        """The default transfer block's bundle sweep looks up the Hermite
+        segments of each block once, for both ODE tables and all three
+        orders: as runs in each block long enough for the run path, point
+        by point in a shorter last block."""
         from warpbench import _util
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
@@ -813,8 +813,7 @@ class TestJet:
 
         def counted_runs(ts, t):
             found = runs(ts, t)
-            if ts is nodes:
-                assert found is not None
+            if ts is nodes and found is not None:
                 lookups.append(len(t))
             return found
 
@@ -828,9 +827,10 @@ class TestJet:
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         n = len(rep.sweeps["ricci"]["t"])
         assert n > 2 * _SWEEP_BLOCK
-        assert lookups == [min(_SWEEP_BLOCK, n - i)
-                           for i in range(0, n, _SWEEP_BLOCK)]
-        assert per_point == []
+        sizes = [min(_SWEEP_BLOCK, n - i) for i in range(0, n, _SWEEP_BLOCK)]
+        long_enough = _util._RUN_MIN_POINTS
+        assert lookups == [k for k in sizes if k >= long_enough]
+        assert per_point == [k for k in sizes if k < long_enough]
 
 
 def assert_bitwise(got, want):

@@ -214,7 +214,7 @@ class TestBadSamplesAreRejections:
 
     @pytest.mark.parametrize("predicate, box, fixed, condition", [
         ("handle2-closed-form", {"lambda2": (0.0, 0.25)},
-         {"a": 0.1, "b": 1.5}, "lambda2 must be positive"),
+         {"lambda1": 0.1, "a": 0.1, "b": 1.5}, "lambda2 must be positive"),
         ("sphere-transition", {"s0": (0.0, 1.2)}, {"p": 2, "q": 3},
          "s0 must be positive"),
     ])
@@ -232,6 +232,22 @@ class TestBadSamplesAreRejections:
         assert entry.verdict == "error:BuildError"
         with pytest.raises(bk.BuildError, match=condition):
             spec["builder"](**{**fixed, **end})
+
+    @pytest.mark.parametrize("lambda1", [0.25, 0.3])
+    def test_closed_form_rejects_lambda1_from_lambda2_on(self, lambda1):
+        """build_handle2 needs lambda1 < lambda2; a closed-form sample
+        with lambda1 >= lambda2 is a BuildError naming that condition, so
+        a box crossing lambda1 = lambda2 certifies only samples below
+        it."""
+        builder = fs.PREDICATES["handle2-closed-form"]["builder"]
+        with pytest.raises(bk.BuildError,
+                           match="lambda1 must stay below lambda2"):
+            builder(lambda1=lambda1, lambda2=0.25, a=0.1, b=1.5)
+        cert = fs.scan(fs.ParamBox({"lambda1": (0.2, 0.3)}, 3),
+                       "handle2-closed-form", budget=3,
+                       fixed={"a": 0.1, "b": 1.5})
+        assert cert.failures == 2
+        assert [e.params["lambda1"] for e in cert.entries] == [0.2]
 
     @pytest.mark.parametrize("b", [0.0, 1e-300])
     def test_closed_form_rejects_b_below_the_dug_graph(self, b):

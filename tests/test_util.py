@@ -529,9 +529,9 @@ class TestHermiteInterp:
 
 
 def assert_jet_matches(ts, seed):
-    """hermite_jet equals hermite_interp order by order, bitwise, for one
-    table and for two tables sharing the basis, on queries() and on empty,
-    0-d, NaN and 2-D queries, and leaves the query unchanged."""
+    """hermite_jet equals searchsorted_hermite order by order, bitwise, for
+    one table and for two tables sharing the basis, on queries() and on
+    empty, 0-d, NaN and 2-D queries, and leaves the query unchanged."""
     rng = np.random.default_rng(seed)
     tables = [[rng.standard_normal(len(ts)) for _ in range(4)]
               for _ in range(2)]
@@ -547,7 +547,7 @@ def assert_jet_matches(ts, seed):
             for jet, cols in zip(got, chosen):
                 assert len(jet) == 3
                 for k in range(3):
-                    assert_same_values(jet[k], _util.hermite_interp(
+                    assert_same_values(jet[k], searchsorted_hermite(
                         ts, cols[k], cols[k + 1], q))
         assert np.array_equal(q, before, equal_nan=True)
 
@@ -570,20 +570,24 @@ def jet_by_path(ts, tables, q, per_point=False):
 
 
 def run_queries(ts, rng):
-    """Sorted queries with at least 2 points per segment they span: random
-    points with every node, ts[-1] repeated and points clamped from both
-    sides of the range (also as a 2-D array); a dense stretch inside; and
-    points within one segment, its start among them."""
+    """Sorted queries of at least _RUN_MIN_POINTS points with at least
+    _RUN_MIN_LENGTH points per segment they span: random points with every
+    node, ts[-1] repeated and points clamped from both sides of the range
+    (also as a 2-D array); a dense stretch inside; and points within one
+    segment, its start among them."""
     span = ts[-1] - ts[0]
+    fill = _util._RUN_MIN_POINTS
+    per = _util._RUN_MIN_LENGTH
     q = np.sort(np.concatenate([
-        ts, rng.uniform(ts[0], ts[-1], 2 * len(ts)), [ts[-1]] * 3,
-        rng.choice(ts, 5), rng.uniform(ts[0] - span, ts[0], 3),
+        ts, rng.uniform(ts[0], ts[-1], max(fill, per * len(ts))),
+        [ts[-1]] * 3, rng.choice(ts, 5), rng.uniform(ts[0] - span, ts[0], 3),
         rng.uniform(ts[-1], ts[-1] + span, 3)]))
     a = int(rng.integers(0, len(ts) - 1))
     b = int(rng.integers(a, len(ts) - 1))
-    stretch = np.sort(rng.uniform(ts[a], ts[b + 1], 2 * (b - a + 2)))
+    stretch = np.sort(rng.uniform(ts[a], ts[b + 1],
+                                  max(fill, per * (b - a + 1))))
     i = int(rng.integers(0, len(ts) - 1))
-    one = np.sort(np.append(rng.uniform(ts[i], ts[i + 1], 4), ts[i]))
+    one = np.sort(np.append(rng.uniform(ts[i], ts[i + 1], fill), ts[i]))
     one = one[one < ts[i + 1]]
     return [q, q[:len(q) // 2 * 2].reshape(2, -1), stretch, one]
 
@@ -591,7 +595,8 @@ def run_queries(ts, rng):
 def assert_runs_match_points(ts, seed):
     """On run_queries() hermite_jet takes the run path, and its jets are
     those of the per-point gathers bitwise, for 1 to 3 tables of 3 and 4
-    columns; sparse, unsorted and NaN queries take the per-point path."""
+    columns; short, sparse, unsorted and NaN queries take the per-point
+    path."""
     rng = np.random.default_rng(seed)
     tables = [[rng.standard_normal(len(ts)) for _ in range(cols)]
               for cols in rng.choice([3, 4], int(rng.integers(1, 4)))]
@@ -607,8 +612,10 @@ def assert_runs_match_points(ts, seed):
                 assert_same_values(g, w)
                 assert g.tobytes() == w.tobytes()
     dense = run_queries(ts, rng)[0]
-    sparse = np.linspace(ts[0], ts[-1], len(ts) - 1)
-    for q in (dense[::-1], np.append(dense, np.nan), sparse):
+    short = dense[:_util._RUN_MIN_POINTS - 1]
+    sparse = np.linspace(ts[0], ts[-1],
+                         (_util._RUN_MIN_LENGTH - 1) * (len(ts) - 1))
+    for q in (dense[::-1], np.append(dense, np.nan), short, sparse):
         assert not jet_by_path(ts, tables, q)[1]
 
 
@@ -670,6 +677,36 @@ class TestHermiteJet:
             _util.hermite_jet(ts, tables, np.linspace(0.0, 1.0, 9))
             assert calls == [9]
 
+    def test_zero_dimensional_query_takes_the_point_form(self,
+                                                          monkeypatch):
+        """A 0-d query on 2 tables of 4 columns is answered by one
+        _hermite_point call per table and order, with no segment lookup,
+        and equals the 1-element array query bitwise."""
+        ts = np.linspace(0.0, 1.0, 65)
+        rng = np.random.default_rng(16)
+        tables = [[rng.standard_normal(65) for _ in range(4)]
+                  for _ in range(2)]
+        points = (0.3, 0.0, 1.0, -0.0, 1.5, np.nan)
+        wants = [_util.hermite_jet(ts, tables, np.array([x]))
+                 for x in points]
+        point, calls = _util._hermite_point, []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return point(*args)
+
+        monkeypatch.setattr(_util, "_hermite_point", counted)
+        monkeypatch.setattr(_util, "_segment", None)
+        for x, want in zip(points, wants):
+            calls.clear()
+            got = _util.hermite_jet(ts, tables, np.array(x))
+            assert len(calls) == 6
+            for jet, ref in zip(got, want):
+                assert len(jet) == len(ref) == 3
+                for g, w in zip(jet, ref):
+                    assert type(g) is np.float64
+                    assert g.tobytes() == w.tobytes()
+
     def test_shared_basis_on_the_default_transfer_tables(self):
         """One hermite_jet over both tables of the default transfer ODE
         equals one call per table, bitwise, at random points, at the edges
@@ -699,7 +736,7 @@ class TestHermiteJet:
             (want,) = _util.hermite_jet(ts, [cols], q)
             for k in range(3):
                 assert_same_values(jet[k], want[k])
-                assert_same_values(jet[k], _util.hermite_interp(
+                assert_same_values(jet[k], searchsorted_hermite(
                     ts, cols[k], cols[k + 1], q))
         for x in q.tolist():
             for point in (np.array(x), x):
