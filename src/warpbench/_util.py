@@ -68,6 +68,17 @@ def clear_caches(keep=()) -> None:
             cached.cache_clear()
 
 
+def cache_stats() -> dict:
+    """Every per_key cache's (hits, misses, currsize, maxsize) since it was
+    last emptied, by its qualified name ``module.function``."""
+    stats = {}
+    for cached in _CACHES:
+        info = cached.cache_info()
+        stats[f"{cached.__module__}.{cached.__qualname__}"] = (
+            info.hits, info.misses, info.currsize, info.maxsize)
+    return stats
+
+
 def read_only(a) -> np.ndarray:
     """A read-only float view of a; the array itself keeps its flags."""
     v = np.asarray(a, dtype=float).view()

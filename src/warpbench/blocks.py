@@ -75,11 +75,12 @@ def _require_integer_dims(**dims) -> None:
 
 
 def _require_positive(**values) -> None:
-    """Raise BuildError naming the first parameter that is not positive;
-    NaN is not."""
+    """Raise BuildError naming the first parameter that is not positive
+    and finite; NaN is not."""
     for name, value in values.items():
-        if not value > 0:
-            raise BuildError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise BuildError(
+                f"{name} must be positive and finite, got {value!r}")
 
 
 def _min_margin(label: str, ts, values) -> Margin:
@@ -285,9 +286,9 @@ def _flatten_window(w: float, omega: float) -> SurgeryWindow:
 _RAMP = TabulatedAntiderivative(lambda x, k: plateau(x, k, 0.1))
 
 
-def _read_only_jet(curve: SmoothCurve, ts: np.ndarray) -> Jet:
-    """Orders 0-3 of curve at ts, each a read-only array."""
-    return Jet(*(read_only(v) for v in curve.jet(ts, 3)))
+def _read_only_jet(curve: SmoothCurve, ts: np.ndarray, n: int = 3) -> Jet:
+    """Orders 0-n of curve at ts, each a read-only array."""
+    return Jet(*(read_only(v) for v in curve.jet(ts, n)))
 
 
 @per_key(maxsize=32)
@@ -465,8 +466,11 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     _require_positive(delta=delta)
 
     alpha_top_lin = (1.0 / math.cos(x_top) - 1.0) / lambda1
-    f = make_concave_profile(lambda1, lambda2, delta,
-                             t_max=alpha_top_lin / lambda1 + 10.0)
+    try:
+        f = make_concave_profile(lambda1, lambda2, delta,
+                                 t_max=alpha_top_lin / lambda1 + 10.0)
+    except ValueError as exc:           # the inner slope reaches 1
+        raise BuildError(f"concave profile infeasible: {exc}") from exc
     lam = f.info["slope_at_inner"]
 
     s_hi = math.pi / 2.0
@@ -628,35 +632,59 @@ def _flatten_slope_end(f: SmoothCurve, tau: float,
     return piecewise_curve([(f.t_lo, tau, f), (tau, t_end, win)])
 
 
-@per_key(maxsize=32)
-def _handle2_collar(lambda1: float, lambda2: float, b: float) -> SmoothCurve:
-    """handle2's collar warp f on [0, b + 1]: the concave profile with
-    slopes lambda1 and lambda2, flattened past b + 0.5 so that all its
-    derivatives vanish at b + 1.  Built once per (lambda1, lambda2, b),
-    the only parameters it reads, and read, never changed, by the handle
-    it goes into.  A warp holds about 90 KB of tables, so the 32 kept
-    retain about 2.9 MB at most."""
+def _handle2_grids(b: float, grid):
+    """handle2's sample grids at grid density: ts on the dug face's [0,
+    0.98 b] and tf on the face metric's [0, 0.98 (b + 1)]."""
+    return (read_only(grid_points(0.0, 0.98 * b, grid, min_points=1025)),
+            read_only(grid_points(0.0, 0.98 * (b + 1.0), grid,
+                                  min_points=1025)))
+
+
+@per_key(maxsize=16)
+def _handle2_collar(lambda1: float, lambda2: float, b: float, grid):
+    """handle2's collar at (lambda1, lambda2, b) and grid density, as (f,
+    fv, f1, jet, flatness).  The warp f on [0, b + 1] is the concave
+    profile with slopes lambda1 and lambda2, flattened past b + 0.5 so that
+    all its derivatives vanish at b + 1; fv and f1 are f and f' on the dug
+    face's grid ts, jet f's orders 0-3 on the face metric's grid tf
+    (``_handle2_grids``), and flatness ``flatness_margin(f, b + 1)``.
+    Built once per (lambda1, lambda2, b, grid), the only parameters they
+    read; the curve and the read-only arrays are read, never changed, by
+    the handle they go into.  At the default grid a key holds about 134 KB
+    of tables and 96 KB per unit of b in its six arrays (about 340 KB at b
+    = 1.5, 390 KB at b = 2), so the 16 kept retain about 6.2 MB at b = 2;
+    the arrays grow linearly with b and with the grid density."""
     t_end = b + 1.0
     f_raw = make_concave_profile(lambda1, lambda2, delta=0.01,
                                  t_max=t_end + 1.0)
-    return _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5,
-                              t_end)
+    f = _flatten_slope_end(f_raw.restrict(0.0, t_end + 0.5), b + 0.5, t_end)
+    ts, tf = _handle2_grids(b, grid)
+    return (f, read_only(f.eval(ts, 0)), read_only(f.eval(ts, 1)),
+            _read_only_jet(f, tf), flatness_margin(f, t_end))
 
 
-@per_key(maxsize=32)
-def _handle2_graph(a: float, b: float) -> SmoothCurve:
-    """handle2's dug graph beta on [0, b + 1], the antiderivative from 0 of
-    beta' = a (t/b - 1) chi(t - b), where chi is one up to -1 and zero from
-    0.  Built once per (a, b), the only parameters it reads, and read,
-    never changed, by the handle it goes into.  A graph holds about 100 KB
-    of tables, so the 32 kept retain about 3.2 MB at most."""
+@per_key(maxsize=16)
+def _handle2_graph(a: float, b: float, grid):
+    """handle2's dug graph at (a, b) and grid density, as (beta, ts, jet,
+    tf, jet_f).  beta on [0, b + 1] is the antiderivative from 0 of beta' =
+    a (t/b - 1) chi(t - b), where chi is one up to -1 and zero from 0; ts
+    and tf are the grids of ``_handle2_grids``, jet beta's orders 0-2 on ts
+    and jet_f its orders 0-3 on tf.  Built once per (a, b, grid), the only
+    parameters they read; the curve and the read-only arrays are read,
+    never changed, by the handle they go into.  At the default grid a key
+    holds about 98 KB of tables and 144 KB per unit of b in its nine arrays
+    (about 390 KB at b = 1.5, 460 KB at b = 2), so the 16 kept retain about
+    7.4 MB at b = 2; the arrays grow linearly with b and with the grid
+    density."""
     def beta1(t, orders):
         t, n = np.asarray(t, float), max(orders)
         lin = Jet(a * (t / b - 1.0), a / b, 0.0, 0.0)[:n + 1]
         chi = 1.0 - Jet(*(smooth_step(t - b + 1.0, k) for k in range(n + 1)))
         return [v for k, v in enumerate(lin * chi) if k in orders]
 
-    return antiderivative_curve((0.0, b + 1.0), 4097, beta1)
+    beta = antiderivative_curve((0.0, b + 1.0), 4097, beta1)
+    ts, tf = _handle2_grids(b, grid)
+    return beta, ts, _read_only_jet(beta, ts, 2), tf, _read_only_jet(beta, tf)
 
 
 def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
@@ -667,6 +695,15 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     the dug face's second fundamental form (with the conservative closed
     form), positive curvature of the face metric, the inner-face floor
     -nu, and flatness of the collar warp at the far end.
+
+    What a sample shares with others comes from two caches, keyed by the
+    parameters they read, as handle1's do.  ``_handle2_collar(lambda1,
+    lambda2, b, grid)`` keeps the collar warp f, f and f' on the dug face's
+    grid ts, f's jet (orders 0-3) on the face metric's grid tf and the
+    flatness of f at b + 1.  ``_handle2_graph(a, b, grid)`` keeps the dug
+    graph beta, ts, beta's orders 0-2 on ts, tf and beta's jet on tf.  What
+    reads B stays per sample: its extension B_full at beta's heights, the
+    dug face's II columns and the face warp.
 
     The face warp that the ``face_sec_*`` margins read is built with the
     margins; the boundary profiles, on the first read of
@@ -686,15 +723,18 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         raise BuildError("B must be parametrized by distance from its "
                          "boundary (domain starting at 0)")
 
+    # written so that NaN fails: every comparison with NaN is False
     probe = np.linspace(0.0, min(B.t_hi, 0.5), 65)
-    if B.eval(0.0, 0) <= 0 or np.any(B.eval(probe, 1) >= 0) \
-            or np.any(B.eval(probe, 2) >= 0):
-        raise BuildError("B must have B > 0, B' < 0 and B'' < 0 near the "
-                         "boundary")
+    if not 0 < B.eval(0.0, 0) < math.inf \
+            or not np.all(B.eval(probe, 1) < 0) \
+            or not np.all(B.eval(probe, 2) < 0):
+        raise BuildError("B must have finite B > 0, B' < 0 and B'' < 0 "
+                         "near the boundary")
 
     t_end = b + 1.0
-    f = _handle2_collar(float(lambda1), float(lambda2), float(b))
-    beta = _handle2_graph(float(a), float(b))
+    f, fv, f1, fw, flatness = _handle2_collar(float(lambda1), float(lambda2),
+                                              float(b), grid)
+    beta, ts, (bs, bp, bpp), tf, bt = _handle2_graph(float(a), float(b), grid)
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
 
@@ -709,11 +749,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     B_full = piecewise_curve([(-delta_prime, 0.0, ext),
                               (0.0, B.t_hi, B)])
 
-    # dug-face second fundamental form on t in [0, 0.98 b]
-    ts = grid_points(0.0, 0.98 * b, grid, min_points=1025)
-    bs, bp, bpp = beta.jet(ts)
-    fv, f1 = f.eval(ts, 0), f.eval(ts, 1)
-    # the face s = beta(t) is the graph t = alpha(s) of alpha = beta^-1:
+    # dug-face second fundamental form on t in [0, 0.98 b]: the face s =
+    # beta(t) is the graph t = alpha(s) of alpha = beta^-1:
     # alpha' = 1/beta', alpha'' = -beta''/beta'^3, normal toward -t
     dug = graph_ii_columns(fv, f1, 1.0 / bp, -bpp / bp ** 3,
                            B_full.eval(bs, 0), B_full.eval(bs, 1), -1.0)
@@ -733,8 +770,6 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     # the face s = beta(t), metric (1 + beta'^2 f^2) dt^2 + ...: its warp
     # over arc length, which the face curvature margins read
-    tf = grid_points(0.0, 0.98 * t_end, grid, min_points=1025)
-    bt, fw = beta.jet(tf, 3), f.jet(tf, 3)
     bchain = B_full.jet(bt[0], 3)
     speed = _face_speed(Jet(1.0, 0.0, 0.0), fw[:3] * bt.d())
     arc = cumulative_hermite(tf, *speed[:2])
@@ -744,8 +779,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     sec_sphere = (1.0 - warp_r ** 2) / warp ** 2
     margins.append(_min_margin("face_sec_radial", tf, sec_radial))
     margins.append(_min_margin("face_sec_sphere", tf, sec_sphere))
-    margins.append(Margin("collar_flatness",
-                          1e-8 - flatness_margin(f, t_end), t_end))
+    margins.append(Margin("collar_flatness", 1e-8 - flatness, t_end))
     dim = int(B.info.get("dimension", 0) or 0)
     f_end = float(f.eval(t_end, 0))
 

@@ -688,13 +688,13 @@ CACHED_CURVES = {
         {"lambda1": 0.98, "eps1": 0.02},
         {"lambda2": 0.995, "eps2": 0.08, "delta": 0.04}),
     "_handle2_collar": (
-        _handle2_on_cosine, GOOD_H2, "make_concave_profile",
-        ("lambda1", "lambda2", "b"),
+        _handle2_on_cosine, {**GOOD_H2, "grid": None}, "make_concave_profile",
+        ("lambda1", "lambda2", "b", "grid"),
         {"lambda1": 0.015, "lambda2": 0.025, "b": 1.6},
         {"a": 0.03, "eps": 0.12, "nu": 0.04}),
     "_handle2_graph": (
-        _handle2_on_cosine, GOOD_H2, "antiderivative_curve", ("a", "b"),
-        {"a": 0.03, "b": 1.6},
+        _handle2_on_cosine, {**GOOD_H2, "grid": None}, "antiderivative_curve",
+        ("a", "b", "grid"), {"a": 0.03, "b": 1.6},
         {"lambda1": 0.015, "lambda2": 0.025, "eps": 0.12, "nu": 0.04}),
     "_projective_warp": (
         bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5},
@@ -712,10 +712,14 @@ class TestParamCaches:
     """The curves a builder makes from a subset of its parameters come from
     caches keyed by exactly that subset: handle1's cap side (its height,
     grid, jet and tan_chain margin) by (lambda1, eps1, grid) and its outer
-    face (beta, its grid and jet) by (eps2, grid), handle2's collar warp by
-    (lambda1, lambda2, b) and its dug graph by (a, b), the projective warp
-    by s.  A hit builds nothing, and the report keeps the bits a build on
-    empty caches gives, whichever other parameters the sample changes."""
+    face (beta, its grid and jet) by (eps2, grid), handle2's collar (the
+    warp f, its values on the dug face's grid, its jet on the face
+    metric's grid and its flatness) by (lambda1, lambda2, b, grid) and its
+    dug graph (beta, both grids and beta's jets on them) by (a, b, grid),
+    the projective warp by s.  A hit builds nothing, a change of any key
+    parameter, grid density included, is a miss, and the report keeps the
+    bits a build on empty caches gives, whichever other parameters the
+    sample changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
@@ -737,7 +741,9 @@ class TestParamCaches:
 
     @pytest.mark.parametrize("name, change", [
         (name, {k: v}) for name, spec in CACHED_CURVES.items()
-        for changes in spec[4:] for k, v in changes.items()])
+        for changes in spec[4:] for k, v in changes.items()] + [
+        (name, {"grid": 256}) for name in ("_handle2_collar",
+                                           "_handle2_graph")])
     def test_report_keeps_its_bits(self, fresh_caches, name, change):
         """A sample after another, sharing the key or not, gives the bits
         of the same sample built on empty caches."""
@@ -778,6 +784,24 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._transfer_curves",
         "warpbench.blocks._projective_warp"}
     assert len(_util._CACHES) == 9
+
+
+@pytest.mark.usefixtures("fresh_caches")
+def test_cache_stats_count_a_scans_shared_keys():
+    """Nine (nu, eps) samples of handle2 at one (a, b) build its dug graph
+    and its collar once each and read them eight times; every registered
+    cache has its counts, by qualified name."""
+    box = fs.ParamBox({"nu": (0.02, 0.04), "eps": (0.05, 0.15)}, 3)
+    cert = fs.scan(box, "handle2", budget=9,
+                   fixed={k: GOOD_H2[k] for k in ("lambda1", "lambda2",
+                                                   "a", "b")})
+    assert len(cert.entries) + cert.failures == 9
+    stats = _util.cache_stats()
+    assert set(stats) == {f"{c.__module__}.{c.__qualname__}"
+                          for c in _util._CACHES}
+    for name in ("_handle2_graph", "_handle2_collar"):
+        assert stats[f"warpbench.blocks.{name}"] == (8, 1, 1, 16)
+    assert stats["warpbench.blocks._handle1_beta"] == (0, 0, 0, 32)
 
 
 def _pool_pairs():

@@ -292,6 +292,58 @@ class TestBadSamplesAreRejections:
         with pytest.raises(bk.BuildError, match=f"^{name} must"):
             spec["builder"](**{**fixed, **sample})
 
+    def test_handle1_delta_past_the_unit_inner_slope(self):
+        """A finite delta that takes the concave profile's inner slope to
+        1 or above is a BuildError naming delta and the slope; the scan
+        goes on."""
+        spec = fs.PREDICATES["handle1-tied"]
+        fixed = {**spec["defaults"], "lambda1": 0.95, "eps1": 0.05,
+                 "eps2": 0.05}
+        entry = fs._run_predicate(spec["builder"], {"delta": 3.0}, fixed)
+        assert entry.verdict == "error:BuildError"
+        with pytest.raises(bk.BuildError, match="delta=3.0 too large: slope"):
+            spec["builder"](**{**fixed, "delta": 3.0})
+        cert = fs.scan(fs.ParamBox({"delta": (0.05, 3.0)}, 3),
+                       "handle1-tied", budget=3, fixed=fixed)
+        assert cert.failures >= 1
+        assert all(e.params["delta"] < 3.0 for e in cert.entries)
+
+    # a sample of each predicate that builds without error
+    FINITE_SAMPLES = {
+        "handle1-tied": {"n": 4, "K": 0.9, "lambda1": 0.95, "eps1": 0.05,
+                         "eps2": 0.05, "delta": 0.05},
+        "handle2": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
+                    "eps": 0.1, "nu": 0.03, "B_scale": 1.0},
+        "cone": {"n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1, "delta": 0.02,
+                 "t": 0.5},
+        "projective": {"d": 2, "n": 2, "s": 0.5},
+    }
+
+    @pytest.mark.parametrize("predicate, name, value", [
+        (predicate, name, value)
+        for predicate, sample in FINITE_SAMPLES.items() for name in sample
+        for value in (math.inf, -math.inf)])
+    def test_infinite_parameter_is_a_build_error(self, predicate, name,
+                                                 value):
+        spec = fs.PREDICATES[predicate]
+        fixed = {**spec["defaults"], **self.FINITE_SAMPLES[predicate]}
+        assert not fs._run_predicate(spec["builder"], {}, fixed) \
+            .verdict.startswith("error")
+        entry = fs._run_predicate(spec["builder"], {name: value}, fixed)
+        assert entry.verdict == "error:BuildError"
+
+    def test_nan_collar_profile_is_a_build_error(self):
+        """Every comparison with NaN is False, so the check that the
+        collar profile has B > 0, B' < 0 and B'' < 0 is written to fail on
+        NaN."""
+        spec = fs.PREDICATES["handle2"]
+        fixed = {**spec["defaults"], **self.FINITE_SAMPLES["handle2"]}
+        entry = fs._run_predicate(spec["builder"], {"B_scale": math.nan},
+                                  fixed)
+        assert entry.verdict == "error:BuildError"
+        with pytest.raises(bk.BuildError, match="^B must have finite B > 0"):
+            spec["builder"](**{**fixed, "B_scale": math.nan})
+
     def test_projective_dimension_outside_the_family(self):
         box = fs.ParamBox({"s": (0.2, 0.8)}, 3)
         cert = fs.scan(box, "projective", 3, fixed={"d": 3})
