@@ -13,6 +13,7 @@ handles' profiles) are in ``aux["curves"]``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -65,22 +66,67 @@ class HorizonError(RuntimeError):
     the operation as rejected."""
 
 
-def _require_integer_dims(**dims) -> None:
-    """Raise BuildError naming the first dimension parameter whose value
-    is not an integer."""
-    for name, value in dims.items():
+class Reals:
+    """The real numbers from lo to hi, each end open or closed as ``ends``
+    says; an infinite end is open, so NaN and +-inf lie in no Reals."""
+
+    prefix = ""
+    WORDS = {"(": "exceed", "[": "be at least", ")": "stay below",
+             "]": "be at most"}
+
+    def __init__(self, lo=-math.inf, hi=math.inf, ends="()"):
+        self.lo, self.hi, self.ends = lo, hi, ends
+
+    def breaks(self, value):
+        """The bound that value breaks, or None; NaN breaks the lower one."""
+        if self.lo < value < self.hi:
+            return None
+        for x, end, inside in ((self.lo, self.ends[0], self.lo < value),
+                               (self.hi, self.ends[1], value < self.hi)):
+            if not (inside or end in "[]" and value == x and math.isfinite(x)):
+                return ("be finite" if math.isinf(x) else "be positive"
+                        if (x, end) == (0, "(") else
+                        f"{self.WORDS[end]} {x:.15g}")
+
+
+class Dims(Reals):
+    """Integer dimensions from ``least`` on, or only those in ``among``."""
+
+    prefix = "dimension "
+
+    def __init__(self, least: int = 1, among: tuple = ()):
+        super().__init__(least, ends="[)")
+        self.among = among
+
+    def breaks(self, value):
         if not float(value).is_integer():
-            raise BuildError(
-                f"dimension {name} must be an integer, got {value!r}")
+            return "be an integer"
+        if self.among and value not in self.among:
+            return f"be one of {', '.join(map(str, self.among))}"
+        return Reals.breaks(self, value)
 
 
-def _require_positive(**values) -> None:
-    """Raise BuildError naming the first parameter that is not positive
-    and finite; NaN is not."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise BuildError(
-                f"{name} must be positive and finite, got {value!r}")
+def domain(**declared):
+    """Declare a builder's parameter domains, a Reals or Dims per name.  A
+    given parameter (by position or name, mapped once here; None skips)
+    that breaks a bound raises a BuildError naming it, bound and value."""
+    def decorate(fn):
+        names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+        checks = [(names.index(n), n, dom) for n, dom in declared.items()]
+
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            for i, name, dom in checks:
+                value = args[i] if i < len(args) else kwargs.get(name)
+                if value is not None and (bound := dom.breaks(value)):
+                    raise BuildError(f"{dom.prefix}{name} must {bound}, "
+                                     f"got {value!r}")
+            return fn(*args, **kwargs)
+
+        checked.domains = declared
+        return checked
+
+    return decorate
 
 
 def _min_margin(label: str, ts, values) -> Margin:
@@ -106,6 +152,8 @@ def _tabs_from_samples(ts: np.ndarray, columns: dict) -> dict:
 # Cone-stretched core metric.
 # ---------------------------------------------------------------------------
 
+@domain(n=Dims(3), K=Reals(0, 1), eps1=Reals(0), eps2=Reals(0),
+        delta=Reals(0, 1), t=Reals(0, 1, "[]"))
 def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                       delta: float, t: float, grid=None) -> Report:
     """Sine-pieced warp with interpolation slope K_t = 1 - t(1-K) and the
@@ -115,14 +163,6 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     metric by K^2 turns the middle piece into K sin(s) with Ricci bound
     n - 1.
     """
-    _require_integer_dims(n=n)
-    if n < 3:
-        raise BuildError("need n >= 3")
-    if not 0.0 < K < 1.0:
-        raise BuildError("K must lie in (0, 1); degenerate K=1 is rejected")
-    if not 0.0 <= t <= 1.0:
-        raise BuildError("t must lie in [0, 1]")
-    _require_positive(eps1=eps1, eps2=eps2, delta=delta)
     Kt = 1.0 - t * (1.0 - K)
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -420,6 +460,9 @@ def _handle1_face(f: SmoothCurve, R: SmoothCurve, h: Jet, sweep: dict, ss,
             _tabs_from_samples(u, ii))
 
 
+@domain(n=Dims(3), K=Reals(0, 1), lambda1=Reals(0, 1),
+        lambda2=Reals(0, 1), eps1=Reals(0, math.pi / 4),
+        eps2=Reals(0, 1, "(]"), delta=Reals(0))
 def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                   eps1: float, eps2: float, delta: float,
                   grid=None) -> Report:
@@ -451,19 +494,11 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     stencil per grid (``_tabs_from_samples``).  The arc lengths in ``aux``
     (``u_cap``, ``outer_arc_length``) are built with the margins.
     """
-    _require_integer_dims(n=n)
-    if not 0 < lambda1 < lambda2 < 1:
-        raise BuildError("need 0 < lambda1 < lambda2 < 1")
-    if not 0 < eps1 < math.pi / 4:
-        raise BuildError("eps1 must lie in (0, pi/4); 0 is rejected")
-    if not 0 < eps2 <= 1.0:
-        raise BuildError("eps2 must lie in (0, 1]")
-    if n < 3 or not 0 < K < 1:
-        raise BuildError("need n >= 3 and K in (0, 1)")
+    if not lambda1 < lambda2:
+        raise BuildError("need lambda1 < lambda2")
     x_top = lambda1 * (math.pi / 2.0 - eps1)
     if x_top >= math.pi / 2.0 - 1e-9:
         raise BuildError("cut reaches the pole: decrease lambda1 or eps1")
-    _require_positive(delta=delta)
 
     alpha_top_lin = (1.0 / math.cos(x_top) - 1.0) / lambda1
     try:
@@ -598,10 +633,9 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 # Second handle piece: the collar dug along a slow graph.
 # ---------------------------------------------------------------------------
 
+@domain(a=Reals(0, ends="[)"))
 def corner_angle_handle2(a: float) -> float:
     """Corner angle of the dug collar: arccos(-a / sqrt(1 + a^2))."""
-    if not a >= 0:
-        raise BuildError(f"a must be nonnegative, got {a!r}")
     return math.acos(-a / math.sqrt(1.0 + a * a))
 
 
@@ -687,6 +721,8 @@ def _handle2_graph(a: float, b: float, grid):
     return beta, ts, _read_only_jet(beta, ts, 2), tf, _read_only_jet(beta, tf)
 
 
+@domain(lambda1=Reals(0, 1), lambda2=Reals(0, 1), a=Reals(0), b=Reals(1),
+        eps=Reals(0), nu=Reals(0))
 def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                   b: float, eps: float, nu: float,
                   grid=None) -> Report:
@@ -708,15 +744,11 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     The face warp that the ``face_sec_*`` margins read is built with the
     margins; the boundary profiles, on the first read of
     ``Report.boundary``, as handle1 builds its own."""
-    if not 0 < lambda1 < lambda2 < 1:
-        raise BuildError("need 0 < lambda1 < lambda2 < 1")
-    _require_positive(a=a)
-    if not b > 1.0:
-        raise BuildError(f"b must exceed 1, got {b!r}")
+    if not lambda1 < lambda2:
+        raise BuildError("need lambda1 < lambda2")
     if b >= 1.0 / (2.0 * lambda2):
         raise BuildError(f"b must stay below 1/(2 lambda2) = "
                          f"{1.0 / (2 * lambda2):.4f}")
-    _require_positive(eps=eps, nu=nu)
     if not isinstance(B, SmoothCurve):
         raise BuildError("B must be a SmoothCurve")
     if B.t_lo > 1e-12:
@@ -898,6 +930,8 @@ def _transfer_curves(C: float):
     return integrate_transfer_odes(C)
 
 
+@domain(p=Dims(2), q=Dims(2), r0=Reals(0), nu=Reals(0), lam=Reals(0, 1),
+        a=Reals(0), C=Reals(0, ends="[)"))
 def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          a: float, C: float, a_bounds: ABounds | None = None,
                          grid=None) -> Report:
@@ -910,14 +944,6 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     with ``integrate_transfer_odes``'s default horizon, step cap and
     tolerance TRANSFER_RTOL; ``aux`` records the tolerance (``ode_rtol``)
     and the accepted step count (``ode_steps``)."""
-    _require_integer_dims(p=p, q=q)
-    if p < 2 or q < 2:
-        raise BuildError("need fibre dim >= 2 and base dim >= 2")
-    if not 0 < lam < 1:
-        raise BuildError("lam must lie in (0, 1)")
-    _require_positive(r0=r0, nu=nu, a=a)
-    if not C >= 0:
-        raise BuildError(f"C must be nonnegative, got {C!r}")
     a_bounds = a_bounds or ABounds()
 
     h0, fC = _transfer_curves(float(C))
@@ -993,17 +1019,13 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
 # Trivial circle-bundle variant.
 # ---------------------------------------------------------------------------
 
+@domain(q=Dims(2), lam=Reals(0, 1), ric_base_lb=Reals())
 def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
                    grid=None) -> Report:
     """Disc-bundle cylinder over a base with unit Ricci floor and a closing
     circle fibre, built from designed sinusoidal warps: the base warp is
     even at 0 with slope lam at the far end, the fibre warp closes the
     circle (odd, unit slope) and flattens at the far end."""
-    _require_integer_dims(q=q)
-    if q < 2:
-        raise BuildError("need base dimension >= 2")
-    if not 0 < lam < 1:
-        raise BuildError("lam must lie in (0, 1)")
     window = (q * lam, (q - 1) / (2.0 * lam))
     feas = window[1] - window[0]
     if feas <= 0:
@@ -1057,6 +1079,7 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
 # Fibre-disc warp.
 # ---------------------------------------------------------------------------
 
+@domain(p=Dims(2), t0=Reals(1))
 def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
     """Concave disc warp h with h(0) = 0, h'(0) = 1, h(t0) = 1 and all
     derivatives vanishing at t0; the cross-section curvatures of
@@ -1067,12 +1090,6 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
     closing parity and the third-derivative condition hold) with a sliding
     plateau whose position is solved so the warp tops out at exactly 1.
     """
-    _require_integer_dims(p=p)
-    if p < 2:
-        raise BuildError("need p >= 2")
-    if not t0 > 1.0:
-        raise BuildError(f"t0 must exceed 1, got {t0!r}")
-
     wT = 0.2 * t0
     w_hi = 0.985 * t0
     omega = math.pi / (1.02 * t0)
@@ -1165,13 +1182,13 @@ def _sphere_pair_margins(A: SmoothCurve, B: SmoothCurve, tag: str,
     return out
 
 
+@domain(p=Dims(1), q=Dims(2))
 def build_sphere_transition(A: SmoothCurve, B: SmoothCurve, p: int, q: int,
                             grid=None) -> Report:
     """Positivity characterization for ds^2 + A^2 ds_{q-1}^2 + B^2 ds_p^2:
     strict concavity of both warps away from their collapse ends, negative
     third derivatives there, the closing parities, and stability of all of
     it along the straight path to the round pair."""
-    _require_integer_dims(p=p, q=q)
     if abs(A.t_lo) > 1e-12 or abs(B.t_lo) > 1e-12 \
             or abs(A.t_hi - B.t_hi) > 1e-9:
         raise BuildError("A and B must share a domain [0, s0]")
@@ -1224,6 +1241,7 @@ def _projective_warp(s: float):
     return h.restrict(-1.0, 1.0), w
 
 
+@domain(d=Dims(among=(2, 4, 8)), n=Dims(2), s=Reals(0, 1, "[]"))
 def projective_family_check(d: int, n: int, s: float,
                             grid=None) -> Report:
     """One member of the interpolating family: the fixed odd warp together
@@ -1232,18 +1250,10 @@ def projective_family_check(d: int, n: int, s: float,
 
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
-    comparison bounds it rests on.  The family exists for d in {2, 4, 8}
-    and n >= 2, with n = 2 when d = 8.
+    comparison bounds it rests on.
     """
-    _require_integer_dims(d=d, n=n)
-    if d not in (2, 4, 8):
-        raise BuildError("d must be one of 2, 4, 8")
-    if n < 2:
-        raise BuildError("n must be >= 2")
     if d == 8 and n != 2:
         raise BuildError("d = 8 requires n = 2")
-    if not 0.0 <= s <= 1.0:
-        raise BuildError("s must lie in [0, 1]")
     f0 = _projective_f0()
     t_flat = (1.0 - s) / (1.0 + s)
     amp = 4.0 / ((s + 1.0) * math.pi)
@@ -1316,6 +1326,7 @@ def _wu_h_blend(eps: float, eps_outer: float) -> SmoothCurve:
     return even_extension(half)
 
 
+@domain(eps=Reals(0, 1), eps_outer=Reals(0, 1))
 def wu_family_check(variant: str = "g00", eps: float = 0.1,
                     eps_outer: float | None = None, grid=None) -> Report:
     """Either the product-like metric (constant even warp) or the blended
@@ -1343,8 +1354,8 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
         raise BuildError(f"unknown variant {variant!r}")
     if eps_outer is None:
         eps_outer = min(0.95, eps + 0.85)
-    if not 0.0 < eps < eps_outer < 1.0:
-        raise BuildError("need 0 < eps < eps_outer < 1")
+    if not eps < eps_outer:
+        raise BuildError("need eps < eps_outer")
     h1 = _wu_h_blend(eps, eps_outer)
     margins = []
     sweeps = {}
@@ -1365,10 +1376,8 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
     return report
 
 
+@domain(c=Reals(0, ends="[)"), C=Reals(0))
 def boundary_conformal_margin(c: float, C: float) -> float:
     """1 - c (3/C^2 + 1/C): positive means the conformal boundary-layer
     estimate keeps its sign for geometry constant c."""
-    if not c >= 0:
-        raise BuildError(f"c must be nonnegative, got {c!r}")
-    _require_positive(C=C)
     return 1.0 - c * (3.0 / (C * C) + 1.0 / C)

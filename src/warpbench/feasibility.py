@@ -179,11 +179,9 @@ def _default_collar_profile(scale: float = 1.0):
     return cosine_curve(0.9 * scale, 1.0, 0.1, (0.0, 1.0))
 
 
+@blocks.domain(lambda1=blocks.Reals(0, 0.99))
 def _handle1_tied(lambda1, **kw):
-    lambda2 = lambda1 + 0.01
-    if lambda2 >= 1.0:
-        raise blocks.BuildError("tied slope lambda1 + 0.01 reaches 1")
-    return blocks.build_handle1(lambda1=lambda1, lambda2=lambda2, **kw)
+    return blocks.build_handle1(lambda1=lambda1, lambda2=lambda1 + 0.01, **kw)
 
 
 def _handle2(B, B_scale=1.0, **kw):
@@ -194,24 +192,16 @@ def _handle2(B, B_scale=1.0, **kw):
     return blocks.build_handle2(B, **kw)
 
 
+@blocks.domain(a=blocks.Reals(0, ends="[)"), **{
+    n: blocks.build_handle2.domains[n] for n in ("lambda1", "lambda2", "b")})
 def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     """Just the conservative closed-form bound for the dug face's radial
     entry, as a single-margin report (monotone decreasing in a >= 0), on
-    build_handle2's domain lambda1 < lambda2 and 1 < b < 1/(2 lambda2).
-    The bound grows like 1/b as b falls to 0, where it bounds no dug
-    face."""
-    if not lambda2 > 0:
-        raise blocks.BuildError("lambda2 must be positive")
-    for name, value in (("lambda1", lambda1), ("a", a)):
-        if not value >= 0:
-            raise blocks.BuildError(
-                f"{name} must be nonnegative, got {value!r}")
+    build_handle2's domain.  The bound grows like 1/b as b falls to 0,
+    where it bounds no dug face."""
     if not lambda1 < lambda2:
-        raise blocks.BuildError(
-            f"lambda1 must stay below lambda2, as for build_handle2, got "
-            f"lambda1 = {lambda1!r}, lambda2 = {lambda2!r}")
-    if not b > 1.0:
-        raise blocks.BuildError("b must exceed 1, as for build_handle2")
+        raise blocks.BuildError(f"lambda1 must stay below lambda2 = "
+                                f"{lambda2!r}, got {lambda1!r}")
     if b >= 1.0 / (2.0 * lambda2):
         raise blocks.BuildError("b must stay below 1/(2 lambda2)")
     ts = np.linspace(0.0, 0.98 * b, 2049)
@@ -231,16 +221,16 @@ def _handle_assembly(n=4, K=0.9, grid=None, **kw):
         {k[3:]: v for k, v in kw.items() if k.startswith("p2_")}, grid=grid)
 
 
+@blocks.domain(**dict.fromkeys(("sup_AX2", "sup_AV2", "sup_deltaA"),
+                               blocks.Reals(0, ends="[)")))
 def _transfer(sup_AX2=0.0, sup_AV2=0.0, sup_deltaA=0.0, **kw):
     return blocks.build_transfer_block(
         a_bounds=ABounds(sup_AX2, sup_AV2, sup_deltaA), **kw)
 
 
+@blocks.domain(s0=blocks.Reals(0))
 def _sphere_transition(p, q, s0, grid=None):
     """The transition from the round pair of warps on [0, s0]."""
-    s0 = float(s0)
-    if not s0 > 0:
-        raise blocks.BuildError("s0 must be positive")
     A = sine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     B = cosine_curve(2 * s0 / math.pi, math.pi / (2 * s0), 0.0, (0.0, s0))
     return blocks.build_sphere_transition(A, B, p, q, grid=grid)

@@ -217,6 +217,10 @@ class TestBadSamplesAreRejections:
          {"lambda1": 0.1, "a": 0.1, "b": 1.5}, "lambda2 must be positive"),
         ("sphere-transition", {"s0": (0.0, 1.2)}, {"p": 2, "q": 3},
          "s0 must be positive"),
+        ("sphere-transition", {"p": (0.0, 2.0)}, {"q": 3, "s0": 1.2},
+         "dimension p must be at least 1"),
+        ("sphere-transition", {"q": (0.0, 4.0)}, {"p": 2, "s0": 1.2},
+         "dimension q must be at least 2"),
     ])
     def test_closed_end_of_the_box_is_a_build_error(self, predicate, box,
                                                     fixed, condition):
@@ -308,23 +312,43 @@ class TestBadSamplesAreRejections:
         assert cert.failures >= 1
         assert all(e.params["delta"] < 3.0 for e in cert.entries)
 
-    # a sample of each predicate that builds without error
+    # a sample of each predicate that builds without error, with every
+    # numeric param the predicate takes
+    HANDLE1 = {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
+               "eps2": 0.1, "delta": 0.05}
+    HANDLE2 = {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
+               "eps": 0.1, "nu": 0.03}
     FINITE_SAMPLES = {
+        "handle1": {"n": 4, "K": 0.9, **HANDLE1},
         "handle1-tied": {"n": 4, "K": 0.9, "lambda1": 0.95, "eps1": 0.05,
                          "eps2": 0.05, "delta": 0.05},
-        "handle2": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5,
-                    "eps": 0.1, "nu": 0.03, "B_scale": 1.0},
+        "handle2": {**HANDLE2, "B_scale": 1.0},
+        "handle2-closed-form": {"lambda1": 0.2, "lambda2": 0.25, "a": 0.1,
+                                "b": 1.5},
+        "handle-assembly": {"n": 3, "K": 0.9,
+                            **{f"p1_{k}": v for k, v in HANDLE1.items()},
+                            **{f"p2_{k}": v for k, v in HANDLE2.items()}},
+        "transfer": {"p": 2, "q": 3, "r0": 0.1, "nu": 1.5, "lam": 0.5,
+                     "a": 0.2, "C": 0.5, "sup_AX2": 0.0, "sup_AV2": 0.0,
+                     "sup_deltaA": 0.0},
+        "s1": {"q": 3, "lam": 0.45, "ric_base_lb": 1.0},
         "cone": {"n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1, "delta": 0.02,
                  "t": 0.5},
+        "fibre-disc": {"p": 3, "t0": 2.5},
+        "sphere-transition": {"p": 2, "q": 3, "s0": 1.2},
         "projective": {"d": 2, "n": 2, "s": 0.5},
+        "wu-check": {"variant": "blended", "eps": 0.1, "eps_outer": 0.9},
     }
 
     @pytest.mark.parametrize("predicate, name, value", [
         (predicate, name, value)
-        for predicate, sample in FINITE_SAMPLES.items() for name in sample
-        for value in (math.inf, -math.inf)])
+        for predicate, sample in FINITE_SAMPLES.items()
+        for name in sample if name != "variant"
+        for value in (math.inf, -math.inf, math.nan)])
     def test_infinite_parameter_is_a_build_error(self, predicate, name,
                                                  value):
+        """An infinite or NaN value of any numeric param is a BuildError
+        sample; the scan goes on."""
         spec = fs.PREDICATES[predicate]
         fixed = {**spec["defaults"], **self.FINITE_SAMPLES[predicate]}
         assert not fs._run_predicate(spec["builder"], {}, fixed) \

@@ -158,6 +158,32 @@ def test_defaults_are_declared_params(name):
     assert set(spec["defaults"]) <= spec["required"] | spec["optional"]
 
 
+# The blocks builders an entry's builder hands the params it does not
+# declare on to, with the prefix those params carry in the entry.
+HANDED_ON = {
+    "handle1-tied": [(blocks.build_handle1, "")],
+    "handle2": [(blocks.build_handle2, "")],
+    "handle-assembly": [(blocks.build_handle1, ""),
+                        (blocks.build_handle1, "p1_"),
+                        (blocks.build_handle2, "p2_")],
+    "transfer": [(blocks.build_transfer_block, "")],
+    "sphere-transition": [(blocks.build_sphere_transition, "")],
+}
+# The collar profile B and its scale are checked as a curve (B > 0, B' < 0
+# and B'' < 0 near the boundary), and variant is a name.
+UNDECLARED = {"B", "B_scale", "variant"}
+
+
+@pytest.mark.parametrize("name", sorted(fs.PREDICATES))
+def test_every_numeric_param_has_a_declared_domain(name):
+    spec = fs.PREDICATES[name]
+    declared = {*getattr(spec["builder"], "domains", ())}
+    for builder, prefix in HANDED_ON.get(name, ()):
+        declared |= {prefix + param for param in builder.domains}
+    params = spec["required"] | spec["optional"]
+    assert not params - UNDECLARED - declared
+
+
 @pytest.mark.parametrize("name", sorted(PARAMS))
 def test_entry_runs_from_cli_and_as_one_point_scan(name, tmp_path):
     pinned = _load()
