@@ -152,6 +152,50 @@ def _tabs_from_samples(ts: np.ndarray, columns: dict) -> dict:
 # Cone-stretched core metric.
 # ---------------------------------------------------------------------------
 
+def _cone_junction(K: float, eps: float, delta: float, t: float,
+                   junction: str):
+    """The cone's inner junction s1 (junction "inner", eps = eps1) or its
+    outer one s2 ("outer", eps = eps2), and the lines of the warp argument
+    that meet there, as (s, (left, right)), each line (intercept, slope).
+    The middle line has slope K_t = 1 - t(1 - K) and the outer two slope
+    1."""
+    Kt = 1.0 - t * (1.0 - K)
+    if junction == "inner":
+        s_lo = (1.0 - K) * t * eps / (2.0 * K)
+        return eps / (2.0 * K), ((-s_lo, 1.0), (0.0, Kt))
+    eps2p = 2.0 * eps / (1.0 - delta)
+    shift3 = 0.5 * (math.pi + eps2p) * (1.0 / Kt - 1.0)
+    return (math.pi + eps2p) / (2.0 * Kt), ((0.0, Kt), (-shift3, 1.0))
+
+
+@per_key(maxsize=128)
+def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
+    """The smooth join of the two lines meeting at the cone's junction
+    (``_cone_junction``), built on its window [s - delta, s + delta] from
+    the lines restricted to it.  Its second derivative keeps to a band as
+    deep as the slope gap spread over the window, toward the next line's
+    slope; a join that leaves the band raises BuildError, which is not
+    cached.  Built once per (K, eps, delta, t) and junction, the only
+    parameters it reads, and read, never changed, by the cone it goes
+    into.  A key holds the join's node table, about 82 KB (tracemalloc;
+    an identity join, at t = 0, holds almost nothing): the 90 keys of a 3
+    x 3 x 3 x 5 (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and
+    the 128 kept retain about 10.5 MB at most."""
+    s, (left, right) = _cone_junction(K, eps, delta, t, junction)
+    window = (s - delta, s + delta)
+    depth = abs(left[1] - right[1]) / (PLATEAU_MASS * 2.0 * delta)
+    band = ((-1.3 * depth - 1e-9, 1e-9) if junction == "inner"
+            else (-1e-9, 1.3 * depth + 1e-9))
+    try:
+        return smooth_join(line_curve(*left, window),
+                           line_curve(*right, window), window, band,
+                           band_tol=0.35 * depth + 1e-9)
+    except JoinBandError as exc:
+        raise BuildError(
+            f"smoothing band infeasible at the {junction} junction "
+            f"s{1 if junction == 'inner' else 2}={s:.4f}: {exc}") from exc
+
+
 @domain(n=Dims(3), K=Reals(0, 1), eps1=Reals(0), eps2=Reals(0),
         delta=Reals(0, 1), t=Reals(0, 1, "[]"))
 def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
@@ -162,8 +206,13 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     The warp is ``aux["curves"]["warp"]``.  At t = 1, multiplying the
     metric by K^2 turns the middle piece into K sin(s) with Ricci bound
     n - 1.
+
+    The warp's argument is one piecewise curve of five segments: the left
+    line, the inner join, the middle line, the outer join and the right
+    line.  Each join is built once per (K, eps, delta, t) on its window
+    alone (``_cone_join``); the slope bands are read from the composed
+    argument.
     """
-    Kt = 1.0 - t * (1.0 - K)
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
     # would vanish inside the domain
@@ -171,39 +220,29 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         raise BuildError(
             f"need eps2' = 2 eps2/(1 - delta) < pi/2 so the warp stays "
             f"positive up to s_hi; got {eps2p:.6g}")
-    s_lo = (1.0 - K) * t * eps1 / (2.0 * K)
-    s1 = eps1 / (2.0 * K)
-    s2 = (math.pi + eps2p) / (2.0 * Kt)
+    s1, (left, mid) = _cone_junction(K, eps1, delta, t, "inner")
+    s2, (_, right) = _cone_junction(K, eps2, delta, t, "outer")
+    s_lo, Kt = -left[0], mid[1]
     s_hi = math.pi / (2.0 * Kt) + 0.5 * eps2p * (1.0 + 1.0 / Kt)
     if not (s_lo < s1 - delta and s1 + delta < s2 - delta
             and s2 + delta < s_hi):
         raise BuildError(
             f"domain pieces are not ordered for eps1={eps1}, eps2={eps2}, "
             f"delta={delta}")
+    if not (s1 - delta < s1 + delta and s2 - delta < s2 + delta):
+        raise BuildError(f"delta={delta!r} is below the rounding of the "
+                         f"junctions s1={s1!r}, s2={s2!r}: a join window "
+                         f"[s - delta, s + delta] is empty")
 
-    pad = 2.0 * delta
-    arg_left = line_curve(-s_lo, 1.0, (s_lo, s1 + pad))
-    arg_mid = line_curve(0.0, Kt, (s1 - pad, s2 + pad))
-    shift3 = 0.5 * (math.pi + eps2p) * (1.0 / Kt - 1.0)
-    arg_right = line_curve(-shift3, 1.0, (s2 - pad, s_hi))
-
-    slope_gap = 1.0 - Kt
-    band_depth = slope_gap / (PLATEAU_MASS * 2.0 * delta)
-    try:
-        chi1 = smooth_join(arg_left, arg_mid, (s1 - delta, s1 + delta),
-                           (-1.3 * band_depth - 1e-9, 1e-9),
-                           band_tol=0.35 * band_depth + 1e-9)
-    except JoinBandError as exc:
-        raise BuildError(f"smoothing band infeasible at the inner "
-                         f"junction s1={s1:.4f}: {exc}") from exc
-    try:
-        chi2 = smooth_join(chi1, arg_right, (s2 - delta, s2 + delta),
-                           (-1e-9, 1.3 * band_depth + 1e-9),
-                           band_tol=0.35 * band_depth + 1e-9)
-    except JoinBandError as exc:
-        raise BuildError(f"smoothing band infeasible at the outer "
-                         f"junction s2={s2:.4f}: {exc}") from exc
-    warp = sin_of(chi2.restrict(s_lo, s_hi))
+    inner = _cone_join(K, eps1, delta, t, "inner")
+    outer = _cone_join(K, eps2, delta, t, "outer")
+    windows = inner.info["window"], outer.info["window"]
+    (a1, b1), (a2, b2) = windows
+    arg = piecewise_curve([
+        (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
+        (b1, a2, line_curve(*mid, (b1, a2))), (a2, b2, outer),
+        (b2, s_hi, line_curve(*right, (b2, s_hi)))])
+    warp = sin_of(arg)
 
     ss = grid_points(s_lo, s_hi, grid)
     dw = DoublyWarpedMetric(n - 1, 1, warp,
@@ -218,10 +257,11 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         _min_margin("ric_radial", ss, (ric_s - bound) / bound + 1e-9),
         _min_margin("ric_sphere", ss, (ric_x - bound) / bound + 1e-9),
     ]
-    for label, join in (("slope_band_s1", chi1), ("slope_band_s2", chi2)):
-        a, b = join.info["window"]
+    # the slopes on each window are the composed argument's, so a window's
+    # end b has the next line's slope
+    for label, (a, b) in zip(("slope_band_s1", "slope_band_s2"), windows):
         js = np.linspace(a, b, 257)
-        sl = join.eval(js, 1)
+        sl = arg.eval(js, 1)
         margins.append(_min_margin(f"{label}_lower", js, sl - Kt + 1e-12))
         margins.append(_min_margin(f"{label}_upper", js, 1.0 - sl + 1e-12))
     par = parity_margin(warp, s_lo, "odd", first_derivative_target=1.0,
@@ -496,6 +536,9 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     """
     if not lambda1 < lambda2:
         raise BuildError("need lambda1 < lambda2")
+    if not math.pi / 2.0 + eps2 > math.pi / 2.0:
+        raise BuildError(f"eps2={eps2!r} is below the rounding of pi/2: "
+                         f"the outer face [pi/2, pi/2 + eps2] is empty")
     x_top = lambda1 * (math.pi / 2.0 - eps1)
     if x_top >= math.pi / 2.0 - 1e-9:
         raise BuildError("cut reaches the pole: decrease lambda1 or eps1")
@@ -1241,6 +1284,47 @@ def _projective_warp(s: float):
     return h.restrict(-1.0, 1.0), w
 
 
+def _key_inequality(h: SmoothCurve, s: float, grid):
+    """The key_inequality sweep of the family member at s with even warp
+    h, as (tk, key): its grid on the sine zone [-1, (1-s)/(1+s)] (all of
+    [-1, 1] at s = 0) and f^2/h^4 - f' h'/(f h) on it, with the limit
+    -h'''/h' at t = -1."""
+    f0 = _projective_f0()
+    upper = (1.0 - s) / (1.0 + s) if s > 0 else 1.0
+    tk = grid_points(-1.0, upper, grid, min_points=1025)
+    inner = tk > -1.0 + 1e-9
+    fv = f0.eval(tk, 0)
+    hv, h1 = h.eval(tk, 0), h.eval(tk, 1)
+    key = np.empty_like(tk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key[inner] = (fv[inner] ** 2 / hv[inner] ** 4
+                      - f0.eval(tk[inner], 1) * h1[inner]
+                      / (fv[inner] * hv[inner]))
+    key[~inner] = -h.eval(-1.0, 3) / h.eval(-1.0, 1)
+    return tk, key
+
+
+@per_key(maxsize=64)
+def _projective_margins(s: float, grid):
+    """The family's margins that read s and the grid density alone: the
+    key cross-term inequality on the warp of ``_projective_warp(s)`` and
+    the two trigonometric comparison bounds, on the key_inequality sweep's
+    grid.  Built once per (s, grid) and shared, as frozen Margins, by
+    every check at s whatever its d and n; the sweep itself is not kept.
+    A key holds three Margins, under 1 KB (tracemalloc), so the 64 kept,
+    which hold a 17-point s lattice at three grid densities, retain under
+    64 KB."""
+    h, _ = _projective_warp(s)
+    tk, key = _key_inequality(h, s, grid)
+    t_s = 0.25 * math.pi * (tk + 1.0) * (s + 1.0)
+    t_0 = 0.25 * math.pi * (tk + 1.0)
+    return (_min_margin("key_inequality", tk, key + 1e-9),
+            _min_margin("trig_sin_bound", tk,
+                        (1.0 + s) * np.sin(t_0) - np.sin(t_s) + 1e-12),
+            _min_margin("trig_cos_bound", tk,
+                        np.cos(t_0) - np.cos(t_s) + 1e-12))
+
+
 @domain(d=Dims(among=(2, 4, 8)), n=Dims(2), s=Reals(0, 1, "[]"))
 def projective_family_check(d: int, n: int, s: float,
                             grid=None) -> Report:
@@ -1250,7 +1334,9 @@ def projective_family_check(d: int, n: int, s: float,
 
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
-    comparison bounds it rests on.
+    comparison bounds it rests on.  The last three read s and the grid
+    alone and come from ``_projective_margins``; the key_inequality sweep
+    is built on the first read of ``Report.sweeps``.
     """
     if d == 8 and n != 2:
         raise BuildError("d = 8 requires n = 2")
@@ -1266,28 +1352,13 @@ def projective_family_check(d: int, n: int, s: float,
         _min_margin("ric_tt", ts, sweep["ric_tt"]),
         _min_margin("ric_VV", ts, sweep["ric_VV"]),
         _min_margin("ric_XX", ts, sweep["ric_XX"]),
+        *_projective_margins(float(s), grid),
     ]
 
-    upper = t_flat if s > 0 else 1.0
-    tk = grid_points(-1.0, upper, grid, min_points=1025)
-    inner = tk > -1.0 + 1e-9
-    fv = f0.eval(tk, 0)
-    hv, h1 = h.eval(tk, 0), h.eval(tk, 1)
-    key = np.empty_like(tk)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        key[inner] = (fv[inner] ** 2 / hv[inner] ** 4
-                      - f0.eval(tk[inner], 1) * h1[inner]
-                      / (fv[inner] * hv[inner]))
-    key[~inner] = -h.eval(-1.0, 3) / h.eval(-1.0, 1)
-    margins.append(_min_margin("key_inequality", tk, key + 1e-9))
-
-    t_s = 0.25 * math.pi * (tk + 1.0) * (s + 1.0)
-    t_0 = 0.25 * math.pi * (tk + 1.0)
-    margins.append(_min_margin("trig_sin_bound", tk,
-                               (1.0 + s) * np.sin(t_0) - np.sin(t_s)
-                               + 1e-12))
-    margins.append(_min_margin("trig_cos_bound", tk,
-                               np.cos(t_0) - np.cos(t_s) + 1e-12))
+    def sweeps():
+        tk, key = _key_inequality(h, float(s), grid)
+        return {"ricci": {"t": ts, "columns": dict(sweep)},
+                "key_inequality": {"t": tk, "columns": {"key": key}}}
 
     report = Report(
         "projective-family",
@@ -1295,8 +1366,7 @@ def projective_family_check(d: int, n: int, s: float,
         margins,
         aux={"t_flat": t_flat, "join_halfwidth": w,
              "plateau_value": amp},
-        sweeps={"ricci": {"t": ts, "columns": dict(sweep)},
-                "key_inequality": {"t": tk, "columns": {"key": key}}})
+        sweeps=sweeps)
     report.aux["curves"] = {"f": f0, "h": h}
     return report
 

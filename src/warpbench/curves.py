@@ -39,8 +39,8 @@ class IntegratorError(RuntimeError):
 
 class JoinBandError(RuntimeError):
     """The second derivative of a smooth join leaves its prescribed band
-    by more than the tolerance.  Handled by: ``blocks.build_cone_metric``,
-    which re-raises it as BuildError naming the junction."""
+    by more than the tolerance.  Handled by: ``blocks._cone_join``, which
+    re-raises it as BuildError naming the junction."""
 
     def __init__(self, overshoot: float, band):
         self.overshoot = overshoot

@@ -71,6 +71,18 @@ class TestConeMetric:
                 arg = argmins[f"{label}_{side}"]
                 assert s - delta <= arg <= s + delta, (label, side, arg)
 
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+    def test_window_end_takes_the_next_lines_slope(self, t):
+        """The slope bands are read from the composed warp argument, so
+        each window's end b has the next line's slope exactly: K_t after
+        the inner join and 1 after the outer one.  The band the join rides
+        toward is at its 1e-12 floor there."""
+        delta = 0.02
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, delta, t)
+        for label, s in (("slope_band_s1_lower", rep.aux["s1"]),
+                         ("slope_band_s2_upper", rep.aux["s2"])):
+            assert rep.margin(label) == bk.Margin(label, 1e-12, s + delta)
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(bk.BuildError):
             bk.build_cone_metric(4, 1.0, 0.1, 0.1, 0.02, 0.5)
@@ -678,32 +690,75 @@ def _handle1(**kw):
     return bk.build_handle1(4, 0.9, **kw)
 
 
-# cache -> (builder, parameters, the construction its miss calls, its
-# key arguments from the parameters, one change per key parameter,
-# changes of parameters outside the key)
+def _keyed(*names):
+    """The keys of a cache that a build looks up once per key: the build's
+    values of these parameters."""
+    return lambda p: {tuple(p[k] for k in names)}
+
+
+def _cone_keys(p):
+    """The cone's two junctions: the inner one read at eps1, the outer at
+    eps2."""
+    return {(p["K"], p["eps1"], p["delta"], p["t"], "inner"),
+            (p["K"], p["eps2"], p["delta"], p["t"], "outer")}
+
+
+def _lookups(monkeypatch, name):
+    """The argument tuples of every lookup of the per-key cache ``name``,
+    in order; the cache itself is unchanged."""
+    cached, looked = getattr(bk, name), []
+
+    def lookup(*args):
+        looked.append(args)
+        return cached(*args)
+
+    monkeypatch.setattr(bk, name, lookup)
+    return looked
+
+
+def _lru_counts(looked):
+    """(hits, misses) of a cache that keeps every key, after the lookups
+    ``looked`` on it empty: a key misses once and hits after."""
+    return len(looked) - len(set(looked)), len(set(looked))
+
+
+# cache -> (builder, parameters, the construction its miss calls, the keys
+# a build looks it up with, one change per key parameter, changes of
+# parameters outside the keys)
 CACHED_CURVES = {
     "_handle1_height": (
         _handle1, {**GOOD_H1, "grid": None},
-        "_flatten_start", ("lambda1", "eps1", "grid"),
+        "_flatten_start", _keyed("lambda1", "eps1", "grid"),
         {"lambda1": 0.98, "eps1": 0.02},
         {"lambda2": 0.995, "eps2": 0.08, "delta": 0.04}),
     "_handle2_collar": (
         _handle2_on_cosine, {**GOOD_H2, "grid": None}, "make_concave_profile",
-        ("lambda1", "lambda2", "b", "grid"),
+        _keyed("lambda1", "lambda2", "b", "grid"),
         {"lambda1": 0.015, "lambda2": 0.025, "b": 1.6},
         {"a": 0.03, "eps": 0.12, "nu": 0.04}),
     "_handle2_graph": (
         _handle2_on_cosine, {**GOOD_H2, "grid": None}, "antiderivative_curve",
-        ("a", "b", "grid"), {"a": 0.03, "b": 1.6},
+        _keyed("a", "b", "grid"), {"a": 0.03, "b": 1.6},
         {"lambda1": 0.015, "lambda2": 0.025, "eps": 0.12, "nu": 0.04}),
+    # a miss of _projective_margins reads the warp once more, a hit
     "_projective_warp": (
         bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5},
-        "smooth_join", ("s",), {"s": 0.6}, {"d": 4, "n": 3}),
+        "smooth_join", _keyed("s"), {"s": 0.6}, {"d": 4, "n": 3}),
+    "_projective_margins": (
+        bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5, "grid": None},
+        "_key_inequality", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
+        {"d": 4, "n": 3}),
     "_handle1_beta": (
         _handle1, {**GOOD_H1, "grid": None},
-        "antiderivative_curve", ("eps2", "grid"),
+        "antiderivative_curve", _keyed("eps2", "grid"),
         {"eps2": 0.08, "grid": 256},
         {"lambda1": 0.98, "eps1": 0.02, "lambda2": 0.995, "delta": 0.04}),
+    "_cone_join": (
+        bk.build_cone_metric, {"n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1,
+                               "delta": 0.02, "t": 0.5, "grid": None},
+        "smooth_join", _cone_keys,
+        {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
+        {"n": 5, "grid": 256}),
 }
 
 
@@ -716,14 +771,16 @@ class TestParamCaches:
     warp f, its values on the dug face's grid, its jet on the face
     metric's grid and its flatness) by (lambda1, lambda2, b, grid) and its
     dug graph (beta, both grids and beta's jets on them) by (a, b, grid),
-    the projective warp by s.  A hit builds nothing, a change of any key
-    parameter, grid density included, is a miss, and the report keeps the
-    bits a build on empty caches gives, whichever other parameters the
-    sample changes."""
+    the projective warp by s and the projective margins that read s alone
+    by (s, grid), the cone's inner join by (K, eps1, delta, t) and its
+    outer join by (K, eps2, delta, t).  A hit builds nothing, a change of
+    any key parameter, grid density included, is a miss, and the report
+    keeps the bits a build on empty caches gives, whichever other
+    parameters the sample changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
-        build, params, construction, *_ = CACHED_CURVES[name]
+        build, params, construction, keys, *_ = CACHED_CURVES[name]
         calls = []
         real = getattr(bk, construction)
 
@@ -732,45 +789,59 @@ class TestParamCaches:
             return real(*args, **kw)
 
         monkeypatch.setattr(bk, construction, counted)
+        cache = getattr(bk, name)
+        looked = _lookups(monkeypatch, name)
         build(**params)
-        assert len(calls) == 1
+        assert len(calls) == len(keys(params))
+        first = len(looked)
         build(**params)
-        assert len(calls) == 1
-        info = getattr(bk, name).cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert len(calls) == len(keys(params))
+        assert set(looked[:first]) == set(looked[first:]) == keys(params)
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == _lru_counts(looked)
+        assert info.misses == len(keys(params))
 
     @pytest.mark.parametrize("name, change", [
         (name, {k: v}) for name, spec in CACHED_CURVES.items()
         for changes in spec[4:] for k, v in changes.items()] + [
         (name, {"grid": 256}) for name in ("_handle2_collar",
                                            "_handle2_graph")])
-    def test_report_keeps_its_bits(self, fresh_caches, name, change):
-        """A sample after another, sharing the key or not, gives the bits
+    def test_report_keeps_its_bits(self, monkeypatch, fresh_caches, name,
+                                   change):
+        """A sample after another, sharing the keys or not, gives the bits
         of the same sample built on empty caches."""
-        build, params, _, key, *_ = CACHED_CURVES[name]
+        build, params, _, keys, *_ = CACHED_CURVES[name]
         sample = {**params, **change}
+        cache = getattr(bk, name)
+        looked = _lookups(monkeypatch, name)
         build(**params)
+        first = len(looked)
         got = build(**sample)
-        info = getattr(bk, name).cache_info()
+        assert set(looked[:first]) == keys(params)
+        assert set(looked[first:]) == keys(sample)
+        info, counts = cache.cache_info(), _lru_counts(looked)
         fresh_caches()
         assert _report_bits(got) == _report_bits(build(**sample))
-        hit = not set(change) & set(key)
-        assert (info.hits, info.misses) == ((1, 1) if hit else (0, 2))
+        assert (info.hits, info.misses) == counts
+        assert info.misses == len(keys(params) | keys(sample))
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_build_leaves_the_cached_curve_unchanged(self, name):
-        build, params, _, key, _, others = CACHED_CURVES[name]
+        build, params, _, keys, _, others = CACHED_CURVES[name]
         factory = getattr(bk, name)
         rep = build(**params)
         rep.boundary
-        cached = factory(*(params[k] for k in key))
-        curve = cached[0] if isinstance(cached, tuple) else cached
-        info = dict(curve.info)
+        cached = {args: factory(*args) for args in keys(params)}
+        curves = [c for value in cached.values()
+                  for c in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(c, cv.SmoothCurve)]
+        infos = [dict(c.info) for c in curves]
         for k, v in others.items():
             rep = build(**{**params, k: v})
             rep.boundary
-        assert factory(*(params[k] for k in key)) is cached
-        assert curve.info == info
+        for args, value in cached.items():
+            assert factory(*args) is value
+        assert [c.info for c in curves] == infos
 
 
 def test_registry_holds_every_cache():
@@ -782,8 +853,49 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._slope_end_window",
         "warpbench.blocks._handle2_collar", "warpbench.blocks._handle2_graph",
         "warpbench.blocks._transfer_curves",
-        "warpbench.blocks._projective_warp"}
-    assert len(_util._CACHES) == 9
+        "warpbench.blocks._projective_warp",
+        "warpbench.blocks._projective_margins",
+        "warpbench.blocks._cone_join"}
+    assert len(_util._CACHES) == 11
+
+
+def _bits_or_error(rep):
+    """_report_bits of a report, or the type and message of the error a
+    build raised instead."""
+    if isinstance(rep, Exception):
+        return type(rep).__name__, str(rep)
+    return _report_bits(rep)
+
+
+def _built(build, params):
+    try:
+        return build(**params)
+    except bk.BuildError as exc:
+        return exc
+
+
+def test_shuffled_lattices_on_warm_caches_keep_their_bits(fresh_caches):
+    """The cone's 3 x 3 x 3 x 5 box at grid 256, t = 0 (identity joins)
+    included, and the projective family's 17 s at each d, built in a
+    shuffled order on caches that the samples before them warmed, give
+    the bits of builds on empty caches: margins, aux, BuildError messages
+    and the sweeps, read after every build."""
+    cone = fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
+                        "delta": (0.01, 0.04), "t": (0.0, 1.0)},
+                       {"eps1": 3, "eps2": 3, "delta": 3, "t": 5})
+    samples = [(bk.build_cone_metric,
+                {"n": 4, "K": 0.9, **p, "grid": 256})
+               for p in cone.full_grid()]
+    samples += [(bk.projective_family_check, {"d": d, "n": 2, "s": s})
+                for d in (2, 4, 8) for s in np.linspace(0.0, 1.0, 17)]
+    assert len(samples) == 135 + 51
+    order = np.random.default_rng(30).permutation(len(samples))
+    warm = [_built(*samples[i]) for i in order]
+    assert any(isinstance(r, bk.BuildError) for r in warm)
+    got = [_bits_or_error(r) for r in warm]
+    for i, bits in zip(order, got):
+        fresh_caches()
+        assert _bits_or_error(_built(*samples[i])) == bits, samples[i]
 
 
 @pytest.mark.usefixtures("fresh_caches")

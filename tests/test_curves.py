@@ -504,9 +504,9 @@ class TestPiecewiseCurve:
 
 
 def cone_warp():
-    """The cone's warp, sin_of over a restricted smooth join of a smooth
-    join, and the starts of its join windows (the pieces of both
-    piecewise curves)."""
+    """The cone's warp, sin_of over a piecewise curve of three lines and
+    the two smooth joins between them, and the starts and ends of its join
+    windows (where its pieces start)."""
     delta = 0.02
     report = blocks.build_cone_metric(4, 0.9, 0.1, 0.1, delta, 0.5)
     s1, s2 = report.aux["s1"], report.aux["s2"]

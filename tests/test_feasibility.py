@@ -312,6 +312,29 @@ class TestBadSamplesAreRejections:
         assert cert.failures >= 1
         assert all(e.params["delta"] < 3.0 for e in cert.entries)
 
+    @pytest.mark.parametrize("predicate, name, hi, fixed, condition", [
+        ("cone", "delta", 0.02, {"eps1": 0.1, "eps2": 0.1, "t": 0.5},
+         r"delta=1e-300 is below the rounding of the junctions"),
+        ("handle1-tied", "eps2", 0.1, {"lambda1": 0.985, "eps1": 0.01},
+         r"eps2=1e-300 is below the rounding of pi/2"),
+    ])
+    def test_width_below_rounding_is_a_build_error(self, predicate, name,
+                                                   hi, fixed, condition):
+        """A width so small that the interval it spans from a point rounds
+        to that point (the cone's join windows s -+ delta, handle1's outer
+        face [pi/2, pi/2 + eps2]) is a BuildError naming the width, and
+        the scan goes on to certify the wider samples."""
+        cert = fs.scan(fs.ParamBox({name: (1e-300, hi)}, 3), predicate,
+                       budget=3, fixed=fixed)
+        assert cert.failures >= 1 and cert.entries
+        assert all(e.params[name] > 1e-300 for e in cert.entries)
+        spec = fs.PREDICATES[predicate]
+        fixed = {**spec["defaults"], **fixed}
+        entry = fs._run_predicate(spec["builder"], {name: 1e-300}, fixed)
+        assert entry.verdict == "error:BuildError"
+        with pytest.raises(bk.BuildError, match=condition):
+            spec["builder"](**{**fixed, name: 1e-300})
+
     # a sample of each predicate that builds without error, with every
     # numeric param the predicate takes
     HANDLE1 = {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
@@ -423,6 +446,33 @@ class TestScanBuildsNoProfiles:
         assert sizes[5:] == [len(sweeps["cap_profile"]["t"])]
         assert rep.sweeps is sweeps
         assert len(sizes) == 6
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_projective_scan_builds_no_key_sweep(self, monkeypatch):
+        """The key_inequality column is computed once per (s, grid), for
+        the margins the check keeps, and not per sample: scans at three d
+        over five s compute it five times.  Its sweep is built on the
+        first read of ``Report.sweeps``."""
+        calls = []
+        real = bk._key_inequality
+
+        def counting(h, s, grid):
+            calls.append(s)
+            return real(h, s, grid)
+
+        monkeypatch.setattr(bk, "_key_inequality", counting)
+        box = fs.ParamBox({"s": (0.0, 1.0)}, 5)
+        for d in (2, 4, 8):
+            cert = fs.scan(box, "projective", budget=5, fixed={"d": d})
+            assert len(cert.entries) == 5
+        assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
+        rep = bk.projective_family_check(2, 2, 0.5)
+        assert len(calls) == 5
+        sweeps = rep.sweeps
+        assert calls[5:] == [0.5]
+        assert rep.sweeps is sweeps
+        assert rep.margin("key_inequality").min == float(
+            np.min(sweeps["key_inequality"]["columns"]["key"]) + 1e-9)
 
     def test_handle_scans_build_no_profiles(self, monkeypatch):
         calls = self.counted(monkeypatch)
