@@ -40,7 +40,7 @@ from .gluing import (BoundaryProfile, Corner, Margin, Report,
                      check_corner_gluing)
 
 __all__ = [
-    "Margin", "Report", "BuildError", "HorizonError",
+    "Margin", "Report", "BuildError", "HorizonError", "NumericalRangeError",
     "build_cone_metric", "build_handle1", "corner_angle_handle1",
     "build_handle2", "corner_angle_handle2", "closed_form_handle2",
     "assemble_handle",
@@ -64,6 +64,14 @@ class HorizonError(RuntimeError):
     Handled by: ``feasibility.scan``, which records the sample as
     ``error:HorizonError``; the CLI, which exits 2; perfbench, which counts
     the operation as rejected."""
+
+
+class NumericalRangeError(BuildError):
+    """A builder's arithmetic left the floating-point range (an
+    ``OverflowError`` or ``ZeroDivisionError``) at parameters inside its
+    declared domain; the message names the builder, the fault and the
+    params.  Handled as a BuildError: ``feasibility.scan`` records the
+    sample as ``error:NumericalRangeError``."""
 
 
 class Reals:
@@ -109,7 +117,9 @@ class Dims(Reals):
 def domain(**declared):
     """Declare a builder's parameter domains, a Reals or Dims per name.  A
     given parameter (by position or name, mapped once here; None skips)
-    that breaks a bound raises a BuildError naming it, bound and value."""
+    that breaks a bound raises a BuildError naming it, bound and value.
+    An OverflowError or ZeroDivisionError the builder raises becomes a
+    NumericalRangeError naming the builder and its params."""
     def decorate(fn):
         names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         checks = [(names.index(n), n, dom) for n, dom in declared.items()]
@@ -121,7 +131,18 @@ def domain(**declared):
                 if value is not None and (bound := dom.breaks(value)):
                     raise BuildError(f"{dom.prefix}{name} must {bound}, "
                                      f"got {value!r}")
-            return fn(*args, **kwargs)
+            try:
+                return fn(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError) as exc:
+                given = {**dict(zip(names, args)), **kwargs}
+                params = ", ".join(
+                    f"{k}={v!r}" if isinstance(v, (int, float, str, np.generic,
+                                                   type(None)))
+                    else f"{k}=<{type(v).__name__}>"
+                    for k, v in given.items())
+                raise NumericalRangeError(
+                    f"{fn.__name__} left the float range at {params}: "
+                    f"{type(exc).__name__}: {exc}") from exc
 
         checked.domains = declared
         return checked
@@ -764,40 +785,21 @@ def _handle2_graph(a: float, b: float, grid):
     return beta, ts, _read_only_jet(beta, ts, 2), tf, _read_only_jet(beta, tf)
 
 
-@domain(lambda1=Reals(0, 1), lambda2=Reals(0, 1), a=Reals(0), b=Reals(1),
-        eps=Reals(0), nu=Reals(0))
-def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
-                  b: float, eps: float, nu: float,
-                  grid=None) -> Report:
-    """Collar piece dug along the graph s = beta(t) into a cubic extension
-    of the boundary profile B; certifies the corner angle, positivity of
-    the dug face's second fundamental form (with the conservative closed
-    form), positive curvature of the face metric, the inner-face floor
-    -nu, and flatness of the collar warp at the far end.
-
-    What a sample shares with others comes from two caches, keyed by the
-    parameters they read, as handle1's do.  ``_handle2_collar(lambda1,
-    lambda2, b, grid)`` keeps the collar warp f, f and f' on the dug face's
-    grid ts, f's jet (orders 0-3) on the face metric's grid tf and the
-    flatness of f at b + 1.  ``_handle2_graph(a, b, grid)`` keeps the dug
-    graph beta, ts, beta's orders 0-2 on ts, tf and beta's jet on tf.  What
-    reads B stays per sample: its extension B_full at beta's heights, the
-    dug face's II columns and the face warp.
-
-    The face warp that the ``face_sec_*`` margins read is built with the
-    margins; the boundary profiles, on the first read of
-    ``Report.boundary``, as handle1 builds its own."""
-    if not lambda1 < lambda2:
-        raise BuildError("need lambda1 < lambda2")
-    if b >= 1.0 / (2.0 * lambda2):
-        raise BuildError(f"b must stay below 1/(2 lambda2) = "
-                         f"{1.0 / (2 * lambda2):.4f}")
-    if not isinstance(B, SmoothCurve):
-        raise BuildError("B must be a SmoothCurve")
-    if B.t_lo > 1e-12:
-        raise BuildError("B must be parametrized by distance from its "
-                         "boundary (domain starting at 0)")
-
+@per_key(maxsize=1)
+def _handle2_face(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
+                  b: float, grid):
+    """What handle2 certifies from the boundary profile B at (lambda1,
+    lambda2, a, b) and grid density, as (head, sweeps, pieces): head is
+    ``_handle2_face_margins``'s value, sweeps the dug_face and face_metric
+    sweeps (read-only columns) and pieces (f, beta's jet on tf, f's jet on
+    tf, B'/B at beta's heights on tf, the arc-length nodes, the face
+    warp), which the boundary profiles read.  It checks that B is convex
+    near its boundary and that its cubic extension reaches the collar's
+    depth; a BuildError is not cached.  Built once per key, the only
+    parameters it reads: eps and nu enter two scalar margins only.  A key
+    holds about 390 KB at the default grid and b = 1.5 (480 KB at b = 2,
+    tracemalloc), so it keeps one: the key a build just made, which its
+    report's sweeps and boundary read."""
     # written so that NaN fails: every comparison with NaN is False
     probe = np.linspace(0.0, min(B.t_hi, 0.5), 65)
     if not 0 < B.eval(0.0, 0) < math.inf \
@@ -807,9 +809,8 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                          "near the boundary")
 
     t_end = b + 1.0
-    f, fv, f1, fw, flatness = _handle2_collar(float(lambda1), float(lambda2),
-                                              float(b), grid)
-    beta, ts, (bs, bp, bpp), tf, bt = _handle2_graph(float(a), float(b), grid)
+    f, fv, f1, fw, flatness = _handle2_collar(lambda1, lambda2, b, grid)
+    beta, ts, (bs, bp, bpp), tf, bt = _handle2_graph(a, b, grid)
     beta_end = float(beta.eval(t_end, 0))
     delta_prime = 1.05 * abs(beta_end)
 
@@ -832,16 +833,6 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     radial, sphere = dug["radial"], dug["sphere"]
     bracket = -bp ** 2 * f1 * fv - 2.0 * f1 / fv - bpp / bp
     closed_form = closed_form_handle2(lambda1, lambda2, a, b, ts)
-    margins = [
-        _min_margin("radial_ii", ts, radial),
-        _min_margin("sphere_ii", ts, sphere),
-        _min_margin("closed_form_radial", ts, closed_form),
-        _min_margin("conservativity", ts, bracket + 1e-9 - closed_form),
-    ]
-
-    theta = corner_angle_handle2(a)
-    margins.append(Margin("corner_angle", math.pi / 2.0 + eps - theta, 0.0))
-    margins.append(Margin("bottom_convexity", nu - lambda2, 0.0))
 
     # the face s = beta(t), metric (1 + beta'^2 f^2) dt^2 + ...: its warp
     # over arc length, which the face curvature margins read
@@ -852,19 +843,100 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     warp, warp_r, warp_rr, _ = face_warp.nodes[1]     # in arc length
     sec_radial = -warp_rr / warp
     sec_sphere = (1.0 - warp_r ** 2) / warp ** 2
-    margins.append(_min_margin("face_sec_radial", tf, sec_radial))
-    margins.append(_min_margin("face_sec_sphere", tf, sec_sphere))
-    margins.append(Margin("collar_flatness", 1e-8 - flatness, t_end))
+    margins = (
+        _min_margin("radial_ii", ts, radial),
+        _min_margin("sphere_ii", ts, sphere),
+        _min_margin("closed_form_radial", ts, closed_form),
+        _min_margin("conservativity", ts, bracket + 1e-9 - closed_form),
+        _min_margin("face_sec_radial", tf, sec_radial),
+        _min_margin("face_sec_sphere", tf, sec_sphere),
+        Margin("collar_flatness", 1e-8 - flatness, t_end))
+    head = (margins, t_end, beta_end, delta_prime, float(f.eval(t_end, 0)),
+            B_full)
+    sweeps = {"dug_face": (ts, {"radial_ii": radial, "sphere_ii": sphere,
+                                "closed_form": closed_form}),
+              "face_metric": (tf, {"warp": warp, "sec_radial": sec_radial,
+                                   "sec_sphere": sec_sphere})}
+    sweeps = {name: (t, {k: read_only(v) for k, v in columns.items()})
+              for name, (t, columns) in sweeps.items()}
+    # the graph face's sphere curvature reads B'/B at beta's heights
+    B_log_slope = bchain[1] / bchain[0]
+    return head, sweeps, (f, bt, fw, B_log_slope, arc, face_warp)
+
+
+@per_key(maxsize=64)
+def _handle2_face_margins(B: SmoothCurve, lambda1: float, lambda2: float,
+                          a: float, b: float, grid):
+    """The head of ``_handle2_face``: its seven margins that read neither
+    eps nor nu (radial_ii, sphere_ii, closed_form_radial, conservativity,
+    face_sec_radial, face_sec_sphere, collar_flatness, frozen), t_end,
+    beta_end, delta_prime, f_end and B_full.  Built once per (B, lambda1,
+    lambda2, a, b, grid) and shared by every sample there whatever its eps
+    and nu.  A key holds no sample arrays: seven Margins, four floats and
+    B_full, which reads B and a quadratic, about 6 KB (tracemalloc) beside
+    the B its key holds, so the 64 kept retain under 0.4 MB besides."""
+    return _handle2_face(B, lambda1, lambda2, a, b, grid)[0]
+
+
+@domain(lambda1=Reals(0, 1), lambda2=Reals(0, 1), a=Reals(0), b=Reals(1),
+        eps=Reals(0), nu=Reals(0))
+def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
+                  b: float, eps: float, nu: float,
+                  grid=None) -> Report:
+    """Collar piece dug along the graph s = beta(t) into a cubic extension
+    of the boundary profile B; certifies the corner angle, positivity of
+    the dug face's second fundamental form (with the conservative closed
+    form), positive curvature of the face metric, the inner-face floor
+    -nu, and flatness of the collar warp at the far end.
+
+    What a sample shares with others comes from caches keyed by the
+    parameters they read.  ``_handle2_collar(lambda1, lambda2, b, grid)``
+    keeps the collar warp f, f and f' on the dug face's grid ts, f's jet
+    (orders 0-3) on the face metric's grid tf and the flatness of f at b +
+    1.  ``_handle2_graph(a, b, grid)`` keeps the dug graph beta, ts,
+    beta's orders 0-2 on ts, tf and beta's jet on tf.  What reads B, its
+    extension B_full at beta's heights, the dug face's II columns and the
+    face warp, is built once per (B, lambda1, lambda2, a, b, grid) by
+    ``_handle2_face``, and its seven margins, which read neither eps nor
+    nu, are kept by ``_handle2_face_margins``; only corner_angle and
+    bottom_convexity are per sample.  B is a key by identity, so a scan
+    shares one B across its samples (``feasibility`` keeps one default
+    profile per scale) and a fresh B builds its face once.
+
+    The sweeps are built on the first read of ``Report.sweeps`` and the
+    boundary profiles on the first read of ``Report.boundary``, as handle1
+    builds its own, both from ``_handle2_face``: the face a build has just
+    made when the margins missed."""
+    if not lambda1 < lambda2:
+        raise BuildError("need lambda1 < lambda2")
+    if b >= 1.0 / (2.0 * lambda2):
+        raise BuildError(f"b must stay below 1/(2 lambda2) = "
+                         f"{1.0 / (2 * lambda2):.4f}")
+    if not isinstance(B, SmoothCurve):
+        raise BuildError("B must be a SmoothCurve")
+    if B.t_lo > 1e-12:
+        raise BuildError("B must be parametrized by distance from its "
+                         "boundary (domain starting at 0)")
+
+    l1, l2, fa, fb = float(lambda1), float(lambda2), float(a), float(b)
+    key = (B, l1, l2, fa, fb, grid)
+    face, t_end, beta_end, delta_prime, f_end, B_full = \
+        _handle2_face_margins(*key)
+    theta = corner_angle_handle2(a)
+    margins = [*face[:4],
+               Margin("corner_angle", math.pi / 2.0 + eps - theta, 0.0),
+               Margin("bottom_convexity", nu - lambda2, 0.0),
+               *face[4:]]
     dim = int(B.info.get("dimension", 0) or 0)
-    f_end = float(f.eval(t_end, 0))
 
     def profiles():
+        f, bt, fw, B_log_slope, arc, face_warp = _handle2_face(*key)[2]
         # curvatures written so the vertical tail |beta'| -> 0 stays finite
         bpf = np.abs(bt[1])
         qf = 1.0 + (fw[0] * bpf) ** 2
         pc_radial = fw[0] * (bt[2] - bpf ** 3 * fw[1] * fw[0]
                              - 2.0 * bpf * fw[1] / fw[0]) / qf ** 1.5
-        pc_sphere = ((-bpf * fw[1] * fw[0] - bchain[1] / bchain[0])
+        pc_sphere = ((-bpf * fw[1] * fw[0] - B_log_slope)
                      / (fw[0] * np.sqrt(qf)))
         rim = Corner("rim", theta, ("graph_face", "bottom"),
                      {"graph_face": 0.0, "bottom": 0.0})
@@ -886,6 +958,10 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
                         "descriptor": "shared-collar"},
                 ii={"radial": 0.0, "sphere": 0.0})}
 
+    def sweeps():
+        return {name: {"t": t, "columns": dict(columns)}
+                for name, (t, columns) in _handle2_face(*key)[1].items()}
+
     report = Report(
         block="handle2",
         params={"lambda1": lambda1, "lambda2": lambda2, "a": a, "b": b,
@@ -894,14 +970,11 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         boundary=profiles,
         aux={"theta": theta, "t_end": t_end, "beta_end": beta_end,
              "delta_prime": delta_prime, "f_end": f_end},
-        sweeps={"dug_face": {"t": ts, "columns": {
-                    "radial_ii": radial, "sphere_ii": sphere,
-                    "closed_form": closed_form}},
-                "face_metric": {"t": tf, "columns": {
-                    "warp": warp, "sec_radial": sec_radial,
-                    "sec_sphere": sec_sphere}}},
+        sweeps=sweeps,
     )
-    report.aux["curves"] = {"f": f, "beta": beta, "B_full": B_full}
+    report.aux["curves"] = {"f": _handle2_collar(l1, l2, fb, grid)[0],
+                            "beta": _handle2_graph(fa, fb, grid)[0],
+                            "B_full": B_full}
     return report
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
+from ._util import per_key
 from .curvature import ABounds
 from .curves import cosine_curve, sine_curve
 
@@ -173,9 +174,13 @@ def _run_predicate(fn, sample: dict, fixed: dict, grid=None) -> CertEntry:
     return CertEntry(sample, float(margin), verdict)
 
 
+@per_key(maxsize=8)
 def _default_collar_profile(scale: float = 1.0):
     """Convex boundary profile used when a handle2 scan or scenario does
-    not supply one: B > 0, B' < 0, B'' < 0 near the boundary."""
+    not supply one: B > 0, B' < 0, B'' < 0 near the boundary.  One curve
+    per scale, shared by every sample, so that handle2's face, keyed by
+    its B, is built once per (lambda1, lambda2, a, b, grid) in a scan; it
+    is read, never changed."""
     return cosine_curve(0.9 * scale, 1.0, 0.1, (0.0, 1.0))
 
 

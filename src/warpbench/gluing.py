@@ -101,7 +101,12 @@ class Report:
         return self.verdict == "pass"
 
     def min_margin(self) -> float:
-        return min((m.min for m in self.margins), default=float("inf"))
+        """The least margin, or NaN when any margin is NaN, wherever it
+        stands in the list (the verdict fails at the first NaN)."""
+        values = [m.min for m in self.margins]
+        if any(math.isnan(v) for v in values):
+            return math.nan
+        return min(values, default=math.inf)
 
     def margin(self, label: str) -> Margin:
         for m in self.margins:

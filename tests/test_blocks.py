@@ -852,11 +852,14 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._handle1_beta", "warpbench.blocks._handle1_height",
         "warpbench.blocks._slope_end_window",
         "warpbench.blocks._handle2_collar", "warpbench.blocks._handle2_graph",
+        "warpbench.blocks._handle2_face",
+        "warpbench.blocks._handle2_face_margins",
         "warpbench.blocks._transfer_curves",
         "warpbench.blocks._projective_warp",
         "warpbench.blocks._projective_margins",
-        "warpbench.blocks._cone_join"}
-    assert len(_util._CACHES) == 11
+        "warpbench.blocks._cone_join",
+        "warpbench.feasibility._default_collar_profile"}
+    assert len(_util._CACHES) == 14
 
 
 def _bits_or_error(rep):
@@ -898,11 +901,98 @@ def test_shuffled_lattices_on_warm_caches_keep_their_bits(fresh_caches):
         assert _bits_or_error(_built(*samples[i])) == bits, samples[i]
 
 
+def _boundary_bits(rep):
+    """Every boundary profile's kind, dimension and corners, and its
+    metric and ii entries: a curve as its node table's bytes (a face
+    warp's or an ii table's nodes, else a grid), a number as its bytes."""
+    def bits(v):
+        if isinstance(v, cv.SmoothCurve):
+            return v.domain, v.node_table().tobytes()
+        return v if isinstance(v, str) else np.float64(v).tobytes()
+
+    return {name: (p.kind, p.dimension,
+                   [(c.id, c.angle, c.adjacent, c.at) for c in p.corners],
+                   {k: bits(v) for k, v in p.metric.items()},
+                   {k: bits(v) for k, v in p.ii.items()})
+            for name, p in rep.boundary.items()}
+
+
+def _handle2_bits(params):
+    """_bits_or_error of handle2 on the default profile at params, and
+    its boundary profiles' bits, each read after the build."""
+    try:
+        rep = bk.build_handle2(fs._default_collar_profile(), **params)
+    except bk.BuildError as exc:
+        return type(exc).__name__, str(exc)
+    return _report_bits(rep), _boundary_bits(rep)
+
+
+def test_handle2_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
+    """handle2's 4 x 3 x 3 x 3 (a, b, nu, eps) lattice at grid 256, b = 1
+    (outside the domain) included, built in a shuffled order on caches
+    that the samples before them warmed, so that most samples read their
+    face's margins from a key another (nu, eps) built, gives the bits of
+    builds on empty caches: margins, aux, BuildError messages, sweeps and
+    boundary profiles, each read after its build, a face evicted since
+    included."""
+    box = fs.ParamBox({"a": (0.005, 0.08), "b": (1.0, 2.0),
+                       "nu": (0.01, 0.05), "eps": (0.05, 0.15)},
+                      {"a": 4, "b": 3, "nu": 3, "eps": 3})
+    samples = [{"lambda1": 0.01, "lambda2": 0.02, **p, "grid": 256}
+               for p in box.full_grid()]
+    assert len(samples) == 108
+    order = np.random.default_rng(31).permutation(len(samples))
+    warm = [_handle2_bits(samples[i]) for i in order]
+    assert any(bits[0] == "BuildError" for bits in warm)
+    # the 36 samples at b = 1 fail the domain check before any lookup;
+    # the other 72 share 8 (a, b) faces
+    assert bk._handle2_face_margins.cache_info()[:2] == (64, 8)
+    for i, bits in zip(order, warm):
+        fresh_caches()
+        assert _handle2_bits(samples[i]) == bits, samples[i]
+
+
+def test_handle2_face_build_error_is_not_cached(fresh_caches):
+    """A collar too deep for B's extension raises the same BuildError at
+    every sample of its face, after the collar and the graph are built:
+    neither face cache keeps it."""
+    params = {**GOOD_H2, "a": 0.2, "grid": 256}
+    errors = [_handle2_bits({**params, "eps": eps}) for eps in (0.1, 0.12)]
+    assert errors == [("BuildError", "extension infeasible: collar depth "
+                       "0.1372 too deep for B'(-0.0899), B''(-0.8955)")] * 2
+    for face in (bk._handle2_face, bk._handle2_face_margins):
+        info = face.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    assert bk._handle2_graph.cache_info()[:2] == (1, 1)
+
+
+def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):
+    """The default collar profile is one curve per scale, shared by every
+    handle2 sample; a scan, and the boundary a build reads from it, leave
+    it and its info as they were."""
+    B = fs._default_collar_profile()
+    info, table = dict(B.info), B.node_table().tobytes()
+    cert = fs.scan(fs.ParamBox({"a": (0.01, 0.03), "nu": (0.02, 0.04),
+                                "eps": (0.05, 0.15)}, 3), "handle2",
+                   budget=27, fixed={"lambda1": 0.01, "lambda2": 0.02,
+                                     "b": 1.5}, grid=256)
+    assert cert.entries
+    rep = bk.build_handle2(B, **GOOD_H2)
+    assert rep.boundary["bottom"].metric["warp"].info is not B.info
+    rep.boundary["bottom"].metric["warp"].info["dimension"] = 7
+    rep.aux["curves"]["B_full"].info["dimension"] = 7
+    assert fs._default_collar_profile() is B
+    assert fs._default_collar_profile(1.1) is not B
+    assert B.info == info and B.node_table().tobytes() == table
+
+
 @pytest.mark.usefixtures("fresh_caches")
 def test_cache_stats_count_a_scans_shared_keys():
-    """Nine (nu, eps) samples of handle2 at one (a, b) build its dug graph
-    and its collar once each and read them eight times; every registered
-    cache has its counts, by qualified name."""
+    """Nine (nu, eps) samples of handle2 at one (a, b) share one default
+    profile B, build its face once and read its margins eight times; the
+    face builds the dug graph and the collar once each, and every sample
+    reads them once more for its aux curves.  Every registered cache has
+    its counts, by qualified name."""
     box = fs.ParamBox({"nu": (0.02, 0.04), "eps": (0.05, 0.15)}, 3)
     cert = fs.scan(box, "handle2", budget=9,
                    fixed={k: GOOD_H2[k] for k in ("lambda1", "lambda2",
@@ -911,8 +1001,12 @@ def test_cache_stats_count_a_scans_shared_keys():
     stats = _util.cache_stats()
     assert set(stats) == {f"{c.__module__}.{c.__qualname__}"
                           for c in _util._CACHES}
+    assert stats["warpbench.feasibility._default_collar_profile"] == (
+        8, 1, 1, 8)
+    assert stats["warpbench.blocks._handle2_face_margins"] == (8, 1, 1, 64)
+    assert stats["warpbench.blocks._handle2_face"] == (0, 1, 1, 1)
     for name in ("_handle2_graph", "_handle2_collar"):
-        assert stats[f"warpbench.blocks.{name}"] == (8, 1, 1, 16)
+        assert stats[f"warpbench.blocks.{name}"] == (9, 1, 1, 16)
     assert stats["warpbench.blocks._handle1_beta"] == (0, 0, 0, 32)
 
 

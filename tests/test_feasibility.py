@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,47 @@ class TestBadSamplesAreRejections:
         assert entry.verdict == "error:BuildError"
         with pytest.raises(bk.BuildError, match=condition):
             spec["builder"](**{**fixed, name: 1e-300})
+
+    @pytest.mark.parametrize("predicate, name, lo, hi, fixed, builder", [
+        ("s1", "lam", 1e-300, 0.5, {}, "build_s1_block"),
+        ("s1", "q", 3.0, 1e300, {"lam": 0.45}, "build_s1_block"),
+        ("sphere-transition", "s0", 1e-300, 1.2, {"p": 2, "q": 3},
+         "_sphere_transition"),
+    ])
+    def test_float_overflow_is_a_numerical_range_error(self, predicate, name,
+                                                       lo, hi, fixed,
+                                                       builder):
+        """A value inside the declared domain whose arithmetic overflows
+        is a NumericalRangeError (a BuildError) naming the builder and the
+        params, and a scan whose box reaches it completes."""
+        spec = fs.PREDICATES[predicate]
+        fixed = {**spec["defaults"], **fixed}
+        extreme = lo if lo < 1e-200 else hi
+        entry = fs._run_predicate(spec["builder"], {name: extreme}, fixed,
+                                  grid=256)
+        assert entry.verdict == "error:NumericalRangeError"
+        assert entry.min_margin == -math.inf
+        with pytest.raises(bk.NumericalRangeError,
+                           match=f"^{builder} left the float range at .*"
+                                 f"{re.escape(f'{name}={extreme!r}')}.*: "
+                                 f"OverflowError"):
+            spec["builder"](**{**fixed, name: extreme}, grid=256)
+        cert = fs.scan(fs.ParamBox({name: (lo, hi)}, 2), predicate,
+                       budget=2, fixed=fixed, grid=256)
+        assert cert.failures >= 1
+        assert all(e.params[name] != extreme for e in cert.entries)
+
+    def test_numerical_range_error_names_a_curve_param_by_type(self):
+        """A param that is not a number or a string (a curve B) is named
+        by its type, so the message carries no object address."""
+        @bk.domain(lam=bk.Reals(0))
+        def divides(B, lam, grid=None):
+            return 1 / 0
+
+        with pytest.raises(bk.NumericalRangeError, match=re.escape(
+                "divides left the float range at B=<SmoothCurve>, "
+                "lam=0.5, grid=None: ZeroDivisionError: division by zero")):
+            divides(fs._default_collar_profile(), 0.5, grid=None)
 
     # a sample of each predicate that builds without error, with every
     # numeric param the predicate takes

@@ -207,6 +207,23 @@ class TestMargin:
         assert gl.first_failure([gl.Margin("e", math.nan,
                                            strict=False)]).label == "e"
 
+    @pytest.mark.parametrize("values, verdict", [
+        ((math.nan, 1.0, 2.0), "fail:m0"),
+        ((1.0, 2.0, math.nan), "fail:m2"),
+        ((-1.0, 2.0, math.nan), "fail:m0"),
+    ])
+    def test_min_margin_is_nan_beside_a_nan_margin(self, values, verdict):
+        """A NaN margin makes min_margin NaN wherever it stands; the
+        verdict still names the first margin that fails."""
+        rep = gl.Report("check", {}, [gl.Margin(f"m{i}", v)
+                                      for i, v in enumerate(values)])
+        assert math.isnan(rep.min_margin())
+        assert rep.verdict == verdict
+        finite = gl.Report("check", {}, [gl.Margin("a", 2.0),
+                                         gl.Margin("b", -1.0)])
+        assert finite.min_margin() == -1.0
+        assert gl.Report("check", {}, []).min_margin() == math.inf
+
     def test_strict_flag_is_not_serialized(self):
         rep = gl.Report("check", {}, [gl.Margin("a", 0.0, strict=False)])
         assert rep.to_json_dict()["margins"] == [

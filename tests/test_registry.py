@@ -232,7 +232,7 @@ def test_readme_library_quick_start_runs():
 # One class per meaning that a caller handles differently; every other bad
 # input is a ValueError whose message names the condition.
 EXCEPTION_CLASSES = {"BuildError", "HorizonError", "IntegratorError",
-                     "JoinBandError", "RefineError"}
+                     "JoinBandError", "NumericalRangeError", "RefineError"}
 
 
 def test_package_defines_exactly_the_handled_exception_classes():
