@@ -34,8 +34,9 @@ from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
                      window_moment)
 from .curvature import (ABounds, BundleWarpedMetric, CohomogOneMetric,
                         DoublyWarpedMetric, bundle_warped_sweep,
-                        cohomog1_sweep, doubly_warped_sweep,
-                        graph_ii_columns, graph_ii_sweep)
+                        cohomog1_columns, cohomog1_jet, cohomog1_sweep,
+                        doubly_warped_sweep, graph_ii_columns,
+                        graph_ii_sweep)
 from .gluing import (BoundaryProfile, Corner, Margin, Report,
                      check_corner_gluing)
 
@@ -521,6 +522,62 @@ def _handle1_face(f: SmoothCurve, R: SmoothCurve, h: Jet, sweep: dict, ss,
             _tabs_from_samples(u, ii))
 
 
+def _handle1_profile(lambda1: float, lambda2: float, delta: float,
+                     eps1: float) -> SmoothCurve:
+    """handle1's concave profile f on [-delta, t_max], t_max beyond the
+    height the cut at eps1 reaches in the linear-slope model; a delta that
+    takes the inner slope to 1 is a BuildError."""
+    x_top = lambda1 * (math.pi / 2.0 - eps1)
+    alpha_top_lin = (1.0 / math.cos(x_top) - 1.0) / lambda1
+    try:
+        return make_concave_profile(lambda1, lambda2, delta,
+                                    t_max=alpha_top_lin / lambda1 + 10.0)
+    except ValueError as exc:           # the inner slope reaches 1
+        raise BuildError(f"concave profile infeasible: {exc}") from exc
+
+
+def _handle1_sphere(K: float, eps1: float, eps2: float) -> SmoothCurve:
+    """handle1's sphere warp R(s) = K sin s, on a domain holding both
+    faces' grids, [eps1, pi/2] and [pi/2, pi/2 + eps2]."""
+    return sine_curve(K, 1.0, 0.0, (0.5 * eps1, math.pi / 2.0 + eps2 + 0.05))
+
+
+@per_key(maxsize=1)
+def _handle1_cap(K: float, lambda1: float, lambda2: float, delta: float,
+                 eps1: float, grid):
+    """handle1's cap face at (K, lambda1, lambda2, delta, eps1) and grid
+    density, as (ss, cap_ii, u_arc): the cap grid ss of
+    ``_handle1_height``, the ``graph_ii_sweep`` of the height on it, its
+    columns read-only, and the face's arc-length nodes on ss.  None of
+    them reads n or eps2: eps2 moves only the far end of R's domain, and
+    the sweep reads R on ss alone, so the cap takes R with eps2 = 0.
+    Built once per key, the only parameters it reads; it keeps one, the
+    key a build just made, which its report's sweeps and boundary read.
+    A key holds five arrays on ss besides ss itself, about 140 KB at the
+    default grid (tracemalloc)."""
+    _, ss, height, _ = _handle1_height(lambda1, eps1, grid)
+    cap_ii = graph_ii_sweep(_handle1_profile(lambda1, lambda2, delta, eps1),
+                            _handle1_sphere(K, eps1, 0.0), height, ss, "up")
+    cap_ii = {k: read_only(v) for k, v in cap_ii.items()}
+    return ss, cap_ii, read_only(_handle1_arc(height, cap_ii, ss))
+
+
+@per_key(maxsize=256)
+def _handle1_cap_margins(K: float, lambda1: float, lambda2: float,
+                         delta: float, eps1: float, grid):
+    """The head of ``_handle1_cap``: its radial_ii_cap and sphere_ii_cap
+    Margins (frozen) and u_cap, the cap face's arc length.  Built once
+    per (K, lambda1, lambda2, delta, eps1, grid) and shared by every
+    sample there whatever its n and eps2.  A key holds no arrays, two
+    Margins and a float, under 1 KB, so the 256 kept (the benchmark's
+    handle1-tied lattice has 135 such keys) retain under 0.3 MB."""
+    ss, cap_ii, u_arc = _handle1_cap(K, lambda1, lambda2, delta, eps1,
+                                     grid)
+    return (_min_margin("radial_ii_cap", ss, cap_ii["radial"]),
+            _min_margin("sphere_ii_cap", ss, cap_ii["sphere"]),
+            float(u_arc[-1]))
+
+
 @domain(n=Dims(3), K=Reals(0, 1), lambda1=Reals(0, 1),
         lambda2=Reals(0, 1), eps1=Reals(0, math.pi / 4),
         eps2=Reals(0, 1, "(]"), delta=Reals(0))
@@ -531,14 +588,18 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     graph second fundamental form on both zones, concavity of the cap
     profile, a corner angle below pi/2 and the inner-face curvature floor.
 
-    What a sample shares with others comes from two caches, keyed by the
-    parameters it reads.  ``_handle1_height(lambda1, eps1, grid)`` keeps
+    What a sample shares with others comes from caches, keyed by the
+    parameters they read.  ``_handle1_height(lambda1, eps1, grid)`` keeps
     the cap side: the height alpha, the cap grid ss, alpha's jet (orders
     0-3) on ss and the tan_chain margin.  ``_handle1_beta(eps2, grid)``
     keeps the outer face: beta, its grid so and beta's jet on so; the
     outer height's jet is that jet plus alpha(pi/2) at order 0, as
     ``beta.plus`` adds it.  Each face's ``graph_ii_sweep`` reads the
-    height from these jets.
+    height from these jets.  The cap face's sweep and arc length read
+    neither n nor eps2: ``_handle1_cap(K, lambda1, lambda2, delta, eps1,
+    grid)`` builds them, and ``_handle1_cap_margins`` keeps, per such key,
+    the radial_ii_cap and sphere_ii_cap margins and u_cap, so a sample
+    builds only its outer face's sweep.
 
     The cap_concavity margin is certified at the two ends of the cap
     profile's grid on [0, r_max] (``_cap_concavity``): -phi'' there is
@@ -552,8 +613,10 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     profiles on the first read of ``Report.boundary``: each face's warp
     columns (orders 0-3 over its arc length) from Jet arithmetic, exact to
     rounding, and its principal-curvature columns differenced with one
-    stencil per grid (``_tabs_from_samples``).  The arc lengths in ``aux``
-    (``u_cap``, ``outer_arc_length``) are built with the margins.
+    stencil per grid (``_tabs_from_samples``).  Both read the cap face
+    from ``_handle1_cap``: the face a build has just made when the margins
+    missed.  The arc lengths in ``aux`` (``u_cap``, ``outer_arc_length``)
+    are built with the margins.
     """
     if not lambda1 < lambda2:
         raise BuildError("need lambda1 < lambda2")
@@ -564,12 +627,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     if x_top >= math.pi / 2.0 - 1e-9:
         raise BuildError("cut reaches the pole: decrease lambda1 or eps1")
 
-    alpha_top_lin = (1.0 / math.cos(x_top) - 1.0) / lambda1
-    try:
-        f = make_concave_profile(lambda1, lambda2, delta,
-                                 t_max=alpha_top_lin / lambda1 + 10.0)
-    except ValueError as exc:           # the inner slope reaches 1
-        raise BuildError(f"concave profile infeasible: {exc}") from exc
+    f = _handle1_profile(lambda1, lambda2, delta, eps1)
     lam = f.info["slope_at_inner"]
 
     s_hi = math.pi / 2.0
@@ -583,14 +641,12 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
             f"need eps2 <= alpha(pi/2) + delta = {alpha_top + delta:.6g} so "
             f"the outer face stays on the concave profile; got eps2={eps2}")
 
-    R_sphere = sine_curve(K, 1.0, 0.0, (0.5 * eps1, s_hi + eps2 + 0.05))
+    R_sphere = _handle1_sphere(K, eps1, eps2)
 
-    cap_ii = graph_ii_sweep(f, R_sphere, height, ss, "up")
-    margins = [
-        _min_margin("radial_ii_cap", ss, cap_ii["radial"]),
-        _min_margin("sphere_ii_cap", ss, cap_ii["sphere"]),
-        tan_chain,
-    ]
+    cap_key = (float(K), float(lambda1), float(lambda2), float(delta),
+               float(eps1), grid)
+    radial_cap, sphere_cap, u_cap = _handle1_cap_margins(*cap_key)
+    margins = [radial_cap, sphere_cap, tan_chain]
 
     beta, so, beta_jet = _handle1_beta(float(eps2), grid)
     alpha_out = beta.plus(alpha_top)
@@ -621,14 +677,13 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         1.0 if (math.cos(theta) > 0) == (sign_cf > 0) else -1.0, s_hi))
     margins.append(Margin("inner_slope_gap", 1.0 - lam, -delta))
 
-    # arc lengths of both faces; the boundary profiles over them are built
-    # on the first read of report.boundary, and the outer face's far end
-    # seeds the next piece's boundary data
-    u_arc = _handle1_arc(height, cap_ii, ss)
+    # the outer face's arc length; the boundary profiles over both faces
+    # are built on the first read of report.boundary, and the outer face's
+    # far end seeds the next piece's boundary data
     r_arc = _handle1_arc(height_out, out_ii, so)
-    u_cap = float(u_arc[-1])
 
     def profiles():
+        _, cap_ii, u_arc = _handle1_cap(*cap_key)
         cap_warp, cap_pc = _handle1_face(f, R_sphere, height, cap_ii, ss,
                                          u_arc)
         rim = Corner("rim", theta, ("cap", "outer"),
@@ -661,6 +716,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                 ii=outer_ii, corners=[rim])}
 
     def sweeps():
+        cap_ii = _handle1_cap(*cap_key)[1]
         rr = grid_points(0.0, r_max, grid, min_points=513)
         phi, phi_dd = _cap_profile(lambda1, eps1, rr)
         return {
@@ -1357,6 +1413,32 @@ def _projective_warp(s: float):
     return h.restrict(-1.0, 1.0), w
 
 
+@per_key(maxsize=8)
+def _projective_f0_jet(grid):
+    """The family's Ricci grid ts = grid_points(-1, 1, grid), read-only,
+    and the odd warp f0's ``cohomog1_jet`` on it, as (ts, jet).  Built
+    once per grid density, the only parameter they read, and shared by
+    every member whatever its s, d and n.  A key holds four arrays of ts's
+    length, about 130 KB at the default grid (4097 points), so the 8 kept
+    retain about 1 MB at most."""
+    ts = read_only(grid_points(-1.0, 1.0, grid))
+    return ts, cohomog1_jet(_projective_f0(), ts, (-1.0, 1.0))
+
+
+@per_key(maxsize=32)
+def _projective_jets(s: float, grid):
+    """What the family's Ricci sweep at s reads of its warps, as (ts, f0's
+    jet, h's jet): ts and f0's jet are those ``_projective_f0_jet(grid)``
+    holds, not copies, and h's is the ``cohomog1_jet`` on ts of the warp
+    of ``_projective_warp(s)``.  Built once per (s, grid), the only
+    parameters h's jet reads, and shared by every member at s whatever its
+    d and n.  A key holds h's three columns, about 98 KB at the default
+    grid, so the 32 kept retain about 3.1 MB at most."""
+    ts, f_jet = _projective_f0_jet(grid)
+    h, _ = _projective_warp(s)
+    return ts, f_jet, cohomog1_jet(h, ts, (-1.0, 1.0))
+
+
 def _key_inequality(h: SmoothCurve, s: float, grid):
     """The key_inequality sweep of the family member at s with even warp
     h, as (tk, key): its grid on the sine zone [-1, (1-s)/(1+s)] (all of
@@ -1409,7 +1491,10 @@ def projective_family_check(d: int, n: int, s: float,
     cross-term inequality on the sine zone, and the two trigonometric
     comparison bounds it rests on.  The last three read s and the grid
     alone and come from ``_projective_margins``; the key_inequality sweep
-    is built on the first read of ``Report.sweeps``.
+    is built on the first read of ``Report.sweeps``.  The Ricci sweep's
+    arithmetic reads d and n, but the warps' jets it reads do not: they
+    come from ``_projective_jets(s, grid)``, which keeps h's jet per (s,
+    grid) and shares f0's, kept once per grid by ``_projective_f0_jet``.
     """
     if d == 8 and n != 2:
         raise BuildError("d = 8 requires n = 2")
@@ -1418,9 +1503,9 @@ def projective_family_check(d: int, n: int, s: float,
     amp = 4.0 / ((s + 1.0) * math.pi)
     h, w = _projective_warp(float(s))
 
-    metric = CohomogOneMetric(d, n, f0, h)
-    ts = grid_points(-1.0, 1.0, grid)
-    sweep = cohomog1_sweep(metric, ts, "projective")
+    ts, f_jet, h_jet = _projective_jets(float(s), grid)
+    sweep = cohomog1_columns(CohomogOneMetric(d, n, f0, h), ts, f_jet,
+                             h_jet, "projective")
     margins = [
         _min_margin("ric_tt", ts, sweep["ric_tt"]),
         _min_margin("ric_VV", ts, sweep["ric_VV"]),

@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import read_only
 from .curves import Jet, SmoothCurve, joint_jet
 
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
     "ABounds", "CoordinateChart", "doubly_warped_sweep", "slice_II",
     "graph_ii_columns", "graph_ii_sweep", "bundle_warped_sweep",
-    "submersion_shrink_bounds", "cohomog1_sweep", "fd_ricci",
+    "submersion_shrink_bounds", "cohomog1_sweep", "cohomog1_jet",
+    "cohomog1_columns", "fd_ricci",
     "doubly_warped_chart", "flat_chart", "oracle_cross_check",
 ]
 
@@ -397,28 +399,41 @@ class CohomogOneMetric:
             raise ValueError("d = 8 requires n = 2")
 
 
+# A warp vanishes at an end of a cohomogeneity-one sweep when its value
+# there is below this.
+_COLLAPSE_TOL = 1e-6
+
+
+def _cohomog1_inner(domain, ts: np.ndarray) -> np.ndarray:
+    """The points of ts more than the sweep's slop inside domain; the
+    others are the sweep's ends, which take the collapse values."""
+    lo, hi = domain
+    slop = 1e-9 * (1 + hi - lo)
+    return (ts > lo + slop) & (ts < hi - slop)
+
+
 def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str,
-                       f_jet, h_jet) -> dict:
+                       f_jet, h_jet, thirds) -> dict:
     """Endpoint values by the parity-consistent derivative substitutions.
 
     At an end where only f vanishes (f odd, h even there) the radial and
     V directions share the isotropic value; at t=-1 of the projective
     family both warps vanish and the whole diagonal is isotropic.
     ``f_jet`` and ``h_jet`` are orders 0..2 at t of f and h, read from the
-    sweep's columns; only the third derivatives are evaluated here.
+    sweep's columns, and ``thirds`` the two warps' third derivatives at
+    the ends where they vanish (``cohomog1_jet``), as dicts t -> value.
     """
     d, n = m.d, m.n
     fv, f1, _ = f_jet
     hv, h1, h2 = h_jet
-    tol = 1e-6
-    f_zero = abs(fv) < tol
-    h_zero = abs(hv) < tol
+    f_zero = abs(fv) < _COLLAPSE_TOL
+    h_zero = abs(hv) < _COLLAPSE_TOL
     if not f_zero:
         raise ValueError(
             f"endpoint t={t} is not a collapse of f (f={fv:.3e})")
-    fr = -m.f(t, 3) / f1
+    fr = -thirds[0][t] / f1
     if family == "projective" and h_zero:
-        hr = -m.h(t, 3) / h1
+        hr = -thirds[1][t] / h1
         iso = (d - 1) * fr + (n - 1) * d * hr
         return {"ric_tt": iso, "ric_VV": iso, "ric_XX": iso}
     if hv <= 0:
@@ -433,23 +448,48 @@ def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str,
     return {"ric_tt": iso, "ric_VV": iso, "ric_XX": ric_xx}
 
 
+def cohomog1_jet(c: SmoothCurve, ts: np.ndarray, domain) -> tuple:
+    """What a cohomogeneity-one sweep over ts on ``domain`` reads of the
+    warp c, as (c, c', c'', thirds): c's orders 0-2 on ts, read-only, and
+    thirds, the pairs (t, third derivative of c at t) for each end t of
+    the sweep (``_cohomog1_inner``) where c vanishes: the only third
+    derivatives ``_cohomog1_endpoint`` divides by.  A caller that keeps a
+    warp's jet on its grid passes it to ``cohomog1_columns`` as it is."""
+    ts = np.asarray(ts, dtype=float)
+    v, d1, d2 = c.jet(ts, 2)
+    ends = ~_cohomog1_inner(domain, ts)
+    thirds = tuple((float(t), c(float(t), 3))
+                   for t, x in zip(ts[ends], v[ends])
+                   if abs(x) < _COLLAPSE_TOL)
+    return read_only(v), read_only(d1), read_only(d2), thirds
+
+
 def cohomog1_sweep(m: CohomogOneMetric, ts: np.ndarray,
                    family: str = "projective") -> dict:
     """Ricci diagonal (radial, V and X directions) on a grid of [-1, 1];
     the ends take the collapse values of ``_cohomog1_endpoint``, and a warp
-    that vanishes inside raises ValueError."""
-    return _in_blocks(functools.partial(_cohomog1_columns, m,
-                                        family=family), ts)
+    that vanishes inside raises ValueError.  It is ``cohomog1_columns`` on
+    the two warps' jets (``cohomog1_jet``)."""
+    ts = np.asarray(ts, dtype=float)
+    return cohomog1_columns(m, ts, cohomog1_jet(m.f, ts, m.f.domain),
+                            cohomog1_jet(m.h, ts, m.f.domain), family)
 
 
-def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
-                      family: str) -> dict:
-    lo, hi = m.f.domain
-    slop = 1e-9 * (1 + hi - lo)
-    inner = (ts > lo + slop) & (ts < hi - slop)
+def cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, f_jet, h_jet,
+                     family: str = "projective") -> dict:
+    """``cohomog1_sweep``'s columns from the jets of m's two warps on ts,
+    each as ``cohomog1_jet`` gives it on the domain of m's f: this reads
+    m's d, n and that domain, and its warps only through the jets."""
+    thirds = (dict(f_jet[3]), dict(h_jet[3]))
+    return _in_blocks(functools.partial(_cohomog1_columns, m, thirds,
+                                        family=family),
+                      ts, *f_jet[:3], *h_jet[:3])
+
+
+def _cohomog1_columns(m: CohomogOneMetric, thirds, ts: np.ndarray,
+                      fv, f1, f2, hv, h1, h2, family: str) -> dict:
+    inner = _cohomog1_inner(m.f.domain, ts)
     d, n = m.d, m.n
-    f_jet, h_jet = joint_jet((m.f, m.h), ts)
-    (fv, f1, f2), (hv, h1, h2) = f_jet, h_jet
     bad = inner & ((fv <= 0) | (hv <= 0))
     if np.any(bad):
         raise ValueError(
@@ -478,8 +518,9 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray,
     out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
     for i in np.nonzero(~inner)[0]:
         for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
-                                       [c[i] for c in f_jet],
-                                       [c[i] for c in h_jet]).items():
+                                       [fv[i], f1[i], f2[i]],
+                                       [hv[i], h1[i], h2[i]],
+                                       thirds).items():
             out[k][i] = v
     return out
 

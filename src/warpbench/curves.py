@@ -601,7 +601,11 @@ def integrate_transfer_odes(C: float, t_max: float = 120.0,
     Returns (g, F) as node-backed SmoothCurves whose derivatives come from
     the right-hand side, never from differencing.  The qualitative
     properties (signs, monotone tail of F g', ratio in [0,1]) are verified
-    on the node grid and violations raise IntegratorError.
+    on the node grid and violations raise IntegratorError.  A table whose
+    nodes leave the float range raises OverflowError naming C, before any
+    arithmetic on them: more steps cannot bring an overflowed node back
+    (F grows about like t^sqrt(C); the first table overflows from C of
+    about 8.5e4 on).
     """
     if C < 0:
         raise ValueError("C must be >= 0")
@@ -637,7 +641,7 @@ def _transfer_table(C: float, t_max: float, n: int):
 
     The stepping runs on Python floats and writes each step's (g, F, F')
     into one preallocated node array; the derivative columns come from the
-    right-hand side."""
+    right-hand side.  A node that is not finite raises OverflowError."""
     h = t_max / n
     hh = 0.5 * h
     h6 = h / 6.0
@@ -663,6 +667,10 @@ def _transfer_table(C: float, t_max: float, n: int):
                    F + h6 * (P + 2 * P2 + 2 * P3 + P4),
                    P + h6 * (c1 + 2 * c2 + 2 * c3 + c4))
         flat[j], flat[j + 1], flat[j + 2] = g, F, P
+    if not np.isfinite(ys).all():
+        raise OverflowError(
+            f"the transfer ODE at C={C!r} left the float range: a node of "
+            f"(g, F, F') on {n} steps is not finite")
     ts = np.linspace(0.0, t_max, n + 1)
     g, fc, fcp = ys[:, 0], ys[:, 1], ys[:, 2]
 
@@ -679,18 +687,19 @@ def _transfer_table(C: float, t_max: float, n: int):
 def _midpoint_defect(coarse, fine) -> float:
     """Largest relative gap between the coarse table's cubic-Hermite values
     (orders 0-2 of g and F) at the fine grid's odd nodes, which are the
-    coarse segment midpoints, and the fine table's values there."""
+    coarse segment midpoints, and the fine table's values there; NaN when
+    a gap is NaN, so that such a pair of tables never meets a tolerance."""
     ts, *coarse_cols = coarse
     mids, *fine_cols = fine
     mids = mids[1::2]
-    worst = 0.0
+    worst = []
     for cols, ref_cols in zip(coarse_cols, fine_cols):
         for k in range(3):
             ref = ref_cols[k][1::2]
             gap = np.abs(hermite_interp(ts, cols[k], cols[k + 1], mids)
                          - ref) / np.maximum(1.0, np.abs(ref))
-            worst = max(worst, float(np.max(gap)))
-    return worst
+            worst.append(np.max(gap))
+    return float(np.max(worst))
 
 
 def _verify_transfer_properties(ts, g, g1, g2, fc, fcp, fc2, C):

@@ -305,7 +305,8 @@ def scan(box: ParamBox, predicate: str, budget: int,
          grid=None) -> Certificate:
     """Evaluate the named block builder at every box sample (full grid when
     the budget allows, otherwise a seeded random subset) and certify the
-    passing samples sorted by min-margin."""
+    passing samples sorted by min-margin.  The certificate's ``fixed``
+    lists the scalar params that are not box axes, given or defaulted."""
     if predicate not in PREDICATES:
         raise KeyError(f"unknown predicate {predicate!r}; "
                        f"known: {sorted(PREDICATES)}")
@@ -332,7 +333,8 @@ def scan(box: ParamBox, predicate: str, budget: int,
         grid={"box": box.to_json_dict(), "budget": budget,
               "randomized": randomized, "evaluated": len(samples),
               "fixed": {k: v for k, v in fixed.items()
-                        if isinstance(v, (int, float, str, bool))}},
+                        if k not in box.params
+                        and isinstance(v, (int, float, str, bool))}},
         seed=seed if randomized else None,
         failures=failures)
 

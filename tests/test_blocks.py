@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -378,6 +379,28 @@ class TestTransferStepDoubling:
     def test_cap_below_need_raises(self, cap, rtol, error, match):
         with pytest.raises(error, match=match):
             cv.integrate_transfer_odes(0.5, step_budget=cap, rtol=rtol)
+
+    # F grows about like t^sqrt(C): at these C the first table's nodes
+    # overflow, from node 178, 11 and 1 of 8192 on
+    @pytest.mark.parametrize("C", [1e6, 1e20, 1e300])
+    def test_table_that_leaves_the_float_range_raises(self, C):
+        with pytest.raises(OverflowError, match=re.escape(
+                f"the transfer ODE at C={C!r} left the float range")):
+            cv.integrate_transfer_odes(C)
+
+    def test_nan_gap_never_meets_the_tolerance(self):
+        """A NaN in either table makes the step-doubling defect NaN, not
+        the largest of the other gaps."""
+        def table(n, nan_at=None):
+            ts = np.linspace(0.0, 1.0, n + 1)
+            cols = [np.ones(n + 1)] + [np.zeros(n + 1)] * 3
+            if nan_at is not None:
+                cols[0] = cols[0].copy()
+                cols[0][nan_at] = np.nan
+            return ts, cols, [np.ones(n + 1)] + [np.zeros(n + 1)] * 3
+
+        assert cv._midpoint_defect(table(4), table(8)) == 0.0
+        assert math.isnan(cv._midpoint_defect(table(4), table(8, 3)))
 
     def test_one_ode_call_per_cache_miss(self, monkeypatch):
         real, calls = bk.integrate_transfer_odes, []
@@ -759,6 +782,19 @@ CACHED_CURVES = {
         "smooth_join", _cone_keys,
         {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
         {"n": 5, "grid": 256}),
+    # a miss of _handle1_cap_margins builds the cap face once
+    "_handle1_cap_margins": (
+        bk.build_handle1, {"n": 4, "K": 0.9, **GOOD_H1, "grid": None},
+        "_handle1_cap",
+        _keyed("K", "lambda1", "lambda2", "delta", "eps1", "grid"),
+        {"K": 0.85, "lambda1": 0.98, "lambda2": 0.995, "delta": 0.04,
+         "eps1": 0.02, "grid": 256},
+        {"n": 5, "eps2": 0.08}),
+    # a miss of _projective_jets reads f0's jet on the grid once
+    "_projective_jets": (
+        bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5, "grid": None},
+        "_projective_f0_jet", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
+        {"d": 4, "n": 3}),
 }
 
 
@@ -766,17 +802,19 @@ CACHED_CURVES = {
 class TestParamCaches:
     """The curves a builder makes from a subset of its parameters come from
     caches keyed by exactly that subset: handle1's cap side (its height,
-    grid, jet and tan_chain margin) by (lambda1, eps1, grid) and its outer
-    face (beta, its grid and jet) by (eps2, grid), handle2's collar (the
-    warp f, its values on the dug face's grid, its jet on the face
-    metric's grid and its flatness) by (lambda1, lambda2, b, grid) and its
-    dug graph (beta, both grids and beta's jets on them) by (a, b, grid),
-    the projective warp by s and the projective margins that read s alone
-    by (s, grid), the cone's inner join by (K, eps1, delta, t) and its
-    outer join by (K, eps2, delta, t).  A hit builds nothing, a change of
-    any key parameter, grid density included, is a miss, and the report
-    keeps the bits a build on empty caches gives, whichever other
-    parameters the sample changes."""
+    grid, jet and tan_chain margin) by (lambda1, eps1, grid), its cap
+    face's margins and arc length by (K, lambda1, lambda2, delta, eps1,
+    grid) and its outer face (beta, its grid and jet) by (eps2, grid),
+    handle2's collar (the warp f, its values on the dug face's grid, its
+    jet on the face metric's grid and its flatness) by (lambda1, lambda2,
+    b, grid) and its dug graph (beta, both grids and beta's jets on them)
+    by (a, b, grid), the projective warp by s, the projective margins that
+    read s alone and the warps' jets on the Ricci grid by (s, grid), the
+    cone's inner join by (K, eps1, delta, t) and its outer join by (K,
+    eps2, delta, t).  A hit builds nothing, a change of any key parameter,
+    grid density included, is a miss, and the report keeps the bits a
+    build on empty caches gives, whichever other parameters the sample
+    changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
@@ -855,11 +893,15 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._handle2_face",
         "warpbench.blocks._handle2_face_margins",
         "warpbench.blocks._transfer_curves",
+        "warpbench.blocks._handle1_cap",
+        "warpbench.blocks._handle1_cap_margins",
         "warpbench.blocks._projective_warp",
         "warpbench.blocks._projective_margins",
+        "warpbench.blocks._projective_f0_jet",
+        "warpbench.blocks._projective_jets",
         "warpbench.blocks._cone_join",
         "warpbench.feasibility._default_collar_profile"}
-    assert len(_util._CACHES) == 14
+    assert len(_util._CACHES) == 18
 
 
 def _bits_or_error(rep):
@@ -952,6 +994,69 @@ def test_handle2_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
         assert _handle2_bits(samples[i]) == bits, samples[i]
 
 
+def _read_bits(rep):
+    """_bits_or_error of a report or error, with the report's boundary
+    profiles' bits."""
+    if isinstance(rep, Exception):
+        return _bits_or_error(rep)
+    return _report_bits(rep), _boundary_bits(rep)
+
+
+def _assert_warm_lattice_keeps_its_bits(fresh_caches, build, samples, seed,
+                                        cache):
+    """The samples built in a shuffled order on caches that the samples
+    before them warmed, their margins, aux, sweeps and boundary profiles
+    read after all the builds, give the bits of each sample built on empty
+    caches and read at once.  Returns which samples built, in the order
+    of samples, and the (hits, misses) of ``cache`` after the warm
+    builds."""
+    order = np.random.default_rng(seed).permutation(len(samples))
+    warm = [_built(build, samples[i]) for i in order]
+    counts = cache.cache_info()[:2]
+    got = [_read_bits(r) for r in warm]
+    for i, bits in zip(order, got):
+        fresh_caches()
+        assert _read_bits(_built(build, samples[i])) == bits, samples[i]
+    built = dict(zip(order, (not isinstance(r, Exception) for r in warm)))
+    return [built[i] for i in range(len(samples))], counts
+
+
+def test_projective_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
+    """The projective family's 17 s at each d at grid 256, built in a
+    shuffled order so that most members read their warps' jets from a key
+    another d built, give the bits of builds on empty caches."""
+    samples = [{"d": d, "n": 2, "s": s, "grid": 256}
+               for d in (2, 4, 8) for s in np.linspace(0.0, 1.0, 17)]
+    built, counts = _assert_warm_lattice_keeps_its_bits(
+        fresh_caches, bk.projective_family_check, samples, 32,
+        bk._projective_jets)
+    assert all(built) and counts == (34, 17)
+
+
+def test_handle1_tied_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
+    """handle1-tied's 5 x 3 x 3 x 3 (lambda1, eps1, eps2, delta) lattice at
+    grid 256, built in a shuffled order so that most samples read their
+    cap face's margins from a key another eps2 built, gives the bits of
+    builds on empty caches: margins, aux, BuildError messages, sweeps and
+    boundary profiles, read after all the builds, when the one cap face
+    kept is some other sample's."""
+    box = fs.ParamBox({"lambda1": (0.85, 0.99), "eps1": (0.01, 0.1),
+                       "eps2": (0.01, 0.1), "delta": (0.02, 0.08)},
+                      {"lambda1": 5, "eps1": 3, "eps2": 3, "delta": 3})
+    samples = [{"n": 4, "K": 0.9, **p, "grid": 256} for p in box.full_grid()]
+    assert len(samples) == 135
+    built, (hits, misses) = _assert_warm_lattice_keeps_its_bits(
+        fresh_caches, fs.PREDICATES["handle1-tied"]["builder"], samples, 33,
+        bk._handle1_cap_margins)
+    # a BuildError comes before the cap's lookup; every sample that builds
+    # looks it up once, and only one per (lambda1, eps1, delta) misses
+    assert not all(built)
+    caps = [(p["lambda1"], p["eps1"], p["delta"])
+            for p, ok in zip(samples, built) if ok]
+    assert (hits, misses) == (len(caps) - len(set(caps)), len(set(caps)))
+    assert hits > misses
+
+
 def test_handle2_face_build_error_is_not_cached(fresh_caches):
     """A collar too deep for B's extension raises the same BuildError at
     every sample of its face, after the collar and the graph are built:
@@ -991,8 +1096,10 @@ def test_cache_stats_count_a_scans_shared_keys():
     """Nine (nu, eps) samples of handle2 at one (a, b) share one default
     profile B, build its face once and read its margins eight times; the
     face builds the dug graph and the collar once each, and every sample
-    reads them once more for its aux curves.  Every registered cache has
-    its counts, by qualified name."""
+    reads them once more for its aux curves.  Five projective s at d = 4
+    build their warps' jets once each, on one f0 jet, and the same s at d
+    = 8 read them back; three handle1-tied eps2 build their cap face once.
+    Every registered cache has its counts, by qualified name."""
     box = fs.ParamBox({"nu": (0.02, 0.04), "eps": (0.05, 0.15)}, 3)
     cert = fs.scan(box, "handle2", budget=9,
                    fixed={k: GOOD_H2[k] for k in ("lambda1", "lambda2",
@@ -1008,6 +1115,18 @@ def test_cache_stats_count_a_scans_shared_keys():
     for name in ("_handle2_graph", "_handle2_collar"):
         assert stats[f"warpbench.blocks.{name}"] == (9, 1, 1, 16)
     assert stats["warpbench.blocks._handle1_beta"] == (0, 0, 0, 32)
+
+    for d in (4, 8):
+        fs.scan(fs.ParamBox({"s": (0.0, 1.0)}, 5), "projective", budget=5,
+                fixed={"d": d})
+    fs.scan(fs.ParamBox({"eps2": (0.01, 0.1)}, 3), "handle1-tied", budget=3,
+            fixed={"lambda1": 0.95, "eps1": 0.05})
+    stats = _util.cache_stats()
+    assert stats["warpbench.blocks._projective_jets"] == (5, 5, 5, 32)
+    assert stats["warpbench.blocks._projective_f0_jet"] == (4, 1, 1, 8)
+    assert stats["warpbench.blocks._handle1_cap_margins"] == (2, 1, 1, 256)
+    assert stats["warpbench.blocks._handle1_cap"] == (0, 1, 1, 1)
+    assert stats["warpbench.blocks._handle1_beta"] == (0, 3, 3, 32)
 
 
 def _pool_pairs():
@@ -1087,7 +1206,9 @@ class TestCachedHandle1Jets:
         alpha, ss, height, tan_chain = bk._handle1_height(
             GOOD_H1["lambda1"], GOOD_H1["eps1"], grid)
         beta, so, beta_jet = bk._handle1_beta(GOOD_H1["eps2"], grid)
-        assert bk._handle1_height.cache_info().hits == 1
+        # the build's cap face, built on its margins' miss, reads the
+        # height once more
+        assert bk._handle1_height.cache_info().hits == 2
         assert bk._handle1_beta.cache_info().hits == 1
         if grid:
             assert len(ss) > kv._SWEEP_BLOCK

@@ -313,6 +313,18 @@ class TestBadSamplesAreRejections:
         assert cert.failures >= 1
         assert all(e.params["delta"] < 3.0 for e in cert.entries)
 
+    def test_fixed_lists_only_the_params_not_scanned(self):
+        """A certificate's grid.fixed lists the params a scan did not
+        scan, given or defaulted, and not the default of a scanned axis;
+        refine, which reads it, still samples that axis from the box."""
+        given = {"lambda1": 0.985, "eps1": 0.01, "eps2": 0.1}
+        cert = fs.scan(fs.ParamBox({"delta": (0.02, 0.08)}, 3),
+                       "handle1-tied", budget=3, fixed=given, grid=256)
+        assert cert.entries
+        assert cert.grid["fixed"] == {"n": 4, "K": 0.9, **given}
+        with pytest.raises(fs.RefineError, match="^1 iterations used"):
+            fs.refine(cert, 10.0, max_iter=1, grid=256)
+
     @pytest.mark.parametrize("predicate, name, hi, fixed, condition", [
         ("cone", "delta", 0.02, {"eps1": 0.1, "eps2": 0.1, "t": 0.5},
          r"delta=1e-300 is below the rounding of the junctions"),
@@ -341,6 +353,8 @@ class TestBadSamplesAreRejections:
         ("s1", "q", 3.0, 1e300, {"lam": 0.45}, "build_s1_block"),
         ("sphere-transition", "s0", 1e-300, 1.2, {"p": 2, "q": 3},
          "_sphere_transition"),
+        # the transfer ODE's nodes overflow on its first table
+        ("transfer", "C", 0.5, 1e300, {"a": 0.2}, "build_transfer_block"),
     ])
     def test_float_overflow_is_a_numerical_range_error(self, predicate, name,
                                                        lo, hi, fixed,
