@@ -199,9 +199,10 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     slope; a join that leaves the band raises BuildError, which is not
     cached.  Built once per (K, eps, delta, t) and junction, the only
     parameters it reads, and read, never changed, by the cone it goes
-    into.  A key holds the join's node table, about 82 KB (tracemalloc;
-    an identity join, at t = 0, holds almost nothing): the 90 keys of a 3
-    x 3 x 3 x 5 (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and
+    into; its margins are kept by the same key (``_cone_join_margins``).
+    A key holds the join's node table, about 82 KB (tracemalloc; an
+    identity join, at t = 0, holds almost nothing): the 90 keys of a 3 x
+    3 x 3 x 5 (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and
     the 128 kept retain about 10.5 MB at most."""
     s, (left, right) = _cone_junction(K, eps, delta, t, junction)
     window = (s - delta, s + delta)
@@ -218,6 +219,47 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
             f"s{1 if junction == 'inner' else 2}={s:.4f}: {exc}") from exc
 
 
+def _slope_band(join: SmoothCurve, label: str, Kt: float,
+                next_slope: float):
+    """The lower (slope >= K_t) and upper (slope <= 1) band margins of the
+    warp argument on the join's window [a, b], on 257 points: before b
+    the argument is the join, and at b it takes the next line's slope."""
+    a, b = join.info["window"]
+    js = np.linspace(a, b, 257)
+    sl = np.append(join.eval(js[:-1], 1), next_slope)
+    return (_min_margin(f"{label}_lower", js, sl - Kt + 1e-12),
+            _min_margin(f"{label}_upper", js, 1.0 - sl + 1e-12))
+
+
+@per_key(maxsize=128)
+def _cone_join_margins(K: float, eps: float, delta: float, t: float,
+                       junction: str):
+    """The margins of the cone's junction that read its join and not the
+    Ricci grid, n or the other junction, as (lower, upper, parity): the
+    slope band on the join's window (``_slope_band``), labelled
+    slope_band_s1 or slope_band_s2, and for the inner junction the
+    collapse parity at s_lo (else None).  The parity fit's points lie in
+    [s_lo, s_lo + W], W = min(0.05, 0.2 (s1 - s_lo)), left of s1 + delta,
+    so it fits sin of the left line and the inner join alone.  Kept per
+    (K, eps, delta, t) and junction, the key of ``_cone_join``, whose
+    join a miss reads once more (a hit); a key holds no array, and a
+    BuildError of the join is not kept."""
+    join = _cone_join(K, eps, delta, t, junction)
+    s, (left, right) = _cone_junction(K, eps, delta, t, junction)
+    inner = junction == "inner"
+    Kt = right[1] if inner else left[1]         # the middle line's slope
+    lower, upper = _slope_band(join, f"slope_band_s{1 if inner else 2}", Kt,
+                               right[1])
+    if not inner:
+        return lower, upper, None
+    s_lo, (a, b) = -left[0], join.info["window"]
+    head = sin_of(piecewise_curve([(s_lo, a, line_curve(*left, (s_lo, a))),
+                                   (a, b, join)]))
+    par = parity_margin(head, s_lo, "odd", first_derivative_target=1.0,
+                        fit_width=min(0.05, 0.2 * (s - s_lo)))
+    return lower, upper, par
+
+
 @domain(n=Dims(3), K=Reals(0, 1), eps1=Reals(0), eps2=Reals(0),
         delta=Reals(0, 1), t=Reals(0, 1, "[]"))
 def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
@@ -232,8 +274,12 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     The warp's argument is one piecewise curve of five segments: the left
     line, the inner join, the middle line, the outer join and the right
     line.  Each join is built once per (K, eps, delta, t) on its window
-    alone (``_cone_join``); the slope bands are read from the composed
-    argument.
+    alone (``_cone_join``), and the margins that read the join but not
+    the Ricci grid, n or the other junction are kept by the same key
+    (``_cone_join_margins``): each window's slope band, read as the
+    composed argument gives it, and the collapse parity at s_lo, which
+    reads only the inner junction.  A sample itself builds the warp, its
+    doubly warped sweep on the grid and the two Ricci margins.
     """
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -258,8 +304,7 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
 
     inner = _cone_join(K, eps1, delta, t, "inner")
     outer = _cone_join(K, eps2, delta, t, "outer")
-    windows = inner.info["window"], outer.info["window"]
-    (a1, b1), (a2, b2) = windows
+    (a1, b1), (a2, b2) = inner.info["window"], outer.info["window"]
     arg = piecewise_curve([
         (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
         (b1, a2, line_curve(*mid, (b1, a2))), (a2, b2, outer),
@@ -279,15 +324,9 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         _min_margin("ric_radial", ss, (ric_s - bound) / bound + 1e-9),
         _min_margin("ric_sphere", ss, (ric_x - bound) / bound + 1e-9),
     ]
-    # the slopes on each window are the composed argument's, so a window's
-    # end b has the next line's slope
-    for label, (a, b) in zip(("slope_band_s1", "slope_band_s2"), windows):
-        js = np.linspace(a, b, 257)
-        sl = arg.eval(js, 1)
-        margins.append(_min_margin(f"{label}_lower", js, sl - Kt + 1e-12))
-        margins.append(_min_margin(f"{label}_upper", js, 1.0 - sl + 1e-12))
-    par = parity_margin(warp, s_lo, "odd", first_derivative_target=1.0,
-                        fit_width=min(0.05, 0.2 * (s1 - s_lo)))
+    *inner_band, par = _cone_join_margins(K, eps1, delta, t, "inner")
+    *outer_band, _ = _cone_join_margins(K, eps2, delta, t, "outer")
+    margins += inner_band + outer_band
     margins.append(Margin("collapse_parity", 1e-6 - par.max_violation, s_lo))
 
     report = Report(
@@ -404,15 +443,22 @@ def _handle1_beta(eps2: float, grid):
     values of them; the curve and the read-only arrays are read, never
     changed, by the handle they go into.  At the default grid a key holds
     about 73 KB (so has its 513-point floor up to eps2 = 0.25) and at most
-    about 134 KB (eps2 = 1), so the 32 kept retain about 4.3 MB at most."""
-    a = math.pi / 2.0
+    about 134 KB (eps2 = 1), so the 32 kept retain about 4.3 MB at most.
+    An eps2 so small that the table's nodes repeat in floating point
+    raises BuildError naming it, which is not cached."""
+    a, n = math.pi / 2.0, 2049
+    nodes = np.linspace(a, a + eps2, n)         # antiderivative_curve's
+    if not (nodes[1:] > nodes[:-1]).all():
+        raise BuildError(f"eps2={eps2!r} is below the resolution of beta's "
+                         f"{n}-node table on [pi/2, pi/2 + eps2]: its nodes "
+                         f"repeat in floating point")
 
     def integrand(s, orders):           # beta' and its derivatives
         x = (np.asarray(s, float) - a) / eps2
         return [-2.0 * (1.0 - _RAMP(x)) if k == 0 else
                 2.0 * _RAMP(x, k) / eps2 ** k for k in orders]
 
-    beta = antiderivative_curve((a, a + eps2), 2049, integrand)
+    beta = antiderivative_curve((a, a + eps2), n, integrand)
     so = read_only(grid_points(a, a + eps2, grid, min_points=513))
     return beta, so, _read_only_jet(beta, so)
 

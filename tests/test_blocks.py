@@ -782,6 +782,14 @@ CACHED_CURVES = {
         "smooth_join", _cone_keys,
         {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
         {"n": 5, "grid": 256}),
+    # a miss of _cone_join_margins reads its join once more, a hit, and
+    # takes its window's slope band once
+    "_cone_join_margins": (
+        bk.build_cone_metric, {"n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1,
+                               "delta": 0.02, "t": 0.5, "grid": None},
+        "_slope_band", _cone_keys,
+        {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
+        {"n": 5, "grid": 256}),
     # a miss of _handle1_cap_margins builds the cap face once
     "_handle1_cap_margins": (
         bk.build_handle1, {"n": 4, "K": 0.9, **GOOD_H1, "grid": None},
@@ -811,10 +819,11 @@ class TestParamCaches:
     by (a, b, grid), the projective warp by s, the projective margins that
     read s alone and the warps' jets on the Ricci grid by (s, grid), the
     cone's inner join by (K, eps1, delta, t) and its outer join by (K,
-    eps2, delta, t).  A hit builds nothing, a change of any key parameter,
-    grid density included, is a miss, and the report keeps the bits a
-    build on empty caches gives, whichever other parameters the sample
-    changes."""
+    eps2, delta, t), and each join's slope band (and the inner one's
+    collapse parity) by the same key.  A hit builds nothing, a change of
+    any key parameter, grid density included, is a miss, and the report
+    keeps the bits a build on empty caches gives, whichever other
+    parameters the sample changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
@@ -900,8 +909,9 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._projective_f0_jet",
         "warpbench.blocks._projective_jets",
         "warpbench.blocks._cone_join",
+        "warpbench.blocks._cone_join_margins",
         "warpbench.feasibility._default_collar_profile"}
-    assert len(_util._CACHES) == 18
+    assert len(_util._CACHES) == 19
 
 
 def _bits_or_error(rep):
@@ -920,20 +930,22 @@ def _built(build, params):
 
 
 def test_shuffled_lattices_on_warm_caches_keep_their_bits(fresh_caches):
-    """The cone's 3 x 3 x 3 x 5 box at grid 256, t = 0 (identity joins)
-    included, and the projective family's 17 s at each d, built in a
-    shuffled order on caches that the samples before them warmed, give
-    the bits of builds on empty caches: margins, aux, BuildError messages
-    and the sweeps, read after every build."""
+    """The cone's 3 x 3 x 3 x 5 box at the default grid and at grid 256, t
+    = 0 (identity joins) included, and the projective family's 17 s at
+    each d, built in a shuffled order on caches that the samples before
+    them warmed, give the bits of builds on empty caches: margins, aux,
+    BuildError messages and the sweeps, read after every build.  The
+    cone's join margins are keyed without the grid, so one grid's
+    entries serve the other's samples."""
     cone = fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
                         "delta": (0.01, 0.04), "t": (0.0, 1.0)},
                        {"eps1": 3, "eps2": 3, "delta": 3, "t": 5})
     samples = [(bk.build_cone_metric,
-                {"n": 4, "K": 0.9, **p, "grid": 256})
-               for p in cone.full_grid()]
+                {"n": 4, "K": 0.9, **p, "grid": grid})
+               for p in cone.full_grid() for grid in (None, 256)]
     samples += [(bk.projective_family_check, {"d": d, "n": 2, "s": s})
                 for d in (2, 4, 8) for s in np.linspace(0.0, 1.0, 17)]
-    assert len(samples) == 135 + 51
+    assert len(samples) == 2 * 135 + 51
     order = np.random.default_rng(30).permutation(len(samples))
     warm = [_built(*samples[i]) for i in order]
     assert any(isinstance(r, bk.BuildError) for r in warm)
@@ -1099,7 +1111,10 @@ def test_cache_stats_count_a_scans_shared_keys():
     reads them once more for its aux curves.  Five projective s at d = 4
     build their warps' jets once each, on one f0 jet, and the same s at d
     = 8 read them back; three handle1-tied eps2 build their cap face once.
-    Every registered cache has its counts, by qualified name."""
+    Three cone eps2 at one (eps1, delta, t) build the inner junction's
+    join and margins once and the outer ones once per eps2, and each
+    margins miss reads its join once more.  Every registered cache has
+    its counts, by qualified name."""
     box = fs.ParamBox({"nu": (0.02, 0.04), "eps": (0.05, 0.15)}, 3)
     cert = fs.scan(box, "handle2", budget=9,
                    fixed={k: GOOD_H2[k] for k in ("lambda1", "lambda2",
@@ -1128,6 +1143,14 @@ def test_cache_stats_count_a_scans_shared_keys():
     assert stats["warpbench.blocks._handle1_cap"] == (0, 1, 1, 1)
     assert stats["warpbench.blocks._handle1_beta"] == (0, 3, 3, 32)
 
+    cert = fs.scan(fs.ParamBox({"eps2": (0.05, 0.2)}, 3), "cone", budget=3,
+                   fixed={"eps1": 0.1, "delta": 0.02, "t": 0.5})
+    assert len(cert.entries) == 3
+    stats = _util.cache_stats()
+    # 1 inner miss and 2 hits, 3 outer misses
+    assert stats["warpbench.blocks._cone_join_margins"] == (2, 4, 4, 128)
+    assert stats["warpbench.blocks._cone_join"] == (6, 4, 4, 128)
+
 
 def _pool_pairs():
     """(lambda1, eps1) of handle1 in the benchmark's 56-record pipeline
@@ -1152,6 +1175,8 @@ def _cap_pairs():
             + [(float(l1), float(e1)) for l1, e1 in draws])
 
 
+@pytest.mark.numpy_contract(
+    "np.sin, np.arctan and ** bits in a 2-point array and a long one")
 class TestCapConcavityEnds:
     """-phi'' of handle1's cap profile is log-concave in arctan(lambda1 r)
     and so unimodal: the minimum of its samples on the grid over [0,
@@ -1182,6 +1207,8 @@ class TestCapConcavityEnds:
         assert rr[0] == 0.0 and rr[-1] == rep.aux["r_max"]
 
 
+@pytest.mark.numpy_contract(
+    "jets on a whole grid against jets on blocks and single points")
 @pytest.mark.usefixtures("fresh_caches")
 class TestCachedHandle1Jets:
     """handle1 keeps its cap side's grid and the height's jet on it per

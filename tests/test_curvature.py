@@ -586,6 +586,8 @@ def capture_sweep(monkeypatch, name):
     return calls
 
 
+@pytest.mark.numpy_contract(
+    "blocked sweeps against one pass on the same numpy build")
 class TestBlockedSweep:
     """Sweeps over more than _SWEEP_BLOCK points run in blocks; their
     columns are bitwise those of one pass, and so are their exceptions."""

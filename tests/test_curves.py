@@ -156,6 +156,8 @@ def array_rk4_nodes(C, t_max, n):
     return ys
 
 
+@pytest.mark.numpy_contract(
+    "RK4 in Python floats through numpy's exp against RK4 on arrays")
 class TestTransferOdeOracle:
     @pytest.mark.parametrize("C", [0.0, 0.25, 0.5, 1.0])
     def test_nodes_bitwise_equal_to_array_rk4(self, C):
@@ -311,6 +313,7 @@ def clipped_eval(curve, t, k=0):
     return float(out) if arr.ndim == 0 else np.asarray(out, dtype=float)
 
 
+@pytest.mark.numpy_contract("clamp against np.clip")
 class TestEvalDomain:
     """Points within the slop 1e-9 (1 + t_hi - t_lo) of the domain are
     clamped to its ends, points beyond it raise, NaN passes through."""
@@ -416,6 +419,7 @@ def piecewise_curve_through_eval(segments):
     return cv.curve_from_derivs((t_lo, t_hi), ev(0), ev(1), ev(2), ev(3))
 
 
+@pytest.mark.numpy_contract("a piecewise curve against each segment's eval")
 class TestPiecewiseCurve:
     """Segments evaluated through their derivative callables give the
     bits of segments evaluated through ``eval``."""
@@ -527,6 +531,8 @@ def transfer_warps():
             cv.linear_combo([(h0, a)]).restrict(0.0, t0))
 
 
+@pytest.mark.numpy_contract(
+    "jet columns against one-point evaluations, and np.sin alone")
 class TestJet:
     """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
     bit, for table curves and their weighted sums (one shared basis), for
@@ -840,6 +846,8 @@ def assert_bitwise(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.numpy_contract(
+    "one sin and one cos per call against each order's eval")
 class TestSineCurve:
     """A sine curve's call evaluates sin only if an even order is asked
     for and cos only if an odd one is, each once; every order is bitwise
@@ -909,6 +917,8 @@ def compose(curve, u):
     return u.chain(curve.jet(u[0], len(u) - 1))
 
 
+@pytest.mark.numpy_contract(
+    "Jet arithmetic against closed forms in numpy's ufuncs")
 class TestJetArithmetic:
     """Jet arithmetic at orders 0-3 against closed forms in t, on a grid
     of t: each operation, composition with a SmoothCurve and

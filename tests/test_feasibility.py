@@ -348,6 +348,27 @@ class TestBadSamplesAreRejections:
         with pytest.raises(bk.BuildError, match=condition):
             spec["builder"](**{**fixed, name: 1e-300})
 
+    @pytest.mark.parametrize("eps2, verdict", [
+        (1e-15, "error:BuildError"), (1e-13, "error:BuildError"),
+        (1e-11, "fail:radial_ii_outer")])
+    def test_handle1_eps2_with_repeated_beta_nodes(self, eps2, verdict):
+        """An eps2 above the rounding of pi/2 but so small that beta's
+        2049 nodes on [pi/2, pi/2 + eps2] repeat in floating point is a
+        BuildError naming eps2, raised before the table divides by a zero
+        node gap; from 1e-11 the nodes are distinct and the outer face
+        fails its radial margin."""
+        spec = fs.PREDICATES["handle1-tied"]
+        fixed = {**spec["defaults"], "lambda1": 0.95, "eps1": 0.05}
+        entry = fs._run_predicate(spec["builder"], {"eps2": eps2}, fixed)
+        assert entry.verdict == verdict
+        if verdict.startswith("error:"):
+            with pytest.raises(bk.BuildError,
+                               match=f"^eps2={eps2!r} is below the "
+                                     f"resolution of beta's 2049-node"):
+                spec["builder"](**{**fixed, "eps2": eps2})
+        else:
+            assert math.isfinite(entry.min_margin)
+
     @pytest.mark.parametrize("predicate, name, lo, hi, fixed, builder", [
         ("s1", "lam", 1e-300, 0.5, {}, "build_s1_block"),
         ("s1", "q", 3.0, 1e300, {"lam": 0.45}, "build_s1_block"),

@@ -338,6 +338,8 @@ def _slope_end_curve():
     return bk._flatten_slope_end(f.restrict(0.0, 2.5), 2.0, 2.5)
 
 
+@pytest.mark.numpy_contract(
+    "a curve on a cached window against one on a fresh window")
 @pytest.mark.usefixtures("fresh_caches")
 class TestSurgeryWindow:
     """The helpers whose window shape does not depend on the curve take

@@ -28,6 +28,8 @@ def written_bytes(tmp_path, header, table):
     return path.read_bytes()
 
 
+@pytest.mark.numpy_contract(
+    "the CSV writer's integer kernel relies on numpy's integer promotion")
 class TestWriteCsv:
     @pytest.mark.parametrize("table", [
         np.array([[np.nan, np.inf, -np.inf],
@@ -145,6 +147,8 @@ FALLBACK_CLASSES = {
 }
 
 
+@pytest.mark.numpy_contract(
+    "the CSV formatter's integer kernel relies on numpy's integer promotion")
 class TestCsvFormatter:
     """_format_block against CPython's '%.18e' and np.savetxt, and its
     integer kernel against exact rational arithmetic."""
@@ -437,6 +441,8 @@ def assert_points_match(ts, seed):
             assert_same_values(_util.hermite_interp(ts, ys, dys, q), want)
 
 
+@pytest.mark.numpy_contract(
+    "one-point lookups in Python floats against numpy's ufuncs")
 class TestHermiteInterp:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 20000),
@@ -619,6 +625,8 @@ def assert_runs_match_points(ts, seed):
         assert not jet_by_path(ts, tables, q)[1]
 
 
+@pytest.mark.numpy_contract(
+    "the shared-basis kernel's np.repeat against per-point gathers")
 class TestHermiteJet:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 3000), lo=st.floats(-50.0, 50.0),
@@ -825,6 +833,7 @@ def plateau_points(rise):
         [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -1e300, 1e300]])
 
 
+@pytest.mark.numpy_contract("a point's exp bits at any position in an array")
 class TestPlateau:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     @pytest.mark.parametrize("rise", [0.15, 0.1])
@@ -884,6 +893,8 @@ def underflow_points(rise):
                            [np.nan, 0.0, -0.0, rise, 1.0 - rise, 1.0]])
 
 
+@pytest.mark.numpy_contract(
+    "both ramps in one smooth_step call against one call per ramp")
 class TestFusedPlateau:
     """plateau_orders looks both ramps up in one smooth_step call per
     order; its values, NaN and the signs of zeros included, are those of
@@ -941,6 +952,7 @@ def arc_length_grid(n=3518):
     return _util.cumulative_hermite(ts, spd, np.gradient(spd, ts))
 
 
+@pytest.mark.numpy_contract("gradient_on copies numpy.gradient's formulas")
 class TestGradientStencil:
     """gradient_on(ts) applies numpy.gradient's edge-order-1 stencil with
     weights computed once per grid; every application is bitwise
