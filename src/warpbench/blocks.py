@@ -69,10 +69,12 @@ class HorizonError(RuntimeError):
 
 class NumericalRangeError(BuildError):
     """A builder's arithmetic left the floating-point range (an
-    ``OverflowError`` or ``ZeroDivisionError``) at parameters inside its
-    declared domain; the message names the builder, the fault and the
-    params.  Handled as a BuildError: ``feasibility.scan`` records the
-    sample as ``error:NumericalRangeError``."""
+    ``OverflowError``, a ``ZeroDivisionError``, or a ``FloatingPointError``
+    from numpy's overflow, invalid operation or division by zero) at
+    parameters inside its declared domain; the message names the builder,
+    the fault and the params.  Handled as a BuildError:
+    ``feasibility.scan`` records the sample as
+    ``error:NumericalRangeError``."""
 
 
 class Reals:
@@ -119,8 +121,12 @@ def domain(**declared):
     """Declare a builder's parameter domains, a Reals or Dims per name.  A
     given parameter (by position or name, mapped once here; None skips)
     that breaks a bound raises a BuildError naming it, bound and value.
-    An OverflowError or ZeroDivisionError the builder raises becomes a
-    NumericalRangeError naming the builder and its params."""
+    The builder runs with numpy's overflow, invalid operation and division
+    by zero raising FloatingPointError (an ``np.errstate`` it sets inside
+    keeps its own); that, an OverflowError or a ZeroDivisionError becomes
+    a NumericalRangeError naming the builder and its params.  What a
+    report builds on a later read (its boundary, its sweeps) runs outside
+    the builder and is not checked."""
     def decorate(fn):
         names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         checks = [(names.index(n), n, dom) for n, dom in declared.items()]
@@ -133,8 +139,11 @@ def domain(**declared):
                     raise BuildError(f"{dom.prefix}{name} must {bound}, "
                                      f"got {value!r}")
             try:
-                return fn(*args, **kwargs)
-            except (OverflowError, ZeroDivisionError) as exc:
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    return fn(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError,
+                    FloatingPointError) as exc:
                 given = {**dict(zip(names, args)), **kwargs}
                 params = ", ".join(
                     f"{k}={v!r}" if isinstance(v, (int, float, str, np.generic,
@@ -193,30 +202,47 @@ def _cone_junction(K: float, eps: float, delta: float, t: float,
 @per_key(maxsize=128)
 def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     """The smooth join of the two lines meeting at the cone's junction
-    (``_cone_junction``), built on its window [s - delta, s + delta] from
-    the lines restricted to it.  Its second derivative keeps to a band as
-    deep as the slope gap spread over the window, toward the next line's
-    slope; a join that leaves the band raises BuildError, which is not
-    cached.  Built once per (K, eps, delta, t) and junction, the only
-    parameters it reads, and read, never changed, by the cone it goes
-    into; its margins are kept by the same key (``_cone_join_margins``).
-    A key holds the join's node table, about 82 KB (tracemalloc; an
-    identity join, at t = 0, holds almost nothing): the 90 keys of a 3 x
-    3 x 3 x 5 (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and
-    the 128 kept retain about 10.5 MB at most."""
+    (``_cone_junction``) and the margins that read it alone, as (join,
+    lower, upper, parity).  The join is built on its window [s - delta, s
+    + delta] from the lines restricted to it; its second derivative keeps
+    to a band as deep as the slope gap spread over the window, toward the
+    next line's slope, and a join that leaves the band raises BuildError,
+    which is not cached.  lower and upper are the slope band on the window
+    (``_slope_band``), labelled slope_band_s1 or slope_band_s2; parity is
+    the inner junction's collapse parity at s_lo (None at the outer one),
+    fitted on [s_lo, s_lo + W], W = min(0.05, 0.2 (s1 - s_lo)), left of
+    s1 + delta, so it reads sin of the left line and the inner join alone.
+    Built once per (K, eps, delta, t) and junction, the only parameters
+    it reads, and read, never changed, by the cone it goes into.  A key
+    holds the join's node table, about 82 KB (tracemalloc; an identity
+    join, at t = 0, holds almost nothing): the 90 keys of a 3 x 3 x 3 x 5
+    (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and the 128 kept
+    retain about 10.5 MB at most."""
     s, (left, right) = _cone_junction(K, eps, delta, t, junction)
+    inner = junction == "inner"
     window = (s - delta, s + delta)
     depth = abs(left[1] - right[1]) / (PLATEAU_MASS * 2.0 * delta)
-    band = ((-1.3 * depth - 1e-9, 1e-9) if junction == "inner"
+    band = ((-1.3 * depth - 1e-9, 1e-9) if inner
             else (-1e-9, 1.3 * depth + 1e-9))
     try:
-        return smooth_join(line_curve(*left, window),
+        join = smooth_join(line_curve(*left, window),
                            line_curve(*right, window), window, band,
                            band_tol=0.35 * depth + 1e-9)
     except JoinBandError as exc:
         raise BuildError(
             f"smoothing band infeasible at the {junction} junction "
-            f"s{1 if junction == 'inner' else 2}={s:.4f}: {exc}") from exc
+            f"s{1 if inner else 2}={s:.4f}: {exc}") from exc
+    Kt = right[1] if inner else left[1]         # the middle line's slope
+    lower, upper = _slope_band(join, f"slope_band_s{1 if inner else 2}", Kt,
+                               right[1])
+    if not inner:
+        return join, lower, upper, None
+    s_lo, (a, b) = -left[0], join.info["window"]
+    head = sin_of(piecewise_curve([(s_lo, a, line_curve(*left, (s_lo, a))),
+                                   (a, b, join)]))
+    par = parity_margin(head, s_lo, "odd", first_derivative_target=1.0,
+                        fit_width=min(0.05, 0.2 * (s - s_lo)))
+    return join, lower, upper, par
 
 
 def _slope_band(join: SmoothCurve, label: str, Kt: float,
@@ -229,35 +255,6 @@ def _slope_band(join: SmoothCurve, label: str, Kt: float,
     sl = np.append(join.eval(js[:-1], 1), next_slope)
     return (_min_margin(f"{label}_lower", js, sl - Kt + 1e-12),
             _min_margin(f"{label}_upper", js, 1.0 - sl + 1e-12))
-
-
-@per_key(maxsize=128)
-def _cone_join_margins(K: float, eps: float, delta: float, t: float,
-                       junction: str):
-    """The margins of the cone's junction that read its join and not the
-    Ricci grid, n or the other junction, as (lower, upper, parity): the
-    slope band on the join's window (``_slope_band``), labelled
-    slope_band_s1 or slope_band_s2, and for the inner junction the
-    collapse parity at s_lo (else None).  The parity fit's points lie in
-    [s_lo, s_lo + W], W = min(0.05, 0.2 (s1 - s_lo)), left of s1 + delta,
-    so it fits sin of the left line and the inner join alone.  Kept per
-    (K, eps, delta, t) and junction, the key of ``_cone_join``, whose
-    join a miss reads once more (a hit); a key holds no array, and a
-    BuildError of the join is not kept."""
-    join = _cone_join(K, eps, delta, t, junction)
-    s, (left, right) = _cone_junction(K, eps, delta, t, junction)
-    inner = junction == "inner"
-    Kt = right[1] if inner else left[1]         # the middle line's slope
-    lower, upper = _slope_band(join, f"slope_band_s{1 if inner else 2}", Kt,
-                               right[1])
-    if not inner:
-        return lower, upper, None
-    s_lo, (a, b) = -left[0], join.info["window"]
-    head = sin_of(piecewise_curve([(s_lo, a, line_curve(*left, (s_lo, a))),
-                                   (a, b, join)]))
-    par = parity_margin(head, s_lo, "odd", first_derivative_target=1.0,
-                        fit_width=min(0.05, 0.2 * (s - s_lo)))
-    return lower, upper, par
 
 
 @domain(n=Dims(3), K=Reals(0, 1), eps1=Reals(0), eps2=Reals(0),
@@ -274,12 +271,12 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     The warp's argument is one piecewise curve of five segments: the left
     line, the inner join, the middle line, the outer join and the right
     line.  Each join is built once per (K, eps, delta, t) on its window
-    alone (``_cone_join``), and the margins that read the join but not
-    the Ricci grid, n or the other junction are kept by the same key
-    (``_cone_join_margins``): each window's slope band, read as the
-    composed argument gives it, and the collapse parity at s_lo, which
-    reads only the inner junction.  A sample itself builds the warp, its
-    doubly warped sweep on the grid and the two Ricci margins.
+    alone, together with the margins that read the join but not the Ricci
+    grid, n or the other junction (``_cone_join``): each window's slope
+    band, read as the composed argument gives it, and the collapse parity
+    at s_lo, which reads only the inner junction.  A sample itself builds
+    the warp, its doubly warped sweep on the grid and the two Ricci
+    margins.
     """
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -302,8 +299,8 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                          f"junctions s1={s1!r}, s2={s2!r}: a join window "
                          f"[s - delta, s + delta] is empty")
 
-    inner = _cone_join(K, eps1, delta, t, "inner")
-    outer = _cone_join(K, eps2, delta, t, "outer")
+    inner, *inner_band, par = _cone_join(K, eps1, delta, t, "inner")
+    outer, *outer_band, _ = _cone_join(K, eps2, delta, t, "outer")
     (a1, b1), (a2, b2) = inner.info["window"], outer.info["window"]
     arg = piecewise_curve([
         (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
@@ -324,8 +321,6 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         _min_margin("ric_radial", ss, (ric_s - bound) / bound + 1e-9),
         _min_margin("ric_sphere", ss, (ric_x - bound) / bound + 1e-9),
     ]
-    *inner_band, par = _cone_join_margins(K, eps1, delta, t, "inner")
-    *outer_band, _ = _cone_join_margins(K, eps2, delta, t, "outer")
     margins += inner_band + outer_band
     margins.append(Margin("collapse_parity", 1e-6 - par.max_violation, s_lo))
 
@@ -1437,13 +1432,10 @@ def _projective_h_tilde(s: float):
     return sine_curve(amp, rate, rate, (-1.0, 1.5))
 
 
-@per_key(maxsize=32)
 def _projective_warp(s: float):
     """The family's even warp h on [-1, 1] at s, and the half-width w of
     the join that flattens the sine at (1-s)/(1+s), as (h, w); w is 0 when
-    the sine is not flattened.  Built once per s, and read, never changed,
-    by the check it goes into.  A warp holds about 100 KB of tables, so
-    the 32 kept retain about 3.2 MB at most."""
+    the sine is not flattened."""
     if s == 0.0:
         return _projective_h_tilde(0.0).restrict(-1.0, 1.0), 0.0
     t_flat = (1.0 - s) / (1.0 + s)
@@ -1471,20 +1463,6 @@ def _projective_f0_jet(grid):
     return ts, cohomog1_jet(_projective_f0(), ts, (-1.0, 1.0))
 
 
-@per_key(maxsize=32)
-def _projective_jets(s: float, grid):
-    """What the family's Ricci sweep at s reads of its warps, as (ts, f0's
-    jet, h's jet): ts and f0's jet are those ``_projective_f0_jet(grid)``
-    holds, not copies, and h's is the ``cohomog1_jet`` on ts of the warp
-    of ``_projective_warp(s)``.  Built once per (s, grid), the only
-    parameters h's jet reads, and shared by every member at s whatever its
-    d and n.  A key holds h's three columns, about 98 KB at the default
-    grid, so the 32 kept retain about 3.1 MB at most."""
-    ts, f_jet = _projective_f0_jet(grid)
-    h, _ = _projective_warp(s)
-    return ts, f_jet, cohomog1_jet(h, ts, (-1.0, 1.0))
-
-
 def _key_inequality(h: SmoothCurve, s: float, grid):
     """The key_inequality sweep of the family member at s with even warp
     h, as (tk, key): its grid on the sine zone [-1, (1-s)/(1+s)] (all of
@@ -1505,25 +1483,29 @@ def _key_inequality(h: SmoothCurve, s: float, grid):
     return tk, key
 
 
-@per_key(maxsize=64)
-def _projective_margins(s: float, grid):
-    """The family's margins that read s and the grid density alone: the
-    key cross-term inequality on the warp of ``_projective_warp(s)`` and
-    the two trigonometric comparison bounds, on the key_inequality sweep's
-    grid.  Built once per (s, grid) and shared, as frozen Margins, by
-    every check at s whatever its d and n; the sweep itself is not kept.
-    A key holds three Margins, under 1 KB (tracemalloc), so the 64 kept,
-    which hold a 17-point s lattice at three grid densities, retain under
-    64 KB."""
-    h, _ = _projective_warp(s)
+@per_key(maxsize=32)
+def _projective_member(s: float, grid):
+    """What a family member reads of s and the grid density alone, as (h,
+    w, ts, f_jet, h_jet, margins): the warp h and its join half-width w
+    (``_projective_warp``); the Ricci grid ts and f0's jet on it, those
+    ``_projective_f0_jet(grid)`` holds, not copies; h's ``cohomog1_jet``
+    on ts; and three Margins on the key_inequality sweep's grid, the key
+    cross-term inequality and the two trigonometric comparison bounds (the
+    sweep itself is not kept).  Built once per (s, grid), and read, never
+    changed, by every member at s whatever its d and n.  A key holds h's
+    tables, about 100 KB, and its jet's three columns, about 98 KB at the
+    default grid, so the 32 kept retain about 6.3 MB at most."""
+    h, w = _projective_warp(s)
+    ts, f_jet = _projective_f0_jet(grid)
     tk, key = _key_inequality(h, s, grid)
     t_s = 0.25 * math.pi * (tk + 1.0) * (s + 1.0)
     t_0 = 0.25 * math.pi * (tk + 1.0)
-    return (_min_margin("key_inequality", tk, key + 1e-9),
-            _min_margin("trig_sin_bound", tk,
-                        (1.0 + s) * np.sin(t_0) - np.sin(t_s) + 1e-12),
-            _min_margin("trig_cos_bound", tk,
-                        np.cos(t_0) - np.cos(t_s) + 1e-12))
+    margins = (_min_margin("key_inequality", tk, key + 1e-9),
+               _min_margin("trig_sin_bound", tk,
+                           (1.0 + s) * np.sin(t_0) - np.sin(t_s) + 1e-12),
+               _min_margin("trig_cos_bound", tk,
+                           np.cos(t_0) - np.cos(t_s) + 1e-12))
+    return h, w, ts, f_jet, cohomog1_jet(h, ts, (-1.0, 1.0)), margins
 
 
 @domain(d=Dims(among=(2, 4, 8)), n=Dims(2), s=Reals(0, 1, "[]"))
@@ -1535,28 +1517,25 @@ def projective_family_check(d: int, n: int, s: float,
 
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
-    comparison bounds it rests on.  The last three read s and the grid
-    alone and come from ``_projective_margins``; the key_inequality sweep
-    is built on the first read of ``Report.sweeps``.  The Ricci sweep's
-    arithmetic reads d and n, but the warps' jets it reads do not: they
-    come from ``_projective_jets(s, grid)``, which keeps h's jet per (s,
-    grid) and shares f0's, kept once per grid by ``_projective_f0_jet``.
+    comparison bounds it rests on.  The last three, the warp h and the
+    warps' jets on the Ricci grid read s and the grid alone and come from
+    ``_projective_member(s, grid)``; the Ricci sweep's arithmetic reads d
+    and n, and the key_inequality sweep is built on the first read of
+    ``Report.sweeps``.
     """
     if d == 8 and n != 2:
         raise BuildError("d = 8 requires n = 2")
     f0 = _projective_f0()
     t_flat = (1.0 - s) / (1.0 + s)
     amp = 4.0 / ((s + 1.0) * math.pi)
-    h, w = _projective_warp(float(s))
-
-    ts, f_jet, h_jet = _projective_jets(float(s), grid)
+    h, w, ts, f_jet, h_jet, key_margins = _projective_member(float(s), grid)
     sweep = cohomog1_columns(CohomogOneMetric(d, n, f0, h), ts, f_jet,
                              h_jet, "projective")
     margins = [
         _min_margin("ric_tt", ts, sweep["ric_tt"]),
         _min_margin("ric_VV", ts, sweep["ric_VV"]),
         _min_margin("ric_XX", ts, sweep["ric_XX"]),
-        *_projective_margins(float(s), grid),
+        *key_margins,
     ]
 
     def sweeps():

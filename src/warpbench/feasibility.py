@@ -226,11 +226,11 @@ def _handle_assembly(n=4, K=0.9, grid=None, **kw):
         {k[3:]: v for k, v in kw.items() if k.startswith("p2_")}, grid=grid)
 
 
-@blocks.domain(**dict.fromkeys(("sup_AX2", "sup_AV2", "sup_deltaA"),
+@blocks.domain(**dict.fromkeys(("sup_AX2", "sup_deltaA"),
                                blocks.Reals(0, ends="[)")))
-def _transfer(sup_AX2=0.0, sup_AV2=0.0, sup_deltaA=0.0, **kw):
+def _transfer(sup_AX2=0.0, sup_deltaA=0.0, **kw):
     return blocks.build_transfer_block(
-        a_bounds=ABounds(sup_AX2, sup_AV2, sup_deltaA), **kw)
+        a_bounds=ABounds(sup_AX2, sup_deltaA), **kw)
 
 
 @blocks.domain(s0=blocks.Reals(0))
@@ -268,7 +268,7 @@ PREDICATES = {
         " ".join([f"p1_{k}" for k in _PIECE1.split()]
                  + [f"p2_{k}" for k in _PIECE2.split()]), "n K"),
     "transfer": _entry(_transfer, "p q r0 nu lam a C",
-                       "sup_AX2 sup_AV2 sup_deltaA",
+                       "sup_AX2 sup_deltaA",
                        p=2, q=3, r0=0.1, nu=1.5, lam=0.5),
     "s1": _entry(blocks.build_s1_block, "q lam", "ric_base_lb", q=3),
     "cone": _entry(blocks.build_cone_metric, "n K eps1 eps2 delta t",

@@ -763,13 +763,9 @@ CACHED_CURVES = {
         _handle2_on_cosine, {**GOOD_H2, "grid": None}, "antiderivative_curve",
         _keyed("a", "b", "grid"), {"a": 0.03, "b": 1.6},
         {"lambda1": 0.015, "lambda2": 0.025, "eps": 0.12, "nu": 0.04}),
-    # a miss of _projective_margins reads the warp once more, a hit
-    "_projective_warp": (
-        bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5},
-        "smooth_join", _keyed("s"), {"s": 0.6}, {"d": 4, "n": 3}),
-    "_projective_margins": (
+    "_projective_member": (
         bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5, "grid": None},
-        "_key_inequality", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
+        "_projective_warp", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
         {"d": 4, "n": 3}),
     "_handle1_beta": (
         _handle1, {**GOOD_H1, "grid": None},
@@ -782,14 +778,6 @@ CACHED_CURVES = {
         "smooth_join", _cone_keys,
         {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
         {"n": 5, "grid": 256}),
-    # a miss of _cone_join_margins reads its join once more, a hit, and
-    # takes its window's slope band once
-    "_cone_join_margins": (
-        bk.build_cone_metric, {"n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1,
-                               "delta": 0.02, "t": 0.5, "grid": None},
-        "_slope_band", _cone_keys,
-        {"K": 0.85, "eps1": 0.08, "eps2": 0.12, "delta": 0.015, "t": 0.75},
-        {"n": 5, "grid": 256}),
     # a miss of _handle1_cap_margins builds the cap face once
     "_handle1_cap_margins": (
         bk.build_handle1, {"n": 4, "K": 0.9, **GOOD_H1, "grid": None},
@@ -798,11 +786,6 @@ CACHED_CURVES = {
         {"K": 0.85, "lambda1": 0.98, "lambda2": 0.995, "delta": 0.04,
          "eps1": 0.02, "grid": 256},
         {"n": 5, "eps2": 0.08}),
-    # a miss of _projective_jets reads f0's jet on the grid once
-    "_projective_jets": (
-        bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5, "grid": None},
-        "_projective_f0_jet", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
-        {"d": 4, "n": 3}),
 }
 
 
@@ -816,14 +799,13 @@ class TestParamCaches:
     handle2's collar (the warp f, its values on the dug face's grid, its
     jet on the face metric's grid and its flatness) by (lambda1, lambda2,
     b, grid) and its dug graph (beta, both grids and beta's jets on them)
-    by (a, b, grid), the projective warp by s, the projective margins that
-    read s alone and the warps' jets on the Ricci grid by (s, grid), the
-    cone's inner join by (K, eps1, delta, t) and its outer join by (K,
-    eps2, delta, t), and each join's slope band (and the inner one's
-    collapse parity) by the same key.  A hit builds nothing, a change of
-    any key parameter, grid density included, is a miss, and the report
-    keeps the bits a build on empty caches gives, whichever other
-    parameters the sample changes."""
+    by (a, b, grid), the projective warp, the margins that read s alone
+    and the warps' jets on the Ricci grid by (s, grid), and the cone's
+    inner join with its slope band and collapse parity by (K, eps1, delta,
+    t) and its outer join with its slope band by (K, eps2, delta, t).  A
+    hit builds nothing, a change of any key parameter, grid density
+    included, is a miss, and the report keeps the bits a build on empty
+    caches gives, whichever other parameters the sample changes."""
 
     @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
     def test_hit_builds_nothing(self, monkeypatch, name):
@@ -904,14 +886,11 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._transfer_curves",
         "warpbench.blocks._handle1_cap",
         "warpbench.blocks._handle1_cap_margins",
-        "warpbench.blocks._projective_warp",
-        "warpbench.blocks._projective_margins",
+        "warpbench.blocks._projective_member",
         "warpbench.blocks._projective_f0_jet",
-        "warpbench.blocks._projective_jets",
         "warpbench.blocks._cone_join",
-        "warpbench.blocks._cone_join_margins",
         "warpbench.feasibility._default_collar_profile"}
-    assert len(_util._CACHES) == 19
+    assert len(_util._CACHES) == 16
 
 
 def _bits_or_error(rep):
@@ -1041,7 +1020,7 @@ def test_projective_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
                for d in (2, 4, 8) for s in np.linspace(0.0, 1.0, 17)]
     built, counts = _assert_warm_lattice_keeps_its_bits(
         fresh_caches, bk.projective_family_check, samples, 32,
-        bk._projective_jets)
+        bk._projective_member)
     assert all(built) and counts == (34, 17)
 
 
@@ -1112,9 +1091,8 @@ def test_cache_stats_count_a_scans_shared_keys():
     build their warps' jets once each, on one f0 jet, and the same s at d
     = 8 read them back; three handle1-tied eps2 build their cap face once.
     Three cone eps2 at one (eps1, delta, t) build the inner junction's
-    join and margins once and the outer ones once per eps2, and each
-    margins miss reads its join once more.  Every registered cache has
-    its counts, by qualified name."""
+    join and margins once and the outer ones once per eps2.  Every
+    registered cache has its counts, by qualified name."""
     box = fs.ParamBox({"nu": (0.02, 0.04), "eps": (0.05, 0.15)}, 3)
     cert = fs.scan(box, "handle2", budget=9,
                    fixed={k: GOOD_H2[k] for k in ("lambda1", "lambda2",
@@ -1137,7 +1115,7 @@ def test_cache_stats_count_a_scans_shared_keys():
     fs.scan(fs.ParamBox({"eps2": (0.01, 0.1)}, 3), "handle1-tied", budget=3,
             fixed={"lambda1": 0.95, "eps1": 0.05})
     stats = _util.cache_stats()
-    assert stats["warpbench.blocks._projective_jets"] == (5, 5, 5, 32)
+    assert stats["warpbench.blocks._projective_member"] == (5, 5, 5, 32)
     assert stats["warpbench.blocks._projective_f0_jet"] == (4, 1, 1, 8)
     assert stats["warpbench.blocks._handle1_cap_margins"] == (2, 1, 1, 256)
     assert stats["warpbench.blocks._handle1_cap"] == (0, 1, 1, 1)
@@ -1148,8 +1126,7 @@ def test_cache_stats_count_a_scans_shared_keys():
     assert len(cert.entries) == 3
     stats = _util.cache_stats()
     # 1 inner miss and 2 hits, 3 outer misses
-    assert stats["warpbench.blocks._cone_join_margins"] == (2, 4, 4, 128)
-    assert stats["warpbench.blocks._cone_join"] == (6, 4, 4, 128)
+    assert stats["warpbench.blocks._cone_join"] == (2, 4, 4, 128)
 
 
 def _pool_pairs():

@@ -334,7 +334,7 @@ class TestBundleWarped:
         blocks.build_transfer_block(p=2, q=3, **params)
         ((m, ts),) = calls
         assert m.a_bounds.trivial and len(ts) > 2 * B
-        for ab in (m.a_bounds, kv.ABounds(0.5, 0.0, 0.25)):
+        for ab in (m.a_bounds, kv.ABounds(0.5, 0.25)):
             bounded = kv.BundleWarpedMetric(m.p, m.q, m.f, m.h,
                                             m.ricci_base_lb,
                                             m.ricci_fibre_lb, ab)
@@ -528,7 +528,7 @@ def blocked_cases():
     f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
     bundle = kv.BundleWarpedMetric(2, 3, f,
                                    cv.sine_curve(0.5, 1.3, 0.9, (0.0, 1.0)),
-                                   a_bounds=kv.ABounds(0.1, 0.2, 0.3))
+                                   a_bounds=kv.ABounds(0.1, 0.3))
     return [
         ("doubly_warped", lambda ts: kv.doubly_warped_sweep(
             round_sphere_metric(3, 2), ts),
