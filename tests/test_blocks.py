@@ -107,6 +107,76 @@ class TestBuilderPreconditions:
             bk.build_handle1(4, 0.9, 0.1, 0.2, 0.001, 0.505, 0.001)
 
 
+def _toy_builder(body):
+    """A builder with one declared positive parameter x whose work is
+    ``body(x)``."""
+    @bk.domain(x=bk.Reals(0))
+    def toy_builder(x):
+        return body(x)
+
+    return toy_builder
+
+
+def _refused(x):
+    raise bk.BuildError(f"x={x!r} refused")
+
+
+def _inner_errstate(x):
+    with np.errstate(divide="ignore"):
+        return np.array([x]) / 0.0
+
+
+class TestDomainFloatFaults:
+    """A builder declared with ``domain`` runs with numpy's overflow,
+    invalid operation and division by zero raising; each of those, and a
+    Python OverflowError or ZeroDivisionError, is a NumericalRangeError
+    naming the builder, its params and the fault, and the caller's numpy
+    error settings are as they were once the builder returns or raises."""
+
+    @pytest.mark.parametrize("fault, body", [
+        ("FloatingPointError: overflow",
+         lambda x: np.exp(np.array([1e3 * x]))),
+        ("FloatingPointError: invalid value",
+         lambda x: np.sqrt(np.array([-x]))),
+        ("FloatingPointError: divide by zero",
+         lambda x: np.array([x]) / 0.0),
+        ("OverflowError", lambda x: math.exp(1e3 * x)),
+        ("ZeroDivisionError", lambda x: x / 0.0),
+    ], ids=["numpy-overflow", "numpy-invalid", "numpy-divide",
+            "python-overflow", "python-divide"])
+    def test_fault_is_a_numerical_range_error(self, fault, body):
+        with pytest.raises(bk.NumericalRangeError,
+                           match=f"^toy_builder left the float range at "
+                                 f"x=1.0: {fault}"):
+            _toy_builder(body)(1.0)
+
+    def test_underflow_is_not_a_fault(self):
+        """Underflow keeps the caller's setting, numpy's default of
+        ignoring it included: a product below the smallest float is 0."""
+        got = _toy_builder(lambda x: np.array([1e-300 * x]) * 1e-300)(1.0)
+        assert got.tolist() == [0.0]
+
+    def test_builders_own_errstate_keeps_its_own(self):
+        """An ``np.errstate`` the builder sets inside wins over the one it
+        runs under: a division by zero it ignores gives inf."""
+        assert _toy_builder(_inner_errstate)(1.0).tolist() == [math.inf]
+
+    @pytest.mark.parametrize("body, error", [
+        (lambda x: x, None),
+        (_refused, bk.BuildError),
+        (lambda x: np.array([x]) / 0.0, bk.NumericalRangeError),
+    ], ids=["returns", "raises", "numpy-fault"])
+    def test_callers_errstate_is_restored(self, body, error):
+        with np.errstate(all="warn"):
+            before = np.geterr()
+            if error is None:
+                _toy_builder(body)(1.0)
+            else:
+                with pytest.raises(error):
+                    _toy_builder(body)(1.0)
+            assert np.geterr() == before
+
+
 class TestCornerAngle:
     def test_moderate_slope_still_acute(self):
         theta = bk.corner_angle_handle1(0.5, 0.0)
@@ -692,20 +762,22 @@ def _handle2_on_cosine(**kw):
     return bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)), **kw)
 
 
+def _bits(x):
+    """A float array's bytes and sign bits."""
+    x = np.asarray(x, float)
+    return x.tobytes(), np.signbit(x).tobytes()
+
+
 def _report_bits(rep):
     """Margins (value, argmin, strictness), the verdict, the scalar aux
     entries and every sweep column, floats as their bytes and sign bits."""
-    def bits(x):
-        x = np.asarray(x, float)
-        return x.tobytes(), np.signbit(x).tobytes()
-
     return (rep.verdict,
-            [(m.label, bits(m.min), bits(m.argmin), m.strict)
+            [(m.label, _bits(m.min), _bits(m.argmin), m.strict)
              for m in rep.margins],
-            {k: bits(v) for k, v in rep.aux.items()
+            {k: _bits(v) for k, v in rep.aux.items()
              if isinstance(v, (int, float))},
-            {name: (bits(sw["t"]),
-                    {k: bits(v) for k, v in sw["columns"].items()})
+            {name: (_bits(sw["t"]),
+                    {k: _bits(v) for k, v in sw["columns"].items()})
              for name, sw in rep.sweeps.items()})
 
 
@@ -788,6 +860,13 @@ CACHED_CURVES = {
         {"n": 5, "eps2": 0.08}),
 }
 
+# cache -> another construction its miss calls once per key besides the one
+# CACHED_CURVES names: the cone join's slope band, and the projective
+# member's key_inequality sweep and its lookup of f0's jet
+MORE_CONSTRUCTIONS = [("_cone_join", "_slope_band"),
+                      ("_projective_member", "_key_inequality"),
+                      ("_projective_member", "_projective_f0_jet")]
+
 
 @pytest.mark.usefixtures("fresh_caches")
 class TestParamCaches:
@@ -807,9 +886,13 @@ class TestParamCaches:
     included, is a miss, and the report keeps the bits a build on empty
     caches gives, whichever other parameters the sample changes."""
 
-    @pytest.mark.parametrize("name", sorted(CACHED_CURVES))
-    def test_hit_builds_nothing(self, monkeypatch, name):
-        build, params, construction, keys, *_ = CACHED_CURVES[name]
+    @pytest.mark.parametrize("name, construction", [
+        pytest.param(name, CACHED_CURVES[name][2], id=name)
+        for name in sorted(CACHED_CURVES)] + [
+        pytest.param(name, construction, id=f"{name}-{construction}")
+        for name, construction in MORE_CONSTRUCTIONS])
+    def test_hit_builds_nothing(self, monkeypatch, name, construction):
+        build, params, _, keys, *_ = CACHED_CURVES[name]
         calls = []
         real = getattr(bk, construction)
 
@@ -871,6 +954,69 @@ class TestParamCaches:
         for args, value in cached.items():
             assert factory(*args) is value
         assert [c.info for c in curves] == infos
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestOneCachePerKey:
+    """A cache that keeps several values under one key keeps what the
+    builder reports from them: the cone join's slope band and collapse
+    parity, and the projective member's warp, jets and margins."""
+
+    @pytest.mark.parametrize("junction", ["inner", "outer"])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_cone_join_holds_the_reported_band(self, junction, t):
+        """The join's slope band is the one ``_slope_band`` reads on the
+        join kept beside it, and the cone reports it, with the inner
+        junction's collapse parity; the outer junction keeps no parity."""
+        K, eps, delta = 0.9, 0.1, 0.02
+        rep = bk.build_cone_metric(4, K, eps, eps, delta, t)
+        join, lower, upper, par = bk._cone_join(K, eps, delta, t, junction)
+        _, (left, right) = bk._cone_junction(K, eps, delta, t, junction)
+        inner = junction == "inner"
+        label = f"slope_band_s{1 if inner else 2}"
+        assert (lower, upper) == bk._slope_band(
+            join, label, right[1] if inner else left[1], right[1])
+        assert rep.margin(f"{label}_lower") == lower
+        assert rep.margin(f"{label}_upper") == upper
+        if inner:
+            assert rep.margin("collapse_parity").min == \
+                1e-6 - par.max_violation
+            assert rep.aux["parity_first_derivative"] == \
+                par.first_derivative_value
+        else:
+            assert par is None
+
+    @pytest.mark.parametrize("grid", [None, 256])
+    def test_projective_members_share_f0s_jet(self, grid):
+        """Members at any s on one grid density hold the Ricci grid and
+        f0's jet that ``_projective_f0_jet(grid)`` holds, not copies."""
+        ts, f_jet = bk._projective_f0_jet(grid)
+        for s in (0.0, 0.25, 0.5):
+            member = bk._projective_member(s, grid)
+            assert member[2] is ts and member[3] is f_jet
+        assert not ts.flags.writeable
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("grid", [None, 256])
+    def test_projective_member_holds_the_reported_warp(self, s, grid):
+        """The member's warp, its join half-width and its jet are those
+        ``_projective_warp`` builds afresh, bit for bit, and its margins are
+        the report's, read off the key_inequality sweep the report builds
+        on its own from that warp."""
+        h, w, ts, _, h_jet, margins = bk._projective_member(s, grid)
+        fresh, fresh_w = bk._projective_warp(s)
+        rep = bk.projective_family_check(2, 2, s, grid=grid)
+        assert w == fresh_w == rep.aux["join_halfwidth"]
+        assert rep.aux["curves"]["h"] is h
+        assert [_bits(c) for c in h_jet[:3]] == \
+            [_bits(c) for c in kv.cohomog1_jet(fresh, ts, (-1.0, 1.0))[:3]]
+        assert h_jet[3] == kv.cohomog1_jet(fresh, ts, (-1.0, 1.0))[3]
+        assert [rep.margin(m.label) for m in margins] == list(margins)
+        sweep = rep.sweeps["key_inequality"]
+        i = int(np.argmin(sweep["columns"]["key"]))
+        assert margins[0] == bk.Margin(
+            "key_inequality", float(sweep["columns"]["key"][i] + 1e-9),
+            float(sweep["t"][i]))
 
 
 def test_registry_holds_every_cache():
