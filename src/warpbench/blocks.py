@@ -24,8 +24,9 @@ from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     grid_points, per_key, plateau, read_only, smooth_step,
                     sorted_unique, unit_plateaus)
 from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
-                     SurgeryWindow, antiderivative_curve, constant_curve,
-                     cosine_curve, even_extension, flatness_margin,
+                     SurgeryWindow, _join_window, antiderivative_curve,
+                     constant_curve, cosine_curve, even_extension,
+                     flatness_margin,
                      integrate_transfer_odes, jet_curve, line_curve,
                      linear_combo, make_concave_profile, parity_margin,
                      piecewise_curve, poly_curve,
@@ -206,8 +207,10 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     lower, upper, parity).  The join is built on its window [s - delta, s
     + delta] from the lines restricted to it; its second derivative keeps
     to a band as deep as the slope gap spread over the window, toward the
-    next line's slope, and a join that leaves the band raises BuildError,
-    which is not cached.  lower and upper are the slope band on the window
+    next line's slope.  A join that leaves the band raises BuildError, and
+    so does, before the join is built, a delta so small that its window's
+    nodes (``_join_window``'s, from s - delta) repeat in floating point;
+    neither is cached.  lower and upper are the slope band on the window
     (``_slope_band``), labelled slope_band_s1 or slope_band_s2; parity is
     the inner junction's collapse parity at s_lo (None at the outer one),
     fitted on [s_lo, s_lo + W], W = min(0.05, 0.2 (s1 - s_lo)), left of
@@ -220,7 +223,15 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     retain about 10.5 MB at most."""
     s, (left, right) = _cone_junction(K, eps, delta, t, junction)
     inner = junction == "inner"
+    name = "s1" if inner else "s2"
     window = (s - delta, s + delta)
+    # the node array smooth_join builds the join's table on
+    nodes = window[0] + _join_window(window[1] - window[0]).u
+    if not (nodes[1:] > nodes[:-1]).all():
+        raise BuildError(f"delta={delta!r} is below the resolution of the "
+                         f"{junction} join's {len(nodes)}-node table on "
+                         f"[{name} - delta, {name} + delta], {name}={s!r}: "
+                         f"its nodes repeat in floating point")
     depth = abs(left[1] - right[1]) / (PLATEAU_MASS * 2.0 * delta)
     band = ((-1.3 * depth - 1e-9, 1e-9) if inner
             else (-1e-9, 1.3 * depth + 1e-9))
@@ -231,10 +242,9 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     except JoinBandError as exc:
         raise BuildError(
             f"smoothing band infeasible at the {junction} junction "
-            f"s{1 if inner else 2}={s:.4f}: {exc}") from exc
+            f"{name}={s:.4f}: {exc}") from exc
     Kt = right[1] if inner else left[1]         # the middle line's slope
-    lower, upper = _slope_band(join, f"slope_band_s{1 if inner else 2}", Kt,
-                               right[1])
+    lower, upper = _slope_band(join, f"slope_band_{name}", Kt, right[1])
     if not inner:
         return join, lower, upper, None
     s_lo, (a, b) = -left[0], join.info["window"]
@@ -429,16 +439,18 @@ def _read_only_jet(curve: SmoothCurve, ts: np.ndarray, n: int = 3) -> Jet:
 
 @per_key(maxsize=32)
 def _handle1_beta(eps2: float, grid):
-    """handle1's outer face at eps2 and grid density, as (beta, so, jet).
-    beta lives on [pi/2, pi/2 + eps2]: beta(pi/2)=0, beta'(pi/2)=-2, all
-    derivatives vanish at the outer end, slope profile near-linear so the
-    second derivative stays close to its minimal size 2/eps2.  so is the
-    face's grid and jet beta's orders 0-3 on it.  Built once per (eps2,
-    grid), the only parameters they read, as a scan's samples share few
-    values of them; the curve and the read-only arrays are read, never
-    changed, by the handle they go into.  At the default grid a key holds
-    about 73 KB (so has its 513-point floor up to eps2 = 0.25) and at most
-    about 134 KB (eps2 = 1), so the 32 kept retain about 4.3 MB at most.
+    """handle1's outer face at eps2 and grid density, as (beta, so, jet,
+    slope).  beta lives on [pi/2, pi/2 + eps2]: beta(pi/2)=0,
+    beta'(pi/2)=-2, all derivatives vanish at the outer end, slope profile
+    near-linear so the second derivative stays close to its minimal size
+    2/eps2.  so is the face's grid, jet beta's orders 0-3 on it and slope
+    the float beta.eval(pi/2, 1), which the corner angle reads.  Built once
+    per (eps2, grid), the only parameters they read, as a scan's samples
+    share few values of them; the curve and the read-only arrays are read,
+    never changed, by the handle they go into.  At the default grid a key
+    holds about 73 KB (so has its 513-point floor up to eps2 = 0.25) and at
+    most about 134 KB (eps2 = 1), so the 32 kept retain about 4.3 MB at
+    most.
     An eps2 so small that the table's nodes repeat in floating point
     raises BuildError naming it, which is not cached."""
     a, n = math.pi / 2.0, 2049
@@ -455,22 +467,24 @@ def _handle1_beta(eps2: float, grid):
 
     beta = antiderivative_curve((a, a + eps2), n, integrand)
     so = read_only(grid_points(a, a + eps2, grid, min_points=513))
-    return beta, so, _read_only_jet(beta, so)
+    return beta, so, _read_only_jet(beta, so), float(beta.eval(a, 1))
 
 
 @per_key(maxsize=64)
 def _handle1_height(lambda1: float, eps1: float, grid):
     """handle1's cap side at (lambda1, eps1) and grid density, as (alpha,
-    ss, jet, tan_chain).  The height alpha on [eps1, pi/2] is the secant
-    profile ``_alpha_base`` flattened at eps1 over a window of width
-    w_flat; ss is the cap's grid, dense on the flattening window, jet the
-    height's orders 0-3 on it, and tan_chain the cap's Margin of that name.
-    Built once per (lambda1, eps1, grid), the only parameters they read,
-    as a scan's samples share few of them; the curve and the read-only
-    arrays are read, never changed, by the handle they go into.  At the
-    default grid a key holds about 210 KB (70 KB of surgery tables, the
-    rest the grid and the jet), so the 64 kept retain about 13.7 MB at
-    most."""
+    ss, jet, tan_chain, cap_concavity, top, slope).  The height alpha on
+    [eps1, pi/2] is the secant profile ``_alpha_base`` flattened at eps1
+    over a window of width w_flat; ss is the cap's grid, dense on the
+    flattening window, jet the height's orders 0-3 on it, tan_chain and
+    cap_concavity (``_cap_concavity``) the cap's Margins of those names,
+    and top and slope the floats alpha.eval(pi/2, 0) and alpha.eval(pi/2,
+    1), which the outer face and the corner angle read.  Built once per
+    (lambda1, eps1, grid), the only parameters they read, as a scan's
+    samples share few of them; the curve and the read-only arrays are
+    read, never changed, by the handle they go into.  At the default grid
+    a key holds about 210 KB (70 KB of surgery tables, the rest the grid
+    and the jet), so the 64 kept retain about 13.7 MB at most."""
     s_hi = math.pi / 2.0
     w_flat = min(0.05, 0.25 * (s_hi - eps1))
     base = _alpha_base(lambda1, eps1, (eps1, s_hi))
@@ -482,8 +496,11 @@ def _handle1_height(lambda1: float, eps1: float, grid):
     ])))
     interior = ss[ss < s_hi - 1e-9]
     chain = lambda1 * np.tan(interior) - np.tan(lambda1 * (interior - eps1))
+    r_max = math.tan(lambda1 * (s_hi - eps1)) / lambda1
     return (alpha, ss, _read_only_jet(alpha, ss),
-            _min_margin("tan_chain", interior, chain))
+            _min_margin("tan_chain", interior, chain),
+            _cap_concavity(lambda1, eps1, r_max),
+            float(alpha.eval(s_hi, 0)), float(alpha.eval(s_hi, 1)))
 
 
 def _cap_concavity(lambda1: float, eps1: float, r_max: float) -> Margin:
@@ -596,7 +613,7 @@ def _handle1_cap(K: float, lambda1: float, lambda2: float, delta: float,
     key a build just made, which its report's sweeps and boundary read.
     A key holds five arrays on ss besides ss itself, about 140 KB at the
     default grid (tracemalloc)."""
-    _, ss, height, _ = _handle1_height(lambda1, eps1, grid)
+    _, ss, height, *_ = _handle1_height(lambda1, eps1, grid)
     cap_ii = graph_ii_sweep(_handle1_profile(lambda1, lambda2, delta, eps1),
                             _handle1_sphere(K, eps1, 0.0), height, ss, "up")
     cap_ii = {k: read_only(v) for k, v in cap_ii.items()}
@@ -632,15 +649,16 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     What a sample shares with others comes from caches, keyed by the
     parameters they read.  ``_handle1_height(lambda1, eps1, grid)`` keeps
     the cap side: the height alpha, the cap grid ss, alpha's jet (orders
-    0-3) on ss and the tan_chain margin.  ``_handle1_beta(eps2, grid)``
-    keeps the outer face: beta, its grid so and beta's jet on so; the
-    outer height's jet is that jet plus alpha(pi/2) at order 0, as
-    ``beta.plus`` adds it.  Each face's ``graph_ii_sweep`` reads the
-    height from these jets.  The cap face's sweep and arc length read
-    neither n nor eps2: ``_handle1_cap(K, lambda1, lambda2, delta, eps1,
-    grid)`` builds them, and ``_handle1_cap_margins`` keeps, per such key,
-    the radial_ii_cap and sphere_ii_cap margins and u_cap, so a sample
-    builds only its outer face's sweep.
+    0-3) on ss, the tan_chain and cap_concavity margins, and alpha(pi/2)
+    and alpha'(pi/2).  ``_handle1_beta(eps2, grid)`` keeps the outer face:
+    beta, its grid so, beta's jet on so and beta'(pi/2); the outer
+    height's jet is that jet plus alpha(pi/2) at order 0, as ``beta.plus``
+    adds it.  Each face's ``graph_ii_sweep`` reads the height from these
+    jets.  The cap face's sweep and arc length read neither n nor eps2:
+    ``_handle1_cap(K, lambda1, lambda2, delta, eps1, grid)`` builds them,
+    and ``_handle1_cap_margins`` keeps, per such key, the radial_ii_cap
+    and sphere_ii_cap margins and u_cap, so a sample builds only its outer
+    face's sweep.
 
     The cap_concavity margin is certified at the two ends of the cap
     profile's grid on [0, r_max] (``_cap_concavity``): -phi'' there is
@@ -672,9 +690,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     lam = f.info["slope_at_inner"]
 
     s_hi = math.pi / 2.0
-    alpha, ss, height, tan_chain = _handle1_height(float(lambda1),
-                                                   float(eps1), grid)
-    alpha_top = float(alpha.eval(s_hi, 0))
+    alpha, ss, height, tan_chain, cap_concavity, alpha_top, ap = \
+        _handle1_height(float(lambda1), float(eps1), grid)
     # the outer face descends by eps2 from alpha_top and must stay on the
     # profile's domain [-delta, ...]
     if alpha_top - eps2 < -delta:
@@ -689,7 +706,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     radial_cap, sphere_cap, u_cap = _handle1_cap_margins(*cap_key)
     margins = [radial_cap, sphere_cap, tan_chain]
 
-    beta, so, beta_jet = _handle1_beta(float(eps2), grid)
+    beta, so, beta_jet, bp = _handle1_beta(float(eps2), grid)
     alpha_out = beta.plus(alpha_top)
     height_out = beta_jet + alpha_top       # alpha_out's jet on so
     out_ii = graph_ii_sweep(f, R_sphere, height_out, so, "up")
@@ -697,12 +714,11 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     margins.append(_min_margin("sphere_ii_outer", so, out_ii["sphere"]))
 
     r_max = math.tan(x_top) / lambda1
-    margins.append(_cap_concavity(lambda1, eps1, r_max))
+    margins.append(cap_concavity)
     margins.append(Margin("cap_slope_gap", 1.0 - math.cos(eps1), 0.0))
 
-    # corner angle: actual curve data against the linear-slope closed form
-    ap = float(alpha.eval(s_hi, 1))
-    bp = float(beta.eval(s_hi, 1))
+    # corner angle: actual curve data (alpha' and beta' at pi/2, kept with
+    # the faces) against the linear-slope closed form
     F = float(f.eval(alpha_top, 0))
     cos_theta = (-ap * bp - F * F) / (math.sqrt(ap * ap + F * F)
                                       * math.sqrt(bp * bp + F * F))

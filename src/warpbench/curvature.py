@@ -496,24 +496,27 @@ def _cohomog1_columns(m: CohomogOneMetric, thirds, ts: np.ndarray,
         raise ValueError(
             f"undeclared singularity at interior t={ts[bad][0]}")
     with np.errstate(divide="ignore", invalid="ignore"):
+        # each power and product of the warps that the formulas repeat,
+        # computed once
+        fv2, hv2, hv4, fh = fv ** 2, hv ** 2, hv ** 4, fv * hv
         if family == "projective":
             ric_tt = -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv
-            ric_vv = (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv ** 2
-                      - (n - 1) * d * f1 * h1 / (fv * hv)
-                      + (n - 1) * d * fv ** 2 / hv ** 4)
-            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv ** 2
-                      - (d - 1) * f1 * h1 / (fv * hv)
-                      + 3.0 * (d - 1) / hv ** 2
-                      - 2.0 * (d - 1) * fv ** 2 / hv ** 4)
+            ric_vv = (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv2
+                      - (n - 1) * d * f1 * h1 / fh
+                      + (n - 1) * d * fv2 / hv4)
+            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv2
+                      - (d - 1) * f1 * h1 / fh
+                      + 3.0 * (d - 1) / hv2
+                      - 2.0 * (d - 1) * fv2 / hv4)
         elif family == "wu":
             if (d, n) != (2, 2):
                 raise ValueError("the wu formulas require d = n = 2")
             ric_tt = -f2 / fv - 2.0 * h2 / hv
-            ric_vv = (-f2 / fv - 2.0 * f1 * h1 / (fv * hv)
-                      + 2.0 * fv ** 2 / hv ** 4)
-            ric_xx = (-h2 / hv + (1 - h1 ** 2) / hv ** 2
-                      - f1 * h1 / (fv * hv) + 3.0 / hv ** 2
-                      - 2.0 * fv ** 2 / hv ** 4)
+            ric_vv = (-f2 / fv - 2.0 * f1 * h1 / fh
+                      + 2.0 * fv2 / hv4)
+            ric_xx = (-h2 / hv + (1 - h1 ** 2) / hv2
+                      - f1 * h1 / fh + 3.0 / hv2
+                      - 2.0 * fv2 / hv4)
         else:
             raise ValueError(family)
     out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}

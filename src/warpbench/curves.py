@@ -331,11 +331,25 @@ def constant_curve(value, domain) -> SmoothCurve:
         _zeros, _zeros, _zeros)
 
 
+@dataclass(frozen=True)
+class _LineOrders:
+    """The orders function of the line intercept + slope t, which says
+    what it is, as ``_TableOrders`` does: ``smooth_join`` knows that two
+    lines' orders 2 and 3 are zero without evaluating them."""
+
+    intercept: float
+    slope: float
+
+    def __call__(self, t, ks) -> list:
+        t = np.asarray(t, float)
+        return [self.intercept + self.slope * t if k == 0 else
+                np.full_like(t, self.slope) if k == 1 else np.zeros_like(t)
+                for k in ks]
+
+
 def line_curve(intercept, slope, domain) -> SmoothCurve:
-    a, b = float(intercept), float(slope)
-    return curve_from_derivs(
-        domain, lambda t: a + b * np.asarray(t, float),
-        lambda t: np.full_like(np.asarray(t, float), b), _zeros, _zeros)
+    return SmoothCurve(domain[0], domain[1],
+                       _LineOrders(float(intercept), float(slope)))
 
 
 def sine_curve(amplitude, rate, phase, domain) -> SmoothCurve:
@@ -865,13 +879,17 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     The blended second derivative is the step-weighted combination of the
     two inputs plus two compactly supported corrections (a plateau over the
     window and an antisymmetric pair of plateaus on its halves) solving the
-    slope and value matching conditions at the window end.  The
-    corrections' window depends on the width alone, so it is built once
-    per width (``_join_window``).  If the result leaves
-    ``second_derivative_band`` widened by ``band_tol``, JoinBandError is
-    raised with the measured overshoot.  ``info["window"]`` is the window
-    (a, b), also when the two curves agree on it and the join is the
-    identity.
+    slope and value matching conditions at the window end.  Two lines
+    (``line_curve``) skip the blend: their orders 2 and 3 are zero, so the
+    combination is exactly +0.0 at every point of the window, and the join
+    takes zeros for it.  The corrections' window depends on the width
+    alone, so it is built once per width (``_join_window``).  If the result
+    leaves ``second_derivative_band`` widened by ``band_tol``, JoinBandError
+    is raised with the measured overshoot.  When neither curve reaches
+    outside the window, the result is the window curve itself, not a
+    piecewise curve of one segment; its domain is [a, a + (b - a)].
+    ``info["window"]`` is the window (a, b), also when the two curves agree
+    on it and the join is the identity.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -898,14 +916,19 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
                          "band_overshoot": 0.0, "window": (a, b)})
         return out
 
-    def base(t, orders):                # the step-weighted blend
-        x = (np.asarray(t, float) - a) / w
-        W = smooth_step(x)
-        V = 1.0 - W
-        l2, r2 = left.eval(t, 2), right.eval(t, 2)
-        return [V * l2 + W * r2 if k == 2 else
-                V * left.eval(t, 3) + W * right.eval(t, 3)
-                + smooth_step(x, 1) / w * (r2 - l2) for k in orders]
+    if isinstance(left._at, _LineOrders) and isinstance(right._at,
+                                                         _LineOrders):
+        def base(t, orders):            # the blend of two lines: +0.0
+            return [np.zeros_like(np.asarray(t, float)) for _ in orders]
+    else:
+        def base(t, orders):            # the step-weighted blend
+            x = (np.asarray(t, float) - a) / w
+            W = smooth_step(x)
+            V = 1.0 - W
+            l2, r2 = left.eval(t, 2), right.eval(t, 2)
+            return [V * l2 + W * r2 if k == 2 else
+                    V * left.eval(t, 3) + W * right.eval(t, 3)
+                    + smooth_step(x, 1) / w * (r2 - l2) for k in orders]
 
     mid, (c1, c2) = second_derivative_surgery(
         a, _join_window(w), base, (left.eval(a, 0), left.eval(a, 1)),
@@ -923,7 +946,7 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     segs.append((a, b, mid))
     if right.t_hi > b:
         segs.append((b, right.t_hi, right))
-    out = piecewise_curve(segs)
+    out = piecewise_curve(segs) if len(segs) > 1 else mid
     out.info.update({"identity": False, "c1": float(c1), "c2": float(c2),
                      "band_overshoot": overshoot, "window": (a, b)})
     return out

@@ -914,10 +914,11 @@ class TestParamCaches:
         assert info.misses == len(keys(params))
 
     @pytest.mark.parametrize("name, change", [
-        (name, {k: v}) for name, spec in CACHED_CURVES.items()
+        pytest.param(name, {k: v}, id=f"{name}-{k}")
+        for name, spec in CACHED_CURVES.items()
         for changes in spec[4:] for k, v in changes.items()] + [
-        (name, {"grid": 256}) for name in ("_handle2_collar",
-                                           "_handle2_graph")])
+        pytest.param(name, {"grid": 256}, id=f"{name}-grid")
+        for name in ("_handle2_collar", "_handle2_graph")])
     def test_report_keeps_its_bits(self, monkeypatch, fresh_caches, name,
                                    change):
         """A sample after another, sharing the keys or not, gives the bits
@@ -1208,6 +1209,30 @@ def test_handle2_face_build_error_is_not_cached(fresh_caches):
     assert bk._handle2_graph.cache_info()[:2] == (1, 1)
 
 
+def test_cone_join_repeated_nodes_error_is_not_cached(fresh_caches,
+                                                     monkeypatch):
+    """A delta so small that the outer join's nodes repeat raises the same
+    BuildError at every sample, before that join is built: _cone_join
+    keeps the inner junction's join, whose nodes are distinct, and not the
+    error."""
+    joins = []
+    real = bk.smooth_join
+
+    def counted(left, right, window, *args, **kw):
+        joins.append(window)
+        return real(left, right, window, *args, **kw)
+
+    monkeypatch.setattr(bk, "smooth_join", counted)
+    for _ in range(2):
+        with pytest.raises(bk.BuildError, match=r"^delta=1e-14 is below the "
+                           r"resolution of the outer join's 2049-node"):
+            bk.build_cone_metric(4, 0.9, 0.1, 0.1, 1e-14, 0.5)
+    info = bk._cone_join.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+    s1 = bk._cone_junction(0.9, 0.1, 1e-14, 0.5, "inner")[0]
+    assert joins == [(s1 - 1e-14, s1 + 1e-14)]
+
+
 def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):
     """The default collar profile is one curve per scale, shared by every
     handle2 sample; a scan, and the boundary a build reads from it, leave
@@ -1353,9 +1378,9 @@ class TestCachedHandle1Jets:
     @pytest.mark.parametrize("grid", [None, 20000])
     def test_cached_jet_is_the_fresh_jet(self, grid):
         rep = _handle1(**GOOD_H1, grid=grid)
-        alpha, ss, height, tan_chain = bk._handle1_height(
+        alpha, ss, height, tan_chain, *_ = bk._handle1_height(
             GOOD_H1["lambda1"], GOOD_H1["eps1"], grid)
-        beta, so, beta_jet = bk._handle1_beta(GOOD_H1["eps2"], grid)
+        beta, so, beta_jet, _ = bk._handle1_beta(GOOD_H1["eps2"], grid)
         # the build's cap face, built on its margins' miss, reads the
         # height once more
         assert bk._handle1_height.cache_info().hits == 2
@@ -1378,3 +1403,27 @@ class TestCachedHandle1Jets:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+    @pytest.mark.parametrize("params", [
+        GOOD_H1, {**GOOD_H1, "lambda1": 0.98, "eps1": 0.02, "eps2": 0.08}])
+    @pytest.mark.parametrize("grid", [None, 256])
+    def test_kept_scalars_are_fresh_evaluations(self, params, grid):
+        """The cap side keeps alpha(pi/2), alpha'(pi/2) and the
+        cap_concavity margin, and the outer face beta'(pi/2): each equals,
+        bit for bit, what evaluating the kept curves afresh gives, and the
+        report carries them."""
+        lambda1, eps1 = params["lambda1"], params["eps1"]
+        rep = _handle1(**params, grid=grid)
+        alpha, _, _, _, cap_concavity, top, slope = bk._handle1_height(
+            lambda1, eps1, grid)
+        beta, _, _, beta_slope = bk._handle1_beta(params["eps2"], grid)
+        assert _bits(top) == _bits(alpha.eval(PI / 2, 0))
+        assert _bits(slope) == _bits(alpha.eval(PI / 2, 1))
+        assert _bits(beta_slope) == _bits(beta.eval(PI / 2, 1))
+        assert _bits(rep.aux["alpha_top"]) == _bits(top)
+        r_max = math.tan(lambda1 * (PI / 2 - eps1)) / lambda1
+        assert _bits(r_max) == _bits(rep.aux["r_max"])
+        assert cap_concavity == bk._cap_concavity(lambda1, eps1, r_max)
+        assert rep.margin("cap_concavity") is cap_concavity
+        for value in (top, slope, beta_slope):
+            assert type(value) is float

@@ -482,6 +482,69 @@ class TestCohomogOne:
             at(kv.cohomog1_sweep, m, 0.0, "wu")
 
 
+def cohomog1_written_out(m, ts, f_jet, h_jet, family):
+    """The cohomog1 columns from the formulas as written, each power and
+    product of the warps evaluated where it appears, on the warps' jets
+    on ts; the ends where a warp collapses take ``_cohomog1_endpoint``."""
+    d, n = m.d, m.n
+    fv, f1, f2 = f_jet[:3]
+    hv, h1, h2 = h_jet[:3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if family == "projective":
+            cols = {
+                "ric_tt": -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv,
+                "ric_VV": (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv ** 2
+                           - (n - 1) * d * f1 * h1 / (fv * hv)
+                           + (n - 1) * d * fv ** 2 / hv ** 4),
+                "ric_XX": (-h2 / hv
+                           + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv ** 2
+                           - (d - 1) * f1 * h1 / (fv * hv)
+                           + 3.0 * (d - 1) / hv ** 2
+                           - 2.0 * (d - 1) * fv ** 2 / hv ** 4)}
+        else:
+            cols = {
+                "ric_tt": -f2 / fv - 2.0 * h2 / hv,
+                "ric_VV": (-f2 / fv - 2.0 * f1 * h1 / (fv * hv)
+                           + 2.0 * fv ** 2 / hv ** 4),
+                "ric_XX": (-h2 / hv + (1 - h1 ** 2) / hv ** 2
+                           - f1 * h1 / (fv * hv) + 3.0 / hv ** 2
+                           - 2.0 * fv ** 2 / hv ** 4)}
+    thirds = (dict(f_jet[3]), dict(h_jet[3]))
+    for i in np.nonzero(~kv._cohomog1_inner(m.f.domain, ts))[0]:
+        ends = kv._cohomog1_endpoint(m, float(ts[i]), family,
+                                     [fv[i], f1[i], f2[i]],
+                                     [hv[i], h1[i], h2[i]], thirds)
+        for k, v in ends.items():
+            cols[k][i] = v
+    return cols
+
+
+@pytest.mark.numpy_contract(
+    "a power or product's bits reused, in one pass, against blocked sweeps")
+class TestCohomogOneWrittenOut:
+    """The cohomog1 sweep computes each power and product of the warps
+    once; its columns are those of the formulas as written, bit for bit,
+    ends included."""
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (4, 2), (4, 3), (8, 2)])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_projective_member(self, d, n, s):
+        h, _, ts, f_jet, h_jet, _ = blocks._projective_member(s, None)
+        rep = blocks.projective_family_check(d, n, s)
+        assert ts[0] == -1.0 and ts[-1] == 1.0
+        m = kv.CohomogOneMetric(d, n, rep.aux["curves"]["f"], h)
+        assert_same_columns(
+            rep.sweeps["ricci"]["columns"],
+            cohomog1_written_out(m, ts, f_jet, h_jet, "projective"))
+
+    def test_wu(self):
+        m = TestCohomogOne().wu_metric()
+        ts = np.linspace(-1.0, 1.0, 1025)
+        jets = [kv.cohomog1_jet(c, ts, m.f.domain) for c in (m.f, m.h)]
+        assert_same_columns(kv.cohomog1_sweep(m, ts, "wu"),
+                            cohomog1_written_out(m, ts, *jets, "wu"))
+
+
 B = kv._SWEEP_BLOCK
 
 

@@ -215,6 +215,102 @@ class TestSmoothJoin:
             gap = abs(out.eval(0.9 - 1e-9, k) - right.eval(0.9, k))
             assert gap < 1e-7
 
+    @staticmethod
+    def generic_line(intercept, slope, domain):
+        """The line intercept + slope t as a curve that does not say it is
+        a line, so a join reads its orders 2 and 3 through the blend."""
+        a, b = float(intercept), float(slope)
+        zeros = lambda t: np.zeros_like(np.asarray(t, float))  # noqa: E731
+        return cv.curve_from_derivs(
+            domain, lambda t: a + b * np.asarray(t, float),
+            lambda t: np.full_like(np.asarray(t, float), b), zeros, zeros)
+
+    @pytest.mark.numpy_contract(
+        "signed zeros of a step-weighted sum of zero columns")
+    @pytest.mark.parametrize("left, right, window", [
+        ((-0.0056, 1.0), (0.0, 0.95), (0.0356, 0.0756)),     # a cone s1
+        ((0.0, 0.95), (-0.0827, 1.0), (1.6336, 1.6636)),     # a cone s2
+        ((0.3, -2.0), (-1.0, 3.0), (-0.5, 0.25)),
+        ((1.0, 1.0), (1.0, 1.0 + 1e-9), (0.0, 1e-3)),
+    ])
+    def test_two_lines_join_as_their_blend(self, left, right, window):
+        """Two lines skip the blend of their orders 2 and 3, which is +0.0
+        at every point of the window: the join's node table, coefficients
+        and orders 0-3 at points of the window (its ends, single points
+        and arrays) are those of the same lines joined through the blend,
+        bit for bit, signs of zeros included."""
+        band = (-1e9, 1e9)
+        lines = [cv.line_curve(*p, window) for p in (left, right)]
+        generic = [self.generic_line(*p, window) for p in (left, right)]
+        assert all(isinstance(c._at, cv._LineOrders) for c in lines)
+        assert not any(isinstance(c._at, cv._LineOrders) for c in generic)
+        got = cv.smooth_join(*lines, window, band)
+        want = cv.smooth_join(*generic, window, band)
+        assert got.info == want.info and not got.info["identity"]
+        assert got.domain == want.domain
+        assert got.node_table().tobytes() == want.node_table().tobytes()
+        a, b = window
+        ts = np.concatenate([[a, b], np.linspace(a, b, 1001)[1:-1],
+                             np.random.default_rng(7).uniform(a, b, 64)])
+        for k in range(4):
+            g, w = got.eval(ts, k), want.eval(ts, k)
+            assert g.tobytes() == w.tobytes(), k
+            assert np.signbit(g).tobytes() == np.signbit(w).tobytes(), k
+            for t in ts[[0, 1, 5, -1]]:
+                assert np.float64(got.eval(t, k)).tobytes() == \
+                    np.float64(want.eval(t, k)).tobytes(), (k, t)
+        for n in range(4):
+            for g, w in zip(got.jet(ts, n), want.jet(ts, n)):
+                assert g.tobytes() == w.tobytes()
+
+    def test_a_line_and_a_sine_join_through_the_blend(self):
+        """Only two lines skip the blend: a line joined to a sine gives the
+        bits of the same join with the line as a generic curve."""
+        window = (0.2, 0.7)
+        sine = cv.sine_curve(1.0, 1.0, 0.3, window)
+        got = cv.smooth_join(cv.line_curve(0.3, 1.0, window), sine, window,
+                             (-1e9, 1e9))
+        want = cv.smooth_join(self.generic_line(0.3, 1.0, window), sine,
+                              window, (-1e9, 1e9))
+        assert got.node_table().tobytes() == want.node_table().tobytes()
+        ts = np.linspace(*window, 301)
+        for k in (2, 3):
+            assert got.eval(ts, k).tobytes() == want.eval(ts, k).tobytes()
+
+    def test_window_curve_when_nothing_lies_outside(self):
+        """When neither curve reaches outside the window, the join is the
+        window curve itself, whose node table is the surgery's on the
+        window's nodes; when one does, it is a piecewise curve that equals
+        it on the window.  An identity join stays the piecewise curve of
+        its two inputs."""
+        a, b = 0.2, 0.7
+        inside = cv.smooth_join(cv.line_curve(0.0, 1.0, (a, b)),
+                                cv.line_curve(0.1, 0.5, (a, b)), (a, b),
+                                (-1e9, 1e9))
+        u = cv._join_window(b - a).u
+        assert inside.nodes is not None
+        assert np.array_equal(inside.nodes[0], a + u)
+        assert inside.domain == (a, a + u[-1])
+        assert inside.info["window"] == (a, b)
+        for left_lo, right_hi in ((0.0, b), (a, 1.0), (0.0, 1.0)):
+            out = cv.smooth_join(cv.line_curve(0.0, 1.0, (left_lo, b)),
+                                 cv.line_curve(0.1, 0.5, (a, right_hi)),
+                                 (a, b), (-1e9, 1e9))
+            assert out.nodes is None
+            assert out.domain == (left_lo, right_hi)
+            assert out.info == inside.info
+            ts = np.linspace(a, b, 257)[:-1]
+            for k in range(4):
+                assert out.eval(ts, k).tobytes() == \
+                    inside.eval(ts, k).tobytes()
+        line = cv.line_curve(0.0, 1.0, (0.0, 1.0))
+        identity = cv.smooth_join(line, line.restrict(a, 1.0), (a, b),
+                                  (-1.0, 1.0))
+        assert identity.info["identity"] and identity.nodes is None
+        assert identity.domain == (0.0, 1.0)
+        ts = np.linspace(0.0, 1.0, 101)
+        assert identity.eval(ts).tobytes() == line.eval(ts).tobytes()
+
     def test_band_infeasible_reports_overshoot(self):
         left = cv.line_curve(0.0, 1.0, (-1.0, 1.0))
         right = cv.line_curve(0.0, -1.0, (-1.0, 1.0))

@@ -369,6 +369,30 @@ class TestBadSamplesAreRejections:
         else:
             assert math.isfinite(entry.min_margin)
 
+    @pytest.mark.parametrize("delta, verdict", [
+        (1e-14, "error:BuildError"), (1e-13, "error:BuildError"),
+        (1e-12, "fail:slope_band_s2_upper")])
+    def test_cone_delta_with_repeated_join_nodes(self, delta, verdict):
+        """A cone delta above the rounding of the junctions but so small
+        that the outer join's 2049 nodes on [s2 - delta, s2 + delta] repeat
+        in floating point is a BuildError naming delta and the junction,
+        raised before the join's Hermite table divides by a zero node gap
+        (at 1e-14, a NumericalRangeError) or certifies a margin read off a
+        degenerate table (at 1e-13, fail:slope_band_s1_lower); from 1e-12
+        the nodes are distinct and the outer slope band fails."""
+        spec = fs.PREDICATES["cone"]
+        fixed = {**spec["defaults"], "eps1": 0.1, "eps2": 0.1, "t": 0.5}
+        entry = fs._run_predicate(spec["builder"], {"delta": delta}, fixed)
+        assert entry.verdict == verdict
+        if verdict.startswith("error:"):
+            with pytest.raises(bk.BuildError,
+                               match=rf"^delta={delta!r} is below the "
+                                     rf"resolution of the outer join's "
+                                     rf"2049-node table on \[s2 - delta"):
+                spec["builder"](**{**fixed, "delta": delta})
+        else:
+            assert math.isfinite(entry.min_margin)
+
     # the numpy fault of each predicate below whose fault is not a Python
     # OverflowError: 1 / B' at handle2's dug face's foot, the exp of
     # make_concave_profile in handle1, the fibre disc's taper
@@ -524,10 +548,13 @@ class TestScanBuildsNoProfiles:
         monkeypatch.setattr(bk, "_cap_profile", counting)
         return sizes
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_handle1_tied_scan_builds_no_cap_profile(self, monkeypatch):
-        """Each sample evaluates its cap profile at the grid's two ends
-        only, for the cap_concavity margin; the cap_profile columns are
-        built with the sweeps, on their first read."""
+        """Each (lambda1, eps1) key evaluates its cap profile at the grid's
+        two ends only, once, for the cap_concavity margin kept with the cap
+        side: the scan's four samples are four keys, and the build after
+        it a fifth.  The cap_profile columns are built with the sweeps, on
+        their first read."""
         sizes = self.counted_cap_profiles(monkeypatch)
         cert = fs.scan(fs.ParamBox({"lambda1": (0.975, 0.989),
                                     "eps1": (0.01, 0.02)}, 2),
