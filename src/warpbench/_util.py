@@ -80,7 +80,11 @@ def cache_stats() -> dict:
 
 
 def read_only(a) -> np.ndarray:
-    """A read-only float view of a; the array itself keeps its flags."""
+    """A read-only float view of a; the array itself keeps its flags.  A
+    read-only float array is its own view."""
+    if (isinstance(a, np.ndarray) and a.dtype == float
+            and not a.flags.writeable):
+        return a
     v = np.asarray(a, dtype=float).view()
     v.flags.writeable = False
     return v

@@ -203,9 +203,9 @@ def _cone_junction(K: float, eps: float, delta: float, t: float,
 @per_key(maxsize=128)
 def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     """The smooth join of the two lines meeting at the cone's junction
-    (``_cone_junction``) and the margins that read it alone, as (join,
-    lower, upper, parity).  The join is built on its window [s - delta, s
-    + delta] from the lines restricted to it; its second derivative keeps
+    (``_cone_junction``) and what reads it alone, as (join, lower, upper,
+    parity, ricci).  The join is built on its window [s - delta, s +
+    delta] from the lines restricted to it; its second derivative keeps
     to a band as deep as the slope gap spread over the window, toward the
     next line's slope.  A join that leaves the band raises BuildError, and
     so does, before the join is built, a delta so small that its window's
@@ -215,12 +215,15 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     the inner junction's collapse parity at s_lo (None at the outer one),
     fitted on [s_lo, s_lo + W], W = min(0.05, 0.2 (s1 - s_lo)), left of
     s1 + delta, so it reads sin of the left line and the inner join alone.
+    ricci is the join's (A, B) columns on its own nodes (``_cone_ab``),
+    with the inner junction's collapse limit at s_lo, or None for an
+    identity join (t = 0), which is the line it continues.
     Built once per (K, eps, delta, t) and junction, the only parameters
     it reads, and read, never changed, by the cone it goes into.  A key
     holds the join's node table, about 82 KB (tracemalloc; an identity
-    join, at t = 0, holds almost nothing): the 90 keys of a 3 x 3 x 3 x 5
-    (eps1, eps2, delta, t) lattice at one K hold 6.3 MB, and the 128 kept
-    retain about 10.5 MB at most."""
+    join, at t = 0, holds almost nothing), and its A and B columns, 33 KB:
+    the 90 keys of a 3 x 3 x 3 x 5 (eps1, eps2, delta, t) lattice at one K
+    hold about 9 MB, and the 128 kept retain about 15 MB at most."""
     s, (left, right) = _cone_junction(K, eps, delta, t, junction)
     inner = junction == "inner"
     name = "s1" if inner else "s2"
@@ -245,14 +248,39 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
             f"{name}={s:.4f}: {exc}") from exc
     Kt = right[1] if inner else left[1]         # the middle line's slope
     lower, upper = _slope_band(join, f"slope_band_{name}", Kt, right[1])
+    ricci = (None if join.info["identity"]
+             else _cone_ab(join, -left[0] if inner else None))
     if not inner:
-        return join, lower, upper, None
+        return join, lower, upper, None, ricci
     s_lo, (a, b) = -left[0], join.info["window"]
     head = sin_of(piecewise_curve([(s_lo, a, line_curve(*left, (s_lo, a))),
                                    (a, b, join)]))
     par = parity_margin(head, s_lo, "odd", first_derivative_target=1.0,
                         fit_width=min(0.05, 0.2 * (s - s_lo)))
-    return join, lower, upper, par
+    return join, lower, upper, par, ricci
+
+
+def _cone_ab(join: SmoothCurve, s_lo: float | None):
+    """The Ricci factors A = x'^2 - cot(x) x'' and B = 1 + (1 - x')(1 +
+    x') cot^2 x of the warp sin x over the join's own nodes, from its node
+    table (x, x', x'', x'''), as read-only columns.  B is written so that
+    nothing cancels where x' is near 1 and x near 0: where the inner
+    window starts at s_lo, as at (K, eps1, delta, t) = (0.9, 0.05, 0.025,
+    1), (1 - x'^2 cos^2 x)/sin^2 x, the same B, reads 0 at the first node
+    (a ric_sphere margin of -0.588 at n = 4) and 1 + 1.6e-7 at the next,
+    where this form reads 1.  A node within 1e-9 (1 + b - s_lo) of the
+    collapse point s_lo (given for the inner join), where the window ends
+    at b, takes the limit both factors have at x = 0, x'^2 - x'''/x'
+    (-f'''/f' for f = sin x, as ``curvature._collapse_limits`` gives it)."""
+    ss, (x, x1, x2, x3) = join.nodes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cot = 1.0 / np.tan(x)
+        A = x1 * x1 - cot * x2
+        B = 1.0 + (1.0 - x1) * (1.0 + x1) * (cot * cot)
+    if s_lo is not None:
+        at = ss - s_lo <= 1e-9 * (1.0 + ss[-1] - s_lo)
+        A[at] = B[at] = x1[at] * x1[at] - x3[at] / x1[at]
+    return read_only(A), read_only(B)
 
 
 def _slope_band(join: SmoothCurve, label: str, Kt: float,
@@ -267,26 +295,76 @@ def _slope_band(join: SmoothCurve, label: str, Kt: float,
             _min_margin(f"{label}_upper", js, 1.0 - sl + 1e-12))
 
 
+def _cone_ricci(n: int, Kt: float, lines, windows) -> list:
+    """The ric_radial and ric_sphere margins (ric - bound)/bound + 1e-9,
+    bound = (n-1) K_t^2, with ric_radial = (n-1) A and ric_sphere = A +
+    (n-2) B, from the pieces in s order: the left line, the inner window,
+    the middle line, the outer window and the right line.  ``lines`` gives
+    each line's (its start, its slope k, so A = k^2, s where B is least,
+    B), and ``windows`` each window's (nodes, A columns, B columns), or
+    None for an identity join.  A margin's argmin is the first least value
+    in s order: a window's first node of least value, and the first piece
+    of least value; a NaN value is least."""
+    pieces = []
+    for line, window in itertools.zip_longest(lines, windows):
+        start, k, s_B, B = line
+        pieces.append((((n - 1) * k * k, start), (k * k + (n - 2) * B, s_B)))
+        if window is not None:
+            s, A, B = window
+            rad, sph = (n - 1) * A, A + (n - 2) * B
+            i, j = int(np.argmin(rad)), int(np.argmin(sph))
+            pieces.append(((rad[i], s[i]), (sph[j], s[j])))
+    # the middle line attains the bound exactly, so the relative margin
+    # carries the same 1e-9 floor as every >=-type certificate
+    bound = (n - 1) * Kt * Kt
+    margins = []
+    for label, least in zip(("ric_radial", "ric_sphere"), zip(*pieces)):
+        values = np.array([v for v, _ in least])
+        i = int(np.argmin(values))
+        margins.append(Margin(label, float((values[i] - bound) / bound
+                                           + 1e-9), float(least[i][1])))
+    return margins
+
+
 @domain(n=Dims(3), K=Reals(0, 1), eps1=Reals(0), eps2=Reals(0),
         delta=Reals(0, 1), t=Reals(0, 1, "[]"))
 def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                       delta: float, t: float, grid=None) -> Report:
     """Sine-pieced warp with interpolation slope K_t = 1 - t(1-K) and the
-    Ricci lower bound (n-1) K_t^2 certified on the grid.
+    Ricci lower bound (n-1) K_t^2 certified by its closed form.
 
     The warp is ``aux["curves"]["warp"]``.  At t = 1, multiplying the
     metric by K^2 turns the middle piece into K sin(s) with Ricci bound
     n - 1.
 
-    The warp's argument is one piecewise curve of five segments: the left
-    line, the inner join, the middle line, the outer join and the right
-    line.  Each join is built once per (K, eps, delta, t) on its window
-    alone, together with the margins that read the join but not the Ricci
-    grid, n or the other junction (``_cone_join``): each window's slope
-    band, read as the composed argument gives it, and the collapse parity
-    at s_lo, which reads only the inner junction.  A sample itself builds
-    the warp, its doubly warped sweep on the grid and the two Ricci
-    margins.
+    The warp's argument x is one piecewise curve of five segments: the
+    left line, the inner join, the middle line, the outer join and the
+    right line.  Each join is built once per (K, eps, delta, t) on its
+    window alone, together with what reads the join but not n, the grid
+    or the other junction (``_cone_join``): each window's slope band, read
+    as the composed argument gives it, the collapse parity at s_lo, which
+    reads only the inner junction, and the Ricci factors on the join's
+    nodes.
+
+    Lemma (doubly warped products, Petersen, Riemannian Geometry, 3rd ed.,
+    ch. 4): for the warp f = sin x(s) over a unit round fibre, -f''/f = A
+    = x'^2 - cot(x) x'' and (1 - f'^2)/f^2 = B = 1 + (1 - x')(1 + x')
+    cot^2 x, so ric_radial = (n-1) A and ric_sphere = A + (n-2) B.  On a
+    line of slope k (x'' = 0) A = k^2, and B is least at the point of the
+    line's x-range nearest pi/2; the left line (slope 1 through x = 0 at
+    the collapse point s_lo) is the round metric, with A = B = 1 there
+    too, and so is the right line.  A line's argmin is its start where
+    its value is constant, and the middle line's ric_sphere argmin is the
+    point nearest pi/2.  On a join window the factors are the join's
+    columns, the collapse point s_lo taking the limit x'^2 - x'''/x' of
+    both.  Each margin is the least over the five pieces, its argmin the
+    first in s order among equal least values (``_cone_ricci``).  At t = 0
+    the joins are identities and the lines are the whole warp.
+
+    The Ricci sweep on the grid, ``doubly_warped_sweep``, is the lemma's
+    oracle: ``Report.sweeps["ricci"]`` builds it on its first read, with
+    the columns ric_radial, ric_sphere and warp, so a sample that reads
+    only the margins, as a scan does, never builds it.
     """
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -309,8 +387,9 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                          f"junctions s1={s1!r}, s2={s2!r}: a join window "
                          f"[s - delta, s + delta] is empty")
 
-    inner, *inner_band, par = _cone_join(K, eps1, delta, t, "inner")
-    outer, *outer_band, _ = _cone_join(K, eps2, delta, t, "outer")
+    inner, *inner_band, par, inner_ab = _cone_join(K, eps1, delta, t,
+                                                   "inner")
+    outer, *outer_band, _, outer_ab = _cone_join(K, eps2, delta, t, "outer")
     (a1, b1), (a2, b2) = inner.info["window"], outer.info["window"]
     arg = piecewise_curve([
         (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
@@ -318,21 +397,26 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
         (b2, s_hi, line_curve(*right, (b2, s_hi)))])
     warp = sin_of(arg)
 
-    ss = grid_points(s_lo, s_hi, grid)
-    dw = DoublyWarpedMetric(n - 1, 1, warp,
-                            constant_curve(1.0, warp.domain),
-                            collapse_start="f")
-    sweep = doubly_warped_sweep(dw, ss)
-    bound = (n - 1) * Kt * Kt
-    ric_s, ric_x = sweep["ric_tt"], sweep["ric_uu"]
-    # the interpolating piece attains the bound exactly, so the relative
-    # margin carries the same 1e-9 floor as every >=-type certificate
-    margins = [
-        _min_margin("ric_radial", ss, (ric_s - bound) / bound + 1e-9),
-        _min_margin("ric_sphere", ss, (ric_x - bound) / bound + 1e-9),
-    ]
+    # the middle line x = K_t s: B is least where x is nearest pi/2
+    s_mid = min(max(math.pi / (2.0 * Kt), b1), a2)
+    B_mid = 1.0 + (1.0 - Kt) * (1.0 + Kt) / math.tan(Kt * s_mid) ** 2
+    margins = _cone_ricci(
+        n, Kt, [(s_lo, 1.0, s_lo, 1.0), (b1, Kt, s_mid, B_mid),
+                (b2, 1.0, b2, 1.0)],
+        [None if ab is None else (join.nodes[0], *ab)
+         for join, ab in ((inner, inner_ab), (outer, outer_ab))])
     margins += inner_band + outer_band
     margins.append(Margin("collapse_parity", 1e-6 - par.max_violation, s_lo))
+
+    def sweeps():
+        ss = grid_points(s_lo, s_hi, grid)
+        sweep = doubly_warped_sweep(
+            DoublyWarpedMetric(n - 1, 1, warp,
+                               constant_curve(1.0, warp.domain),
+                               collapse_start="f"), ss)
+        return {"ricci": {"t": ss, "columns": {"ric_radial": sweep["ric_tt"],
+                                               "ric_sphere": sweep["ric_uu"],
+                                               "warp": sweep["f"]}}}
 
     report = Report(
         block="cone",
@@ -340,12 +424,10 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                 "t": t},
         margins=margins,
         aux={"K_t": Kt, "eps2_prime": eps2p, "s_lo": s_lo, "s1": s1,
-             "s2": s2, "s_hi": s_hi, "ric_bound": bound,
+             "s2": s2, "s_hi": s_hi, "ric_bound": (n - 1) * Kt * Kt,
              "ric_margin_floor": 1e-9,
              "parity_first_derivative": par.first_derivative_value},
-        sweeps={"ricci": {"t": ss, "columns": {"ric_radial": ric_s,
-                                               "ric_sphere": ric_x,
-                                               "warp": sweep["f"]}}},
+        sweeps=sweeps,
     )
     report.aux["curves"] = {"warp": warp}
     return report

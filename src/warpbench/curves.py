@@ -399,7 +399,7 @@ def linear_combo(terms) -> SmoothCurve:
 
     parts, weights = [c._at for c, _ in terms], [w for _, w in terms]
     if all(isinstance(p, _TableOrders) and p.weights is None
-           and p.ts is parts[0].ts for p in parts):
+           and _same_nodes(p.ts, parts[0].ts) for p in parts):
         orders = _TableOrders(parts[0].ts, [p.tables[0] for p in parts],
                               weights)
     else:
@@ -448,17 +448,25 @@ class _TableOrders:
         return _weighted_sum(per_table, self.weights)
 
 
+def _same_nodes(a, b) -> bool:
+    """Whether two tables' node arrays are one: the same object, or views
+    of one array with one layout, as ``table_curve`` keeps of an array it
+    is given twice."""
+    return a is b or (a.base is not None and a.base is b.base
+                      and a.__array_interface__ == b.__array_interface__)
+
+
 def joint_jet(curves, t, n: int = 2) -> list:
     """[c.jet(t, n) for c in curves] bit for bit, as tuples of orders 0..n
-    (0 <= n <= 3, else ValueError).  Table curves on one node array object,
-    and linear combinations and restrictions of them (the transfer block's
-    two warps), sharing one domain, get one domain check and one segment
-    lookup and Hermite basis for all their tables; other curves each get
-    one call of their orders function."""
+    (0 <= n <= 3, else ValueError).  Table curves on one node array
+    (``_same_nodes``), and linear combinations and restrictions of them
+    (the transfer block's two warps), sharing one domain, get one domain
+    check and one segment lookup and Hermite basis for all their tables;
+    other curves each get one call of their orders function."""
     check_order(n)
     ks = tuple(range(n + 1))
     head, parts = curves[0], [c._at for c in curves]
-    if all(isinstance(p, _TableOrders) and p.ts is head._at.ts
+    if all(isinstance(p, _TableOrders) and _same_nodes(p.ts, head._at.ts)
            and c.domain == head.domain for c, p in zip(curves, parts)):
         arr = head._in_domain(t)
         shared = iter(_TableOrders(head._at.ts, [
@@ -472,9 +480,11 @@ def joint_jet(curves, t, n: int = 2) -> list:
 
 
 def table_curve(ts, cols, info=None) -> SmoothCurve:
-    """Curve backed by node columns v0..v3; Hermite between nodes."""
-    ts = np.asarray(ts, dtype=float)
-    cols = [np.asarray(c, dtype=float) for c in cols]
+    """Curve backed by node columns v0..v3; Hermite between nodes.  The
+    curve keeps read-only views of ts and the columns, so a curve a cache
+    shares cannot be changed through its table."""
+    ts = read_only(ts)
+    cols = [read_only(c) for c in cols]
 
     return SmoothCurve(ts[0], ts[-1], _TableOrders(ts, [cols]), (ts, cols),
                        info)
@@ -643,6 +653,7 @@ def integrate_transfer_odes(C: float, t_max: float = 120.0,
                 f"{defect:.3g}")
         n, coarse = 2 * n, fine
     ts, gcols, fcols = fine
+    ts = read_only(ts)                  # one node array for both tables
 
     g_curve = table_curve(ts, gcols, info={"C": C, "role": "h0"})
     fc_curve = table_curve(ts, fcols, info={"C": C, "role": "fC"})
@@ -816,7 +827,8 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
 
     Returns the blended window curve and the coefficient array.  Values
     and slopes come from Hermite tables on the nodes (kept as the curve's
-    ``nodes``); the second and third derivatives are evaluated exactly.
+    ``nodes``, read-only); the second and third derivatives are evaluated
+    exactly.
     """
     u = window.u
     ts = a + u
@@ -836,6 +848,7 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
         out3 = out3 + c * g1
     out1 = cumulative_hermite(u, out2, out3, y1)
     out0 = cumulative_hermite(u, out1, out2, y0)
+    ts, out0, out1, out2, out3 = map(read_only, (ts, out0, out1, out2, out3))
 
     def edited(t, orders):
         du = np.asarray(t, float) - a

@@ -137,8 +137,10 @@ class CertEntry:
     verdict: str
 
     def sort_key(self):
-        # descending margin, ties broken lexicographically by name/value
-        return (-self.min_margin,
+        # descending margin, a NaN margin after every other, ties broken
+        # lexicographically by name/value
+        nan = math.isnan(self.min_margin)
+        return (nan, 0.0 if nan else -self.min_margin,
                 tuple((k, self.params[k]) for k in sorted(self.params)))
 
 

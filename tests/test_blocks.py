@@ -97,6 +97,102 @@ class TestConeMetric:
             [(m.label, m.min, m.argmin) for m in b.margins]
 
 
+# perfbench's cone lattice: 111 samples pass, 9 fail:collapse_parity and 15
+# raise BuildError at every n and grid below
+CONE_BOX = fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
+                        "delta": (0.01, 0.04), "t": (0.0, 1.0)},
+                       {"eps1": 3, "eps2": 3, "delta": 3, "t": 5})
+
+
+def _grid_certificate(rep):
+    """The cone report with its Ricci margins taken as the grid minima of
+    its lazily built sweep, (ric - bound)/bound + 1e-9, the rest as
+    reported: the certificate the sweep gives the same warp."""
+    sweep, bound = rep.sweeps["ricci"], rep.aux["ric_bound"]
+    grid = {label: bk._min_margin(label, sweep["t"],
+                                  (sweep["columns"][label] - bound) / bound
+                                  + 1e-9)
+            for label in ("ric_radial", "ric_sphere")}
+    return bk.Report(rep.block, rep.params,
+                     [grid.get(m.label, m) for m in rep.margins])
+
+
+@pytest.mark.numpy_contract(
+    "closed forms on the join's nodes against a sweep of the composed warp")
+class TestConeRicciLemma:
+    """The cone's Ricci margins are the doubly warped product's closed
+    forms (``build_cone_metric``): exact on the lines, and the join's own
+    A and B columns on its windows.  The sweep on the grid is their
+    oracle: a margin is at most the grid minimum plus 1e-8 and, where the
+    grid minimum lies in a join window, equals it to 1e-7 relative to the
+    Ricci value it certifies (1 + margin, in units of the bound); and every
+    sample keeps the outcome and min_margin of the grid certificate."""
+
+    @pytest.mark.parametrize("grid", [None, 256])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_lattice_against_the_sweep(self, n, grid):
+        outcomes, in_window = {}, 0
+        for p in CONE_BOX.full_grid():
+            try:
+                rep = bk.build_cone_metric(n, 0.9, grid=grid, **p)
+            except bk.BuildError:
+                outcomes["error:BuildError"] = \
+                    outcomes.get("error:BuildError", 0) + 1
+                continue
+            swept = _grid_certificate(rep)
+            assert (rep.verdict, rep.min_margin()) == \
+                (swept.verdict, swept.min_margin()), p
+            outcomes[rep.verdict] = outcomes.get(rep.verdict, 0) + 1
+            windows = [(rep.aux[s] - p["delta"], rep.aux[s] + p["delta"])
+                       for s in ("s1", "s2")]
+            for label in ("ric_radial", "ric_sphere"):
+                got, want = rep.margin(label), swept.margin(label)
+                assert got.min <= want.min + 1e-8, (p, label)
+                if any(a <= want.argmin <= b for a, b in windows):
+                    in_window += 1
+                    assert abs(got.min - want.min) <= \
+                        1e-7 * (1.0 + abs(want.min)), (p, label)
+        assert outcomes == {"pass": 111, "fail:collapse_parity": 9,
+                            "error:BuildError": 15}
+        assert in_window
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_window_starting_at_the_collapse_point(self, n):
+        """At (eps1, delta, t) = (0.05, 0.025, 1) the inner window starts
+        at s_lo up to rounding: its first node is 8.7e-19 above it, where
+        x' = 1 and x = 8.7e-19.  That node takes the collapse limit, A = B
+        = 1, as the round metric has it; (1 - x'^2 cos^2 x)/sin^2 x reads
+        B = 0 there, a ric_sphere margin of -0.588 at n = 4.  The sample
+        keeps the grid certificate's outcome, and its ric_sphere margin is
+        the middle line's closed form at x = pi/2."""
+        K, eps1, delta, t = 0.9, 0.05, 0.025, 1.0
+        rep = bk.build_cone_metric(n, K, eps1, 0.05, delta, t)
+        join, *_, (A, B) = bk._cone_join(K, eps1, delta, t, "inner")
+        s, (x, x1, *_) = join.nodes
+        assert 0.0 < s[0] - rep.aux["s_lo"] < 1e-18
+        assert x[0] < 1e-18 and x1[0] == 1.0
+        assert A[0] == B[0] == 1.0
+        assert (1.0 - x1[0] ** 2 * np.cos(x[0]) ** 2) / np.sin(x[0]) ** 2 \
+            == 0.0
+        assert B.min() >= 1.0 - 1e-9
+        swept = _grid_certificate(rep)
+        assert rep.verdict == swept.verdict == "fail:collapse_parity"
+        assert rep.min_margin() == swept.min_margin()
+        Kt = rep.aux["K_t"]
+        sphere = rep.margin("ric_sphere")
+        assert sphere.min == pytest.approx(
+            (n - 2) * (1 - Kt * Kt) / ((n - 1) * Kt * Kt) + 1e-9, rel=1e-12)
+        assert sphere.argmin == PI / (2 * Kt)
+
+    def test_round_at_zero_interpolation(self):
+        """At t = 0 the joins are identities and every line has slope 1:
+        both margins are the 1e-9 floor, first met at s_lo."""
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.0)
+        for label in ("ric_radial", "ric_sphere"):
+            assert rep.margin(label) == bk.Margin(label, 1e-9, 0.0)
+        assert bk._cone_join(0.9, 0.1, 0.02, 0.0, "inner")[4] is None
+
+
 class TestBuilderPreconditions:
     def test_cone_warp_closing_before_the_outer_end(self):
         with pytest.raises(bk.BuildError, match="< pi/2"):
@@ -971,7 +1067,8 @@ class TestOneCachePerKey:
         junction's collapse parity; the outer junction keeps no parity."""
         K, eps, delta = 0.9, 0.1, 0.02
         rep = bk.build_cone_metric(4, K, eps, eps, delta, t)
-        join, lower, upper, par = bk._cone_join(K, eps, delta, t, junction)
+        join, lower, upper, par, _ = bk._cone_join(K, eps, delta, t,
+                                                   junction)
         _, (left, right) = bk._cone_junction(K, eps, delta, t, junction)
         inner = junction == "inner"
         label = f"slope_band_s{1 if inner else 2}"
@@ -1063,12 +1160,9 @@ def test_shuffled_lattices_on_warm_caches_keep_their_bits(fresh_caches):
     BuildError messages and the sweeps, read after every build.  The
     cone's join margins are keyed without the grid, so one grid's
     entries serve the other's samples."""
-    cone = fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
-                        "delta": (0.01, 0.04), "t": (0.0, 1.0)},
-                       {"eps1": 3, "eps2": 3, "delta": 3, "t": 5})
     samples = [(bk.build_cone_metric,
                 {"n": 4, "K": 0.9, **p, "grid": grid})
-               for p in cone.full_grid() for grid in (None, 256)]
+               for p in CONE_BOX.full_grid() for grid in (None, 256)]
     samples += [(bk.projective_family_check, {"d": d, "n": 2, "s": s})
                 for d in (2, 4, 8) for s in np.linspace(0.0, 1.0, 17)]
     assert len(samples) == 2 * 135 + 51
@@ -1231,6 +1325,26 @@ def test_cone_join_repeated_nodes_error_is_not_cached(fresh_caches,
     assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
     s1 = bk._cone_junction(0.9, 0.1, 1e-14, 0.5, "inner")[0]
     assert joins == [(s1 - 1e-14, s1 + 1e-14)]
+
+
+def test_cached_tables_are_read_only(fresh_caches):
+    """The node tables of the cone's cached joins, their A and B columns
+    and the transfer ODE's (g, F) tables are read-only: writing to one
+    raises, so no caller can change what later samples with its key
+    read."""
+    bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+    arrays = []
+    for junction in ("inner", "outer"):
+        join, *_, ab = bk._cone_join(0.9, 0.1, 0.02, 0.5, junction)
+        ts, cols = join.nodes
+        arrays += [ts, *cols, *ab]
+    for curve in bk._transfer_curves(0.5):
+        ts, cols = curve.nodes
+        arrays += [ts, *cols, curve._at.ts, *curve._at.tables[0]]
+    assert len(arrays) == 2 * 7 + 2 * 10
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):

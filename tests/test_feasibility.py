@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from warpbench import blocks as bk
+from warpbench import curvature as kv
+from warpbench import curves as cv
 from warpbench import feasibility as fs
 
 
@@ -85,6 +88,21 @@ class TestScan:
         # entries are sorted by margin, descending
         margins = [e.min_margin for e in cert.entries]
         assert margins == sorted(margins, reverse=True)
+
+    def test_nan_margins_sort_after_every_other(self):
+        """Certificate entries sort by descending min_margin, ties by their
+        params, and an entry with a NaN min_margin after every other one,
+        -inf (an error) included, whatever order they come in."""
+        margins = [0.5, math.nan, 1e-12, -math.inf, 0.5, math.nan, -0.25,
+                   math.inf]
+        entries = [fs.CertEntry({"i": i}, m, "pass")
+                   for i, m in enumerate(margins)]
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            shuffled = [entries[i] for i in rng.permutation(len(entries))]
+            got = [e.params["i"] for e in
+                   sorted(shuffled, key=fs.CertEntry.sort_key)]
+            assert got == [7, 0, 4, 2, 6, 3, 1, 5]
 
     def test_determinism(self):
         box = fs.ParamBox({"lam": (0.3, 0.6), "q": (3, 3)},
@@ -371,7 +389,7 @@ class TestBadSamplesAreRejections:
 
     @pytest.mark.parametrize("delta, verdict", [
         (1e-14, "error:BuildError"), (1e-13, "error:BuildError"),
-        (1e-12, "fail:slope_band_s2_upper")])
+        (1e-12, "fail:ric_radial")])
     def test_cone_delta_with_repeated_join_nodes(self, delta, verdict):
         """A cone delta above the rounding of the junctions but so small
         that the outer join's 2049 nodes on [s2 - delta, s2 + delta] repeat
@@ -379,7 +397,9 @@ class TestBadSamplesAreRejections:
         raised before the join's Hermite table divides by a zero node gap
         (at 1e-14, a NumericalRangeError) or certifies a margin read off a
         degenerate table (at 1e-13, fail:slope_band_s1_lower); from 1e-12
-        the nodes are distinct and the outer slope band fails."""
+        the nodes are distinct, the outer slope band fails, and so does the
+        Ricci floor, which reads the joins' second derivatives on their own
+        nodes where no grid point falls."""
         spec = fs.PREDICATES["cone"]
         fixed = {**spec["defaults"], "eps1": 0.1, "eps2": 0.1, "t": 0.5}
         entry = fs._run_predicate(spec["builder"], {"delta": delta}, fixed)
@@ -392,6 +412,8 @@ class TestBadSamplesAreRejections:
                 spec["builder"](**{**fixed, "delta": delta})
         else:
             assert math.isfinite(entry.min_margin)
+            rep = spec["builder"](**{**fixed, "delta": delta})
+            assert rep.margin("slope_band_s2_upper").min < 0
 
     # the numpy fault of each predicate below whose fault is not a Python
     # OverflowError: 1 / B' at handle2's dug face's foot, the exp of
@@ -594,6 +616,52 @@ class TestScanBuildsNoProfiles:
         assert rep.sweeps is sweeps
         assert rep.margin("key_inequality").min == float(
             np.min(sweeps["key_inequality"]["columns"]["key"]) + 1e-9)
+
+    # sha256 of the cone's ricci sweep (t, then each column's name and
+    # bytes by name) at (4, 0.9, 0.1, 0.1, 0.02, 0.5), grid 256, as the
+    # build computed it on every sample before the margins became closed
+    # forms; recorded with numpy 2.4 on x86-64 Linux
+    CONE_SWEEP_SHA256 = (
+        "4584258d7770829bd4f8ead2e6d61ffab887e6bcaf6dda5f69813d22815f5fe2")
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_cone_scan_builds_no_sweep(self, monkeypatch):
+        """A cone scan certifies the Ricci floor by its closed forms and
+        runs no doubly_warped_sweep; the sweep is built on the first read
+        of ``Report.sweeps``, once, with the bits it always had: those of
+        the sweep of the report's warp on the grid over [s_lo, s_hi]."""
+        calls = []
+        real = bk.doubly_warped_sweep
+
+        def counting(m, ts):
+            calls.append(len(ts))
+            return real(m, ts)
+
+        monkeypatch.setattr(bk, "doubly_warped_sweep", counting)
+        box = fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
+                           "delta": (0.01, 0.04), "t": (0.0, 1.0)},
+                          {"eps1": 3, "eps2": 3, "delta": 3, "t": 5})
+        cert = fs.scan(box, "cone", budget=40, seed=5)
+        assert cert.entries and calls == []
+        rep = bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5, grid=256)
+        assert calls == []
+        sweeps = rep.sweeps
+        assert rep.sweeps is sweeps and calls == [len(sweeps["ricci"]["t"])]
+        ss = bk.grid_points(rep.aux["s_lo"], rep.aux["s_hi"], 256)
+        warp = rep.aux["curves"]["warp"]
+        want = real(kv.DoublyWarpedMetric(3, 1, warp,
+                                          cv.constant_curve(1.0, warp.domain),
+                                          collapse_start="f"), ss)
+        got = sweeps["ricci"]
+        assert got["t"].tobytes() == ss.tobytes()
+        for name, column in (("ric_radial", "ric_tt"),
+                             ("ric_sphere", "ric_uu"), ("warp", "f")):
+            assert got["columns"][name].tobytes() == want[column].tobytes()
+        digest = hashlib.sha256(got["t"].tobytes())
+        for name in sorted(got["columns"]):
+            digest.update(name.encode())
+            digest.update(got["columns"][name].tobytes())
+        assert digest.hexdigest() == self.CONE_SWEEP_SHA256
 
     def test_handle_scans_build_no_profiles(self, monkeypatch):
         calls = self.counted(monkeypatch)
