@@ -8,7 +8,8 @@ Every builder returns a gluing.Report whose margins are minima over sample
 grids; the verdict is pass iff every margin passes its rule.  Reports are
 deterministic functions of the parameter record and grid density.  The
 curves a caller builds on (the cone's warp, the fibre disc's h, the
-handles' profiles) are in ``aux["curves"]``.
+handles' profiles) are in ``aux["curves"]``; a builder gives its aux in
+its ``Report(...)`` call, never writes it later.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def domain(**declared):
     by zero raising FloatingPointError (an ``np.errstate`` it sets inside
     keeps its own); that, an OverflowError or a ZeroDivisionError becomes
     a NumericalRangeError naming the builder and its params.  What a
-    report builds on a later read (its boundary, its sweeps) runs outside
-    the builder and is not checked."""
+    report builds on a later read (its boundary, its aux, its sweeps) runs
+    outside the builder and is not checked."""
     def decorate(fn):
         names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         checks = [(names.index(n), n, dom) for n, dom in declared.items()]
@@ -364,7 +365,9 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
     The Ricci sweep on the grid, ``doubly_warped_sweep``, is the lemma's
     oracle: ``Report.sweeps["ricci"]`` builds it on its first read, with
     the columns ric_radial, ric_sphere and warp, so a sample that reads
-    only the margins, as a scan does, never builds it.
+    only the margins, as a scan does, never builds it.  Nor does it build
+    the composed warp: ``Report.aux``, built on its first read too, and
+    the sweep share one, built on the first read of either.
     """
     eps2p = 2.0 * eps2 / (1.0 - delta)
     # the warp argument rises to pi/2 + eps2' at s_hi; from pi on the warp
@@ -391,11 +394,17 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
                                                    "inner")
     outer, *outer_band, _, outer_ab = _cone_join(K, eps2, delta, t, "outer")
     (a1, b1), (a2, b2) = inner.info["window"], outer.info["window"]
-    arg = piecewise_curve([
-        (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
-        (b1, a2, line_curve(*mid, (b1, a2))), (a2, b2, outer),
-        (b2, s_hi, line_curve(*right, (b2, s_hi)))])
-    warp = sin_of(arg)
+    composed = []
+
+    def warp():
+        """The warp sin x, x the five pieces composed, built on the first
+        read of the aux or the sweeps, which share it."""
+        if not composed:
+            composed.append(sin_of(piecewise_curve([
+                (s_lo, a1, line_curve(*left, (s_lo, a1))), (a1, b1, inner),
+                (b1, a2, line_curve(*mid, (b1, a2))), (a2, b2, outer),
+                (b2, s_hi, line_curve(*right, (b2, s_hi)))])))
+        return composed[0]
 
     # the middle line x = K_t s: B is least where x is nearest pi/2
     s_mid = min(max(math.pi / (2.0 * Kt), b1), a2)
@@ -410,27 +419,26 @@ def build_cone_metric(n: int, K: float, eps1: float, eps2: float,
 
     def sweeps():
         ss = grid_points(s_lo, s_hi, grid)
+        f = warp()
         sweep = doubly_warped_sweep(
-            DoublyWarpedMetric(n - 1, 1, warp,
-                               constant_curve(1.0, warp.domain),
+            DoublyWarpedMetric(n - 1, 1, f, constant_curve(1.0, f.domain),
                                collapse_start="f"), ss)
         return {"ricci": {"t": ss, "columns": {"ric_radial": sweep["ric_tt"],
                                                "ric_sphere": sweep["ric_uu"],
                                                "warp": sweep["f"]}}}
 
-    report = Report(
+    return Report(
         block="cone",
         params={"n": n, "K": K, "eps1": eps1, "eps2": eps2, "delta": delta,
                 "t": t},
         margins=margins,
-        aux={"K_t": Kt, "eps2_prime": eps2p, "s_lo": s_lo, "s1": s1,
-             "s2": s2, "s_hi": s_hi, "ric_bound": (n - 1) * Kt * Kt,
-             "ric_margin_floor": 1e-9,
-             "parity_first_derivative": par.first_derivative_value},
-        sweeps=sweeps,
-    )
-    report.aux["curves"] = {"warp": warp}
-    return report
+        aux=lambda: {"K_t": Kt, "eps2_prime": eps2p, "s_lo": s_lo,
+                     "s1": s1, "s2": s2, "s_hi": s_hi,
+                     "ric_bound": (n - 1) * Kt * Kt,
+                     "ric_margin_floor": 1e-9,
+                     "parity_first_derivative": par.first_derivative_value,
+                     "curves": {"warp": warp()}},
+        sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +764,9 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     rounding, and its principal-curvature columns differenced with one
     stencil per grid (``_tabs_from_samples``).  Both read the cap face
     from ``_handle1_cap``: the face a build has just made when the margins
-    missed.  The arc lengths in ``aux`` (``u_cap``, ``outer_arc_length``)
-    are built with the margins.
+    missed.  ``Report.aux`` is built on its first read too; the outer
+    face's arc length, which ``aux["outer_arc_length"]`` and the outer
+    boundary read, is computed once, on the first read of either.
     """
     if not lambda1 < lambda2:
         raise BuildError("need lambda1 < lambda2")
@@ -789,7 +798,6 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     margins = [radial_cap, sphere_cap, tan_chain]
 
     beta, so, beta_jet, bp = _handle1_beta(float(eps2), grid)
-    alpha_out = beta.plus(alpha_top)
     height_out = beta_jet + alpha_top       # alpha_out's jet on so
     out_ii = graph_ii_sweep(f, R_sphere, height_out, so, "up")
     margins.append(_min_margin("radial_ii_outer", so, out_ii["radial"]))
@@ -816,12 +824,18 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         1.0 if (math.cos(theta) > 0) == (sign_cf > 0) else -1.0, s_hi))
     margins.append(Margin("inner_slope_gap", 1.0 - lam, -delta))
 
-    # the outer face's arc length; the boundary profiles over both faces
-    # are built on the first read of report.boundary, and the outer face's
-    # far end seeds the next piece's boundary data
-    r_arc = _handle1_arc(height_out, out_ii, so)
+    # the outer face's arc length, built on the first read of the aux or
+    # the boundary profiles, whose outer face's far end seeds the next
+    # piece's boundary data
+    arc = []
+
+    def outer_arc():
+        if not arc:
+            arc.append(_handle1_arc(height_out, out_ii, so))
+        return arc[0]
 
     def profiles():
+        r_arc = outer_arc()
         _, cap_ii, u_arc = _handle1_cap(*cap_key)
         cap_warp, cap_pc = _handle1_face(f, R_sphere, height, cap_ii, ss,
                                          u_arc)
@@ -830,7 +844,7 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
         outer_warp, dug_pc = _handle1_face(f, R_sphere, height_out, out_ii,
                                            so, r_arc)
         # past the dug zone the face is a slice with curvature f'/f
-        far = alpha_out.eval(s_hi + eps2)
+        far = beta.plus(alpha_top).eval(s_hi + eps2)
         flat_pc = float(f.eval(far, 1) / f.eval(far, 0))
         tail_len = 2.0 * float(r_arc[-1])
         outer_ii = {
@@ -871,21 +885,19 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
                 "phi": phi, "phi_dd": phi_dd}},
         }
 
-    report = Report(
+    return Report(
         block="handle1",
         params={"n": n, "K": K, "lambda1": lambda1, "lambda2": lambda2,
                 "eps1": eps1, "eps2": eps2, "delta": delta},
         margins=margins,
         boundary=profiles,
-        aux={"theta": theta, "theta_closed_form": theta_cf,
-             "angle_tolerance": agree_tol, "lambda": lam,
-             "alpha_top": alpha_top, "r_max": r_max,
-             "f_scale_at_corner": F, "u_cap": u_cap,
-             "outer_arc_length": float(r_arc[-1])},
-        sweeps=sweeps,
-    )
-    report.aux["curves"] = {"f": f, "alpha": alpha, "beta": beta}
-    return report
+        aux=lambda: {"theta": theta, "theta_closed_form": theta_cf,
+                     "angle_tolerance": agree_tol, "lambda": lam,
+                     "alpha_top": alpha_top, "r_max": r_max,
+                     "f_scale_at_corner": F, "u_cap": u_cap,
+                     "outer_arc_length": float(outer_arc()[-1]),
+                     "curves": {"f": f, "alpha": alpha, "beta": beta}},
+        sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,20 +1169,18 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         return {name: {"t": t, "columns": dict(columns)}
                 for name, (t, columns) in _handle2_face(*key)[1].items()}
 
-    report = Report(
+    return Report(
         block="handle2",
         params={"lambda1": lambda1, "lambda2": lambda2, "a": a, "b": b,
                 "eps": eps, "nu": nu},
         margins=margins,
         boundary=profiles,
         aux={"theta": theta, "t_end": t_end, "beta_end": beta_end,
-             "delta_prime": delta_prime, "f_end": f_end},
-        sweeps=sweeps,
-    )
-    report.aux["curves"] = {"f": _handle2_collar(l1, l2, fb, grid)[0],
-                            "beta": _handle2_graph(fa, fb, grid)[0],
-                            "B_full": B_full}
-    return report
+             "delta_prime": delta_prime, "f_end": f_end,
+             "curves": {"f": _handle2_collar(l1, l2, fb, grid)[0],
+                        "beta": _handle2_graph(fa, fb, grid)[0],
+                        "B_full": B_full}},
+        sweeps=sweeps)
 
 
 def assemble_handle(n: int, K: float, params1: dict, params2: dict,
@@ -1185,8 +1195,8 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
         return rep1
     R_h = rep1.aux["f_scale_at_corner"] * K
     outer = rep1.boundary["outer"]
-    B_hat = outer.metric["warp"].metric_rescale(1.0 / R_h)
-    B_hat.info["dimension"] = n
+    B_hat = outer.metric["warp"].metric_rescale(1.0 / R_h).with_info(
+        dimension=n)
     rep2 = build_handle2(B_hat, **params2, grid=grid)
     margins = [Margin(f"piece1:{m.label}", m.min, m.argmin)
                for m in rep1.margins]
@@ -1453,14 +1463,12 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
         Margin("reach_height", 1e-9 - abs(float(h.eval(t0, 0)) - 1.0), t0),
         Margin("flat_at_end", 1e-8 - flatness_margin(h, t0), t0),
     ]
-    report = Report(
+    return Report(
         "fibre-disc", {"p": p, "t0": t0}, margins,
         aux={"omega": omega, "seed_fraction": rho, "plateau_start": float(mu),
-             "h_end": float(h.eval(t0, 0))},
+             "h_end": float(h.eval(t0, 0)), "curves": {"h": h}},
         sweeps={"warp": {"t": tt, "columns": {"h": hv, "sec_radial": sec_rad,
                                               "sec_sphere": sec_sph}}})
-    report.aux["curves"] = {"h": h}
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1552,11 +1560,11 @@ def _projective_warp(s: float):
 @per_key(maxsize=8)
 def _projective_f0_jet(grid):
     """The family's Ricci grid ts = grid_points(-1, 1, grid), read-only,
-    and the odd warp f0's ``cohomog1_jet`` on it, as (ts, jet).  Built
-    once per grid density, the only parameter they read, and shared by
-    every member whatever its s, d and n.  A key holds four arrays of ts's
-    length, about 130 KB at the default grid (4097 points), so the 8 kept
-    retain about 1 MB at most."""
+    and the odd warp f0's ``cohomog1_jet`` on it, its powers included, as
+    (ts, jet).  Built once per grid density, the only parameter they read,
+    and shared by every member whatever its s, d and n.  A key holds seven
+    arrays of ts's length, about 230 KB at the default grid (4097 points;
+    tracemalloc), so the 8 kept retain about 1.9 MB at most."""
     ts = read_only(grid_points(-1.0, 1.0, grid))
     return ts, cohomog1_jet(_projective_f0(), ts, (-1.0, 1.0))
 
@@ -1587,12 +1595,13 @@ def _projective_member(s: float, grid):
     w, ts, f_jet, h_jet, margins): the warp h and its join half-width w
     (``_projective_warp``); the Ricci grid ts and f0's jet on it, those
     ``_projective_f0_jet(grid)`` holds, not copies; h's ``cohomog1_jet``
-    on ts; and three Margins on the key_inequality sweep's grid, the key
-    cross-term inequality and the two trigonometric comparison bounds (the
-    sweep itself is not kept).  Built once per (s, grid), and read, never
-    changed, by every member at s whatever its d and n.  A key holds h's
-    tables, about 100 KB, and its jet's three columns, about 98 KB at the
-    default grid, so the 32 kept retain about 6.3 MB at most."""
+    on ts, with the powers the Ricci formulas read; and three Margins on
+    the key_inequality sweep's grid, the key cross-term inequality and
+    the two trigonometric comparison bounds (the sweep itself is not
+    kept).  Built once per (s, grid), and read, never changed, by every
+    member at s whatever its d and n.  A key holds h's tables, about 100
+    KB, and its jet's six columns, about 190 KB at the default grid
+    (tracemalloc), so the 32 kept retain about 9.2 MB at most."""
     h, w = _projective_warp(s)
     ts, f_jet = _projective_f0_jet(grid)
     tk, key = _key_inequality(h, s, grid)
@@ -1616,7 +1625,8 @@ def projective_family_check(d: int, n: int, s: float,
     Certifies Ricci positivity on the grid (endpoints included), the key
     cross-term inequality on the sine zone, and the two trigonometric
     comparison bounds it rests on.  The last three, the warp h and the
-    warps' jets on the Ricci grid read s and the grid alone and come from
+    warps' jets on the Ricci grid, with the powers of the warps the
+    formulas read, read s and the grid alone and come from
     ``_projective_member(s, grid)``; the Ricci sweep's arithmetic reads d
     and n, and the key_inequality sweep is built on the first read of
     ``Report.sweeps``.
@@ -1641,15 +1651,13 @@ def projective_family_check(d: int, n: int, s: float,
         return {"ricci": {"t": ts, "columns": dict(sweep)},
                 "key_inequality": {"t": tk, "columns": {"key": key}}}
 
-    report = Report(
+    return Report(
         "projective-family",
         {"d": d, "n": n, "s": s},
         margins,
         aux={"t_flat": t_flat, "join_halfwidth": w,
-             "plateau_value": amp},
+             "plateau_value": amp, "curves": {"f": f0, "h": h}},
         sweeps=sweeps)
-    report.aux["curves"] = {"f": f0, "h": h}
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1719,12 +1727,12 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
         margins.append(_min_margin(f"ric_min_path_{lam:0.2f}", ts, worst))
         if lam in (0.0, 1.0):
             sweeps[f"path_{lam:0.2f}"] = {"t": ts, "columns": dict(sweep)}
-    report = Report(
+    return Report(
         "wu-family", {"variant": "blended", "eps": eps,
                       "eps_outer": eps_outer},
-        margins, aux={"eps": eps, "eps_outer": eps_outer}, sweeps=sweeps)
-    report.aux["curves"] = {"f": f0, "h1": h1}
-    return report
+        margins, aux={"eps": eps, "eps_outer": eps_outer,
+                      "curves": {"f": f0, "h1": h1}},
+        sweeps=sweeps)
 
 
 @domain(c=Reals(0, ends="[)"), C=Reals(0))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ __all__ = [
     "ABounds", "CoordinateChart", "doubly_warped_sweep", "slice_II",
     "graph_ii_columns", "graph_ii_sweep", "bundle_warped_sweep",
     "submersion_shrink_bounds", "cohomog1_sweep", "cohomog1_jet",
-    "cohomog1_columns", "fd_ricci",
+    "CohomogJet", "cohomog1_columns", "fd_ricci",
     "doubly_warped_chart", "flat_chart", "oracle_cross_check",
 ]
 
@@ -449,20 +450,44 @@ def _cohomog1_endpoint(m: CohomogOneMetric, t: float, family: str,
     return {"ric_tt": iso, "ric_VV": iso, "ric_XX": ric_xx}
 
 
-def cohomog1_jet(c: SmoothCurve, ts: np.ndarray, domain) -> tuple:
-    """What a cohomogeneity-one sweep over ts on ``domain`` reads of the
-    warp c, as (c, c', c'', thirds): c's orders 0-2 on ts, read-only, and
-    thirds, the pairs (t, third derivative of c at t) for each end t of
-    the sweep (``_cohomog1_inner``) where c vanishes: the only third
-    derivatives ``_cohomog1_endpoint`` divides by.  A caller that keeps a
-    warp's jet on its grid passes it to ``cohomog1_columns`` as it is."""
+class CohomogJet(NamedTuple):
+    """What a cohomogeneity-one sweep reads of one warp c on its grid ts,
+    as ``cohomog1_jet`` gives it: c's orders 0-2 (v, d1, d2); thirds, the
+    pairs (t, third derivative of c at t) for each end t of the sweep
+    (``_cohomog1_inner``) where c vanishes, the only third derivatives
+    ``_cohomog1_endpoint`` divides by; the powers v**2, v**4 and 1 -
+    d1**2 the formulas read; the indices of the sweep's ends; and
+    first_bad, the first index inside where v <= 0, or None.  Its arrays
+    are read-only and its indices a tuple and an int."""
+    v: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    thirds: tuple
+    v2: np.ndarray
+    v4: np.ndarray
+    gap: np.ndarray
+    ends: tuple
+    first_bad: int | None
+
+
+def cohomog1_jet(c: SmoothCurve, ts: np.ndarray, domain) -> CohomogJet:
+    """The CohomogJet of the warp c on ts for a sweep on ``domain``.  What
+    it holds reads c and the grid alone, so a caller that keeps a warp's
+    jet on its grid passes it to ``cohomog1_columns`` as it is, and a
+    sweep's per-sample work is the arithmetic that reads d and n."""
     ts = np.asarray(ts, dtype=float)
     v, d1, d2 = c.jet(ts, 2)
-    ends = ~_cohomog1_inner(domain, ts)
+    inner = _cohomog1_inner(domain, ts)
+    ends = ~inner
     thirds = tuple((float(t), c(float(t), 3))
                    for t, x in zip(ts[ends], v[ends])
                    if abs(x) < _COLLAPSE_TOL)
-    return read_only(v), read_only(d1), read_only(d2), thirds
+    bad = np.flatnonzero(inner & (v <= 0))
+    return CohomogJet(read_only(v), read_only(d1), read_only(d2), thirds,
+                      read_only(v ** 2), read_only(v ** 4),
+                      read_only(1 - d1 ** 2),
+                      tuple(np.flatnonzero(ends).tolist()),
+                      int(bad[0]) if bad.size else None)
 
 
 def cohomog1_sweep(m: CohomogOneMetric, ts: np.ndarray,
@@ -480,31 +505,44 @@ def cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, f_jet, h_jet,
                      family: str = "projective") -> dict:
     """``cohomog1_sweep``'s columns from the jets of m's two warps on ts,
     each as ``cohomog1_jet`` gives it on the domain of m's f: this reads
-    m's d, n and that domain, and its warps only through the jets."""
-    thirds = (dict(f_jet[3]), dict(h_jet[3]))
-    return _in_blocks(functools.partial(_cohomog1_columns, m, thirds,
-                                        family=family),
-                      ts, *f_jet[:3], *h_jet[:3])
-
-
-def _cohomog1_columns(m: CohomogOneMetric, thirds, ts: np.ndarray,
-                      fv, f1, f2, hv, h1, h2, family: str) -> dict:
-    inner = _cohomog1_inner(m.f.domain, ts)
-    d, n = m.d, m.n
-    bad = inner & ((fv <= 0) | (hv <= 0))
-    if np.any(bad):
+    m's d and n, and its warps and that domain only through the jets (f's
+    gives the ends).  A warp that is not positive inside raises ValueError
+    naming the first such point of either; then the formulas run
+    (``_cohomog1_columns``), and the ends take the collapse values."""
+    ts = np.asarray(ts, dtype=float)
+    bad = [j.first_bad for j in (f_jet, h_jet) if j.first_bad is not None]
+    if bad:
         raise ValueError(
-            f"undeclared singularity at interior t={ts[bad][0]}")
+            f"undeclared singularity at interior t={ts[min(bad)]}")
+    out = _in_blocks(functools.partial(_cohomog1_columns, m, family=family),
+                     ts, *f_jet[:3], f_jet.v2, f_jet.gap,
+                     *h_jet[:3], h_jet.v2, h_jet.v4, h_jet.gap)
+    thirds = (dict(f_jet.thirds), dict(h_jet.thirds))
+    for i in f_jet.ends:
+        for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
+                                       [f[i] for f in f_jet[:3]],
+                                       [h[i] for h in h_jet[:3]],
+                                       thirds).items():
+            out[k][i] = v
+    return out
+
+
+def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, fv, f1, f2, fv2,
+                      f_gap, hv, h1, h2, hv2, hv4, h_gap,
+                      family: str) -> dict:
+    """The formulas at every point of ts, from the warps' orders 0-2 and
+    the powers their jets keep (``CohomogJet``); f_gap and h_gap are 1 -
+    f'^2 and 1 - h'^2.  Only fv * hv and the arithmetic that reads d and
+    n are computed here; ts is read only for its blocks (``_in_blocks``)."""
+    d, n = m.d, m.n
     with np.errstate(divide="ignore", invalid="ignore"):
-        # each power and product of the warps that the formulas repeat,
-        # computed once
-        fv2, hv2, hv4, fh = fv ** 2, hv ** 2, hv ** 4, fv * hv
+        fh = fv * hv
         if family == "projective":
             ric_tt = -(d - 1) * f2 / fv - (n - 1) * d * h2 / hv
-            ric_vv = (-f2 / fv + (d - 2) * (1 - f1 ** 2) / fv2
+            ric_vv = (-f2 / fv + (d - 2) * f_gap / fv2
                       - (n - 1) * d * f1 * h1 / fh
                       + (n - 1) * d * fv2 / hv4)
-            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * (1 - h1 ** 2) / hv2
+            ric_xx = (-h2 / hv + ((n - 1) * d - 1) * h_gap / hv2
                       - (d - 1) * f1 * h1 / fh
                       + 3.0 * (d - 1) / hv2
                       - 2.0 * (d - 1) * fv2 / hv4)
@@ -514,19 +552,12 @@ def _cohomog1_columns(m: CohomogOneMetric, thirds, ts: np.ndarray,
             ric_tt = -f2 / fv - 2.0 * h2 / hv
             ric_vv = (-f2 / fv - 2.0 * f1 * h1 / fh
                       + 2.0 * fv2 / hv4)
-            ric_xx = (-h2 / hv + (1 - h1 ** 2) / hv2
+            ric_xx = (-h2 / hv + h_gap / hv2
                       - f1 * h1 / fh + 3.0 / hv2
                       - 2.0 * fv2 / hv4)
         else:
             raise ValueError(family)
-    out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
-    for i in np.nonzero(~inner)[0]:
-        for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
-                                       [fv[i], f1[i], f2[i]],
-                                       [hv[i], h1[i], h2[i]],
-                                       thirds).items():
-            out[k][i] = v
-    return out
+    return {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,6 +50,9 @@ class JoinBandError(RuntimeError):
             f"second derivative leaves band {band} by {overshoot:.3e}")
 
 
+_NO_INFO = MappingProxyType({})
+
+
 class SmoothCurve:
     """Scalar function on [t_lo, t_hi] with evaluable derivatives k <= 3.
 
@@ -56,7 +60,10 @@ class SmoothCurve:
     listed orders ``ks`` (ascending, each 0..3) at points t already checked
     against the domain.  ``eval`` asks it for one order and ``jet`` for
     orders 0..n, so work shared between orders (a table's segment lookup,
-    a Jet's arithmetic, an integrand's common factors) is done once."""
+    a Jet's arithmetic, an integrand's common factors) is done once.
+    ``info`` is a read-only mapping of what the curve's constructor
+    recorded, so a cached curve's info cannot be changed; ``with_info``
+    derives a curve with more entries."""
 
     __slots__ = ("t_lo", "t_hi", "_at", "nodes", "info")
 
@@ -67,7 +74,9 @@ class SmoothCurve:
         self.t_hi = float(t_hi)
         self._at = orders           # (t, ks) -> [order k at t for k in ks]
         self.nodes = nodes          # optional (ts, 4-column values) table
-        self.info = dict(info) if info else {}
+        # read-only, built once: a given read-only mapping is shared
+        self.info = (info if isinstance(info, MappingProxyType)
+                     else MappingProxyType(dict(info)) if info else _NO_INFO)
 
     @property
     def domain(self):
@@ -109,7 +118,8 @@ class SmoothCurve:
     # -- constructors-on-top -------------------------------------------------
 
     def restrict(self, lo, hi) -> "SmoothCurve":
-        """The curve on [lo, hi], keeping only the stored nodes inside."""
+        """The curve on [lo, hi], keeping only the stored nodes inside and
+        sharing this curve's info."""
         slop = 1e-9 * (1.0 + self.t_hi - self.t_lo)
         if lo < self.t_lo - slop or hi > self.t_hi + slop:
             raise ValueError("restriction exceeds domain")
@@ -121,12 +131,18 @@ class SmoothCurve:
             nodes = (ts[keep], [c[keep] for c in cols])
         return SmoothCurve(lo, hi, self._at, nodes, self.info)
 
-    def _mapped(self, lo, hi, arg, scaled) -> "SmoothCurve":
+    def with_info(self, **entries) -> "SmoothCurve":
+        """This curve, its orders and nodes shared, with ``entries`` added
+        to its info."""
+        return SmoothCurve(self.t_lo, self.t_hi, self._at, self.nodes,
+                           {**self.info, **entries})
+
+    def _mapped(self, lo, hi, arg, scaled, info=None) -> "SmoothCurve":
         """The curve on [lo, hi] whose order k at t is scaled(k, v, t), v
         this curve's order k at arg(t), all orders from one call."""
         at = self._at
         return SmoothCurve(lo, hi, lambda t, ks: [
-            scaled(k, v, t) for k, v in zip(ks, at(arg(t), ks))])
+            scaled(k, v, t) for k, v in zip(ks, at(arg(t), ks))], info=info)
 
     def shifted(self, dt) -> "SmoothCurve":
         """Curve s(t) = self(t - dt)."""
@@ -134,11 +150,12 @@ class SmoothCurve:
                             lambda t: t - dt, lambda k, v, t: v)
 
     def metric_rescale(self, R: float) -> "SmoothCurve":
-        """Warp transform under g -> R^2 g: t -> R * self(t / R)."""
+        """Warp transform under g -> R^2 g: t -> R * self(t / R), sharing
+        this curve's info."""
         if R <= 0:
             raise ValueError("R must be positive")
         return self._mapped(self.t_lo * R, self.t_hi * R, lambda t: t / R,
-                            lambda k, v, t: R ** (1 - k) * v)
+                            lambda k, v, t: R ** (1 - k) * v, self.info)
 
     def eigen_rescale(self, R: float) -> "SmoothCurve":
         """Principal-curvature transform under g -> R^2 g: t -> self(t/R)/R."""
@@ -924,10 +941,8 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
             segs = [(left.t_lo, b, left), (b, right.t_hi, right)]
         else:
             segs = [(left.t_lo, b, left)]
-        out = piecewise_curve(segs)
-        out.info.update({"identity": True, "c1": 0.0, "c2": 0.0,
-                         "band_overshoot": 0.0, "window": (a, b)})
-        return out
+        return piecewise_curve(segs).with_info(
+            identity=True, c1=0.0, c2=0.0, band_overshoot=0.0, window=(a, b))
 
     if isinstance(left._at, _LineOrders) and isinstance(right._at,
                                                          _LineOrders):
@@ -960,9 +975,8 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     if right.t_hi > b:
         segs.append((b, right.t_hi, right))
     out = piecewise_curve(segs) if len(segs) > 1 else mid
-    out.info.update({"identity": False, "c1": float(c1), "c2": float(c2),
-                     "band_overshoot": overshoot, "window": (a, b)})
-    return out
+    return out.with_info(identity=False, c1=float(c1), c2=float(c2),
+                         band_overshoot=overshoot, window=(a, b))
 
 
 # ---------------------------------------------------------------------------

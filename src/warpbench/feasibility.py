@@ -100,21 +100,33 @@ class ParamBox:
             yield {n: float(v) for n, v in zip(self.names, point)}
 
     def random_samples(self, budget: int, seed: int):
+        """Up to ``budget`` distinct lattice samples, seeded.  Each attempt
+        draws one index per axis, axes in name order, from
+        ``np.random.default_rng(seed)`` as ``rng.integers(0, size)`` would
+        one at a time; an index tuple already drawn is skipped, and at most
+        50 budget attempts are made.  The attempts are drawn in refills, as
+        many as samples are still needed (at most the attempts left), each
+        one ``rng.integers`` call on the tiled axis sizes: numpy draws an
+        array ``high`` element by element as it draws a scalar one, so the
+        stream, and the samples, are those of the one-at-a-time loop."""
+        names = self.names
+        axes = [self.params[n].points(self.axis_resolution(n))
+                for n in names]
+        sizes = np.array([len(a) for a in axes])
         rng = np.random.default_rng(seed)
-        axes = {n: self.params[n].points(self.axis_resolution(n))
-                for n in self.names}
         seen = set()
         out = []
         attempts = 0
         while len(out) < budget and attempts < 50 * budget:
-            attempts += 1
-            idx = tuple(int(rng.integers(0, len(axes[n])))
-                        for n in self.names)
-            if idx in seen:
-                continue
-            seen.add(idx)
-            out.append({n: float(axes[n][i])
-                        for n, i in zip(self.names, idx)})
+            rows = min(budget - len(out), 50 * budget - attempts)
+            attempts += rows
+            draws = rng.integers(0, np.tile(sizes, rows))
+            for idx in map(tuple, draws.reshape(rows, len(names)).tolist()):
+                if idx in seen:
+                    continue
+                seen.add(idx)
+                out.append({n: float(a[i])
+                            for n, a, i in zip(names, axes, idx)})
         return out
 
     def to_json_dict(self):

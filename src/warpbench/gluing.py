@@ -80,15 +80,17 @@ class Report:
     """Margins certified by one block build or one gluing check.  The
     verdict is derived from the margins: "pass", or "fail:<label>" of the
     first margin that fails its pass rule.  ``boundary`` maps face names to
-    BoundaryProfiles and ``sweeps`` sweep names to their grid ``"t"`` and
-    named ``"columns"`` on it.  A builder may pass either as a function
-    that builds that dict, so they may be built on first read: a caller
-    that reads only the margins, as a scan does, never builds them."""
+    BoundaryProfiles, ``aux`` names the build's other values (its scalars,
+    and in ``aux["curves"]`` the curves a caller builds on) and ``sweeps``
+    maps sweep names to their grid ``"t"`` and named ``"columns"`` on it.
+    A builder may pass any of the three as a function that builds that
+    dict, so they may be built on first read: a caller that reads only the
+    margins, as a scan does, never builds them."""
     block: str
     params: dict
     margins: list
     boundary: dict = _BuiltOnFirstRead()
-    aux: dict = field(default_factory=dict)
+    aux: dict = _BuiltOnFirstRead()
     sweeps: dict = _BuiltOnFirstRead()
 
     @property

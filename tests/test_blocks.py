@@ -1103,12 +1103,18 @@ class TestOneCachePerKey:
         on its own from that warp."""
         h, w, ts, _, h_jet, margins = bk._projective_member(s, grid)
         fresh, fresh_w = bk._projective_warp(s)
+        fresh_jet = kv.cohomog1_jet(fresh, ts, (-1.0, 1.0))
         rep = bk.projective_family_check(2, 2, s, grid=grid)
         assert w == fresh_w == rep.aux["join_halfwidth"]
         assert rep.aux["curves"]["h"] is h
         assert [_bits(c) for c in h_jet[:3]] == \
-            [_bits(c) for c in kv.cohomog1_jet(fresh, ts, (-1.0, 1.0))[:3]]
-        assert h_jet[3] == kv.cohomog1_jet(fresh, ts, (-1.0, 1.0))[3]
+            [_bits(c) for c in fresh_jet[:3]]
+        assert h_jet[3] == fresh_jet[3]
+        # the powers the jet keeps, its end indices and its first point
+        # inside where h <= 0 (none)
+        assert [_bits(c) for c in h_jet[4:7]] == \
+            [_bits(c) for c in fresh_jet[4:7]]
+        assert h_jet[7:] == fresh_jet[7:] == ((0, len(ts) - 1), None)
         assert [rep.margin(m.label) for m in margins] == list(margins)
         sweep = rep.sweeps["key_inequality"]
         i = int(np.argmin(sweep["columns"]["key"]))
@@ -1347,10 +1353,46 @@ def test_cached_tables_are_read_only(fresh_caches):
             a[0] = 0.0
 
 
+def test_cached_jet_powers_are_read_only(fresh_caches):
+    """The powers the projective jets keep per grid and per (s, grid) are
+    those the formulas write, v**2, v**4 and 1 - v'**2, bit for bit, and
+    read-only: writing to one raises."""
+    _, f_jet = bk._projective_f0_jet(None)
+    h_jet = bk._projective_member(0.5, None)[4]
+    for jet in (f_jet, h_jet):
+        assert [_bits(c) for c in (jet.v2, jet.v4, jet.gap)] == [
+            _bits(c) for c in (jet.v ** 2, jet.v ** 4, 1 - jet.d1 ** 2)]
+        for a in (*jet[:3], jet.v2, jet.v4, jet.gap):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+def test_cached_curve_info_is_read_only(fresh_caches):
+    """A cached curve's info is a read-only mapping, built once: writing
+    to it raises, and a curve derived by restrict or metric_rescale
+    shares it rather than a copy."""
+    bk.build_cone_metric(4, 0.9, 0.1, 0.1, 0.02, 0.5)
+    join = bk._cone_join(0.9, 0.1, 0.02, 0.5, "inner")[0]
+    rep = bk.build_handle1(4, 0.9, **GOOD_H1)
+    curves = [join, rep.aux["curves"]["f"], fs._default_collar_profile(),
+              bk._handle1_height(GOOD_H1["lambda1"], GOOD_H1["eps1"],
+                                 None)[0]]
+    assert join.info["window"] and rep.aux["curves"]["f"].info
+    for curve in curves:
+        with pytest.raises(TypeError):
+            curve.info["dimension"] = 7
+        lo, hi = curve.domain
+        assert curve.restrict(lo, 0.5 * (lo + hi)).info is curve.info
+        assert curve.metric_rescale(2.0).info is curve.info
+    with pytest.raises(TypeError):
+        del join.info["window"]
+
+
 def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):
     """The default collar profile is one curve per scale, shared by every
     handle2 sample; a scan, and the boundary a build reads from it, leave
-    it and its info as they were."""
+    it and its info as they were.  A curve derived from it shares its
+    read-only info, and writing to that raises."""
     B = fs._default_collar_profile()
     info, table = dict(B.info), B.node_table().tobytes()
     cert = fs.scan(fs.ParamBox({"a": (0.01, 0.03), "nu": (0.02, 0.04),
@@ -1359,9 +1401,11 @@ def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):
                                      "b": 1.5}, grid=256)
     assert cert.entries
     rep = bk.build_handle2(B, **GOOD_H2)
-    assert rep.boundary["bottom"].metric["warp"].info is not B.info
-    rep.boundary["bottom"].metric["warp"].info["dimension"] = 7
-    rep.aux["curves"]["B_full"].info["dimension"] = 7
+    assert rep.boundary["bottom"].metric["warp"].info is B.info
+    for derived in (rep.boundary["bottom"].metric["warp"],
+                    rep.aux["curves"]["B_full"]):
+        with pytest.raises(TypeError):
+            derived.info["dimension"] = 7
     assert fs._default_collar_profile() is B
     assert fs._default_collar_profile(1.1) is not B
     assert B.info == info and B.node_table().tobytes() == table

@@ -1,5 +1,6 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -572,11 +573,13 @@ def nan_and_signed_zero_metric():
 
 
 def cohomog1_one_pass(m, ts, family):
-    """The cohomog1 sweep's kernel in one pass over ts, on the warps' jets
-    that ``cohomog1_jet`` gives."""
+    """The cohomog1 sweep with its kernel in one pass over ts, on the
+    warps' jets that ``cohomog1_jet`` gives: ``cohomog1_columns`` with
+    ``_in_blocks`` replaced by one call of the kernel on the whole rows."""
     f_jet, h_jet = (kv.cohomog1_jet(c, ts, m.f.domain) for c in (m.f, m.h))
-    return kv._cohomog1_columns(m, (dict(f_jet[3]), dict(h_jet[3])), ts,
-                                *f_jet[:3], *h_jet[:3], family=family)
+    with mock.patch.object(kv, "_in_blocks",
+                           lambda columns, ts, *rows: columns(ts, *rows)):
+        return kv.cohomog1_columns(m, ts, f_jet, h_jet, family)
 
 
 def blocked_cases():

@@ -51,6 +51,63 @@ class TestParamBox:
         s2 = box.random_samples(10, seed=7)
         assert s1 == s2
 
+    @staticmethod
+    def per_axis_samples(box, budget, seed):
+        """random_samples as the scalar loop: each attempt draws one
+        ``rng.integers(0, size)`` per axis, axes in name order, skips an
+        index tuple already drawn, and stops at 50 budget attempts."""
+        axes = {n: box.params[n].points(box.axis_resolution(n))
+                for n in box.names}
+        rng = np.random.default_rng(seed)
+        seen, out, attempts = set(), [], 0
+        while len(out) < budget and attempts < 50 * budget:
+            attempts += 1
+            idx = tuple(int(rng.integers(0, len(axes[n])))
+                        for n in box.names)
+            if idx in seen:
+                continue
+            seen.add(idx)
+            out.append({n: float(axes[n][i])
+                        for n, i in zip(box.names, idx)})
+        return out
+
+    # perfbench's four scan-mix lattice shapes, one axis, and one-point axes
+    SAMPLED_BOXES = {
+        "handle1-tied": ({"lambda1": (0.85, 0.99), "eps1": (0.01, 0.1),
+                          "eps2": (0.01, 0.1), "delta": (0.02, 0.08)},
+                         {"lambda1": 15, "eps1": 3, "eps2": 3, "delta": 3}),
+        "handle2": ({"a": (0.005, 0.08), "b": (1.0, 2.0),
+                     "nu": (0.01, 0.05), "eps": (0.05, 0.15)},
+                    {"a": 4, "b": 3, "nu": 3, "eps": 3}),
+        "cone": ({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
+                  "delta": (0.01, 0.04), "t": (0.0, 1.0)},
+                 {"eps1": 3, "eps2": 3, "delta": 3, "t": 5}),
+        "projective": ({"s": (0.0, 1.0)}, {"s": 17}),
+        "one-axis": ({"x": (0.0, 1.0, "()")}, 5),
+        "one-point-axes": ({"b": (2.0, 2.0), "a": (0.0, 1.0),
+                            "c": (-1.0, 1.0)}, {"a": 3, "b": 1, "c": 1}),
+    }
+
+    @pytest.mark.numpy_contract(
+        "an array high draws the stream of one scalar integers call each")
+    @pytest.mark.parametrize("name", sorted(SAMPLED_BOXES))
+    def test_random_samples_are_the_per_axis_draws(self, name):
+        """random_samples draws its attempts in batches; its samples are
+        the scalar loop's for 200 seeds at budgets up to perfbench's 12,
+        and at the lattice size and past it, where the attempt cap ends
+        the draw (for 50 seeds on the one-axis and one-point-axes
+        lattices, for fewer on the larger ones)."""
+        box = fs.ParamBox(*self.SAMPLED_BOXES[name])
+        size = box.grid_size()
+        seeds_past = 50 if size <= 5 else 10 if size <= 17 else 1
+        for seed in range(200):
+            budgets = [b for b in (1, 2, 3, 4, 8, 12) if b < size]
+            if seed < seeds_past:
+                budgets += [size, size + 1]
+            for budget in budgets:
+                assert box.random_samples(budget, seed) == \
+                    self.per_axis_samples(box, budget, seed), (seed, budget)
+
 
 class TestScan:
     def test_single_point_box_returns_that_point(self):
@@ -662,6 +719,75 @@ class TestScanBuildsNoProfiles:
             digest.update(name.encode())
             digest.update(got["columns"][name].tobytes())
         assert digest.hexdigest() == self.CONE_SWEEP_SHA256
+
+    # handle1's outer_arc_length at H1, and the sha256 of the cone warp's
+    # orders 0-3 on grid_points(s_lo, s_hi, 256) at (4, 0.9, 0.1, 0.1,
+    # 0.02, 0.5), as every build computed them with its margins before
+    # Report.aux was built on first read; recorded with numpy 2.4 on
+    # x86-64 Linux
+    H1_OUTER_ARC = "0x1.8006714f8a26ap+1"
+    CONE_WARP_SHA256 = (
+        "cd881116efac609516bd98b16c62938d7b03f4921d99e672faaaf114e756b72f")
+
+    @staticmethod
+    def counted_calls(monkeypatch, name):
+        """The argument tuples of the calls of blocks.<name>."""
+        calls = []
+        real = getattr(bk, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bk, name, counting)
+        return calls
+
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_warm_scans_build_no_arc_and_no_warp(self, monkeypatch):
+        """A handle1-tied or cone scan on warm caches computes no outer arc
+        length (``_handle1_arc``) and composes no cone warp (``sin_of``):
+        only ``Report.aux``, the boundary and the sweeps read them.  A
+        build computes each once, on the first read of any of those, with
+        the bits builds computed with their margins."""
+        scans = [
+            (fs.ParamBox({"lambda1": (0.975, 0.989),
+                          "eps1": (0.01, 0.02)}, 2),
+             "handle1-tied", 4, {"eps2": 0.1}),
+            (fs.ParamBox({"eps1": (0.05, 0.2), "eps2": (0.05, 0.2),
+                          "delta": (0.01, 0.04), "t": (0.0, 1.0)},
+                         {"eps1": 3, "eps2": 3, "delta": 3, "t": 5}),
+             "cone", 40, {})]
+        cone = (4, 0.9, 0.1, 0.1, 0.02, 0.5)
+        # the caches' cap faces and cone joins, which compute an arc and
+        # a sine of their own when they miss
+        certs = [fs.scan(box, p, budget, seed=5, fixed=fixed)
+                 for box, p, budget, fixed in scans]
+        bk.build_handle1(**self.H1)
+        bk.build_cone_metric(*cone, grid=256)
+        arcs = self.counted_calls(monkeypatch, "_handle1_arc")
+        warps = self.counted_calls(monkeypatch, "sin_of")
+        assert [fs.scan(box, p, budget, seed=5, fixed=fixed)
+                for box, p, budget, fixed in scans] == certs
+        assert all(cert.entries for cert in certs)
+        h1 = bk.build_handle1(**self.H1)
+        rep = bk.build_cone_metric(*cone, grid=256)
+        assert arcs == [] and warps == []
+
+        assert h1.aux["outer_arc_length"].hex() == self.H1_OUTER_ARC
+        assert len(arcs) == 1
+        outer = h1.boundary["outer"].metric["warp"]
+        assert outer.t_hi == h1.aux["outer_arc_length"] and len(arcs) == 1
+
+        warp = rep.aux["curves"]["warp"]
+        assert len(warps) == 1
+        ss = bk.grid_points(rep.aux["s_lo"], rep.aux["s_hi"], 256)
+        digest = hashlib.sha256()
+        for k in range(4):
+            digest.update(warp.eval(ss, k).tobytes())
+        assert digest.hexdigest() == self.CONE_WARP_SHA256
+        assert rep.sweeps["ricci"]["columns"]["warp"].tobytes() == \
+            warp.eval(ss).tobytes()
+        assert len(warps) == 1
 
     def test_handle_scans_build_no_profiles(self, monkeypatch):
         calls = self.counted(monkeypatch)
