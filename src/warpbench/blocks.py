@@ -168,17 +168,13 @@ def _min_margin(label: str, ts, values) -> Margin:
 
 
 def _tabs_from_samples(ts: np.ndarray, columns: dict) -> dict:
-    """One table curve on the grid ts per named principal-curvature
-    column, its orders 1-3 differenced (approximate): each is
-    ``numpy.gradient`` of the one below, bit for bit, through one shared
+    """One (value, slope) table curve on the grid ts per named
+    principal-curvature column, which gluing reads at order 0; the slope
+    is ``numpy.gradient`` of the values, bit for bit, through one shared
     ``gradient_on(ts)``."""
     d = gradient_on(ts)
-    curves = {}
-    for name, vals in columns.items():
-        d1 = d(vals)
-        d2 = d(d1)
-        curves[name] = table_curve(ts, (vals, d1, d2, d(d2)))
-    return curves
+    return {name: table_curve(ts, (vals, d(vals)))
+            for name, vals in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +570,9 @@ def _handle1_height(lambda1: float, eps1: float, grid):
     samples share few of them; the curve and the read-only arrays are
     read, never changed, by the handle they go into.  At the default grid
     a key holds about 210 KB (70 KB of surgery tables, the rest the grid
-    and the jet), so the 64 kept retain about 13.7 MB at most."""
+    and the jet), so the 64 kept retain about 13.7 MB at most.  A height
+    below 0 on ss, where ``_handle1_cap`` would read delta, raises
+    BuildError, which is not cached."""
     s_hi = math.pi / 2.0
     w_flat = min(0.05, 0.25 * (s_hi - eps1))
     base = _alpha_base(lambda1, eps1, (eps1, s_hi))
@@ -584,10 +582,14 @@ def _handle1_height(lambda1: float, eps1: float, grid):
         np.linspace(eps1, eps1 + w_flat, 257),
         eps1 + np.linspace(0.0, 3e-3 * w_flat, 65),
     ])))
+    jet = _read_only_jet(alpha, ss)
+    if np.any(jet[0] < 0):
+        raise BuildError(f"the cap height dips below 0, to "
+                         f"{float(jet[0].min())!r}")
     interior = ss[ss < s_hi - 1e-9]
     chain = lambda1 * np.tan(interior) - np.tan(lambda1 * (interior - eps1))
     r_max = math.tan(lambda1 * (s_hi - eps1)) / lambda1
-    return (alpha, ss, _read_only_jet(alpha, ss),
+    return (alpha, ss, jet,
             _min_margin("tan_chain", interior, chain),
             _cap_concavity(lambda1, eps1, r_max),
             float(alpha.eval(s_hi, 0)), float(alpha.eval(s_hi, 1)))
@@ -657,7 +659,7 @@ def _handle1_arc(h: Jet, sweep: dict, ss) -> np.ndarray:
 
 def _handle1_face(f: SmoothCurve, R: SmoothCurve, h: Jet, sweep: dict, ss,
                   u):
-    """The warp table and the differenced principal-curvature tables of
+    """The warp table and the (value, slope) principal-curvature tables of
     the graph t = height(s) over its arc-length nodes u, from the height's
     orders 0-3 on ss (the Jet h) and its ``graph_ii_sweep`` on ss, which
     read f to order 1."""
@@ -691,36 +693,35 @@ def _handle1_sphere(K: float, eps1: float, eps2: float) -> SmoothCurve:
 
 
 @per_key(maxsize=1)
-def _handle1_cap(K: float, lambda1: float, lambda2: float, delta: float,
-                 eps1: float, grid):
-    """handle1's cap face at (K, lambda1, lambda2, delta, eps1) and grid
-    density, as (ss, cap_ii, u_arc): the cap grid ss of
-    ``_handle1_height``, the ``graph_ii_sweep`` of the height on it, its
-    columns read-only, and the face's arc-length nodes on ss.  None of
-    them reads n or eps2: eps2 moves only the far end of R's domain, and
-    the sweep reads R on ss alone, so the cap takes R with eps2 = 0.
-    Built once per key, the only parameters it reads; it keeps one, the
-    key a build just made, which its report's sweeps and boundary read.
-    A key holds five arrays on ss besides ss itself, about 140 KB at the
-    default grid (tracemalloc)."""
+def _handle1_cap(K: float, lambda1: float, lambda2: float, eps1: float,
+                 grid):
+    """handle1's cap face at (K, lambda1, lambda2, eps1) and grid density,
+    as (ss, cap_ii, u_arc): the cap grid ss of ``_handle1_height``, the
+    ``graph_ii_sweep`` of the height on it, its columns read-only, and the
+    face's arc-length nodes on ss.  None of them reads n, eps2 or delta:
+    the sweep reads R on ss alone and f at heights >= 0 alone, and eps2
+    and delta move only the far end of R's domain and the near end of f's,
+    so the cap takes eps2 = delta = 0.  Built once per key, the only
+    parameters it reads; it keeps one, the key a build just made, which
+    its report's sweeps and boundary read.  A key holds five arrays on ss
+    besides ss itself, about 140 KB at the default grid (tracemalloc)."""
     _, ss, height, *_ = _handle1_height(lambda1, eps1, grid)
-    cap_ii = graph_ii_sweep(_handle1_profile(lambda1, lambda2, delta, eps1),
-                            _handle1_sphere(K, eps1, 0.0), height, ss, "up")
+    cap_ii = graph_ii_sweep(_handle1_profile(lambda1, lambda2, 0.0, eps1),
+                            _handle1_sphere(K, eps1, 0.0), height, ss)
     cap_ii = {k: read_only(v) for k, v in cap_ii.items()}
     return ss, cap_ii, read_only(_handle1_arc(height, cap_ii, ss))
 
 
 @per_key(maxsize=256)
 def _handle1_cap_margins(K: float, lambda1: float, lambda2: float,
-                         delta: float, eps1: float, grid):
+                         eps1: float, grid):
     """The head of ``_handle1_cap``: its radial_ii_cap and sphere_ii_cap
     Margins (frozen) and u_cap, the cap face's arc length.  Built once
-    per (K, lambda1, lambda2, delta, eps1, grid) and shared by every
-    sample there whatever its n and eps2.  A key holds no arrays, two
-    Margins and a float, under 1 KB, so the 256 kept (the benchmark's
-    handle1-tied lattice has 135 such keys) retain under 0.3 MB."""
-    ss, cap_ii, u_arc = _handle1_cap(K, lambda1, lambda2, delta, eps1,
-                                     grid)
+    per (K, lambda1, lambda2, eps1, grid) and shared by every sample there
+    whatever its n, eps2 and delta.  A key holds no arrays, two Margins
+    and a float, under 1 KB, so the 256 kept (the benchmark's handle1-tied
+    lattice has 45 such keys) retain under 0.3 MB."""
+    ss, cap_ii, u_arc = _handle1_cap(K, lambda1, lambda2, eps1, grid)
     return (_min_margin("radial_ii_cap", ss, cap_ii["radial"]),
             _min_margin("sphere_ii_cap", ss, cap_ii["sphere"]),
             float(u_arc[-1]))
@@ -744,8 +745,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     beta, its grid so, beta's jet on so and beta'(pi/2); the outer
     height's jet is that jet plus alpha(pi/2) at order 0, as ``beta.plus``
     adds it.  Each face's ``graph_ii_sweep`` reads the height from these
-    jets.  The cap face's sweep and arc length read neither n nor eps2:
-    ``_handle1_cap(K, lambda1, lambda2, delta, eps1, grid)`` builds them,
+    jets.  The cap face's sweep and arc length read neither n, eps2 nor
+    delta: ``_handle1_cap(K, lambda1, lambda2, eps1, grid)`` builds them,
     and ``_handle1_cap_margins`` keeps, per such key, the radial_ii_cap
     and sphere_ii_cap margins and u_cap, so a sample builds only its outer
     face's sweep.
@@ -761,8 +762,8 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
     built on the first read of ``Report.sweeps``, and the boundary
     profiles on the first read of ``Report.boundary``: each face's warp
     columns (orders 0-3 over its arc length) from Jet arithmetic, exact to
-    rounding, and its principal-curvature columns differenced with one
-    stencil per grid (``_tabs_from_samples``).  Both read the cap face
+    rounding, and its principal-curvature profiles as value and slope,
+    one stencil per grid (``_tabs_from_samples``).  Both read the cap face
     from ``_handle1_cap``: the face a build has just made when the margins
     missed.  ``Report.aux`` is built on its first read too; the outer
     face's arc length, which ``aux["outer_arc_length"]`` and the outer
@@ -792,14 +793,13 @@ def build_handle1(n: int, K: float, lambda1: float, lambda2: float,
 
     R_sphere = _handle1_sphere(K, eps1, eps2)
 
-    cap_key = (float(K), float(lambda1), float(lambda2), float(delta),
-               float(eps1), grid)
+    cap_key = (float(K), float(lambda1), float(lambda2), float(eps1), grid)
     radial_cap, sphere_cap, u_cap = _handle1_cap_margins(*cap_key)
     margins = [radial_cap, sphere_cap, tan_chain]
 
     beta, so, beta_jet, bp = _handle1_beta(float(eps2), grid)
     height_out = beta_jet + alpha_top       # alpha_out's jet on so
-    out_ii = graph_ii_sweep(f, R_sphere, height_out, so, "up")
+    out_ii = graph_ii_sweep(f, R_sphere, height_out, so)
     margins.append(_min_margin("radial_ii_outer", so, out_ii["radial"]))
     margins.append(_min_margin("sphere_ii_outer", so, out_ii["sphere"]))
 
@@ -968,19 +968,14 @@ def _handle2_collar(lambda1: float, lambda2: float, b: float, grid):
             _read_only_jet(f, tf), flatness_margin(f, t_end))
 
 
-@per_key(maxsize=16)
 def _handle2_graph(a: float, b: float, grid):
     """handle2's dug graph at (a, b) and grid density, as (beta, ts, jet,
     tf, jet_f).  beta on [0, b + 1] is the antiderivative from 0 of beta' =
     a (t/b - 1) chi(t - b), where chi is one up to -1 and zero from 0; ts
     and tf are the grids of ``_handle2_grids``, jet beta's orders 0-2 on ts
-    and jet_f its orders 0-3 on tf.  Built once per (a, b, grid), the only
-    parameters they read; the curve and the read-only arrays are read,
-    never changed, by the handle they go into.  At the default grid a key
-    holds about 98 KB of tables and 144 KB per unit of b in its nine arrays
-    (about 390 KB at b = 1.5, 460 KB at b = 2), so the 16 kept retain about
-    7.4 MB at b = 2; the arrays grow linearly with b and with the grid
-    density."""
+    and jet_f its orders 0-3 on tf, read-only, as ``_handle2_face`` keeps
+    them.  It is not cached: only ``_handle2_face`` reads it, once per key
+    of its own, and the face's head keeps beta for the report's aux."""
     def beta1(t, orders):
         t, n = np.asarray(t, float), max(orders)
         lin = Jet(a * (t / b - 1.0), a / b, 0.0, 0.0)[:n + 1]
@@ -1045,7 +1040,7 @@ def _handle2_face(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     # over arc length, which the face curvature margins read
     bchain = B_full.jet(bt[0], 3)
     speed = _face_speed(Jet(1.0, 0.0, 0.0), fw[:3] * bt.d())
-    arc = cumulative_hermite(tf, *speed[:2])
+    arc = read_only(cumulative_hermite(tf, *speed[:2]))
     face_warp = _face_warp(fw, bt.chain(bchain), speed, arc)
     warp, warp_r, warp_rr, _ = face_warp.nodes[1]     # in arc length
     sec_radial = -warp_rr / warp
@@ -1059,7 +1054,7 @@ def _handle2_face(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         _min_margin("face_sec_sphere", tf, sec_sphere),
         Margin("collar_flatness", 1e-8 - flatness, t_end))
     head = (margins, t_end, beta_end, delta_prime, float(f.eval(t_end, 0)),
-            B_full)
+            beta, B_full)
     sweeps = {"dug_face": (ts, {"radial_ii": radial, "sphere_ii": sphere,
                                 "closed_form": closed_form}),
               "face_metric": (tf, {"warp": warp, "sec_radial": sec_radial,
@@ -1067,7 +1062,7 @@ def _handle2_face(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     sweeps = {name: (t, {k: read_only(v) for k, v in columns.items()})
               for name, (t, columns) in sweeps.items()}
     # the graph face's sphere curvature reads B'/B at beta's heights
-    B_log_slope = bchain[1] / bchain[0]
+    B_log_slope = read_only(bchain[1] / bchain[0])
     return head, sweeps, (f, bt, fw, B_log_slope, arc, face_warp)
 
 
@@ -1077,11 +1072,10 @@ def _handle2_face_margins(B: SmoothCurve, lambda1: float, lambda2: float,
     """The head of ``_handle2_face``: its seven margins that read neither
     eps nor nu (radial_ii, sphere_ii, closed_form_radial, conservativity,
     face_sec_radial, face_sec_sphere, collar_flatness, frozen), t_end,
-    beta_end, delta_prime, f_end and B_full.  Built once per (B, lambda1,
-    lambda2, a, b, grid) and shared by every sample there whatever its eps
-    and nu.  A key holds no sample arrays: seven Margins, four floats and
-    B_full, which reads B and a quadratic, about 6 KB (tracemalloc) beside
-    the B its key holds, so the 64 kept retain under 0.4 MB besides."""
+    beta_end, delta_prime, f_end, beta (its 4097-node table, about 98 KB)
+    and B_full.  Built once per (B, lambda1, lambda2, a, b, grid) and
+    shared by every sample there whatever its eps and nu.  A key holds no
+    sample arrays, so the 64 kept retain about 6.7 MB besides their Bs."""
     return _handle2_face(B, lambda1, lambda2, a, b, grid)[0]
 
 
@@ -1100,13 +1094,12 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     parameters they read.  ``_handle2_collar(lambda1, lambda2, b, grid)``
     keeps the collar warp f, f and f' on the dug face's grid ts, f's jet
     (orders 0-3) on the face metric's grid tf and the flatness of f at b +
-    1.  ``_handle2_graph(a, b, grid)`` keeps the dug graph beta, ts,
-    beta's orders 0-2 on ts, tf and beta's jet on tf.  What reads B, its
+    1.  What reads a or B, the dug graph beta (``_handle2_graph``), B's
     extension B_full at beta's heights, the dug face's II columns and the
     face warp, is built once per (B, lambda1, lambda2, a, b, grid) by
     ``_handle2_face``, and its seven margins, which read neither eps nor
-    nu, are kept by ``_handle2_face_margins``; only corner_angle and
-    bottom_convexity are per sample.  B is a key by identity, so a scan
+    nu, are kept by ``_handle2_face_margins`` with beta; only corner_angle
+    and bottom_convexity are per sample.  B is a key by identity, so a scan
     shares one B across its samples (``feasibility`` keeps one default
     profile per scale) and a fresh B builds its face once.
 
@@ -1127,7 +1120,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
 
     l1, l2, fa, fb = float(lambda1), float(lambda2), float(a), float(b)
     key = (B, l1, l2, fa, fb, grid)
-    face, t_end, beta_end, delta_prime, f_end, B_full = \
+    face, t_end, beta_end, delta_prime, f_end, beta, B_full = \
         _handle2_face_margins(*key)
     theta = corner_angle_handle2(a)
     margins = [*face[:4],
@@ -1178,7 +1171,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
         aux={"theta": theta, "t_end": t_end, "beta_end": beta_end,
              "delta_prime": delta_prime, "f_end": f_end,
              "curves": {"f": _handle2_collar(l1, l2, fb, grid)[0],
-                        "beta": _handle2_graph(fa, fb, grid)[0],
+                        "beta": beta,
                         "B_full": B_full}},
         sweeps=sweeps)
 
@@ -1690,24 +1683,24 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
                     eps_outer: float | None = None, grid=None) -> Report:
     """Either the product-like metric (constant even warp) or the blended
     family localizing the odd warp near t = 0, checked for positive Ricci
-    curvature along the straight path between the two warps."""
+    curvature along the straight path between the two warps, each sweep
+    on the grid and f0's jet that ``_projective_f0_jet(grid)`` holds."""
     f0 = _projective_f0()
     h0 = constant_curve(2.0 / math.pi, (-1.0, 1.0))
-    ts = grid_points(-1.0, 1.0, grid)
+    ts, f_jet = _projective_f0_jet(grid)
+
+    def ricci(h):
+        return cohomog1_columns(CohomogOneMetric(2, 2, f0, h), ts, f_jet,
+                                cohomog1_jet(h, ts, (-1.0, 1.0)), "wu")
+
     if variant == "g00":
-        metric = CohomogOneMetric(2, 2, f0, h0)
-        sweep = cohomog1_sweep(metric, ts, "wu")
-        margins = [
-            _min_margin("ric_tt", ts, sweep["ric_tt"]),
-            _min_margin("ric_VV", ts, sweep["ric_VV"]),
-            _min_margin("ric_XX", ts, sweep["ric_XX"]),
-        ]
-        at0 = cohomog1_sweep(metric, np.array([0.0]), "wu")
+        sweep, labels = ricci(h0), ("ric_tt", "ric_VV", "ric_XX")
+        at0 = cohomog1_sweep(CohomogOneMetric(2, 2, f0, h0), np.zeros(1),
+                             "wu")
         return Report(
-            "wu-family", {"variant": "g00"}, margins,
-            aux={"ric_tt_at_0": float(at0["ric_tt"][0]),
-                 "ric_VV_at_0": float(at0["ric_VV"][0]),
-                 "ric_XX_at_0": float(at0["ric_XX"][0])},
+            "wu-family", {"variant": "g00"},
+            [_min_margin(k, ts, sweep[k]) for k in labels],
+            aux={f"{k}_at_0": float(at0[k][0]) for k in labels},
             sweeps={"ricci": {"t": ts, "columns": dict(sweep)}})
     if variant != "blended":
         raise BuildError(f"unknown variant {variant!r}")
@@ -1719,9 +1712,7 @@ def wu_family_check(variant: str = "g00", eps: float = 0.1,
     margins = []
     sweeps = {}
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        hmix = linear_combo([(h1, 1.0 - lam), (h0, lam)])
-        metric = CohomogOneMetric(2, 2, f0, hmix)
-        sweep = cohomog1_sweep(metric, ts, "wu")
+        sweep = ricci(linear_combo([(h1, 1.0 - lam), (h0, lam)]))
         worst = np.minimum(np.minimum(sweep["ric_tt"], sweep["ric_VV"]),
                            sweep["ric_XX"])
         margins.append(_min_margin(f"ric_min_path_{lam:0.2f}", ts, worst))

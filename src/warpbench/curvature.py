@@ -215,24 +215,20 @@ def graph_ii_columns(fv, f1, a1, a2, Rv, R1, sgn: float = 1.0) -> dict:
 
 
 def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: Jet,
-                   ss: np.ndarray, orientation: str = "up") -> dict:
-    """``graph_ii_columns`` of the graph t = alpha(s) on a grid ss, from
-    the height's orders 0-2 at ss: ``alpha`` is a Jet of arrays shaped like
-    ss, such as ``height.jet(ss, 2)`` (orders above 2 are not read), so a
-    caller that keeps a height's jet on its grid passes it as it is.
-    orientation="down" flips the normal toward decreasing t.  Besides
-    "radial" and "sphere" it returns the columns it read of f, bitwise its
-    ``eval``: "f" and "f_d" are f and f' at alpha(s)."""
-    if orientation not in ("up", "down"):
-        raise ValueError(orientation)
-    return _in_blocks(functools.partial(_graph_ii_columns, f, R,
-                                        orientation=orientation),
+                   ss: np.ndarray) -> dict:
+    """``graph_ii_columns`` of the graph t = alpha(s) on a grid ss, for
+    the normal toward increasing t, from the height's orders 0-2 at ss:
+    ``alpha`` is a Jet of arrays shaped like ss, such as ``height.jet(ss,
+    2)`` (orders above 2 are not read), so a caller that keeps a height's
+    jet on its grid passes it as it is.  Besides "radial" and "sphere" it
+    returns the columns it read of f, bitwise its ``eval``: "f" and "f_d"
+    are f and f' at alpha(s)."""
+    return _in_blocks(functools.partial(_graph_ii_columns, f, R),
                       ss, *alpha[:3])
 
 
 def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, ss: np.ndarray,
-                      a: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                      orientation: str) -> dict:
+                      a: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> dict:
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
@@ -240,8 +236,7 @@ def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, ss: np.ndarray,
     if np.any(Rv <= 0):
         raise ValueError("R(s) must be positive")
     f1 = f.eval(a, 1)
-    out = graph_ii_columns(fv, f1, a1, a2, Rv, R.eval(ss, 1),
-                           1.0 if orientation == "up" else -1.0)
+    out = graph_ii_columns(fv, f1, a1, a2, Rv, R.eval(ss, 1))
     out.update(f=fv, f_d=f1)
     return out
 

@@ -73,7 +73,7 @@ class SmoothCurve:
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
         self._at = orders           # (t, ks) -> [order k at t for k in ks]
-        self.nodes = nodes          # optional (ts, 4-column values) table
+        self.nodes = nodes          # optional (ts, columns v0, v1, ...)
         # read-only, built once: a given read-only mapping is shared
         self.info = (info if isinstance(info, MappingProxyType)
                      else MappingProxyType(dict(info)) if info else _NO_INFO)
@@ -173,15 +173,17 @@ class SmoothCurve:
     # -- serialization -------------------------------------------------------
 
     def node_table(self, per_unit=None) -> np.ndarray:
-        """Columns t, v0, v1, v2, v3 (stored nodes if any, else a grid)."""
+        """Columns t, v0, v1, ... (stored nodes if any, else a grid)."""
         if self.nodes is not None:
             ts, cols = self.nodes
-            return np.column_stack([ts] + [cols[k] for k in range(4)])
+            return np.column_stack([ts, *cols])
         ts = grid_points(self.t_lo, self.t_hi, per_unit)
         return np.column_stack([ts] + [self.eval(ts, k) for k in range(4)])
 
     def write_csv(self, path, per_unit=None) -> None:
-        write_csv(path, "t,v0,v1,v2,v3", self.node_table(per_unit))
+        table = self.node_table(per_unit)
+        write_csv(path, ",".join(["t"] + [f"v{k}" for k in
+                                          range(table.shape[1] - 1)]), table)
 
 
 _BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))
@@ -447,15 +449,20 @@ class _TableOrders:
         return self.combine(self.orders(t, ks))
 
     def orders(self, t, ks) -> list:
-        """Orders ks (ascending) of each table at t: those below 3 from one
-        ``hermite_jet`` call, one segment lookup for every table, on each
-        table's columns from the lowest order asked for to one past the
-        highest; order 3 from np.interp."""
-        k0 = ks[0]
-        jets = (hermite_jet(self.ts, [cols[k0:ks[-1] + 2]
+        """Orders ks (ascending) of each table of m columns at t: those
+        below m-1 from one ``hermite_jet`` call, one segment lookup for
+        every table, on each table's columns from the lowest order asked
+        for to one past the highest; order m-1 from np.interp."""
+        k0, top = ks[0], ks[-1]
+        widths = [len(cols) for cols in self.tables]
+        if top >= min(widths):
+            raise ValueError(f"derivative order {top} not available: the "
+                             f"table holds columns v0..v{min(widths) - 1}")
+        jets = (hermite_jet(self.ts, [cols[k0:top + 2]
                                       for cols in self.tables], t)
-                if k0 < 3 else [()] * len(self.tables))
-        return [[j[k - k0] if k < 3 else np.interp(t, self.ts, cols[3])
+                if k0 < max(widths) - 1 else [()] * len(widths))
+        return [[j[k - k0] if k < len(cols) - 1
+                 else np.interp(t, self.ts, cols[k])
                  for k in ks] for j, cols in zip(jets, self.tables)]
 
     def combine(self, per_table) -> list:
@@ -497,9 +504,11 @@ def joint_jet(curves, t, n: int = 2) -> list:
 
 
 def table_curve(ts, cols, info=None) -> SmoothCurve:
-    """Curve backed by node columns v0..v3; Hermite between nodes.  The
-    curve keeps read-only views of ts and the columns, so a curve a cache
-    shares cannot be changed through its table."""
+    """Curve backed by node columns v0..v(m-1) of orders 0..m-1, which it
+    answers (a higher order raises ValueError): Hermite between nodes
+    below the top order, np.interp at it.  The curve keeps read-only
+    views of ts and the columns, so a curve a cache shares cannot be
+    changed through its table."""
     ts = read_only(ts)
     cols = [read_only(c) for c in cols]
 
@@ -581,13 +590,13 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
     f' > lambda1 and f'/f > lambda1/(1 + lambda1 t).
 
     f(t) = (lambda2 - m) (1 - e^{-t}) + m t + 1 where m is the midpoint of
-    the interval (lambda1 (1+lambda2)/(1+lambda1), lambda2).  Raises if
-    f'(-delta) >= 1.
+    the interval (lambda1 (1+lambda2)/(1+lambda1), lambda2), whatever the
+    delta >= 0.  Raises if f'(-delta) >= 1.
     """
     if not 0.0 < lambda1 < lambda2 < 1.0:
         raise ValueError("need 0 < lambda1 < lambda2 < 1")
-    if not (delta > 0 and t_max > 0):
-        raise ValueError("delta and t_max must be positive")
+    if not (delta >= 0 and t_max > 0):
+        raise ValueError("need delta >= 0 and t_max > 0")
     lower = lambda1 * (1.0 + lambda2) / (1.0 + lambda1)
     assert lower < lambda2, "interval for the intermediate slope is empty"
     m = 0.5 * (lower + lambda2)
@@ -919,7 +928,8 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     outside the window, the result is the window curve itself, not a
     piecewise curve of one segment; its domain is [a, a + (b - a)].
     ``info["window"]`` is the window (a, b), also when the two curves agree
-    on it and the join is the identity.
+    on it and the join is the identity, which is ``left`` restricted to
+    [left.t_lo, b] when ``right`` ends at b.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -937,12 +947,10 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
     scale = 1.0 + max(np.max(np.abs(lj[0])), np.max(np.abs(rj[0])))
     if all(np.max(np.abs(lk - rk)) <= 1e-12 * scale
            for lk, rk in zip(lj, rj)):
-        if right.t_hi > b:
-            segs = [(left.t_lo, b, left), (b, right.t_hi, right)]
-        else:
-            segs = [(left.t_lo, b, left)]
-        return piecewise_curve(segs).with_info(
-            identity=True, c1=0.0, c2=0.0, band_overshoot=0.0, window=(a, b))
+        out = (piecewise_curve([(left.t_lo, b, left), (b, right.t_hi, right)])
+               if right.t_hi > b else left.restrict(left.t_lo, b))
+        return out.with_info(identity=True, c1=0.0, c2=0.0,
+                             band_overshoot=0.0, window=(a, b))
 
     if isinstance(left._at, _LineOrders) and isinstance(right._at,
                                                          _LineOrders):

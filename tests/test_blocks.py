@@ -701,6 +701,53 @@ class TestWuFamily:
         with pytest.raises(bk.BuildError):
             bk.wu_family_check("blended", eps=0.5, eps_outer=0.4)
 
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("grid", [None, 256])
+    @pytest.mark.parametrize("variant, eps", [("g00", 0.1),
+                                              ("blended", 0.1),
+                                              ("blended", 0.2)])
+    def test_reads_f0s_cached_jet_bitwise(self, variant, eps, grid):
+        """Each path weight's Ricci sweep reads the grid and f0's jet that
+        ``_projective_f0_jet(grid)`` holds, and its margins and sweeps are
+        ``cohomog1_sweep``'s on a fresh grid, bit for bit."""
+        rep = bk.wu_family_check(variant, eps=eps, grid=grid)
+        ts, _ = bk._projective_f0_jet(grid)
+        assert bk._projective_f0_jet.cache_info()[:2] == (1, 1)
+        fresh = bk.grid_points(-1.0, 1.0, grid)
+        f0 = rep.aux["curves"]["f"] if variant == "blended" else \
+            bk._projective_f0()
+        h0 = cv.constant_curve(2.0 / PI, (-1.0, 1.0))
+        if variant == "g00":
+            paths = {"ricci": h0}
+        else:
+            h1 = rep.aux["curves"]["h1"]
+            paths = {f"path_{lam:0.2f}": cv.linear_combo(
+                [(h1, 1.0 - lam), (h0, lam)])
+                for lam in (0.0, 0.25, 0.5, 0.75, 1.0)}
+        for name, h in paths.items():
+            want = kv.cohomog1_sweep(kv.CohomogOneMetric(2, 2, f0, h),
+                                     fresh, "wu")
+            if variant == "g00":
+                got = rep.sweeps[name]["columns"]
+                labels = ("ric_tt", "ric_VV", "ric_XX")
+                margins = [bk._min_margin(k, fresh, want[k])
+                           for k in labels]
+                assert [rep.margin(k) for k in labels] == margins
+            else:
+                worst = np.minimum(np.minimum(want["ric_tt"],
+                                              want["ric_VV"]),
+                                   want["ric_XX"])
+                label = f"ric_min_path_{name[5:]}"
+                m = rep.margin(label)
+                assert (_bits(m.min), _bits(m.argmin)) == (
+                    _bits(worst.min()), _bits(fresh[np.argmin(worst)]))
+                if name not in rep.sweeps:
+                    continue
+                got = rep.sweeps[name]["columns"]
+            assert rep.sweeps[name]["t"] is ts
+            assert {k: _bits(v) for k, v in got.items()} == \
+                {k: _bits(v) for k, v in want.items()}
+
 
 class TestConformalMargin:
     def test_values(self):
@@ -739,8 +786,9 @@ class TestBuilderEvaluation:
     and 3 there for the profiles; the cone's warp column is its sweep's
     "f".
     Warp columns are jets; each builder differences its principal-
-    curvature samples, and only those, with one stencil per grid.  The
-    handle profiles are built on the first read of ``Report.boundary``."""
+    curvature samples, and only those, once each, for their slope, with
+    one stencil per grid.  The handle profiles are built on the first read
+    of ``Report.boundary``."""
 
     @staticmethod
     def logged_curve(curve, log, name):
@@ -828,8 +876,8 @@ class TestBuilderEvaluation:
         assert len(stencils) == 2
         for (got, _), want in zip(stencils, (u_arc, r_arc)):
             assert np.array_equal(got, want)
-        # orders 1-3 of both II columns on each face's arc-length grid
-        assert [uses for _, uses in stencils] == [6, 6]
+        # the slope of both II columns on each face's arc-length grid
+        assert [uses for _, uses in stencils] == [2, 2]
 
     def test_handle2(self, monkeypatch):
         _, stencils = self.logged(monkeypatch)
@@ -841,7 +889,10 @@ class TestBuilderEvaluation:
         assert np.array_equal(stencils[0][0], arc)
         assert np.array_equal(rep.boundary["graph_face"].ii["radial"]
                               .nodes[0], arc)
-        assert [uses for _, uses in stencils] == [6]
+        assert [uses for _, uses in stencils] == [2]
+        # each profile holds its values and their slope, nothing more
+        for ii in rep.boundary["graph_face"].ii.values():
+            assert len(ii.nodes[1]) == 2
 
     def test_cone(self, monkeypatch):
         log, stencils = self.logged(monkeypatch)
@@ -856,6 +907,10 @@ class TestBuilderEvaluation:
 
 def _handle2_on_cosine(**kw):
     return bk.build_handle2(cv.cosine_curve(0.9, 1.0, 0.1, (0.0, 1.0)), **kw)
+
+
+def _handle2_on_default(**kw):
+    return bk.build_handle2(fs._default_collar_profile(), **kw)
 
 
 def _bits(x):
@@ -885,6 +940,12 @@ def _keyed(*names):
     """The keys of a cache that a build looks up once per key: the build's
     values of these parameters."""
     return lambda p: {tuple(p[k] for k in names)}
+
+
+def _handle2_face_keys(p):
+    """handle2's face key on the default profile, one a build."""
+    return {(fs._default_collar_profile(), p["lambda1"], p["lambda2"],
+             p["a"], p["b"], p["grid"])}
 
 
 def _cone_keys(p):
@@ -927,10 +988,13 @@ CACHED_CURVES = {
         _keyed("lambda1", "lambda2", "b", "grid"),
         {"lambda1": 0.015, "lambda2": 0.025, "b": 1.6},
         {"a": 0.03, "eps": 0.12, "nu": 0.04}),
-    "_handle2_graph": (
-        _handle2_on_cosine, {**GOOD_H2, "grid": None}, "antiderivative_curve",
-        _keyed("a", "b", "grid"), {"a": 0.03, "b": 1.6},
-        {"lambda1": 0.015, "lambda2": 0.025, "eps": 0.12, "nu": 0.04}),
+    # a miss of _handle2_face_margins builds the face, and so the dug
+    # graph, once
+    "_handle2_face_margins": (
+        _handle2_on_default, {**GOOD_H2, "grid": None}, "_handle2_graph",
+        _handle2_face_keys,
+        {"lambda1": 0.015, "lambda2": 0.025, "a": 0.03, "b": 1.6},
+        {"eps": 0.12, "nu": 0.04}),
     "_projective_member": (
         bk.projective_family_check, {"d": 2, "n": 2, "s": 0.5, "grid": None},
         "_projective_warp", _keyed("s", "grid"), {"s": 0.6, "grid": 256},
@@ -950,10 +1014,10 @@ CACHED_CURVES = {
     "_handle1_cap_margins": (
         bk.build_handle1, {"n": 4, "K": 0.9, **GOOD_H1, "grid": None},
         "_handle1_cap",
-        _keyed("K", "lambda1", "lambda2", "delta", "eps1", "grid"),
-        {"K": 0.85, "lambda1": 0.98, "lambda2": 0.995, "delta": 0.04,
-         "eps1": 0.02, "grid": 256},
-        {"n": 5, "eps2": 0.08}),
+        _keyed("K", "lambda1", "lambda2", "eps1", "grid"),
+        {"K": 0.85, "lambda1": 0.98, "lambda2": 0.995, "eps1": 0.02,
+         "grid": 256},
+        {"n": 5, "eps2": 0.08, "delta": 0.04}),
 }
 
 # cache -> another construction its miss calls once per key besides the one
@@ -969,12 +1033,12 @@ class TestParamCaches:
     """The curves a builder makes from a subset of its parameters come from
     caches keyed by exactly that subset: handle1's cap side (its height,
     grid, jet and tan_chain margin) by (lambda1, eps1, grid), its cap
-    face's margins and arc length by (K, lambda1, lambda2, delta, eps1,
-    grid) and its outer face (beta, its grid and jet) by (eps2, grid),
-    handle2's collar (the warp f, its values on the dug face's grid, its
-    jet on the face metric's grid and its flatness) by (lambda1, lambda2,
-    b, grid) and its dug graph (beta, both grids and beta's jets on them)
-    by (a, b, grid), the projective warp, the margins that read s alone
+    face's margins and arc length by (K, lambda1, lambda2, eps1, grid)
+    and its outer face (beta, its grid and jet) by (eps2, grid), handle2's
+    collar (the warp f, its values on the dug face's grid, its jet on the
+    face metric's grid and its flatness) by (lambda1, lambda2, b, grid)
+    and its face's margins with its dug graph beta by (B, lambda1,
+    lambda2, a, b, grid), the projective warp, the margins that read s alone
     and the warps' jets on the Ricci grid by (s, grid), and the cone's
     inner join with its slope band and collapse parity by (K, eps1, delta,
     t) and its outer join with its slope band by (K, eps2, delta, t).  A
@@ -1014,7 +1078,7 @@ class TestParamCaches:
         for name, spec in CACHED_CURVES.items()
         for changes in spec[4:] for k, v in changes.items()] + [
         pytest.param(name, {"grid": 256}, id=f"{name}-grid")
-        for name in ("_handle2_collar", "_handle2_graph")])
+        for name in ("_handle2_collar", "_handle2_face_margins")])
     def test_report_keeps_its_bits(self, monkeypatch, fresh_caches, name,
                                    change):
         """A sample after another, sharing the keys or not, gives the bits
@@ -1130,7 +1194,7 @@ def test_registry_holds_every_cache():
         "warpbench.curves._join_window", "warpbench.blocks._flatten_window",
         "warpbench.blocks._handle1_beta", "warpbench.blocks._handle1_height",
         "warpbench.blocks._slope_end_window",
-        "warpbench.blocks._handle2_collar", "warpbench.blocks._handle2_graph",
+        "warpbench.blocks._handle2_collar",
         "warpbench.blocks._handle2_face",
         "warpbench.blocks._handle2_face_margins",
         "warpbench.blocks._transfer_curves",
@@ -1140,7 +1204,7 @@ def test_registry_holds_every_cache():
         "warpbench.blocks._projective_f0_jet",
         "warpbench.blocks._cone_join",
         "warpbench.feasibility._default_collar_profile"}
-    assert len(_util._CACHES) == 16
+    assert len(_util._CACHES) == 15
 
 
 def _bits_or_error(rep):
@@ -1183,17 +1247,24 @@ def test_shuffled_lattices_on_warm_caches_keep_their_bits(fresh_caches):
 
 def _boundary_bits(rep):
     """Every boundary profile's kind, dimension and corners, and its
-    metric and ii entries: a curve as its node table's bytes (a face
-    warp's or an ii table's nodes, else a grid), a number as its bytes."""
-    def bits(v):
+    metric and ii entries, a number as its bytes: a metric curve as its
+    node table's bytes (a face warp's nodes, else a grid), an ii curve as
+    its order 0 on a grid, which is what gluing reads of it."""
+    def bits(v, curve):
         if isinstance(v, cv.SmoothCurve):
-            return v.domain, v.node_table().tobytes()
+            return v.domain, curve(v).tobytes()
         return v if isinstance(v, str) else np.float64(v).tobytes()
+
+    def table(c):
+        return c.node_table()
+
+    def order0(c):
+        return c.eval(_util.grid_points(*c.domain))
 
     return {name: (p.kind, p.dimension,
                    [(c.id, c.angle, c.adjacent, c.at) for c in p.corners],
-                   {k: bits(v) for k, v in p.metric.items()},
-                   {k: bits(v) for k, v in p.ii.items()})
+                   {k: bits(v, table) for k, v in p.metric.items()},
+                   {k: bits(v, order0) for k, v in p.ii.items()})
             for name, p in rep.boundary.items()}
 
 
@@ -1287,18 +1358,43 @@ def test_handle1_tied_lattice_on_warm_caches_keeps_its_bits(fresh_caches):
         fresh_caches, fs.PREDICATES["handle1-tied"]["builder"], samples, 33,
         bk._handle1_cap_margins)
     # a BuildError comes before the cap's lookup; every sample that builds
-    # looks it up once, and only one per (lambda1, eps1, delta) misses
+    # looks it up once, and only one per (lambda1, eps1) misses: the cap
+    # reads no delta
     assert not all(built)
-    caps = [(p["lambda1"], p["eps1"], p["delta"])
+    caps = [(p["lambda1"], p["eps1"])
             for p, ok in zip(samples, built) if ok]
     assert (hits, misses) == (len(caps) - len(set(caps)), len(set(caps)))
     assert hits > misses
 
 
-def test_handle2_face_build_error_is_not_cached(fresh_caches):
+@pytest.mark.usefixtures("fresh_caches")
+def test_cap_height_below_zero_is_a_build_error(monkeypatch):
+    """The cap face's key holds no delta because it reads the concave
+    profile at the cap heights alone, which lie at or above 0: a height
+    below 0 would read the profile's extension to -delta, so
+    ``_handle1_height`` raises BuildError there, and keeps nothing."""
+    real = bk._flatten_start
+    monkeypatch.setattr(bk, "_flatten_start",
+                        lambda *args: real(*args).plus(-1e-3))
+    with pytest.raises(bk.BuildError, match="^the cap height dips below 0, "
+                       "to -0.001"):
+        _handle1(**GOOD_H1)
+    info = bk._handle1_height.cache_info()
+    assert (info.misses, info.currsize) == (1, 0)
+
+
+def test_handle2_face_build_error_is_not_cached(fresh_caches, monkeypatch):
     """A collar too deep for B's extension raises the same BuildError at
     every sample of its face, after the collar and the graph are built:
-    neither face cache keeps it."""
+    neither face cache keeps it, so each sample builds the dug graph."""
+    graphs = []
+    real = bk._handle2_graph
+
+    def counted(*args):
+        graphs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bk, "_handle2_graph", counted)
     params = {**GOOD_H2, "a": 0.2, "grid": 256}
     errors = [_handle2_bits({**params, "eps": eps}) for eps in (0.1, 0.12)]
     assert errors == [("BuildError", "extension infeasible: collar depth "
@@ -1306,7 +1402,8 @@ def test_handle2_face_build_error_is_not_cached(fresh_caches):
     for face in (bk._handle2_face, bk._handle2_face_margins):
         info = face.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
-    assert bk._handle2_graph.cache_info()[:2] == (1, 1)
+    assert graphs == [(0.2, 1.5, 256)] * 2
+    assert bk._handle2_collar.cache_info()[:2] == (1, 1)
 
 
 def test_cone_join_repeated_nodes_error_is_not_cached(fresh_caches,
@@ -1414,9 +1511,9 @@ def test_handle2_scan_leaves_the_default_profile_unchanged(fresh_caches):
 @pytest.mark.usefixtures("fresh_caches")
 def test_cache_stats_count_a_scans_shared_keys():
     """Nine (nu, eps) samples of handle2 at one (a, b) share one default
-    profile B, build its face once and read its margins eight times; the
-    face builds the dug graph and the collar once each, and every sample
-    reads them once more for its aux curves.  Five projective s at d = 4
+    profile B, build its face once and read its margins, with the dug
+    graph, eight times; the face builds the collar once, and every sample
+    reads it once more for its aux curves.  Five projective s at d = 4
     build their warps' jets once each, on one f0 jet, and the same s at d
     = 8 read them back; three handle1-tied eps2 build their cap face once.
     Three cone eps2 at one (eps1, delta, t) build the inner junction's
@@ -1434,8 +1531,7 @@ def test_cache_stats_count_a_scans_shared_keys():
         8, 1, 1, 8)
     assert stats["warpbench.blocks._handle2_face_margins"] == (8, 1, 1, 64)
     assert stats["warpbench.blocks._handle2_face"] == (0, 1, 1, 1)
-    for name in ("_handle2_graph", "_handle2_collar"):
-        assert stats[f"warpbench.blocks.{name}"] == (9, 1, 1, 16)
+    assert stats["warpbench.blocks._handle2_collar"] == (9, 1, 1, 16)
     assert stats["warpbench.blocks._handle1_beta"] == (0, 0, 0, 32)
 
     for d in (4, 8):

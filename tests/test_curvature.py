@@ -208,10 +208,10 @@ class TestSliceII:
             kv.slice_II(m, 0.0)
 
 
-def graph_at(f, R, alpha, s, orientation="up") -> dict:
+def graph_at(f, R, alpha, s) -> dict:
     ss = np.array([float(s)])
     return {k: v[0] for k, v in kv.graph_ii_sweep(
-        f, R, alpha.jet(ss, 2), ss, orientation).items()}
+        f, R, alpha.jet(ss, 2), ss).items()}
 
 
 class TestGraphII:
@@ -241,16 +241,21 @@ class TestGraphII:
         assert abs(prof["radial"] - (lam2 - lam1)) < 1e-12
 
     def test_down_orientation_flips_signs(self):
+        """sgn = -1 (the normal toward decreasing t, as handle2's dug face
+        takes it) flips both entries; the sweep is the sgn = +1 columns."""
         f = cv.line_curve(1.0, 0.5, (0.0, 3.0))
         R = cv.sine_curve(1.0, 1.0, 0.0, (0.1, 1.4))
         alpha = cv.constant_curve(0.7, (0.1, 1.4))
-        up = graph_at(f, R, alpha, 0.8, "up")
-        down = graph_at(f, R, alpha, 0.8, "down")
+        ss = np.array([0.8, 1.1])
+        a = alpha.eval(ss)
+        cols = (f.eval(a), f.eval(a, 1), alpha.eval(ss, 1),
+                alpha.eval(ss, 2), R.eval(ss), R.eval(ss, 1))
+        up = kv.graph_ii_columns(*cols)
+        down = kv.graph_ii_columns(*cols, sgn=-1.0)
+        swept = kv.graph_ii_sweep(f, R, alpha.jet(ss, 2), ss)
         for key in ("radial", "sphere"):
-            assert up[key] == -down[key]
-        # the columns the sweep read do not depend on the normal
-        for key in ("f", "f_d"):
-            assert up[key] == down[key]
+            assert np.array_equal(up[key], -down[key])
+            assert up[key].tobytes() == swept[key].tobytes()
 
     def test_read_columns_are_the_curves_eval(self):
         """f and f' at the height are bitwise the curve's eval, on
@@ -261,7 +266,7 @@ class TestGraphII:
         f, alpha = rep.aux["curves"]["f"], rep.aux["curves"]["alpha"]
         ss = rep.sweeps["cap_face"]["t"]
         R = cv.sine_curve(0.9, 1.0, 0.0, (0.005, PI))
-        got = kv.graph_ii_sweep(f, R, alpha.jet(ss, 3), ss, "up")
+        got = kv.graph_ii_sweep(f, R, alpha.jet(ss, 3), ss)
         a = alpha.eval(ss)
         assert got["f"].tobytes() == f.eval(a).tobytes()
         assert got["f_d"].tobytes() == f.eval(a, 1).tobytes()
@@ -606,9 +611,8 @@ def blocked_cases():
                                               ts),
          (0.0, 1.0)),
         ("graph_ii", lambda ts: kv.graph_ii_sweep(
-            f_g, R_g, height.jet(ts, 2), ts, "down"),
-         lambda ts: kv._graph_ii_columns(f_g, R_g, ts, *height.jet(ts, 2),
-                                         orientation="down"),
+            f_g, R_g, height.jet(ts, 2), ts),
+         lambda ts: kv._graph_ii_columns(f_g, R_g, ts, *height.jet(ts, 2)),
          (eps1, 1.2)),
         ("bundle_warped", lambda ts: kv.bundle_warped_sweep(bundle, ts),
          lambda ts: kv._bundle_warped_columns(bundle, ts), (0.0, 1.0)),
@@ -772,9 +776,9 @@ class TestBlockedSweep:
         calls = []
         kernel = kv._graph_ii_columns
 
-        def counted(f, R, ss, *rows, orientation):
+        def counted(f, R, ss, *rows):
             calls.append((ss, rows))
-            return kernel(f, R, ss, *rows, orientation=orientation)
+            return kernel(f, R, ss, *rows)
 
         monkeypatch.setattr(kv, "_graph_ii_columns", counted)
         f = cv.make_concave_profile(0.9, 0.95, 0.1, t_max=40.0)

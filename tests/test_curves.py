@@ -44,6 +44,21 @@ class TestConcaveProfile:
         with pytest.raises(ValueError):
             # slope at the inner end reaches 1
             cv.make_concave_profile(0.5, 0.99, 5.0)
+        with pytest.raises(ValueError, match="need delta >= 0"):
+            cv.make_concave_profile(0.5, 0.7, -0.1)
+
+    def test_delta_only_extends_the_domain(self):
+        """delta = 0 is no inner extension: the profile on [0, t_max],
+        whose orders at t >= 0 are those of any delta, bit for bit."""
+        f = cv.make_concave_profile(0.5, 0.7, 0.0, t_max=3.0)
+        g = cv.make_concave_profile(0.5, 0.7, 0.2, t_max=3.0)
+        assert f.domain == (0.0, 3.0) and g.domain == (-0.2, 3.0)
+        assert f.info["slope_at_inner"] == f(0.0, 1)
+        ts = np.linspace(0.0, 3.0, 301)
+        for k in range(4):
+            assert f.eval(ts, k).tobytes() == g.eval(ts, k).tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            f.eval(-0.1)
 
 
 class TestDerivativeConsistency:
@@ -311,6 +326,30 @@ class TestSmoothJoin:
         ts = np.linspace(0.0, 1.0, 101)
         assert identity.eval(ts).tobytes() == line.eval(ts).tobytes()
 
+    @pytest.mark.parametrize("left", [
+        cv.line_curve(0.1, 1.0, (0.0, 1.0)),
+        cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))])
+    def test_identity_join_ending_at_the_window_is_left(self, left):
+        """When the two curves agree on the window and right ends at its
+        end b, as the cone's joins do at t = 0, the join is left restricted
+        to [left.t_lo, b]: it shares left's orders function and evaluates,
+        bit for bit, as the piecewise curve of left alone did."""
+        a, b = 0.2, 0.7
+        join = cv.smooth_join(left, left.restrict(a, b), (a, b), (-2.0, 2.0))
+        assert join._at is left._at
+        assert join.domain == (0.0, b)
+        assert dict(join.info) == {"identity": True, "c1": 0.0, "c2": 0.0,
+                                   "band_overshoot": 0.0, "window": (a, b)}
+        before = cv.piecewise_curve([(0.0, b, left)])
+        ts = np.concatenate([[0.0, b], np.linspace(0.0, b, 257)[1:-1]])
+        for k in range(4):
+            assert join.eval(ts, k).tobytes() == before.eval(ts, k).tobytes()
+            for t in (0.0, a, b):
+                assert np.float64(join.eval(t, k)).tobytes() == \
+                    np.float64(before.eval(t, k)).tobytes()
+        for g, w in zip(join.jet(ts, 3), before.jet(ts, 3)):
+            assert g.tobytes() == w.tobytes()
+
     def test_band_infeasible_reports_overshoot(self):
         left = cv.line_curve(0.0, 1.0, (-1.0, 1.0))
         right = cv.line_curve(0.0, -1.0, (-1.0, 1.0))
@@ -378,10 +417,74 @@ class TestSerialization:
         assert np.array_equal(rows, tab)
         assert np.array_equal(c.node_table()[:, 0], ts)
 
+    def test_value_slope_table_writes_its_two_columns(self, tmp_path):
+        ts = np.linspace(0.0, 1.0, 5)
+        c = cv.table_curve(ts, (np.sin(ts), np.cos(ts)))
+        tab = c.node_table()
+        assert tab.shape == (5, 3)
+        assert np.array_equal(tab, np.column_stack([ts, np.sin(ts),
+                                                    np.cos(ts)]))
+        path = tmp_path / "ii.csv"
+        c.write_csv(path)
+        assert path.read_text().splitlines()[0] == "t,v0,v1"
+        assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1),
+                              tab)
+
     def test_ode_curve_serializes_stored_nodes(self):
         h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0)
         tab = h0.node_table()
         assert tab.shape == (257, 5)
+
+
+class TestTableOrders:
+    """A table curve of m columns answers orders 0..m-1: the Hermite cubic
+    below the top order, np.interp of the top column at it; a higher
+    order raises ValueError naming the columns the table holds."""
+
+    ts = np.linspace(0.0, 1.0, 9)
+    cols = (np.sin(ts), np.cos(ts), -np.sin(ts), -np.cos(ts))
+    t = np.linspace(0.0, 1.0, 101)
+
+    def test_two_columns_answer_orders_0_and_1(self):
+        two = cv.table_curve(self.ts, self.cols[:2])
+        four = cv.table_curve(self.ts, self.cols)
+        assert two.eval(self.t, 0).tobytes() == four.eval(self.t, 0).tobytes()
+        assert two.eval(self.t, 1).tobytes() == \
+            np.interp(self.t, self.ts, self.cols[1]).tobytes()
+        assert four.eval(self.t, 3).tobytes() == \
+            np.interp(self.t, self.ts, self.cols[3]).tobytes()
+        for x in (0.0, 0.3, 1.0):
+            assert two.eval(x, 0) == four.eval(x, 0)
+            assert two.eval(x, 1) == float(np.interp(x, self.ts,
+                                                     self.cols[1]))
+        jet = two.jet(self.t, 1)
+        assert [v.tobytes() for v in jet] == [
+            two.eval(self.t, k).tobytes() for k in (0, 1)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_higher_order_raises(self, m):
+        c = cv.table_curve(self.ts, self.cols[:m])
+        for k in range(m, 4):
+            with pytest.raises(ValueError, match=rf"order {k} not available:"
+                               rf" the table holds columns v0\.\.v{m - 1}"):
+                c.eval(self.t, k)
+            with pytest.raises(ValueError, match=rf"v0\.\.v{m - 1}"):
+                c.jet(0.5, k)
+        assert c.eval(0.5, m - 1) == float(np.interp(0.5, self.ts,
+                                                     self.cols[m - 1]))
+
+    def test_joint_jet_of_tables_of_two_widths(self):
+        """Tables of two and four columns on one node array share one
+        lookup and give each table's own orders, up to the narrower one's
+        top order."""
+        two = cv.table_curve(self.ts, self.cols[:2])
+        four = cv.table_curve(self.ts, self.cols)
+        got = cv.joint_jet((two, four), self.t, 1)
+        for c, jet in zip((two, four), got):
+            assert [v.tobytes() for v in jet] == [
+                c.eval(self.t, k).tobytes() for k in (0, 1)]
+        with pytest.raises(ValueError, match=r"v0\.\.v1"):
+            cv.joint_jet((two, four), self.t, 2)
 
 
 class TestRescaling:

@@ -18,8 +18,11 @@ moves of the last digits on another host leave the file as it is.
 Names the code cannot run as a command or a scan are left out of it.
 """
 
+import collections.abc
 import contextlib
+import dataclasses
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -29,10 +32,12 @@ import pkgutil
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 import warpbench
-from warpbench import blocks, cli
+from warpbench import _util, blocks, cli
+from warpbench import curves as cv
 from warpbench import feasibility as fs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -198,6 +203,99 @@ def test_entry_runs_from_cli_and_as_one_point_scan(name, tmp_path):
     assert cert["grid"]["evaluated"] == 1
     assert len(cert["entries"]) == 1 and cert["failures"] == 0
     assert_close(cert, pinned[f"scan:{name}"])
+
+
+def _scan_mix_points() -> list:
+    """One point of each lattice the benchmark's scan-mix workload scans,
+    per predicate: the first, in the lattice's order, that builds."""
+    path = os.path.join(os.path.dirname(HERE), "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    points = {}
+    for predicate, box, res, fixed in inputs.SCAN_CONFIGS.values():
+        box = fs.ParamBox({k: tuple(v) for k, v in box.items()}, res)
+        points.setdefault(predicate, [{**fixed, **p}
+                                      for p in box.full_grid()])
+    return sorted(points.items())
+
+
+def _reachable_arrays(value, out: list) -> list:
+    """Every ndarray reachable from a cached value, appended to out:
+    through tuples and lists (a CohomogJet is a tuple), mappings, Jets,
+    dataclasses (Margins, a table curve's orders), a SmoothCurve's nodes,
+    info and dataclass orders function, and a SurgeryWindow's node
+    offsets, columns and mass and moment rows."""
+    if isinstance(value, np.ndarray):
+        out.append(value)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _reachable_arrays(v, out)
+    elif isinstance(value, collections.abc.Mapping):
+        for v in value.values():
+            _reachable_arrays(v, out)
+    elif isinstance(value, cv.Jet):
+        _reachable_arrays(value.orders, out)
+    elif isinstance(value, cv.SmoothCurve):
+        _reachable_arrays((value.nodes, value.info), out)
+        if dataclasses.is_dataclass(value._at):
+            _reachable_arrays(value._at, out)
+    elif isinstance(value, cv.SurgeryWindow):
+        _reachable_arrays((value.u, value.columns, value.mass_row,
+                           vars(value).get("moment_row")), out)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            _reachable_arrays(getattr(value, f.name), out)
+    return out
+
+
+def test_every_cached_value_is_read_only(fresh_caches, monkeypatch):
+    """Every ``per_key`` cache, filled by each registry entry's sample
+    above and one point of each lattice the benchmark scans, built on
+    empty caches with their reports' aux, sweeps and boundary profiles
+    read, holds only read-only arrays: a write to a shared value would
+    change every later sample with its key.  A cache these builds leave
+    empty fails the test, so a new cache must be exercised here."""
+    modules = [warpbench.curves, warpbench.curvature, blocks, fs,
+               warpbench.gluing, warpbench.scenarios]
+    values = {}
+    for cached in _util._CACHES:
+        name = f"{cached.__module__}.{cached.__qualname__}"
+        got = values.setdefault(name, [])
+
+        def looked_up(*args, _cached=cached, _got=got):
+            value = _cached(*args)
+            _got.append(value)
+            return value
+
+        for module in modules:
+            if getattr(module, cached.__qualname__, None) is cached:
+                monkeypatch.setattr(module, cached.__qualname__, looked_up)
+
+    def build(name, params):
+        rep = fs.PREDICATES[name]["builder"](
+            **{**fs.PREDICATES[name]["defaults"], **params}, grid=GRID)
+        rep.aux, rep.sweeps, rep.boundary
+        return rep
+
+    for name in sorted(PARAMS):
+        build(name, PARAMS[name])
+    for name, points in _scan_mix_points():
+        for params in points:
+            try:
+                build(name, params)
+                break
+            except blocks.BuildError:
+                pass
+    sizes = {name: info[2] for name, info in _util.cache_stats().items()}
+    assert sorted(values) == sorted(sizes)
+    assert [name for name in sorted(sizes) if not (sizes[name]
+                                                   and values[name])] == []
+    for name, got in values.items():
+        arrays = _reachable_arrays(got, [])
+        writeable = sum(a.flags.writeable for a in arrays)
+        assert writeable == 0, f"{name}: {writeable} of {len(arrays)} " \
+                               f"arrays writeable"
 
 
 @pytest.mark.parametrize("name, dim", [
