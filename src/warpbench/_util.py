@@ -308,40 +308,14 @@ def clamp(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(hi, np.maximum(lo, t))
 
 
-def _segment(ts: np.ndarray, t: np.ndarray):
-    """(i, ts[i], ts[i + 1]) with i = searchsorted(ts, t, "right") - 1
-    clipped to [0, len(ts) - 2], for 1-D t inside [ts[0], ts[-1]] or NaN.
-
-    i is guessed as if the grid were uniform and corrected once by +-1
-    where ts[i] <= t < ts[i + 1] fails (t = ts[-1] belongs to the last
-    segment; NaN is guessed there, as searchsorted sorts it last).  If the
-    corrected i still fails at any point, searchsorted answers the call."""
-    last = len(ts) - 2
-    g = t - ts[0]
-    g *= (last + 1) / (ts[-1] - ts[0])
-    np.fmin(g, last, out=g)
-    idx = g.astype(np.intp)
-    for _ in range(2):              # the guess, then the guess corrected
-        lo = ts[idx]
-        hi = ts[1:][idx]
-        down = t < lo
-        up = t >= hi
-        if np.count_nonzero(up):
-            up &= idx != last
-        if not (np.count_nonzero(down) or np.count_nonzero(up)):
-            return idx, lo, hi
-        idx -= down
-        idx += up
-    return _searched_segment(ts, t)
-
-
-def _searched_segment(ts: np.ndarray, t: np.ndarray):
-    """_segment through np.searchsorted, for grids the guess misses."""
-    idx = np.searchsorted(ts, t, side="right")
-    idx -= 1
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, len(ts) - 2, out=idx)
-    return idx, ts[idx], ts[1:][idx]
+def segment_index(breaks: np.ndarray, t):
+    """Index i of the segment [breaks[i], breaks[i + 1]) holding each t, of
+    a sorted breakpoint array: np.searchsorted(breaks, t, "right") - 1
+    clipped to [0, len(breaks) - 2], so a point below breaks[0] is in the
+    first segment, and t = breaks[-1], a point past it and NaN (sorted
+    last) in the last.  Searching the interior breaks alone gives that
+    index with no clipping pass."""
+    return np.searchsorted(breaks[1:-1], t, "right")
 
 
 def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
@@ -359,7 +333,10 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
                    t: float) -> np.float64:
     """hermite_jet's value of one order at one point, bit for bit, without
     the array work: Python floats round each operation as numpy's ufuncs
-    do, and bisect finds the segment searchsorted finds."""
+    do, and bisect finds the segment segment_index finds.  A warm pass over
+    perfbench's 56 pipeline records makes about 3900 one-point lookups, at
+    about 2.5 us each here against 30-45 us through the array form: about
+    13% of the pass's time (2 cores, Python 3.11.7, numpy 2.4.6)."""
     lo, hi = float(ts[0]), float(ts[-1])
     if t < lo:                      # a tie or NaN keeps t, as clamp does
         t = lo
@@ -381,12 +358,12 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
 
 
 # Repeating a segment's values over its run of points beats gathering them
-# point by point only on long queries with long runs.  Measured on uniform
-# grids (2-core Xeon, Python 3.11, numpy 2.4.6) for one order and for six:
-# up to 2048 points the per-point path is as fast at any run length; at
-# 4096 points the run path gains from 8 points per segment (six orders)
-# or 16 (one order) on, at 16384 points from 4.  Below _RUN_MIN_POINTS the
-# run test itself is skipped: it costs a few microseconds a call.
+# point by point only on long queries with long runs, such as a sweep grid
+# on the transfer ODE's tables.  A warm pass over perfbench's 56 pipeline
+# records (2 cores, Python 3.11.7, numpy 2.4.6) sends 370 queries, 4.9M
+# points, down the run path, 3-5% of its time, and gathers 1215 queries,
+# 0.95M points; scan-mix sends none.  Below _RUN_MIN_POINTS the run test
+# itself is skipped: it costs a few microseconds a call.
 _RUN_MIN_POINTS = 4096
 _RUN_MIN_LENGTH = 8
 
@@ -395,15 +372,14 @@ def _segment_runs(ts: np.ndarray, t: np.ndarray):
     """(i0, counts) if the 1-D t (inside [ts[0], ts[-1]] or NaN) has at
     least _RUN_MIN_POINTS points, is sorted and has at least
     _RUN_MIN_LENGTH points per segment it spans: its points lie in the
-    segments i0, i0 + 1, ... as _segment assigns them, counts[j] of them in
-    segment i0 + j.  None for any other query (short, sparse, unsorted,
-    NaN); a short one is turned away before any work."""
+    segments i0, i0 + 1, ... as segment_index assigns them, counts[j] of
+    them in segment i0 + j.  None for any other query (short, sparse,
+    unsorted, NaN); a short one is turned away before any work."""
     n = t.size
     if n < _RUN_MIN_POINTS:
         return None
-    i0, i1 = ts.searchsorted(t[::n - 1], "right").tolist()
-    i0, i1 = max(i0 - 1, 0), min(i1 - 1, len(ts) - 2)
-    if (not 0 < _RUN_MIN_LENGTH * (i1 - i0 + 1) <= n
+    i0, i1 = segment_index(ts, t[::n - 1]).tolist()
+    if (_RUN_MIN_LENGTH * (i1 - i0 + 1) > n
             or not (t[1:] >= t[:-1]).all()):
         return None
     # points before ts[i + 1] lie in segments up to i; t = ts[-1] is
@@ -440,12 +416,9 @@ def hermite_jet(ts: np.ndarray, tables, t) -> list:
     segment's values, and its slopes times the segment's width, once per
     segment and repeats them over the segment's run of points (de Boor, A
     Practical Guide to Splines, ch. IV).  Any other query (short, sparse,
-    unsorted, NaN) gathers them point by point, its segments from an
-    arithmetic guess checked against the nodes (_segment).  Either way the
-    segments are those of np.searchsorted(ts, t, "right") - 1, and each
-    product and sum is formed from the same operands in the same order,
-    so the two give the same bits; a uniform grid, or a slice of one,
-    never needs the search."""
+    unsorted, NaN) gathers them point by point.  Either way the segments
+    are segment_index's, and each product and sum is formed from the same
+    operands in the same order, so the two give the same bits."""
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         t = float(t)
@@ -457,7 +430,9 @@ def hermite_jet(ts: np.ndarray, tables, t) -> list:
         t = clamp(t, ts[0], ts[-1])
     runs = _segment_runs(ts, t)
     if runs is None:                # i: each point's segment
-        i, x, h = _segment(ts, t)
+        i = segment_index(ts, t)
+        x = ts[i]
+        h = ts[1:][i]
         h -= x
         w, counts = h, None
     else:                           # i: the segments of the runs

@@ -45,7 +45,8 @@ from .gluing import (BoundaryProfile, Corner, Margin, Report,
 __all__ = [
     "Margin", "Report", "BuildError", "HorizonError", "NumericalRangeError",
     "build_cone_metric", "build_handle1", "corner_angle_handle1",
-    "build_handle2", "corner_angle_handle2", "closed_form_handle2",
+    "build_handle2", "check_handle2_domain", "corner_angle_handle2",
+    "closed_form_handle2",
     "assemble_handle",
     "build_transfer_block",
     "build_s1_block", "build_fibre_disc_warp", "build_sphere_transition",
@@ -910,6 +911,17 @@ def corner_angle_handle2(a: float) -> float:
     return math.acos(-a / math.sqrt(1.0 + a * a))
 
 
+def check_handle2_domain(lambda1: float, lambda2: float, b: float) -> None:
+    """Raise BuildError unless lambda1 < lambda2 and b < 1/(2 lambda2): the
+    domain of build_handle2, and of its closed-form bound."""
+    if not lambda1 < lambda2:
+        raise BuildError(f"lambda1 must stay below lambda2 = {lambda2!r}, "
+                         f"got {lambda1!r}")
+    if b >= 1.0 / (2.0 * lambda2):
+        raise BuildError(f"b must stay below 1/(2 lambda2) = "
+                         f"{1.0 / (2 * lambda2):.4f}")
+
+
 def closed_form_handle2(lambda1: float, lambda2: float, a: float, b: float,
                         ts: np.ndarray) -> np.ndarray:
     """Conservative closed-form lower bound for the dug face's radial
@@ -1107,11 +1119,7 @@ def build_handle2(B: SmoothCurve, lambda1: float, lambda2: float, a: float,
     boundary profiles on the first read of ``Report.boundary``, as handle1
     builds its own, both from ``_handle2_face``: the face a build has just
     made when the margins missed."""
-    if not lambda1 < lambda2:
-        raise BuildError("need lambda1 < lambda2")
-    if b >= 1.0 / (2.0 * lambda2):
-        raise BuildError(f"b must stay below 1/(2 lambda2) = "
-                         f"{1.0 / (2 * lambda2):.4f}")
+    check_handle2_domain(lambda1, lambda2, b)
     if not isinstance(B, SmoothCurve):
         raise BuildError("B must be a SmoothCurve")
     if B.t_lo > 1e-12:

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._util import (check_order, clamp, cumulative_hermite,
                     fd_first_derivative, grid_points, hermite_interp,
-                    hermite_jet, per_key, read_only, smooth_step,
-                    unit_plateaus, write_csv)
+                    hermite_jet, per_key, read_only, segment_index,
+                    smooth_step, unit_plateaus, write_csv)
 
 __all__ = [
     "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
@@ -173,12 +173,19 @@ class SmoothCurve:
     # -- serialization -------------------------------------------------------
 
     def node_table(self, per_unit=None) -> np.ndarray:
-        """Columns t, v0, v1, ... (stored nodes if any, else a grid)."""
+        """Columns t, v0, v1, ...: the stored nodes if any, else the orders
+        the curve answers, up to 3, on a grid."""
         if self.nodes is not None:
             ts, cols = self.nodes
             return np.column_stack([ts, *cols])
         ts = grid_points(self.t_lo, self.t_hi, per_unit)
-        return np.column_stack([ts] + [self.eval(ts, k) for k in range(4)])
+        cols = [ts, self.eval(ts)]
+        for k in range(1, 4):
+            try:
+                cols.append(self.eval(ts, k))
+            except ValueError:      # m table columns answer orders < m
+                break
+        return np.column_stack(cols)
 
     def write_csv(self, path, per_unit=None) -> None:
         table = self.node_table(per_unit)
@@ -523,10 +530,13 @@ def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
     uniform nodes, interpolated with the integrand as node slopes; the
     integrand's orders 0 and 1 at the nodes come from one call, as the
     curve's orders 1..n in its jet do.  Orders 1-3 of the curve are the
-    integrand's orders 0-2, all those asked for in one call."""
-    ts = np.linspace(domain[0], domain[1], n)
+    integrand's orders 0-2, all those asked for in one call.  The nodes,
+    values and slopes, the curve's orders 0-1 at the nodes, are its
+    read-only ``nodes``, as a table curve keeps its columns."""
+    ts = read_only(np.linspace(domain[0], domain[1], n))
     slopes, curv = integrand(ts, (0, 1))
-    vals = cumulative_hermite(ts, slopes, curv)
+    vals = read_only(cumulative_hermite(ts, slopes, curv))
+    slopes = read_only(slopes)
 
     def orders(t, ks):
         lower = tuple(k - 1 for k in ks if k)
@@ -534,7 +544,7 @@ def antiderivative_curve(domain, n: int, integrand) -> SmoothCurve:
         return [hermite_interp(ts, vals, slopes, t) if k == 0 else next(high)
                 for k in ks]
 
-    return SmoothCurve(domain[0], domain[1], orders)
+    return SmoothCurve(domain[0], domain[1], orders, (ts, [vals, slopes]))
 
 
 def piecewise_curve(segments) -> SmoothCurve:
@@ -545,20 +555,15 @@ def piecewise_curve(segments) -> SmoothCurve:
     for (l1, h1, _), (l2, _, _) in zip(segments, segments[1:]):
         if abs(h1 - l2) > 1e-9 * (1 + abs(h1)):
             raise ValueError("segments are not contiguous")
-    los = np.array([s[0] for s in segments])
     curves = [s[2] for s in segments]
     t_lo, t_hi = segments[0][0], segments[-1][1]
+    breaks = np.array([s[0] for s in segments] + [t_hi])
 
     def glued(t, ks):
         # The points are clamped into each segment's domain, so the
         # segment's orders function runs directly, without eval's check.
         t = np.asarray(t, dtype=float)
-        idx = clamp(np.searchsorted(los, t, side="right") - 1,
-                    0, len(curves) - 1)
-        if t.ndim == 0:             # the one segment at the scalar point
-            c = curves[idx]
-            return [np.array(v, dtype=float) for v in
-                    c._at(clamp(t, c.t_lo, c.t_hi), ks)]
+        idx = segment_index(breaks, t)
         outs = [np.empty_like(t) for _ in ks]
         for i, c in enumerate(curves):
             m = idx == i

@@ -8,6 +8,7 @@ every listed sample reproduces a pass when re-run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -87,17 +88,21 @@ class ParamBox:
     def names(self):
         return sorted(self.params)
 
+    @functools.cached_property
+    def axes(self) -> list:
+        """Each axis's lattice points, axes in name order, built once per
+        box on first read: a box's params and resolution do not change
+        after it."""
+        return [self.params[n].points(self.axis_resolution(n))
+                for n in self.names]
+
     def grid_size(self) -> int:
-        size = 1
-        for name in self.names:
-            size *= self.axis_resolution(name)
-        return size
+        return math.prod(len(a) for a in self.axes)
 
     def full_grid(self):
-        axes = [self.params[n].points(self.axis_resolution(n))
-                for n in self.names]
-        for point in itertools.product(*axes):
-            yield {n: float(v) for n, v in zip(self.names, point)}
+        names = self.names
+        for point in itertools.product(*self.axes):
+            yield {n: float(v) for n, v in zip(names, point)}
 
     def random_samples(self, budget: int, seed: int):
         """Up to ``budget`` distinct lattice samples, seeded.  Each attempt
@@ -109,9 +114,7 @@ class ParamBox:
         one ``rng.integers`` call on the tiled axis sizes: numpy draws an
         array ``high`` element by element as it draws a scalar one, so the
         stream, and the samples, are those of the one-at-a-time loop."""
-        names = self.names
-        axes = [self.params[n].points(self.axis_resolution(n))
-                for n in names]
+        names, axes = self.names, self.axes
         sizes = np.array([len(a) for a in axes])
         rng = np.random.default_rng(seed)
         seen = set()
@@ -218,11 +221,7 @@ def _handle2_closed_form(lambda1, lambda2, a, b, grid=None):
     entry, as a single-margin report (monotone decreasing in a >= 0), on
     build_handle2's domain.  The bound grows like 1/b as b falls to 0,
     where it bounds no dug face."""
-    if not lambda1 < lambda2:
-        raise blocks.BuildError(f"lambda1 must stay below lambda2 = "
-                                f"{lambda2!r}, got {lambda1!r}")
-    if b >= 1.0 / (2.0 * lambda2):
-        raise blocks.BuildError("b must stay below 1/(2 lambda2)")
+    blocks.check_handle2_domain(lambda1, lambda2, b)
     ts = np.linspace(0.0, 0.98 * b, 2049)
     vals = blocks.closed_form_handle2(lambda1, lambda2, a, b, ts)
     i = int(np.argmin(vals))

@@ -430,6 +430,27 @@ class TestSerialization:
         assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1),
                               tab)
 
+    def test_curve_without_nodes_writes_the_orders_it_answers(
+            self, tmp_path):
+        """A curve with no stored nodes that answers orders 0 and 1 only,
+        as handle1's outer radial ii profile does, writes t, v0, v1 on a
+        grid: its eval at those orders, bit for bit."""
+        rep = blocks.build_handle1(4, 0.9, lambda1=0.985, lambda2=0.99,
+                                   eps1=0.01, eps2=0.1, delta=0.05)
+        ts = np.linspace(0.0, 1.0, 5)
+        two = cv.table_curve(ts, (np.sin(ts), np.cos(ts))).metric_rescale(2.0)
+        for c in (rep.boundary["outer"].ii["radial"], two):
+            assert c.nodes is None
+            tab = c.node_table(16)
+            grid = grid_points(c.t_lo, c.t_hi, 16)
+            assert tab.tobytes() == np.column_stack(
+                [grid, c.eval(grid), c.eval(grid, 1)]).tobytes()
+            path = tmp_path / "ii.csv"
+            c.write_csv(path, per_unit=16)
+            assert path.read_text().splitlines()[0] == "t,v0,v1"
+            assert np.array_equal(np.loadtxt(path, delimiter=",",
+                                             skiprows=1), tab)
+
     def test_ode_curve_serializes_stored_nodes(self):
         h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0)
         tab = h0.node_table()
@@ -668,42 +689,31 @@ class TestPiecewiseCurve:
                 assert type(got) is float and type(want) is float
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_scalar_query_is_its_segments_scalar_query(self, monkeypatch):
-        """A 0-d query goes to its one segment as a scalar, so a table
-        segment answers it with hermite_interp's one-point lookup; each
-        order is the segment's eval bitwise, at interior points, at each
-        segment start and at both ends, as 0-d arrays from the orders
-        function."""
-        from warpbench import _util
+    def test_scalar_query_is_its_segments_eval(self):
+        """A 0-d query takes the array path, one point long: each order is
+        the segment's eval bitwise, as a float, at interior points, at
+        each segment start and at both ends, for a Python float, an
+        np.float64 and a 0-d array; the orders function gives 0-d
+        arrays."""
         ts = np.linspace(0.0, 1.0, 2049)
         table = cv.table_curve(ts, [np.sin(ts), np.cos(ts), -np.sin(ts),
                                     -np.cos(ts)])
         pieces = [(0.0, 0.5, table.restrict(0.0, 0.5)),
                   (0.5, 1.0, table.restrict(0.5, 1.0))]
         glued = cv.piecewise_curve(pieces)
-        calls = []
-        point = _util._hermite_point
-
-        def spy(ts, ys, dys, t):
-            calls.append(t)
-            return point(ts, ys, dys, t)
-
         for x, seg in ((0.0, 0), (0.3, 0), (np.nextafter(0.5, 0.0), 0),
                        (0.5, 1), (0.7, 1), (1.0, 1)):
             for k in range(4):
-                calls.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(_util, "_hermite_point", spy)
-                    got = glued.eval(x, k)
-                assert calls == ([x] if k < 3 else [])
                 want = pieces[seg][2].eval(x, k)
-                assert type(got) is float
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                for q in (x, np.float64(x), np.array(x)):
+                    got = glued.eval(q, k)
+                    assert type(got) is float
+                    assert (np.float64(got).tobytes()
+                            == np.float64(want).tobytes())
             outs = glued._at(np.array(x), (0, 1, 2))
             assert all(type(v) is np.ndarray and v.shape == () for v in outs)
             assert [float(v) for v in outs] == list(
                 pieces[seg][2].jet(x, 2))
-
 
 
 def cone_warp():
@@ -905,13 +915,13 @@ class TestJet:
                                                           monkeypatch):
         from warpbench import _util
         calls = []
-        segment = _util._segment
+        segment = _util.segment_index
 
         def counted(ts, t):
             calls.append(len(t))
             return segment(ts, t)
 
-        monkeypatch.setattr(_util, "_segment", counted)
+        monkeypatch.setattr(_util, "segment_index", counted)
         table, combo, restricted = self.curves()[:3]
         t = np.linspace(0.5, 1.0, 7)
         for c in (table, combo, restricted, table.metric_rescale(1.5)):
@@ -965,14 +975,14 @@ class TestJet:
         warp, starts = cone_warp()
         windows = [(starts[0], starts[1]), (starts[2], starts[3])]
         lookups = []
-        segment = _util._segment
+        segment = _util.segment_index
 
         def counted(ts, t):
             if len(ts) == 2049 and ts[0] in (starts[0], starts[2]):
                 lookups.append((ts[0], len(t)))
             return segment(ts, t)
 
-        monkeypatch.setattr(_util, "_segment", counted)
+        monkeypatch.setattr(_util, "segment_index", counted)
         ss = grid_points(*warp.domain)
         m = DoublyWarpedMetric(3, 1, warp,
                                cv.constant_curve(1.0, warp.domain),
@@ -1014,7 +1024,7 @@ class TestJet:
         h0, _ = blocks._transfer_curves(params["C"])
         nodes = h0.nodes[0]
         lookups, per_point = [], []
-        runs, segment = _util._segment_runs, _util._segment
+        runs, segment = _util._segment_runs, _util.segment_index
 
         def counted_runs(ts, t):
             found = runs(ts, t)
@@ -1028,14 +1038,15 @@ class TestJet:
             return segment(ts, t)
 
         monkeypatch.setattr(_util, "_segment_runs", counted_runs)
-        monkeypatch.setattr(_util, "_segment", counted)
+        monkeypatch.setattr(_util, "segment_index", counted)
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         n = len(rep.sweeps["ricci"]["t"])
         assert n > 2 * _SWEEP_BLOCK
         sizes = [min(_SWEEP_BLOCK, n - i) for i in range(0, n, _SWEEP_BLOCK)]
         long_enough = _util._RUN_MIN_POINTS
         assert lookups == [k for k in sizes if k >= long_enough]
-        assert per_point == [k for k in sizes if k < long_enough]
+        # a run-path block searches only its two ends' segments
+        assert per_point == [2 if k >= long_enough else k for k in sizes]
 
 
 def assert_bitwise(got, want):
@@ -1109,6 +1120,26 @@ def test_antiderivative_curve_takes_its_node_columns_from_one_call():
     assert calls == [(0, 1)]
     for k in range(3):
         assert np.array_equal(jet[k], curve.eval(t, k))
+
+
+def test_antiderivative_curve_keeps_read_only_nodes():
+    """The curve's nodes are its table: the uniform nodes, the values
+    (its order 0 there, bitwise) and the integrand's order 0 at them as
+    slopes, all read-only, so a curve a cache shares cannot be changed
+    through its table."""
+    curve = cv.antiderivative_curve(
+        (0.0, 1.0), 257,
+        lambda t, orders: [np.cos(t) if k == 0 else -np.sin(t)
+                           for k in orders])
+    ts, (vals, slopes) = curve.nodes
+    assert np.array_equal(ts, np.linspace(0.0, 1.0, 257))
+    assert vals.tobytes() == curve.eval(ts).tobytes()
+    assert slopes.tobytes() == np.cos(ts).tobytes()
+    for a in (ts, vals, slopes):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert curve.node_table().shape == (257, 3)
 
 
 def compose(curve, u):

@@ -51,6 +51,28 @@ class TestParamBox:
         s2 = box.random_samples(10, seed=7)
         assert s1 == s2
 
+    def test_axes_are_built_once_per_box(self, monkeypatch):
+        """grid_size, full_grid and random_samples, called again and
+        again, read one set of axes: Interval.points runs once per axis
+        per box."""
+        calls = []
+        points = fs.Interval.points
+
+        def counted(iv, n):
+            calls.append((iv.lo, n))
+            return points(iv, n)
+
+        monkeypatch.setattr(fs.Interval, "points", counted)
+        box = fs.ParamBox({"y": (0.0, 1.0), "x": (2.0, 3.0)},
+                          {"x": 3, "y": 5})
+        for _ in range(2):
+            assert box.grid_size() == 15
+            assert len(list(box.full_grid())) == 15
+            assert len(box.random_samples(6, seed=1)) == 6
+        assert calls == [(2.0, 3), (0.0, 5)]
+        fs.ParamBox({"x": (2.0, 3.0)}, 2).grid_size()
+        assert calls[2:] == [(2.0, 2)]
+
     @staticmethod
     def per_axis_samples(box, budget, seed):
         """random_samples as the scalar loop: each attempt draws one
@@ -328,6 +350,20 @@ class TestBadSamplesAreRejections:
                        fixed={"a": 0.1, "b": 1.5})
         assert cert.failures == 2
         assert [e.params["lambda1"] for e in cert.entries] == [0.2]
+
+    @pytest.mark.parametrize("lambda1, b", [(0.25, 1.5), (0.2, 2.0)])
+    def test_closed_form_and_handle2_reject_one_domain(self, lambda1, b):
+        """The closed form and build_handle2 state lambda1 < lambda2 and
+        b < 1/(2 lambda2) once: a sample outside either is the same
+        BuildError from both."""
+        closed = fs.PREDICATES["handle2-closed-form"]["builder"]
+        params = {"lambda1": lambda1, "lambda2": 0.25, "a": 0.1, "b": b}
+        with pytest.raises(bk.BuildError) as want:
+            closed(**params)
+        with pytest.raises(bk.BuildError) as got:
+            bk.build_handle2(fs._default_collar_profile(), eps=0.1, nu=0.3,
+                             **params)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("b", [0.0, 1e-300])
     def test_closed_form_rejects_b_below_the_dug_graph(self, b):

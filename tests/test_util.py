@@ -406,25 +406,17 @@ def queries(ts, rng, n_random=300):
     return q
 
 
-def never_searched(ts, t):
-    raise AssertionError("the segment guess fell back to searchsorted")
-
-
-def assert_hermite_matches(ts, seed, uniform=False):
+def assert_hermite_matches(ts, seed):
     """hermite_interp equals searchsorted_hermite bitwise on queries() and
-    on empty, 0-d, NaN and 2-D queries; a uniform grid (or a slice of one)
-    is answered without the search."""
+    on empty, 0-d, NaN and 2-D queries."""
     rng = np.random.default_rng(seed)
     ys, dys = rng.standard_normal(len(ts)), rng.standard_normal(len(ts))
     ys[rng.integers(0, len(ts))] = -0.0
     cases = [queries(ts, rng), np.array([]), np.array(ts[len(ts) // 2]),
              np.array(np.nan), queries(ts, rng, 7)[:12].reshape(3, 4)]
-    with pytest.MonkeyPatch.context() as m:
-        if uniform:
-            m.setattr(_util, "_searched_segment", never_searched)
-        got = [_util.hermite_interp(ts, ys, dys, q) for q in cases]
-    for g, q in zip(got, cases):
-        assert_same_values(g, searchsorted_hermite(ts, ys, dys, q))
+    for q in cases:
+        assert_same_values(_util.hermite_interp(ts, ys, dys, q),
+                           searchsorted_hermite(ts, ys, dys, q))
 
 
 def assert_points_match(ts, seed):
@@ -449,8 +441,7 @@ class TestHermiteInterp:
            lo=st.floats(-50.0, 50.0), span=st.floats(1e-6, 1e3),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_bitwise_on_uniform_grids(self, n, lo, span, seed):
-        assert_hermite_matches(np.linspace(lo, lo + span, n), seed,
-                               uniform=True)
+        assert_hermite_matches(np.linspace(lo, lo + span, n), seed)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 20000), cut=st.tuples(st.floats(0, 1),
@@ -461,7 +452,7 @@ class TestHermiteInterp:
         i, j = sorted(int(c * (n - 1)) for c in cut)
         i = min(i, n - 2)
         j = max(j, i + 1)
-        assert_hermite_matches(ts[i:j + 1], seed, uniform=True)
+        assert_hermite_matches(ts[i:j + 1], seed)
 
     @pytest.mark.parametrize("window", [0.05, 0.3, 2e-3])
     def test_bitwise_on_the_flatten_start_grid(self, window):
@@ -672,13 +663,13 @@ class TestHermiteJet:
 
     def test_one_segment_lookup_for_three_orders(self, monkeypatch):
         calls = []
-        segment = _util._segment
+        segment = _util.segment_index
 
         def counted(ts, t):
             calls.append(len(t))
             return segment(ts, t)
 
-        monkeypatch.setattr(_util, "_segment", counted)
+        monkeypatch.setattr(_util, "segment_index", counted)
         ts = np.linspace(0.0, 1.0, 65)
         for tables in ([[ts] * 4], [[ts] * 4, [ts * ts] * 4]):
             calls.clear()
@@ -704,7 +695,7 @@ class TestHermiteJet:
             return point(*args)
 
         monkeypatch.setattr(_util, "_hermite_point", counted)
-        monkeypatch.setattr(_util, "_segment", None)
+        monkeypatch.setattr(_util, "segment_index", None)
         for x, want in zip(points, wants):
             calls.clear()
             got = _util.hermite_jet(ts, tables, np.array(x))
@@ -761,6 +752,21 @@ def test_clamp_is_np_clip_bitwise():
         for arr in (t, t[::2], np.array(-0.0), np.array(0.0)):
             assert_same_values(_util.clamp(arr, lo, hi),
                                np.clip(arr, lo, hi))
+
+
+def test_segment_index_is_searchsorted_clipped():
+    """segment_index is searchsorted(breaks, t, "right") - 1 clipped to
+    the segments: a point below the first break is in the first segment,
+    the last break, a point past it and NaN in the last; a 0-d query
+    gives one index."""
+    breaks = np.array([0.0, 0.5, 1.0, 2.0])
+    t = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, np.nan])
+    assert _util.segment_index(breaks, t).tolist() == [0, 0, 0, 0, 1, 2, 2,
+                                                       2, 2, 2]
+    assert _util.segment_index(breaks, t[:0]).shape == (0,)
+    for x, i in ((0.7, 1), (2.0, 2), (np.nan, 2)):
+        got = _util.segment_index(breaks, np.array(x))
+        assert np.ndim(got) == 0 and got == i
 
 
 STEP_POINTS = np.array([
