@@ -183,8 +183,10 @@ class SmoothCurve:
         for k in range(1, 4):
             try:
                 cols.append(self.eval(ts, k))
-            except ValueError:      # m table columns answer orders < m
-                break
+            except ValueError as exc:
+                if "not available" not in str(exc):
+                    raise
+                break               # m table columns answer orders < m
         return np.column_stack(cols)
 
     def write_csv(self, path, per_unit=None) -> None:

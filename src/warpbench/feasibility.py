@@ -8,7 +8,6 @@ every listed sample reproduces a pass when re-run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -88,20 +87,20 @@ class ParamBox:
     def names(self):
         return sorted(self.params)
 
-    @functools.cached_property
     def axes(self) -> list:
-        """Each axis's lattice points, axes in name order, built once per
-        box on first read: a box's params and resolution do not change
-        after it."""
+        """Each axis's lattice points, axes in name order."""
         return [self.params[n].points(self.axis_resolution(n))
                 for n in self.names]
 
     def grid_size(self) -> int:
-        return math.prod(len(a) for a in self.axes)
+        size = 1
+        for name in self.names:
+            size *= self.axis_resolution(name)
+        return size
 
     def full_grid(self):
         names = self.names
-        for point in itertools.product(*self.axes):
+        for point in itertools.product(*self.axes()):
             yield {n: float(v) for n, v in zip(names, point)}
 
     def random_samples(self, budget: int, seed: int):
@@ -114,7 +113,7 @@ class ParamBox:
         one ``rng.integers`` call on the tiled axis sizes: numpy draws an
         array ``high`` element by element as it draws a scalar one, so the
         stream, and the samples, are those of the one-at-a-time loop."""
-        names, axes = self.names, self.axes
+        names, axes = self.names, self.axes()
         sizes = np.array([len(a) for a in axes])
         rng = np.random.default_rng(seed)
         seen = set()

@@ -305,6 +305,53 @@ class TestDeterminism:
         assert edges[1]["citation"] == "declared"
 
 
+    # The CI smoke run's scans that read cached builds: f0's jet, handle1's
+    # cap face margins and outer face, handle2's face margins and the
+    # cone's joins, the collapse point at t = 1 included.
+    CACHED_SCANS = [
+        {"predicate": "projective", "box": {"s": [0.0, 1.0]},
+         "resolution": 5, "budget": 5, "fixed": {"d": 4}},
+        {"predicate": "handle1-tied", "box": {"eps2": [0.01, 0.1]},
+         "resolution": 4, "budget": 4,
+         "fixed": {"lambda1": 0.985, "eps1": 0.01, "delta": 0.05}},
+        {"predicate": "handle1-tied", "box": {"delta": [0.02, 0.08]},
+         "resolution": 4, "budget": 4,
+         "fixed": {"lambda1": 0.985, "eps1": 0.01, "eps2": 0.1}},
+        {"predicate": "handle1-tied", "box": {"lambda1": [0.975, 0.989]},
+         "resolution": 4, "budget": 4,
+         "fixed": {"eps1": 0.01, "eps2": 0.1, "delta": 0.05}},
+        {"predicate": "handle2", "box": {"eps": [0.05, 0.15],
+                                         "nu": [0.01, 0.04]},
+         "resolution": 4, "budget": 16,
+         "fixed": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5}},
+        {"predicate": "cone", "box": {"t": [0.0, 1.0], "eps2": [0.05, 0.2]},
+         "resolution": {"t": 5, "eps2": 3}, "budget": 15,
+         "fixed": {"eps1": 0.1, "delta": 0.02}},
+        {"predicate": "cone", "box": {"t": [0.0, 1.0]}, "resolution": 5,
+         "budget": 5, "fixed": {"eps1": 0.05, "delta": 0.025, "eps2": 0.1}},
+    ]
+
+    def test_scans_on_warm_caches_keep_the_bits_of_empty_caches(
+            self, monkeypatch, fresh_caches):
+        """Each cached scan, run after the ones before it, certifies what
+        a run that empties every cache before each sample certifies: the
+        same JSON, bit for bit."""
+        def result(sc):
+            return json.dumps(cli._scan(sc, None, None)[0],
+                              default=cli._json_default)
+
+        warm = [result(sc) for sc in self.CACHED_SCANS]
+        run = feasibility._run_predicate
+
+        def on_empty_caches(*args, **kwargs):
+            fresh_caches()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "_run_predicate", on_empty_caches)
+        for sc, bits in zip(self.CACHED_SCANS, warm):
+            assert result(sc) == bits, sc
+
+
 class TestEmitPlotData:
     def test_empty_report_writes_nothing(self, tmp_path):
         paths = cli.emit_plot_data({"sweeps": {}}, str(tmp_path))

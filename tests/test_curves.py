@@ -451,6 +451,18 @@ class TestSerialization:
             assert np.array_equal(np.loadtxt(path, delimiter=",",
                                              skiprows=1), tab)
 
+    def test_node_table_raises_other_value_errors(self):
+        """Only an order the curve does not answer ends the columns: any
+        other ValueError of its orders function reaches the caller."""
+        def orders(t, ks):
+            if ks[-1] == 2:
+                raise ValueError("a fault at order 2")
+            return [np.zeros_like(t) for _ in ks]
+
+        c = cv.SmoothCurve(0.0, 1.0, orders)
+        with pytest.raises(ValueError, match="^a fault at order 2$"):
+            c.node_table(4)
+
     def test_ode_curve_serializes_stored_nodes(self):
         h0, _ = cv.integrate_transfer_odes(0.1, t_max=2.0)
         tab = h0.node_table()

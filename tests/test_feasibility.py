@@ -51,10 +51,11 @@ class TestParamBox:
         s2 = box.random_samples(10, seed=7)
         assert s1 == s2
 
-    def test_axes_are_built_once_per_box(self, monkeypatch):
-        """grid_size, full_grid and random_samples, called again and
-        again, read one set of axes: Interval.points runs once per axis
-        per box."""
+    @pytest.mark.parametrize("budget", [15, 6])
+    def test_scan_builds_each_axis_once(self, monkeypatch, budget):
+        """A scan, over its full grid or over a random subset, builds each
+        axis's lattice points once: Interval.points runs once per axis
+        per scan."""
         calls = []
         points = fs.Interval.points
 
@@ -63,15 +64,11 @@ class TestParamBox:
             return points(iv, n)
 
         monkeypatch.setattr(fs.Interval, "points", counted)
-        box = fs.ParamBox({"y": (0.0, 1.0), "x": (2.0, 3.0)},
-                          {"x": 3, "y": 5})
+        box = fs.ParamBox({"a": (0.005, 0.08), "b": (1.0, 2.0)},
+                          {"a": 3, "b": 5})
         for _ in range(2):
-            assert box.grid_size() == 15
-            assert len(list(box.full_grid())) == 15
-            assert len(box.random_samples(6, seed=1)) == 6
-        assert calls == [(2.0, 3), (0.0, 5)]
-        fs.ParamBox({"x": (2.0, 3.0)}, 2).grid_size()
-        assert calls[2:] == [(2.0, 2)]
+            fs.scan(box, "handle2-closed-form", budget)
+        assert calls == [(0.005, 3), (1.0, 5)] * 2
 
     @staticmethod
     def per_axis_samples(box, budget, seed):
