@@ -94,108 +94,86 @@ def read_only(a) -> np.ndarray:
 # CSV output.
 # ---------------------------------------------------------------------------
 
-# Rows formatted per pass; bounds the integer work arrays alive at once.
+# Rows formatted per pass.  Median ms of a fresh process writing the
+# default pipeline's sweeps, sizes alternated (2 cores, numpy 2.4): 256: 119,
+# 512: 71-87, 1024: 55-69, 2048: 59-72, 4096: 73-75, 8192: 83.
 _CSV_BLOCK_ROWS = 1024
 
-# Every integer below is uint64, or int64 for signed exponents: under
-# numpy 1.x promotion a uint64 array combined with an int64 operand turns
-# into float64, so unsigned operands are np.uint64 scalars.
+# 10^k = _P10[0][k] + _P10[1][k] exactly for k = 0..41: 10^k is 5^k 2^k,
+# and 5^41 has 96 bits, fewer than a double-double's 106.  Beside each
+# part, its Veltkamp halves for Dekker's product.
+_P10 = np.array([float(10 ** k) for k in range(42)])
+_P10 = [_P10, np.array([10 ** k - int(h) for k, h in enumerate(_P10)], float)]
 _U = np.uint64
-_LOW32 = _U(0xFFFFFFFF)
-# Row j, column k: limb j (32 bits, least significant first) of 5^k.
-_POW5 = np.array([[(5 ** k >> 32 * j) & 0xFFFFFFFF for k in range(42)]
-                  for j in range(3)], dtype=np.uint64)
-# Right shifts r in [1, _MAX_SHIFT] start in limb r // 32 <= 2; values
-# down to 1e-23 need r <= 88.
-_MAX_SHIFT = 95
 _E18, _E19 = _U(10 ** 18), _U(10 ** 19)
-# v // 10 is (v * 0xCCCCCCCD) >> 35 for every v < 2^32.
-_DIV10 = _U(0xCCCCCCCD)
-# Field bytes: sign (NUL when absent), d . d d | 8 digits | 8 digits |
-# e, exponent sign, two digits, separator.
-_FIELD = 26
-_HEAD = _U(0x30 << 8 | ord(".") << 16 | 0x30 << 24 | 0x30 << 32)
-_TAIL = _U(ord("e") | 0x30 << 16 | 0x30 << 24)
+# A rounding of the float remainder further than this from a half is
+# final (see _scaled); nearer, the exact residuals decide.
+_TIE_BOUND = 2.0 ** -40
+# Products at or above 2^64 (a decade-low guess) are capped below it, so
+# that adding the rounded remainder (under 2^18 in magnitude for guesses
+# up to two decades low) neither wraps nor lands back in range.
+_CAP = 2.0 ** 64 - 2.0 ** 20
 
 
-def _scaled_decimal(m, e, p):
-    """(D, covered, over) for x = m 2^e (2^52 <= m < 2^53) and a guess p
-    of its decimal exponent: D = x 10^(18 - p) rounded half-to-even, from
-    the exact product m 5^k (k = 18 - p) shifted right by r = -(e + k).
-    covered is False where k or r leaves the table; over is True where the
-    rounded value does not fit 64 bits (D is then meaningless)."""
-    n = len(m)
-    k = (18 - p).view(np.uint64)        # a negative k or r - 1 wraps high
-    h = (p - e).view(np.uint64) - _U(19)            # r - 1
-    covered = (k < _U(_POW5.shape[1])) & (h < _U(_MAX_SHIFT))
-    f0, f1, f2 = _POW5.take(np.minimum(k, _U(_POW5.shape[1] - 1)).view(
-        np.int64), axis=1)
-    r = np.minimum(h, _U(_MAX_SHIFT - 1)) + _U(1)
-
-    # P = m 5^k in 32-bit limbs L0..L4: the three products of the low half
-    # of m split into 32-bit halves, the high half of m (< 2^21) times each
-    # limb added whole, then one carry pass; no sum reaches 2^64.
-    m0, m1 = m & _LOW32, m >> _U(32)
-    prod = m0 * f0
-    c0, c1 = prod & _LOW32, prod >> _U(32)
-    prod = m0 * f1
-    c1 += prod & _LOW32
-    c2 = prod >> _U(32)
-    prod = m0 * f2
-    c2 += prod & _LOW32
-    c3 = prod >> _U(32)
-    c1 += m1 * f0
-    c2 += m1 * f1
-    c3 += m1 * f2
-    # Rows: 0 a zero limb, so that limb q - 1 exists at q = 0; 1-5 L0-L4;
-    # 6-8 the OR of the limbs under q - 1 and 9-11 the OR of the limbs
-    # above q + 2, for q = 0, 1, 2.
-    limbs = np.zeros((12, n), dtype=np.uint64)
-    limbs[1] = c0
-    np.bitwise_and(c1, _LOW32, out=limbs[2])
-    c2 += c1 >> _U(32)
-    np.bitwise_and(c2, _LOW32, out=limbs[3])
-    c3 += c2 >> _U(32)
-    np.bitwise_and(c3, _LOW32, out=limbs[4])
-    np.right_shift(c3, _U(32), out=limbs[5])
-    limbs[8] = c0
-    np.bitwise_or(limbs[4], limbs[5], out=limbs[9])
-    limbs[10] = limbs[5]
-
-    # Q = P >> r from the limbs q, q + 1 and q + 2 (q = r // 32, s = r % 32);
-    # bits above Q's 64 mean Q >= 2^64.
-    idx = (r >> _U(5)) * _U(n)
-    idx += np.arange(n, dtype=np.uint64)
-    idx = idx.view(np.int64)
-    s = r & _U(31)
-    lm1, l0, l1, top, below, above = (limbs.reshape(-1)[j * n:].take(idx)
-                                      for j in (0, 1, 2, 3, 6, 9))
-    D = (l0 | (l1 << _U(32))) >> s
-    D |= (top << (_U(63) - s)) << _U(1)
-    over = ((top >> s) | above) != 0
-
-    # Half-to-even: bit r - 1 is bit s + 31 of lm1 | l0 << 32; the sticky
-    # bits are those below it and every limb under q - 1.
-    low = lm1 | (l0 << _U(32))
-    s += _U(31)
-    half = (low >> s) & _U(1)
-    sticky = (low & ((_U(1) << s) - _U(1))) | below
-    D += half & (D | (sticky != 0))     # up past a half, or to even on one
-    over |= D == 0                      # rounded up past 2^64 - 1
-    return D, covered, over
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each of at most 26
+    significant bits, so that products of halves are exact."""
+    c = a * 134217729.0                 # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _ascii8(v):
-    """The eight decimal digits of each v < 10^8 as ASCII in one uint64,
-    most significant digit in the lowest byte: the multiply-shift division
-    run on 32-, then 16-, then 8-bit lanes of one word at once."""
-    hi = (v * _U(109951163)) >> _U(40)                  # v // 10^4
-    x = hi | ((v - hi * _U(10 ** 4)) << _U(32))
-    t = ((x * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)  # lane // 100
-    x = t | ((x - t * _U(100)) << _U(16))
-    t = ((x * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)   # lane // 10
-    x = t | ((x - t * _U(10)) << _U(8))
-    return x + _U(0x3030303030303030)
+def _product_error(a, b, ab):
+    """a b - ab exactly, for ab = fl(a b) and a, b given as split halves:
+    Dekker's TwoProduct in separately rounded float64 operations."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return ((a_hi * b_hi - ab) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+_P10_SPLIT = [_split(part) for part in _P10]
+
+
+def _scaled(a, k):
+    """D = a 10^k rounded half-to-even as uint64, for normal a < 2^48 and
+    table rows k with 10^17 <= a 10^k < 10^21; D lies above 10^19 for
+    every product from 2^64 up.
+
+    a 10^k = P + r exactly, where P = fl(a hi) is an even integer (P >
+    2^56) and r = e + a lo, e = a hi - P (Dekker's product), so D = P +
+    round(r).  The float sum s = fl(e + fl(a lo)) is n + f with n =
+    rint(s) and f = s - n exactly.  Where P <= 1.1e19, |e| <= ulp(P)/2
+    <= 2^10 and |a lo| <= 2^-53 P < 2^11, so |s| < 2^12, and r - s is two
+    rounding errors of at most 2^-42 and 2^-43.  So where |f| <= 1/2 -
+    _TIE_BOUND, round(r) = n.  Within the bound both errors are recovered
+    exactly (TwoSum, and Dekker's product of a and lo) and their sum t is
+    exact: r - s is a multiple of ulp(a) 2^k >= 2^-88, below 2^-41, so
+    under 2^47 such units.  f -+ 1/2 is exact (Sterbenz), and the sign of
+    (f -+ 1/2) + t says whether r lies past the half (round away from n)
+    or not.  An exact tie has t = 0 (a then has so few bits that a lo and
+    e + a lo are exact), so s sits on the half and rint has sent it to
+    the even side.  Beyond 1.1e19 the bound may miss by one unit, but D
+    is out of range either way."""
+    hi, lo = (part.take(k) for part in _P10)
+    a_split = _split(a)
+    P = a * hi
+    e = _product_error(a_split, [h.take(k) for h in _P10_SPLIT[0]], P)
+    L = a * lo
+    s = e + L
+    n = np.rint(s)
+    f = s - n
+    D = np.minimum(P, _CAP).astype(np.uint64)
+    D += n.astype(np.int64).view(np.uint64)      # wraps as signed addition
+    near = np.flatnonzero(np.abs(f) > 0.5 - _TIE_BOUND)
+    if near.size:
+        k, e, L, s, f = (v[near] for v in (k, e, L, s, f))
+        t = _product_error([h[near] for h in a_split],
+                           [h.take(k) for h in _P10_SPLIT[1]], L)
+        v = s - e
+        t += (e - (s - v)) + (L - v)        # TwoSum's error of e + L
+        z = (f - np.copysign(0.5, f)) + t       # r - (n +- 1/2)
+        D[near] += ((f > 0) & (z > 0)).astype(np.uint64)
+        D[near] -= ((f < 0) & (z < 0)).astype(np.uint64)
+    return D
 
 
 def _decimal(x):
@@ -204,96 +182,107 @@ def _decimal(x):
     D = p = 0 for a zero).
 
     done holds for zeros and for normal values of magnitude in [1e-23,
-    2^48), converted in integer arithmetic by _scaled_decimal; not for NaN,
-    infinities, subnormals, magnitudes outside that range, or a value whose
-    exponent guess one retry does not settle."""
-    bits = x.view(np.uint64)
-    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
-    frac = bits & _U((1 << 52) - 1)
-    normal = (biased > 0) & (biased < 0x7FF)
-    zero = (biased == 0) & (frac == 0)
-
-    m = frac | _U(1 << 52)
-    e = biased - 1075
-    # The guess p = floor(log10|x|), kept where 5^(18 - p) is in the table.
-    p = np.floor(np.log10(np.where(normal, np.abs(x), 1.0)))
-    p = np.clip(p, 19 - _POW5.shape[1], 18).astype(np.int64)
-    D, covered, over = _scaled_decimal(m, e, p)
-    done = covered & ~over & (D >= _E18) & (D < _E19)
-    redo = np.flatnonzero(normal & covered & ~done)
+    2^48): _scaled at k = 18 - p for the guess p = floor(log10|x|), once
+    more at p + 1 or p - 1 where D leaves [10^18, 10^19).  Its float sum
+    is within 2^-41 of the exact remainder and decides outside _TIE_BOUND
+    of a half; exact residuals decide inside it, so every value in range
+    is exactly rounded, ties and near ties included.  NaN, infinities,
+    subnormals and magnitudes outside the range (where 10^k leaves the
+    table or a exceeds 2^48) are not done: _format_block leaves them to
+    CPython's '%.18e', which is exactly rounded too."""
+    a = np.abs(x)
+    normal = (a >= 2.2250738585072014e-308) & (a < 2.0 ** 48)
+    a = np.where(normal, a, 1.0)        # a zero is then k = 18, p = 0
+    rows = len(_P10[0])
+    k = np.minimum(18 - np.floor(np.log10(a)).astype(np.int64), rows - 1)
+    D = _scaled(a, k)
+    redo = np.flatnonzero(normal & ((D < _E18) | (D >= _E19)))
     if redo.size:                       # the guess of p was a decade off
-        p[redo] += np.where(over[redo] | (D[redo] >= _E19), 1, -1)
-        D2, covered2, over2 = _scaled_decimal(m[redo], e[redo], p[redo])
-        D[redo] = D2
-        done[redo] = covered2 & ~over2 & (D2 >= _E18) & (D2 < _E19)
-    done &= normal
-    D[zero] = 0
-    p[zero] = 0
-    done |= zero
-    return D, p, done
+        k[redo] += np.where(D[redo] >= _E19, -1, 1)
+        D[redo] = _scaled(a[redo], np.minimum(k[redo], rows - 1))
+    done = normal & (k < rows) & (D >= _E18) & (D < _E19)
+    D[x == 0] = 0
+    return D, 18 - k, done | (x == 0)
+
+
+# Table words of four ASCII bytes, the first in the lowest byte, for the
+# '<u4' fields of _format_block: _DIGITS4[i] the four digits of i < 10^4,
+# _HEADS[i] 'd.dd' for i < 1000, _TAILS[k] 'e+dd' for p = 18 - k.
+_d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_DIGITS4 = (_d[:, None, None, None] | _d[:, None, None] << 8
+            | _d[:, None] << 16 | _d << 24).ravel()
+_HEADS = (_d[:, None, None] | ord(".") << 8 | _d[:, None] << 16
+          | _d << 24).ravel()
+del _d
+_TAILS = np.frombuffer(b"".join(b"e%+03d" % (18 - k)
+                                for k in range(len(_P10[0]))), "<u4")
 
 
 def _format_block(block: np.ndarray) -> bytes:
     """The rows of a 2-D block as CSV lines of %.18e fields, each field
-    the bytes of CPython's '%.18e' % v: assembled from _decimal where it is
-    done, from CPython's formatter elsewhere."""
+    the bytes of CPython's '%.18e' % v.  Where _decimal is done, its D is
+    exactly rounded: the float remainder errs by under 2^-41 and decides
+    only outside 2^-40 of a half, exact residuals inside it.  There a field
+    is assembled from table words: the head 'd.dd' by D's top three
+    digits, four words of four digits, and the tail 'e+dd' by p.
+    Elsewhere, where that bound is not proved (NaN, infinities,
+    subnormals, magnitudes outside [1e-23, 2^48)), CPython's exactly
+    rounded '%.18e' formats it."""
     rows, ncols = block.shape
     if not ncols:
         return b"\n" * rows
     x = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
-    n = len(x)
     D, p, done = _decimal(x)
-
-    # Four little-endian words per field, written at byte offsets 21, 0, 5
-    # and 13 of its slot in that order, so each word's spare high bytes
-    # are overwritten by the next: [sign a . d d] [8 digits] [8 digits]
-    # [e sign d d separator].  The sign byte is NUL when absent.
-    top3 = D // _U(10 ** 16)
-    body = D - top3 * _U(10 ** 16)
-    groups = np.empty((2, n), dtype=np.uint64)
-    np.floor_divide(body, _U(10 ** 8), out=groups[0])
-    np.subtract(body, groups[0] * _U(10 ** 8), out=groups[1])
-    digits = _ascii8(groups)
-    tens = (top3 * _DIV10) >> _U(35)
-    lead = (tens * _DIV10) >> _U(35)
-    head = (_HEAD + (lead << _U(8)) + ((tens - lead * _U(10)) << _U(24))
-            + ((top3 - tens * _U(10)) << _U(32)))
-    head |= (x.view(np.uint64) >> _U(63)) * _U(ord("-"))
-    mag = np.abs(p).astype(np.uint64)
-    tens = (mag * _DIV10) >> _U(35)
-    sign = np.where(p < 0, _U(ord("-")), _U(ord("+")))
-    tail = (_TAIL + (sign << _U(8)) + (tens << _U(16))
-            + ((mag - tens * _U(10)) << _U(24)))
-    sep = np.full(ncols, ord(","), dtype=np.uint64)
-    sep[-1] = ord("\n")
-    tail = tail.reshape(rows, ncols) | (sep << _U(32))
-
-    texts = {i: ("%.18e" % x[i]).encode()
+    seps = [","] * (ncols - 1) + ["\n"]
+    texts = {i: ("%.18e" % x[i] + seps[i % ncols]).encode()
              for i in np.flatnonzero(~done).tolist()}
-    width = max([_FIELD] + [len(t) + 1 for t in texts.values()])
-    out = np.zeros(n * width + 8, dtype=np.uint8)
-    for offset, words in ((21, tail), (0, head), (5, digits[0]),
-                          (13, digits[1])):
-        np.ndarray((n,), dtype="<u8", buffer=out, offset=offset,
-                   strides=(width,))[...] = words.reshape(-1)
-    slots = out[:n * width].reshape(n, width)
+    # Field bytes: sign (NUL when absent), 'd.dd', sixteen digits, 'e+dd'
+    # and the separator; wider where a CPython text is longer.
+    width = max([26] + [len(t) for t in texts.values()])
+    fields = np.zeros(len(x), dtype=np.dtype({
+        "names": ["sign", "head", "digits", "tail", "sep"],
+        "formats": ["u1", "<u4", ("<u4", 4), "<u4", "u1"],
+        "offsets": [0, 1, 5, 21, 25], "itemsize": width}))
+
+    # Indices of fields not done are garbage; "clip" keeps them in range.
+    top3 = D // _U(10 ** 16)
+    np.take(_HEADS, top3.view(np.int64), out=fields["head"], mode="clip")
+    body = D - top3 * _U(10 ** 16)
+    upper = body // _U(10 ** 8)
+    for j, half in enumerate((upper, body - upper * _U(10 ** 8))):
+        half = half.astype(np.uint32)
+        q = half // np.uint32(10 ** 4)
+        np.take(_DIGITS4, q, out=fields["digits"][:, 2 * j], mode="clip")
+        np.take(_DIGITS4, half - q * np.uint32(10 ** 4),
+                out=fields["digits"][:, 2 * j + 1], mode="clip")
+    np.take(_TAILS, 18 - p, out=fields["tail"], mode="clip")
+    fields["sign"] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+    fields["sep"] = ord(",")
+    fields.reshape(rows, ncols)["sep"][:, -1] = ord("\n")
+
+    slots = fields.view(np.uint8).reshape(-1, width)
     for i, text in texts.items():
-        slots[i] = 0
-        slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        slots[i, len(text)] = sep[i % ncols]
+        slots[i] = np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
     # NUL marks every byte that is not part of a field.
     return slots.tobytes().replace(b"\0", b"")
 
 
-def write_csv(path, header: str, table: np.ndarray) -> None:
-    """Write a 2-D table as CSV: the header line, then one line of
-    comma-separated %.18e fields per row.  The bytes equal those of numpy's
-    own text writer with delimiter "," and no comment prefix; rows are
-    formatted in blocks of _CSV_BLOCK_ROWS by _format_block."""
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns (1-D arrays, or the rows of a 2-D array)
+    as CSV: the header line, then one line of comma-separated %.18e fields
+    per row.  The bytes equal those of numpy's own text writer on the
+    stacked table with delimiter "," and no comment prefix.  Rows are
+    stacked and formatted _CSV_BLOCK_ROWS at a time by _format_block; no
+    copy of the whole table is made."""
+    rows = len(columns[0]) if len(columns) else np.shape(columns)[-1]
+    block = np.empty((min(rows, _CSV_BLOCK_ROWS), len(columns)))
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for i in range(0, len(table), _CSV_BLOCK_ROWS):
-            fh.write(_format_block(table[i:i + _CSV_BLOCK_ROWS]))
+        for i in range(0, rows, _CSV_BLOCK_ROWS):
+            part = block[:min(rows - i, _CSV_BLOCK_ROWS)]
+            for j, column in enumerate(columns):
+                part[:, j] = column[i:i + len(part)]
+            fh.write(_format_block(part))
 
 
 # ---------------------------------------------------------------------------

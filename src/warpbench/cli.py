@@ -6,8 +6,8 @@ params and defaults.
 Exit codes: 0 verification passed (or informational command), 1 a
 verification margin failed or a scan's refine_target was not reached
 (named on stderr), 2 scenario parse/validation error (no outputs
-written), 3 internal fault (exception class and message on stderr, no
-outputs written).
+written) or an OSError writing them, 3 internal fault (exception class and
+message on stderr; outputs written before it may remain).
 """
 
 from __future__ import annotations
@@ -146,10 +146,9 @@ def emit_plot_data(report: dict, outdir: str, sweeps: dict | None = None):
         cols = sweep["columns"]
         labels = sorted(cols)
         ts = np.asarray(sweep["t"], dtype=float)
-        table = np.column_stack([ts] + [np.asarray(cols[k], dtype=float)
-                                        for k in labels])
         path = os.path.join(outdir, f"{name}.csv")
-        write_csv(path, ",".join(["t"] + labels), table)
+        write_csv(path, ",".join(["t"] + labels),
+                  [ts] + [np.asarray(cols[k], dtype=float) for k in labels])
         paths.append(path)
     return paths
 
@@ -184,17 +183,24 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    os.makedirs(out, exist_ok=True)
     report = {"command": command, "scenario": scenario, "passed": passed,
               "result": payload}
     if seed is not None:
         report["seed"] = seed
-    text = json.dumps(report, sort_keys=True, indent=1,
-                      default=_json_default)
     report_path = os.path.join(out, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    csv_paths = emit_plot_data(report, out, sweeps)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=1,
+                          default=_json_default)
+        os.makedirs(out, exist_ok=True)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        csv_paths = emit_plot_data(report, out, sweeps)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     if json_only:
         print(text)

@@ -172,12 +172,12 @@ class SmoothCurve:
 
     # -- serialization -------------------------------------------------------
 
-    def node_table(self, per_unit=None) -> np.ndarray:
+    def node_columns(self, per_unit=None) -> list:
         """Columns t, v0, v1, ...: the stored nodes if any, else the orders
         the curve answers, up to 3, on a grid."""
         if self.nodes is not None:
             ts, cols = self.nodes
-            return np.column_stack([ts, *cols])
+            return [ts, *cols]
         ts = grid_points(self.t_lo, self.t_hi, per_unit)
         cols = [ts, self.eval(ts)]
         for k in range(1, 4):
@@ -187,12 +187,16 @@ class SmoothCurve:
                 if "not available" not in str(exc):
                     raise
                 break               # m table columns answer orders < m
-        return np.column_stack(cols)
+        return cols
+
+    def node_table(self, per_unit=None) -> np.ndarray:
+        """node_columns stacked as a 2-D table, one row per node."""
+        return np.column_stack(self.node_columns(per_unit))
 
     def write_csv(self, path, per_unit=None) -> None:
-        table = self.node_table(per_unit)
+        cols = self.node_columns(per_unit)
         write_csv(path, ",".join(["t"] + [f"v{k}" for k in
-                                          range(table.shape[1] - 1)]), table)
+                                          range(len(cols) - 1)]), cols)
 
 
 _BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1))

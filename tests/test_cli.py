@@ -145,6 +145,30 @@ class TestCommands:
         assert err.startswith("internal error: IntegratorError: ")
         assert not (out / "report.json").exists()
 
+    def test_unwritable_out_exit_2_as_output_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"command": "wu-check",
+                                         "variant": "g00"})
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert cli.run_scenario(path, out=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "verification failed" not in err
+
+    def test_fault_writing_outputs_exit_3(self, tmp_path, capsys,
+                                          monkeypatch):
+        def broken_writer(path, header, columns):
+            raise ValueError("kernel fault")
+
+        monkeypatch.setattr(cli, "write_csv", broken_writer)
+        path = write_scenario(tmp_path, {"command": "wu-check",
+                                         "variant": "g00"})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: kernel fault\n"
+        assert (out / "report.json").exists()   # written before the fault
+
     def test_cone_family_emits_one_csv_per_sample(self, tmp_path):
         path = write_scenario(tmp_path, {
             "command": "cone", "n": 4, "K": 0.9, "eps1": 0.1, "eps2": 0.1,
@@ -402,3 +426,12 @@ def test_default_pipeline_output_bytes(tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
     assert got == PIPELINE_SHA256
+    # An oracle of correct rounding apart from the pins: CPython's
+    # '%.18e' of every cell's value, on every 13th row and the last.
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 7
+    for csv in csvs:
+        rows = csv.read_text().splitlines()[1:]
+        for row in rows[::13] + rows[-1:]:
+            for cell in row.split(","):
+                assert cell == "%.18e" % float(cell), (csv.name, cell)

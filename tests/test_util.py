@@ -24,12 +24,13 @@ def oracle_bytes(tmp_path, header, table):
 
 def written_bytes(tmp_path, header, table):
     path = tmp_path / "written.csv"
-    _util.write_csv(path, header, table)
+    _util.write_csv(path, header, table.T)
     return path.read_bytes()
 
 
 @pytest.mark.numpy_contract(
-    "the CSV writer's integer kernel relies on numpy's integer promotion")
+    "the CSV writer's kernel relies on separately rounded float64 ufuncs "
+    "and on uint64 promotion in its field assembly")
 class TestWriteCsv:
     @pytest.mark.parametrize("table", [
         np.array([[np.nan, np.inf, -np.inf],
@@ -136,7 +137,19 @@ NEAR_TIES = [1.4690113310926004e-13, 1.8226109386223872e-13,
              1.9974445425822994e-15, 9.987222712911497e-16]
 
 
-# One table per class of value the integer kernel leaves to CPython.
+# x 10^(18 - p) is an integer plus a half minus (BELOW) or plus (ABOVE)
+# less than 2^-42, inside _scaled's float decision bound: found as
+# NEAR_TIES are, at r = 43, 45, 52 and 61 with |t| < 2^13, keeping odd
+# 19-digit quotients below the half and even ones above it, so that taking
+# either for an exact tie would round it the wrong way.  k = 18 - p is 23,
+# 24, 27 and 31, where 10^k has a low part.
+NEAR_TIES_BELOW = [6.871895041354917e-05, 9.593237451287216e-06,
+                   7.797706786943383e-09, 9.627724505966767e-13]
+NEAR_TIES_ABOVE = [8.220001015773989e-05, 7.811318823126847e-06,
+                   9.093113755268412e-09, 9.955401911807485e-13]
+
+
+# One table per class of value the kernel leaves to CPython.
 FALLBACK_CLASSES = {
     "nan-inf": [np.nan, np.inf, -np.inf, -np.nan],
     "subnormal": [5e-324, -5e-324, 1e-310, -2.2250738585072009e-308],
@@ -148,10 +161,11 @@ FALLBACK_CLASSES = {
 
 
 @pytest.mark.numpy_contract(
-    "the CSV formatter's integer kernel relies on numpy's integer promotion")
+    "the CSV formatter's kernel relies on separately rounded float64 "
+    "ufuncs and on uint64 promotion in its field assembly")
 class TestCsvFormatter:
     """_format_block against CPython's '%.18e' and np.savetxt, and its
-    integer kernel against exact rational arithmetic."""
+    float64 kernel against exact rational arithmetic."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
@@ -248,23 +262,79 @@ class TestCsvFormatter:
         assert done.all()
         for v, d, e in zip(x.tolist(), D.tolist(), p.tolist()):
             assert (d, e) == exact_decimal(v)
-        # A guess two decades low scales past 10^20 > 2^64: always flagged.
-        bits = x.view(np.uint64)
-        m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-        e = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
-        _, covered, over = _util._scaled_decimal(m, e - 1075, p - 2)
-        assert over[covered].all() and covered.sum() > len(x) // 2
+        # A guess two decades low scales past 10^20 > 2^64: D stays capped
+        # at or above 10^19, never back in range.
+        k = 18 - p + 2
+        covered = k < len(_util._P10[0])
+        D = _util._scaled(np.abs(x[covered]), k[covered])
+        assert (D >= np.uint64(10 ** 19)).all()
+        assert covered.sum() > len(x) // 2
         D, p, done = _util._decimal(np.array([0.0, -0.0]))
         assert done.all() and D.tolist() == [0, 0] and p.tolist() == [0, 0]
 
-    def test_ascii8(self):
+    def test_digit_tables(self):
         v = np.concatenate([
             [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999999],
             np.arange(1, 10) * 10 ** 7 - 1, np.arange(1, 10) * 10 ** 4,
             np.random.default_rng(6).integers(0, 10 ** 8, 2000)])
-        words = _util._ascii8(v.astype(np.uint64))
-        got = words.astype("<u8").tobytes()
+        words = np.stack([_util._DIGITS4[v // 10 ** 4],
+                          _util._DIGITS4[v % 10 ** 4]], axis=1)
+        got = words.astype("<u4").tobytes()
         assert got == b"".join(b"%08d" % n for n in v.tolist())
+        assert _util._HEADS.astype("<u4").tobytes() == b"".join(
+            b"%d.%02d" % divmod(i, 100) for i in range(1000))
+        assert _util._TAILS.astype("<u4").tobytes() == b"".join(
+            b"e%+03d" % (18 - k) for k in range(len(_util._P10[0])))
+
+    def test_power_of_ten_table_is_exact(self):
+        hi, lo = _util._P10
+        assert len(hi) == len(lo) == 42
+        for k in range(len(hi)):
+            assert Fraction(hi[k]) + Fraction(lo[k]) == 10 ** k
+        # the Veltkamp halves add up exactly, each of at most 26 bits
+        for part, (top, low) in zip(_util._P10, _util._P10_SPLIT):
+            assert np.array_equal(top + low, part)
+            for h in np.concatenate([top, low]).tolist():
+                m = abs(Fraction(h).numerator)
+                assert m == 0 or (m // (m & -m)).bit_length() <= 26
+
+    @pytest.mark.parametrize("values, side", [
+        (NEAR_TIES_BELOW, -1), (NEAR_TIES_ABOVE, 1)], ids=["below", "above"])
+    def test_near_ties_inside_the_float_bound(self, values, side):
+        """Within the decision bound of a half, on either side, the exact
+        residuals round x 10^(18 - p) the way exact arithmetic does."""
+        for v in values:
+            scaled = Fraction(v) * Fraction(10) ** (
+                18 - math.floor(math.log10(v)))
+            excess = scaled - math.floor(scaled) - Fraction(1, 2)
+            assert 0 < side * excess < 2.0 ** -42 < _util._TIE_BOUND
+        x = np.array(values)
+        D, p, done = _util._decimal(x)
+        assert done.all()
+        assert list(zip(D.tolist(), p.tolist())) == [
+            exact_decimal(v) for v in values]
+        assert_formats_like_cpython(np.stack([x, -x], axis=1))
+
+    def test_decade_off_guess_is_retried(self):
+        """Below a power of ten that a double cannot hold, log10 rounds up
+        to the power itself, so the first guess of p is a decade high."""
+        x = np.nextafter(10.0 ** np.arange(-23, 15), 0.0)
+        x = x[x >= 1e-23]
+        guess = np.floor(np.log10(x)).astype(int)
+        exact = [exact_decimal(v) for v in x.tolist()]
+        off = [i for i, (_, p) in enumerate(exact) if guess[i] == p + 1]
+        assert len(off) >= 5
+        D, p, done = _util._decimal(x[off])
+        assert done.all()
+        assert list(zip(D.tolist(), p.tolist())) == [exact[i] for i in off]
+        # either way off, _scaled leaves [10^18, 10^19) on the side the
+        # retry reads
+        x, k = x[off], 18 - p
+        assert (_util._scaled(x, k - 1) < np.uint64(10 ** 18)).all()
+        low = k + 1 < len(_util._P10[0])
+        assert low.sum() >= 5
+        assert (_util._scaled(x[low], k[low] + 1)
+                >= np.uint64(10 ** 19)).all()
 
 
 class TestSortedUnique:
