@@ -24,7 +24,7 @@ from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
                     bisect_increasing, cumulative_hermite, gradient_on,
                     grid_points, per_key, plateau, read_only, smooth_step,
                     sorted_unique, unit_plateaus)
-from .curves import (TRANSFER_RTOL, Jet, JoinBandError, SmoothCurve,
+from .curves import (Jet, JoinBandError, SmoothCurve,
                      SurgeryWindow, _join_window, antiderivative_curve,
                      constant_curve, cosine_curve, even_extension,
                      flatness_margin,
@@ -64,7 +64,7 @@ class BuildError(ValueError):
 
 
 class HorizonError(RuntimeError):
-    """The integration horizon ended before the target slope was reached.
+    """The transfer tables' horizon ended before the target slope was reached.
     Handled by: ``feasibility.scan``, which records the sample as
     ``error:HorizonError``; the CLI, which exits 2; perfbench, which counts
     the operation as rejected."""
@@ -1246,9 +1246,9 @@ def assemble_handle(n: int, K: float, params1: dict, params2: dict,
 @per_key(maxsize=32)
 def _transfer_curves(C: float):
     """The (h0, fC) tables of the transfer warping system at coupling C.
-    The integrator is looked up as a module global at each miss, so a
-    wrapper installed on ``blocks.integrate_transfer_odes`` sees every
-    integration."""
+    ``integrate_transfer_odes`` is looked up as a module global at each
+    miss, so a wrapper installed on ``blocks.integrate_transfer_odes``
+    sees every table build."""
     return integrate_transfer_odes(C)
 
 
@@ -1262,10 +1262,15 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     the mixed term, and the boundary curvature constraints at both ends.
     The base and the fibre carry unit Ricci floors.
 
-    The warping system is integrated once per C (``_transfer_curves``),
-    with ``integrate_transfer_odes``'s default horizon, step cap and
-    tolerance TRANSFER_RTOL; ``aux`` records the tolerance (``ode_rtol``)
-    and the accepted step count (``ode_steps``)."""
+    The warping system is tabulated once per C (``_transfer_curves``)
+    from its exact series, on ``integrate_transfer_odes``'s default
+    horizon t_max = 120; ``aux`` records the table's node intervals
+    (``ode_steps``).  t0 is the root of fC' = lam r0 / (h0(0) a); fC' rises
+    (fC'' > 0), so it is unique, and HorizonError says that it lies beyond
+    the horizon.  fC'/(fC h0 h0') <= 1, which says that fC h0' does not
+    rise, holds for small C only, so it is checked on [0, t0], at the
+    table's nodes and at t0; a value above 1 raises BuildError naming it.
+    Its lower bound 0 is a lemma (fC' >= 0)."""
     a_bounds = a_bounds or ABounds()
 
     h0, fC = _transfer_curves(float(C))
@@ -1285,6 +1290,16 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                            tol=1e-14)
     if abs((a / c) * fC.eval(t0, 1) - lam) > 1e-10:
         raise BuildError("slope target not met to 1e-10 by bisection")
+    R = float(fC.eval(t0, 0))
+    g_t0, g1_t0 = h0.eval(t0, 0), h0.eval(t0, 1)
+    g, g1 = h0.nodes[1][0][:idx], h0.nodes[1][1][:idx]
+    ratio = np.append(fcp[:idx] / (fcols[0][:idx] * g * g1),
+                      fC.eval(t0, 1) / (R * g_t0 * g1_t0))
+    if np.max(ratio) > 1.0 + 1e-9:
+        i = int(np.argmax(ratio))
+        raise BuildError(
+            f"fC'/(fC h0 h0') leaves [0, 1] on [0, t0]: {ratio[i]:.6g} at "
+            f"t={ts_nodes[i] if i < idx else t0:.6g}, with t0={t0:.6g}")
 
     f = linear_combo([(fC, a / c)]).restrict(0.0, t0)
     h = linear_combo([(h0, a)]).restrict(0.0, t0)
@@ -1304,8 +1319,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
 
     vertical0 = a * h0.eval(0.0, 1) / r0
     margins.append(Margin("vertical_ii_floor", nu - vertical0, 0.0))
-    R = float(fC.eval(t0, 0))
-    r1 = r0 * h0.eval(t0, 0) / (h0.eval(0.0, 0) * R)
+    r1 = r0 * g_t0 / (h0.eval(0.0, 0) * R)
     margins.append(Margin("horizontal_ii", lam * R, t0))
 
     bottom = BoundaryProfile(
@@ -1318,8 +1332,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         dimension=p + q, kind="bundle-over-base",
         metric={"fibre_scale": R * r1, "base_scale": R,
                 "descriptor": "bundle-over-core"},
-        ii={"vertical": float(a * h00 * h0.eval(t0, 1)
-                              / (r0 * h0.eval(t0, 0))),
+        ii={"vertical": float(a * h00 * g1_t0 / (r0 * g_t0)),
             "horizontal": lam / R})
 
     return Report(
@@ -1332,7 +1345,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
         aux={"t0": float(t0), "r1": float(r1), "R": R,
              "vertical_ii_at_0": -vertical0,
              "slope_check": float((a / c) * fC.eval(t0, 1)),
-             "ode_rtol": TRANSFER_RTOL, "ode_steps": len(ts_nodes) - 1},
+             "ode_steps": len(ts_nodes) - 1},
         sweeps={"ricci": {"t": tt, "columns": dict(sweep)}},
     )
 

@@ -10,6 +10,7 @@ constructor below writes one function ``orders(t, ks)`` answering both.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -21,7 +22,7 @@ from ._util import (check_order, clamp, cumulative_hermite,
                     smooth_step, unit_plateaus, write_csv)
 
 __all__ = [
-    "SmoothCurve", "ParityReport", "IntegratorError", "JoinBandError",
+    "SmoothCurve", "ParityReport", "JoinBandError",
     "curve_from_derivs", "constant_curve", "line_curve", "sine_curve",
     "cosine_curve", "poly_curve", "table_curve", "antiderivative_curve",
     "piecewise_curve", "linear_combo", "joint_jet", "sin_of",
@@ -29,13 +30,6 @@ __all__ = [
     "transfer_ode_residuals", "smooth_join", "parity_margin",
     "flatness_margin", "Jet", "jet_curve",
 ]
-
-
-class IntegratorError(RuntimeError):
-    """A property that holds identically for exact solutions failed
-    on the node grid, signalling an integrator defect, or a stated
-    tolerance was not met within the step cap.  Handled by: the CLI, which
-    reports an internal error and exits 3; a scan does not catch it."""
 
 
 class JoinBandError(RuntimeError):
@@ -638,148 +632,113 @@ def make_concave_profile(lambda1: float, lambda2: float, delta: float,
 # Coupled warping ODEs for the curvature-transfer block.
 # ---------------------------------------------------------------------------
 
-# Step-doubling tolerance of the transfer ODE tables (values and first two
-# derivatives between nodes, relative to max(1, |y|)).
-TRANSFER_RTOL = 1e-9
+def integrate_transfer_odes(C: float, t_max: float = 120.0):
+    """Tables of g' = e^{-g^2/2} (g(0)=1) and F'' = C e^{-g^2} F (F(0)=1,
+    F'(0)=0) on the n + 1 nodes ``linspace(0, t_max, n + 1)``, n the
+    smallest power of two >= 128 t_max (16384 at the default), from the
+    system's exact solution in the variable g.
 
+    In g, t(g) = int_1^g e^{s^2/2} ds, and F solves F_gg - g F_g - C F = 0
+    with F = 1, F_g = 0 at g = 1: Kummer's equation in z = g^2/2 (DLMF
+    13.2).  Each of t, F and F_g solves y_gg - g y_g - c y = 0 (t at c = 0
+    from (0, 1), times e^{1/2}; F at c = C from (1, 0); F_g, differentiated,
+    at c = C + 1 from (0, C)), so in x = g - 1 their Taylor coefficients
+    obey y_{m+2} = ((m+1) y_{m+1} + (m+c) y_m) / ((m+1)(m+2)) (the t
+    coefficients are e^{1/2} e_m/(m+1), e_m those of e^{x + x^2/2}).  For
+    c >= 0 every coefficient is >= 0, so no sum cancels (``_taylor_terms``
+    states the truncation bound: below 2^-53 relative at every node).
 
-def integrate_transfer_odes(C: float, t_max: float = 120.0,
-                            step_budget: int = 131072,
-                            rtol: float = TRANSFER_RTOL):
-    """Integrate g' = e^{-g^2/2} (g(0)=1) and F'' = C e^{-g^2} F (F(0)=1,
-    F'(0)=0) with classical fourth-order (RK4) steps on a uniform grid of
-    [0, t_max], its step count chosen by step doubling (Hairer, Norsett &
-    Wanner, *Solving ODEs I*, II.4).
+    g at each node is the root of t(g) = t_k, by Newton from an upper
+    bound; t is increasing and convex in g, so the iterates fall
+    monotonically, and each stops at the first step that does not lower
+    it, which float64 reaches after a few steps.  The inversion reads no C.
+    F and F_g come from their series, F' = F_g e^{-g^2/2}, and the higher
+    derivative columns from the right-hand side, never from differencing.
 
-    n starts at the smallest power of two >= 64 t_max and doubles while
-    2n <= ``step_budget``, which caps it; a cap below the first doubling's
-    2n raises ValueError.  The 2n-step table is accepted once the n-step
-    table's cubic-Hermite values at the odd nodes of the 2n grid (orders
-    0-2 of g and F, the values the table curves answer between nodes) match
-    the 2n values there within ``rtol`` relative to max(1, |y|).  Reaching
-    the cap first raises IntegratorError naming ``rtol`` and the cap.
-
-    Returns (g, F) as node-backed SmoothCurves whose derivatives come from
-    the right-hand side, never from differencing.  The qualitative
-    properties (signs, monotone tail of F g', ratio in [0,1]) are verified
-    on the node grid and violations raise IntegratorError.  A table whose
-    nodes leave the float range raises OverflowError naming C, before any
-    arithmetic on them: more steps cannot bring an overflowed node back
-    (F grows about like t^sqrt(C); the first table overflows from C of
-    about 8.5e4 on).
+    Returns (g, F) as node-backed SmoothCurves.  Lemmas, from the
+    formulas and the non-negative coefficients: g' > 0 and
+    g'' = -g e^{-g^2} < 0; F' >= 0, and for C > 0, F' > 0 on (0, t_max] and
+    F'' = C e^{-g^2} F > 0.  The ratio F'/(F g g') lies in [0, 1] only for
+    small C; ``blocks.build_transfer_block`` checks it on its window.  A
+    partial sum of F or F_g at the last node that is not finite raises
+    OverflowError naming C (F grows about like e^{sqrt(C) (g - 1)}; from C
+    of about 8.3e4 on at the default t_max).
     """
     if C < 0:
         raise ValueError("C must be >= 0")
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
     n = 1
-    while n < 64 * t_max:
+    while n < 128 * t_max:
         n *= 2
-    if 2 * n > step_budget:
-        raise ValueError(
-            f"step cap {step_budget} below the {2 * n} steps of the first "
-            f"doubling for t_max={t_max}")
-    coarse = _transfer_table(C, t_max, n)
-    while True:
-        fine = _transfer_table(C, t_max, 2 * n)
-        defect = _midpoint_defect(coarse, fine)
-        if defect <= rtol:
-            break
-        if 4 * n > step_budget:
-            raise IntegratorError(
-                f"rtol={rtol:g} not met within the step cap "
-                f"{step_budget}: {n} and {2 * n} steps differ by "
-                f"{defect:.3g}")
-        n, coarse = 2 * n, fine
-    ts, gcols, fcols = fine
-    ts = read_only(ts)                  # one node array for both tables
-
-    g_curve = table_curve(ts, gcols, info={"C": C, "role": "h0"})
-    fc_curve = table_curve(ts, fcols, info={"C": C, "role": "fC"})
-    _verify_transfer_properties(ts, *gcols[:3], *fcols[:3], C)
-    return g_curve, fc_curve
-
-
-def _transfer_table(C: float, t_max: float, n: int):
-    """(ts, (g, g', g'', g'''), (F, F', F'', F''')) on n fixed RK4 steps.
-
-    The stepping runs on Python floats and writes each step's (g, F, F')
-    into one preallocated node array; the derivative columns come from the
-    right-hand side.  A node that is not finite raises OverflowError."""
-    h = t_max / n
-    hh = 0.5 * h
-    h6 = h / 6.0
-    # numpy's exp, converted back to float, not math.exp: where numpy
-    # dispatches to its own SIMD exp the two differ by an ulp on a few
-    # percent of arguments.  With it, and the operation order of the
-    # elementwise array form of RK4 (stage k = (e^{-g^2/2}, F',
-    # C e^{-g^2} F)), the nodes are bitwise those of that form.
-    exp = np.exp
-    ys = np.empty((n + 1, 3))
-    g, F, P = 1.0, 1.0, 0.0
-    ys[0] = (g, F, P)
-    flat = memoryview(ys.reshape(-1))   # item writes beat row assignment
-    for j in range(3, 3 * n + 3, 3):
-        a1, c1 = float(exp(-0.5 * g * g)), C * float(exp(-g * g)) * F
-        g2, F2, P2 = g + hh * a1, F + hh * P, P + hh * c1
-        a2, c2 = float(exp(-0.5 * g2 * g2)), C * float(exp(-g2 * g2)) * F2
-        g3, F3, P3 = g + hh * a2, F + hh * P2, P + hh * c2
-        a3, c3 = float(exp(-0.5 * g3 * g3)), C * float(exp(-g3 * g3)) * F3
-        g4, F4, P4 = g + h * a3, F + h * P3, P + h * c3
-        a4, c4 = float(exp(-0.5 * g4 * g4)), C * float(exp(-g4 * g4)) * F4
-        g, F, P = (g + h6 * (a1 + 2 * a2 + 2 * a3 + a4),
-                   F + h6 * (P + 2 * P2 + 2 * P3 + P4),
-                   P + h6 * (c1 + 2 * c2 + 2 * c3 + c4))
-        flat[j], flat[j + 1], flat[j + 2] = g, F, P
-    if not np.isfinite(ys).all():
+    ts = read_only(np.linspace(0.0, t_max, n + 1))  # one array, both tables
+    root_e = math.exp(0.5)
+    # Upper bounds of the root: t(g) >= (g - 1) e^{1/2}, and t(g) >=
+    # (e^{g^2/2} - e^{1/2}) / g, so sqrt(2 ln(t G + e^{1/2})) bounds it
+    # from above for any upper bound G.
+    g = 1.0 + ts / root_e
+    for _ in range(3):
+        g = np.minimum(g, np.sqrt(2.0 * np.log(ts * g + root_e)))
+    x = g - 1.0
+    x_hi = float(x[-1])
+    t_terms = _taylor_terms(0.0, 1.0, 0.0, x_hi)
+    todo = np.arange(n + 1)
+    while todo.size:
+        xs = x[todo]
+        lower = xs - ((root_e * np.polyval(t_terms, xs / x_hi) - ts[todo])
+                      * np.exp(-0.5 * (1.0 + xs) ** 2))
+        moved = lower < xs
+        todo = todo[moved]
+        x[todo] = lower[moved]
+    x_max = float(x[-1])
+    u = x / x_max
+    try:
+        fc = np.polyval(_taylor_terms(1.0, 0.0, C, x_max), u)
+        fg = np.polyval(_taylor_terms(0.0, C, C + 1.0, x_max), u)
+    except OverflowError as err:
         raise OverflowError(
-            f"the transfer ODE at C={C!r} left the float range: a node of "
-            f"(g, F, F') on {n} steps is not finite")
-    ts = np.linspace(0.0, t_max, n + 1)
-    g, fc, fcp = ys[:, 0], ys[:, 1], ys[:, 2]
+            f"the transfer ODE at C={C!r} left the float range: a partial "
+            f"sum of its series at g = {1.0 + x_max!r} is not finite") from err
 
+    g = 1.0 + x
     e_half = np.exp(-0.5 * g * g)
     e_full = np.exp(-g * g)
-    g1 = e_half
+    fcp = fg * e_half
     g2 = -g * e_full
-    g3 = g1 * e_full * (2.0 * g * g - 1.0)
+    g3 = e_half * e_full * (2.0 * g * g - 1.0)
     fc2 = C * e_full * fc
-    fc3 = C * e_full * (fcp - 2.0 * g * g1 * fc)
-    return ts, (g, g1, g2, g3), (fc, fcp, fc2, fc3)
+    fc3 = C * e_full * (fcp - 2.0 * g * e_half * fc)
+    return (table_curve(ts, (g, e_half, g2, g3), info={"C": C, "role": "h0"}),
+            table_curve(ts, (fc, fcp, fc2, fc3), info={"C": C, "role": "fC"}))
 
 
-def _midpoint_defect(coarse, fine) -> float:
-    """Largest relative gap between the coarse table's cubic-Hermite values
-    (orders 0-2 of g and F) at the fine grid's odd nodes, which are the
-    coarse segment midpoints, and the fine table's values there; NaN when
-    a gap is NaN, so that such a pair of tables never meets a tolerance."""
-    ts, *coarse_cols = coarse
-    mids, *fine_cols = fine
-    mids = mids[1::2]
-    worst = []
-    for cols, ref_cols in zip(coarse_cols, fine_cols):
-        for k in range(3):
-            ref = ref_cols[k][1::2]
-            gap = np.abs(hermite_interp(ts, cols[k], cols[k + 1], mids)
-                         - ref) / np.maximum(1.0, np.abs(ref))
-            worst.append(np.max(gap))
-    return float(np.max(worst))
+def _taylor_terms(y0: float, y1: float, c: float, X: float):
+    """The terms A_j = y_j X^j of the solution of y'' - (1 + x) y' - c y = 0
+    with y(0) = y0 >= 0, y'(0) = y1 >= 0 and c >= 0, as a polynomial in
+    u = x / X, highest j first as ``np.polyval`` takes them:
+    A_{m+2} = a_m A_{m+1} + b_m A_m with a_m = X/(m+2) and
+    b_m = X^2 (m+c)/((m+1)(m+2)), every term >= 0.
 
-
-def _verify_transfer_properties(ts, g, g1, g2, fc, fcp, fc2, C):
-    eps = 1e-9
-    if np.any(g1 <= 0):
-        raise IntegratorError("h0' must stay positive")
-    if np.any(g2 >= 0):
-        raise IntegratorError("h0'' must stay negative")
-    if np.any(fcp[1:] < -eps) or (C > 0 and np.any(fcp[1:] <= 0)):
-        raise IntegratorError("fC' must be positive on (0, t_max]")
-    if C > 0 and np.any(fc2 <= 0):
-        raise IntegratorError("fC'' must be positive")
-    ratio = fcp / (fc * g * g1)
-    if np.any(ratio < -eps) or np.any(ratio > 1.0 + eps):
-        raise IntegratorError("fC'/(fC h0 h0') left [0, 1]")
-    tail = (fc * g1)[len(ts) // 2:]
-    if np.any(np.diff(tail) > eps):
-        raise IntegratorError("fC h0' is not decreasing on the tail")
+    Truncation bound: q_m = a_m + b_m falls with m from m = 2 on.  Once
+    q_m <= 1/2, A_{k+2} <= max(A_k, A_{k+1}) / 2 for every k >= m, so the
+    terms from A_m on sum to at most 4 max(A_m, A_{m+1}).  The series
+    stops at the first such m where that is at most 2^-53 of the partial
+    sum.  At u in [0, 1] the omitted tail is then at most u times that
+    fraction of the kept sum, so at most 2^-53 of the value at every x in
+    [0, X].  A partial sum that is not finite raises OverflowError."""
+    terms = [y0, y1 * X]
+    total = terms[0] + terms[1]
+    m = 0
+    while math.isfinite(total):
+        a, b = X / (m + 2), X * X * (m + c) / ((m + 1) * (m + 2))
+        terms.append(a * terms[-1] + b * terms[-2])
+        total += terms[-1]
+        if (m >= 2 and a + b <= 0.5
+                and 4.0 * max(terms[-3], terms[-2]) <= 2.0 ** -53 * total):
+            return terms[::-1]
+        m += 1
+    raise OverflowError(f"a partial sum of the series at x = {X!r} is not "
+                        "finite")
 
 
 def transfer_ode_residuals(g_curve: SmoothCurve, fc_curve: SmoothCurve,

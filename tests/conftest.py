@@ -3,7 +3,7 @@ import pytest
 from warpbench import blocks
 from warpbench._util import clear_caches
 
-# The transfer ODE's tables cost seconds per miss, and no test that takes
+# The transfer ODE's tables cost about 10 ms per miss, and no test that takes
 # fresh caches reads them, so they stay warm.
 KEEP_WARM = (blocks._transfer_curves,)
 

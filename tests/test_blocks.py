@@ -13,6 +13,8 @@ from warpbench import curvature as kv
 from warpbench import curves as cv
 from warpbench import feasibility as fs
 
+import transfer_rk4
+
 PI = math.pi
 
 GOOD_H1 = dict(lambda1=0.985, lambda2=0.99, eps1=0.01, eps2=0.1,
@@ -465,108 +467,84 @@ class TestTransferBlock:
 
 
 TRANSFER_KW = dict(p=2, q=3, r0=0.1, nu=1.5, lam=0.5, a=0.2, C=0.5)
-# The default step cap of integrate_transfer_odes, which was the transfer
-# block's fixed step count before the tables were sized by step doubling.
+# RK4 steps of the reference tables: 8 per interval of the package's 16384.
 REF_STEPS = 131072
 
 
-def _within_1e9(got, ref):
+def _within(got, ref, tol):
     got, ref = np.asarray(got, float), np.asarray(ref, float)
-    return np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
-
-
-def fixed_step_curves(C, n):
-    """(g, F) on the kernel's n-step table, as integrate_transfer_odes
-    returns its accepted table."""
-    ts, gcols, fcols = cv._transfer_table(C, 120.0, n)
-    return cv.table_curve(ts, gcols), cv.table_curve(ts, fcols)
+    return np.all(np.abs(got - ref) <= tol * np.abs(ref))
 
 
 @pytest.fixture(scope="module")
-def doubled_and_fixed():
-    """((g, F), block) of the default transfer block on its cached
-    step-doubled tables, and on the fixed REF_STEPS-step kernel table."""
-    doubled = bk._transfer_curves(TRANSFER_KW["C"])
+def series_and_rk4():
+    """((g, F), block) of the default transfer block on its cached series
+    tables, and on the REF_STEPS-step RK4 reference tables."""
+    series = bk._transfer_curves(TRANSFER_KW["C"])
     rep = bk.build_transfer_block(**TRANSFER_KW)
-    fixed = fixed_step_curves(TRANSFER_KW["C"], REF_STEPS)
+    rk4 = transfer_rk4.rk4_curves(TRANSFER_KW["C"], 120.0, REF_STEPS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bk, "_transfer_curves", lambda C: fixed)
+        mp.setattr(bk, "_transfer_curves", lambda C: rk4)
         ref = bk.build_transfer_block(**TRANSFER_KW)
-    return [(doubled, rep), (fixed, ref)]
+    return [(series, rep), (rk4, ref)]
 
 
-class TestTransferStepDoubling:
-    def test_rtol_1e9_accepts_16384_steps(self, doubled_and_fixed):
-        ((g, _), rep), ((g_ref, _), ref) = doubled_and_fixed
+class TestTransferSeries:
+    def test_tables_have_16384_node_intervals(self, series_and_rk4):
+        ((g, fc), rep), ((g_ref, _), ref) = series_and_rk4
         assert len(g.nodes[0]) - 1 == rep.aux["ode_steps"] == 16384
-        assert rep.aux["ode_rtol"] == 1e-9
+        assert "ode_rtol" not in rep.aux
         assert len(g_ref.nodes[0]) - 1 == ref.aux["ode_steps"] == REF_STEPS
+        assert fc.nodes[0] is g.nodes[0]
+        assert np.array_equal(g.nodes[0], np.linspace(0.0, 120.0, 16385))
 
-    def test_accepted_table_is_the_fixed_step_table(self, doubled_and_fixed):
-        ((g, fc), _), _ = doubled_and_fixed
-        g_fix, fc_fix = fixed_step_curves(0.5, 16384)
-        for got, want in ((g, g_fix), (fc, fc_fix)):
-            assert np.array_equal(got.nodes[0], want.nodes[0])
-            for a, b in zip(got.nodes[1], want.nodes[1]):
-                assert np.array_equal(a, b)
-
-    def test_node_columns_match_fixed_reference(self, doubled_and_fixed):
-        ((g, fc), _), ((g_ref, fc_ref), _) = doubled_and_fixed
+    def test_node_columns_match_rk4_reference(self, series_and_rk4):
+        ((g, fc), _), ((g_ref, fc_ref), _) = series_and_rk4
         stride = REF_STEPS // 16384
         for got, ref in ((g, g_ref), (fc, fc_ref)):
-            assert _within_1e9(got.nodes[0], ref.nodes[0][::stride])
+            assert np.array_equal(got.nodes[0], ref.nodes[0][::stride])
             for col, ref_col in zip(got.nodes[1], ref.nodes[1]):
-                assert _within_1e9(col, ref_col[::stride])
+                assert _within(col, ref_col[::stride], 1e-12)
 
-    def test_margins_and_sweeps_match_fixed_reference(self,
-                                                      doubled_and_fixed):
-        (_, rep), (_, ref) = doubled_and_fixed
+    def test_margins_and_sweeps_match_rk4_reference(self, series_and_rk4):
+        """The block on the series tables is the block on the reference
+        tables to 1e-12 relative in its margins, their argmins and aux.
+        The sweep samples the tables between their nodes, by cubic
+        Hermite on 16384 intervals, so each of its elements is held to
+        1e-9 of max(1, |reference|) (5.2e-11 measured, in ric_tt)."""
+        (_, rep), (_, ref) = series_and_rk4
         assert [m.label for m in rep.margins] == \
             [m.label for m in ref.margins]
         for m, r in zip(rep.margins, ref.margins):
-            assert _within_1e9(m.min, r.min), m.label
-            assert _within_1e9(m.argmin, r.argmin), m.label
+            assert _within(m.min, r.min, 1e-12), m.label
+            assert _within(m.argmin, r.argmin, 1e-12), m.label
         for key in ("t0", "r1", "R", "slope_check", "vertical_ii_at_0"):
-            assert _within_1e9(rep.aux[key], ref.aux[key]), key
+            assert _within(rep.aux[key], ref.aux[key], 1e-12), key
         sweep, ref_sweep = rep.sweeps["ricci"], ref.sweeps["ricci"]
-        assert _within_1e9(sweep["t"], ref_sweep["t"])
+        assert _within(sweep["t"], ref_sweep["t"], 1e-12)
         assert sorted(sweep["columns"]) == sorted(ref_sweep["columns"])
         for name, col in sweep["columns"].items():
-            assert _within_1e9(col, ref_sweep["columns"][name]), name
+            ref_col = ref_sweep["columns"][name]
+            assert np.all(np.abs(col - ref_col)
+                          <= 1e-9 * np.maximum(1.0, np.abs(ref_col))), name
 
-    # A cap below the first doubling's 16384 steps is a bad argument; one
-    # that allows the first doubling but not the tolerance is an
-    # integrator fault.
-    @pytest.mark.parametrize("cap, rtol, error, match", [
-        (8192, 1e-9, ValueError, "step cap 8192 below the 16384 steps"),
-        (16384, 1e-12, cv.IntegratorError,
-         "rtol=1e-12 not met within the step cap 16384"),
-    ], ids=["8192-1e-09", "16384-1e-12"])
-    def test_cap_below_need_raises(self, cap, rtol, error, match):
-        with pytest.raises(error, match=match):
-            cv.integrate_transfer_odes(0.5, step_budget=cap, rtol=rtol)
-
-    # F grows about like t^sqrt(C): at these C the first table's nodes
-    # overflow, from node 178, 11 and 1 of 8192 on
+    # F grows about like e^{sqrt(C) (g - 1)}: at these C a partial sum of
+    # its series at the last node overflows
     @pytest.mark.parametrize("C", [1e6, 1e20, 1e300])
     def test_table_that_leaves_the_float_range_raises(self, C):
         with pytest.raises(OverflowError, match=re.escape(
                 f"the transfer ODE at C={C!r} left the float range")):
             cv.integrate_transfer_odes(C)
 
-    def test_nan_gap_never_meets_the_tolerance(self):
-        """A NaN in either table makes the step-doubling defect NaN, not
-        the largest of the other gaps."""
-        def table(n, nan_at=None):
-            ts = np.linspace(0.0, 1.0, n + 1)
-            cols = [np.ones(n + 1)] + [np.zeros(n + 1)] * 3
-            if nan_at is not None:
-                cols[0] = cols[0].copy()
-                cols[0][nan_at] = np.nan
-            return ts, cols, [np.ones(n + 1)] + [np.zeros(n + 1)] * 3
-
-        assert cv._midpoint_defect(table(4), table(8)) == 0.0
-        assert math.isnan(cv._midpoint_defect(table(4), table(8, 3)))
+    def test_ratio_above_one_before_t0_is_a_build_error(self):
+        """fC'/(fC h0 h0') passes 1 at t of about 5.3 when C = 1.5: a slope
+        target reached after that is a BuildError naming the ratio, one
+        reached before it a ric_tt failure ((p - qC) e^{-g^2} < 0)."""
+        kw = {**TRANSFER_KW, "C": 1.5, "nu": 5.0}
+        assert bk.build_transfer_block(**kw).verdict == "fail:ric_tt"
+        with pytest.raises(bk.BuildError, match=re.escape(
+                "fC'/(fC h0 h0') leaves [0, 1] on [0, t0]")):
+            bk.build_transfer_block(**{**kw, "a": 0.05})
 
     def test_one_ode_call_per_cache_miss(self, monkeypatch):
         real, calls = bk.integrate_transfer_odes, []

@@ -135,14 +135,19 @@ class TestCommands:
         assert "d must be one of 2, 4, 8" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_internal_fault_exit_3_and_named(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, {
-            "command": "transfer", "p": 2, "q": 3, "r0": 0.1, "nu": 1.5,
-            "lam": 0.5, "a": 0.2, "C": 1.5})
+    def test_internal_fault_exit_3_and_named(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A builder's exception outside the handled classes is an
+        internal fault: exit 3, named on stderr, no report written."""
+        def broken(**params):
+            raise RuntimeError("builder defect")
+
+        monkeypatch.setitem(feasibility.PREDICATES["s1"], "builder", broken)
+        path = write_scenario(tmp_path, {"command": "s1", "lam": 0.45})
         out = tmp_path / "out"
         assert cli.run_scenario(path, out=str(out)) == 3
         err = capsys.readouterr().err
-        assert err.startswith("internal error: IntegratorError: ")
+        assert err == "internal error: RuntimeError: builder defect\n"
         assert not (out / "report.json").exists()
 
     def test_unwritable_out_exit_2_as_output_error(self, tmp_path, capsys):
@@ -412,9 +417,9 @@ PIPELINE_SHA256 = {
     "handle_piece2_face_metric.csv":
         "252dd5ca2e9b2d6d9438193986f3532b5ff671a01e5560073aa5ed3fec04c7f9",
     "report.json":
-        "2a3cc8434c90940cae6f806be1594cd4438b7dddfcbe1c1d6d99cd903ca525f1",
+        "f34302584038bbf6b708822c60d83d80fc98b3c585435245ab33655721151c73",
     "transfer_ricci.csv":
-        "12a6045f7249acb9903187adead9f585d2570ff932577c63a9d187b7bcacdc84",
+        "8afd2dbb94e348faf29dfa79010bb89764d3491726f0261974b8b0ec71a57370",
 }
 
 

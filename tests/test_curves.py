@@ -8,6 +8,8 @@ from warpbench import blocks, curves as cv, scenarios
 from warpbench._util import grid_points, unit_plateaus
 from warpbench.curvature import DoublyWarpedMetric, doubly_warped_sweep
 
+import transfer_rk4
+
 
 def central_diff(curve, t, step):
     return (curve.eval(t + step, 0) - curve.eval(t - step, 0)) / (2 * step)
@@ -92,15 +94,15 @@ class TestDerivativeConsistency:
 class TestTransferOdes:
     @pytest.mark.parametrize("C", [0.01, 0.1])
     def test_residuals_below_tolerance(self, C):
-        # on [0, 20], accepted at 4096 steps
+        # on [0, 20], 4096 node intervals
         h0, fc = cv.integrate_transfer_odes(C, t_max=20.0)
         assert len(h0.nodes[0]) == 4097
         res = cv.transfer_ode_residuals(h0, fc, C)
         assert max(res.values()) < 1e-8
 
-    def test_residuals_below_tolerance_on_rtol_accepted_table(self):
-        # the table the transfer block integrates: C = 0.5 at the defaults
-        # (on [0, 120] to rtol 1e-9), accepted at 16384 steps
+    def test_residuals_below_tolerance_on_the_default_table(self):
+        # the table the transfer block reads: C = 0.5 at the default
+        # horizon, on 16384 node intervals
         h0, fc = cv.integrate_transfer_odes(0.5)
         assert len(h0.nodes[0]) == 16385
         assert h0.nodes[0][-1] == 120.0
@@ -135,23 +137,37 @@ class TestTransferOdes:
         ts = np.linspace(0, 5, 200)
         assert np.max(np.abs(fc.eval(ts) - 1.0)) < 1e-15
 
-    def test_step_budget_floor(self):
-        # the first doubling compares 2048 with 4096 steps on [0, 20], and
-        # 512 with 1024 on [0, 5]; a cap below the finer count is an error
-        with pytest.raises(ValueError, match="step cap 100 below the 4096 "
-                           "steps of the first doubling"):
-            cv.integrate_transfer_odes(0.1, t_max=20.0, step_budget=100)
-        with pytest.raises(ValueError, match="step cap 1023 below the 1024 "
-                           "steps of the first doubling"):
-            cv.integrate_transfer_odes(0.1, t_max=5.0, step_budget=1023)
-        g_curve, _ = cv.integrate_transfer_odes(0.1, t_max=5.0,
-                                                step_budget=1024)
-        assert len(g_curve.nodes[0]) == 1025
+    @pytest.mark.parametrize("t_max, n", [
+        (5.0, 1024), (7.9, 1024), (20.0, 4096), (120.0, 16384)])
+    def test_nodes_are_the_smallest_power_of_two_from_128_per_unit(
+            self, t_max, n):
+        g, fc = cv.integrate_transfer_odes(0.1, t_max=t_max)
+        assert np.array_equal(g.nodes[0], np.linspace(0.0, t_max, n + 1))
+        assert fc.nodes[0] is g.nodes[0]
+
+    @pytest.mark.parametrize("C", [0.0, 0.5, 8.0, 1e4])
+    def test_sign_lemmas_at_every_node(self, C):
+        """g' > 0, g'' < 0 and F' >= 0 at every C >= 0; F' > 0 after t = 0
+        and F'' > 0 when C > 0: the series' coefficients are all >= 0."""
+        h0, fc = cv.integrate_transfer_odes(C)
+        (_, g1, g2, _), (_, f1, f2, _) = h0.nodes[1], fc.nodes[1]
+        assert np.all(g1 > 0) and np.all(g2 < 0)
+        assert f1[0] == 0.0 and np.all(f1 >= 0)
+        if C > 0:
+            assert np.all(f1[1:] > 0) and np.all(f2 > 0)
+
+    def test_rejects_negative_coupling(self):
+        with pytest.raises(ValueError, match="C must be >= 0"):
+            cv.integrate_transfer_odes(-0.1, t_max=5.0)
+
+    def test_rejects_an_empty_horizon(self):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            cv.integrate_transfer_odes(0.5, t_max=0.0)
 
 
 def array_rk4_nodes(C, t_max, n):
-    """Reference: elementwise array RK4 on y = (g, F, F'), one small numpy
-    array per stage; the scalar loop must reproduce it bitwise."""
+    """Elementwise array RK4 on y = (g, F, F'), one small numpy array per
+    stage: a second coding of the reference's scalar loop."""
     def rhs(y):
         g, fc, fcp = y
         e = np.exp(-g * g)
@@ -171,28 +187,35 @@ def array_rk4_nodes(C, t_max, n):
     return ys
 
 
-@pytest.mark.numpy_contract(
-    "RK4 in Python floats through numpy's exp against RK4 on arrays")
-class TestTransferOdeOracle:
+class TestTransferSeriesOracle:
     @pytest.mark.parametrize("C", [0.0, 0.25, 0.5, 1.0])
-    def test_nodes_bitwise_equal_to_array_rk4(self, C):
-        ts, (g, g1, g2, g3), (fc, fcp, fc2, fc3) = cv._transfer_table(
-            C, 5.0, 4096)
-        ys = array_rk4_nodes(C, 5.0, 4096)
-        assert np.array_equal(ts, np.linspace(0.0, 5.0, 4097))
-        assert np.array_equal(g, ys[:, 0])
-        assert np.array_equal(fc, ys[:, 1])
-        assert np.array_equal(fcp, ys[:, 2])
+    def test_tables_match_rk4_at_every_node(self, C):
+        """g, F and F' at each of the 16385 nodes equal the RK4
+        reference's to 1e-12 relative (the reference's own error is about
+        1e-14 there), and the derivative columns are the right-hand side
+        at them."""
+        h0, fc = cv.integrate_transfer_odes(C)
+        # 8 reference steps per node interval of the series
+        ref = transfer_rk4.rk4_nodes(C, 120.0, 131072)[::8].T
+        for got, want in zip(
+                (h0.nodes[1][0], fc.nodes[1][0], fc.nodes[1][1]), ref):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        g, g1, g2, g3 = h0.nodes[1]
+        fc0, fc1, fc2, fc3 = fc.nodes[1]
         e_half, e_full = np.exp(-0.5 * g * g), np.exp(-g * g)
         assert np.array_equal(g1, e_half)
         assert np.array_equal(g2, -g * e_full)
         assert np.array_equal(g3, e_half * e_full * (2.0 * g * g - 1.0))
-        assert np.array_equal(fc2, C * e_full * fc)
-        assert np.array_equal(fc3, C * e_full * (fcp - 2.0 * g * e_half * fc))
+        assert np.array_equal(fc2, C * e_full * fc0)
+        assert np.array_equal(fc3,
+                              C * e_full * (fc1 - 2.0 * g * e_half * fc0))
 
-    def test_rejects_negative_coupling(self):
-        with pytest.raises(ValueError, match="C must be >= 0"):
-            cv.integrate_transfer_odes(-0.1, t_max=5.0)
+    @pytest.mark.numpy_contract(
+        "RK4 in Python floats through numpy's exp against RK4 on arrays")
+    @pytest.mark.parametrize("C", [0.0, 0.25, 0.5, 1.0])
+    def test_reference_is_array_rk4_bitwise(self, C):
+        assert np.array_equal(transfer_rk4.rk4_nodes(C, 5.0, 256),
+                              array_rk4_nodes(C, 5.0, 256))
 
 
 class TestSmoothJoin:

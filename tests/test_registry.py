@@ -332,8 +332,8 @@ def test_readme_library_quick_start_runs():
 
 # One class per meaning that a caller handles differently; every other bad
 # input is a ValueError whose message names the condition.
-EXCEPTION_CLASSES = {"BuildError", "HorizonError", "IntegratorError",
-                     "JoinBandError", "NumericalRangeError", "RefineError"}
+EXCEPTION_CLASSES = {"BuildError", "HorizonError", "JoinBandError",
+                     "NumericalRangeError", "RefineError"}
 
 
 def test_package_defines_exactly_the_handled_exception_classes():
@@ -347,6 +347,60 @@ def test_package_defines_exactly_the_handled_exception_classes():
     assert set(found) == EXCEPTION_CLASSES
     for name, cls in found.items():
         assert cls.__doc__ and cls.__doc__.strip(), name
+
+
+# Each numeric param of each registry entry's sample in PARAMS is set, one
+# at a time, to each of these values.
+PROBE_VALUES = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1e-300,
+                0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0,
+                1e300)
+PROBE_ERRORS = {"error:BuildError", "error:NumericalRangeError",
+                "error:HorizonError"}
+
+
+def probe_outcome(name: str, params: dict):
+    """The verdict of one build of the registry entry, or its handled
+    error class as ``error:<class>``, or, for any other exception (a
+    warning included, which the suite turns into one), ``uncaught:<class>:
+    <message>``; with the report, or None."""
+    spec = fs.PREDICATES[name]
+    try:
+        rep = spec["builder"](**{**spec["defaults"], **params}, grid=GRID)
+    except (blocks.BuildError, blocks.HorizonError) as exc:
+        return f"error:{type(exc).__name__}", None
+    except Exception as exc:
+        return f"uncaught:{type(exc).__name__}: {exc}", None
+    return rep.verdict, rep
+
+
+def test_registry_probe_ends_every_build_in_a_handled_outcome():
+    """No build at the probe values crashes or over-claims: each ends in
+    pass, fail:<label> or a handled error class; no pass has a non-finite
+    margin, and no report a finite min_margin beside a NaN margin.  The
+    transfer block at C >= p/q fails ric_tt, whose minimum on [0, t0] is
+    (p - qC)/e at t = 0 there."""
+    outcomes, bad = [], []
+    for name in sorted(PARAMS):
+        for key, value in PARAMS[name].items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            for v in PROBE_VALUES:
+                outcome, rep = probe_outcome(name, {**PARAMS[name], key: v})
+                outcomes.append((name, key, v, outcome))
+                if not (outcome == "pass" or outcome.startswith("fail:")
+                        or outcome in PROBE_ERRORS):
+                    bad.append((name, key, v, outcome))
+                elif rep is not None:
+                    values = [m.min for m in rep.margins]
+                    if (outcome == "pass"
+                            and not math.isfinite(rep.min_margin())) or (
+                            any(math.isnan(m) for m in values)
+                            and not math.isnan(rep.min_margin())):
+                        bad.append((name, key, v, outcome, values))
+    assert bad == []
+    assert [o for name, key, v, o in outcomes
+            if (name, key) == ("transfer", "C") and v in (2.0, 4.0, 8.0)] \
+        == ["fail:ric_tt"] * 3
 
 
 REPORT_KEYS = {"block", "params", "margins", "verdict", "passed",

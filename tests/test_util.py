@@ -198,8 +198,9 @@ class TestCsvFormatter:
 
     def test_near_ties_broken_by_the_lowest_limb(self):
         """x 10^(18 - p) is an even integer plus a half plus less than
-        2^-40: the half bit is set, the bits under it are zero down to the
-        lowest 32-bit limb of m 5^k, and only that limb rounds up."""
+        2^-40: inside _scaled's tie bound, where the float remainder's
+        rounding can land on the half or below it, so its exact-residual
+        branch decides, and rounds each up, away from the even quotient."""
         x = np.array(NEAR_TIES)
         for v in NEAR_TIES:
             scaled = Fraction(v) * Fraction(10) ** (
