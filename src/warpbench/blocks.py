@@ -20,10 +20,11 @@ import math
 
 import numpy as np
 
-from ._util import (PLATEAU_MASS, TabulatedAntiderivative,
-                    bisect_increasing, cumulative_hermite, gradient_on,
-                    grid_points, per_key, plateau, read_only, smooth_step,
-                    sorted_unique, unit_plateaus)
+from ._util import (DEFAULT_GRID_PER_UNIT, PLATEAU_MASS,
+                    TabulatedAntiderivative, bisect_increasing,
+                    cumulative_hermite, gradient_on, grid_points,
+                    hermite_subdivided, per_key, plateau, read_only,
+                    smooth_step, sorted_unique, unit_plateaus)
 from .curves import (Jet, JoinBandError, SmoothCurve,
                      SurgeryWindow, _join_window, antiderivative_curve,
                      constant_curve, cosine_curve, even_extension,
@@ -1252,6 +1253,110 @@ def _transfer_curves(C: float):
     return integrate_transfer_odes(C)
 
 
+def _transfer_identity_columns(jets, p: int, q: int, C: float,
+                               f_scale: float, h_scale: float,
+                               a_bounds: ABounds) -> dict:
+    """``bundle_warped_sweep``'s columns, flattened, for the bundle metric
+    with warps f = f_scale F and h = h_scale g and unit Ricci floors, from
+    the jets ((g, g'), (F, F')) of the transfer tables g = h0 and F = fC at
+    C, arrays of one shape.  The system's identities stand in for the
+    second derivatives: with E = e^{-g^2}, u = F'/F and w = g'/g,
+    f''/f = C E and h''/h = -E, so
+
+        ric_tt = (p - qC) E
+        ric_XX = -C E + (q - 1)(1/f^2 - u^2) - p u w
+        ric_VV = E + (p - 1)(1/h^2 - w^2) - q u w
+
+    and the A-terms are ``_bundle_warped_columns``'s, as it writes them."""
+    (g, g1), (F, F1) = jets
+    gg = g * g
+    E = np.exp(-gg)
+    u = F1 / F
+    w = g1 / g
+    uw = u * w
+    ric_xx = (-C * E + (q - 1) * (f_scale ** -2 / (F * F) - u * u)
+              - p * uw)
+    ric_vv = E + (p - 1) * (h_scale ** -2 / gg - w * w) - q * uw
+    if not a_bounds.trivial:
+        fv, hv = f_scale * F, h_scale * g
+    if a_bounds.sup_AX2:
+        ric_xx -= 2.0 * (hv ** 2 / fv ** 4) * a_bounds.sup_AX2
+    ric_xv = ((hv / fv ** 3) * a_bounds.sup_deltaA if a_bounds.sup_deltaA
+              else np.zeros_like(E))
+    return {"ric_tt": ((p - q * C) * E).ravel(), "ric_XX_lb": ric_xx.ravel(),
+            "ric_VV_lb": ric_vv.ravel(), "ric_XV_abs_ub": ric_xv.ravel()}
+
+
+# Table segments per run of _transfer_ricci_margins's identity columns.  A
+# run's columns are 60 KiB at 15 points a segment: below glibc's 128 KiB
+# mmap threshold, so its temporaries reuse freed heap memory.  At 1024
+# segments and above the columns cost 2-3 times as much per point, from
+# page faults on fresh memory (2 cores, Python 3.11.7, numpy 2.4.6).
+_TRANSFER_SEGMENTS = 512
+
+
+def _transfer_ricci_margins(metric: BundleWarpedMetric, h0: SmoothCurve,
+                            fC: SmoothCurve, C: float, f_scale: float,
+                            h_scale: float, tt: np.ndarray, grid) -> list:
+    """The transfer block's ric_tt, ric_XX, ric_VV and mixed_dominated
+    margins on [0, t0], t0 = tt[-1] for its grid tt, each the least over
+    samples that split every table segment before t0's into m equal parts,
+    m = ceil(per_unit h) for the node spacing h (15 at the default 2048 per
+    unit: a spacing of exactly 1/2048), raised if need be until there are
+    as many samples as tt has points.  The rows at
+    t = 0 and on t0's own segment, the points of its split before t0 and
+    t0, are ``bundle_warped_sweep``'s, at most m + 2 of them; the rows
+    between are ``_transfer_identity_columns``'s, on
+    ``hermite_subdivided``'s runs of _TRANSFER_SEGMENTS segments.  When t0
+    lies in the first segment the samples are tt, all the sweep's.  Ties
+    and NaN go to the first sample in t order, as on one grid."""
+    ts, g_cols = h0.nodes
+    t0 = tt[-1]
+    k = int(np.searchsorted(ts, t0, "right")) - 1     # t0's segment
+    if k == 0:
+        return _least_margins([(tt, bundle_warped_sweep(metric, tt))],
+                              metric.a_bounds.trivial)
+    h = ts[1] - ts[0]                                 # uniform nodes
+    per_unit = DEFAULT_GRID_PER_UNIT if grid is None else grid
+    m = math.ceil(h * max(per_unit, 1024.0 / t0))
+    while True:
+        tail = ts[k] + np.arange(m) / m * h
+        tail = tail[tail < t0]
+        if k * m + len(tail) + 1 >= len(tt):
+            break
+        m += 1
+    ends = np.concatenate(([0.0], tail, [t0]))
+    end_cols = bundle_warped_sweep(metric, ends)
+    pieces = [(ends[:1], {n: v[:1] for n, v in end_cols.items()})]
+    for t, jets in hermite_subdivided(ts, (g_cols[:3], fC.nodes[1][:3]), 0,
+                                      k, m, _TRANSFER_SEGMENTS):
+        skip = 0 if t[0, 0] else 1                    # t = 0 is the sweep's
+        cols = _transfer_identity_columns(jets, metric.p, metric.q, C,
+                                          f_scale, h_scale, metric.a_bounds)
+        pieces.append((t.ravel()[skip:],
+                       {n: v[skip:] for n, v in cols.items()}))
+    pieces.append((ends[1:], {n: v[1:] for n, v in end_cols.items()}))
+    return _least_margins(pieces, metric.a_bounds.trivial)
+
+
+def _least_margins(pieces, trivial: bool) -> list:
+    """ric_tt, ric_XX, ric_VV and mixed_dominated, each the least over the
+    (t, bundle sweep columns) pieces, given in t order: its first least
+    value, or its first NaN, as one grid's argmin finds it."""
+    slack = 1e-12 if trivial else 0.0
+    found = []
+    for t, cols in pieces:
+        dom = (np.sqrt(np.maximum(cols["ric_XX_lb"], 0.0)
+                       * np.maximum(cols["ric_VV_lb"], 0.0))
+               - cols["ric_XV_abs_ub"])
+        found.append([_min_margin("ric_tt", t, cols["ric_tt"]),
+                      _min_margin("ric_XX", t, cols["ric_XX_lb"]),
+                      _min_margin("ric_VV", t, cols["ric_VV_lb"]),
+                      _min_margin("mixed_dominated", t, dom + slack)])
+    return [per_label[int(np.argmin([mg.min for mg in per_label]))]
+            for per_label in zip(*found)]
+
+
 @domain(p=Dims(2), q=Dims(2), r0=Reals(0), nu=Reals(0), lam=Reals(0, 1),
         a=Reals(0), C=Reals(0, ends="[)"))
 def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
@@ -1270,7 +1375,17 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     the horizon.  fC'/(fC h0 h0') <= 1, which says that fC h0' does not
     rise, holds for small C only, so it is checked on [0, t0], at the
     table's nodes and at t0; a value above 1 raises BuildError naming it.
-    Its lower bound 0 is a lemma (fC' >= 0)."""
+    Its lower bound 0 is a lemma (fC' >= 0).
+
+    The Ricci margins are sampled on the tables' own node segments
+    (``_transfer_ricci_margins``): each segment before t0's is split into
+    m = ceil(per_unit h) equal parts, h the node spacing (15 at the
+    default 2048 per unit, so the samples lie exactly 1/2048 apart), more
+    if needed to reach grid_points' 1025-point floor; the system's
+    identities give their rows, and ``bundle_warped_sweep`` the rows at
+    t = 0 and on t0's own segment, t0 included.  The grid sweep on
+    ``grid_points(0, t0, grid, min_points=1025)``, which the CLI writes as
+    transfer_ricci.csv, is built on the first read of ``Report.sweeps``."""
     a_bounds = a_bounds or ABounds()
 
     h0, fC = _transfer_curves(float(C))
@@ -1305,17 +1420,7 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     h = linear_combo([(h0, a)]).restrict(0.0, t0)
     metric = BundleWarpedMetric(p, q, f, h, 1.0, 1.0, a_bounds)
     tt = grid_points(0.0, t0, grid, min_points=1025)
-    sweep = bundle_warped_sweep(metric, tt)
-    margins = [
-        _min_margin("ric_tt", tt, sweep["ric_tt"]),
-        _min_margin("ric_XX", tt, sweep["ric_XX_lb"]),
-        _min_margin("ric_VV", tt, sweep["ric_VV_lb"]),
-    ]
-    dom = (np.sqrt(np.maximum(sweep["ric_XX_lb"], 0.0)
-                   * np.maximum(sweep["ric_VV_lb"], 0.0))
-           - sweep["ric_XV_abs_ub"])
-    margins.append(_min_margin("mixed_dominated", tt,
-                               dom + (1e-12 if a_bounds.trivial else 0.0)))
+    margins = _transfer_ricci_margins(metric, h0, fC, C, a / c, a, tt, grid)
 
     vertical0 = a * h0.eval(0.0, 1) / r0
     margins.append(Margin("vertical_ii_floor", nu - vertical0, 0.0))
@@ -1346,7 +1451,8 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
              "vertical_ii_at_0": -vertical0,
              "slope_check": float((a / c) * fC.eval(t0, 1)),
              "ode_steps": len(ts_nodes) - 1},
-        sweeps={"ricci": {"t": tt, "columns": dict(sweep)}},
+        sweeps=lambda: {"ricci": {"t": tt, "columns": dict(
+            bundle_warped_sweep(metric, tt))}},
     )
 
 

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import math
 import pathlib
 import re
@@ -560,6 +561,133 @@ class TestTransferSeries:
         assert calls == [((0.5,), {})]
         bk.build_transfer_block(**{**TRANSFER_KW, "a": 0.24, "nu": 2.5})
         assert len(calls) == 1
+
+
+def _margin_samples(monkeypatch, **kw):
+    """(report, swept, samples) of build_transfer_block(**kw): the grids
+    its margins send to bundle_warped_sweep, and every point its margins
+    read, sorted, those and the points of hermite_subdivided's runs."""
+    swept, split = [], []
+    sweep, runs = bk.bundle_warped_sweep, bk.hermite_subdivided
+
+    def recorded_sweep(m, ts):
+        swept.append(ts)
+        return sweep(m, ts)
+
+    def recorded_runs(*args):
+        for t, jets in runs(*args):
+            split.append(t.ravel())
+            yield t, jets
+
+    monkeypatch.setattr(bk, "bundle_warped_sweep", recorded_sweep)
+    monkeypatch.setattr(bk, "hermite_subdivided", recorded_runs)
+    rep = bk.build_transfer_block(**kw)
+    monkeypatch.undo()
+    return rep, swept, np.unique(np.concatenate(swept + split))
+
+
+class TestTransferMargins:
+    """The transfer block's Ricci margins are sampled on the tables' own
+    segments, split into m equal parts, the rows between t = 0 and t0's
+    segment from the transfer system's identities
+    (``_transfer_identity_columns``); its grid sweep is built on the first
+    read of ``Report.sweeps``."""
+
+    @pytest.mark.parametrize("grid", [None, 256, 64])
+    @pytest.mark.parametrize("kw", [{}, {"C": 1.5, "nu": 5.0}],
+                             ids=["default", "C1.5"])
+    def test_samples_are_as_dense_as_the_grid(self, monkeypatch, kw, grid):
+        """No gap between samples is wider than 1/per_unit (up to the
+        rounding of the points), and there are at least as many samples as
+        the grid has points, t = 0 and t0 among them."""
+        rep, _, samples = _margin_samples(monkeypatch, **{**TRANSFER_KW, **kw},
+                                          grid=grid)
+        t0 = rep.aux["t0"]
+        per_unit = _util.DEFAULT_GRID_PER_UNIT if grid is None else grid
+        assert samples[0] == 0.0 and samples[-1] == t0
+        gaps = np.diff(samples)
+        assert gaps.max() <= (1.0 + 1e-12) / per_unit
+        n_grid = len(_util.grid_points(0.0, t0, grid, min_points=1025))
+        assert len(samples) >= n_grid
+        if grid is None and not kw:     # m = 15: gaps of 1/2048 up to t0
+            assert np.allclose(gaps[:-1], 1.0 / 2048, rtol=1e-9, atol=0.0)
+            assert len(samples) == n_grid
+
+    def test_warm_build_sweeps_only_its_end_rows(self, monkeypatch):
+        """A warm default block sends bundle_warped_sweep at most m + 2 = 17
+        points (t = 0, t0's segment and t0); the first read of its sweeps
+        builds the grid sweep, bitwise the sweep of its metric on
+        grid_points(0, t0, min_points=1025), whose margins are the
+        report's, bit for bit."""
+        bk.build_transfer_block(**TRANSFER_KW)
+        rep, swept, _ = _margin_samples(monkeypatch, **TRANSFER_KW)
+        (ends,) = swept
+        assert len(ends) <= 17
+        assert ends[0] == 0.0 and ends[-1] == rep.aux["t0"]
+        calls, sweep = [], bk.bundle_warped_sweep
+
+        def recorded(m, ts):
+            calls.append((m, ts))
+            return sweep(m, ts)
+
+        monkeypatch.setattr(bk, "bundle_warped_sweep", recorded)
+        ricci = rep.sweeps["ricci"]
+        ((metric, tt),) = calls
+        assert tt is ricci["t"]
+        assert np.array_equal(tt, _util.grid_points(0.0, rep.aux["t0"],
+                                                    min_points=1025))
+        want = sweep(metric, tt)
+        assert sorted(ricci["columns"]) == sorted(want)
+        for name, col in want.items():
+            assert ricci["columns"][name].tobytes() == col.tobytes()
+        assert rep.sweeps is rep.sweeps and len(calls) == 1
+        on_grid = bk._least_margins([(tt, want)], True)
+        assert [(m.label, m.min.hex(), m.argmin.hex()) for m in on_grid] == \
+            [(m.label, m.min.hex(), m.argmin.hex()) for m in rep.margins[:4]]
+
+    @pytest.mark.parametrize("bounds", [kv.ABounds(), kv.ABounds(0.3, 0.2)],
+                             ids=["trivial", "bounded"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_identities_against_the_sweep(self, p, bounds):
+        """The identity columns are bundle_warped_sweep's on the same
+        split points to 1e-9 of max(1, |sweep|), on a (C, a, r0) lattice
+        over the whole table: 15 parts a segment on the first 300, two on
+        the rest.  The sweep's second derivatives are Hermite
+        interpolants of the tables' own, so the two differ between nodes
+        (9.7e-11 measured, in ric_tt at C = 1 near t = 0)."""
+        for C, a, r0 in itertools.product((0.1, 0.5, 1.0), (0.05, 0.2),
+                                          (0.1, 0.4)):
+            h0, fC = bk._transfer_curves(C)
+            f_scale = a / (r0 / h0.eval(0.0, 0))
+            metric = kv.BundleWarpedMetric(
+                p, 3, cv.linear_combo([(fC, f_scale)]),
+                cv.linear_combo([(h0, a)]), 1.0, 1.0, bounds)
+            tables = [h0.nodes[1][:3], fC.nodes[1][:3]]
+            for j0, j1, m in ((0, 300, 15), (300, 16384, 2)):
+                for t, jets in _util.hermite_subdivided(
+                        h0.nodes[0], tables, j0, j1, m, 8192):
+                    got = bk._transfer_identity_columns(
+                        jets, p, 3, C, f_scale, a, bounds)
+                    ref = kv.bundle_warped_sweep(metric, t.ravel())
+                    assert sorted(got) == sorted(ref)
+                    for name, col in ref.items():
+                        assert np.all(np.abs(got[name] - col) <= 1e-9
+                                      * np.maximum(1.0, np.abs(col))), \
+                            (C, a, r0, name)
+                    assert np.all(ref["ric_XV_abs_ub"] > 0) \
+                        is not bounds.trivial
+
+    def test_first_segment_is_the_grid(self, monkeypatch):
+        """A slope target reached inside the first table segment leaves no
+        segment to split: the margins are the grid's, all from the sweep."""
+        rep, swept, samples = _margin_samples(
+            monkeypatch, **{**TRANSFER_KW, "lam": 1e-4})
+        t0 = rep.aux["t0"]
+        assert t0 < bk._transfer_curves(0.5)[0].nodes[0][1]
+        (tt,) = swept
+        assert np.array_equal(tt, _util.grid_points(0.0, t0,
+                                                    min_points=1025))
+        assert np.array_equal(samples, tt)
 
 
 class TestS1Block:

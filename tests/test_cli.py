@@ -74,6 +74,22 @@ class TestScenarioValidation:
             assert condition in capsys.readouterr().err
             assert not out.exists()
 
+    def test_unknown_profile_kind_exits_2_through_main(self, tmp_path,
+                                                       capsys):
+        """A pipeline-graph face of an unknown profile kind is a scenario
+        error through the command-line entry point: exit 2, and stderr
+        starts with the kind's message."""
+        face = {"dimension": 3, "kind": "bogus", "ii": {"all": 0.5},
+                "metric": {"warp": {"type": "sine", "domain": [0, 1]}}}
+        path = write_scenario(tmp_path, {
+            "command": "pipeline-graph",
+            "graph": {"nodes": [{"id": "a", "faces": {"top": face}}],
+                      "edges": []}})
+        out = tmp_path / "bogus"
+        assert cli.main(["--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "scenario error: unknown profile kind")
+
 
 class TestCommands:
     def test_wu_check_passes(self, tmp_path, capsys):

@@ -331,14 +331,16 @@ class TestBundleWarped:
 
     def test_transfer_sweep_is_the_formula_with_every_a_term(
             self, monkeypatch):
-        """On the default transfer block's metric and grid the sweep's
-        columns are bitwise the formula with both A-terms kept: with a zero
-        ABounds, whose terms the sweep drops, and with a nonzero one, whose
-        terms it subtracts."""
+        """On the default transfer block's metric and grid (its report's
+        sweep) the sweep's columns are bitwise the formula with both
+        A-terms kept: with a zero ABounds, whose terms the sweep drops, and
+        with a nonzero one, whose terms it subtracts."""
         calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
-        blocks.build_transfer_block(p=2, q=3, **params)
-        ((m, ts),) = calls
+        rep = blocks.build_transfer_block(p=2, q=3, **params)
+        ts = rep.sweeps["ricci"]["t"]
+        m, grid = calls[-1]
+        assert grid is ts
         assert m.a_bounds.trivial and len(ts) > 2 * B
         for ab in (m.a_bounds, kv.ABounds(0.5, 0.25)):
             bounded = kv.BundleWarpedMetric(m.p, m.q, m.f, m.h,
@@ -673,9 +675,10 @@ class TestBlockedSweep:
         calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
         rep = blocks.build_transfer_block(3, 3, r0=0.1, nu=1.25, lam=0.5,
                                           a=0.2, C=0.5, grid=3072)
-        (m, ts), = calls
-        assert len(ts) > 100_000
         got = rep.sweeps["ricci"]["columns"]
+        m, ts = calls[-1]
+        assert ts is rep.sweeps["ricci"]["t"]
+        assert len(ts) > 100_000
         assert_same_columns(got, kv._bundle_warped_columns(m, ts))
 
     def test_collapse_at_t_lo_over_the_block_size(self, monkeypatch):

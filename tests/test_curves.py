@@ -1048,14 +1048,15 @@ class TestJet:
         assert rep.sweeps["ricci"]["columns"]["ric_radial"][0] == 3 * limit
 
     def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
-        """The default transfer block's bundle sweep looks up the Hermite
-        segments of each block once, for both ODE tables and all three
-        orders: as runs in each block long enough for the run path, point
-        by point in a shorter last block."""
+        """The default transfer block's bundle sweep, built on the first
+        read of its report's sweeps, looks up the Hermite segments of each
+        block once, for both ODE tables and all three orders: as runs in
+        each block long enough for the run path, point by point in a
+        shorter last block."""
         from warpbench import _util
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
-        blocks.build_transfer_block(p=2, q=3, **params)
+        rep = blocks.build_transfer_block(p=2, q=3, **params)
         h0, _ = blocks._transfer_curves(params["C"])
         nodes = h0.nodes[0]
         lookups, per_point = [], []
@@ -1074,7 +1075,6 @@ class TestJet:
 
         monkeypatch.setattr(_util, "_segment_runs", counted_runs)
         monkeypatch.setattr(_util, "segment_index", counted)
-        rep = blocks.build_transfer_block(p=2, q=3, **params)
         n = len(rep.sweeps["ricci"]["t"])
         assert n > 2 * _SWEEP_BLOCK
         sizes = [min(_SWEEP_BLOCK, n - i) for i in range(0, n, _SWEEP_BLOCK)]

@@ -817,6 +817,36 @@ class TestHermiteJet:
                         assert_same_values(jet[k], want[k])
 
 
+class TestHermiteSubdivided:
+    """hermite_subdivided on the transfer tables (g and F, orders 0 and 1)
+    is hermite_jet at the same points to 4 ulp of max(1, |y|), and the
+    node values exactly at each segment's first point."""
+
+    @pytest.mark.parametrize("m", [1, 2, 15])
+    @pytest.mark.parametrize("j0, j1", [(0, 700), (15684, 16384)])
+    def test_matches_hermite_jet(self, m, j0, j1):
+        h0, fC = blocks._transfer_curves(0.5)
+        ts = h0.nodes[0]
+        tables = [h0.nodes[1][:3], fC.nodes[1][:3]]
+        runs = list(_util.hermite_subdivided(ts, tables, j0, j1, m, 256))
+        assert [len(t) for t, _ in runs] == [256, 256, 188]
+        j = j0
+        for t, jets in runs:
+            n = len(t)
+            assert t.shape == (n, m)
+            assert np.array_equal(t[:, 0], ts[j:j + n])
+            want = _util.hermite_jet(ts, tables, t)
+            for cols, got_orders, want_orders in zip(tables, jets, want):
+                assert len(got_orders) == 2
+                for k, (got, ref) in enumerate(zip(got_orders, want_orders)):
+                    assert got.shape == t.shape
+                    ulp = np.spacing(np.maximum(1.0, np.abs(ref)))
+                    assert np.all(np.abs(got - ref) <= 4 * ulp), (m, k)
+                    assert np.array_equal(got[:, 0], cols[k][j:j + n])
+            j += n
+        assert j == j1
+
+
 def test_clamp_is_np_clip_bitwise():
     t = np.array([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0, 3.0, np.inf, np.nan])
     for lo, hi in [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]:
