@@ -18,15 +18,20 @@ _MIN_GRID_POINTS = 33
 _MAX_GRID_POINTS = 400_001
 
 
+def grid_size(lo: float, hi: float, per_unit: float | None = None,
+              min_points: int = _MIN_GRID_POINTS) -> int:
+    """The number of points of grid_points(lo, hi, per_unit, min_points)."""
+    per_unit = DEFAULT_GRID_PER_UNIT if per_unit is None else float(per_unit)
+    n = int(np.ceil((hi - lo) * per_unit)) + 1
+    return min(max(n, min_points), _MAX_GRID_POINTS)
+
+
 def grid_points(lo: float, hi: float, per_unit: float | None = None,
                 min_points: int = _MIN_GRID_POINTS) -> np.ndarray:
     """Uniform inclusive grid with DEFAULT_GRID_PER_UNIT samples per unit."""
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    per_unit = DEFAULT_GRID_PER_UNIT if per_unit is None else float(per_unit)
-    n = int(np.ceil((hi - lo) * per_unit)) + 1
-    n = min(max(n, min_points), _MAX_GRID_POINTS)
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, grid_size(lo, hi, per_unit, min_points))
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -309,13 +314,12 @@ def segment_index(breaks: np.ndarray, t):
 
 def hermite_interp(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, t):
     """Piecewise-cubic Hermite evaluation; exact at nodes, O(h^4) between.
-    The one-table, one-order case of hermite_jet:
-    hermite_jet(ts, [(ys, dys)], t)[0][0].
+    The one-order case of hermite_jet: hermite_jet(ts, (ys, dys), t)[0].
 
     ts must be strictly increasing (not necessarily uniform); t is clamped
     to [ts[0], ts[-1]].  A 0-d query (a Python or numpy float, or a 0-d
     array) gives an np.float64; NaN gives NaN."""
-    return hermite_jet(ts, ((ys, dys),), t)[0][0]
+    return hermite_jet(ts, (ys, dys), t)[0]
 
 
 def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
@@ -346,92 +350,34 @@ def _hermite_point(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray,
     return np.float64(out)
 
 
-# Repeating a segment's values over its run of points beats gathering them
-# point by point only on long queries with long runs, such as a sweep grid
-# on the transfer ODE's tables.  A warm pass over perfbench's 56 pipeline
-# records (2 cores, Python 3.11.7, numpy 2.4.6) sends 370 queries, 4.9M
-# points, down the run path, 3-5% of its time, and gathers 1215 queries,
-# 0.95M points; scan-mix sends none.  Below _RUN_MIN_POINTS the run test
-# itself is skipped: it costs a few microseconds a call.
-_RUN_MIN_POINTS = 4096
-_RUN_MIN_LENGTH = 8
-
-
-def _segment_runs(ts: np.ndarray, t: np.ndarray):
-    """(i0, counts) if the 1-D t (inside [ts[0], ts[-1]] or NaN) has at
-    least _RUN_MIN_POINTS points, is sorted and has at least
-    _RUN_MIN_LENGTH points per segment it spans: its points lie in the
-    segments i0, i0 + 1, ... as segment_index assigns them, counts[j] of
-    them in segment i0 + j.  None for any other query (short, sparse,
-    unsorted, NaN); a short one is turned away before any work."""
-    n = t.size
-    if n < _RUN_MIN_POINTS:
-        return None
-    i0, i1 = segment_index(ts, t[::n - 1]).tolist()
-    if (_RUN_MIN_LENGTH * (i1 - i0 + 1) > n
-            or not (t[1:] >= t[:-1]).all()):
-        return None
-    # points before ts[i + 1] lie in segments up to i; t = ts[-1] is
-    # in the last segment, which ends the runs
-    ends = t.searchsorted(ts[i0:i1 + 2], "left")
-    ends[-1] = n
-    return i0, np.diff(ends)
-
-
-def _spread(v, counts):
-    """Per-point values from v: v itself if counts is None, else v's
-    entry j repeated counts[j] times."""
-    return v if counts is None else np.repeat(v, counts)
-
-
-def hermite_jet(ts: np.ndarray, tables, t) -> list:
-    """Piecewise-cubic Hermite jets of several tables on one grid: for each
-    table cols, the list of its orders k = 0, 1, ... at t, each the cubic
-    with values cols[k] and slopes cols[k + 1] at the nodes ts, for every
-    k with both columns (a table of four columns gives orders 0 to 2, one
-    of two columns order 0 alone).  One table gives a curve's jet; several
-    give the jets of curves tabulated on one grid, such as the two tables
-    of the transfer ODE.  ts must be strictly increasing (not necessarily
-    uniform); t is clamped to [ts[0], ts[-1]].
+def hermite_jet(ts: np.ndarray, cols, t) -> list:
+    """Piecewise-cubic Hermite jet of one table: the list of its orders
+    k = 0, 1, ... at t, each the cubic with values cols[k] and slopes
+    cols[k + 1] at the nodes ts, for every k with both columns (a table of
+    four columns gives orders 0 to 2, one of two columns order 0 alone).
+    ts must be strictly increasing (not necessarily uniform); t is clamped
+    to [ts[0], ts[-1]].
 
     A 0-d query (a Python or numpy float, or a 0-d array) is answered in
-    Python floats by _hermite_point, once per table and order, with the
-    clamp, segment and operations of the array form, as np.float64s; NaN
-    gives NaN.  An array query looks its segments up once and forms one
-    set of basis values shared by every table and order, and node values
-    reach its points in one of two ways, by a rule that reads the query
-    alone.  A long sorted query with long runs of points per node segment
-    (_segment_runs), such as a sweep grid on an ODE table, takes each
-    segment's values, and its slopes times the segment's width, once per
-    segment and repeats them over the segment's run of points (de Boor, A
-    Practical Guide to Splines, ch. IV).  Any other query (short, sparse,
-    unsorted, NaN) gathers them point by point.  Either way the segments
-    are segment_index's, and each product and sum is formed from the same
-    operands in the same order, so the two give the same bits."""
+    Python floats by _hermite_point, once per order, with the clamp,
+    segment and operations of the array form, as np.float64s; NaN gives
+    NaN.  An array query looks its segments up once (segment_index) and
+    forms one set of basis values shared by every order."""
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         t = float(t)
-        return [[_hermite_point(ts, ys, dys, t)
-                 for ys, dys in zip(cols[:3], cols[1:4])] for cols in tables]
+        return [_hermite_point(ts, ys, dys, t)
+                for ys, dys in zip(cols[:3], cols[1:4])]
     shape = t.shape
     t = t.reshape(-1)
     if t.size and not (ts[0] <= t.min() and t.max() <= ts[-1]):
         t = clamp(t, ts[0], ts[-1])
-    runs = _segment_runs(ts, t)
-    if runs is None:                # i: each point's segment
-        i = segment_index(ts, t)
-        x = ts[i]
-        h = ts[1:][i]
-        h -= x
-        w, counts = h, None
-    else:                           # i: the segments of the runs
-        i0, counts = runs
-        i = np.arange(i0, i0 + len(counts))
-        x = ts[i]
-        w = ts[1:][i] - x
-        h, x = _spread(w, counts), _spread(x, counts)
+    i = segment_index(ts, t)        # each point's segment
+    x = ts[i]
+    w = ts[1:][i]
+    w -= x                          # its width
     np.subtract(t, x, out=x)
-    x /= h
+    x /= w
     # the basis, each product in the order of its formula; x**2 is freed
     # before the node values arrive, which keeps large queries in cache
     h10 = 1 - x
@@ -447,36 +393,31 @@ def hermite_jet(ts: np.ndarray, tables, t) -> list:
     h11 -= 1
     h11 *= xx                       # x^2 (x - 1)
     del xx
-    jets = []
-    for cols in tables:
-        outs = []
-        for ys, dys in zip(cols[:3], cols[1:4]):
-            # y0 h00 + d0 h10 + y1 h01 + d1 h11, d = dy times the width,
-            # with y0 = ys[i] and y1 = ys[i + 1]
-            out = _spread(ys[i], counts)
-            out *= h00
-            v = dys[i]
-            v *= w
-            v = _spread(v, counts)
-            v *= h10
-            out += v
-            v = _spread(ys[1:][i], counts)
-            v *= h01
-            out += v
-            v = dys[1:][i]
-            v *= w
-            v = _spread(v, counts)
-            v *= h11
-            out += v
-            outs.append(out.reshape(shape))
-        jets.append(outs)
-    return jets
+    outs = []
+    for ys, dys in zip(cols[:3], cols[1:4]):
+        # y0 h00 + d0 h10 + y1 h01 + d1 h11, d = dy times the width, with
+        # y0 = ys[i] and y1 = ys[i + 1]
+        out = ys[i]
+        out *= h00
+        v = dys[i]
+        v *= w
+        v *= h10
+        out += v
+        v = ys[1:][i]
+        v *= h01
+        out += v
+        v = dys[1:][i]
+        v *= w
+        v *= h11
+        out += v
+        outs.append(out.reshape(shape))
+    return outs
 
 
 def hermite_subdivided(ts: np.ndarray, tables, j0: int, j1: int, m: int,
                        block: int):
-    """hermite_jet's jets of several tables at the points that split each
-    node segment j (j0 <= j < j1) into m equal parts, the points
+    """hermite_jet's jet of each of several tables at the points that
+    split each node segment j (j0 <= j < j1) into m equal parts, the points
     ts[j] + (i / m)(ts[j + 1] - ts[j]), i = 0, ..., m - 1.  Yields
     (t, jets) for consecutive runs of at most ``block`` segments: t, an
     (n, m) array, holds the points of the run's n segments, a row per

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import (DEFAULT_GRID_PER_UNIT, PLATEAU_MASS,
                     TabulatedAntiderivative, bisect_increasing,
-                    cumulative_hermite, gradient_on, grid_points,
+                    cumulative_hermite, gradient_on, grid_points, grid_size,
                     hermite_subdivided, per_key, plateau, read_only,
                     smooth_step, sorted_unique, unit_plateaus)
 from .curves import (Jet, JoinBandError, SmoothCurve,
@@ -1297,23 +1297,24 @@ _TRANSFER_SEGMENTS = 512
 
 def _transfer_ricci_margins(metric: BundleWarpedMetric, h0: SmoothCurve,
                             fC: SmoothCurve, C: float, f_scale: float,
-                            h_scale: float, tt: np.ndarray, grid) -> list:
+                            h_scale: float, t0: float, n_grid: int,
+                            grid) -> list:
     """The transfer block's ric_tt, ric_XX, ric_VV and mixed_dominated
-    margins on [0, t0], t0 = tt[-1] for its grid tt, each the least over
-    samples that split every table segment before t0's into m equal parts,
-    m = ceil(per_unit h) for the node spacing h (15 at the default 2048 per
-    unit: a spacing of exactly 1/2048), raised if need be until there are
-    as many samples as tt has points.  The rows at
+    margins on [0, t0], each the least over samples that split every
+    table segment before t0's into m equal parts, m = ceil(per_unit h) for
+    the node spacing h (15 at the default 2048 per unit: a spacing of
+    exactly 1/2048), raised if need be until there are as many samples as
+    the grid of [0, t0] has points, n_grid.  The rows at
     t = 0 and on t0's own segment, the points of its split before t0 and
     t0, are ``bundle_warped_sweep``'s, at most m + 2 of them; the rows
     between are ``_transfer_identity_columns``'s, on
     ``hermite_subdivided``'s runs of _TRANSFER_SEGMENTS segments.  When t0
-    lies in the first segment the samples are tt, all the sweep's.  Ties
-    and NaN go to the first sample in t order, as on one grid."""
+    lies in the first segment the samples are that grid, all the sweep's.
+    Ties and NaN go to the first sample in t order, as on one grid."""
     ts, g_cols = h0.nodes
-    t0 = tt[-1]
     k = int(np.searchsorted(ts, t0, "right")) - 1     # t0's segment
     if k == 0:
+        tt = np.linspace(0.0, t0, n_grid)
         return _least_margins([(tt, bundle_warped_sweep(metric, tt))],
                               metric.a_bounds.trivial)
     h = ts[1] - ts[0]                                 # uniform nodes
@@ -1322,7 +1323,7 @@ def _transfer_ricci_margins(metric: BundleWarpedMetric, h0: SmoothCurve,
     while True:
         tail = ts[k] + np.arange(m) / m * h
         tail = tail[tail < t0]
-        if k * m + len(tail) + 1 >= len(tt):
+        if k * m + len(tail) + 1 >= n_grid:
             break
         m += 1
     ends = np.concatenate(([0.0], tail, [t0]))
@@ -1419,8 +1420,9 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     f = linear_combo([(fC, a / c)]).restrict(0.0, t0)
     h = linear_combo([(h0, a)]).restrict(0.0, t0)
     metric = BundleWarpedMetric(p, q, f, h, 1.0, 1.0, a_bounds)
-    tt = grid_points(0.0, t0, grid, min_points=1025)
-    margins = _transfer_ricci_margins(metric, h0, fC, C, a / c, a, tt, grid)
+    margins = _transfer_ricci_margins(
+        metric, h0, fC, C, a / c, a, t0,
+        grid_size(0.0, t0, grid, min_points=1025), grid)
 
     vertical0 = a * h0.eval(0.0, 1) / r0
     margins.append(Margin("vertical_ii_floor", nu - vertical0, 0.0))
@@ -1451,9 +1453,17 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
              "vertical_ii_at_0": -vertical0,
              "slope_check": float((a / c) * fC.eval(t0, 1)),
              "ode_steps": len(ts_nodes) - 1},
-        sweeps=lambda: {"ricci": {"t": tt, "columns": dict(
-            bundle_warped_sweep(metric, tt))}},
+        sweeps=lambda: _transfer_grid_sweep(metric, t0, grid),
     )
+
+
+def _transfer_grid_sweep(metric: BundleWarpedMetric, t0: float,
+                         grid) -> dict:
+    """The transfer block's sweeps: its metric's bundle sweep on the grid
+    grid_points(0, t0, grid, min_points=1025)."""
+    tt = grid_points(0.0, t0, grid, min_points=1025)
+    return {"ricci": {"t": tt,
+                      "columns": dict(bundle_warped_sweep(metric, tt))}}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ warped metric ansatze, plus an independent finite-difference Ricci oracle.
 
 Each ansatz has one formula, written as a grid sweep, and the sweeps are
 the curvature API: one point is a one-element sweep.  A sweep over more
-than _SWEEP_BLOCK points runs in blocks (``_in_blocks``), and a sweep
-returns the warp columns it read (see each sweep's docstring), so a builder
-does not evaluate them again.
+than _SWEEP_BLOCK points (the CLI's transfer grid sweep) runs in blocks
+(``_in_blocks``), which bounds the memory its temporaries take, and a
+sweep returns the warp columns it read (see each sweep's docstring), so a
+builder does not evaluate them again.
 
 Conventions: boundary second fundamental forms are reported as principal
 curvatures with respect to the outward unit normal; a slice {t} x M inside
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import read_only
-from .curves import Jet, SmoothCurve, joint_jet
+from .curves import Jet, SmoothCurve
 
 __all__ = [
     "DoublyWarpedMetric", "BundleWarpedMetric", "CohomogOneMetric",
@@ -51,11 +52,12 @@ class ABounds:
 
 
 # Points per block of a blocked sweep: a float64 column of one block is
-# 128 KiB, so a sweep's elementwise temporaries stay in cache and reuse
-# freed memory instead of faulting in fresh pages.  Chosen by timing the
-# transfer block's bundle sweep (t0 = 33.8, 69k points) at 1024 to 65536;
-# re-timed with the per-segment Hermite kernel at 4096 to 65536, medians
-# 8.6, 6.9, 6.3, 7.6 and 9.5 ms (2 cores, Python 3.11.7, numpy 2.4.6).
+# 128 KiB, so a sweep's elementwise temporaries reuse freed memory instead
+# of faulting in fresh pages.  Only the CLI's transfer grid sweep (69,296
+# points at the default block) is longer than one block: one call per
+# cold CLI pipeline, none in a warm pipeline or a scan.  In one pass it
+# raised the peak memory (ru_maxrss) of a process running the CLI
+# pipeline from 44.8 to 47.7 MB (2 cores, Python 3.11.7, numpy 2.4.6).
 _SWEEP_BLOCK = 16384
 
 
@@ -156,7 +158,7 @@ def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
         collapsed[m.collapse_start] |= ts <= lo + slop
     if m.collapse_end:
         collapsed[m.collapse_end] |= ts >= hi - slop
-    (fv, f1, f2), (hv, h1, h2) = joint_jet((m.f, m.h), ts)
+    (fv, f1, f2), (hv, h1, h2) = m.f.jet(ts), m.h.jet(ts)
     if np.any(((fv <= 0) & ~collapsed["f"]) | ((hv <= 0) & ~collapsed["h"])):
         raise ValueError("warp vanishes without a declared collapse")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -292,7 +294,7 @@ def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
     rb = m.ricci_base_lb * (q - 1)
     rf = m.ricci_fibre_lb * (p - 1)
     f, h, ab = m.f, m.h, m.a_bounds
-    (fv, f1, f2), (hv, h1, h2) = joint_jet((f, h), ts)
+    (fv, f1, f2), (hv, h1, h2) = f.jet(ts), h.jet(ts)
     lo = m.interval[0]
     slop = 1e-9 * (1 + m.interval[1] - lo)
     if np.any(fv <= 0):

@@ -3,8 +3,8 @@
 A SmoothCurve is the common currency of the whole workbench: every warp
 profile (closed-form, ODE-defined or blended) is one.  Consumers read a
 single order with ``curve.eval(t, k)``, and orders 0..n on one grid with
-``curve.jet(t, n)`` or, for several curves at once, ``joint_jet``.  Each
-constructor below writes one function ``orders(t, ks)`` answering both.
+``curve.jet(t, n)``.  Each constructor below writes one function
+``orders(t, ks)`` answering both.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "SmoothCurve", "ParityReport", "JoinBandError",
     "curve_from_derivs", "constant_curve", "line_curve", "sine_curve",
     "cosine_curve", "poly_curve", "table_curve", "antiderivative_curve",
-    "piecewise_curve", "linear_combo", "joint_jet", "sin_of",
+    "piecewise_curve", "linear_combo", "sin_of",
     "even_extension", "make_concave_profile", "integrate_transfer_odes",
     "transfer_ode_residuals", "smooth_join", "parity_margin",
     "flatness_margin", "Jet", "jet_curve",
@@ -96,7 +96,11 @@ class SmoothCurve:
         with the domain checked once and every order from one call of the
         orders function; composed with a Jet u:
         ``u.chain(curve.jet(u[0], len(u) - 1))``."""
-        return Jet(*joint_jet((self,), t, n)[0])
+        check_order(n)
+        out = self._at(self._in_domain(t), tuple(range(n + 1)))
+        if np.ndim(t) == 0:
+            return Jet(*(float(v) for v in out))
+        return Jet(*(np.asarray(v, dtype=float) for v in out))
 
     def _in_domain(self, t) -> np.ndarray:
         """t as a float array, checked and clamped as ``eval`` states."""
@@ -360,8 +364,8 @@ def constant_curve(value, domain) -> SmoothCurve:
 @dataclass(frozen=True)
 class _LineOrders:
     """The orders function of the line intercept + slope t, which says
-    what it is, as ``_TableOrders`` does: ``smooth_join`` knows that two
-    lines' orders 2 and 3 are zero without evaluating them."""
+    what it is: ``smooth_join`` knows that two lines' orders 2 and 3 are
+    zero without evaluating them."""
 
     intercept: float
     slope: float
@@ -417,97 +421,41 @@ def sin_of(inner: SmoothCurve) -> SmoothCurve:
 
 
 def linear_combo(terms) -> SmoothCurve:
-    """Sum of weighted curves on the intersection of their domains; when
-    every term is a table curve on one node array, the orders function is
-    one ``_TableOrders`` over all their tables."""
+    """Sum of weighted curves on the intersection of their domains: each
+    order the sum of weight times the term's order over the terms, summed
+    from 0, so -0.0 becomes +0.0."""
     lo = max(c.t_lo for c, _ in terms)
     hi = min(c.t_hi for c, _ in terms)
-
     parts, weights = [c._at for c, _ in terms], [w for _, w in terms]
-    if all(isinstance(p, _TableOrders) and p.weights is None
-           and _same_nodes(p.ts, parts[0].ts) for p in parts):
-        orders = _TableOrders(parts[0].ts, [p.tables[0] for p in parts],
-                              weights)
-    else:
-        def orders(t, ks):
-            return _weighted_sum([p(t, ks) for p in parts], weights)
+
+    def orders(t, ks):
+        outs = [p(t, ks) for p in parts]
+        return [sum(w * out[i] for out, w in zip(outs, weights))
+                for i in range(len(ks))]
 
     return SmoothCurve(lo, hi, orders)
 
 
-def _weighted_sum(outs, weights) -> list:
-    """Each order's sum of w * out over the terms' orders ``outs``, summed
-    from 0, so -0.0 becomes +0.0."""
-    return [sum(w * out[i] for out, w in zip(outs, weights))
-            for i in range(len(outs[0]))]
-
-
 @dataclass(frozen=True, eq=False)
 class _TableOrders:
-    """The orders function of a table curve (``weights`` None), or of the
-    weighted sum of table curves on the node array ``ts``, summed as
-    ``linear_combo`` sums its terms."""
+    """The orders function of a table curve of m columns cols on the node
+    array ts: orders ks (ascending) at t, those below m-1 from one
+    ``hermite_jet`` call, one segment lookup, on the columns from the
+    lowest order asked for to one past the highest; order m-1 from
+    np.interp."""
 
     ts: np.ndarray
-    tables: list
-    weights: list | None = None
+    cols: list
 
     def __call__(self, t, ks) -> list:
-        return self.combine(self.orders(t, ks))
-
-    def orders(self, t, ks) -> list:
-        """Orders ks (ascending) of each table of m columns at t: those
-        below m-1 from one ``hermite_jet`` call, one segment lookup for
-        every table, on each table's columns from the lowest order asked
-        for to one past the highest; order m-1 from np.interp."""
-        k0, top = ks[0], ks[-1]
-        widths = [len(cols) for cols in self.tables]
-        if top >= min(widths):
+        cols, k0, top = self.cols, ks[0], ks[-1]
+        if top >= len(cols):
             raise ValueError(f"derivative order {top} not available: the "
-                             f"table holds columns v0..v{min(widths) - 1}")
-        jets = (hermite_jet(self.ts, [cols[k0:top + 2]
-                                      for cols in self.tables], t)
-                if k0 < max(widths) - 1 else [()] * len(widths))
-        return [[j[k - k0] if k < len(cols) - 1
-                 else np.interp(t, self.ts, cols[k])
-                 for k in ks] for j, cols in zip(jets, self.tables)]
-
-    def combine(self, per_table) -> list:
-        """The curve's orders from the orders of its tables."""
-        if self.weights is None:
-            return per_table[0]
-        return _weighted_sum(per_table, self.weights)
-
-
-def _same_nodes(a, b) -> bool:
-    """Whether two tables' node arrays are one: the same object, or views
-    of one array with one layout, as ``table_curve`` keeps of an array it
-    is given twice."""
-    return a is b or (a.base is not None and a.base is b.base
-                      and a.__array_interface__ == b.__array_interface__)
-
-
-def joint_jet(curves, t, n: int = 2) -> list:
-    """[c.jet(t, n) for c in curves] bit for bit, as tuples of orders 0..n
-    (0 <= n <= 3, else ValueError).  Table curves on one node array
-    (``_same_nodes``), and linear combinations and restrictions of them
-    (the transfer block's two warps), sharing one domain, get one domain
-    check and one segment lookup and Hermite basis for all their tables;
-    other curves each get one call of their orders function."""
-    check_order(n)
-    ks = tuple(range(n + 1))
-    head, parts = curves[0], [c._at for c in curves]
-    if all(isinstance(p, _TableOrders) and _same_nodes(p.ts, head._at.ts)
-           and c.domain == head.domain for c, p in zip(curves, parts)):
-        arr = head._in_domain(t)
-        shared = iter(_TableOrders(head._at.ts, [
-            cols for p in parts for cols in p.tables]).orders(arr, ks))
-        outs = [p.combine([next(shared) for _ in p.tables]) for p in parts]
-    else:
-        outs = [c._at(c._in_domain(t), ks) for c in curves]
-    if np.ndim(t) == 0:
-        return [tuple(float(v) for v in out) for out in outs]
-    return [tuple(np.asarray(v, dtype=float) for v in out) for out in outs]
+                             f"table holds columns v0..v{len(cols) - 1}")
+        jet = (hermite_jet(self.ts, cols[k0:top + 2], t)
+               if k0 < len(cols) - 1 else ())
+        return [jet[k - k0] if k < len(cols) - 1
+                else np.interp(t, self.ts, cols[k]) for k in ks]
 
 
 def table_curve(ts, cols, info=None) -> SmoothCurve:
@@ -519,7 +467,7 @@ def table_curve(ts, cols, info=None) -> SmoothCurve:
     ts = read_only(ts)
     cols = [read_only(c) for c in cols]
 
-    return SmoothCurve(ts[0], ts[-1], _TableOrders(ts, [cols]), (ts, cols),
+    return SmoothCurve(ts[0], ts[-1], _TableOrders(ts, cols), (ts, cols),
                        info)
 
 
@@ -854,7 +802,7 @@ def second_derivative_surgery(a: float, window: SurgeryWindow, base, start,
             outs = [out + c * gk for out, gk in zip(outs, g)]
         return outs
 
-    low = _TableOrders(ts, [(out0, out1, out2)])
+    low = _TableOrders(ts, (out0, out1, out2))
 
     def orders(t, ks):                  # ks ascending: orders < 2 first
         n = sum(k < 2 for k in ks)

@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -615,11 +616,28 @@ class TestTransferMargins:
 
     def test_warm_build_sweeps_only_its_end_rows(self, monkeypatch):
         """A warm default block sends bundle_warped_sweep at most m + 2 = 17
-        points (t = 0, t0's segment and t0); the first read of its sweeps
-        builds the grid sweep, bitwise the sweep of its metric on
-        grid_points(0, t0, min_points=1025), whose margins are the
-        report's, bit for bit."""
+        points (t = 0, t0's segment and t0), and no Python function it
+        calls, numpy's included, returns or yields an array as long as the
+        grid; the first read of its sweeps builds the grid sweep, bitwise
+        the sweep of its metric on grid_points(0, t0, min_points=1025),
+        whose margins are the report's, bit for bit."""
         bk.build_transfer_block(**TRANSFER_KW)
+        sizes = []
+
+        def watch(frame, event, value):
+            if event == "return":
+                for v in (value if isinstance(value, (tuple, list))
+                          else [value]):
+                    if isinstance(v, np.ndarray):
+                        sizes.append(v.size)
+
+        sys.setprofile(watch)
+        try:
+            t0 = bk.build_transfer_block(**TRANSFER_KW).aux["t0"]
+        finally:
+            sys.setprofile(None)
+        assert 0 < max(sizes) < len(_util.grid_points(0.0, t0,
+                                                      min_points=1025))
         rep, swept, _ = _margin_samples(monkeypatch, **TRANSFER_KW)
         (ends,) = swept
         assert len(ends) <= 17
@@ -1549,7 +1567,7 @@ def test_cached_tables_are_read_only(fresh_caches):
         arrays += [ts, *cols, *ab]
     for curve in bk._transfer_curves(0.5):
         ts, cols = curve.nodes
-        arrays += [ts, *cols, curve._at.ts, *curve._at.tables[0]]
+        arrays += [ts, *cols, curve._at.ts, *curve._at.cols]
     assert len(arrays) == 2 * 7 + 2 * 10
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
+import pytest
 
 from warpbench import blocks, cli, feasibility
 
@@ -307,6 +309,109 @@ class TestHandle2CollarProfile:
             [m.min for m in direct.margins]
 
 
+# Scans through the command-line entry point, by name: (check, scenario
+# JSON).  Each exits 0 or 1 (a sample outside the predicate's domain is a
+# BuildError, not an internal fault) and certifies no entry with a
+# non-finite margin or whose params meet check.  The empty box is one
+# sample; the closed-form bound grows like 1/b as b falls to 0;
+# build_handle2 needs lambda1 < lambda2; a delta that takes handle1's inner
+# slope to 1 or above, and p < 1 in the sphere transition, leave the
+# domain; so do a cone delta and a handle1 eps2 of 1e-300, below the
+# rounding of the join windows and of pi/2.  A handle2 a of 1e-300 divides
+# by zero at the dug face's foot; test_feasibility's
+# test_float_overflow_is_a_numerical_range_error checks its error class.
+# The handle2 scan over eps and nu reads its face's margins from the cache
+# after the first sample, and must still fail every nu at or below lambda2
+# (bottom_convexity).  The scans with no check read cached builds
+# (TestDeterminism.CACHED_SCANS); at eps1 = 0.05, delta = 0.025 and t = 1
+# the inner join's window starts at the collapse point s_lo, up to
+# rounding, and the cone_collapse scan reads the collapse limit there from
+# the join's columns.
+DOMAIN_SCANS = {
+    "empty": (None,
+        '{"command": "scan", "predicate": "handle2-closed-form", '
+        '"box": {}, "budget": 4, "fixed": {"a": 0.1, "b": 1.5}}'),
+    "closed": (lambda e: e["s0"] <= 0,
+        '{"command": "scan", "predicate": "sphere-transition", '
+        '"box": {"s0": [0.0, 1.2]}, "resolution": 3, "budget": 3, '
+        '"fixed": {"p": 2, "q": 3}}'),
+    "small_b": (lambda e: e["b"] <= 1.0,
+        '{"command": "scan", "predicate": "handle2-closed-form", '
+        '"box": {"b": [0.0, 1.5]}, "resolution": 3, "budget": 3, '
+        '"fixed": {"a": 0.1}}'),
+    "lambda1": (lambda e: e["lambda1"] >= 0.25,
+        '{"command": "scan", "predicate": "handle2-closed-form", '
+        '"box": {"lambda1": [0.1, 0.4]}, "resolution": 4, "budget": 4, '
+        '"fixed": {"lambda2": 0.25, "a": 0.1, "b": 1.5}}'),
+    "delta": (lambda e: e["delta"] == 3.0,
+        '{"command": "scan", "predicate": "handle1-tied", '
+        '"box": {"delta": [0.05, 3.0]}, "resolution": 3, "budget": 3, '
+        '"fixed": {"lambda1": 0.95, "eps1": 0.05, "eps2": 0.05}}'),
+    "sphere_p": (lambda e: e["p"] < 1,
+        '{"command": "scan", "predicate": "sphere-transition", '
+        '"box": {"p": [-1.0, 2.0]}, "resolution": 4, "budget": 4, '
+        '"fixed": {"q": 3, "s0": 1.2}}'),
+    "cone_delta": (lambda e: e["delta"] <= 1e-300,
+        '{"command": "scan", "predicate": "cone", '
+        '"box": {"delta": [1e-300, 0.02]}, "resolution": 3, '
+        '"budget": 3, "fixed": {"eps1": 0.1, "eps2": 0.1, "t": 0.5}}'),
+    "eps2": (lambda e: e["eps2"] <= 1e-300,
+        '{"command": "scan", "predicate": "handle1-tied", '
+        '"box": {"eps2": [1e-300, 0.1]}, "resolution": 3, "budget": 3, '
+        '"fixed": {"lambda1": 0.985, "eps1": 0.01}}'),
+    "handle2_a": (lambda e: e["a"] <= 1e-300,
+        '{"command": "scan", "predicate": "handle2", '
+        '"box": {"a": [1e-300, 0.02]}, "resolution": 3, "budget": 3, '
+        '"fixed": {"lambda1": 0.01, "lambda2": 0.02, "b": 1.5, '
+        '"eps": 0.1, "nu": 0.03}}'),
+    "handle2_face": (lambda e: e["nu"] <= 0.02,
+        '{"command": "scan", "predicate": "handle2", '
+        '"box": {"eps": [0.05, 0.15], "nu": [0.01, 0.04]}, '
+        '"resolution": 4, "budget": 16, "fixed": {"lambda1": 0.01, '
+        '"lambda2": 0.02, "a": 0.02, "b": 1.5}}'),
+    "projective_s": (None,
+        '{"command": "scan", "predicate": "projective", '
+        '"box": {"s": [0.0, 1.0]}, "resolution": 5, "budget": 5, '
+        '"fixed": {"d": 4}}'),
+    "handle1_eps2": (None,
+        '{"command": "scan", "predicate": "handle1-tied", '
+        '"box": {"eps2": [0.01, 0.1]}, "resolution": 4, "budget": 4, '
+        '"fixed": {"lambda1": 0.985, "eps1": 0.01, "delta": 0.05}}'),
+    "handle1_delta": (None,
+        '{"command": "scan", "predicate": "handle1-tied", '
+        '"box": {"delta": [0.02, 0.08]}, "resolution": 4, "budget": 4, '
+        '"fixed": {"lambda1": 0.985, "eps1": 0.01, "eps2": 0.1}}'),
+    "handle1_lambda1": (None,
+        '{"command": "scan", "predicate": "handle1-tied", '
+        '"box": {"lambda1": [0.975, 0.989]}, "resolution": 4, '
+        '"budget": 4, "fixed": {"eps1": 0.01, "eps2": 0.1, '
+        '"delta": 0.05}}'),
+    "cone_t": (None,
+        '{"command": "scan", "predicate": "cone", "box": {"t": [0.0, '
+        '1.0], "eps2": [0.05, 0.2]}, "resolution": {"t": 5, '
+        '"eps2": 3}, "budget": 15, "fixed": {"eps1": 0.1, '
+        '"delta": 0.02}}'),
+    "cone_collapse": (None,
+        '{"command": "scan", "predicate": "cone", "box": {"t": [0.0, '
+        '1.0]}, "resolution": 5, "budget": 5, "fixed": {"eps1": 0.05, '
+        '"delta": 0.025, "eps2": 0.1}}'),
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_SCANS))
+def test_domain_scan_through_main(tmp_path, capsys, name):
+    check, scenario = DOMAIN_SCANS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(scenario)
+    out = tmp_path / name
+    assert cli.main(["--scenario", str(path), "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    for e in report["result"]["entries"]:
+        assert math.isfinite(float(e["min_margin"])), e
+        assert check is None or not check(e["params"]), e
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, tmp_path):
         path = write_scenario(tmp_path, {"command": "projective",
@@ -350,31 +455,13 @@ class TestDeterminism:
         assert edges[1]["citation"] == "declared"
 
 
-    # The CI smoke run's scans that read cached builds: f0's jet, handle1's
-    # cap face margins and outer face, handle2's face margins and the
-    # cone's joins, the collapse point at t = 1 included.
-    CACHED_SCANS = [
-        {"predicate": "projective", "box": {"s": [0.0, 1.0]},
-         "resolution": 5, "budget": 5, "fixed": {"d": 4}},
-        {"predicate": "handle1-tied", "box": {"eps2": [0.01, 0.1]},
-         "resolution": 4, "budget": 4,
-         "fixed": {"lambda1": 0.985, "eps1": 0.01, "delta": 0.05}},
-        {"predicate": "handle1-tied", "box": {"delta": [0.02, 0.08]},
-         "resolution": 4, "budget": 4,
-         "fixed": {"lambda1": 0.985, "eps1": 0.01, "eps2": 0.1}},
-        {"predicate": "handle1-tied", "box": {"lambda1": [0.975, 0.989]},
-         "resolution": 4, "budget": 4,
-         "fixed": {"eps1": 0.01, "eps2": 0.1, "delta": 0.05}},
-        {"predicate": "handle2", "box": {"eps": [0.05, 0.15],
-                                         "nu": [0.01, 0.04]},
-         "resolution": 4, "budget": 16,
-         "fixed": {"lambda1": 0.01, "lambda2": 0.02, "a": 0.02, "b": 1.5}},
-        {"predicate": "cone", "box": {"t": [0.0, 1.0], "eps2": [0.05, 0.2]},
-         "resolution": {"t": 5, "eps2": 3}, "budget": 15,
-         "fixed": {"eps1": 0.1, "delta": 0.02}},
-        {"predicate": "cone", "box": {"t": [0.0, 1.0]}, "resolution": 5,
-         "budget": 5, "fixed": {"eps1": 0.05, "delta": 0.025, "eps2": 0.1}},
-    ]
+    # The domain scans below that read cached builds, in an order where
+    # each reads what the ones before it left: f0's jet, handle1's cap face
+    # margins and outer face, handle2's face margins and the cone's joins,
+    # the collapse point at t = 1 included.
+    CACHED_SCANS = [json.loads(DOMAIN_SCANS[name][1]) for name in (
+        "projective_s", "handle1_eps2", "handle1_delta", "handle1_lambda1",
+        "handle2_face", "cone_t", "cone_collapse")]
 
     def test_scans_on_warm_caches_keep_the_bits_of_empty_caches(
             self, monkeypatch, fresh_caches):

@@ -633,7 +633,7 @@ def bundle_formula(m, ts) -> dict:
     p, q, ab = m.p, m.q, m.a_bounds
     rb = m.ricci_base_lb * (q - 1)
     rf = m.ricci_fibre_lb * (p - 1)
-    (fv, f1, f2), (hv, h1, h2) = cv.joint_jet((m.f, m.h), ts)
+    (fv, f1, f2), (hv, h1, h2) = m.f.jet(ts), m.h.jet(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         return {
             "ric_tt": -q * f2 / fv - p * h2 / hv,

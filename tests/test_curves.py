@@ -529,19 +529,6 @@ class TestTableOrders:
         assert c.eval(0.5, m - 1) == float(np.interp(0.5, self.ts,
                                                      self.cols[m - 1]))
 
-    def test_joint_jet_of_tables_of_two_widths(self):
-        """Tables of two and four columns on one node array share one
-        lookup and give each table's own orders, up to the narrower one's
-        top order."""
-        two = cv.table_curve(self.ts, self.cols[:2])
-        four = cv.table_curve(self.ts, self.cols)
-        got = cv.joint_jet((two, four), self.t, 1)
-        for c, jet in zip((two, four), got):
-            assert [v.tobytes() for v in jet] == [
-                c.eval(self.t, k).tobytes() for k in (0, 1)]
-        with pytest.raises(ValueError, match=r"v0\.\.v1"):
-            cv.joint_jet((two, four), self.t, 2)
-
 
 class TestRescaling:
     @given(R=st.floats(0.25, 4.0), x=st.floats(0.1, 0.9))
@@ -779,9 +766,9 @@ def transfer_warps():
     "jet columns against one-point evaluations, and np.sin alone")
 class TestJet:
     """SmoothCurve.jet(t) is (eval(t, 0), eval(t, 1), eval(t, 2)) bit for
-    bit, for table curves and their weighted sums (one shared basis), for
-    composite and mapped curves (their parts' orders in one call), and for
-    closed-form and Jet-defined curves."""
+    bit, for table curves and their weighted sums (one segment lookup per
+    table), for composite and mapped curves (their parts' orders in one
+    call), and for closed-form and Jet-defined curves."""
 
     @staticmethod
     def curves():
@@ -805,7 +792,7 @@ class TestJet:
             (0.2, 0.1), 0.7)
         return [table, combo, combo.restrict(0.25, 1.5),
                 cv.linear_combo([(table.restrict(0.0, 1.0), 2.0)]),
-                # no shared basis: the jet is the three evaluations
+                # not all tables: the line's orders are closed forms
                 cv.sine_curve(1.0, 3.0, 0.2, (0.0, 2.0)),
                 cv.linear_combo([(table, 0.5),
                                  (cv.line_curve(1.0, -0.5, (0.0, 2.0)),
@@ -933,8 +920,8 @@ class TestJet:
 
     @pytest.mark.parametrize("n", [-1, 4, 7])
     def test_orders_outside_0_to_3_raise(self, n):
-        """jet(t, n) and joint_jet check n as eval checks k, for every kind
-        of curve, on arrays and at a point."""
+        """jet(t, n) checks n as eval checks k, for every kind of curve, on
+        arrays and at a point."""
         ts = np.linspace(0.0, 1.0, 9)
         table = cv.table_curve(ts, [np.sin(ts), np.cos(ts), -np.sin(ts),
                                     -np.cos(ts)])
@@ -943,11 +930,12 @@ class TestJet:
             for q in (0.5 * (c.t_lo + c.t_hi), np.linspace(*c.domain, 5)):
                 with pytest.raises(ValueError, match="order"):
                     c.jet(q, n)
-                with pytest.raises(ValueError, match="order"):
-                    cv.joint_jet((c, c), q, n)
 
     def test_table_backed_curves_look_each_segment_up_once(self,
                                                           monkeypatch):
+        """A table curve's jet looks its segments up once for all its
+        orders, and a weighted sum of two table curves once per table;
+        eval looks them up once per order and table."""
         from warpbench import _util
         calls = []
         segment = _util.segment_index
@@ -959,49 +947,42 @@ class TestJet:
         monkeypatch.setattr(_util, "segment_index", counted)
         table, combo, restricted = self.curves()[:3]
         t = np.linspace(0.5, 1.0, 7)
-        for c in (table, combo, restricted, table.metric_rescale(1.5)):
+        for c, tables in ((table, 1), (combo, 2), (restricted, 2),
+                          (table.metric_rescale(1.5), 1)):
             calls.clear()
             c.jet(t)
-            assert calls == [7]
+            assert calls == [7] * tables
             calls.clear()
             [c.eval(t, k) for k in range(3)]
-            assert calls == [7] * 3
-        calls.clear()
-        cv.joint_jet((table, combo), t)
-        assert calls == [7]
+            assert calls == [7] * 3 * tables
 
-    def test_joint_jet_is_each_curves_evaluations(self):
-        """joint_jet of several curves gives each curve's eval(t, k),
-        k = 0, 1, 2, bit for bit: with one shared basis for the transfer
-        warps and for table curves on one grid, and curve by curve for
-        curves of other kinds or domains.  Points beyond the slop raise."""
+    def test_transfer_warps_jet_is_their_evaluations(self):
+        """The transfer block's warps f and h, weighted restrictions of the
+        ODE's tables, give jets whose orders are their eval(t, k),
+        k = 0, 1, 2, bit for bit: on the block's grid sweep grid, at random
+        points, the ends, NaN and within the slop, as arrays (empty and
+        2-D too) and at 0-d points.  Points beyond the slop raise."""
         rng = np.random.default_rng(4)
-        f, h = transfer_warps()
-        curves = self.curves()
-        table, combo, restricted, sine = (curves[0], curves[1], curves[2],
-                                          curves[4])
-        for group in ((f, h), (h, f, f), (table, combo), (combo, restricted),
-                      (table, sine), (curves[7], table)):
-            lo = max(c.t_lo for c in group)
-            hi = min(c.t_hi for c in group)
+        for c in transfer_warps():
+            lo, hi = c.domain
+            grid = grid_points(lo, hi, min_points=1025)
+            assert len(grid) == 69_296
             slop = 1e-9 * (1.0 + hi - lo)
             t = np.concatenate([rng.uniform(lo, hi, 300),
                                 [lo, hi, np.nan, lo - 0.4 * slop,
                                  hi + 0.4 * slop]])
-            for q in (t, t[:0], t[:300].reshape(30, 10), *t[-5:],
+            for q in (grid, t, t[:0], t[:300].reshape(30, 10), *t[-5:],
                       np.array(t[0])):
-                got = cv.joint_jet(group, q)
-                assert len(got) == len(group)
-                for c, jet in zip(group, got):
-                    assert len(jet) == 3
-                    for k in range(3):
-                        want = c.eval(q, k)
-                        assert type(jet[k]) is type(want)
-                        assert np.array_equal(jet[k], want, equal_nan=True)
-                        assert np.array_equal(np.signbit(jet[k]),
-                                              np.signbit(want))
+                jet = c.jet(q)
+                assert len(jet) == 3
+                for k in range(3):
+                    want = c.eval(q, k)
+                    assert type(jet[k]) is type(want)
+                    assert np.array_equal(jet[k], want, equal_nan=True)
+                    assert np.array_equal(np.signbit(jet[k]),
+                                          np.signbit(want))
             with pytest.raises(ValueError, match=r"t outside \["):
-                cv.joint_jet(group, np.array([lo, hi + 1e-3]))
+                c.jet(np.array([lo, hi + 1e-3]))
 
     def test_cone_sweep_looks_each_window_up_once(self, monkeypatch):
         """One doubly_warped_sweep of the cone looks up the Hermite
@@ -1050,38 +1031,25 @@ class TestJet:
     def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
         """The default transfer block's bundle sweep, built on the first
         read of its report's sweeps, looks up the Hermite segments of each
-        block once, for both ODE tables and all three orders: as runs in
-        each block long enough for the run path, point by point in a
-        shorter last block."""
+        block once per ODE table, for all three orders."""
         from warpbench import _util
         from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         h0, _ = blocks._transfer_curves(params["C"])
         nodes = h0.nodes[0]
-        lookups, per_point = [], []
-        runs, segment = _util._segment_runs, _util.segment_index
-
-        def counted_runs(ts, t):
-            found = runs(ts, t)
-            if ts is nodes and found is not None:
-                lookups.append(len(t))
-            return found
+        lookups, segment = [], _util.segment_index
 
         def counted(ts, t):
             if ts is nodes:
-                per_point.append(len(t))
+                lookups.append(len(t))
             return segment(ts, t)
 
-        monkeypatch.setattr(_util, "_segment_runs", counted_runs)
         monkeypatch.setattr(_util, "segment_index", counted)
         n = len(rep.sweeps["ricci"]["t"])
         assert n > 2 * _SWEEP_BLOCK
         sizes = [min(_SWEEP_BLOCK, n - i) for i in range(0, n, _SWEEP_BLOCK)]
-        long_enough = _util._RUN_MIN_POINTS
-        assert lookups == [k for k in sizes if k >= long_enough]
-        # a run-path block searches only its two ends' segments
-        assert per_point == [2 if k >= long_enough else k for k in sizes]
+        assert lookups == [k for k in sizes for _ in ("f", "h")]
 
 
 def assert_bitwise(got, want):

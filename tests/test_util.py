@@ -598,8 +598,8 @@ class TestHermiteInterp:
 
 def assert_jet_matches(ts, seed):
     """hermite_jet equals searchsorted_hermite order by order, bitwise, for
-    one table and for two tables sharing the basis, on queries() and on
-    empty, 0-d, NaN and 2-D queries, and leaves the query unchanged."""
+    each of two tables, on queries() and on empty, 0-d, NaN and 2-D
+    queries, and leaves the query unchanged."""
     rng = np.random.default_rng(seed)
     tables = [[rng.standard_normal(len(ts)) for _ in range(4)]
               for _ in range(2)]
@@ -609,110 +609,18 @@ def assert_jet_matches(ts, seed):
              np.array(np.nan), queries(ts, rng, 7)[:12].reshape(3, 4)]
     for q in cases:
         before = q.copy()
-        for chosen in (tables[:1], tables):
-            got = _util.hermite_jet(ts, chosen, q)
-            assert len(got) == len(chosen)
-            for jet, cols in zip(got, chosen):
-                assert len(jet) == 3
-                for k in range(3):
-                    assert_same_values(jet[k], searchsorted_hermite(
-                        ts, cols[k], cols[k + 1], q))
+        for cols in tables:
+            jet = _util.hermite_jet(ts, cols, q)
+            assert len(jet) == 3
+            for k in range(3):
+                assert_same_values(jet[k], searchsorted_hermite(
+                    ts, cols[k], cols[k + 1], q))
         assert np.array_equal(q, before, equal_nan=True)
 
 
-def jet_by_path(ts, tables, q, per_point=False):
-    """hermite_jet(ts, tables, q), and whether it took the run path;
-    per_point forces the per-point gathers."""
-    taken = []
-    runs = _util._segment_runs
-
-    def spy(ts, t):
-        found = None if per_point else runs(ts, t)
-        taken.append(found is not None)
-        return found
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_util, "_segment_runs", spy)
-        got = _util.hermite_jet(ts, tables, q)
-    return got, taken == [True]
-
-
-def run_queries(ts, rng):
-    """Sorted queries of at least _RUN_MIN_POINTS points with at least
-    _RUN_MIN_LENGTH points per segment they span: random points with every
-    node, ts[-1] repeated and points clamped from both sides of the range
-    (also as a 2-D array); a dense stretch inside; and points within one
-    segment, its start among them."""
-    span = ts[-1] - ts[0]
-    fill = _util._RUN_MIN_POINTS
-    per = _util._RUN_MIN_LENGTH
-    q = np.sort(np.concatenate([
-        ts, rng.uniform(ts[0], ts[-1], max(fill, per * len(ts))),
-        [ts[-1]] * 3, rng.choice(ts, 5), rng.uniform(ts[0] - span, ts[0], 3),
-        rng.uniform(ts[-1], ts[-1] + span, 3)]))
-    a = int(rng.integers(0, len(ts) - 1))
-    b = int(rng.integers(a, len(ts) - 1))
-    stretch = np.sort(rng.uniform(ts[a], ts[b + 1],
-                                  max(fill, per * (b - a + 1))))
-    i = int(rng.integers(0, len(ts) - 1))
-    one = np.sort(np.append(rng.uniform(ts[i], ts[i + 1], fill), ts[i]))
-    one = one[one < ts[i + 1]]
-    return [q, q[:len(q) // 2 * 2].reshape(2, -1), stretch, one]
-
-
-def assert_runs_match_points(ts, seed):
-    """On run_queries() hermite_jet takes the run path, and its jets are
-    those of the per-point gathers bitwise, for 1 to 3 tables of 3 and 4
-    columns; short, sparse, unsorted and NaN queries take the per-point
-    path."""
-    rng = np.random.default_rng(seed)
-    tables = [[rng.standard_normal(len(ts)) for _ in range(cols)]
-              for cols in rng.choice([3, 4], int(rng.integers(1, 4)))]
-    for c in (c for cols in tables for c in cols):
-        c[rng.integers(0, len(ts))] = -0.0
-    for q in run_queries(ts, rng):
-        got, took_runs = jet_by_path(ts, tables, q)
-        assert took_runs
-        want, _ = jet_by_path(ts, tables, q, per_point=True)
-        for jet, ref, cols in zip(got, want, tables):
-            assert len(jet) == len(ref) == len(cols) - 1
-            for g, w in zip(jet, ref):
-                assert_same_values(g, w)
-                assert g.tobytes() == w.tobytes()
-    dense = run_queries(ts, rng)[0]
-    short = dense[:_util._RUN_MIN_POINTS - 1]
-    sparse = np.linspace(ts[0], ts[-1],
-                         (_util._RUN_MIN_LENGTH - 1) * (len(ts) - 1))
-    for q in (dense[::-1], np.append(dense, np.nan), short, sparse):
-        assert not jet_by_path(ts, tables, q)[1]
-
-
 @pytest.mark.numpy_contract(
-    "the shared-basis kernel's np.repeat against per-point gathers")
+    "the kernel's gathers against searchsorted and Python floats")
 class TestHermiteJet:
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 3000), lo=st.floats(-50.0, 50.0),
-           span=st.floats(1e-6, 1e3), seed=st.integers(0, 2 ** 32 - 1))
-    def test_run_path_is_the_per_point_path_on_uniform_grids(
-            self, n, lo, span, seed):
-        assert_runs_match_points(np.linspace(lo, lo + span, n), seed)
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
-    def test_run_path_is_the_per_point_path_on_random_sorted_grids(
-            self, n, seed):
-        rng = np.random.default_rng(seed)
-        ts = _util.sorted_unique(rng.uniform(-3.0, 3.0, n) ** 3)
-        if len(ts) < 2:
-            ts = np.array([-1.0, 2.0])
-        assert_runs_match_points(ts, seed)
-
-    def test_run_path_on_the_flatten_start_and_transfer_grids(self):
-        assert_runs_match_points(flatten_start_grid(0.3), 6)
-        h0, _ = blocks._transfer_curves(
-            scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]["C"])
-        assert_runs_match_points(h0.nodes[0], 7)
-
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 20000),
            lo=st.floats(-50.0, 50.0), span=st.floats(1e-6, 1e3),
@@ -742,23 +650,23 @@ class TestHermiteJet:
 
         monkeypatch.setattr(_util, "segment_index", counted)
         ts = np.linspace(0.0, 1.0, 65)
-        for tables in ([[ts] * 4], [[ts] * 4, [ts * ts] * 4]):
+        for cols in ([ts] * 4, [ts * ts] * 4):
             calls.clear()
-            _util.hermite_jet(ts, tables, np.linspace(0.0, 1.0, 9))
+            _util.hermite_jet(ts, cols, np.linspace(0.0, 1.0, 9))
             assert calls == [9]
 
     def test_zero_dimensional_query_takes_the_point_form(self,
                                                           monkeypatch):
-        """A 0-d query on 2 tables of 4 columns is answered by one
-        _hermite_point call per table and order, with no segment lookup,
-        and equals the 1-element array query bitwise."""
+        """A 0-d query on a table of 4 columns is answered by one
+        _hermite_point call per order, with no segment lookup, and equals
+        the 1-element array query bitwise, for each of 2 tables."""
         ts = np.linspace(0.0, 1.0, 65)
         rng = np.random.default_rng(16)
         tables = [[rng.standard_normal(65) for _ in range(4)]
                   for _ in range(2)]
         points = (0.3, 0.0, 1.0, -0.0, 1.5, np.nan)
-        wants = [_util.hermite_jet(ts, tables, np.array([x]))
-                 for x in points]
+        wants = [[_util.hermite_jet(ts, cols, np.array([x]))
+                  for cols in tables] for x in points]
         point, calls = _util._hermite_point, []
 
         def counted(*args):
@@ -768,19 +676,18 @@ class TestHermiteJet:
         monkeypatch.setattr(_util, "_hermite_point", counted)
         monkeypatch.setattr(_util, "segment_index", None)
         for x, want in zip(points, wants):
-            calls.clear()
-            got = _util.hermite_jet(ts, tables, np.array(x))
-            assert len(calls) == 6
-            for jet, ref in zip(got, want):
-                assert len(jet) == len(ref) == 3
-                for g, w in zip(jet, ref):
+            for cols, ref in zip(tables, want):
+                calls.clear()
+                got = _util.hermite_jet(ts, cols, np.array(x))
+                assert len(calls) == len(got) == len(ref) == 3
+                for g, w in zip(got, ref):
                     assert type(g) is np.float64
                     assert g.tobytes() == w.tobytes()
 
-    def test_shared_basis_on_the_default_transfer_tables(self):
-        """One hermite_jet over both tables of the default transfer ODE
-        equals one call per table, bitwise, at random points, at the edges
-        of the sweep's blocks, at both ends of the block's grid and of the
+    def test_bitwise_on_the_default_transfer_tables(self):
+        """hermite_jet on each table of the default transfer ODE equals
+        searchsorted_hermite bitwise at random points, at the edges of the
+        sweep's blocks, at both ends of the block's grid and of the
         tables, within the domain slop outside them, and at NaN; as one
         array, and point by point as 0-d arrays and floats."""
         from warpbench.curvature import _SWEEP_BLOCK
@@ -789,7 +696,6 @@ class TestHermiteJet:
         h0, fC = blocks._transfer_curves(params["C"])
         ts, g_cols = h0.nodes
         assert fC.nodes[0] is ts
-        tables = [g_cols, fC.nodes[1]]
         tt = rep.sweeps["ricci"]["t"]
         assert len(tt) > 2 * _SWEEP_BLOCK
         edges = [tt[i + d] for i in range(_SWEEP_BLOCK, len(tt), _SWEEP_BLOCK)
@@ -801,26 +707,23 @@ class TestHermiteJet:
             [0.0, -0.0, t0, t_hi, np.nextafter(t0, 0.0), np.nan],
             [x + s * 1e-9 * (1.0 + x) for x in (0.0, t0, t_hi)
              for s in (-0.4, 0.4)]])
-        got = _util.hermite_jet(ts, tables, q)
-        for jet, cols in zip(got, tables):
-            (want,) = _util.hermite_jet(ts, [cols], q)
+        for cols in (g_cols, fC.nodes[1]):
+            jet = _util.hermite_jet(ts, cols, q)
             for k in range(3):
-                assert_same_values(jet[k], want[k])
                 assert_same_values(jet[k], searchsorted_hermite(
                     ts, cols[k], cols[k + 1], q))
-        for x in q.tolist():
-            for point in (np.array(x), x):
-                got = _util.hermite_jet(ts, tables, point)
-                for jet, cols in zip(got, tables):
-                    (want,) = _util.hermite_jet(ts, [cols], point)
+            for i, x in enumerate(q.tolist()):
+                for point in (np.array(x), x):
+                    got = _util.hermite_jet(ts, cols, point)
                     for k in range(3):
-                        assert_same_values(jet[k], want[k])
+                        assert_same_values(got[k], jet[k][i])
 
 
 class TestHermiteSubdivided:
     """hermite_subdivided on the transfer tables (g and F, orders 0 and 1)
-    is hermite_jet at the same points to 4 ulp of max(1, |y|), and the
-    node values exactly at each segment's first point."""
+    is each table's hermite_jet at the same points to 4 ulp of
+    max(1, |y|), and the node values exactly at each segment's first
+    point."""
 
     @pytest.mark.parametrize("m", [1, 2, 15])
     @pytest.mark.parametrize("j0, j1", [(0, 700), (15684, 16384)])
@@ -835,8 +738,8 @@ class TestHermiteSubdivided:
             n = len(t)
             assert t.shape == (n, m)
             assert np.array_equal(t[:, 0], ts[j:j + n])
-            want = _util.hermite_jet(ts, tables, t)
-            for cols, got_orders, want_orders in zip(tables, jets, want):
+            for cols, got_orders in zip(tables, jets):
+                want_orders = _util.hermite_jet(ts, cols, t)
                 assert len(got_orders) == 2
                 for k, (got, ref) in enumerate(zip(got_orders, want_orders)):
                     assert got.shape == t.shape
