@@ -254,7 +254,7 @@ def _cone_join(K: float, eps: float, delta: float, t: float, junction: str):
     s_lo, (a, b) = -left[0], join.info["window"]
     head = sin_of(piecewise_curve([(s_lo, a, line_curve(*left, (s_lo, a))),
                                    (a, b, join)]))
-    par = parity_margin(head, s_lo, "odd", first_derivative_target=1.0,
+    par = parity_margin(head, s_lo, "odd",
                         fit_width=min(0.05, 0.2 * (s - s_lo)))
     return join, lower, upper, par, ricci
 
@@ -1256,18 +1256,19 @@ def _transfer_curves(C: float):
 def _transfer_identity_columns(jets, p: int, q: int, C: float,
                                f_scale: float, h_scale: float,
                                a_bounds: ABounds) -> dict:
-    """``bundle_warped_sweep``'s columns, flattened, for the bundle metric
-    with warps f = f_scale F and h = h_scale g and unit Ricci floors, from
-    the jets ((g, g'), (F, F')) of the transfer tables g = h0 and F = fC at
-    C, arrays of one shape.  The system's identities stand in for the
-    second derivatives: with E = e^{-g^2}, u = F'/F and w = g'/g,
-    f''/f = C E and h''/h = -E, so
+    """``bundle_warped_sweep``'s ric_XX, ric_VV and mixed columns,
+    flattened, for the bundle metric with warps f = f_scale F and
+    h = h_scale g and unit Ricci floors, from the jets ((g, g'), (F, F'))
+    of the transfer tables g = h0 and F = fC at C, arrays of one shape.
+    The system's identities stand in for the second derivatives: with
+    E = e^{-g^2}, u = F'/F and w = g'/g, f''/f = C E and h''/h = -E, so
 
-        ric_tt = (p - qC) E
         ric_XX = -C E + (q - 1)(1/f^2 - u^2) - p u w
         ric_VV = E + (p - 1)(1/h^2 - w^2) - q u w
 
-    and the A-terms are ``_bundle_warped_columns``'s, as it writes them."""
+    and the A-terms are ``_bundle_warped_columns``'s, as it writes them.
+    (ric_tt = (p - qC) E needs no column: the block takes it from its
+    lemma.)"""
     (g, g1), (F, F1) = jets
     gg = g * g
     E = np.exp(-gg)
@@ -1283,8 +1284,8 @@ def _transfer_identity_columns(jets, p: int, q: int, C: float,
         ric_xx -= 2.0 * (hv ** 2 / fv ** 4) * a_bounds.sup_AX2
     ric_xv = ((hv / fv ** 3) * a_bounds.sup_deltaA if a_bounds.sup_deltaA
               else np.zeros_like(E))
-    return {"ric_tt": ((p - q * C) * E).ravel(), "ric_XX_lb": ric_xx.ravel(),
-            "ric_VV_lb": ric_vv.ravel(), "ric_XV_abs_ub": ric_xv.ravel()}
+    return {"ric_XX_lb": ric_xx.ravel(), "ric_VV_lb": ric_vv.ravel(),
+            "ric_XV_abs_ub": ric_xv.ravel()}
 
 
 # Table segments per run of _transfer_ricci_margins's identity columns.  A
@@ -1295,63 +1296,50 @@ def _transfer_identity_columns(jets, p: int, q: int, C: float,
 _TRANSFER_SEGMENTS = 512
 
 
-def _transfer_ricci_margins(metric: BundleWarpedMetric, h0: SmoothCurve,
-                            fC: SmoothCurve, C: float, f_scale: float,
-                            h_scale: float, t0: float, n_grid: int,
-                            grid) -> list:
-    """The transfer block's ric_tt, ric_XX, ric_VV and mixed_dominated
-    margins on [0, t0], each the least over samples that split every
-    table segment before t0's into m equal parts, m = ceil(per_unit h) for
-    the node spacing h (15 at the default 2048 per unit: a spacing of
-    exactly 1/2048), raised if need be until there are as many samples as
-    the grid of [0, t0] has points, n_grid.  The rows at
-    t = 0 and on t0's own segment, the points of its split before t0 and
-    t0, are ``bundle_warped_sweep``'s, at most m + 2 of them; the rows
-    between are ``_transfer_identity_columns``'s, on
-    ``hermite_subdivided``'s runs of _TRANSFER_SEGMENTS segments.  When t0
-    lies in the first segment the samples are that grid, all the sweep's.
-    Ties and NaN go to the first sample in t order, as on one grid."""
+def _transfer_ricci_margins(h0: SmoothCurve, fC: SmoothCurve, p: int,
+                            q: int, C: float, f_scale: float,
+                            h_scale: float, a_bounds: ABounds, t0: float,
+                            n_grid: int, grid) -> list:
+    """The transfer block's ric_XX, ric_VV and mixed_dominated margins on
+    [0, t0], each the least of ``_transfer_identity_columns`` over samples
+    that split every table segment before t0's into m equal parts,
+    m = ceil(per_unit h) for the node spacing h (15 at the default 2048
+    per unit: a spacing of exactly 1/2048), raised if need be until there
+    are as many samples as the grid of [0, t0] has points, n_grid.  The
+    samples before t0's segment come in ``hermite_subdivided``'s runs of
+    _TRANSFER_SEGMENTS segments; those of t0's segment below t0, and t0,
+    come last, through the tables' own jets.  When t0 lies in the first
+    segment the samples are that grid.  Each run is reduced to its three
+    least margins as it is made; ties and NaN go to the first sample in
+    t order, as on one grid."""
     ts, g_cols = h0.nodes
     k = int(np.searchsorted(ts, t0, "right")) - 1     # t0's segment
     if k == 0:
-        tt = np.linspace(0.0, t0, n_grid)
-        return _least_margins([(tt, bundle_warped_sweep(metric, tt))],
-                              metric.a_bounds.trivial)
-    h = ts[1] - ts[0]                                 # uniform nodes
-    per_unit = DEFAULT_GRID_PER_UNIT if grid is None else grid
-    m = math.ceil(h * max(per_unit, 1024.0 / t0))
-    while True:
-        tail = ts[k] + np.arange(m) / m * h
-        tail = tail[tail < t0]
-        if k * m + len(tail) + 1 >= n_grid:
-            break
-        m += 1
-    ends = np.concatenate(([0.0], tail, [t0]))
-    end_cols = bundle_warped_sweep(metric, ends)
-    pieces = [(ends[:1], {n: v[:1] for n, v in end_cols.items()})]
-    for t, jets in hermite_subdivided(ts, (g_cols[:3], fC.nodes[1][:3]), 0,
-                                      k, m, _TRANSFER_SEGMENTS):
-        skip = 0 if t[0, 0] else 1                    # t = 0 is the sweep's
-        cols = _transfer_identity_columns(jets, metric.p, metric.q, C,
-                                          f_scale, h_scale, metric.a_bounds)
-        pieces.append((t.ravel()[skip:],
-                       {n: v[skip:] for n, v in cols.items()}))
-    pieces.append((ends[1:], {n: v[1:] for n, v in end_cols.items()}))
-    return _least_margins(pieces, metric.a_bounds.trivial)
-
-
-def _least_margins(pieces, trivial: bool) -> list:
-    """ric_tt, ric_XX, ric_VV and mixed_dominated, each the least over the
-    (t, bundle sweep columns) pieces, given in t order: its first least
-    value, or its first NaN, as one grid's argmin finds it."""
-    slack = 1e-12 if trivial else 0.0
+        runs, last = (), np.linspace(0.0, t0, n_grid)
+    else:
+        h = ts[1] - ts[0]                             # uniform nodes
+        per_unit = DEFAULT_GRID_PER_UNIT if grid is None else grid
+        m = math.ceil(h * max(per_unit, 1024.0 / t0))
+        while True:
+            tail = ts[k] + np.arange(m) / m * h
+            tail = tail[tail < t0]
+            if k * m + len(tail) + 1 >= n_grid:
+                break
+            m += 1
+        runs = hermite_subdivided(ts, (g_cols[:3], fC.nodes[1][:3]), 0, k,
+                                  m, _TRANSFER_SEGMENTS)
+        last = np.append(tail, t0)
+    slack = 1e-12 if a_bounds.trivial else 0.0
     found = []
-    for t, cols in pieces:
+    for t, jets in itertools.chain(
+            runs, [(last, (h0.jet(last, 1), fC.jet(last, 1)))]):
+        t = t.ravel()
+        cols = _transfer_identity_columns(jets, p, q, C, f_scale, h_scale,
+                                          a_bounds)
         dom = (np.sqrt(np.maximum(cols["ric_XX_lb"], 0.0)
                        * np.maximum(cols["ric_VV_lb"], 0.0))
                - cols["ric_XV_abs_ub"])
-        found.append([_min_margin("ric_tt", t, cols["ric_tt"]),
-                      _min_margin("ric_XX", t, cols["ric_XX_lb"]),
+        found.append([_min_margin("ric_XX", t, cols["ric_XX_lb"]),
                       _min_margin("ric_VV", t, cols["ric_VV_lb"]),
                       _min_margin("mixed_dominated", t, dom + slack)])
     return [per_label[int(np.argmin([mg.min for mg in per_label]))]
@@ -1378,15 +1366,18 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
     table's nodes and at t0; a value above 1 raises BuildError naming it.
     Its lower bound 0 is a lemma (fC' >= 0).
 
-    The Ricci margins are sampled on the tables' own node segments
-    (``_transfer_ricci_margins``): each segment before t0's is split into
-    m = ceil(per_unit h) equal parts, h the node spacing (15 at the
-    default 2048 per unit, so the samples lie exactly 1/2048 apart), more
-    if needed to reach grid_points' 1025-point floor; the system's
-    identities give their rows, and ``bundle_warped_sweep`` the rows at
-    t = 0 and on t0's own segment, t0 included.  The grid sweep on
-    ``grid_points(0, t0, grid, min_points=1025)``, which the CLI writes as
-    transfer_ricci.csv, is built on the first read of ``Report.sweeps``."""
+    ric_tt = (p - qC) e^{-g^2}, with g = h0 rising from 1, is certified by
+    that lemma: (p - qC) e^{-g(t0)^2} at t0 when p > qC, (p - qC)/e at
+    t = 0 otherwise.  The other Ricci margins are sampled on the tables'
+    own node segments (``_transfer_ricci_margins``): each segment before
+    t0's is split into m = ceil(per_unit h) equal parts, h the node
+    spacing (15 at the default 2048 per unit, so the samples lie exactly
+    1/2048 apart), more if needed to reach grid_points' 1025-point floor,
+    and t0's segment gives its points below t0, and t0; the system's
+    identities give every row, so a build calls no sweep.  The grid sweep
+    on ``grid_points(0, t0, grid, min_points=1025)``, which the CLI writes
+    as transfer_ricci.csv, is built with its metric on the first read of
+    ``Report.sweeps``."""
     a_bounds = a_bounds or ABounds()
 
     h0, fC = _transfer_curves(float(C))
@@ -1417,11 +1408,11 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
             f"fC'/(fC h0 h0') leaves [0, 1] on [0, t0]: {ratio[i]:.6g} at "
             f"t={ts_nodes[i] if i < idx else t0:.6g}, with t0={t0:.6g}")
 
-    f = linear_combo([(fC, a / c)]).restrict(0.0, t0)
-    h = linear_combo([(h0, a)]).restrict(0.0, t0)
-    metric = BundleWarpedMetric(p, q, f, h, 1.0, 1.0, a_bounds)
-    margins = _transfer_ricci_margins(
-        metric, h0, fC, C, a / c, a, t0,
+    d = p - q * C                                     # ric_tt's lemma
+    margins = [Margin("ric_tt", d * math.exp(-g_t0 * g_t0), float(t0))
+               if d > 0 else Margin("ric_tt", d / math.e, 0.0)]
+    margins += _transfer_ricci_margins(
+        h0, fC, p, q, C, a / c, a, a_bounds, t0,
         grid_size(0.0, t0, grid, min_points=1025), grid)
 
     vertical0 = a * h0.eval(0.0, 1) / r0
@@ -1453,14 +1444,20 @@ def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
              "vertical_ii_at_0": -vertical0,
              "slope_check": float((a / c) * fC.eval(t0, 1)),
              "ode_steps": len(ts_nodes) - 1},
-        sweeps=lambda: _transfer_grid_sweep(metric, t0, grid),
+        sweeps=lambda: _transfer_grid_sweep(p, q, h0, fC, a / c, a,
+                                            a_bounds, t0, grid),
     )
 
 
-def _transfer_grid_sweep(metric: BundleWarpedMetric, t0: float,
-                         grid) -> dict:
-    """The transfer block's sweeps: its metric's bundle sweep on the grid
-    grid_points(0, t0, grid, min_points=1025)."""
+def _transfer_grid_sweep(p: int, q: int, h0: SmoothCurve, fC: SmoothCurve,
+                         f_scale: float, h_scale: float, a_bounds: ABounds,
+                         t0: float, grid) -> dict:
+    """The transfer block's sweeps: the bundle sweep of its metric, with
+    warps f = f_scale fC and h = h_scale h0 on [0, t0] and unit Ricci
+    floors, on the grid grid_points(0, t0, grid, min_points=1025)."""
+    f = linear_combo([(fC, f_scale)]).restrict(0.0, t0)
+    h = linear_combo([(h0, h_scale)]).restrict(0.0, t0)
+    metric = BundleWarpedMetric(p, q, f, h, 1.0, 1.0, a_bounds)
     tt = grid_points(0.0, t0, grid, min_points=1025)
     return {"ricci": {"t": tt,
                       "columns": dict(bundle_warped_sweep(metric, tt))}}
@@ -1502,8 +1499,7 @@ def build_s1_block(q: int, lam: float, ric_base_lb: float = 1.0,
         _min_margin("ric_VV", tt, sweep["ric_VV_lb"]),
         Margin("design_window", feas, 0.0),
     ]
-    par_h = parity_margin(h, 0.0, "odd", first_derivative_target=1.0,
-                          fit_width=0.05 * t0)
+    par_h = parity_margin(h, 0.0, "odd", fit_width=0.05 * t0)
     par_f = parity_margin(f, 0.0, "even", fit_width=0.05 * t0)
     margins.append(Margin("h_parity_odd", 1e-9 - par_h.max_violation, 0.0))
     margins.append(Margin("f_parity_even", 1e-9 - par_f.max_violation, 0.0))
@@ -1583,8 +1579,7 @@ def build_fibre_disc_warp(p: int, t0: float, grid=None) -> Report:
     hv, h1, h2 = h.jet(tt)
     sec_rad = -h2 / hv
     sec_sph = (1.0 - h1 ** 2) / hv ** 2
-    par = parity_margin(h, 0.0, "odd", first_derivative_target=1.0,
-                        fit_width=0.05 * t0)
+    par = parity_margin(h, 0.0, "odd", fit_width=0.05 * t0)
     margins = [
         _min_margin("sec_radial", tt, sec_rad),
         _min_margin("sec_sphere", tt, sec_sph),
@@ -1620,10 +1615,10 @@ def _sphere_pair_margins(A: SmoothCurve, B: SmoothCurve, tag: str,
                0.0),
         Margin(f"{tag}B_tip_curvature", -B.eval(s0, 3) / B.eval(s0, 1), s0),
     ]
-    pa0 = parity_margin(A, 0.0, "odd", 1.0, fit_width=0.05 * s0)
+    pa0 = parity_margin(A, 0.0, "odd", fit_width=0.05 * s0)
     pae = parity_margin(A, s0, "even", fit_width=0.05 * s0)
     pb0 = parity_margin(B, 0.0, "even", fit_width=0.05 * s0)
-    pbe = parity_margin(B, s0, "odd", -1.0, fit_width=0.05 * s0)
+    pbe = parity_margin(B, s0, "odd", fit_width=0.05 * s0)
     out.append(Margin(f"{tag}A_parity", 1e-6 - max(pa0.max_violation,
                                                    pae.max_violation), 0.0))
     out.append(Margin(f"{tag}B_parity", 1e-6 - max(pb0.max_violation,

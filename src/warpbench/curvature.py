@@ -269,12 +269,6 @@ class BundleWarpedMetric:
         if self.p < 1 or self.q < 2:
             raise ValueError("need fibre dim >= 1, base dim >= 2")
 
-    @classmethod
-    def trivial(cls, p, q, f, h, ricci_base_lb=1.0, ricci_fibre_lb=1.0,
-                collapse_start=None):
-        return cls(p, q, f, h, ricci_base_lb, ricci_fibre_lb, ABounds(),
-                   collapse_start)
-
     @property
     def interval(self):
         return self.f.domain

@@ -911,16 +911,11 @@ def smooth_join(left: SmoothCurve, right: SmoothCurve, window,
 
 @dataclass(frozen=True)
 class ParityReport:
-    endpoint: float
-    parity: str                    # "odd" | "even"
-    order_checked: int
     max_violation: float           # dimensionless
     first_derivative_value: float
-    first_derivative_target: float | None = None
 
 
 def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,
-                  first_derivative_target: float | None = None,
                   fit_width: float | None = None) -> ParityReport:
     """Measure how far the curve is from being odd/even at an interval end.
 
@@ -951,10 +946,8 @@ def parity_margin(curve: SmoothCurve, endpoint: float, parity: str,
     bad = (0, 2) if parity == "odd" else (1, 3)
     violation = max(abs(float(scaled[k])) for k in bad) / denom
     d1 = float(coef[1]) / W
-    return ParityReport(endpoint=float(endpoint), parity=parity,
-                        order_checked=3, max_violation=float(violation),
-                        first_derivative_value=d1,
-                        first_derivative_target=first_derivative_target)
+    return ParityReport(max_violation=float(violation),
+                        first_derivative_value=d1)
 
 
 def flatness_margin(curve: SmoothCurve, endpoint: float) -> float:

@@ -45,8 +45,11 @@ class Interval:
     open_hi: bool = False
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if not self.lo <= self.hi or (self.lo == self.hi
+                                      and (self.open_lo or self.open_hi)):
+            raise ValueError(
+                f"empty interval {'(' if self.open_lo else '['}{self.lo}, "
+                f"{self.hi}{')' if self.open_hi else ']'}")
 
     def points(self, n: int) -> np.ndarray:
         lo, hi = self.lo, self.hi

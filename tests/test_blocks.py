@@ -565,34 +565,59 @@ class TestTransferSeries:
 
 
 def _margin_samples(monkeypatch, **kw):
-    """(report, swept, samples) of build_transfer_block(**kw): the grids
-    its margins send to bundle_warped_sweep, and every point its margins
-    read, sorted, those and the points of hermite_subdivided's runs."""
-    swept, split = [], []
-    sweep, runs = bk.bundle_warped_sweep, bk.hermite_subdivided
+    """(report, swept, runs) of build_transfer_block(**kw): the grids it
+    sends to bundle_warped_sweep, and each run of its identity margins as
+    (t, columns), in the order they are made."""
+    swept, runs = [], []
+    sweep, least = bk.bundle_warped_sweep, bk._min_margin
 
     def recorded_sweep(m, ts):
         swept.append(ts)
         return sweep(m, ts)
 
-    def recorded_runs(*args):
-        for t, jets in runs(*args):
-            split.append(t.ravel())
-            yield t, jets
+    def recorded_least(label, ts, values):
+        if label == "ric_XX":
+            runs.append((ts, {}))
+        runs[-1][1][label] = values
+        return least(label, ts, values)
 
     monkeypatch.setattr(bk, "bundle_warped_sweep", recorded_sweep)
-    monkeypatch.setattr(bk, "hermite_subdivided", recorded_runs)
+    monkeypatch.setattr(bk, "_min_margin", recorded_least)
     rep = bk.build_transfer_block(**kw)
     monkeypatch.undo()
-    return rep, swept, np.unique(np.concatenate(swept + split))
+    return rep, swept, runs
+
+
+def _samples(runs):
+    return np.concatenate([t for t, _ in runs])
+
+
+def _ric_tt_lemma(p, q, C, t0):
+    """The transfer block's ric_tt margin by its lemma: (p - qC) e^{-g^2}
+    is least at t0 when p > qC, at t = 0 (g = 1) otherwise."""
+    g = bk._transfer_curves(C)[0].eval(t0, 0)
+    if p > q * C:
+        return bk.Margin("ric_tt", (p - q * C) * math.exp(-g * g), t0)
+    return bk.Margin("ric_tt", (p - q * C) / math.e, 0.0)
+
+
+def _grid_margins(cols, tt):
+    """The four Ricci margins of a bundle sweep's columns on the grid
+    tt, each its first least value, as one grid's argmin finds it."""
+    dom = (np.sqrt(np.maximum(cols["ric_XX_lb"], 0.0)
+                   * np.maximum(cols["ric_VV_lb"], 0.0))
+           - cols["ric_XV_abs_ub"] + 1e-12)
+    return [bk._min_margin(label, tt, col) for label, col in (
+        ("ric_tt", cols["ric_tt"]), ("ric_XX", cols["ric_XX_lb"]),
+        ("ric_VV", cols["ric_VV_lb"]), ("mixed_dominated", dom))]
 
 
 class TestTransferMargins:
-    """The transfer block's Ricci margins are sampled on the tables' own
-    segments, split into m equal parts, the rows between t = 0 and t0's
-    segment from the transfer system's identities
-    (``_transfer_identity_columns``); its grid sweep is built on the first
-    read of ``Report.sweeps``."""
+    """The transfer block's ric_tt margin is its lemma, and its ric_XX,
+    ric_VV and mixed_dominated margins are sampled on the tables' own
+    segments, split into m equal parts, from the transfer system's
+    identities (``_transfer_identity_columns``); a build calls no sweep,
+    and its grid sweep is built on the first read of ``Report.sweeps``."""
 
     @pytest.mark.parametrize("grid", [None, 256, 64])
     @pytest.mark.parametrize("kw", [{}, {"C": 1.5, "nu": 5.0}],
@@ -600,13 +625,17 @@ class TestTransferMargins:
     def test_samples_are_as_dense_as_the_grid(self, monkeypatch, kw, grid):
         """No gap between samples is wider than 1/per_unit (up to the
         rounding of the points), and there are at least as many samples as
-        the grid has points, t = 0 and t0 among them."""
-        rep, _, samples = _margin_samples(monkeypatch, **{**TRANSFER_KW, **kw},
-                                          grid=grid)
+        the grid has points, in t order, t = 0 and t0 among them; no
+        sweep is called."""
+        rep, swept, runs = _margin_samples(
+            monkeypatch, **{**TRANSFER_KW, **kw}, grid=grid)
+        samples = _samples(runs)
         t0 = rep.aux["t0"]
         per_unit = _util.DEFAULT_GRID_PER_UNIT if grid is None else grid
+        assert swept == []
         assert samples[0] == 0.0 and samples[-1] == t0
         gaps = np.diff(samples)
+        assert gaps.min() > 0.0
         assert gaps.max() <= (1.0 + 1e-12) / per_unit
         n_grid = len(_util.grid_points(0.0, t0, grid, min_points=1025))
         assert len(samples) >= n_grid
@@ -614,13 +643,17 @@ class TestTransferMargins:
             assert np.allclose(gaps[:-1], 1.0 / 2048, rtol=1e-9, atol=0.0)
             assert len(samples) == n_grid
 
-    def test_warm_build_sweeps_only_its_end_rows(self, monkeypatch):
-        """A warm default block sends bundle_warped_sweep at most m + 2 = 17
-        points (t = 0, t0's segment and t0), and no Python function it
-        calls, numpy's included, returns or yields an array as long as the
-        grid; the first read of its sweeps builds the grid sweep, bitwise
-        the sweep of its metric on grid_points(0, t0, min_points=1025),
-        whose margins are the report's, bit for bit."""
+    def test_warm_build_uses_no_sweep(self, monkeypatch):
+        """A warm default block calls no sweep: its last run of samples,
+        t0's segment below t0 and t0, has at most m + 1 = 16 points, and
+        no Python function it calls, numpy's included, returns or yields
+        an array as long as the grid.  Its ric_tt margin is the lemma's
+        and its other three the first least values of its runs' identity
+        columns, bit for bit; all four are the grid sweep's to 1e-12
+        relative, at the same argmins.  The first read of its sweeps
+        builds the grid sweep once, bitwise the sweep on
+        grid_points(0, t0, min_points=1025) of the metric with warps
+        (a h0(0) / r0) fC and a h0 on [0, t0]."""
         bk.build_transfer_block(**TRANSFER_KW)
         sizes = []
 
@@ -638,10 +671,20 @@ class TestTransferMargins:
             sys.setprofile(None)
         assert 0 < max(sizes) < len(_util.grid_points(0.0, t0,
                                                       min_points=1025))
-        rep, swept, _ = _margin_samples(monkeypatch, **TRANSFER_KW)
-        (ends,) = swept
-        assert len(ends) <= 17
-        assert ends[0] == 0.0 and ends[-1] == rep.aux["t0"]
+        rep, swept, runs = _margin_samples(monkeypatch, **TRANSFER_KW)
+        assert swept == []
+        last = runs[-1][0]
+        assert len(last) <= 16 and last[-1] == rep.aux["t0"]
+        assert _samples(runs)[0] == 0.0
+
+        p, q, C = TRANSFER_KW["p"], TRANSFER_KW["q"], TRANSFER_KW["C"]
+        want = [_ric_tt_lemma(p, q, C, rep.aux["t0"])]
+        t = _samples(runs)
+        for label in ("ric_XX", "ric_VV", "mixed_dominated"):
+            col = np.concatenate([cols[label] for _, cols in runs])
+            want.append(bk._min_margin(label, t, col))
+        assert rep.margins[:4] == want
+
         calls, sweep = [], bk.bundle_warped_sweep
 
         def recorded(m, ts):
@@ -650,18 +693,48 @@ class TestTransferMargins:
 
         monkeypatch.setattr(bk, "bundle_warped_sweep", recorded)
         ricci = rep.sweeps["ricci"]
-        ((metric, tt),) = calls
+        ((_, tt),) = calls
         assert tt is ricci["t"]
         assert np.array_equal(tt, _util.grid_points(0.0, rep.aux["t0"],
                                                     min_points=1025))
-        want = sweep(metric, tt)
+        h0, fC = bk._transfer_curves(C)
+        a, r0 = TRANSFER_KW["a"], TRANSFER_KW["r0"]
+        want = sweep(kv.BundleWarpedMetric(
+            p, q, cv.linear_combo([(fC, a / (r0 / h0.eval(0.0, 0)))])
+            .restrict(0.0, t0), cv.linear_combo([(h0, a)]).restrict(0.0, t0)),
+            tt)
         assert sorted(ricci["columns"]) == sorted(want)
         for name, col in want.items():
             assert ricci["columns"][name].tobytes() == col.tobytes()
         assert rep.sweeps is rep.sweeps and len(calls) == 1
-        on_grid = bk._least_margins([(tt, want)], True)
-        assert [(m.label, m.min.hex(), m.argmin.hex()) for m in on_grid] == \
-            [(m.label, m.min.hex(), m.argmin.hex()) for m in rep.margins[:4]]
+        for m, g in zip(rep.margins[:4], _grid_margins(want, tt)):
+            assert m.label == g.label
+            assert abs(m.min - g.min) <= 1e-12 * abs(g.min), m.label
+            assert m.argmin == g.argmin, m.label
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.5])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("C", [0.0, 0.1, 0.5, 1.0, 1.5])
+    def test_ric_tt_is_its_lemma(self, C, p, lam):
+        """The ric_tt margin is (p - qC) e^{-g(t0)^2} at t0 when p > qC
+        and (p - qC)/e at t = 0 otherwise, exactly; at p = qC it is 0.0,
+        a failed verdict.  It lies within 1e-9 of max(1, |v|) of the least
+        ric_tt v of the grid sweep.  fC' stays 0 at C = 0 and below the
+        slope target 0.5 at C = 0.1: those builds raise HorizonError."""
+        kw = {**TRANSFER_KW, "p": p, "C": C, "lam": lam, "nu": 5.0}
+        if C == 0.0 or (C == 0.1 and lam == 0.5):
+            with pytest.raises(bk.HorizonError):
+                bk.build_transfer_block(**kw)
+            return
+        rep = bk.build_transfer_block(**kw)
+        t0 = rep.aux["t0"]
+        got = rep.margins[0]
+        assert got == _ric_tt_lemma(p, 3, C, t0)
+        assert got.argmin == (t0 if p > 3 * C else 0.0)
+        if p == 3 * C:
+            assert got.min == 0.0 and rep.verdict == "fail:ric_tt"
+        v = float(np.min(rep.sweeps["ricci"]["columns"]["ric_tt"]))
+        assert abs(got.min - v) <= 1e-9 * max(1.0, abs(v))
 
     @pytest.mark.parametrize("bounds", [kv.ABounds(), kv.ABounds(0.3, 0.2)],
                              ids=["trivial", "bounded"])
@@ -687,25 +760,25 @@ class TestTransferMargins:
                     got = bk._transfer_identity_columns(
                         jets, p, 3, C, f_scale, a, bounds)
                     ref = kv.bundle_warped_sweep(metric, t.ravel())
-                    assert sorted(got) == sorted(ref)
-                    for name, col in ref.items():
-                        assert np.all(np.abs(got[name] - col) <= 1e-9
-                                      * np.maximum(1.0, np.abs(col))), \
+                    assert sorted(got) == sorted(set(ref) - {"ric_tt"})
+                    for name, col in got.items():
+                        assert np.all(np.abs(col - ref[name]) <= 1e-9
+                                      * np.maximum(1.0, np.abs(ref[name]))), \
                             (C, a, r0, name)
                     assert np.all(ref["ric_XV_abs_ub"] > 0) \
                         is not bounds.trivial
 
     def test_first_segment_is_the_grid(self, monkeypatch):
         """A slope target reached inside the first table segment leaves no
-        segment to split: the margins are the grid's, all from the sweep."""
-        rep, swept, samples = _margin_samples(
+        segment to split: the samples are the grid, one run, and no sweep
+        is called."""
+        rep, swept, runs = _margin_samples(
             monkeypatch, **{**TRANSFER_KW, "lam": 1e-4})
         t0 = rep.aux["t0"]
         assert t0 < bk._transfer_curves(0.5)[0].nodes[0][1]
-        (tt,) = swept
-        assert np.array_equal(tt, _util.grid_points(0.0, t0,
-                                                    min_points=1025))
-        assert np.array_equal(samples, tt)
+        assert swept == [] and len(runs) == 1
+        assert np.array_equal(_samples(runs),
+                              _util.grid_points(0.0, t0, min_points=1025))
 
 
 class TestS1Block:

@@ -92,6 +92,19 @@ class TestScenarioValidation:
         assert capsys.readouterr().err.startswith(
             "scenario error: unknown profile kind")
 
+    def test_scan_box_with_an_empty_interval_exits_2(self, tmp_path,
+                                                     capsys):
+        """A box axis open at one end with lo == hi is empty: a scenario
+        error, with nothing written, not samples outside the axis."""
+        path = write_scenario(tmp_path, {
+            "command": "scan", "predicate": "projective",
+            "box": {"s": [0.5, 0.5, "("]}, "budget": 3})
+        out = tmp_path / "out"
+        assert cli.main(["--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "scenario error: empty interval")
+        assert not out.exists()
+
 
 class TestCommands:
     def test_wu_check_passes(self, tmp_path, capsys):
@@ -527,9 +540,12 @@ PIPELINE_SHA256 = {
 
 
 def test_default_pipeline_output_bytes(tmp_path, capsys):
+    """The default pipeline through the command-line entry point (what
+    ``python -m warpbench.cli`` runs): exit 0 and exactly the pinned
+    files, byte for byte."""
     path = write_scenario(tmp_path, {"command": "pipeline"})
     out = tmp_path / "out"
-    assert cli.run_scenario(path, out=str(out)) == 0
+    assert cli.main(["--scenario", path, "--out", str(out)]) == 0
     capsys.readouterr()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}

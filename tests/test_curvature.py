@@ -292,7 +292,7 @@ class TestBundleWarped:
     def test_trivial_bundle_equal_warps_reduce_to_doubly_warped(self):
         dom = (0.0, 1.0)
         f = cv.sine_curve(1.0, 1.0, 0.3, dom)
-        mb = kv.BundleWarpedMetric.trivial(2, 3, f, f)
+        mb = kv.BundleWarpedMetric(2, 3, f, f)
         md = kv.DoublyWarpedMetric(3, 2, f, f)
         bw = at(kv.bundle_warped_sweep, mb, 0.5)
         dw = at(kv.doubly_warped_sweep, md, 0.5)
@@ -304,7 +304,7 @@ class TestBundleWarped:
     def test_constant_warps_leave_only_fibre_term(self):
         r = 0.37
         dom = (0.0, 1.0)
-        m = kv.BundleWarpedMetric.trivial(
+        m = kv.BundleWarpedMetric(
             2, 3, cv.constant_curve(1.0, dom), cv.constant_curve(r, dom),
             ricci_fibre_lb=0.8)
         cp = at(kv.bundle_warped_sweep, m, 0.5)
@@ -312,14 +312,13 @@ class TestBundleWarped:
 
     def test_mixed_bound_zero_for_trivial_bundles(self):
         dom = (0.0, 1.0)
-        m = kv.BundleWarpedMetric.trivial(2, 2,
-                                          cv.constant_curve(1.0, dom),
-                                          cv.constant_curve(1.0, dom))
+        m = kv.BundleWarpedMetric(2, 2, cv.constant_curve(1.0, dom),
+                                  cv.constant_curve(1.0, dom))
         assert at(kv.bundle_warped_sweep, m, 0.3)["ric_XV_abs_ub"] == 0.0
 
     def test_unfavorable_base_term_uses_sup(self):
         dom = (0.0, 1.0)
-        plain = kv.BundleWarpedMetric.trivial(
+        plain = kv.BundleWarpedMetric(
             2, 3, cv.constant_curve(1.0, dom), cv.constant_curve(1.0, dom))
         bounded = kv.BundleWarpedMetric(
             2, 3, cv.constant_curve(1.0, dom), cv.constant_curve(1.0, dom),
@@ -358,8 +357,8 @@ class TestBundleWarped:
         NaN; with a zero ABounds the sweep drops them, so the rows keep
         the other terms and a mixed bound of +0.0."""
         dom = (0.0, 1.0)
-        m = kv.BundleWarpedMetric.trivial(2, 3, cv.constant_curve(1e-110, dom),
-                                          cv.constant_curve(1.0, dom))
+        m = kv.BundleWarpedMetric(2, 3, cv.constant_curve(1e-110, dom),
+                                  cv.constant_curve(1.0, dom))
         ts = np.linspace(0.0, 1.0, 5)
         got = kv.bundle_warped_sweep(m, ts)
         kept = bundle_formula(m, ts)
@@ -699,7 +698,7 @@ class TestBlockedSweep:
         f = cv.line_curve(1.0, -1.0 / f_zero, dom)
         h = (cv.constant_curve(1.0, dom) if h_zero is None
              else cv.line_curve(1.0, -1.0 / h_zero, dom))
-        return kv.BundleWarpedMetric.trivial(2, 3, f, h)
+        return kv.BundleWarpedMetric(2, 3, f, h)
 
     @pytest.mark.parametrize("h_zero", [None, 0.25])
     def test_base_warp_bad_only_in_the_second_block(self, h_zero):
@@ -765,7 +764,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(kv, "_bundle_warped_columns", counted)
         f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
         ts = np.linspace(0.0, 1.0, n)
-        kv.bundle_warped_sweep(kv.BundleWarpedMetric.trivial(2, 3, f, f), ts)
+        kv.bundle_warped_sweep(kv.BundleWarpedMetric(2, 3, f, f), ts)
         assert len(grids) == runs
         if runs == 1:
             assert grids[0] is ts      # no slicing and no copy
@@ -926,17 +925,19 @@ class TestFiniteDifferenceOracle:
         """A trivial bundle metric: fibre S^p, base S^q, zero A-bounds and
         unit Ricci floors."""
         if case == "transfer":
-            # the default transfer block's warps: C = 0.5 on [0, t0]
-            calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
-            blocks.build_transfer_block(
+            # the default transfer block's warps: C = 0.5 on [0, t0],
+            # those of its grid sweep, built on the first read
+            rep = blocks.build_transfer_block(
                 2, 3, **scenarios.DEFAULT_PIPELINE_PARAMS["transfer"])
+            calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
+            rep.sweeps
             (m, _), = calls
             assert m.a_bounds.trivial
             assert m.ricci_base_lb == m.ricci_fibre_lb == 1.0
             return m
         p, q = case
         dom = (0.1, 1.2)
-        return kv.BundleWarpedMetric.trivial(
+        return kv.BundleWarpedMetric(
             p, q, cv.sine_curve(1.2, 0.8, 0.3, dom),
             cv.cosine_curve(0.9, 0.7, 0.2, dom))
 

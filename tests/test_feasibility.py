@@ -18,6 +18,18 @@ class TestParamBox:
         assert pts[0] > 0.0
         assert pts[-1] == 1.0
 
+    @pytest.mark.parametrize("lo,hi,flags,shown", [
+        (0.5, 0.5, "(", "(0.5, 0.5]"), (0.5, 0.5, ")", "[0.5, 0.5)"),
+        (0.5, 0.5, "()", "(0.5, 0.5)"), (1.0, 0.0, "", "[1.0, 0.0]")])
+    def test_empty_interval_is_rejected(self, lo, hi, flags, shown):
+        """An open end at lo == hi leaves no point to sample."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"empty interval {shown}")):
+            fs.Interval(lo, hi, open_lo="(" in flags, open_hi=")" in flags)
+
+    def test_closed_point_interval_is_one_point(self):
+        assert fs.Interval(0.5, 0.5).points(3).tolist() == [0.5] * 3
+
     def test_grid_size_and_order(self):
         box = fs.ParamBox({"b": (0.0, 1.0), "a": (2.0, 3.0)}, 2)
         samples = list(box.full_grid())
