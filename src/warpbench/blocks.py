@@ -1266,7 +1266,7 @@ def _transfer_identity_columns(jets, p: int, q: int, C: float,
         ric_XX = -C E + (q - 1)(1/f^2 - u^2) - p u w
         ric_VV = E + (p - 1)(1/h^2 - w^2) - q u w
 
-    and the A-terms are ``_bundle_warped_columns``'s, as it writes them.
+    and the A-terms are ``bundle_warped_sweep``'s, as it writes them.
     (ric_tt = (p - qC) E needs no column: the block takes it from its
     lemma.)"""
     (g, g1), (F, F1) = jets
@@ -1347,7 +1347,7 @@ def _transfer_ricci_margins(h0: SmoothCurve, fC: SmoothCurve, p: int,
 
 
 @domain(p=Dims(2), q=Dims(2), r0=Reals(0), nu=Reals(0), lam=Reals(0, 1),
-        a=Reals(0), C=Reals(0, ends="[)"))
+        a=Reals(0), C=Reals(0))
 def build_transfer_block(p: int, q: int, r0: float, nu: float, lam: float,
                          a: float, C: float, a_bounds: ABounds | None = None,
                          grid=None) -> Report:

@@ -7,7 +7,10 @@ Exit codes: 0 verification passed (or informational command), 1 a
 verification margin failed or a scan's refine_target was not reached
 (named on stderr), 2 scenario parse/validation error (no outputs
 written) or an OSError writing them, 3 internal fault (exception class and
-message on stderr; outputs written before it may remain).
+message on stderr; outputs written before it may remain).  A pipeline
+builds each block's sweeps as their CSVs are written, so a fault building
+one is a fault writing the outputs: exit 3, with the report and the CSVs
+before it written.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ def _cone_family(sc, grid, seed):
         for name, sweep in rep.sweeps.items():
             sweeps[f"cone_t{t:g}_{name}"] = sweep
         ok = ok and rep.passed
-    return {"reports": payloads}, sweeps, ok
+    return {"reports": payloads}, sorted(sweeps.items()), ok
 
 
 def _conformal_margin(sc, grid, seed):
     value = blocks.boundary_conformal_margin(sc["c"], sc["C"])
-    return {"margin": value, "positive": value > 0}, {}, True
+    return {"margin": value, "positive": value > 0}, [], True
 
 
 def _sw_table(sc, grid, seed):
@@ -62,7 +65,7 @@ def _sw_table(sc, grid, seed):
                    "W1": repr(charclasses.ring_wi(1).total_sw()),
                    "W2": repr(charclasses.ring_wi(2).total_sw()),
                    "CP2": repr(charclasses.ring_cpn(2).total_sw())}}
-    return payload, {}, table["rank"] == 2
+    return payload, [], table["rank"] == 2
 
 
 def _scan(sc, grid, seed):
@@ -76,25 +79,31 @@ def _scan(sc, grid, seed):
         except feasibility.RefineError as exc:
             # an unreached target is the scenario's outcome, not a fault
             return ({**exc.certificate.to_json_dict(),
-                     "verdict": f"fail:{exc}"}, {}, False)
-    return cert.to_json_dict(), {}, bool(cert.entries)
+                     "verdict": f"fail:{exc}"}, [], False)
+    return cert.to_json_dict(), [], bool(cert.entries)
 
 
 def _pipeline_graph(sc, grid, seed):
     result = gluing.assemble_pipeline(gluing.graph_from_json(sc["graph"]))
     payload = {"passed": result["passed"], **_edges_payload(result)}
-    return payload, {}, result["passed"]
+    return payload, [], result["passed"]
 
 
 def _pipeline(sc, grid, seed):
     result = scenarios.run_reference_pipeline(sc.get("params"), grid=grid)
     payload = {"passed": result["passed"], "blocks": result["blocks"],
                **_edges_payload(result)}
-    sweeps = {}
-    for name, rep in result["block_reports"].items():
-        for sname, sweep in rep.sweeps.items():
-            sweeps[f"{name}_{sname}"] = sweep
-    return payload, sweeps, result["passed"]
+    return payload, _block_sweeps(result["block_reports"]), result["passed"]
+
+
+def _block_sweeps(reports: dict):
+    """The block reports' sweeps as (name, sweep) pairs in writing order:
+    the blocks in name order, each report's sweeps built when the writer
+    reaches that block, and the report taken out of ``reports`` then, so
+    that it is dropped before the next block's sweeps are built."""
+    for name in sorted(reports):
+        for sname, sweep in sorted(reports.pop(name).sweeps.items()):
+            yield f"{name}_{sname}", sweep
 
 
 # Commands that are not a single block build: handler, required keys,
@@ -127,22 +136,23 @@ def _validate(scenario: dict) -> str:
 
 
 def _run_command(command: str, sc: dict, grid, seed):
-    """Execute one command; returns (payload, sweeps, passed)."""
+    """Execute one command; returns (payload, sweeps, passed), the sweeps
+    as (name, sweep) pairs in writing order."""
     if command in _COMMANDS:
         return _COMMANDS[command][0](sc, grid, seed)
     if command == "cone":
         return _cone_family(sc, grid, seed)
     spec = feasibility.PREDICATES[command]
     rep = spec["builder"](**{**spec["defaults"], **sc}, grid=grid)
-    return rep.to_json_dict(), dict(rep.sweeps), rep.passed
+    return rep.to_json_dict(), sorted(rep.sweeps.items()), rep.passed
 
 
-def emit_plot_data(report: dict, outdir: str, sweeps: dict | None = None):
-    """One CSV per sweep with a stable, sorted column order.  Returns the
-    written paths; an empty report writes nothing."""
+def emit_plot_data(sweeps, outdir: str):
+    """One CSV per (name, sweep) pair, in the pairs' order, with a stable,
+    sorted column order.  Returns the written paths; no pairs write
+    nothing."""
     paths = []
-    sweeps = sweeps or report.get("sweeps") or {}
-    for name, sweep in sorted(sweeps.items()):
+    for name, sweep in sweeps:
         cols = sweep["columns"]
         labels = sorted(cols)
         ts = np.asarray(sweep["t"], dtype=float)
@@ -158,8 +168,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -194,7 +202,7 @@ def run_scenario(path: str, grid=None, seed=None, out: str = "out",
         os.makedirs(out, exist_ok=True)
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        csv_paths = emit_plot_data(report, out, sweeps)
+        csv_paths = emit_plot_data(sweeps, out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

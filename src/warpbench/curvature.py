@@ -2,11 +2,9 @@
 warped metric ansatze, plus an independent finite-difference Ricci oracle.
 
 Each ansatz has one formula, written as a grid sweep, and the sweeps are
-the curvature API: one point is a one-element sweep.  A sweep over more
-than _SWEEP_BLOCK points (the CLI's transfer grid sweep) runs in blocks
-(``_in_blocks``), which bounds the memory its temporaries take, and a
-sweep returns the warp columns it read (see each sweep's docstring), so a
-builder does not evaluate them again.
+the curvature API: one point is a one-element sweep.  A sweep runs in one
+pass over its grid, and it returns the warp columns it read (see each
+sweep's docstring), so a builder does not evaluate them again.
 
 Conventions: boundary second fundamental forms are reported as principal
 curvatures with respect to the outward unit normal; a slice {t} x M inside
@@ -15,7 +13,6 @@ a cylinder uses the +t normal unless stated otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,41 +46,6 @@ class ABounds:
     @property
     def trivial(self) -> bool:
         return self.sup_AX2 == self.sup_deltaA == 0.0
-
-
-# Points per block of a blocked sweep: a float64 column of one block is
-# 128 KiB, so a sweep's elementwise temporaries reuse freed memory instead
-# of faulting in fresh pages.  Only the CLI's transfer grid sweep (69,296
-# points at the default block) is longer than one block: one call per
-# cold CLI pipeline, none in a warm pipeline or a scan.  In one pass it
-# raised the peak memory (ru_maxrss) of a process running the CLI
-# pipeline from 44.8 to 47.7 MB (2 cores, Python 3.11.7, numpy 2.4.6).
-_SWEEP_BLOCK = 16384
-
-
-def _in_blocks(columns, ts, *rows) -> dict:
-    """``columns(ts, *rows)``, a dict of columns each computed point by
-    point from ts and the rows (arrays shaped like ts), evaluated on
-    consecutive blocks of _SWEEP_BLOCK points, each with its own slice of
-    every row, and concatenated; the result is bitwise that of one pass.
-    A grid of at most one block (or not one-dimensional) is one pass, with
-    no slicing.
-    If a block raises (or its columns do not concatenate), the sweep is
-    redone as one pass over the whole grid: one pass runs each check over
-    every point before the next check, so the first block to fail may
-    fail a different check than one pass does, and only the redone pass
-    raises the same class and message."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or len(ts) <= _SWEEP_BLOCK:
-        return columns(ts, *rows)
-    try:
-        parts = [columns(*(a[i:i + _SWEEP_BLOCK] for a in (ts, *rows)))
-                 for i in range(0, len(ts), _SWEEP_BLOCK)]
-        return {k: np.concatenate([part[k] for part in parts])
-                for k in parts[0]}
-    except Exception:
-        pass
-    return columns(ts, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +109,7 @@ def doubly_warped_sweep(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
     a grid, with the collapse limits at declared collapse ends, and the
     warps it read: columns "f" and "h" are f(t) and h(t), bitwise
     ``m.f.eval(ts)`` and ``m.h.eval(ts)``."""
-    return _in_blocks(functools.partial(_doubly_warped_columns, m), ts)
-
-
-def _doubly_warped_columns(m: DoublyWarpedMetric, ts: np.ndarray) -> dict:
+    ts = np.asarray(ts, dtype=float)
     lo, hi = m.interval
     slop = 1e-9 * (1 + hi - lo)
     collapsed = {"f": np.zeros(ts.shape, bool), "h": np.zeros(ts.shape, bool)}
@@ -225,12 +184,8 @@ def graph_ii_sweep(f: SmoothCurve, R: SmoothCurve, alpha: Jet,
     jet on its grid passes it as it is.  Besides "radial" and "sphere" it
     returns the columns it read of f, bitwise its ``eval``: "f" and "f_d"
     are f and f' at alpha(s)."""
-    return _in_blocks(functools.partial(_graph_ii_columns, f, R),
-                      ss, *alpha[:3])
-
-
-def _graph_ii_columns(f: SmoothCurve, R: SmoothCurve, ss: np.ndarray,
-                      a: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> dict:
+    ss = np.asarray(ss, dtype=float)
+    a, a1, a2 = alpha[:3]
     fv = f.eval(a, 0)
     Rv = R.eval(ss, 0)
     if np.any(fv <= 0):
@@ -280,10 +235,7 @@ def bundle_warped_sweep(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
     with its sup norm.  The fibre A-term |A V|^2 enters Ric(V, V) with a
     plus sign (O'Neill's formulas; Besse, Einstein Manifolds, 1987,
     section 9.D), so the lower bound drops it and reads no bound on it."""
-    return _in_blocks(functools.partial(_bundle_warped_columns, m), ts)
-
-
-def _bundle_warped_columns(m: BundleWarpedMetric, ts: np.ndarray) -> dict:
+    ts = np.asarray(ts, dtype=float)
     p, q = m.p, m.q
     rb = m.ricci_base_lb * (q - 1)
     rf = m.ricci_fibre_lb * (p - 1)
@@ -498,34 +450,21 @@ def cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, f_jet, h_jet,
     each as ``cohomog1_jet`` gives it on the domain of m's f: this reads
     m's d and n, and its warps and that domain only through the jets (f's
     gives the ends).  A warp that is not positive inside raises ValueError
-    naming the first such point of either; then the formulas run
-    (``_cohomog1_columns``), and the ends take the collapse values."""
+    naming the first such point of either; then the formulas run at every
+    point, from the warps' orders 0-2 and the powers their jets keep
+    (``CohomogJet``: gap is 1 - c'^2), so only fv * hv and the arithmetic
+    that reads d and n are computed here, and the ends take the collapse
+    values."""
     ts = np.asarray(ts, dtype=float)
     bad = [j.first_bad for j in (f_jet, h_jet) if j.first_bad is not None]
     if bad:
         raise ValueError(
             f"undeclared singularity at interior t={ts[min(bad)]}")
-    out = _in_blocks(functools.partial(_cohomog1_columns, m, family=family),
-                     ts, *f_jet[:3], f_jet.v2, f_jet.gap,
-                     *h_jet[:3], h_jet.v2, h_jet.v4, h_jet.gap)
-    thirds = (dict(f_jet.thirds), dict(h_jet.thirds))
-    for i in f_jet.ends:
-        for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
-                                       [f[i] for f in f_jet[:3]],
-                                       [h[i] for h in h_jet[:3]],
-                                       thirds).items():
-            out[k][i] = v
-    return out
-
-
-def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, fv, f1, f2, fv2,
-                      f_gap, hv, h1, h2, hv2, hv4, h_gap,
-                      family: str) -> dict:
-    """The formulas at every point of ts, from the warps' orders 0-2 and
-    the powers their jets keep (``CohomogJet``); f_gap and h_gap are 1 -
-    f'^2 and 1 - h'^2.  Only fv * hv and the arithmetic that reads d and
-    n are computed here; ts is read only for its blocks (``_in_blocks``)."""
     d, n = m.d, m.n
+    fv, f1, f2 = f_jet[:3]
+    hv, h1, h2 = h_jet[:3]
+    fv2, f_gap = f_jet.v2, f_jet.gap
+    hv2, hv4, h_gap = h_jet.v2, h_jet.v4, h_jet.gap
     with np.errstate(divide="ignore", invalid="ignore"):
         fh = fv * hv
         if family == "projective":
@@ -548,7 +487,15 @@ def _cohomog1_columns(m: CohomogOneMetric, ts: np.ndarray, fv, f1, f2, fv2,
                       - 2.0 * fv2 / hv4)
         else:
             raise ValueError(family)
-    return {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
+    out = {"ric_tt": ric_tt, "ric_VV": ric_vv, "ric_XX": ric_xx}
+    thirds = (dict(f_jet.thirds), dict(h_jet.thirds))
+    for i in f_jet.ends:
+        for k, v in _cohomog1_endpoint(m, float(ts[i]), family,
+                                       [f[i] for f in f_jet[:3]],
+                                       [h[i] for h in h_jet[:3]],
+                                       thirds).items():
+            out[k][i] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

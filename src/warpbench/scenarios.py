@@ -3,8 +3,9 @@ interior piece, curvature-transfer cylinder, handle bundle, disc bundle,
 sphere transition and the round cap.
 
 Checkable edges carry real numbers from built blocks; steps that rest on
-existence results (deformations, slope targets beyond certifiable
-integration horizons) enter as assumed edges with explicit citation tags.
+existence results (deformations, and the slope transfer from the transfer
+block's slope target on to the handle's inner slope) enter as assumed
+edges with explicit citation tags.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ def reference_pipeline(params: dict | None = None, grid=None):
         citation="round hemisphere of the matching radius")
 
     R_big = transfer.aux["R"]
+    lam = P["transfer"]["lam"]
+    relation = "below" if lam < lam_handle else "not below"
     edges = [
         PipelineEdge(("interior", "boundary"), ("fibre_transfer", "bottom"),
                      "perelman"),
@@ -164,9 +167,10 @@ def reference_pipeline(params: dict | None = None, grid=None):
                      "assumed", rescale=1.0 / R_big,
                      citation="slope-transfer existence: any target slope "
                               "in (0,1) is attainable for sufficiently "
-                              "small fibre scales; the handle's inner "
-                              "slope sits beyond certifiable integration "
-                              "horizons"),
+                              "small fibre scales; the transfer block's "
+                              f"slope target lam ({lam:.6g}) is {relation} "
+                              "the handle's inner slope "
+                              f"({lam_handle:.6g})"),
         PipelineEdge(("handle_bundle", "collar"), ("disc_bundle", "outer"),
                      "smooth-match",
                      junction={"src": collar_warp.t_hi, "dst": t_disc}),

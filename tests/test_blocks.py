@@ -425,9 +425,14 @@ class TestHandleAssembly:
 
 class TestTransferBlock:
     def test_zero_coupling_exercises_error_path(self):
+        """C = 0 lies outside the domain (fC' stays 0 there); a coupling
+        just above it builds tables whose fC' never reaches the slope
+        target, and raises HorizonError at the horizon."""
+        kw = dict(p=2, q=3, r0=0.1, nu=0.1, lam=0.5, a=0.02)
+        with pytest.raises(bk.BuildError, match="C must be positive"):
+            bk.build_transfer_block(**kw, C=0.0)
         with pytest.raises(bk.HorizonError, match="by t=120"):
-            bk.build_transfer_block(2, 3, r0=0.1, nu=0.1, lam=0.5, a=0.02,
-                                    C=0.0)
+            bk.build_transfer_block(**kw, C=1e-300)
 
     def test_vertical_boundary_magnitude(self):
         rep = bk.build_transfer_block(2, 3, r0=0.1, nu=1.5, lam=0.5,
@@ -719,10 +724,15 @@ class TestTransferMargins:
         """The ric_tt margin is (p - qC) e^{-g(t0)^2} at t0 when p > qC
         and (p - qC)/e at t = 0 otherwise, exactly; at p = qC it is 0.0,
         a failed verdict.  It lies within 1e-9 of max(1, |v|) of the least
-        ric_tt v of the grid sweep.  fC' stays 0 at C = 0 and below the
-        slope target 0.5 at C = 0.1: those builds raise HorizonError."""
+        ric_tt v of the grid sweep.  C = 0, where fC' stays 0, is outside
+        the domain: a BuildError.  fC' stays below the slope target 0.5 at
+        C = 0.1: that build raises HorizonError."""
         kw = {**TRANSFER_KW, "p": p, "C": C, "lam": lam, "nu": 5.0}
-        if C == 0.0 or (C == 0.1 and lam == 0.5):
+        if C == 0.0:
+            with pytest.raises(bk.BuildError, match="C must be positive"):
+                bk.build_transfer_block(**kw)
+            return
+        if C == 0.1 and lam == 0.5:
             with pytest.raises(bk.HorizonError):
                 bk.build_transfer_block(**kw)
             return
@@ -1807,21 +1817,20 @@ class TestCapConcavityEnds:
 
 
 @pytest.mark.numpy_contract(
-    "jets on a whole grid against jets on blocks and single points")
+    "jets on a whole grid against jets on single points and the grid ends")
 @pytest.mark.usefixtures("fresh_caches")
 class TestCachedHandle1Jets:
     """handle1 keeps its cap side's grid and the height's jet on it per
     (lambda1, eps1, grid), and its outer face's grid and beta's jet on it
     per (eps2, grid).  The kept jets, evaluated once on the whole grid, are
-    bitwise the jets of fresh evaluations on each sweep block, on single
+    bitwise the jets of fresh evaluations on the whole grid, on single
     points and on the grid ends, and every kept array is read-only."""
 
     @staticmethod
     def assert_fresh(curve, ts, jet):
-        blocks = [slice(i, i + kv._SWEEP_BLOCK)
-                  for i in range(0, len(ts), kv._SWEEP_BLOCK)]
-        picks = [[0], [len(ts) - 1], [0, len(ts) - 1], [len(ts) // 3]]
-        for part in blocks + picks:
+        picks = [slice(None), [0], [len(ts) - 1], [0, len(ts) - 1],
+                 [len(ts) // 3]]
+        for part in picks:
             fresh = curve.jet(ts[part], 3)
             for k in range(4):
                 assert jet[k][part].tobytes() == fresh[k].tobytes(), (k, part)
@@ -1836,8 +1845,6 @@ class TestCachedHandle1Jets:
         # height once more
         assert bk._handle1_height.cache_info().hits == 2
         assert bk._handle1_beta.cache_info().hits == 1
-        if grid:
-            assert len(ss) > kv._SWEEP_BLOCK
         self.assert_fresh(alpha, ss, height)
         self.assert_fresh(beta, so, beta_jet)
         assert beta_jet[0].tobytes() == beta.eval(so).tobytes()

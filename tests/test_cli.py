@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from warpbench import blocks, cli, feasibility
+from warpbench import blocks, cli, feasibility, scenarios
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -266,6 +267,56 @@ class TestPipeline:
         path = write_scenario(tmp_path, {"command": "pipeline"})
         assert cli.run_scenario(path, out=str(tmp_path / "out")) == 0
 
+    def test_each_block_report_is_dropped_as_its_csvs_are_written(
+            self, tmp_path, monkeypatch):
+        """The pipeline builds and writes its sweeps block by block, in
+        block-name order, and drops each block report before the next
+        block's sweeps are built: when the transfer grid sweep is built,
+        the disc and handle CSVs are written and their reports are gone,
+        and no report is left after the run."""
+        refs, run = {}, scenarios.run_reference_pipeline
+        out = tmp_path / "out"
+
+        def recorded(*args, **kwargs):
+            result = run(*args, **kwargs)
+            refs.update((name, weakref.ref(rep))
+                        for name, rep in result["block_reports"].items())
+            return result
+
+        seen, grid_sweep = [], blocks._transfer_grid_sweep
+
+        def observed(*args):
+            seen.append((sorted(os.listdir(out)),
+                         sorted(name for name, ref in refs.items()
+                                if ref())))
+            return grid_sweep(*args)
+
+        monkeypatch.setattr(scenarios, "run_reference_pipeline", recorded)
+        monkeypatch.setattr(blocks, "_transfer_grid_sweep", observed)
+        path = write_scenario(tmp_path, {"command": "pipeline"})
+        assert cli.run_scenario(path, out=str(out)) == 0
+        written = sorted(set(PIPELINE_SHA256) - {"transfer_ricci.csv"})
+        assert seen == [(written, ["transfer", "transition"])]
+        assert sorted(refs) == ["disc", "handle", "transfer", "transition"]
+        assert [name for name, ref in refs.items() if ref()] == []
+
+    def test_fault_building_a_sweep_exits_3(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A fault building a pipeline sweep surfaces while the outputs are
+        written: exit 3, named on stderr, with report.json and the CSVs of
+        the blocks before it written."""
+        def broken(*args):
+            raise ValueError("sweep defect")
+
+        monkeypatch.setattr(blocks, "_transfer_grid_sweep", broken)
+        path = write_scenario(tmp_path, {"command": "pipeline"})
+        out = tmp_path / "out"
+        assert cli.run_scenario(path, out=str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: sweep defect\n"
+        assert sorted(os.listdir(out)) == \
+            sorted(set(PIPELINE_SHA256) - {"transfer_ricci.csv"})
+
     def test_assemble_handle_uses_the_grid(self, tmp_path):
         params1 = {"lambda1": 0.985, "lambda2": 0.99, "eps1": 0.01,
                    "eps2": 0.1, "delta": 0.05}
@@ -498,16 +549,16 @@ class TestDeterminism:
 
 
 class TestEmitPlotData:
-    def test_empty_report_writes_nothing(self, tmp_path):
-        paths = cli.emit_plot_data({"sweeps": {}}, str(tmp_path))
+    def test_no_sweeps_write_nothing(self, tmp_path):
+        paths = cli.emit_plot_data([], str(tmp_path))
         assert paths == []
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_round_trip(self, tmp_path):
-        sweeps = {"demo": {"t": np.linspace(0, 1, 5),
-                           "columns": {"b": np.arange(5.0),
-                                       "a": np.ones(5)}}}
-        paths = cli.emit_plot_data({}, str(tmp_path), sweeps)
+        sweeps = [("demo", {"t": np.linspace(0, 1, 5),
+                            "columns": {"b": np.arange(5.0),
+                                        "a": np.ones(5)}})]
+        paths = cli.emit_plot_data(sweeps, str(tmp_path))
         assert len(paths) == 1
         rows = np.loadtxt(paths[0], delimiter=",", skiprows=1)
         with open(paths[0]) as fh:
@@ -533,7 +584,7 @@ PIPELINE_SHA256 = {
     "handle_piece2_face_metric.csv":
         "252dd5ca2e9b2d6d9438193986f3532b5ff671a01e5560073aa5ed3fec04c7f9",
     "report.json":
-        "f34302584038bbf6b708822c60d83d80fc98b3c585435245ab33655721151c73",
+        "774fd77993a579c4c955dff43142ef4bbdebb88ecc8a410a9010412c7a530c95",
     "transfer_ricci.csv":
         "8afd2dbb94e348faf29dfa79010bb89764d3491726f0261974b8b0ec71a57370",
 }

@@ -1,6 +1,4 @@
-import inspect
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,7 +338,7 @@ class TestBundleWarped:
         ts = rep.sweeps["ricci"]["t"]
         m, grid = calls[-1]
         assert grid is ts
-        assert m.a_bounds.trivial and len(ts) > 2 * B
+        assert m.a_bounds.trivial
         for ab in (m.a_bounds, kv.ABounds(0.5, 0.25)):
             bounded = kv.BundleWarpedMetric(m.p, m.q, m.f, m.h,
                                             m.ricci_base_lb,
@@ -552,9 +550,6 @@ class TestCohomogOneWrittenOut:
                             cohomog1_written_out(m, ts, *jets, "wu"))
 
 
-B = kv._SWEEP_BLOCK
-
-
 def assert_same_columns(got, want):
     assert list(got) == list(want)
     for key in want:
@@ -562,68 +557,6 @@ def assert_same_columns(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape, key
         assert np.array_equal(g, w, equal_nan=True), key
         assert np.array_equal(np.signbit(g), np.signbit(w)), key
-
-
-def nan_and_signed_zero_metric():
-    """Doubly warped metric whose columns hold NaN, -0.0 and +0.0: f'' is
-    NaN on (0.6, 0.7) and zero elsewhere, h is constant."""
-    dom = (0.0, 1.0)
-    f = cv.curve_from_derivs(
-        dom,
-        lambda t: 1.5 + 0.0 * np.asarray(t, float),
-        lambda t: np.zeros_like(np.asarray(t, float)),
-        lambda t: np.where((np.asarray(t, float) > 0.6)
-                           & (np.asarray(t, float) < 0.7), np.nan, 0.0),
-        lambda t: np.zeros_like(np.asarray(t, float)))
-    return kv.DoublyWarpedMetric(2, 3, f, cv.constant_curve(1.0, dom))
-
-
-def cohomog1_one_pass(m, ts, family):
-    """The cohomog1 sweep with its kernel in one pass over ts, on the
-    warps' jets that ``cohomog1_jet`` gives: ``cohomog1_columns`` with
-    ``_in_blocks`` replaced by one call of the kernel on the whole rows."""
-    f_jet, h_jet = (kv.cohomog1_jet(c, ts, m.f.domain) for c in (m.f, m.h))
-    with mock.patch.object(kv, "_in_blocks",
-                           lambda columns, ts, *rows: columns(ts, *rows)):
-        return kv.cohomog1_columns(m, ts, f_jet, h_jet, family)
-
-
-def blocked_cases():
-    """(name, sweep, one-pass kernel, metric and grid end points): each
-    sweep with the kernel it runs per block."""
-    lam1, eps1 = 0.9, 0.05
-    f_g = cv.make_concave_profile(lam1, 0.95, 0.1, t_max=40.0)
-    R_g = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
-    height = _cut_height(lam1, eps1)
-    wu = TestCohomogOne().wu_metric()
-    proj = projective_metric(4, 2, 0.5)
-    f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
-    bundle = kv.BundleWarpedMetric(2, 3, f,
-                                   cv.sine_curve(0.5, 1.3, 0.9, (0.0, 1.0)),
-                                   a_bounds=kv.ABounds(0.1, 0.3))
-    return [
-        ("doubly_warped", lambda ts: kv.doubly_warped_sweep(
-            round_sphere_metric(3, 2), ts),
-         lambda ts: kv._doubly_warped_columns(round_sphere_metric(3, 2), ts),
-         (0.0, PI / 2)),
-        ("doubly_warped_nan", lambda ts: kv.doubly_warped_sweep(
-            nan_and_signed_zero_metric(), ts),
-         lambda ts: kv._doubly_warped_columns(nan_and_signed_zero_metric(),
-                                              ts),
-         (0.0, 1.0)),
-        ("graph_ii", lambda ts: kv.graph_ii_sweep(
-            f_g, R_g, height.jet(ts, 2), ts),
-         lambda ts: kv._graph_ii_columns(f_g, R_g, ts, *height.jet(ts, 2)),
-         (eps1, 1.2)),
-        ("bundle_warped", lambda ts: kv.bundle_warped_sweep(bundle, ts),
-         lambda ts: kv._bundle_warped_columns(bundle, ts), (0.0, 1.0)),
-        ("cohomog1_projective",
-         lambda ts: kv.cohomog1_sweep(proj, ts, "projective"),
-         lambda ts: cohomog1_one_pass(proj, ts, "projective"),
-         (-1.0, 1.0)),
-        ("cohomog1_wu", lambda ts: kv.cohomog1_sweep(wu, ts, "wu"),
-         lambda ts: cohomog1_one_pass(wu, ts, "wu"), (-1.0, 1.0)),
-    ]
 
 
 def bundle_formula(m, ts) -> dict:
@@ -657,18 +590,88 @@ def capture_sweep(monkeypatch, name):
     return calls
 
 
-@pytest.mark.numpy_contract(
-    "blocked sweeps against one pass on the same numpy build")
-class TestBlockedSweep:
-    """Sweeps over more than _SWEEP_BLOCK points run in blocks; their
-    columns are bitwise those of one pass, and so are their exceptions."""
+def nan_and_signed_zero_metric():
+    """Doubly warped metric whose columns hold NaN, -0.0 and +0.0: f'' is
+    NaN on (0.6, 0.7) and zero elsewhere, h is constant."""
+    dom = (0.0, 1.0)
+    f = cv.curve_from_derivs(
+        dom,
+        lambda t: 1.5 + 0.0 * np.asarray(t, float),
+        lambda t: np.zeros_like(np.asarray(t, float)),
+        lambda t: np.where((np.asarray(t, float) > 0.6)
+                           & (np.asarray(t, float) < 0.7), np.nan, 0.0),
+        lambda t: np.zeros_like(np.asarray(t, float)))
+    return kv.DoublyWarpedMetric(2, 3, f, cv.constant_curve(1.0, dom))
 
-    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+
+def pointwise_cases():
+    """(name, sweep on a grid, grid end points): each sweep on a metric
+    with collapse ends, NaN and signed zeros, a graph height, A-terms and
+    both cohomogeneity-one families."""
+    lam1, eps1 = 0.9, 0.05
+    f_g = cv.make_concave_profile(lam1, 0.95, 0.1, t_max=40.0)
+    R_g = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
+    height = _cut_height(lam1, eps1)
+    wu = TestCohomogOne().wu_metric()
+    proj = projective_metric(4, 2, 0.5)
+    f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
+    bundle = kv.BundleWarpedMetric(2, 3, f,
+                                   cv.sine_curve(0.5, 1.3, 0.9, (0.0, 1.0)),
+                                   a_bounds=kv.ABounds(0.1, 0.3))
+    return [
+        ("doubly_warped", lambda ts: kv.doubly_warped_sweep(
+            round_sphere_metric(3, 2), ts), (0.0, PI / 2)),
+        ("doubly_warped_nan", lambda ts: kv.doubly_warped_sweep(
+            nan_and_signed_zero_metric(), ts), (0.0, 1.0)),
+        ("graph_ii", lambda ts: kv.graph_ii_sweep(
+            f_g, R_g, height.jet(ts, 2), ts), (eps1, 1.2)),
+        ("bundle_warped", lambda ts: kv.bundle_warped_sweep(bundle, ts),
+         (0.0, 1.0)),
+        ("cohomog1_projective",
+         lambda ts: kv.cohomog1_sweep(proj, ts, "projective"), (-1.0, 1.0)),
+        ("cohomog1_wu", lambda ts: kv.cohomog1_sweep(wu, ts, "wu"),
+         (-1.0, 1.0)),
+    ]
+
+
+@pytest.mark.numpy_contract(
+    "a sweep on parts of a grid against one pass on the whole grid")
+class TestSweepsArePointwise:
+    """A sweep runs in one pass over its whole grid, and a row depends on
+    its own point only: the columns of the sweep on any part of a grid are
+    bitwise the rows of that part in the sweep of the whole grid, and so
+    are the collapse ends, NaN rows and signed zeros."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1001, 33_000])
     @pytest.mark.parametrize("case", range(6))
-    def test_blocked_columns_equal_one_pass(self, case, n):
-        _, sweep, kernel, (lo, hi) = blocked_cases()[case]
+    def test_parts_equal_the_whole(self, case, n):
+        _, sweep, (lo, hi) = pointwise_cases()[case]
         ts = np.linspace(lo, hi, n)
-        assert_same_columns(sweep(ts), kernel(ts))
+        whole = sweep(ts)
+        assert all(col.shape == ts.shape for col in whole.values())
+        cuts = sorted({c for c in (1, n // 3, n // 3 + 1, n - 1) if 0 < c < n})
+        for part in np.split(np.arange(n), cuts):
+            rows = {k: col[part] for k, col in whole.items()}
+            assert_same_columns(sweep(ts[part]), rows)
+
+    @pytest.mark.parametrize("n", [1, 16_384, 16_385, 49_152])
+    def test_each_warp_is_read_once_on_the_callers_grid(self, monkeypatch,
+                                                        n):
+        grids = []
+        jet = cv.SmoothCurve.jet
+
+        def counted(curve, t, *args):
+            grids.append(t)
+            return jet(curve, t, *args)
+
+        monkeypatch.setattr(cv.SmoothCurve, "jet", counted)
+        f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
+        h = cv.sine_curve(0.5, 1.3, 0.9, (0.0, 1.0))
+        ts = np.linspace(0.0, 1.0, n)
+        got = kv.bundle_warped_sweep(kv.BundleWarpedMetric(2, 3, f, h), ts)
+        assert len(grids) == 2
+        assert all(g is ts for g in grids)      # no slicing and no copy
+        assert all(len(col) == n for col in got.values())
 
     def test_transfer_grid_over_100k_points(self, monkeypatch):
         calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
@@ -678,129 +681,87 @@ class TestBlockedSweep:
         m, ts = calls[-1]
         assert ts is rep.sweeps["ricci"]["t"]
         assert len(ts) > 100_000
-        assert_same_columns(got, kv._bundle_warped_columns(m, ts))
+        assert m.a_bounds.trivial
+        assert_same_columns(got, bundle_formula(m, ts))
 
-    def test_collapse_at_t_lo_over_the_block_size(self, monkeypatch):
+
+class TestSweepChecks:
+    """A sweep's checks run over its whole grid, each raising its own
+    message, and the first check the grid fails raises; a bundle sweep
+    takes the collapse limit at t_lo, and a graph sweep reads the
+    height's orders 0-2 only."""
+
+    def test_collapse_at_t_lo_takes_the_limit(self, monkeypatch):
         calls = capture_sweep(monkeypatch, "bundle_warped_sweep")
-        rep = blocks.build_s1_block(3, 0.4, grid=40_000)
+        rep = blocks.build_s1_block(3, 0.4)
         (m, ts), = calls
-        assert m.collapse_start == "h" and len(ts) > 2 * B
-        assert m.h.eval(ts[0]) == 0.0
-        want = kv._bundle_warped_columns(m, ts)
-        assert_same_columns(rep.sweeps["ricci"]["columns"], want)
-        assert np.isfinite(want["ric_tt"][0])
+        assert m.collapse_start == "h" and m.h.eval(ts[0]) == 0.0
+        got = rep.sweeps["ricci"]["columns"]
+        assert_same_columns(got, kv.bundle_warped_sweep(m, ts))
+        limit = (-m.q * m.f.eval(0.0, 2) / m.f.eval(0.0)
+                 - m.p * m.h.eval(0.0, 3) / m.h.eval(0.0, 1))
+        assert got["ric_tt"][0] == pytest.approx(limit, rel=1e-12)
 
     @staticmethod
-    def bad_bundle(f_zero, h_zero):
+    def bad_bundle(f_zero, h_zero, collapse_start=None):
         """Bundle metric on [0, 1] whose base warp crosses zero at f_zero
         and whose fibre warp crosses zero at h_zero (none if None)."""
         dom = (0.0, 1.0)
         f = cv.line_curve(1.0, -1.0 / f_zero, dom)
         h = (cv.constant_curve(1.0, dom) if h_zero is None
              else cv.line_curve(1.0, -1.0 / h_zero, dom))
-        return kv.BundleWarpedMetric(2, 3, f, h)
+        return kv.BundleWarpedMetric(2, 3, f, h,
+                                     collapse_start=collapse_start)
 
     @pytest.mark.parametrize("h_zero", [None, 0.25])
-    def test_base_warp_bad_only_in_the_second_block(self, h_zero):
-        # 2B + 1 points on [0, 1]: f vanishes at index 1.5 B, in the second
-        # block; with h_zero the fibre warp also vanishes in the first
-        # block, and one pass raises the base warp check first
+    def test_base_warp_check_comes_first(self, h_zero):
+        # with h_zero the fibre warp vanishes, at points before the base
+        # warp's, and the base warp check still raises
         m = self.bad_bundle(0.75, h_zero)
-        ts = np.linspace(0.0, 1.0, 2 * B + 1)
-        with pytest.raises(ValueError, match="base warp must stay "
-                           "positive") as one_pass:
-            kv._bundle_warped_columns(m, ts)
-        with pytest.raises(ValueError, match="base warp must stay "
-                           "positive") as blocked:
-            kv.bundle_warped_sweep(m, ts)
-        assert str(blocked.value) == str(one_pass.value) \
-            == "base warp must stay positive"
+        with pytest.raises(ValueError) as err:
+            kv.bundle_warped_sweep(m, np.linspace(0.0, 1.0, 1001))
+        assert str(err.value) == "base warp must stay positive"
 
-    def test_fibre_collapse_away_from_t_lo_in_a_later_block(self):
+    def test_fibre_collapse_without_a_declared_collapse(self):
         m = self.bad_bundle(2.0, 0.8)
-        ts = np.linspace(0.0, 1.0, 3 * B)
-        with pytest.raises(ValueError, match="fibre warp vanishes without "
-                           "a declared collapse") as one_pass:
-            kv._bundle_warped_columns(m, ts)
-        with pytest.raises(ValueError, match="fibre warp vanishes without "
-                           "a declared collapse") as blocked:
-            kv.bundle_warped_sweep(m, ts)
-        assert str(blocked.value) == str(one_pass.value)
+        with pytest.raises(ValueError) as err:
+            kv.bundle_warped_sweep(m, np.linspace(0.0, 1.0, 1001))
+        assert str(err.value) == \
+            "fibre warp vanishes without a declared collapse"
+
+    def test_declared_fibre_collapse_away_from_t_lo(self):
+        m = self.bad_bundle(2.0, 0.8, collapse_start="h")
+        with pytest.raises(ValueError) as err:
+            kv.bundle_warped_sweep(m, np.linspace(0.0, 1.0, 1001))
+        assert str(err.value) == "fibre collapse away from t_lo"
 
     def test_cohomog1_interior_check_before_a_bad_endpoint(self):
-        # f = 0.5 - t does not vanish at the end t = -1, in the first
-        # block, and turns non-positive at t = 0.5, in the third of four
-        # blocks; one pass raises the interior check, naming the first
-        # such grid point, before it reaches the endpoint values
+        # f = 0.5 - t does not vanish at the end t = -1 and turns
+        # non-positive at t = 0.5: the interior check raises, naming the
+        # first such grid point, before the endpoint values are reached
         dom = (-1.0, 1.0)
         m = kv.CohomogOneMetric(2, 2, cv.line_curve(0.5, -1.0, dom),
                                 cv.constant_curve(1.0, dom))
-        ts = np.linspace(-1.0, 1.0, 4 * B - 1)
-        with pytest.raises(ValueError, match="undeclared singularity") \
-                as one_pass:
-            cohomog1_one_pass(m, ts, "wu")
-        with pytest.raises(ValueError, match="undeclared singularity") \
-                as blocked:
+        ts = np.linspace(-1.0, 1.0, 1000)
+        first = ts[np.flatnonzero(0.5 - ts <= 0.0)[0]]
+        with pytest.raises(ValueError) as err:
             kv.cohomog1_sweep(m, ts, "wu")
-        assert str(blocked.value) == str(one_pass.value)
-        assert str(one_pass.value).startswith("undeclared singularity")
+        assert str(err.value) == \
+            f"undeclared singularity at interior t={first}"
 
-    def test_domain_error_in_a_later_block(self):
+    def test_grid_outside_the_domain(self):
+        # the domain check comes before the base warp's, which fails too
         m = self.bad_bundle(0.75, None)
-        ts = np.linspace(0.0, 1.5, 2 * B + 1)
         with pytest.raises(ValueError, match=r"t outside \["):
-            kv.bundle_warped_sweep(m, ts)
+            kv.bundle_warped_sweep(m, np.linspace(0.0, 1.5, 1001))
 
-    @pytest.mark.parametrize("n,runs", [(1, 1), (B, 1), (B + 1, 2),
-                                        (3 * B, 3)])
-    def test_kernel_runs_once_per_block(self, monkeypatch, n, runs):
-        grids = []
-        kernel = kv._bundle_warped_columns
-
-        def counted(m, ts):
-            grids.append(ts)
-            return kernel(m, ts)
-
-        monkeypatch.setattr(kv, "_bundle_warped_columns", counted)
-        f = cv.sine_curve(1.0, 1.0, 0.3, (0.0, 1.0))
-        ts = np.linspace(0.0, 1.0, n)
-        kv.bundle_warped_sweep(kv.BundleWarpedMetric(2, 3, f, f), ts)
-        assert len(grids) == runs
-        if runs == 1:
-            assert grids[0] is ts      # no slicing and no copy
-        else:
-            assert [len(g) for g in grids[:-1]] == [B] * (runs - 1)
-            assert all(np.shares_memory(g, ts) for g in grids)
-
-    def test_graph_rows_are_sliced_per_block(self, monkeypatch):
-        """graph_ii_sweep hands each block its own slice of the height's
-        orders, views of the caller's arrays, and reads no order above 2."""
-        calls = []
-        kernel = kv._graph_ii_columns
-
-        def counted(f, R, ss, *rows):
-            calls.append((ss, rows))
-            return kernel(f, R, ss, *rows)
-
-        monkeypatch.setattr(kv, "_graph_ii_columns", counted)
+    def test_graph_sweep_reads_no_order_above_2(self):
         f = cv.make_concave_profile(0.9, 0.95, 0.1, t_max=40.0)
         R = cv.sine_curve(0.9, 1.0, 0.0, (0.01, PI / 2))
-        alpha = _cut_height(0.9, 0.05)
-        ss = np.linspace(0.05, 1.2, 2 * B + 1)
-        jet = alpha.jet(ss, 3)
-        kv.graph_ii_sweep(f, R, jet, ss)
-        assert [len(s) for s, _ in calls] == [B, B, 1]
-        for i, (s, rows) in enumerate(calls):
-            part = slice(i * B, (i + 1) * B)
-            assert len(rows) == 3
-            for row, col in zip(rows, jet):
-                assert np.shares_memory(row, col)
-                assert np.array_equal(row, col[part])
-
-    def test_block_size_is_not_a_parameter(self):
-        for sweep in (kv.doubly_warped_sweep, kv.graph_ii_sweep,
-                      kv.bundle_warped_sweep, kv.cohomog1_sweep):
-            assert "block" not in str(inspect.signature(sweep))
+        ss = np.linspace(0.05, 1.2, 1001)
+        jet = _cut_height(0.9, 0.05).jet(ss, 2)
+        assert_same_columns(kv.graph_ii_sweep(f, R, (*jet, None), ss),
+                            kv.graph_ii_sweep(f, R, jet, ss))
 
 
 class TestFiniteDifferenceOracle:

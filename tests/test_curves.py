@@ -1027,12 +1027,11 @@ class TestJet:
         assert doubly_warped_sweep(m, ss)["sec_tu"][0] == limit
         assert rep.sweeps["ricci"]["columns"]["ric_radial"][0] == 3 * limit
 
-    def test_transfer_sweep_looks_each_block_up_once(self, monkeypatch):
+    def test_transfer_sweep_looks_each_table_up_once(self, monkeypatch):
         """The default transfer block's bundle sweep, built on the first
-        read of its report's sweeps, looks up the Hermite segments of each
-        block once per ODE table, for all three orders."""
+        read of its report's sweeps, looks up the Hermite segments of its
+        whole grid once per ODE table, for all three orders."""
         from warpbench import _util
-        from warpbench.curvature import _SWEEP_BLOCK
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         h0, _ = blocks._transfer_curves(params["C"])
@@ -1046,9 +1045,7 @@ class TestJet:
 
         monkeypatch.setattr(_util, "segment_index", counted)
         n = len(rep.sweeps["ricci"]["t"])
-        assert n > 2 * _SWEEP_BLOCK
-        sizes = [min(_SWEEP_BLOCK, n - i) for i in range(0, n, _SWEEP_BLOCK)]
-        assert lookups == [k for k in sizes for _ in ("f", "h")]
+        assert lookups == [n, n]          # f's table, then h's
 
 
 def assert_bitwise(got, want):

@@ -378,7 +378,8 @@ def test_registry_probe_ends_every_build_in_a_handled_outcome():
     pass, fail:<label> or a handled error class; no pass has a non-finite
     margin, and no report a finite min_margin beside a NaN margin.  The
     transfer block at C >= p/q fails ric_tt, whose minimum on [0, t0] is
-    (p - qC)/e at t = 0 there."""
+    (p - qC)/e at t = 0 there, and C = 0, where fC' stays 0, is outside
+    its domain."""
     outcomes, bad = [], []
     for name in sorted(PARAMS):
         for key, value in PARAMS[name].items():
@@ -401,6 +402,9 @@ def test_registry_probe_ends_every_build_in_a_handled_outcome():
     assert [o for name, key, v, o in outcomes
             if (name, key) == ("transfer", "C") and v in (2.0, 4.0, 8.0)] \
         == ["fail:ric_tt"] * 3
+    assert [o for name, key, v, o in outcomes
+            if (name, key) == ("transfer", "C") and v == 0.0] \
+        == ["error:BuildError"] * 2
 
 
 REPORT_KEYS = {"block", "params", "margins", "verdict", "passed",

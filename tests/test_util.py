@@ -686,24 +686,21 @@ class TestHermiteJet:
 
     def test_bitwise_on_the_default_transfer_tables(self):
         """hermite_jet on each table of the default transfer ODE equals
-        searchsorted_hermite bitwise at random points, at the edges of the
-        sweep's blocks, at both ends of the block's grid and of the
-        tables, within the domain slop outside them, and at NaN; as one
-        array, and point by point as 0-d arrays and floats."""
-        from warpbench.curvature import _SWEEP_BLOCK
+        searchsorted_hermite bitwise at random points, at eight fixed
+        points of the block's sweep grid, at both ends of that grid and of
+        the tables, within the domain slop outside them, and at NaN; as
+        one array, and point by point as 0-d arrays and floats."""
         params = scenarios.DEFAULT_PIPELINE_PARAMS["transfer"]
         rep = blocks.build_transfer_block(p=2, q=3, **params)
         h0, fC = blocks._transfer_curves(params["C"])
         ts, g_cols = h0.nodes
         assert fC.nodes[0] is ts
         tt = rep.sweeps["ricci"]["t"]
-        assert len(tt) > 2 * _SWEEP_BLOCK
-        edges = [tt[i + d] for i in range(_SWEEP_BLOCK, len(tt), _SWEEP_BLOCK)
-                 for d in (-1, 0)]
+        fixed = tt[[16383, 16384, 32767, 32768, 49151, 49152, 65535, 65536]]
         rng = np.random.default_rng(15)
         t0, t_hi = tt[-1], ts[-1]
         q = np.concatenate([
-            rng.uniform(0.0, t_hi, 400), edges,
+            rng.uniform(0.0, t_hi, 400), fixed,
             [0.0, -0.0, t0, t_hi, np.nextafter(t0, 0.0), np.nan],
             [x + s * 1e-9 * (1.0 + x) for x in (0.0, t0, t_hi)
              for s in (-0.4, 0.4)]])
